@@ -376,6 +376,7 @@ class HoverEnv:
         self._loaded_mesh: TriMesh | None = None
         if self.cfg.mesh_file is not None:
             self._loaded_mesh = load_mesh(self.cfg.mesh_file, self.cfg.mesh_scale)
+            self._prep = PreparedMesh(self._loaded_mesh)
         self.model: AsteroidModel | None = None
         self.state: SpacecraftState | None = None
         self.done = True
@@ -389,7 +390,7 @@ class HoverEnv:
             self.model = _model_from_mesh(self._loaded_mesh, self.rng, cfg.dyn)
         else:
             self.model = synthesize_asteroid(self.rng, cfg.asteroid, cfg.dyn)
-        self._prep = PreparedMesh(self.model.mesh)
+            self._prep = PreparedMesh(self.model.mesh)
         self._ext = ExternalForces(accel=self.model.srp_accel.copy())
 
         self.table = default_thruster_table()

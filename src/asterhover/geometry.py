@@ -365,11 +365,11 @@ def load_mesh(path: str, scale: float = 1.0) -> TriMesh:
         raise MeshLoadError(f"{path}: no faces found")
     nv = len(vertices)
     face_arr = np.asarray(faces, dtype=np.int64)
-    for row, lineno in zip(face_arr, face_lines):
-        for idx in row:
-            if idx < 1 or idx > nv:
-                raise MeshLoadError(
-                    f"{path}:{lineno}: face index {idx} outside 1..{nv}"
-                )
+    bad = ((face_arr < 1) | (face_arr > nv)).ravel()
+    if bad.any():
+        row, col = divmod(int(np.argmax(bad)), 3)  # first offending index
+        raise MeshLoadError(
+            f"{path}:{face_lines[row]}: face index {face_arr[row, col]} outside 1..{nv}"
+        )
     verts = np.asarray(vertices, dtype=np.float64) * scale
     return TriMesh(verts, face_arr - 1)

@@ -22,6 +22,20 @@ from .geometry import TriMesh
 DET_EPS = 1.0e-12
 T_MIN = 1.0e-12
 
+# Margins of the candidate-facet pre-pass in cast_rays. The kernel's det,
+# barycentric and t numerators are triple products of edge and
+# origin-to-vertex vectors, and rounding moves them by about 1e-15 of
+# |tvec|*|e1|*|e2|. A facet is culled only when the origin lies behind its
+# plane by more than PLANE_TOL * (distance + facet radius), or when its
+# bounding sphere lies more than CONE_TOL radians outside the cone of the
+# rays. For a facet whose angles exceed 1e-3 rad, seen from where it
+# subtends more than 1e-3 rad and from more than 1e-3 rad off edge-on, the
+# culled side of those margins moves the kernel's sign tests by at least a
+# thousand times their rounding. Closer to them lie only slivers and
+# facets seen edge-on, where those sign tests are rounding noise anyway.
+PLANE_TOL = 1.0e-6
+CONE_TOL = 1.0e-6  # rad
+
 
 @dataclass
 class SensorConfig:
@@ -53,59 +67,55 @@ class LidarFrame:
 
 
 class PreparedMesh:
-    """Mesh rearranged for batch ray casting; build once per episode."""
+    """Mesh rearranged for batch ray casting; build once per mesh."""
 
     def __init__(self, mesh: TriMesh):
         v = mesh.vertices
         f = mesh.faces
-        self.v0 = np.ascontiguousarray(v[f[:, 0]])
-        self.edge1 = np.ascontiguousarray(v[f[:, 1]] - v[f[:, 0]])
-        self.edge2 = np.ascontiguousarray(v[f[:, 2]] - v[f[:, 0]])
+        corners = v[f]                                          # (F, 3, 3)
+        self.v0 = np.ascontiguousarray(corners[:, 0])
+        self.edge1 = np.ascontiguousarray(corners[:, 1] - corners[:, 0])
+        self.edge2 = np.ascontiguousarray(corners[:, 2] - corners[:, 0])
         self.num_faces = f.shape[0]
         # Upper bound on the distance of any surface point from the origin.
         self.bound_radius = float(np.max(np.linalg.norm(v, axis=1)))
+        # Per-facet bounding sphere and outward (unnormalised) normal, for
+        # the candidate pre-pass of cast_rays.
+        self.centroid = corners.mean(axis=1)
+        self.radius = np.linalg.norm(corners - self.centroid[:, None, :], axis=2).max(axis=1)
+        self.normal = np.cross(self.edge1, self.edge2)
+        self.normal_len = np.linalg.norm(self.normal, axis=1)
 
 
 def _prepare(mesh: TriMesh | PreparedMesh) -> PreparedMesh:
     return mesh if isinstance(mesh, PreparedMesh) else PreparedMesh(mesh)
 
 
-def ray_triangle_intersect(
-    origin: np.ndarray,
-    direction: np.ndarray,
-    triangle: np.ndarray,
-    cull_backface: bool = True,
-) -> float | None:
-    """Distance along `direction` to one triangle, or None.
+def _candidate_faces(prep: PreparedMesh, origin: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Indices of the facets any of the rays `d` from `origin` can hit.
 
-    Front faces are those whose vertices appear counterclockwise from the
-    ray origin side; with culling enabled a back-face crossing returns None,
-    as does a parallel or degenerate triangle.
+    A facet is kept when the origin is not clearly behind its plane (the
+    kernel then has det <= DET_EPS or t <= T_MIN for every ray) and its
+    bounding sphere meets the cone around the rays: the axis is their
+    normalised sum, the half-angle their largest angle from it. Any axis
+    gives a cone holding every ray, so the choice only sets how much is
+    culled.
     """
-    v0, v1, v2 = np.asarray(triangle, dtype=np.float64)
-    e1 = v1 - v0
-    e2 = v2 - v0
-    pvec = np.cross(direction, e2)
-    det = float(np.dot(e1, pvec))
-    if cull_backface:
-        if det < DET_EPS:
-            return None
-    elif abs(det) < DET_EPS:
-        return None
-    tvec = origin - v0
-    u = float(np.dot(tvec, pvec))
-    qvec = np.cross(tvec, e1)
-    v = float(np.dot(direction, qvec))
-    if det > 0.0:
-        if u < 0.0 or u > det or v < 0.0 or u + v > det:
-            return None
-    else:
-        if u > 0.0 or u < det or v > 0.0 or u + v < det:
-            return None
-    t = float(np.dot(e2, qvec)) / det
-    if t <= T_MIN:
-        return None
-    return t
+    w = prep.centroid - origin                                  # (F, 3)
+    dist = np.sqrt(np.einsum("fk,fk->f", w, w))
+    reach = dist + prep.radius
+    front = np.einsum("fk,fk->f", w, prep.normal) <= PLANE_TOL * prep.normal_len * reach
+
+    units = d / np.linalg.norm(d, axis=1, keepdims=True)
+    total = units.sum(axis=0)
+    norm = np.linalg.norm(total)
+    axis = total / norm if norm > 0.0 else units[0]
+    half_angle = np.arccos(np.clip((units @ axis).min(), -1.0, 1.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        off_axis = np.arccos(np.clip((w @ axis) / dist, -1.0, 1.0))
+        sphere_half_angle = np.arcsin(np.minimum(prep.radius / dist, 1.0))
+    in_cone = (dist <= prep.radius) | (off_axis <= half_angle + sphere_half_angle + CONE_TOL)
+    return np.flatnonzero(front & in_cone)
 
 
 def cast_rays(
@@ -119,6 +129,14 @@ def cast_rays(
     Returns (ranges, hit): misses get exactly `max_range`; hits are the
     nearest intersection distance and are strictly less than `max_range`
     (a surface exactly at or beyond `max_range` reads as a miss).
+
+    Möller–Trumbore runs over the facets kept by :func:`_candidate_faces`
+    only. A culled facet would give t = inf for every ray, and the per-facet
+    arithmetic does not change, so the result equals the brute-force cast
+    over all facets bit for bit. The exception is the BLAS product
+    `d @ qvec.T`, which can round differently for another facet count; that
+    decides a hit only for a ray passing within rounding of a facet edge,
+    where brute force itself changes with the mesh's facet count.
     """
     prep = _prepare(mesh)
     d = np.asarray(directions, dtype=np.float64)
@@ -126,39 +144,31 @@ def cast_rays(
     d = np.atleast_2d(d)                       # (R, 3)
     origin = np.asarray(origin, dtype=np.float64)
 
-    pvec = np.cross(d[:, None, :], prep.edge2[None, :, :])     # (R, F, 3)
-    det = np.einsum("fk,rfk->rf", prep.edge1, pvec)            # (R, F)
-    tvec = origin[None, :] - prep.v0                           # (F, 3)
+    keep = _candidate_faces(prep, origin, d)
+    v0, edge1, edge2 = prep.v0[keep], prep.edge1[keep], prep.edge2[keep]
+
+    pvec = np.cross(d[:, None, :], edge2[None, :, :])          # (R, F, 3)
+    det = np.einsum("fk,rfk->rf", edge1, pvec)                 # (R, F)
+    tvec = origin[None, :] - v0                                # (F, 3)
     u = np.einsum("fk,rfk->rf", tvec, pvec)
-    qvec = np.cross(tvec, prep.edge1)                          # (F, 3)
+    qvec = np.cross(tvec, edge1)                               # (F, 3)
     v = d @ qvec.T                                             # (R, F)
 
     # Scaled barycentric tests avoid a divide until the final t. Culling:
     # only det > eps survives, which selects rays entering through the
     # outward-facing side of each triangle.
     ok = (det > DET_EPS) & (u >= 0.0) & (v >= 0.0) & (u <= det) & (u + v <= det)
-    t_scaled = np.einsum("fk,fk->f", prep.edge2, qvec)         # (F,)
+    t_scaled = np.einsum("fk,fk->f", edge2, qvec)              # (F,)
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.where(ok, t_scaled[None, :] / det, np.inf)
     t[t <= T_MIN] = np.inf
 
-    nearest = t.min(axis=1)
+    nearest = t.min(axis=1, initial=np.inf)
     hit = nearest < max_range
     ranges = np.where(hit, nearest, max_range)
     if single:
         return ranges[0], hit[0]
     return ranges, hit
-
-
-def cast_ray(
-    mesh: TriMesh | PreparedMesh,
-    origin: np.ndarray,
-    direction: np.ndarray,
-    max_range: float = 2000.0,
-) -> float:
-    """Single-ray convenience wrapper around :func:`cast_rays`."""
-    ranges, _ = cast_rays(mesh, origin, direction, max_range)
-    return float(ranges)
 
 
 def crossing_count(mesh: TriMesh | PreparedMesh, origin: np.ndarray, direction: np.ndarray) -> int:

@@ -12,6 +12,7 @@ and single steps are (B, ...).
 from __future__ import annotations
 
 import json
+import os
 from collections import OrderedDict
 
 import numpy as np
@@ -526,7 +527,7 @@ def save_checkpoint(
     extra: dict | None = None,
 ) -> None:
     """Write every parameter, optimizer moment, and the rng state to one
-    .npz archive; float64 arrays round-trip bit-exactly."""
+    .npz archive at exactly `path`; float64 arrays round-trip bit-exactly."""
     arrays: dict[str, np.ndarray] = {}
     for k, v in policy.parameters().items():
         arrays[f"policy/{k}"] = v
@@ -543,7 +544,21 @@ def save_checkpoint(
         meta["value_opt"] = {"t": value_opt.t, "lr": value_opt.lr}
     if rng_state is not None:
         meta["rng_state"] = rng_state
-    np.savez(path, __meta__=np.array(json.dumps(meta)), **arrays)
+    # Write beside the target and rename over it, so a crash mid-write never
+    # leaves a truncated archive under the final name. The temp name ends in
+    # ".tmp", which checkpoint globs do not match; np.savez gets an open
+    # file because it appends ".npz" to bare names.
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, __meta__=np.array(json.dumps(meta)), **arrays)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(

@@ -478,6 +478,25 @@ def _format(value) -> str:
     return format(float(value), ".17g")
 
 
+def _truncate_metrics(path: str, next_batch: int) -> None:
+    """Cut metrics.csv back to its header and the complete rows of batches
+    before `next_batch`.
+
+    Rows of later batches were written after the checkpoint a resume starts
+    from (or cut off mid-write); the resumed run writes them again.
+    """
+    with open(path, "rb+") as fh:
+        lines = fh.readlines()
+        keep = 1
+        while (
+            keep < len(lines)
+            and lines[keep].endswith(b"\n")
+            and int(lines[keep].split(b",", 1)[0]) < next_batch
+        ):
+            keep += 1
+        fh.truncate(sum(len(line) for line in lines[:keep]))
+
+
 def train(cfg: TrainConfig, log=None) -> str:
     """Run the full collect / advantage / update loop.
 
@@ -509,6 +528,8 @@ def train(cfg: TrainConfig, log=None) -> str:
         clip_eps = float(meta["extra"]["clip_eps"])
 
     mode = "a" if cfg.resume and os.path.exists(metrics_path) else "w"
+    if mode == "a":
+        _truncate_metrics(metrics_path, start_batch)
     env = HoverEnv(cfg.episode)
     with open(metrics_path, mode) as fh:
         if mode == "w":

@@ -19,7 +19,12 @@ from asterhover.env import (
     value_net_inputs,
 )
 from asterhover.errors import ConfigurationError, SimulationError
-from asterhover.geometry import AsteroidDynRanges, AsteroidGenConfig, synthesize_asteroid
+from asterhover.geometry import (
+    AsteroidDynRanges,
+    AsteroidGenConfig,
+    save_mesh,
+    synthesize_asteroid,
+)
 from asterhover.lidar import LidarFrame, SensorConfig, scan
 
 IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
@@ -248,6 +253,22 @@ def test_reset_deterministic():
     # Different seeds give different worlds.
     env_b.reset(seed=43)
     assert not np.array_equal(env_a.model.mesh.vertices, env_b.model.mesh.vertices)
+
+
+def test_loaded_mesh_is_prepared_once(tmp_path):
+    path = str(tmp_path / "body.obj")
+    save_mesh(path, synthesize_asteroid(5).mesh)
+    env = HoverEnv(EpisodeConfig(mesh_file=path))
+    env.reset(seed=1)
+    prep = env._prep
+    env.reset(seed=2)
+    assert env._prep is prep
+    # Synthesized bodies change every reset, and so does their preparation.
+    env = HoverEnv()
+    env.reset(seed=1)
+    prep = env._prep
+    env.reset(seed=2)
+    assert env._prep is not prep
 
 
 def test_first_observation_invariants():

@@ -3,21 +3,28 @@ import math
 import numpy as np
 import pytest
 
-from asterhover.dynamics import quat_from_axis_angle
+from asterhover.dynamics import quat_from_axis_angle, quat_to_dcm
+from asterhover.env import EpisodeConfig, sample_initial_conditions
 from asterhover.errors import ConfigurationError
-from asterhover.geometry import TriMesh, generate_icosphere, synthesize_asteroid
+from asterhover.geometry import (
+    AsteroidGenConfig,
+    TriMesh,
+    generate_icosphere,
+    make_peanut_mesh,
+    synthesize_asteroid,
+)
 from asterhover.lidar import (
     LidarFrame,
     PreparedMesh,
     SensorConfig,
+    _candidate_faces,
     apply_sensor_noise,
     beam_directions,
-    cast_ray,
     cast_rays,
     crossing_count,
-    ray_triangle_intersect,
     scan,
 )
+from lidar_reference import cast_ray, cast_rays_reference, ray_triangle_intersect
 
 IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -185,6 +192,123 @@ def test_prepared_mesh_equivalent(rng):
     r_b, h_b = cast_rays(prep, origin, dirs)
     np.testing.assert_array_equal(r_a, r_b)
     np.testing.assert_array_equal(h_a, h_b)
+
+
+# --------------------------------------------------------------------------
+# Candidate-facet pre-pass: bit-identical to the brute-force reference
+
+
+@pytest.fixture(scope="module", params=["level2", "level3", "level5", "peanut", "sphere"])
+def body(request):
+    name = request.param
+    if name == "peanut":
+        mesh = make_peanut_mesh()
+    elif name == "sphere":  # criterion 2's sphere
+        mesh = sphere_mesh(300.0, level=4)
+    else:
+        level = int(name[-1])
+        mesh = synthesize_asteroid(100 + level, AsteroidGenConfig(subdivision_level=level)).mesh
+    return PreparedMesh(mesh)
+
+
+def assert_matches_reference(prep, origin, dirs, max_range=2000.0):
+    ranges, hit = cast_rays(prep, origin, dirs, max_range)
+    ref_ranges, ref_hit = cast_rays_reference(prep, origin, dirs, max_range)
+    assert ranges.tobytes() == ref_ranges.tobytes()
+    assert hit.tobytes() == ref_hit.tobytes()
+    return ref_ranges, ref_hit
+
+
+def random_beams(rng):
+    """The 64 sensor beams at a random attitude, (64, 3)."""
+    q = quat_from_axis_angle(rng.standard_normal(3), rng.uniform(0.0, 2.0 * math.pi))
+    return beam_directions(SensorConfig()).reshape(-1, 3) @ quat_to_dcm(q).T
+
+
+def scan_positions(prep, count, seed):
+    """(position, beams) pairs from the environment's initial-condition draw."""
+    rng = np.random.default_rng(seed)
+    cfg = EpisodeConfig()
+    beams = beam_directions(cfg.sensor).reshape(-1, 3)
+    out = []
+    for _ in range(10 * count):
+        state = sample_initial_conditions(rng, cfg, prep)
+        if state is not None:
+            out.append((state.position, beams @ quat_to_dcm(state.attitude).T))
+    assert len(out) >= count
+    return out[:count]
+
+
+def test_prepass_matches_reference_at_scan_positions(body):
+    hits = 0
+    for position, dirs in scan_positions(body, 6, seed=1):
+        _, hit = assert_matches_reference(body, position, dirs)
+        hits += int(hit.sum())
+        for k in (0, 27, 63):  # single rays, as 1-D and as (1, 3)
+            assert_matches_reference(body, position, dirs[k])
+            assert_matches_reference(body, position, dirs[k : k + 1])
+        # The pre-pass must actually cull: a sensor cone sees a small share.
+        assert _candidate_faces(body, position, dirs).size < 0.5 * body.num_faces
+    assert hits > 0
+
+
+def test_prepass_matches_reference_inside_body(body, rng):
+    inner = 0.1 * np.min(np.linalg.norm(body.v0, axis=1))
+    # Level-5 synthesized bodies have folded facets that face the center.
+    folded = bool(np.any(np.einsum("fk,fk->f", body.centroid, body.normal) < 0.0))
+    for _ in range(4):
+        u = rng.standard_normal(3)
+        origin = inner * rng.uniform() * u / np.linalg.norm(u)
+        _, hit = assert_matches_reference(body, origin, random_beams(rng))
+        assert folded or not hit.any()  # every beam meets a back face
+        d = rng.standard_normal(3)
+        _, hit = assert_matches_reference(body, origin, d / np.linalg.norm(d))
+        assert folded or not hit
+
+
+def test_prepass_matches_reference_far_single_rays(body, rng):
+    # The surface_radius cast: inward from well outside, one ray.
+    cast_from = 2.0 * body.bound_radius + 100.0
+    hits = 0
+    for _ in range(30):
+        u = rng.standard_normal(3)
+        u /= np.linalg.norm(u)
+        _, hit = assert_matches_reference(body, cast_from * u, -u, max_range=2.0 * cast_from)
+        assert_matches_reference(body, cast_from * u, -u[None, :], max_range=2.0 * cast_from)
+        hits += int(hit)
+    assert hits == 30
+
+
+def test_prepass_matches_reference_near_facet_planes(body, rng):
+    # Origins on a facet's plane (its centroid, or a point of the plane
+    # beyond one of its corners) and just in front of or behind it, with
+    # beams toward the body and rays skimming the plane.
+    for f in rng.choice(body.num_faces, size=3, replace=False):
+        c = body.centroid[f]
+        n = body.normal[f] / body.normal_len[f]
+        in_plane = body.edge1[f] / np.linalg.norm(body.edge1[f])
+        beyond_corner = c + 2.0 * (body.v0[f] - c)
+        for base in (c, beyond_corner):
+            for h in (0.0, 1e-9, -1e-9, 1e-6, -1e-6, 1e-3):
+                origin = base + h * np.linalg.norm(c) * n
+                assert_matches_reference(body, origin, random_beams(rng))
+                skim = np.array([in_plane + eps * n for eps in (-1e-3, -1e-9, 0.0, 1e-9, 1e-3)])
+                skim = np.vstack([skim, -skim])
+                assert_matches_reference(body, origin, skim / np.linalg.norm(skim, axis=1)[:, None])
+
+
+def test_prepass_matches_reference_at_max_range(body):
+    position, dirs = scan_positions(body, 1, seed=2)[0]
+    ranges, hit = cast_rays_reference(body, position, dirs)
+    k = np.flatnonzero(hit)[hit.sum() // 2]  # a beam with a middling range
+    edge = float(ranges[k])
+    for max_range in (edge, np.nextafter(edge, np.inf), np.nextafter(edge, 0.0), 0.5 * edge):
+        assert_matches_reference(body, position, dirs, max_range)
+        assert_matches_reference(body, position, dirs[k], max_range)
+    # A beam whose surface sits exactly at max_range reads as a miss, one
+    # ulp further out it is a hit.
+    assert not assert_matches_reference(body, position, dirs[k], edge)[1]
+    assert assert_matches_reference(body, position, dirs[k], np.nextafter(edge, np.inf))[1]
 
 
 # --------------------------------------------------------------------------

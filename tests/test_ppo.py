@@ -397,6 +397,42 @@ def test_train_resume_matches_uninterrupted_run(tmp_path):
         np.testing.assert_array_equal(v, vb.parameters()[k])
 
 
+def test_resume_after_lost_checkpoint_matches_uninterrupted_run(tmp_path):
+    # Killed after batch 2's row was flushed but before its checkpoint was
+    # written: the resume restarts from checkpoint 2 and must not keep the
+    # stale row of batch 2 next to the one it writes again.
+    full = train(train_config(tmp_path / "full", batches=3, checkpoint_every=2))
+    train(train_config(tmp_path / "cut", batches=3, checkpoint_every=2))
+    (tmp_path / "cut" / "checkpoint_000003.npz").unlink()
+    resumed = train(
+        train_config(tmp_path / "cut", batches=3, checkpoint_every=2, resume=True)
+    )
+    with open(full, "rb") as f1, open(resumed, "rb") as f2:
+        assert f1.read() == f2.read()
+
+
+def test_checkpoint_write_failure_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    policy, value_net = build_networks(seed=3)
+    first = tmp_path / "checkpoint_000001.npz"
+    nn.save_checkpoint(str(first), policy, value_net, extra={"next_batch": 1})
+
+    def savez_then_fail(file, *args, **kwargs):
+        file.write(b"PK\x03\x04 partial archive")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", savez_then_fail)
+    with pytest.raises(OSError):
+        nn.save_checkpoint(
+            str(tmp_path / "checkpoint_000002.npz"), policy, value_net,
+            extra={"next_batch": 2},
+        )
+    monkeypatch.undo()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint_000001.npz"]
+    assert latest_checkpoint(str(tmp_path)) == str(first)
+    meta = nn.load_checkpoint(str(first), policy, value_net)
+    assert meta["extra"]["next_batch"] == 1
+
+
 def test_resume_without_checkpoint_is_an_error(tmp_path):
     cfg = train_config(tmp_path / "empty", resume=True)
     with pytest.raises(ConfigurationError):
