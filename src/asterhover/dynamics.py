@@ -111,13 +111,6 @@ def quat_from_axis_angle(axis: np.ndarray, angle: float) -> np.ndarray:
     return q
 
 
-def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rotate vector v by quaternion q without forming the full matrix."""
-    qv = q[1:]
-    t = 2.0 * np.cross(qv, v)
-    return v + q[0] * t + np.cross(qv, t)
-
-
 def quat_error(q_current: np.ndarray, q_reference: np.ndarray) -> np.ndarray:
     """Rotation taking the reference attitude to the current one.
 
@@ -135,14 +128,15 @@ def quat_angle(q: np.ndarray) -> float:
 # --------------------------------------------------------------------------
 # Spacecraft mass properties and thrusters
 
+def _cube_moment(mass: float) -> float:
+    """Each principal moment of a uniform cube of side CUBE_SIDE."""
+    s2 = CUBE_SIDE * CUBE_SIDE
+    return (mass / 12.0) * (s2 + s2)
+
+
 def inertia_diag(mass: float) -> np.ndarray:
     """Principal moments of a uniform cube of side CUBE_SIDE about its center."""
-    s2 = CUBE_SIDE * CUBE_SIDE
-    return (mass / 12.0) * np.array([s2 + s2, s2 + s2, s2 + s2])
-
-
-def inertia_tensor(mass: float) -> np.ndarray:
-    return np.diag(inertia_diag(mass))
+    return np.full(3, _cube_moment(mass))
 
 
 @dataclass
@@ -153,14 +147,6 @@ class ThrusterTable:
     directions: np.ndarray  # (12, 3) unit force directions
     max_thrust: np.ndarray  # (12,) N
     health: np.ndarray      # (12,) output scale, 1.0 when nominal
-
-    def copy(self) -> "ThrusterTable":
-        return ThrusterTable(
-            self.positions.copy(),
-            self.directions.copy(),
-            self.max_thrust.copy(),
-            self.health.copy(),
-        )
 
 
 def default_thruster_table() -> ThrusterTable:
@@ -218,21 +204,42 @@ def body_force_torque(
     thrust magnitude (used for propellant flow).
 
     `action` holds 12 on/off commands; `com_offset` shifts the center of
-    mass away from the geometric center.
+    mass away from the geometric center. The sums run over the thrusters in
+    table order from +0.0, on Python floats; tests/dynamics_reference.py
+    holds the array form this equals bit for bit.
     """
     a = np.asarray(action, dtype=np.float64)
     if a.shape != (12,):
         raise ConfigurationError(f"action must have shape (12,), got {a.shape}")
     thrust = table.max_thrust * table.health * a  # (12,) N
-    forces = table.directions * thrust[:, None]
-    arms = table.positions - (0.0 if com_offset is None else np.asarray(com_offset))
-    force = forces.sum(axis=0)
-    torque = np.cross(arms, forces).sum(axis=0)
-    return force, torque, float(thrust.sum())
+    cx, cy, cz = (0.0, 0.0, 0.0) if com_offset is None else np.asarray(com_offset).tolist()
+    fx = fy = fz = lx = ly = lz = 0.0
+    for (px, py, pz), (dx, dy, dz), th in zip(
+        table.positions.tolist(), table.directions.tolist(), thrust.tolist()
+    ):
+        gx, gy, gz = dx * th, dy * th, dz * th  # this thruster's force
+        ax, ay, az = px - cx, py - cy, pz - cz  # its arm about the center of mass
+        fx += gx
+        fy += gy
+        fz += gz
+        lx += ay * gz - az * gy
+        ly += az * gx - ax * gz
+        lz += ax * gy - ay * gx
+    # thrust.sum() stays numpy's pairwise sum, which a float loop would not reproduce.
+    return np.array([fx, fy, fz]), np.array([lx, ly, lz]), float(thrust.sum())
 
 
 # --------------------------------------------------------------------------
 # Asteroid rotation state and external forces
+
+def _spin(model: AsteroidModel, t: float) -> tuple[float, float, float]:
+    """Asteroid angular velocity at time t, body frame, as three floats."""
+    w0 = float(model.spin_rate)
+    theta = model.nutation
+    arg = model.precession_rate * t + model.phase
+    s = math.sin(theta)
+    return w0 * (s * math.cos(arg)), w0 * (s * math.sin(arg)), w0 * math.cos(theta)
+
 
 def asteroid_angular_velocity(model: AsteroidModel, t: float) -> np.ndarray:
     """Asteroid angular velocity at time t, expressed in its own body frame.
@@ -240,11 +247,7 @@ def asteroid_angular_velocity(model: AsteroidModel, t: float) -> np.ndarray:
     The magnitude and the angle to +z stay fixed while the transverse
     component precesses at the model's torque-free precession rate.
     """
-    w0 = model.spin_rate
-    theta = model.nutation
-    arg = model.precession_rate * t + model.phase
-    s = math.sin(theta)
-    return w0 * np.array([s * math.cos(arg), s * math.sin(arg), math.cos(theta)])
+    return np.array(_spin(model, t))
 
 
 @dataclass
@@ -283,70 +286,79 @@ def _pack(state: SpacecraftState) -> np.ndarray:
     )
 
 
+def _norm(*components: float) -> float:
+    """Euclidean norm through BLAS ddot, as np.linalg.norm computes it; a
+    float sum of squares rounds differently."""
+    v = np.array(components)
+    return math.sqrt(np.dot(v, v))
+
+
 def _derivative(
-    y: np.ndarray,
+    y: list[float],
     t: float,
-    f_body: np.ndarray,
-    l_body: np.ndarray,
+    f_body: list[float],
+    l_body: list[float],
     mdot: float,
     model: AsteroidModel,
     ext: ExternalForces,
-) -> np.ndarray:
-    r = y[0:3]
-    v = y[3:6]
-    q = y[6:10]
-    w = y[10:13]
-    m = y[13]
+) -> list[float]:
+    """Time derivative of the packed state [r, v, q, omega, m], on floats.
 
-    r_norm = float(np.linalg.norm(r))
+    Every component is the array form's expression written out, with its
+    operations in the same order (np.cross(a, b)[0] is a1*b2 - a2*b1), so
+    the result is bit-identical to it.
+    """
+    rx, ry, rz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz, m = y
+
+    r_norm = _norm(rx, ry, rz)
     if r_norm < 1.0:
         raise SimulationError(f"position reached {r_norm:.3f} m from the body center")
     if m <= 0.0:
         raise SimulationError("spacecraft mass is not positive")
 
-    w_ast = asteroid_angular_velocity(model, t)
+    sx, sy, sz = _spin(model, t)
 
     # Translation: thrust (rotated to the asteroid frame), disturbance,
     # point-mass gravity, Coriolis, centrifugal.
-    accel = (
-        quat_rotate(q / np.linalg.norm(q), f_body) / m
-        + ext.accel
-        - model.gm * r / r_norm**3
-        + 2.0 * np.cross(v, w_ast)
-        + np.cross(np.cross(w_ast, r), w_ast)
-    )
+    q_norm = _norm(qw, qx, qy, qz)
+    if q_norm == 0.0:  # numpy's 0/0: NaN (and its warning), not ZeroDivisionError
+        a, b, c, d = (np.array([qw, qx, qy, qz]) / q_norm).tolist()
+    else:
+        a, b, c, d = qw / q_norm, qx / q_norm, qy / q_norm, qz / q_norm
+    fx, fy, fz = f_body
+    tx = 2.0 * (c * fz - d * fy)
+    ty = 2.0 * (d * fx - b * fz)
+    tz = 2.0 * (b * fy - c * fx)
+    ux = fx + a * tx + (c * tz - d * ty)
+    uy = fy + a * ty + (d * tx - b * tz)
+    uz = fz + a * tz + (b * ty - c * tx)
+    gm = model.gm
+    r3 = r_norm**3
+    ex = sy * rz - sz * ry  # spin x r
+    ey = sz * rx - sx * rz
+    ez = sx * ry - sy * rx
+    eax, eay, eaz = ext.accel.tolist()
+    accel_x = ux / m + eax - gm * rx / r3 + 2.0 * (vy * sz - vz * sy) + (ey * sz - ez * sy)
+    accel_y = uy / m + eay - gm * ry / r3 + 2.0 * (vz * sx - vx * sz) + (ez * sx - ex * sz)
+    accel_z = uz / m + eaz - gm * rz / r3 + 2.0 * (vx * sy - vy * sx) + (ex * sy - ey * sx)
 
-    # Attitude kinematics: qdot = 1/2 q * (0, w).
-    qdot = 0.5 * quat_mul(q, np.array([0.0, w[0], w[1], w[2]]))
+    # Attitude kinematics: qdot = 1/2 q * (0, w); the zero products stay
+    # for their signed zeros.
+    qdw = 0.5 * (qw * 0.0 - qx * wx - qy * wy - qz * wz)
+    qdx = 0.5 * (qw * wx + qx * 0.0 + qy * wz - qz * wy)
+    qdy = 0.5 * (qw * wy - qx * wz + qy * 0.0 + qz * wx)
+    qdz = 0.5 * (qw * wz + qx * wy - qy * wx + qz * 0.0)
 
     # Rotation: diagonal inertia shrinks with mass, so Jdot = (J/m) mdot.
-    j = inertia_diag(m)
+    j = _cube_moment(m)
     jdot = j / m * mdot
-    wdot = (l_body + ext.torque - np.cross(w, j * w) - jdot * w) / j
+    hx, hy, hz = j * wx, j * wy, j * wz
+    tqx, tqy, tqz = ext.torque.tolist()
+    wdx = (l_body[0] + tqx - (wy * hz - wz * hy) - jdot * wx) / j
+    wdy = (l_body[1] + tqy - (wz * hx - wx * hz) - jdot * wy) / j
+    wdz = (l_body[2] + tqz - (wx * hy - wy * hx) - jdot * wz) / j
 
-    out = np.empty(14)
-    out[0:3] = v
-    out[3:6] = accel
-    out[6:10] = qdot
-    out[10:13] = wdot
-    out[13] = mdot
-    return out
-
-
-def state_derivative(
-    state: SpacecraftState,
-    action: np.ndarray,
-    model: AsteroidModel,
-    table: ThrusterTable,
-    ext: ExternalForces | None = None,
-    isp: float = ISP_DEFAULT,
-    g_ref: float = G_REF,
-) -> np.ndarray:
-    """Time derivative of the packed state [r, v, q, omega, m]."""
-    ext = ext or ExternalForces()
-    f_body, l_body, thrust_sum = body_force_torque(action, table, state.com_offset)
-    mdot = -thrust_sum / (isp * g_ref)
-    return _derivative(_pack(state), state.t, f_body, l_body, mdot, model, ext)
+    return [vx, vy, vz, accel_x, accel_y, accel_z, qdw, qdx, qdy, qdz, wdx, wdy, wdz, mdot]
 
 
 def rk4_step(
@@ -364,20 +376,28 @@ def rk4_step(
 
     The attitude quaternion is renormalized after the step unless
     `renormalize` is disabled (useful for measuring integrator drift).
+    The stages run on Python floats in the array form's order (y + (h*k),
+    then ((k1 + 2 k2) + 2 k3) + k4); arrays are built only for the returned
+    state.
     """
     if dt <= 0.0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
     ext = ext or ExternalForces()
     f_body, l_body, thrust_sum = body_force_torque(action, table, state.com_offset)
     mdot = -thrust_sum / (isp * g_ref)
+    f_body, l_body = f_body.tolist(), l_body.tolist()
 
-    y = _pack(state)
+    y = _pack(state).tolist()
     t = state.t
+    h = 0.5 * dt
     k1 = _derivative(y, t, f_body, l_body, mdot, model, ext)
-    k2 = _derivative(y + 0.5 * dt * k1, t + 0.5 * dt, f_body, l_body, mdot, model, ext)
-    k3 = _derivative(y + 0.5 * dt * k2, t + 0.5 * dt, f_body, l_body, mdot, model, ext)
-    k4 = _derivative(y + dt * k3, t + dt, f_body, l_body, mdot, model, ext)
-    y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = _derivative([a + h * b for a, b in zip(y, k1)], t + h, f_body, l_body, mdot, model, ext)
+    k3 = _derivative([a + h * b for a, b in zip(y, k2)], t + h, f_body, l_body, mdot, model, ext)
+    k4 = _derivative([a + dt * b for a, b in zip(y, k3)], t + dt, f_body, l_body, mdot, model, ext)
+    c = dt / 6.0
+    y = np.array([
+        a + c * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
+    ])
 
     q = y[6:10]
     if renormalize:

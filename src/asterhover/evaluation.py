@@ -27,8 +27,7 @@ from . import nn
 from .dynamics import G_REF, ISP_DEFAULT
 from .env import EpisodeConfig, HoverEnv, good_hover, policy_net_inputs
 from .errors import ConfigurationError, MeshLoadError
-
-STOCHASTIC_STREAM = 7001
+from .ppo import ACTION_STREAM
 
 
 @dataclass
@@ -321,7 +320,7 @@ def _run_worker_episode(idx: int) -> dict:
     rng = None
     if _WORKER["stochastic"]:
         rng = np.random.default_rng(
-            np.random.SeedSequence((_WORKER["seed"], idx, STOCHASTIC_STREAM))
+            np.random.SeedSequence((_WORKER["seed"], idx, ACTION_STREAM))
         )
     return run_episode(
         _WORKER["env"],
@@ -368,7 +367,7 @@ def run_monte_carlo(
                 rng = None
                 if stochastic:
                     rng = np.random.default_rng(
-                        np.random.SeedSequence((seed, idx, STOCHASTIC_STREAM))
+                        np.random.SeedSequence((seed, idx, ACTION_STREAM))
                     )
                 rows.append(
                     run_episode(

@@ -87,8 +87,37 @@ class PreparedMesh:
         self.normal_len = np.linalg.norm(self.normal, axis=1)
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.cross of two (N, 3) arrays with its arithmetic (a1*b2 - a2*b1,
+    ...), without its per-call overhead, which dominates at cast sizes."""
+    a0, a1, a2 = a.T
+    b0, b1, b2 = b.T
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=1)
+
+
 def _prepare(mesh: TriMesh | PreparedMesh) -> PreparedMesh:
     return mesh if isinstance(mesh, PreparedMesh) else PreparedMesh(mesh)
+
+
+def _near_cone(
+    w: np.ndarray,
+    dist: np.ndarray,
+    radius: np.ndarray,
+    axis: np.ndarray,
+    half_angle: float,
+) -> np.ndarray:
+    """Whether each bounding sphere comes within CONE_TOL rad of a cone.
+
+    The spheres have centres `w` (F, 3) relative to the apex, at distances
+    `dist`, with radii `radius`. With a unit `axis` of shape (3,), `dist`
+    and `radius` are (F,) and so is the mask; with one unit axis per column,
+    (3, R), they are (F, 1) and the mask is (F, R). A sphere that holds the
+    apex always counts.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        off_axis = np.arccos(np.clip((w @ axis) / dist, -1.0, 1.0))
+        sphere_half_angle = np.arcsin(np.minimum(radius / dist, 1.0))
+    return (dist <= radius) | (off_axis <= half_angle + sphere_half_angle + CONE_TOL)
 
 
 def _candidate_faces(prep: PreparedMesh, origin: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -111,10 +140,7 @@ def _candidate_faces(prep: PreparedMesh, origin: np.ndarray, d: np.ndarray) -> n
     norm = np.linalg.norm(total)
     axis = total / norm if norm > 0.0 else units[0]
     half_angle = np.arccos(np.clip((units @ axis).min(), -1.0, 1.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        off_axis = np.arccos(np.clip((w @ axis) / dist, -1.0, 1.0))
-        sphere_half_angle = np.arcsin(np.minimum(prep.radius / dist, 1.0))
-    in_cone = (dist <= prep.radius) | (off_axis <= half_angle + sphere_half_angle + CONE_TOL)
+    in_cone = _near_cone(w, dist, prep.radius, axis, half_angle)
     return np.flatnonzero(front & in_cone)
 
 
@@ -130,13 +156,16 @@ def cast_rays(
     nearest intersection distance and are strictly less than `max_range`
     (a surface exactly at or beyond `max_range` reads as a miss).
 
-    Möller–Trumbore runs over the facets kept by :func:`_candidate_faces`
-    only. A culled facet would give t = inf for every ray, and the per-facet
-    arithmetic does not change, so the result equals the brute-force cast
-    over all facets bit for bit. The exception is the BLAS product
-    `d @ qvec.T`, which can round differently for another facet count; that
-    decides a hit only for a ray passing within rounding of a facet edge,
-    where brute force itself changes with the mesh's facet count.
+    Möller–Trumbore runs only on the (ray, facet) pairs that survive two
+    culls: the facet is kept by :func:`_candidate_faces` for the whole cast,
+    and its bounding sphere passes the same cone test with the ray alone as
+    a zero-angle cone. A culled pair would give t = inf, and the per-pair
+    arithmetic is the brute-force cast's, so the result equals it bit for
+    bit. The exception is the BLAS product `d @ qvec.T`, formed over the
+    kept facets and read at the pairs, which can round differently for
+    another facet count; that decides a hit only for a ray passing within
+    rounding of a facet edge, where brute force itself changes with the
+    mesh's facet count.
     """
     prep = _prepare(mesh)
     d = np.asarray(directions, dtype=np.float64)
@@ -146,24 +175,32 @@ def cast_rays(
 
     keep = _candidate_faces(prep, origin, d)
     v0, edge1, edge2 = prep.v0[keep], prep.edge1[keep], prep.edge2[keep]
+    tvec = origin[None, :] - v0                                # (K, 3)
+    qvec = _cross(tvec, edge1)                                 # (K, 3)
+    v_all = d @ qvec.T                                         # (R, K)
+    t_scaled = np.einsum("fk,fk->f", edge2, qvec)              # (K,)
 
-    pvec = np.cross(d[:, None, :], edge2[None, :, :])          # (R, F, 3)
-    det = np.einsum("fk,rfk->rf", edge1, pvec)                 # (R, F)
-    tvec = origin[None, :] - v0                                # (F, 3)
-    u = np.einsum("fk,rfk->rf", tvec, pvec)
-    qvec = np.cross(tvec, edge1)                               # (F, 3)
-    v = d @ qvec.T                                             # (R, F)
+    # The (ray, facet) pairs: each ray is its own zero-angle cone.
+    w = prep.centroid[keep] - origin
+    dist = np.sqrt(np.einsum("fk,fk->f", w, w))[:, None]
+    units = d / np.linalg.norm(d, axis=1, keepdims=True)
+    fi, ri = np.nonzero(_near_cone(w, dist, prep.radius[keep][:, None], units.T, 0.0))
+
+    pvec = _cross(d[ri], edge2[fi])                            # (P, 3)
+    det = np.einsum("pk,pk->p", edge1[fi], pvec)               # (P,)
+    u = np.einsum("pk,pk->p", tvec[fi], pvec)
+    v = v_all[ri, fi]
 
     # Scaled barycentric tests avoid a divide until the final t. Culling:
     # only det > eps survives, which selects rays entering through the
     # outward-facing side of each triangle.
     ok = (det > DET_EPS) & (u >= 0.0) & (v >= 0.0) & (u <= det) & (u + v <= det)
-    t_scaled = np.einsum("fk,fk->f", edge2, qvec)              # (F,)
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(ok, t_scaled[None, :] / det, np.inf)
+        t = np.where(ok, t_scaled[fi] / det, np.inf)
     t[t <= T_MIN] = np.inf
 
-    nearest = t.min(axis=1, initial=np.inf)
+    nearest = np.full(d.shape[0], np.inf)
+    np.minimum.at(nearest, ri, t)
     hit = nearest < max_range
     ranges = np.where(hit, nearest, max_range)
     if single:

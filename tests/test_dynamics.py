@@ -9,12 +9,13 @@ from asterhover.dynamics import (
     ISP_DEFAULT,
     ExternalForces,
     SpacecraftState,
+    _derivative,
+    _pack,
     asteroid_angular_velocity,
     body_force_torque,
     dcm_to_quat,
     default_thruster_table,
     inertia_diag,
-    inertia_tensor,
     quat_angle,
     quat_canonicalize,
     quat_conj,
@@ -22,14 +23,21 @@ from asterhover.dynamics import (
     quat_from_axis_angle,
     quat_mul,
     quat_normalize,
-    quat_rotate,
     quat_to_dcm,
     rk4_step,
-    state_derivative,
 )
 from asterhover.errors import ConfigurationError, SimulationError
 
 from conftest import make_model
+from dynamics_reference import (
+    _derivative_reference,
+    asteroid_angular_velocity_reference,
+    body_force_torque_reference,
+    inertia_tensor,
+    quat_rotate,
+    rk4_step_reference,
+    state_derivative,
+)
 
 
 def random_unit_quat(rng):
@@ -436,3 +444,141 @@ def test_rk4_rejects_bad_dt():
     model = make_model()
     with pytest.raises(ConfigurationError):
         rk4_step(coast_state([500.0, 0.0, 0.0], [0.0, 0.0, 0.0]), np.zeros(12), 0.0, model, default_thruster_table())
+
+
+# --------------------------------------------------------------------------
+# Float kernels: bit-identical to the array forms in dynamics_reference
+
+
+def assert_states_identical(a, b):
+    for name in ("position", "velocity", "attitude", "omega", "com_offset"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert np.float64(a.mass).tobytes() == np.float64(b.mass).tobytes()
+    assert a.t == b.t
+
+
+KERNEL_CASES = {
+    # name: (model kwargs, ext, com_offset, degraded, renormalize)
+    "precessing": (dict(spin_rate=4.0e-4, nutation=math.radians(55.0), phase=0.9), False, "set", False, True),
+    "disturbed": (dict(spin_rate=2.0e-4, nutation=0.3, srp=(5.0e-5, -3.0e-5, 2.0e-5)), True, "zero", False, True),
+    "degraded": (dict(spin_rate=3.0e-4, nutation=1.1, phase=2.0), True, "set", True, True),
+    "unrenormalized": (dict(spin_rate=1.0e-4, nutation=0.7), True, "set", True, False),
+    "still": (dict(mass=0.0, spin_rate=0.0), False, "zero", False, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_rk4_step_matches_reference_bitwise(case, rng):
+    model_kw, with_ext, com, degraded, renormalize = KERNEL_CASES[case]
+    model = make_model(**model_kw)
+    table = default_thruster_table()
+    if degraded:
+        table.health[3] = 0.37
+        table.max_thrust[8] = 0.85
+    ext = None
+    if with_ext:
+        ext = ExternalForces(accel=model.srp_accel + rng.standard_normal(3) * 1.0e-6,
+                             torque=rng.standard_normal(3) * 1.0e-3)
+    state = SpacecraftState(
+        position=rng.standard_normal(3) * 300.0 + np.array([0.0, 0.0, 600.0]),
+        velocity=rng.standard_normal(3) * 0.05,
+        attitude=random_unit_quat(rng),
+        omega=rng.standard_normal(3) * 0.01,
+        mass=478.0,
+        com_offset=rng.standard_normal(3) * 0.05 if com == "set" else np.zeros(3),
+        t=rng.uniform(0.0, 500.0),
+    )
+    fast, slow = state.copy(), state.copy()
+    for _ in range(40):
+        action = rng.integers(0, 2, 12).astype(np.float64)
+        fast = rk4_step(fast, action, 2.0, model, table, ext, renormalize=renormalize)
+        slow = rk4_step_reference(slow, action, 2.0, model, table, ext, renormalize=renormalize)
+        assert_states_identical(fast, slow)
+    for _ in range(5):
+        action = rng.integers(0, 2, 12).astype(np.float64)
+        y = _pack(fast)
+        got = _derivative(y.tolist(), fast.t, [0.1, -0.2, 0.3], [0.01, 0.0, -0.02], -1.0e-4,
+                          model, ext or ExternalForces())
+        want = _derivative_reference(y, fast.t, np.array([0.1, -0.2, 0.3]), np.array([0.01, 0.0, -0.02]),
+                                     -1.0e-4, model, ext or ExternalForces())
+        assert np.array(got).tobytes() == want.tobytes()
+
+
+def test_asteroid_angular_velocity_matches_reference_bitwise(rng):
+    for nutation in (0.0, math.radians(40.0), math.radians(95.0)):
+        model = make_model(spin_rate=3.0e-4, nutation=nutation, phase=0.4)
+        for t in [0.0, *rng.uniform(0.0, 1.0e5, size=20)]:
+            want = asteroid_angular_velocity_reference(model, t).tobytes()
+            assert asteroid_angular_velocity(model, t).tobytes() == want
+
+
+@pytest.mark.parametrize("com", ["none", "zero", "negative-zero", "set"])
+def test_body_force_torque_matches_reference_bitwise(com, rng):
+    table = default_thruster_table()
+    table.health[5] = 0.6
+    com_offset = {
+        "none": None,
+        "zero": np.zeros(3),
+        "negative-zero": np.array([-0.0, 0.0, -0.0]),
+        "set": rng.standard_normal(3) * 0.05,
+    }[com]
+    actions = [np.zeros(12), np.ones(12)] + [rng.integers(0, 2, 12).astype(np.float64) for _ in range(30)]
+    for action in actions:
+        got = body_force_torque(action, table, com_offset)
+        want = body_force_torque_reference(action, table, com_offset)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+        assert np.float64(got[2]).tobytes() == np.float64(want[2]).tobytes()
+    # Sums start from +0.0: all thrusters off gives +0.0, never -0.0.
+    force, torque, _ = body_force_torque(np.zeros(12), table, com_offset)
+    assert force.tobytes() == torque.tobytes() == np.zeros(3).tobytes()
+
+
+def test_body_force_torque_signed_zero_table():
+    # Negative zeros in the table itself: every product and partial sum
+    # keeps the reference's sign.
+    table = default_thruster_table()
+    table.positions[table.positions == 0.0] = -0.0
+    table.directions[table.directions == 0.0] = -0.0
+    for bits in range(0, 4096, 91):
+        action = np.array([(bits >> k) & 1 for k in range(12)], dtype=np.float64)
+        for com_offset in (None, np.array([-0.0, -0.0, -0.0])):
+            got = body_force_torque(action, table, com_offset)
+            want = body_force_torque_reference(action, table, com_offset)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+
+
+@pytest.mark.parametrize(
+    "position, mass",
+    [([0.5, 0.0, 0.0], 480.0), ([500.0, 0.0, 0.0], 0.0), ([500.0, 0.0, 0.0], -3.0)],
+    ids=["inside-1m", "zero-mass", "negative-mass"],
+)
+def test_guards_match_reference(position, mass):
+    model = make_model(mass=1.0e12)
+    table = default_thruster_table()
+    state = coast_state(position, [0.0, 0.0, 0.0], mass=mass)
+    with pytest.raises(SimulationError) as fast:
+        rk4_step(state, np.zeros(12), 2.0, model, table)
+    with pytest.raises(SimulationError) as slow:
+        rk4_step_reference(state, np.zeros(12), 2.0, model, table)
+    assert str(fast.value) == str(slow.value)
+
+
+def test_zero_attitude_quaternion_matches_reference():
+    # 0/0 in the thrust rotation gives NaN (with numpy's warning), not a
+    # ZeroDivisionError; the zero quaternion then fails to renormalize.
+    model = make_model(mass=1.0e12, spin_rate=2.0e-4, nutation=0.3)
+    table = default_thruster_table()
+    state = coast_state([500.0, 20.0, 0.0], [0.01, 0.0, 0.0], q=np.zeros(4))
+    action = np.zeros(12)
+    action[0] = 1.0
+    for step in (rk4_step, rk4_step_reference):
+        with pytest.warns(RuntimeWarning), pytest.raises(ConfigurationError, match="zero quaternion"):
+            step(state, action, 2.0, model, table)
+    with pytest.warns(RuntimeWarning):
+        fast = rk4_step(state, action, 2.0, model, table, renormalize=False)
+    with pytest.warns(RuntimeWarning):
+        slow = rk4_step_reference(state, action, 2.0, model, table, renormalize=False)
+    assert np.isnan(fast.velocity).all()
+    assert_states_identical(fast, slow)

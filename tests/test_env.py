@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from asterhover.dynamics import quat_angle, quat_rotate, quat_to_dcm
+from asterhover.dynamics import quat_angle, quat_to_dcm
 from asterhover.env import (
     EpisodeConfig,
     HoverEnv,
@@ -26,6 +26,8 @@ from asterhover.geometry import (
     synthesize_asteroid,
 )
 from asterhover.lidar import LidarFrame, SensorConfig, scan
+
+from dynamics_reference import quat_rotate
 
 IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
 

@@ -297,6 +297,27 @@ def test_prepass_matches_reference_near_facet_planes(body, rng):
                 assert_matches_reference(body, origin, skim / np.linalg.norm(skim, axis=1)[:, None])
 
 
+@pytest.mark.parametrize("body", ["level5"], indirect=True)
+def test_prepass_matches_reference_high_altitude(body, rng):
+    # Boresight at the body centre from 60 m above the bounding sphere: the
+    # cone keeps about a thousand facets, most of whose (ray, facet) pairs
+    # the per-ray test then drops.
+    beams = beam_directions(SensorConfig()).reshape(-1, 3)
+    for _ in range(4):
+        up = rng.standard_normal(3)
+        up /= np.linalg.norm(up)
+        side = np.cross(up, rng.standard_normal(3))
+        side /= np.linalg.norm(side)
+        dirs = beams @ np.column_stack([side, np.cross(up, side), up]).T
+        origin = (body.bound_radius + 60.0) * up
+        assert 500 <= _candidate_faces(body, origin, dirs).size <= 3000
+        _, hit = assert_matches_reference(body, origin, dirs)
+        assert hit.all()
+        for k in (0, 27, 63):
+            assert_matches_reference(body, origin, dirs[k])
+            assert_matches_reference(body, origin, dirs[k : k + 1])
+
+
 def test_prepass_matches_reference_at_max_range(body):
     position, dirs = scan_positions(body, 1, seed=2)[0]
     ranges, hit = cast_rays_reference(body, position, dirs)
