@@ -36,12 +36,13 @@ from .config import (
 from .errors import ConfigurationError, MeshLoadError, SimulationError
 from .geometry import AsteroidGenConfig, load_mesh, save_mesh, synthesize_asteroid
 from .lidar import SensorConfig, scan
-from .env import HoverEnv, policy_net_inputs
+from .env import HoverEnv, rollout
 from .ppo import TrainConfig, train
 from . import nn
 from .evaluation import (
     SUMMARY_COLUMNS,
     get_scenario,
+    greedy,
     load_policy,
     run_monte_carlo,
     scenario_presets,
@@ -212,13 +213,19 @@ def _trajectory_row(step, t, state, fuel, pos_err, speed, reward, action) -> lis
     return row
 
 
+def _drift(logits: np.ndarray) -> tuple[np.ndarray, None]:
+    """Rollout select for free drift: every thruster off."""
+    return np.zeros((1, 12)), None
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     scenario = get_scenario(args.scenario)
     cfg = scenario.episode_config(mesh_file=args.mesh_file)
     apply_to_dataclass(cfg, parse_overrides(args.overrides))
     cfg.validate()
 
-    policy = load_policy(args.checkpoint) if args.checkpoint else None
+    # without a checkpoint an untrained network runs and _drift ignores it
+    policy = load_policy(args.checkpoint) if args.checkpoint else nn.PolicyNetwork(seed=0)
     os.makedirs(args.out, exist_ok=True)
     write_resolved_config(
         args.out, "simulate",
@@ -231,25 +238,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
 
     env = HoverEnv(cfg)
-    pobs, _ = env.reset(seed=args.seed)
-    hidden = policy.init_hidden(1) if policy is not None else None
-    rows = [_trajectory_row(0, 0.0, env.state, 0.0, 0.0, 0.0, 0.0, np.zeros(12))]
-    done = False
-    info = {}
-    total_reward = 0.0
-    while not done:
-        if policy is None:
-            action = np.zeros(12)  # scripted free drift
-        else:
-            image, vec = policy_net_inputs(pobs, cfg)
-            logits, hidden, _ = policy.step(image[None], vec[None], hidden)
-            action = nn.greedy_action(logits)[0]
-        pobs, _, reward, done, info = env.step(action)
-        total_reward += reward
+    steps = list(rollout(env, policy, args.seed, greedy if args.checkpoint else _drift))
+    states = [step.state for step in steps] + [env.state]
+    rows = [_trajectory_row(0, 0.0, states[0], 0.0, 0.0, 0.0, 0.0, np.zeros(12))]
+    for step, state in zip(steps, states[1:]):
+        info = step.info
         rows.append(
             _trajectory_row(
-                info["step"], info["t"], env.state, info["fuel_used"],
-                info["pos_err"], info["speed"], reward, action,
+                info["step"], info["t"], state, info["fuel_used"],
+                info["pos_err"], info["speed"], step.reward, step.action,
             )
         )
 
@@ -261,11 +258,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             writer.writerow(
                 [str(v) if isinstance(v, int) else format(float(v), ".17g") for v in row]
             )
+    info = steps[-1].info
     outcome = info["violation"] or ("settled" if info["terminal_ok"] else "timeout")
     print(
         f"{info['step']} steps  outcome {outcome}  "
         f"pos_err {info['pos_err']:.2f} m  speed {info['speed']:.3f} m/s  "
-        f"fuel {info['fuel_used']:.3f} kg  reward {total_reward:.2f}"
+        f"fuel {info['fuel_used']:.3f} kg  reward {sum(s.reward for s in steps):.2f}"
     )
     print(f"wrote {traj_path}")
     return 0

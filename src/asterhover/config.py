@@ -12,13 +12,13 @@ from __future__ import annotations
 import dataclasses
 import os
 
-import yaml
-
 from . import __version__
 from .errors import ConfigurationError
 
 
 def load_config_file(path: str) -> dict:
+    import yaml
+
     try:
         with open(path) as fh:
             data = yaml.safe_load(fh)
@@ -35,21 +35,30 @@ def load_config_file(path: str) -> dict:
 
 def parse_overrides(pairs: list[str]) -> dict:
     """KEY=VALUE strings (dotted keys) to a nested dict; YAML-typed values."""
-    out: dict = {}
+    import yaml
+
+    items = []
     for pair in pairs:
         key, sep, raw = pair.partition("=")
         if not sep or not key:
             raise ConfigurationError(f"override {pair!r} is not KEY=VALUE")
         try:
-            value = yaml.safe_load(raw) if raw else ""
+            items.append((key, yaml.safe_load(raw) if raw else ""))
         except yaml.YAMLError as exc:
             raise ConfigurationError(f"override {pair!r}: {exc}") from exc
+    return nest_dotted(items)
+
+
+def nest_dotted(items) -> dict:
+    """(dotted key, value) pairs to a nested dict: ("a.b", 1) -> {"a": {"b": 1}}."""
+    out: dict = {}
+    for key, value in items:
         node = out
         parts = key.split(".")
         for part in parts[:-1]:
             node = node.setdefault(part, {})
             if not isinstance(node, dict):
-                raise ConfigurationError(f"override {pair!r} conflicts with {part}")
+                raise ConfigurationError(f"override {key!r} conflicts with {part}")
         node[parts[-1]] = value
     return out
 
@@ -76,6 +85,8 @@ def apply_to_dataclass(obj, data: dict, path: str = "") -> None:
         current = getattr(obj, key)
         if dataclasses.is_dataclass(current) and not isinstance(current, type):
             apply_to_dataclass(current, value, f"{path}{key}.")
+        elif isinstance(value, dict):
+            raise ConfigurationError(f"config key {path}{key} is not a section")
         else:
             setattr(obj, key, value)
 
@@ -90,6 +101,8 @@ def resolved_config_dict(command: str, cfg) -> dict:
 
 def write_resolved_config(out_dir: str, command: str, cfg) -> str:
     """Echo the effective configuration and code version for reproducibility."""
+    import yaml
+
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "resolved_config.yaml")
     with open(path, "w") as fh:

@@ -128,17 +128,6 @@ def quat_angle(q: np.ndarray) -> float:
 # --------------------------------------------------------------------------
 # Spacecraft mass properties and thrusters
 
-def _cube_moment(mass: float) -> float:
-    """Each principal moment of a uniform cube of side CUBE_SIDE."""
-    s2 = CUBE_SIDE * CUBE_SIDE
-    return (mass / 12.0) * (s2 + s2)
-
-
-def inertia_diag(mass: float) -> np.ndarray:
-    """Principal moments of a uniform cube of side CUBE_SIDE about its center."""
-    return np.full(3, _cube_moment(mass))
-
-
 @dataclass
 class ThrusterTable:
     """Fixed thruster layout in the spacecraft body frame."""
@@ -349,8 +338,9 @@ def _derivative(
     qdy = 0.5 * (qw * wy - qx * wz + qy * 0.0 + qz * wx)
     qdz = 0.5 * (qw * wz + qx * wy - qy * wx + qz * 0.0)
 
-    # Rotation: diagonal inertia shrinks with mass, so Jdot = (J/m) mdot.
-    j = _cube_moment(m)
+    # Rotation: the principal moment of a uniform cube of side CUBE_SIDE
+    # shrinks with mass, so Jdot = (J/m) mdot.
+    j = (m / 12.0) * (CUBE_SIDE * CUBE_SIDE + CUBE_SIDE * CUBE_SIDE)
     jdot = j / m * mdot
     hx, hy, hz = j * wx, j * wy, j * wz
     tqx, tqy, tqz = ext.torque.tolist()

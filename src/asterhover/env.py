@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -203,6 +203,45 @@ def value_net_inputs(obs: ValueObservation, cfg: EpisodeConfig) -> np.ndarray:
     v = obs.vector().copy()
     v[0:3] /= cfg.r_err_scale
     return v
+
+
+@dataclass
+class Step:
+    """One control step of :func:`rollout`: what the policy saw and chose,
+    and what the environment returned."""
+
+    state: SpacecraftState    # state the observation was taken in
+    image: np.ndarray         # (grid, grid, 2) scaled policy image input
+    vec: np.ndarray           # (7,) scaled policy vector input
+    value_obs: ValueObservation
+    logits: np.ndarray        # (12, 2)
+    action: np.ndarray        # (12,) on/off bits sent to the environment
+    logp: Any                 # whatever `select` returned beside the action
+    reward: float
+    info: dict[str, Any]      # HoverEnv.step diagnostics after the action
+
+
+def rollout(env: HoverEnv, policy, env_seed, select) -> Iterator[Step]:
+    """Fly one episode from ``env.reset(seed=env_seed)`` until done.
+
+    Each control step feeds the scaled observation to ``policy.step`` (batch
+    of one, hidden state carried from a zero start), lets
+    ``select(logits) -> (actions, logp)`` pick the (1, 12) action, steps the
+    environment with it, and yields a :class:`Step`. Training samples,
+    evaluation samples or takes the argmax, and ``simulate`` may ignore the
+    logits and drift; callers keep only the fields they need.
+    """
+    pobs, vobs = env.reset(seed=env_seed)
+    hidden = policy.init_hidden(1)
+    done = False
+    while not done:
+        state = env.state
+        image, vec = policy_net_inputs(pobs, env.cfg)
+        logits, hidden, _ = policy.step(image[None], vec[None], hidden)
+        action, logp = select(logits)
+        next_pobs, next_vobs, reward, done, info = env.step(action[0])
+        yield Step(state, image, vec, vobs, logits[0], action[0], logp, reward, info)
+        pobs, vobs = next_pobs, next_vobs
 
 
 def compute_reward(

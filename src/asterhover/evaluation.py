@@ -14,9 +14,8 @@ are always aggregated in episode order for bit-stable output.
 
 from __future__ import annotations
 
-import copy
 import csv
-import math
+import functools
 import multiprocessing
 import os
 from dataclasses import dataclass, field
@@ -24,8 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .dynamics import G_REF, ISP_DEFAULT
-from .env import EpisodeConfig, HoverEnv, good_hover, policy_net_inputs
+from .config import apply_to_dataclass, nest_dotted
+from .env import EpisodeConfig, HoverEnv, good_hover, rollout
 from .errors import ConfigurationError, MeshLoadError
 from .ppo import ACTION_STREAM
 
@@ -46,15 +45,8 @@ class Scenario:
     mesh_scale: float = 1.0
 
     def episode_config(self, mesh_file: str | None = None) -> EpisodeConfig:
-        cfg = copy.deepcopy(EpisodeConfig())
-        for path, value in self.overrides.items():
-            target = cfg
-            parts = path.split(".")
-            for part in parts[:-1]:
-                target = getattr(target, part)
-            if not hasattr(target, parts[-1]):
-                raise ConfigurationError(f"unknown override field {path!r}")
-            setattr(target, parts[-1], value)
+        cfg = EpisodeConfig()
+        apply_to_dataclass(cfg, nest_dotted(self.overrides.items()))
         if self.requires_mesh:
             if mesh_file is None:
                 raise ConfigurationError(
@@ -173,30 +165,26 @@ EPISODE_COLUMNS = (
 )
 
 
-def run_episode(
-    env: HoverEnv,
-    policy,
-    env_seed,
-    stochastic: bool = False,
-    action_rng: np.random.Generator | None = None,
-) -> dict:
-    """One evaluation episode; returns the terminal-metrics row."""
-    pobs, _ = env.reset(seed=env_seed)
-    hidden = policy.init_hidden(1)
+def greedy(logits: np.ndarray) -> tuple[np.ndarray, None]:
+    """Rollout select: the most probable bit per thruster."""
+    return nn.greedy_action(logits), None
+
+
+def run_episode(env: HoverEnv, policy, seed: int, idx: int, stochastic: bool = False) -> dict:
+    """Episode `idx` on the (seed, idx) stream; returns the terminal-metrics
+    row. Stochastic actions come from the (seed, idx, ACTION_STREAM) stream."""
+    select = greedy
+    if stochastic:
+        select = functools.partial(
+            nn.sample_multicategorical,
+            rng=np.random.default_rng(np.random.SeedSequence((seed, idx, ACTION_STREAM))),
+        )
     total_reward = 0.0
     steps = 0
-    done = False
-    info = {}
-    while not done:
-        image, vec = policy_net_inputs(pobs, env.cfg)
-        logits, hidden, _ = policy.step(image[None], vec[None], hidden)
-        if stochastic:
-            action = nn.sample_multicategorical(logits, action_rng)[0][0]
-        else:
-            action = nn.greedy_action(logits)[0]
-        pobs, _, reward, done, info = env.step(action)
-        total_reward += reward
+    for step in rollout(env, policy, np.random.SeedSequence((seed, idx)), select):
+        total_reward += step.reward
         steps += 1
+    info = step.info
     pos_err = float(info["pos_err"])
     speed = float(info["speed"])
     max_omega = float(info["max_omega"])
@@ -317,17 +305,8 @@ def _init_worker(cfg: EpisodeConfig, params, seed: int, stochastic: bool):
 
 
 def _run_worker_episode(idx: int) -> dict:
-    rng = None
-    if _WORKER["stochastic"]:
-        rng = np.random.default_rng(
-            np.random.SeedSequence((_WORKER["seed"], idx, ACTION_STREAM))
-        )
     return run_episode(
-        _WORKER["env"],
-        _WORKER["policy"],
-        np.random.SeedSequence((_WORKER["seed"], idx)),
-        stochastic=_WORKER["stochastic"],
-        action_rng=rng,
+        _WORKER["env"], _WORKER["policy"], _WORKER["seed"], idx, _WORKER["stochastic"]
     )
 
 
@@ -362,19 +341,10 @@ def run_monte_carlo(
                 rows = pool.map(_run_worker_episode, range(n_episodes))
         else:
             env = HoverEnv(cfg)
-            rows = []
-            for idx in range(n_episodes):
-                rng = None
-                if stochastic:
-                    rng = np.random.default_rng(
-                        np.random.SeedSequence((seed, idx, ACTION_STREAM))
-                    )
-                rows.append(
-                    run_episode(
-                        env, policy, np.random.SeedSequence((seed, idx)),
-                        stochastic=stochastic, action_rng=rng,
-                    )
-                )
+            rows = [
+                run_episode(env, policy, seed, idx, stochastic)
+                for idx in range(n_episodes)
+            ]
     except MeshLoadError as exc:
         raise MeshLoadError(f"scenario {scenario.name!r}: {exc}") from exc
     for idx, row in enumerate(rows):
@@ -406,21 +376,3 @@ def write_report_files(out_dir: str, report: EvalReport, rows: list[dict]) -> No
             for row in rows:
                 writer.writerow([row["episode"], _fmt(row[column])])
 
-
-def fuel_sanity(
-    report: EvalReport,
-    mean_env_force: float,
-    duration: float,
-    isp: float = ISP_DEFAULT,
-    g_ref: float = G_REF,
-) -> tuple[float, float]:
-    """Ideal continuous-cancellation fuel and the actual/ideal ratio.
-
-    ideal = F * T / (Isp * g_ref). Pulsed on/off control cannot beat
-    continuous cancellation, so a trained policy's ratio is >= 1; the ratio
-    is reported, never asserted.
-    """
-    ideal = mean_env_force * duration / (isp * g_ref)
-    if ideal == 0.0:
-        return 0.0, math.nan
-    return ideal, report.fuel_mean / ideal

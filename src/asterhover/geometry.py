@@ -49,21 +49,6 @@ def face_normals(mesh: TriMesh, normalize: bool = True) -> np.ndarray:
     return n
 
 
-def edge_counts(mesh: TriMesh) -> dict[tuple[int, int], int]:
-    """Count how many faces reference each undirected edge."""
-    counts: dict[tuple[int, int], int] = {}
-    for a, b, c in mesh.faces:
-        for i, j in ((a, b), (b, c), (c, a)):
-            key = (int(min(i, j)), int(max(i, j)))
-            counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-def is_closed(mesh: TriMesh) -> bool:
-    """True when every edge is shared by exactly two faces."""
-    return all(n == 2 for n in edge_counts(mesh).values())
-
-
 # Vertices of a regular icosahedron built from three orthogonal golden
 # rectangles, then pushed onto the unit sphere.
 def _base_icosahedron() -> TriMesh:

@@ -244,9 +244,6 @@ class _Network:
                 )
             arr[...] = src
 
-    def copy_parameters(self) -> "OrderedDict[str, np.ndarray]":
-        return OrderedDict((k, v.copy()) for k, v in self.parameters().items())
-
 
 class PolicyNetwork(_Network):
     """Range-image policy: two conv layers, dense, GRU, dense, 12x2 logits.
@@ -523,11 +520,10 @@ def save_checkpoint(
     value: ValueNetwork,
     policy_opt: Adam | None = None,
     value_opt: Adam | None = None,
-    rng_state: dict | None = None,
     extra: dict | None = None,
 ) -> None:
-    """Write every parameter, optimizer moment, and the rng state to one
-    .npz archive at exactly `path`; float64 arrays round-trip bit-exactly."""
+    """Write every parameter, optimizer moment, and the `extra` payload to
+    one .npz archive at exactly `path`; float64 arrays round-trip bit-exactly."""
     arrays: dict[str, np.ndarray] = {}
     for k, v in policy.parameters().items():
         arrays[f"policy/{k}"] = v
@@ -542,8 +538,6 @@ def save_checkpoint(
         for k, v in value_opt.state_arrays().items():
             arrays[f"vopt/{k}"] = v
         meta["value_opt"] = {"t": value_opt.t, "lr": value_opt.lr}
-    if rng_state is not None:
-        meta["rng_state"] = rng_state
     # Write beside the target and rename over it, so a crash mid-write never
     # leaves a truncated archive under the final name. The temp name ends in
     # ".tmp", which checkpoint globs do not match; np.savez gets an open
@@ -570,8 +564,7 @@ def load_checkpoint(
 ) -> dict:
     """Restore networks (and optionally optimizer state) in place.
 
-    Returns the metadata dict, including any `extra` payload and the saved
-    rng state.
+    Returns the metadata dict, including any `extra` payload.
     """
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(str(data["__meta__"][()]))

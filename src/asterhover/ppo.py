@@ -19,9 +19,8 @@ replaying earlier batches.
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 import glob
-import json
 import os
 import re
 from dataclasses import dataclass, field
@@ -29,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .env import EpisodeConfig, HoverEnv, policy_net_inputs, value_net_inputs
+from .env import EpisodeConfig, HoverEnv, rollout, value_net_inputs
 from .errors import ConfigurationError, SimulationError
 
 # Stream tags keep the per-episode, per-action, and per-update rng draws on
@@ -157,45 +156,6 @@ def masked_mean(x: np.ndarray, mask: np.ndarray) -> float:
     return float((x * mask).sum() / mask.sum())
 
 
-def rollout_episode(
-    env: HoverEnv,
-    policy: nn.PolicyNetwork,
-    env_seed,
-    action_rng: np.random.Generator,
-) -> EpisodeRollout:
-    """Run one episode to termination with the stochastic policy."""
-    pobs, vobs = env.reset(seed=env_seed)
-    hidden = policy.init_hidden(1)
-    images, vecs, vf, actions, logits_all, logps, rewards = [], [], [], [], [], [], []
-    info = {}
-    done = False
-    while not done:
-        image, vec = policy_net_inputs(pobs, env.cfg)
-        logits, hidden, _ = policy.step(image[None], vec[None], hidden)
-        action, logp = nn.sample_multicategorical(logits, action_rng)
-        images.append(image)
-        vecs.append(vec)
-        vf.append(value_net_inputs(vobs, env.cfg))
-        actions.append(action[0])
-        logits_all.append(logits[0])
-        logps.append(logp[0])
-        pobs, vobs, reward, done, info = env.step(action[0])
-        rewards.append(reward)
-    return EpisodeRollout(
-        images=np.array(images),
-        vecs=np.array(vecs),
-        value_inputs=np.array(vf),
-        actions=np.array(actions),
-        logits_old=np.array(logits_all),
-        logp_old=np.array(logps),
-        rewards=np.array(rewards),
-        terminal_pos_err=float(info["pos_err"]),
-        terminal_ok=bool(info["terminal_ok"]),
-        violation=info["violation"],
-        fuel_used=float(info["fuel_used"]),
-    )
-
-
 def collect_rollouts(
     env: HoverEnv,
     policy: nn.PolicyNetwork,
@@ -203,19 +163,37 @@ def collect_rollouts(
     seed: int,
     batch_index: int,
 ) -> RolloutBatch:
-    """Collect one batch of episodes on per-(seed, batch, episode) streams."""
-    action_rng = np.random.default_rng(
-        np.random.SeedSequence((seed, batch_index, ACTION_STREAM))
+    """Collect one batch of episodes with the stochastic policy, on
+    per-(seed, batch, episode) environment streams and one action stream
+    per batch."""
+    select = functools.partial(
+        nn.sample_multicategorical,
+        rng=np.random.default_rng(
+            np.random.SeedSequence((seed, batch_index, ACTION_STREAM))
+        ),
     )
     episodes = []
     for ep_idx in range(cfg.episodes_per_batch):
         env_seed = np.random.SeedSequence((seed, batch_index, ep_idx))
+        rows = []
         try:
-            episodes.append(rollout_episode(env, policy, env_seed, action_rng))
+            for step in rollout(env, policy, env_seed, select):
+                rows.append((
+                    step.image, step.vec, value_net_inputs(step.value_obs, env.cfg),
+                    step.action, step.logits, step.logp[0], step.reward,
+                ))
         except (SimulationError, ConfigurationError) as exc:
             raise SimulationError(
                 f"episode {ep_idx} of batch {batch_index} failed: {exc}"
             ) from exc
+        info = step.info
+        episodes.append(EpisodeRollout(
+            *map(np.array, zip(*rows)),  # the per-step fields, in field order
+            terminal_pos_err=float(info["pos_err"]),
+            terminal_ok=bool(info["terminal_ok"]),
+            violation=info["violation"],
+            fuel_used=float(info["fuel_used"]),
+        ))
     return RolloutBatch(episodes)
 
 
@@ -500,17 +478,15 @@ def _truncate_metrics(path: str, next_batch: int) -> None:
 def train(cfg: TrainConfig, log=None) -> str:
     """Run the full collect / advantage / update loop.
 
-    Writes metrics.csv (one row per batch), numbered checkpoints, and the
-    resolved config into cfg.out_dir. Returns the metrics file path.
+    Writes metrics.csv (one row per batch) and numbered checkpoints into
+    cfg.out_dir; the `train` subcommand records the resolved config there.
+    Returns the metrics file path.
     Reruns with identical config produce byte-identical metrics; resume
     picks up after the last checkpoint and yields the same rows as an
     uninterrupted run.
     """
     cfg.validate()
     os.makedirs(cfg.out_dir, exist_ok=True)
-    with open(os.path.join(cfg.out_dir, "config.json"), "w") as fh:
-        json.dump(dataclasses.asdict(cfg), fh, indent=2, default=str)
-        fh.write("\n")
 
     policy, value_net = build_networks(cfg.seed)
     policy_opt = nn.Adam(policy.parameters(), lr=cfg.ppo.policy_lr)

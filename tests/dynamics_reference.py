@@ -5,8 +5,8 @@
 the array forms that `asterhover.dynamics.rk4_step`, `_derivative`,
 `body_force_torque` and `asteroid_angular_velocity` ran before they were
 rewritten on Python floats; the kernels must equal them bit for bit.
-`state_derivative`, `inertia_tensor` and `quat_rotate` are test-only
-helpers that left the package with them.
+`state_derivative`, `inertia_diag`, `inertia_tensor` and `quat_rotate` are
+test-only helpers that left the package with them.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from asterhover.dynamics import (
     ExternalForces,
     SpacecraftState,
     ThrusterTable,
+    CUBE_SIDE,
     _pack,
-    inertia_diag,
     quat_mul,
     quat_normalize,
 )
@@ -35,6 +35,12 @@ def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     qv = q[1:]
     t = 2.0 * np.cross(qv, v)
     return v + q[0] * t + np.cross(qv, t)
+
+
+def inertia_diag(mass: float) -> np.ndarray:
+    """Principal moments of a uniform cube of side CUBE_SIDE about its center."""
+    s2 = CUBE_SIDE * CUBE_SIDE
+    return (mass / 12.0) * np.array([s2 + s2, s2 + s2, s2 + s2])
 
 
 def inertia_tensor(mass: float) -> np.ndarray:

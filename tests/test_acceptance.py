@@ -29,13 +29,14 @@ from asterhover.dynamics import (
     asteroid_angular_velocity,
     body_force_torque,
     default_thruster_table,
-    inertia_diag,
     rk4_step,
 )
 from asterhover.env import EpisodeConfig, HoverEnv, good_hover
 from asterhover import nn
 from asterhover import ppo
 from asterhover.evaluation import run_monte_carlo, Scenario, summary_row
+
+from dynamics_reference import inertia_diag
 
 
 @contextmanager

@@ -2,11 +2,14 @@
 determinism of artifacts."""
 
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import yaml
 
+import asterhover
 from asterhover import __version__
 from asterhover.cli import main
 from asterhover.config import (
@@ -88,6 +91,20 @@ def test_apply_to_dataclass_nested_and_unknown_key():
     assert cfg.episode.duration == 120.0
     with pytest.raises(ConfigurationError, match="unknown config key"):
         apply_to_dataclass(cfg, {"episode": {"no_such_field": 1}})
+    with pytest.raises(ConfigurationError, match="episode.duration is not a section"):
+        apply_to_dataclass(cfg, parse_overrides(["episode.duration.x=1"]))
+
+
+def test_training_and_evaluation_imports_leave_yaml_unloaded():
+    # yaml is imported only where a config file or an override is read or
+    # written, so library use of training and evaluation does not pay for it
+    code = "import sys, asterhover.ppo, asterhover.evaluation; print('yaml' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(asterhover.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_load_config_file_errors(tmp_path):

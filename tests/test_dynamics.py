@@ -15,7 +15,6 @@ from asterhover.dynamics import (
     body_force_torque,
     dcm_to_quat,
     default_thruster_table,
-    inertia_diag,
     quat_angle,
     quat_canonicalize,
     quat_conj,
@@ -33,6 +32,7 @@ from dynamics_reference import (
     _derivative_reference,
     asteroid_angular_velocity_reference,
     body_force_torque_reference,
+    inertia_diag,
     inertia_tensor,
     quat_rotate,
     rk4_step_reference,

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from asterhover import nn
 from asterhover.dynamics import quat_angle, quat_to_dcm
 from asterhover.env import (
     EpisodeConfig,
@@ -14,6 +15,7 @@ from asterhover.env import (
     compute_reward,
     good_hover,
     policy_net_inputs,
+    rollout,
     sample_initial_conditions,
     surface_radius,
     value_net_inputs,
@@ -466,3 +468,34 @@ def test_default_scenario_null_policy_smoke():
     assert steps == info["step"]
     if steps < 100:
         assert info["violation"] in ("rotation", "all_miss")
+
+
+def test_rollout_records_every_control_step():
+    cfg = EpisodeConfig(
+        duration=60.0, failure_prob=0.0, asteroid=AsteroidGenConfig(subdivision_level=1)
+    )
+    seen = []
+
+    def fire_first_thruster(logits):
+        seen.append(logits)
+        action = np.zeros((1, 12), dtype=np.int64)
+        action[0, 0] = 1
+        return action, "from-select"
+
+    env = HoverEnv(cfg)
+    steps = list(rollout(env, nn.PolicyNetwork(seed=0), 3, fire_first_thruster))
+    assert env.done
+    assert [s.info["step"] for s in steps] == list(range(1, len(steps) + 1))
+    pobs, _ = HoverEnv(cfg).reset(seed=3)
+    image, vec = policy_net_inputs(pobs, cfg)
+    np.testing.assert_array_equal(steps[0].image, image)
+    np.testing.assert_array_equal(steps[0].vec, vec)
+    # each step carries the state its observation was taken in
+    np.testing.assert_array_equal(steps[0].state.position, env.r0)
+    for prev, step in zip(steps, steps[1:]):
+        np.testing.assert_array_equal(step.state.position, prev.info["position"])
+    for step, logits in zip(steps, seen):
+        np.testing.assert_array_equal(step.logits, logits[0])
+        assert step.logp == "from-select"
+        assert step.action.tolist() == [1] + [0] * 11
+    assert steps[-1].info["fuel_used"] > 0.0

@@ -8,15 +8,17 @@ import numpy as np
 import pytest
 
 from asterhover import nn
-from asterhover.env import EpisodeConfig
+from asterhover.cli import main
+from asterhover.env import EpisodeConfig, HoverEnv
 from asterhover.errors import ConfigurationError
 from asterhover.evaluation import (
     EPISODE_COLUMNS,
     EvalReport,
     Scenario,
     baseline_scenario,
-    fuel_sanity,
     get_scenario,
+    load_policy,
+    run_episode,
     run_monte_carlo,
     scenario_presets,
     summary_row,
@@ -131,6 +133,10 @@ def test_mesh_scenario_without_file_is_clear_error():
 def test_unknown_override_field_rejected():
     with pytest.raises(ConfigurationError, match="no_such_field"):
         Scenario(name="bad", overrides={"no_such_field": 1}).episode_config()
+    with pytest.raises(ConfigurationError, match="nosuch"):
+        Scenario(name="bad", overrides={"nosuch.x": 1}).episode_config()
+    with pytest.raises(ConfigurationError, match="dyn"):
+        Scenario(name="bad", overrides={"dyn": 5}).episode_config()
 
 
 # --------------------------------------------------------------------------
@@ -236,17 +242,64 @@ def test_peanut_standin_mesh_scenario_runs(tmp_path):
 
 
 # --------------------------------------------------------------------------
-# Fuel sanity and summary formatting
+# simulate and evaluation fly the same episode
 
-def test_fuel_sanity_examples():
-    report = EvalReport(scenario="x", episodes=1, fuel_mean=0.2)
-    ideal, ratio = fuel_sanity(report, 0.5, 600.0, isp=225.0, g_ref=9.8)
-    assert ideal == pytest.approx(300.0 / 2205.0, rel=1e-15)
-    assert ratio == pytest.approx(0.2 / (300.0 / 2205.0), rel=1e-12)
-    ideal0, ratio0 = fuel_sanity(report, 0.0, 600.0)
-    assert ideal0 == 0.0
-    assert np.isnan(ratio0)
+# SeedSequence((seed, k)) pools the same 32-bit words as the integer
+# seed + k * 2**32, so `simulate --seed` with that integer flies episode k
+# of a Monte Carlo run at `seed`.
+AGREE_SEED, AGREE_EPISODE = 7, 1
+AGREE_OVERRIDES = {"duration": 60.0, "asteroid.subdivision_level": 1}
 
+
+def simulate_rows(out, *args) -> list[dict]:
+    sim_seed = AGREE_SEED + AGREE_EPISODE * 2**32
+    assert np.array_equal(
+        np.random.SeedSequence(sim_seed).generate_state(4),
+        np.random.SeedSequence((AGREE_SEED, AGREE_EPISODE)).generate_state(4),
+    )
+    overrides = [f"{k}={v}" for k, v in AGREE_OVERRIDES.items()]
+    assert main(["simulate", "--seed", str(sim_seed), "--out", str(out), *args, *overrides]) == 0
+    with open(out / "trajectory.csv") as fh:
+        return list(csv.DictReader(fh))
+
+
+def assert_last_row_matches(rows, row):
+    last = rows[-1]
+    assert len(rows) - 1 == int(row["steps"])
+    assert float(last["pos_err_m"]) == float(row["pos_err_m"])
+    assert float(last["speed_ms"]) * 100.0 == float(row["speed_cms"])
+    assert float(last["fuel_kg"]) == float(row["fuel_kg"])
+    assert sum(float(r["reward"]) for r in rows[1:]) == float(row["reward"])
+
+
+def test_simulate_matches_greedy_run_episode(tmp_path):
+    path = str(tmp_path / "ck.npz")
+    nn.save_checkpoint(path, nn.PolicyNetwork(seed=21), nn.ValueNetwork(seed=22))
+    rows = simulate_rows(tmp_path / "sim", "--checkpoint", path)
+    env = HoverEnv(Scenario("agree", overrides=AGREE_OVERRIDES).episode_config())
+    row = run_episode(env, load_policy(path), AGREE_SEED, AGREE_EPISODE)
+    assert row["fuel_kg"] > 0.0  # the untrained greedy policy fires
+    assert_last_row_matches(rows, row)
+
+
+def test_drift_simulate_matches_all_off_monte_carlo(tmp_path):
+    rows = simulate_rows(tmp_path / "sim")
+    thrusters = [f"thruster_{k}" for k in range(12)]
+    assert all(float(r["fuel_kg"]) == 0.0 for r in rows)
+    assert all(r[name] == "0" for r in rows for name in thrusters)
+    out = tmp_path / "mc"
+    run_monte_carlo(
+        AllOffPolicy(), Scenario("agree", overrides=AGREE_OVERRIDES),
+        AGREE_EPISODE + 1, AGREE_SEED, out_dir=str(out),
+    )
+    with open(out / "episodes.csv") as fh:
+        row = list(csv.DictReader(fh))[AGREE_EPISODE]
+    assert float(rows[-1]["pos_err_m"]) > 0.0  # the body's gravity moves it
+    assert_last_row_matches(rows, row)
+
+
+# --------------------------------------------------------------------------
+# Summary formatting
 
 def test_summary_row_shape():
     report = EvalReport(scenario="x", episodes=2)

@@ -8,17 +8,30 @@ from asterhover.geometry import (
     AsteroidDynRanges,
     AsteroidGenConfig,
     TriMesh,
-    edge_counts,
     ellipsoid_rotation_params,
     face_normals,
     generate_icosphere,
-    is_closed,
     load_mesh,
     make_peanut_mesh,
     mesh_half_extents,
     save_mesh,
     synthesize_asteroid,
 )
+
+
+def edge_counts(mesh: TriMesh) -> dict[tuple[int, int], int]:
+    """Count how many faces reference each undirected edge."""
+    counts: dict[tuple[int, int], int] = {}
+    for a, b, c in mesh.faces:
+        for i, j in ((a, b), (b, c), (c, a)):
+            key = (int(min(i, j)), int(max(i, j)))
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def is_closed(mesh: TriMesh) -> bool:
+    """True when every edge is shared by exactly two faces."""
+    return all(n == 2 for n in edge_counts(mesh).values())
 
 
 @pytest.mark.parametrize(

@@ -514,14 +514,8 @@ def test_checkpoint_round_trip_reproduces_forward_outputs(tmp_path):
         popt.step({k: rng.standard_normal(v.shape) for k, v in policy_a.parameters().items()})
         vopt.step({k: rng.standard_normal(v.shape) for k, v in value_a.parameters().items()})
 
-    train_rng = np.random.default_rng(77)
-    train_rng.uniform(size=10)
-    saved_state = train_rng.bit_generator.state
     path = str(tmp_path / "ck.npz")
-    save_checkpoint(
-        path, policy_a, value_a, popt, vopt,
-        rng_state=saved_state, extra={"batch": 17},
-    )
+    save_checkpoint(path, policy_a, value_a, popt, vopt, extra={"batch": 17})
 
     policy_b = PolicyNetwork(seed=200)
     value_b = ValueNetwork(seed=201)
@@ -547,14 +541,6 @@ def test_checkpoint_round_trip_reproduces_forward_outputs(tmp_path):
     vb, _, _ = value_b.step(x, value_b.init_hidden(2))
     np.testing.assert_array_equal(va, vb)
 
-    # restoring the rng state resumes the exact draw stream
-    clone = np.random.default_rng(0)
-    clone.bit_generator.state = saved_state
-    expected = clone.uniform(size=5)
-    resumed = np.random.default_rng(0)
-    resumed.bit_generator.state = meta["rng_state"]
-    np.testing.assert_array_equal(resumed.uniform(size=5), expected)
-
 
 def test_checkpoint_without_optimizer_state_rejects_optimizer_load(tmp_path):
     policy = PolicyNetwork(seed=1)
@@ -571,7 +557,7 @@ def test_load_parameters_validates_names_and_shapes():
     net = ValueNetwork(seed=3)
     with pytest.raises(ConfigurationError):
         net.load_parameters({})
-    good = net.copy_parameters()
+    good = dict(net.parameters())
     good["fc1.W"] = np.zeros((2, 2))
     with pytest.raises(ConfigurationError):
         net.load_parameters(good)

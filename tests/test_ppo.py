@@ -1,6 +1,8 @@
 """Rollout collection, advantage computation, clipped-surrogate updates,
 and the training loop: determinism, identities, and resume semantics."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -248,7 +250,7 @@ def test_zero_advantages_leave_policy_unchanged():
     batch = synthetic_batch(rng)
     policy, _ = build_networks(seed=10)
     opt = nn.Adam(policy.parameters(), lr=3e-4)
-    before = policy.copy_parameters()
+    before = {k: v.copy() for k, v in policy.parameters().items()}
     obj, _, ok = policy_minibatch_step(
         policy, opt, batch.images, batch.vecs, batch.actions, batch.logp_old,
         np.zeros_like(batch.logp_old), batch.mask, 0.2, 0.0,
@@ -296,7 +298,7 @@ def test_nonfinite_rewards_abort_update_without_stepping():
     policy, value_net = build_networks(seed=13)
     popt = nn.Adam(policy.parameters(), lr=3e-4)
     vopt = nn.Adam(value_net.parameters(), lr=1e-3)
-    before = policy.copy_parameters()
+    before = {k: v.copy() for k, v in policy.parameters().items()}
     stats = ppo_update(
         policy, value_net, batch, small_ppo(), popt, vopt,
         np.random.default_rng(0),
@@ -314,7 +316,7 @@ def test_ppo_update_stats_and_adaptation():
     popt = nn.Adam(policy.parameters(), lr=3e-4)
     vopt = nn.Adam(value_net.parameters(), lr=1e-3)
     cfg = small_ppo(epochs=4)
-    before = policy.copy_parameters()
+    before = {k: v.copy() for k, v in policy.parameters().items()}
     stats = ppo_update(policy, value_net, batch, cfg, popt, vopt,
                        np.random.default_rng(1))
     assert not stats.aborted
@@ -366,9 +368,10 @@ def test_train_writes_metrics_config_and_checkpoints(tmp_path):
     )
     assert len(lines) == 3  # header + 2 batches
     assert lines[1].split(",")[0] == "0"
-    assert (tmp_path / "run" / "config.json").exists()
-    assert (tmp_path / "run" / "checkpoint_000001.npz").exists()
-    assert (tmp_path / "run" / "checkpoint_000002.npz").exists()
+    # the run config is recorded once, by the CLI's resolved_config.yaml
+    assert sorted(os.listdir(tmp_path / "run")) == [
+        "checkpoint_000001.npz", "checkpoint_000002.npz", "metrics.csv",
+    ]
 
 
 def test_train_rerun_is_byte_identical(tmp_path):
