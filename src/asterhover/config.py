@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import typing
 
 from . import __version__
 from .errors import ConfigurationError
@@ -74,10 +75,24 @@ def merge_dicts(base: dict, extra: dict) -> dict:
     return out
 
 
+def _fits(value, annotation) -> bool:
+    """Whether a YAML scalar may go into a field annotated ``annotation``
+    (a class or a union such as ``str | None``): bools only into bool
+    fields, ints into int and float fields."""
+    allowed = typing.get_args(annotation) or (annotation,)
+    if isinstance(value, bool):
+        return bool in allowed
+    if float in allowed:
+        allowed += (int,)
+    return isinstance(value, allowed)
+
+
 def apply_to_dataclass(obj, data: dict, path: str = "") -> None:
-    """Set config fields from a nested dict; unknown keys are errors."""
+    """Set config fields from a nested dict; unknown keys and values of the
+    wrong type are errors."""
     if not isinstance(data, dict):
         raise ConfigurationError(f"config section {path or '<root>'} must be a mapping")
+    hints = typing.get_type_hints(type(obj))
     names = {f.name for f in dataclasses.fields(obj)}
     for key, value in data.items():
         if key not in names:
@@ -87,6 +102,11 @@ def apply_to_dataclass(obj, data: dict, path: str = "") -> None:
             apply_to_dataclass(current, value, f"{path}{key}.")
         elif isinstance(value, dict):
             raise ConfigurationError(f"config key {path}{key} is not a section")
+        elif not _fits(value, hints[key]):
+            expected = getattr(hints[key], "__name__", str(hints[key]))
+            raise ConfigurationError(
+                f"config key {path}{key} must be {expected}, got {value!r}"
+            )
         else:
             setattr(obj, key, value)
 

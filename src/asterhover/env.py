@@ -42,7 +42,14 @@ from .geometry import (
     mesh_half_extents,
     synthesize_asteroid,
 )
-from .lidar import LidarFrame, PreparedMesh, SensorConfig, apply_sensor_noise, scan
+from .lidar import (
+    LidarFrame,
+    PreparedMesh,
+    SensorConfig,
+    apply_sensor_noise,
+    rotated_beams,
+    scan,
+)
 
 
 @dataclass
@@ -448,7 +455,9 @@ class HoverEnv:
             state = sample_initial_conditions(self.rng, cfg, self._prep)
             if state is None:
                 continue
-            self._r0_matrix = quat_to_dcm(state.attitude)
+            # Every scan of the episode is taken at this attitude (see _scan),
+            # so the beam grid is rotated once here.
+            self._beams = rotated_beams(cfg.sensor, quat_to_dcm(state.attitude))
             frame0 = self._scan(state.position)
             if frame0.hit.any():
                 break
@@ -472,9 +481,7 @@ class HoverEnv:
         # Scans are taken at the frozen initiation attitude: the sensor
         # platform counter-rotates the body motion, so images differ only
         # through translation (and asteroid rotation under the spacecraft).
-        frame = scan(
-            self._prep, position, None, self.cfg.sensor, rotation_matrix=self._r0_matrix
-        )
+        frame = scan(self._prep, position, None, self.cfg.sensor, beams=self._beams)
         if self.cfg.sensor_noise:
             frame = apply_sensor_noise(
                 frame,

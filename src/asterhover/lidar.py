@@ -251,25 +251,35 @@ def beam_directions(cfg: SensorConfig) -> np.ndarray:
     return dirs
 
 
+def rotated_beams(cfg: SensorConfig, rotation_matrix: np.ndarray) -> np.ndarray:
+    """The (grid*grid, 3) beam directions turned by `rotation_matrix` into
+    the frame the mesh lives in."""
+    return beam_directions(cfg).reshape(-1, 3) @ rotation_matrix.T
+
+
 def scan(
     mesh: TriMesh | PreparedMesh,
     position: np.ndarray,
     attitude: np.ndarray,
     cfg: SensorConfig,
     rotation_matrix: np.ndarray | None = None,
+    beams: np.ndarray | None = None,
 ) -> LidarFrame:
     """Render one range image from `position` at quaternion `attitude`.
 
     `attitude` maps sensor/platform axes into the frame the mesh lives in
     (scalar-first, body to asteroid frame). Pass `rotation_matrix` to skip
-    the quaternion conversion when the caller already has it.
+    the quaternion conversion when the caller already has it, or `beams`
+    from :func:`rotated_beams` to skip building the grid as well (a caller
+    scanning many times at one attitude).
     """
     from .dynamics import quat_to_dcm
 
-    if rotation_matrix is None:
-        rotation_matrix = quat_to_dcm(np.asarray(attitude, dtype=np.float64))
-    dirs = beam_directions(cfg).reshape(-1, 3) @ rotation_matrix.T
-    ranges, hit = cast_rays(mesh, position, dirs, cfg.max_range)
+    if beams is None:
+        if rotation_matrix is None:
+            rotation_matrix = quat_to_dcm(np.asarray(attitude, dtype=np.float64))
+        beams = rotated_beams(cfg, rotation_matrix)
+    ranges, hit = cast_rays(mesh, position, beams, cfg.max_range)
     n = cfg.grid_size
     return LidarFrame(ranges.reshape(n, n), hit.reshape(n, n))
 

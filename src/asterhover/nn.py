@@ -16,6 +16,7 @@ import os
 from collections import OrderedDict
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigurationError
 
@@ -55,9 +56,13 @@ class Linear:
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return x @ self.W + self.b, x
 
-    def backward(self, dy: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def accumulate(self, dy: np.ndarray, x: np.ndarray) -> None:
+        """Adds the parameter gradients for upstream ``dy`` at input ``x``."""
         self.gW += x.T @ dy
         self.gb += dy.sum(axis=0)
+
+    def backward(self, dy: np.ndarray, x: np.ndarray) -> np.ndarray:
+        self.accumulate(dy, x)
         return dy @ self.W.T
 
     def params(self) -> dict[str, np.ndarray]:
@@ -68,7 +73,12 @@ class Linear:
 
 
 class Conv2D:
-    """Valid-padding convolution on channel-last (B, H, W, C) inputs."""
+    """Valid-padding convolution on channel-last (B, H, W, C) inputs.
+
+    The cache is the input itself; backward rebuilds the patches from it
+    rather than keeping them, which is cheaper than holding k*k copies of
+    every activation across a whole episode.
+    """
 
     def __init__(self, rng: np.random.Generator, c_in: int, c_out: int, kernel: int, stride: int):
         self.c_in, self.c_out = c_in, c_out
@@ -81,43 +91,41 @@ class Conv2D:
     def out_size(self, size: int) -> int:
         return (size - self.kernel) // self.stride + 1
 
-    def _patches(self, x: np.ndarray, ho: int, wo: int) -> np.ndarray:
-        B = x.shape[0]
-        k, s, c = self.kernel, self.stride, self.c_in
-        P = np.empty((B, ho, wo, k * k * c))
-        col = 0
-        for di in range(k):
-            for dj in range(k):
-                P[..., col:col + c] = x[:, di:di + (ho - 1) * s + 1:s,
-                                        dj:dj + (wo - 1) * s + 1:s, :]
-                col += c
-        return P
+    def _patches(self, x: np.ndarray) -> np.ndarray:
+        """(B, H, W, C) -> (B*ho*wo, k*k*C), columns ordered (di, dj, channel)."""
+        B, hi, wi, c = x.shape
+        k, s = self.kernel, self.stride
+        sb, sh, sw, sc = x.strides
+        shape = (B, self.out_size(hi), self.out_size(wi), k, k, c)
+        windows = as_strided(x, shape, (sb, sh * s, sw * s, sh, sw, sc), writeable=False)
+        return windows.reshape(-1, k * k * c)
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if x.ndim != 4 or x.shape[3] != self.c_in:
             raise ConfigurationError(
                 f"conv input must be (B, H, W, {self.c_in}), got {x.shape}"
             )
         ho, wo = self.out_size(x.shape[1]), self.out_size(x.shape[2])
-        P = self._patches(x, ho, wo)
-        y = P @ self.W.reshape(-1, self.c_out) + self.b
-        return y, (x.shape, P)
+        y = self._patches(x) @ self.W.reshape(-1, self.c_out) + self.b
+        return y.reshape(x.shape[0], ho, wo, self.c_out), x
 
-    def backward(self, dy: np.ndarray, cache: tuple) -> np.ndarray:
-        x_shape, P = cache
+    def accumulate(self, dy: np.ndarray, x: np.ndarray) -> None:
+        """Adds the parameter gradients for upstream ``dy`` at input ``x``."""
+        flat_dy = dy.reshape(-1, self.c_out)
+        self.gW += (self._patches(x).T @ flat_dy).reshape(self.W.shape)
+        self.gb += flat_dy.sum(axis=0)
+
+    def backward(self, dy: np.ndarray, x: np.ndarray) -> np.ndarray:
+        self.accumulate(dy, x)
         B, ho, wo, _ = dy.shape
         k, s, c = self.kernel, self.stride, self.c_in
-        flat_dy = dy.reshape(-1, self.c_out)
-        self.gW += (P.reshape(-1, k * k * c).T @ flat_dy).reshape(self.W.shape)
-        self.gb += flat_dy.sum(axis=0)
-        dP = (flat_dy @ self.W.reshape(-1, self.c_out).T).reshape(B, ho, wo, k * k * c)
-        dx = np.zeros(x_shape)
-        col = 0
+        dP = (dy.reshape(-1, self.c_out) @ self.W.reshape(-1, self.c_out).T)
+        dP = dP.reshape(B, ho, wo, k, k, c)
+        dx = np.zeros(x.shape)
         for di in range(k):
             for dj in range(k):
                 dx[:, di:di + (ho - 1) * s + 1:s, dj:dj + (wo - 1) * s + 1:s, :] += \
-                    dP[..., col:col + c]
-                col += c
+                    dP[:, :, :, di, dj]
         return dx
 
     def params(self) -> dict[str, np.ndarray]:
@@ -127,13 +135,19 @@ class Conv2D:
         return {"W": self.gW, "b": self.gb}
 
 
+def _fuse(*blocks: np.ndarray) -> np.ndarray:
+    """The blocks side by side, in the first block's memory order.
+
+    ``orthogonal_init`` returns some shapes column-major; a column block of
+    a column-major buffer is column-major too, so each block's view saves to
+    a checkpoint with the bytes of the separate array it replaces.
+    """
+    order = "F" if blocks[0].flags.f_contiguous else "C"
+    return np.asarray(np.concatenate(blocks, axis=1), order=order)
+
+
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0.0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    return 0.5 + 0.5 * np.tanh(0.5 * x)
 
 
 class GRUCell:
@@ -141,69 +155,116 @@ class GRUCell:
 
     A saturated update gate (z -> 1) carries the hidden state through
     unchanged; z -> 0 with r -> 1 reduces to a feedforward tanh layer.
+
+    The gate matrices live in fused buffers, ``W = [Wz|Wr|Wh]``,
+    ``U = [Uz|Ur]`` and ``b = [bz|br|bh]``, so a sequence projects its inputs
+    for every step in one product and each step needs one product for both
+    gates. ``Wz`` ... ``bh`` and their gradients ``gWz`` ... ``gbh`` are
+    views into those buffers.
     """
+
+    NAMES = ("Wz", "Uz", "bz", "Wr", "Ur", "br", "Wh", "Uh", "bh")
 
     def __init__(self, rng: np.random.Generator, n_in: int, n_hidden: int):
         self.n_in, self.n_hidden = n_in, n_hidden
-        self.Wz = orthogonal_init(rng, (n_in, n_hidden))
-        self.Uz = orthogonal_init(rng, (n_hidden, n_hidden))
-        self.bz = np.zeros(n_hidden)
-        self.Wr = orthogonal_init(rng, (n_in, n_hidden))
-        self.Ur = orthogonal_init(rng, (n_hidden, n_hidden))
-        self.br = np.zeros(n_hidden)
-        self.Wh = orthogonal_init(rng, (n_in, n_hidden))
-        self.Uh = orthogonal_init(rng, (n_hidden, n_hidden))
-        self.bh = np.zeros(n_hidden)
-        for name in ("Wz", "Uz", "bz", "Wr", "Ur", "br", "Wh", "Uh", "bh"):
-            setattr(self, "g" + name, np.zeros_like(getattr(self, name)))
+        H = n_hidden
+        Wz, Uz = orthogonal_init(rng, (n_in, H)), orthogonal_init(rng, (H, H))
+        Wr, Ur = orthogonal_init(rng, (n_in, H)), orthogonal_init(rng, (H, H))
+        Wh, Uh = orthogonal_init(rng, (n_in, H)), orthogonal_init(rng, (H, H))
+        self.W, self.U, self.Uh = _fuse(Wz, Wr, Wh), _fuse(Uz, Ur), Uh
+        self.b = np.zeros(3 * H)
+        self.gW, self.gU, self.gUh, self.gb = (
+            np.zeros_like(a) for a in (self.W, self.U, self.Uh, self.b)
+        )
+        for prefix, (W, U, Uh, b) in (("", (self.W, self.U, self.Uh, self.b)),
+                                      ("g", (self.gW, self.gU, self.gUh, self.gb))):
+            views = dict(
+                Wz=W[:, :H], Uz=U[:, :H], bz=b[:H],
+                Wr=W[:, H:2 * H], Ur=U[:, H:], br=b[H:2 * H],
+                Wh=W[:, 2 * H:], Uh=Uh, bh=b[2 * H:],
+            )
+            for name, view in views.items():
+                setattr(self, prefix + name, view)
+
+    def forward_sequence(self, xs: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """T steps from (T, B, n_in) inputs and the (B, H) start state.
+
+        Returns the (T+1, B, H) states, the start state first, and the
+        backward cache.
+        """
+        T, B = xs.shape[0], xs.shape[1]
+        H = self.n_hidden
+        gx = (xs.reshape(T * B, -1) @ self.W + self.b).reshape(T, B, 3 * H)
+        hs = np.empty((T + 1, B, H))
+        hs[0] = h
+        zr = np.empty((T, B, 2 * H))
+        c = np.empty((T, B, H))
+        for t in range(T):
+            zr[t] = _sigmoid(gx[t, :, :2 * H] + h @ self.U)
+            z, r = zr[t, :, :H], zr[t, :, H:]
+            c[t] = np.tanh(gx[t, :, 2 * H:] + (r * h) @ self.Uh)
+            h = hs[t + 1] = z * h + (1.0 - z) * c[t]
+        return hs, (xs, hs, zr, c)
+
+    def backward_sequence(self, dhs: np.ndarray, cache: tuple) -> tuple[np.ndarray, np.ndarray]:
+        """Backpropagation through time from the (T, B, H) gradients that
+        reach each step's output from above.
+
+        Accumulates parameter gradients; returns the (T, B, n_in) input
+        gradients and the gradient wrt the start state.
+        """
+        xs, hs, zr, c = cache
+        T, B, H = dhs.shape
+        h_prev, z, r = hs[:-1], zr[..., :H], zr[..., H:]
+        # Per-step factors that do not depend on the incoming gradient.
+        dc_factor = (1.0 - z) * (1.0 - c * c)
+        dz_factor = (h_prev - c) * z * (1.0 - z)
+        dr_factor = h_prev * r * (1.0 - r)
+        # Contiguous transposes: products with them run about twice as fast.
+        UT, UhT = self.U.T.copy(), self.Uh.T.copy()
+        da = np.empty((T, B, 3 * H))  # wrt the z, r and candidate pre-activations
+        dh = np.zeros((B, H))
+        for t in range(T - 1, -1, -1):
+            dh += dhs[t]
+            da_z, da_r, da_c = da[t, :, :H], da[t, :, H:2 * H], da[t, :, 2 * H:]
+            np.multiply(dh, dc_factor[t], out=da_c)
+            drh = da_c @ UhT
+            np.multiply(dh, dz_factor[t], out=da_z)
+            np.multiply(drh, dr_factor[t], out=da_r)
+            dh = dh * z[t] + drh * r[t] + da[t, :, :2 * H] @ UT
+        n = T * B
+        da = da.reshape(n, 3 * H)
+        h_prev = h_prev.reshape(n, H)
+        self.gW += xs.reshape(n, -1).T @ da
+        self.gb += da.sum(axis=0)
+        self.gU += h_prev.T @ da[:, :2 * H]
+        self.gUh += (r.reshape(n, H) * h_prev).T @ da[:, 2 * H:]
+        return (da @ self.W.T).reshape(T, B, -1), dh
 
     def forward(self, x: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, tuple]:
-        z = _sigmoid(x @ self.Wz + h @ self.Uz + self.bz)
-        r = _sigmoid(x @ self.Wr + h @ self.Ur + self.br)
-        c = np.tanh(x @ self.Wh + (r * h) @ self.Uh + self.bh)
-        h_new = z * h + (1.0 - z) * c
-        return h_new, (x, h, z, r, c)
+        """One step: (B, n_in) + (B, H) -> new (B, H) state and cache."""
+        hs, cache = self.forward_sequence(x[None], h)
+        return hs[1], cache
 
     def backward(self, dh_new: np.ndarray, cache: tuple) -> tuple[np.ndarray, np.ndarray]:
         """Returns (dx, dh) and accumulates parameter gradients."""
-        x, h, z, r, c = cache
-        dz = dh_new * (h - c)
-        dc = dh_new * (1.0 - z)
-        dh = dh_new * z
-
-        da_c = dc * (1.0 - c * c)
-        self.gWh += x.T @ da_c
-        self.gUh += (r * h).T @ da_c
-        self.gbh += da_c.sum(axis=0)
-        drh = da_c @ self.Uh.T
-        dx = da_c @ self.Wh.T
-        dr = drh * h
-        dh += drh * r
-
-        da_r = dr * r * (1.0 - r)
-        self.gWr += x.T @ da_r
-        self.gUr += h.T @ da_r
-        self.gbr += da_r.sum(axis=0)
-        dx += da_r @ self.Wr.T
-        dh += da_r @ self.Ur.T
-
-        da_z = dz * z * (1.0 - z)
-        self.gWz += x.T @ da_z
-        self.gUz += h.T @ da_z
-        self.gbz += da_z.sum(axis=0)
-        dx += da_z @ self.Wz.T
-        dh += da_z @ self.Uz.T
-        return dx, dh
+        dxs, dh = self.backward_sequence(dh_new[None], cache)
+        return dxs[0], dh
 
     def params(self) -> dict[str, np.ndarray]:
-        return {n: getattr(self, n) for n in ("Wz", "Uz", "bz", "Wr", "Ur", "br", "Wh", "Uh", "bh")}
+        return {n: getattr(self, n) for n in self.NAMES}
 
     def grads(self) -> dict[str, np.ndarray]:
-        return {n: getattr(self, "g" + n) for n in ("Wz", "Uz", "bz", "Wr", "Ur", "br", "Wh", "Uh", "bh")}
+        return {n: getattr(self, "g" + n) for n in self.NAMES}
 
 
 # --------------------------------------------------------------------------
 # Networks
+#
+# Each network has one sequence kernel: every layer outside the recurrence
+# runs once over all T*B rows, and only the GRU's hidden-state products stay
+# in the time loop. ``step`` is the kernel at T=1; ``forward_sequence`` and
+# ``backward_sequence`` never call each other or ``step``.
 
 class _Network:
     """Shared parameter bookkeeping; subclasses define the layer dict."""
@@ -227,10 +288,6 @@ class _Network:
     def zero_grads(self) -> None:
         for g in self.gradients().values():
             g[...] = 0.0
-
-    @property
-    def num_params(self) -> int:
-        return sum(p.size for p in self.parameters().values())
 
     def load_parameters(self, values: dict[str, np.ndarray]) -> None:
         own = self.parameters()
@@ -277,66 +334,55 @@ class PolicyNetwork(_Network):
     def init_hidden(self, batch: int = 1) -> np.ndarray:
         return np.zeros((batch, self.HIDDEN))
 
+    def _forward(
+        self, images: np.ndarray, vecs: np.ndarray, hidden: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, tuple]:
+        """(T,B,8,8,2) + (T,B,7) + (B,154) -> logits (T,B,12,2), last hidden, cache."""
+        if images.ndim != 5 or images.shape[2:] != (self.GRID, self.GRID, self.IMAGE_CHANNELS):
+            raise ConfigurationError(f"image must be (B, 8, 8, 2), got {images.shape[1:]}")
+        if vecs.ndim != 3 or vecs.shape[2] != self.VEC_DIM:
+            raise ConfigurationError(f"vector part must be (B, 7), got {vecs.shape[1:]}")
+        T, B = images.shape[0], images.shape[1]
+        n = T * B
+        L = self.layers
+        x = images.reshape(n, self.GRID, self.GRID, self.IMAGE_CHANNELS)
+        a1 = np.maximum(L["conv1"].forward(x)[0], 0.0)
+        a2 = np.maximum(L["conv2"].forward(a1)[0], 0.0)
+        joined = np.concatenate([a2.reshape(n, -1), vecs.reshape(n, -1)], axis=1)
+        t1 = np.tanh(L["fc1"].forward(joined)[0])
+        hs, cache_g = L["gru"].forward_sequence(t1.reshape(T, B, -1), hidden)
+        t3 = np.tanh(L["fc3"].forward(hs[1:].reshape(n, -1))[0])
+        logits = L["out"].forward(t3)[0].reshape(T, B, self.NUM_THRUSTERS, 2)
+        return logits, hs[-1], (x, a1, a2, joined, t1, hs, cache_g, t3)
+
     def step(
         self, image: np.ndarray, vec: np.ndarray, hidden: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, tuple]:
         """One control step: (B,8,8,2) + (B,7) + (B,154) -> logits (B,12,2)."""
-        if image.ndim != 4 or image.shape[1:] != (self.GRID, self.GRID, self.IMAGE_CHANNELS):
-            raise ConfigurationError(f"image must be (B, 8, 8, 2), got {image.shape}")
-        if vec.ndim != 2 or vec.shape[1] != self.VEC_DIM:
-            raise ConfigurationError(f"vector part must be (B, 7), got {vec.shape}")
-        c1, cache1 = self.layers["conv1"].forward(image)
-        a1 = np.maximum(c1, 0.0)
-        c2, cache2 = self.layers["conv2"].forward(a1)
-        a2 = np.maximum(c2, 0.0)
-        flat = a2.reshape(a2.shape[0], -1)
-        joined = np.concatenate([flat, vec], axis=1)
-        f1, cache_f1 = self.layers["fc1"].forward(joined)
-        t1 = np.tanh(f1)
-        h_new, cache_g = self.layers["gru"].forward(t1, hidden)
-        f3, cache_f3 = self.layers["fc3"].forward(h_new)
-        t3 = np.tanh(f3)
-        logits, cache_o = self.layers["out"].forward(t3)
-        cache = (cache1, c1, cache2, c2, a2.shape, cache_f1, t1, cache_g, cache_f3, t3, cache_o)
-        return logits.reshape(-1, self.NUM_THRUSTERS, 2), h_new, cache
-
-    def step_backward(self, dlogits: np.ndarray, cache: tuple, dh_next: np.ndarray) -> np.ndarray:
-        """Backprop one step; returns the gradient wrt the incoming hidden."""
-        (cache1, c1, cache2, c2, a2_shape, cache_f1, t1, cache_g, cache_f3, t3, cache_o) = cache
-        B = dlogits.shape[0]
-        dt3 = self.layers["out"].backward(dlogits.reshape(B, -1), cache_o)
-        df3 = dt3 * (1.0 - t3 * t3)
-        dh = self.layers["fc3"].backward(df3, cache_f3) + dh_next
-        dt1, dh_prev = self.layers["gru"].backward(dh, cache_g)
-        df1 = dt1 * (1.0 - t1 * t1)
-        djoined = self.layers["fc1"].backward(df1, cache_f1)
-        dflat = djoined[:, : self.flat_dim]
-        da2 = dflat.reshape(a2_shape)
-        dc2 = da2 * (c2 > 0.0)
-        da1 = self.layers["conv2"].backward(dc2, cache2)
-        dc1 = da1 * (c1 > 0.0)
-        self.layers["conv1"].backward(dc1, cache1)
-        return dh_prev
+        logits, h_new, cache = self._forward(image[None], vec[None], hidden)
+        return logits[0], h_new, cache
 
     def forward_sequence(
         self, images: np.ndarray, vecs: np.ndarray, hidden: np.ndarray | None = None
-    ) -> tuple[np.ndarray, list]:
-        """(T,B,8,8,2) + (T,B,7) -> logits (T,B,12,2) plus per-step caches."""
-        T, B = images.shape[0], images.shape[1]
-        h = self.init_hidden(B) if hidden is None else hidden
-        logits = np.empty((T, B, self.NUM_THRUSTERS, 2))
-        caches = []
-        for t in range(T):
-            logits[t], h, cache = self.step(images[t], vecs[t], h)
-            caches.append(cache)
-        return logits, caches
+    ) -> tuple[np.ndarray, tuple]:
+        """(T,B,8,8,2) + (T,B,7) -> logits (T,B,12,2) plus the backward cache."""
+        h = self.init_hidden(images.shape[1]) if hidden is None else hidden
+        logits, _, cache = self._forward(images, vecs, h)
+        return logits, cache
 
-    def backward_sequence(self, dlogits: np.ndarray, caches: list) -> None:
+    def backward_sequence(self, dlogits: np.ndarray, cache: tuple) -> None:
         """Backpropagation through time; gradients accumulate into the layers."""
+        x, a1, a2, joined, t1, hs, cache_g, t3 = cache
         T, B = dlogits.shape[0], dlogits.shape[1]
-        dh = np.zeros((B, self.HIDDEN))
-        for t in range(T - 1, -1, -1):
-            dh = self.step_backward(dlogits[t], caches[t], dh)
+        n = T * B
+        L = self.layers
+        dt3 = L["out"].backward(dlogits.reshape(n, -1), t3)
+        dh = L["fc3"].backward(dt3 * (1.0 - t3 * t3), hs[1:].reshape(n, -1))
+        dt1, _ = L["gru"].backward_sequence(dh.reshape(T, B, -1), cache_g)
+        djoined = L["fc1"].backward(dt1.reshape(n, -1) * (1.0 - t1 * t1), joined)
+        dc2 = djoined[:, : self.flat_dim].reshape(a2.shape) * (a2 > 0.0)
+        da1 = L["conv2"].backward(dc2, a1)
+        L["conv1"].accumulate(da1 * (a1 > 0.0), x)  # the image gradient has no use
 
 
 class ValueNetwork(_Network):
@@ -357,44 +403,40 @@ class ValueNetwork(_Network):
     def init_hidden(self, batch: int = 1) -> np.ndarray:
         return np.zeros((batch, self.HIDDEN))
 
-    def step(self, x: np.ndarray, hidden: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
-        if x.ndim != 2 or x.shape[1] != self.INPUT_DIM:
-            raise ConfigurationError(f"critic input must be (B, 13), got {x.shape}")
-        f1, cache_f1 = self.layers["fc1"].forward(x)
-        t1 = np.tanh(f1)
-        h_new, cache_g = self.layers["gru"].forward(t1, hidden)
-        f3, cache_f3 = self.layers["fc3"].forward(h_new)
-        t3 = np.tanh(f3)
-        v, cache_o = self.layers["out"].forward(t3)
-        return v[:, 0], h_new, (cache_f1, t1, cache_g, cache_f3, t3, cache_o)
+    def _forward(self, xs: np.ndarray, hidden: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
+        """(T,B,13) + (B,25) -> values (T,B), last hidden, cache."""
+        if xs.ndim != 3 or xs.shape[2] != self.INPUT_DIM:
+            raise ConfigurationError(f"critic input must be (B, 13), got {xs.shape[1:]}")
+        T, B = xs.shape[0], xs.shape[1]
+        n = T * B
+        L = self.layers
+        x = xs.reshape(n, -1)
+        t1 = np.tanh(L["fc1"].forward(x)[0])
+        hs, cache_g = L["gru"].forward_sequence(t1.reshape(T, B, -1), hidden)
+        t3 = np.tanh(L["fc3"].forward(hs[1:].reshape(n, -1))[0])
+        values = L["out"].forward(t3)[0].reshape(T, B)
+        return values, hs[-1], (x, t1, hs, cache_g, t3)
 
-    def step_backward(self, dv: np.ndarray, cache: tuple, dh_next: np.ndarray) -> np.ndarray:
-        cache_f1, t1, cache_g, cache_f3, t3, cache_o = cache
-        dt3 = self.layers["out"].backward(dv[:, None], cache_o)
-        df3 = dt3 * (1.0 - t3 * t3)
-        dh = self.layers["fc3"].backward(df3, cache_f3) + dh_next
-        dt1, dh_prev = self.layers["gru"].backward(dh, cache_g)
-        df1 = dt1 * (1.0 - t1 * t1)
-        self.layers["fc1"].backward(df1, cache_f1)
-        return dh_prev
+    def step(self, x: np.ndarray, hidden: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
+        values, h_new, cache = self._forward(x[None], hidden)
+        return values[0], h_new, cache
 
     def forward_sequence(
         self, xs: np.ndarray, hidden: np.ndarray | None = None
-    ) -> tuple[np.ndarray, list]:
-        T, B = xs.shape[0], xs.shape[1]
-        h = self.init_hidden(B) if hidden is None else hidden
-        values = np.empty((T, B))
-        caches = []
-        for t in range(T):
-            values[t], h, cache = self.step(xs[t], h)
-            caches.append(cache)
-        return values, caches
+    ) -> tuple[np.ndarray, tuple]:
+        h = self.init_hidden(xs.shape[1]) if hidden is None else hidden
+        values, _, cache = self._forward(xs, h)
+        return values, cache
 
-    def backward_sequence(self, dvalues: np.ndarray, caches: list) -> None:
+    def backward_sequence(self, dvalues: np.ndarray, cache: tuple) -> None:
+        x, t1, hs, cache_g, t3 = cache
         T, B = dvalues.shape
-        dh = np.zeros((B, self.HIDDEN))
-        for t in range(T - 1, -1, -1):
-            dh = self.step_backward(dvalues[t], caches[t], dh)
+        n = T * B
+        L = self.layers
+        dt3 = L["out"].backward(dvalues.reshape(n, 1), t3)
+        dh = L["fc3"].backward(dt3 * (1.0 - t3 * t3), hs[1:].reshape(n, -1))
+        dt1, _ = L["gru"].backward_sequence(dh.reshape(T, B, -1), cache_g)
+        L["fc1"].accumulate(dt1.reshape(n, -1) * (1.0 - t1 * t1), x)
 
 
 # --------------------------------------------------------------------------

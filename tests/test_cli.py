@@ -95,6 +95,39 @@ def test_apply_to_dataclass_nested_and_unknown_key():
         apply_to_dataclass(cfg, parse_overrides(["episode.duration.x=1"]))
 
 
+def test_apply_to_dataclass_checks_value_types():
+    cfg = TrainConfig()
+    apply_to_dataclass(cfg, parse_overrides([
+        "episode.duration=600", "episode.sensor_noise=yes", "episode.mesh_file=null",
+    ]))
+    assert cfg.episode.duration == 600  # YAML reads it as an int; a float field takes it
+    assert cfg.episode.sensor_noise is True and cfg.episode.mesh_file is None
+    for pair, expected in (
+        ("episode.duration=abc", "episode.duration must be float"),
+        ("episode.sensor_noise=yes_please", "episode.sensor_noise must be bool"),
+        ("episode.sensor.grid_size=8.0", "episode.sensor.grid_size must be int"),
+        ("batches=true", "batches must be int"),
+        ("out_dir=7", "out_dir must be str"),
+    ):
+        with pytest.raises(ConfigurationError, match=expected):
+            apply_to_dataclass(TrainConfig(), parse_overrides([pair]))
+
+
+@pytest.mark.parametrize("pair,path", [
+    ("duration=abc", "duration"), ("sensor_noise=yes_please", "sensor_noise"),
+])
+def test_simulate_wrongly_typed_override_is_usage_error(tmp_path, capsys, pair, path):
+    code = main(["simulate", "--seed", "2", "--out", str(tmp_path / "s"), pair])
+    assert code == 2
+    assert f"config key {path} must be" in capsys.readouterr().err
+
+
+def test_train_config_file_wrongly_typed_value_is_usage_error(tmp_path, capsys):
+    cfg = write_tiny_train_config(tmp_path / "cfg.yaml", batches="two")
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert "config key batches must be int" in capsys.readouterr().err
+
+
 def test_training_and_evaluation_imports_leave_yaml_unloaded():
     # yaml is imported only where a config file or an override is read or
     # written, so library use of training and evaluation does not pay for it

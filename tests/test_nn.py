@@ -8,6 +8,9 @@ unrolled policy network to 1e-4 (looser: five timesteps of float64
 round-off accumulate).
 """
 
+import hashlib
+
+import nn_reference as reference
 import numpy as np
 import pytest
 
@@ -32,6 +35,7 @@ from asterhover.nn import (
     save_checkpoint,
     softmax,
 )
+from asterhover.ppo import build_networks
 
 
 FD_H = 1.0e-5
@@ -84,16 +88,20 @@ def test_orthogonal_init_gain_scales_singular_values():
     np.testing.assert_allclose(s, np.full(20, 0.01), rtol=1e-12)
 
 
+def num_params(net) -> int:
+    return sum(p.size for p in net.parameters().values())
+
+
 def test_policy_parameter_count():
     net = PolicyNetwork(seed=0)
     # conv 152 + 1032, dense 2800 + 18600 + 2904, recurrent 103950
-    assert net.num_params == 129438
+    assert num_params(net) == 129438
 
 
 def test_value_parameter_count():
     net = ValueNetwork(seed=0)
     # 1820 + 11700 + 130 + 6
-    assert net.num_params == 13656
+    assert num_params(net) == 13656
 
 
 def test_same_seed_same_params_different_seed_differs():
@@ -263,6 +271,8 @@ def test_policy_rejects_bad_shapes():
 
 
 def test_policy_sequence_matches_manual_steps():
+    # Not bitwise: the sequence runs its layers over T*B rows at once and a
+    # BLAS product rounds differently with the row count (about 5e-18 here).
     net = PolicyNetwork(seed=2)
     rng = np.random.default_rng(32)
     images, vecs = policy_batch(rng)
@@ -270,7 +280,15 @@ def test_policy_sequence_matches_manual_steps():
     h = net.init_hidden(2)
     for t in range(5):
         logits_t, h, _ = net.step(images[t], vecs[t], h)
-        np.testing.assert_array_equal(logits_seq[t], logits_t)
+        np.testing.assert_allclose(logits_seq[t], logits_t, rtol=1e-12, atol=1e-15)
+
+
+def test_policy_sequence_same_input_twice_is_bitwise_equal():
+    net = PolicyNetwork(seed=2)
+    images, vecs = policy_batch(np.random.default_rng(32))
+    first, _ = net.forward_sequence(images, vecs)
+    second, _ = net.forward_sequence(images, vecs)
+    np.testing.assert_array_equal(first, second)
 
 
 def test_policy_hidden_state_carries_information():
@@ -356,6 +374,110 @@ def test_backward_accumulates_across_calls():
     net.backward_sequence(s, caches)
     for k, v in net.gradients().items():
         np.testing.assert_allclose(v, 2.0 * once[k], rtol=1e-12)
+
+
+# --------------------------------------------------------------------------
+# Sequence kernels against the per-step reference (tests/nn_reference.py)
+#
+# The kernels reorder float64 sums (one product over T*B rows instead of a
+# sum over steps, fused gate columns, a tanh-form sigmoid), so they are held
+# within 1e-12 of each array's largest magnitude rather than bitwise.
+
+KERNEL_RTOL = 1e-12
+SEQUENCE_SHAPES = [(1, 1), (5, 2), (100, 10)]
+
+
+def assert_close_to_reference(got, want, label):
+    scale = float(np.max(np.abs(want)))
+    np.testing.assert_allclose(got, want, rtol=KERNEL_RTOL, atol=KERNEL_RTOL * scale,
+                               err_msg=label)
+
+
+def padded_mask(rng, T, B):
+    """(T, B) 0/1 mask of episodes T/2..T long, the first one T long."""
+    lengths = rng.integers(max(1, T // 2), T + 1, size=B)
+    lengths[0] = T
+    return (np.arange(T)[:, None] < lengths[None, :]).astype(float)
+
+
+@pytest.mark.parametrize("T,B", SEQUENCE_SHAPES)
+def test_policy_kernel_matches_per_step_reference(T, B):
+    net, _ = build_networks(T + B)
+    rng = np.random.default_rng(1000 * T + B)
+    mask = padded_mask(rng, T, B)
+    images = rng.normal(0.0, 0.5, size=(T, B, 8, 8, 2)) * mask[:, :, None, None, None]
+    vecs = rng.normal(0.0, 0.1, size=(T, B, 7)) * mask[:, :, None]
+    dlogits = rng.standard_normal((T, B, 12, 2)) * mask[:, :, None, None]
+
+    want, caches = reference.policy_forward_sequence(net, images, vecs)
+    net.zero_grads()
+    reference.policy_backward_sequence(net, dlogits, caches)
+    want_grads = {k: g.copy() for k, g in net.gradients().items()}
+
+    got, cache = net.forward_sequence(images, vecs)
+    net.zero_grads()
+    net.backward_sequence(dlogits, cache)
+    assert_close_to_reference(got, want, "logits")
+    for name, grad in net.gradients().items():
+        assert_close_to_reference(grad, want_grads[name], name)
+
+
+@pytest.mark.parametrize("T,B", SEQUENCE_SHAPES)
+def test_value_kernel_matches_per_step_reference(T, B):
+    _, net = build_networks(T + B)
+    rng = np.random.default_rng(1000 * T + B + 1)
+    mask = padded_mask(rng, T, B)
+    xs = rng.normal(0.0, 0.5, size=(T, B, 13)) * mask[:, :, None]
+    dvalues = rng.standard_normal((T, B)) * mask
+
+    want, caches = reference.value_forward_sequence(net, xs)
+    net.zero_grads()
+    reference.value_backward_sequence(net, dvalues, caches)
+    want_grads = {k: g.copy() for k, g in net.gradients().items()}
+
+    got, cache = net.forward_sequence(xs)
+    net.zero_grads()
+    net.backward_sequence(dvalues, cache)
+    assert_close_to_reference(got, want, "values")
+    for name, grad in net.gradients().items():
+        assert_close_to_reference(grad, want_grads[name], name)
+
+
+def test_conv_patches_match_reference_loop():
+    rng = np.random.default_rng(14)
+    for c_in, kernel, stride, size in ((2, 3, 1, 8), (8, 4, 2, 6)):
+        layer = Conv2D(rng, c_in, 3, kernel=kernel, stride=stride)
+        ho = layer.out_size(size)
+        x = rng.standard_normal((6, size, size, c_in))
+        for view in (x, x[::2], x[:, :, :, ::-1]):  # strided inputs too
+            want = reference.conv_patches(layer, view, ho, ho)
+            np.testing.assert_array_equal(layer._patches(view), want.reshape(ho * ho * len(view), -1))
+
+
+# sha256 of the archives nn.save_checkpoint writes for build_networks(0),
+# bare and after one Adam step, taken when every GRU gate matrix was its own
+# array: the fused gate buffers keep names, shapes, draw order and bytes.
+BUILD_NETWORKS_0_SHA256 = "725c6972b1ea3ebfe5d586303dca3b812004d5b1a3e1135890a3f8abd7f4b0a7"
+ONE_ADAM_STEP_SHA256 = "2434458175ed932b4463def8b5a3dbb93b2488190491228153f9b786f782ffe2"
+
+
+def test_checkpoint_bytes_of_fresh_networks_are_pinned(tmp_path):
+    def digest(path):
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+
+    policy, value = build_networks(0)
+    path = str(tmp_path / "ck.npz")
+    save_checkpoint(path, policy, value)
+    assert digest(path) == BUILD_NETWORKS_0_SHA256
+
+    popt = Adam(policy.parameters(), lr=3.0e-4)
+    vopt = Adam(value.parameters(), lr=1.0e-3)
+    rng = np.random.default_rng(5)
+    popt.step({k: rng.standard_normal(a.shape) for k, a in policy.parameters().items()})
+    vopt.step({k: rng.standard_normal(a.shape) for k, a in value.parameters().items()})
+    save_checkpoint(path, policy, value, popt, vopt, extra={"batch": 1})
+    assert digest(path) == ONE_ADAM_STEP_SHA256
 
 
 # --------------------------------------------------------------------------
