@@ -35,7 +35,7 @@ from .config import (
 )
 from .errors import ConfigurationError, MeshLoadError, SimulationError
 from .geometry import AsteroidGenConfig, load_mesh, save_mesh, synthesize_asteroid
-from .lidar import SensorConfig, scan
+from .lidar import SensorConfig, rotated_beams, scan
 from .env import HoverEnv, rollout
 from .ppo import TrainConfig, train
 from . import nn
@@ -165,7 +165,7 @@ def cmd_scan_debug(args: argparse.Namespace) -> int:
         position = np.array([0.0, 0.0, 2.5 * bound])
 
     sensor = SensorConfig()
-    frame = scan(mesh, position, None, sensor, rotation_matrix=_look_rotation(position))
+    frame = scan(mesh, position, rotated_beams(sensor, _look_rotation(position)), sensor)
 
     os.makedirs(args.out, exist_ok=True)
     write_resolved_config(

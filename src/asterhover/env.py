@@ -1,11 +1,13 @@
-"""Hovering episodes: randomized scenario setup, observations, reward.
+"""Hovering episodes: randomized scenario setup, network inputs, reward.
 
 Each episode draws a fresh asteroid and initial condition, then runs a
-fixed-duration station-keeping task in the asteroid body-fixed frame. The
-agent never sees ground truth: its observation is built from differences of
-flash-LIDAR range images taken at the frozen episode-start attitude, plus
-the attitude change and measured body rates. Ground-truth position and
-velocity errors are exposed separately for the critic and for evaluation.
+fixed-duration station-keeping task in the asteroid body-fixed frame.
+:meth:`HoverEnv.reset` and :meth:`HoverEnv.step` return the inputs of the
+two networks, already scaled. The policy never sees ground truth: its
+image stack holds differences of flash-LIDAR range images taken at the
+frozen episode-start attitude, and its vector holds the attitude change and
+measured body rates. The critic's vector holds the ground-truth position
+error, velocity, attitude change and body rates.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .geometry import (
     AsteroidGenConfig,
     AsteroidModel,
     TriMesh,
-    ellipsoid_rotation_params,
+    draw_rotation_state,
     load_mesh,
     mesh_half_extents,
     synthesize_asteroid,
@@ -133,6 +135,8 @@ class EpisodeConfig:
             raise ConfigurationError("failure_prob must lie in [0, 1]")
         if self.isp <= 0.0 or self.g_ref <= 0.0:
             raise ConfigurationError("isp and g_ref must be positive")
+        if self.noise_bias_range < 0.0 or self.noise_sigma < 0.0:
+            raise ConfigurationError("noise_bias_range and noise_sigma must be >= 0")
         if self.r_err_scale <= 0.0 or self.dr_scale <= 0.0:
             raise ConfigurationError("observation scales must be positive")
         if self.max_ic_retries < 1:
@@ -152,64 +156,17 @@ class EpisodeConfig:
 
 @dataclass
 class PolicyObservation:
-    """What the flight policy sees. Image entries are in meters; use
-    :func:`policy_net_inputs` for the scaled network view."""
+    """What the flight policy sees, as the network takes it.
 
-    r_err_image: np.ndarray  # (grid, grid) current ranges minus initiation ranges, m
-    dr_image: np.ndarray     # (grid, grid) ranges minus previous frame, m
-    dq: np.ndarray           # (4,) attitude change since initiation, scalar part >= 0
-    omega: np.ndarray        # (3,) body rates, rad/s
-
-
-@dataclass
-class ValueObservation:
-    """Ground-truth quantities available to the critic during optimization."""
-
-    r_err: np.ndarray    # (3,) position minus initial position, m
-    velocity: np.ndarray  # (3,) m/s
-    dq: np.ndarray       # (4,)
-    omega: np.ndarray    # (3,) rad/s
-
-    def vector(self) -> np.ndarray:
-        return np.concatenate([self.r_err, self.velocity, self.dq, self.omega])
-
-
-def build_policy_observation(
-    frame: LidarFrame,
-    frame0: LidarFrame,
-    prev_frame: LidarFrame,
-    dq: np.ndarray,
-    omega: np.ndarray,
-) -> PolicyObservation:
-    """Difference images against the initiation and previous frames.
-
-    Hit/miss transitions pass straight through: a beam that stops returning
-    jumps by (max_range - previous reading) rather than being masked.
+    Channel 0 of `image` is the range image minus the initiation image over
+    `r_err_scale`, channel 1 the range image minus the previous one over
+    `dr_scale`. Hit/miss transitions pass straight through: a beam that
+    stops returning jumps by (max_range - previous reading) rather than
+    being masked.
     """
-    return PolicyObservation(
-        r_err_image=frame.ranges - frame0.ranges,
-        dr_image=frame.ranges - prev_frame.ranges,
-        dq=np.asarray(dq, dtype=np.float64),
-        omega=np.asarray(omega, dtype=np.float64).copy(),
-    )
 
-
-def policy_net_inputs(
-    obs: PolicyObservation, cfg: EpisodeConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Scaled image stack (grid, grid, 2) and the 7-vector [dq, omega]."""
-    image = np.stack(
-        [obs.r_err_image / cfg.r_err_scale, obs.dr_image / cfg.dr_scale], axis=-1
-    )
-    vec = np.concatenate([obs.dq, obs.omega])
-    return image, vec
-
-
-def value_net_inputs(obs: ValueObservation, cfg: EpisodeConfig) -> np.ndarray:
-    """13-vector critic input with position error scaled like the image."""
-    v = obs.vector().copy()
-    v[0:3] /= cfg.r_err_scale
-    return v
+    image: np.ndarray  # (grid, grid, 2)
+    vec: np.ndarray    # (7,) attitude change since initiation (scalar part >= 0), body rates
 
 
 @dataclass
@@ -219,8 +176,8 @@ class Step:
 
     state: SpacecraftState    # state the observation was taken in
     image: np.ndarray         # (grid, grid, 2) scaled policy image input
-    vec: np.ndarray           # (7,) scaled policy vector input
-    value_obs: ValueObservation
+    vec: np.ndarray           # (7,) policy vector input
+    value_input: np.ndarray   # (13,) scaled critic input
     logits: np.ndarray        # (12, 2)
     action: np.ndarray        # (12,) on/off bits sent to the environment
     logp: Any                 # whatever `select` returned beside the action
@@ -231,28 +188,30 @@ class Step:
 def rollout(env: HoverEnv, policy, env_seed, select) -> Iterator[Step]:
     """Fly one episode from ``env.reset(seed=env_seed)`` until done.
 
-    Each control step feeds the scaled observation to ``policy.step`` (batch
-    of one, hidden state carried from a zero start), lets
-    ``select(logits) -> (actions, logp)`` pick the (1, 12) action, steps the
-    environment with it, and yields a :class:`Step`. Training samples,
+    Each control step feeds the policy inputs from the environment to
+    ``policy.step`` (batch of one, hidden state carried from a zero start),
+    lets ``select(logits) -> (actions, logp)`` pick the (1, 12) action,
+    steps the environment with it, and yields a :class:`Step` holding the
+    policy and critic inputs the action was chosen on. Training samples,
     evaluation samples or takes the argmax, and ``simulate`` may ignore the
     logits and drift; callers keep only the fields they need.
     """
-    pobs, vobs = env.reset(seed=env_seed)
+    obs, value_input = env.reset(seed=env_seed)
     hidden = policy.init_hidden(1)
     done = False
     while not done:
         state = env.state
-        image, vec = policy_net_inputs(pobs, env.cfg)
-        logits, hidden, _ = policy.step(image[None], vec[None], hidden)
+        logits, hidden, _ = policy.step(obs.image[None], obs.vec[None], hidden)
         action, logp = select(logits)
-        next_pobs, next_vobs, reward, done, info = env.step(action[0])
-        yield Step(state, image, vec, vobs, logits[0], action[0], logp, reward, info)
-        pobs, vobs = next_pobs, next_vobs
+        next_obs, next_value_input, reward, done, info = env.step(action[0])
+        yield Step(
+            state, obs.image, obs.vec, value_input, logits[0], action[0], logp, reward, info
+        )
+        obs, value_input = next_obs, next_value_input
 
 
 def compute_reward(
-    r_err: np.ndarray,
+    pos_err: float,
     dq: np.ndarray,
     action: np.ndarray,
     terminal_ok: bool,
@@ -261,12 +220,12 @@ def compute_reward(
 ) -> tuple[float, dict[str, float]]:
     """Per-step reward and its exact decomposition.
 
-    r = alpha*|r_err| + beta*angle(dq) + gamma*(sum of bits)/12 + eta
+    r = alpha*pos_err + beta*angle(dq) + gamma*(sum of bits)/12 + eta
         + zeta*[terminal limits met at the final step] + kappa*[violation]
     """
     effort = float(np.sum(action)) / action.shape[0]
     terms = {
-        "position": cfg.alpha * float(np.linalg.norm(r_err)),
+        "position": cfg.alpha * pos_err,
         "attitude": cfg.beta * quat_angle(dq),
         "control": cfg.gamma_ctrl * effort,
         "step": cfg.eta,
@@ -311,9 +270,7 @@ def _los_attitude(u: np.ndarray, roll: float) -> np.ndarray:
     return dcm_to_quat(np.column_stack([x_b, y_b, z_b]))
 
 
-def surface_radius(
-    mesh: TriMesh | PreparedMesh, u: np.ndarray, cast_from: float | None = None
-) -> float | None:
+def surface_radius(mesh: TriMesh | PreparedMesh, u: np.ndarray) -> float | None:
     """Distance from the origin to the surface along unit direction u.
 
     Casts inward from well outside the body so the front (outward) faces
@@ -323,8 +280,7 @@ def surface_radius(
     from .lidar import cast_rays
 
     prep = mesh if isinstance(mesh, _PM) else _PM(mesh)
-    if cast_from is None:
-        cast_from = 2.0 * prep.bound_radius + 100.0
+    cast_from = 2.0 * prep.bound_radius + 100.0
     origin = cast_from * u
     ranges, hit = cast_rays(prep, origin, -u[None, :], max_range=2.0 * cast_from)
     if not hit[0]:
@@ -380,35 +336,6 @@ def sample_initial_conditions(
     )
 
 
-def _model_from_mesh(mesh: TriMesh, rng: np.random.Generator, dyn: AsteroidDynRanges) -> AsteroidModel:
-    """Rotation state and mass for a loaded shape model.
-
-    Same draw order as synthesis; the comparison-ellipsoid half-axes come
-    from the mesh bounding box.
-    """
-    from .geometry import GRAVITATIONAL_CONSTANT
-
-    mass = rng.uniform(dyn.mass_min, dyn.mass_max)
-    spin = rng.uniform(dyn.spin_min, dyn.spin_max)
-    nutation = rng.uniform(dyn.nutation_min, dyn.nutation_max)
-    phase = rng.uniform(0.0, 2.0 * math.pi)
-    srp = rng.uniform(-dyn.srp_max, dyn.srp_max, size=3)
-    axes = mesh_half_extents(mesh)
-    _, sigma = ellipsoid_rotation_params(*axes)
-    return AsteroidModel(
-        mesh=mesh,
-        mass=mass,
-        gm=GRAVITATIONAL_CONSTANT * mass,
-        spin_rate=spin,
-        nutation=nutation,
-        phase=phase,
-        precession_rate=sigma * spin * math.cos(nutation),
-        sigma=sigma,
-        axes=axes,
-        srp_accel=srp,
-    )
-
-
 class HoverEnv:
     """One hovering episode at a time; see module docstring.
 
@@ -428,12 +355,16 @@ class HoverEnv:
         self.done = True
         self.steps = 0
 
-    def reset(self, seed: int | None = None) -> tuple[PolicyObservation, ValueObservation]:
+    def reset(self, seed: int | None = None) -> tuple[PolicyObservation, np.ndarray]:
+        """Start an episode; returns the first policy observation (zero
+        images) and critic input (zero position error)."""
         cfg = self.cfg
         self.rng = np.random.default_rng(seed)
 
         if self._loaded_mesh is not None:
-            self.model = _model_from_mesh(self._loaded_mesh, self.rng, cfg.dyn)
+            self.model = draw_rotation_state(
+                self.rng, cfg.dyn, self._loaded_mesh, mesh_half_extents(self._loaded_mesh)
+            )
         else:
             self.model = synthesize_asteroid(self.rng, cfg.asteroid, cfg.dyn)
             self._prep = PreparedMesh(self.model.mesh)
@@ -469,19 +400,23 @@ class HoverEnv:
         self.state = state
         self.q0 = state.attitude.copy()
         self.r0 = state.position.copy()
-        self.wet_mass = state.mass
         self.frame0 = frame0
         self.prev_frame = frame0
         self.steps = 0
         self.done = False
         self.fuel_used = 0.0
-        return self._observe(frame0)
+        dq = quat_error(state.attitude, self.q0)
+        n = cfg.sensor.grid_size
+        return (
+            PolicyObservation(np.zeros((n, n, 2)), np.concatenate([dq, state.omega])),
+            np.concatenate([np.zeros(3), state.velocity, dq, state.omega]),
+        )
 
     def _scan(self, position: np.ndarray) -> LidarFrame:
         # Scans are taken at the frozen initiation attitude: the sensor
         # platform counter-rotates the body motion, so images differ only
         # through translation (and asteroid rotation under the spacecraft).
-        frame = scan(self._prep, position, None, self.cfg.sensor, beams=self._beams)
+        frame = scan(self._prep, position, self._beams, self.cfg.sensor)
         if self.cfg.sensor_noise:
             frame = apply_sensor_noise(
                 frame,
@@ -492,20 +427,11 @@ class HoverEnv:
             )
         return frame
 
-    def _observe(self, frame: LidarFrame) -> tuple[PolicyObservation, ValueObservation]:
-        dq = quat_error(self.state.attitude, self.q0)
-        pobs = build_policy_observation(frame, self.frame0, self.prev_frame, dq, self.state.omega)
-        vobs = ValueObservation(
-            r_err=self.state.position - self.r0,
-            velocity=self.state.velocity.copy(),
-            dq=dq,
-            omega=self.state.omega.copy(),
-        )
-        return pobs, vobs
-
     def step(
         self, action: np.ndarray
-    ) -> tuple[PolicyObservation, ValueObservation, float, bool, dict[str, Any]]:
+    ) -> tuple[PolicyObservation, np.ndarray, float, bool, dict[str, Any]]:
+        """Fly one control period with the 12 on/off thruster bits; returns
+        (policy observation, critic input, reward, done, info)."""
         if self.done:
             raise SimulationError("step() called on a finished episode; reset() first")
         a = np.asarray(action, dtype=np.float64).reshape(-1)
@@ -519,32 +445,45 @@ class HoverEnv:
                 self.state, a, cfg.rk4_dt, self.model, self.table,
                 ext=self._ext, isp=cfg.isp, g_ref=cfg.g_ref,
             )
-        self.fuel_used += mass_before - self.state.mass
+        state = self.state
+        self.fuel_used += mass_before - state.mass
         self.steps += 1
 
-        frame = self._scan(self.state.position)
+        frame = self._scan(state.position)
 
-        r_err = self.state.position - self.r0
-        dq = quat_error(self.state.attitude, self.q0)
-        omega = self.state.omega
+        r_err = state.position - self.r0
+        dq = quat_error(state.attitude, self.q0)
+        omega = state.omega
+        pos_err = float(np.linalg.norm(r_err))
+        speed = float(np.linalg.norm(state.velocity))
 
         rot_breach = bool(np.any(np.abs(omega) > cfg.reward.rot_limit))
         all_miss = not frame.hit.any()
-        fuel_out = self.state.mass <= cfg.dry_mass
+        fuel_out = state.mass <= cfg.dry_mass
         violated = rot_breach or all_miss or fuel_out
 
         time_done = self.steps >= cfg.max_steps
         terminal_ok = (
             time_done
-            and float(np.linalg.norm(r_err)) <= cfg.reward.terminal_pos_limit
-            and float(np.linalg.norm(self.state.velocity)) <= cfg.reward.terminal_speed_limit
+            and pos_err <= cfg.reward.terminal_pos_limit
+            and speed <= cfg.reward.terminal_speed_limit
             and bool(np.all(np.abs(omega) <= cfg.reward.terminal_omega_limit))
         )
 
-        reward, terms = compute_reward(r_err, dq, a, terminal_ok, violated, cfg.reward)
+        reward, terms = compute_reward(pos_err, dq, a, terminal_ok, violated, cfg.reward)
         self.done = time_done or violated
 
-        pobs, vobs = self._observe(frame)
+        obs = PolicyObservation(
+            np.stack(
+                [
+                    (frame.ranges - self.frame0.ranges) / cfg.r_err_scale,
+                    (frame.ranges - self.prev_frame.ranges) / cfg.dr_scale,
+                ],
+                axis=-1,
+            ),
+            np.concatenate([dq, omega]),
+        )
+        value_input = np.concatenate([r_err / cfg.r_err_scale, state.velocity, dq, omega])
         self.prev_frame = frame
 
         violation = None
@@ -555,24 +494,15 @@ class HoverEnv:
         elif fuel_out:
             violation = "fuel"
 
-        speed = float(np.linalg.norm(self.state.velocity))
         info = {
             "step": self.steps,
             "t": self.steps * cfg.control_period,
-            "position": self.state.position.copy(),
-            "velocity": self.state.velocity.copy(),
-            "omega": omega.copy(),
-            "attitude": self.state.attitude.copy(),
-            "pos_err": float(np.linalg.norm(r_err)),
-            "pos_err_vec": r_err.copy(),
+            "pos_err": pos_err,
             "speed": speed,
             "max_omega": float(np.max(np.abs(omega))),
-            "q_err": quat_angle(dq),
-            "mass": self.state.mass,
             "fuel_used": self.fuel_used,
-            "hits": int(frame.hit.sum()),
             "violation": violation,
             "terminal_ok": terminal_ok,
             "reward_terms": terms,
         }
-        return pobs, vobs, reward, self.done, info
+        return obs, value_input, reward, self.done, info

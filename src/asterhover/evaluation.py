@@ -42,7 +42,6 @@ class Scenario:
     description: str = ""
     overrides: dict = field(default_factory=dict)
     requires_mesh: bool = False
-    mesh_scale: float = 1.0
 
     def episode_config(self, mesh_file: str | None = None) -> EpisodeConfig:
         cfg = EpisodeConfig()
@@ -54,7 +53,6 @@ class Scenario:
                     "provide a mesh file (--mesh-file)"
                 )
             cfg.mesh_file = mesh_file
-            cfg.mesh_scale = self.mesh_scale
         cfg.validate()
         return cfg
 
@@ -132,16 +130,14 @@ def scenario_presets() -> list[Scenario]:
         Scenario(
             "itokawa3x",
             "Itokawa shape model scaled 3x, altitude 100-600 m",
-            {"range_min": 100.0, "range_max": 600.0},
+            {"range_min": 100.0, "range_max": 600.0, "mesh_scale": 3.0},
             requires_mesh=True,
-            mesh_scale=3.0,
         ),
         Scenario(
             "itokawa3x-extended",
             "Itokawa shape model scaled 3x, altitude 10-600 m",
-            {"range_min": 10.0, "range_max": 600.0},
+            {"range_min": 10.0, "range_max": 600.0, "mesh_scale": 3.0},
             requires_mesh=True,
-            mesh_scale=3.0,
         ),
     ]
 
@@ -324,7 +320,7 @@ def run_monte_carlo(
 
     Episode k runs on the seed stream (seed, k), so reports are identical
     across reruns and across worker counts. With out_dir set, writes
-    episodes.csv, summary.csv, and x/y plot-data files there.
+    episodes.csv and summary.csv there.
     """
     if isinstance(policy, str):
         policy = load_policy(policy)
@@ -366,13 +362,4 @@ def write_report_files(out_dir: str, report: EvalReport, rows: list[dict]) -> No
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_COLUMNS)
         writer.writerow(summary_row(report))
-    for column, fname in (
-        ("pos_err_m", "plot_pos_err.csv"),
-        ("fuel_kg", "plot_fuel.csv"),
-    ):
-        with open(os.path.join(out_dir, fname), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["episode", column])
-            for row in rows:
-                writer.writerow([row["episode"], _fmt(row[column])])
 

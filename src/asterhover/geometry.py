@@ -235,16 +235,27 @@ def synthesize_asteroid(
     scale = np.where(mesh.vertices >= 0.0, pos, neg)
     mesh.vertices *= scale
 
+    return draw_rotation_state(rng, dyn, mesh, 0.5 * (pos + neg))
+
+
+def draw_rotation_state(
+    rng: np.random.Generator,
+    dyn: AsteroidDynRanges,
+    mesh: TriMesh,
+    axes: np.ndarray,
+) -> AsteroidModel:
+    """The body `mesh` with a random mass and rotation state.
+
+    Draw order is fixed: mass, spin rate, nutation, phase, SRP components.
+    `axes` are the half-axes of the comparison ellipsoid that sets the
+    precession rate.
+    """
     mass = rng.uniform(dyn.mass_min, dyn.mass_max)
     spin = rng.uniform(dyn.spin_min, dyn.spin_max)
     nutation = rng.uniform(dyn.nutation_min, dyn.nutation_max)
     phase = rng.uniform(0.0, 2.0 * math.pi)
     srp = rng.uniform(-dyn.srp_max, dyn.srp_max, size=3)
-
-    axes = 0.5 * (pos + neg)  # effective half-axes of the comparison ellipsoid
     _, sigma = ellipsoid_rotation_params(*axes)
-    precession = sigma * spin * math.cos(nutation)
-
     return AsteroidModel(
         mesh=mesh,
         mass=mass,
@@ -252,7 +263,7 @@ def synthesize_asteroid(
         spin_rate=spin,
         nutation=nutation,
         phase=phase,
-        precession_rate=precession,
+        precession_rate=sigma * spin * math.cos(nutation),
         sigma=sigma,
         axes=axes,
         srp_accel=srp,

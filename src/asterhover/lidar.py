@@ -39,13 +39,12 @@ CONE_TOL = 1.0e-6  # rad
 
 @dataclass
 class SensorConfig:
-    """Detector geometry and noise model."""
+    """Detector geometry. The range noise model is set per episode
+    (`EpisodeConfig.sensor_noise` and `noise_*`)."""
 
     grid_size: int = 8          # pixels per side
     fov: float = math.radians(30.0)  # full field of view per axis, rad
     max_range: float = 2000.0   # returned for misses; hits are strictly closer, m
-    noise_bias_range: float = 0.0  # per-scan-sequence bias drawn from +-this, m
-    noise_sigma: float = 0.0    # per-sample Gaussian sigma, m
 
     def validate(self) -> None:
         if self.grid_size < 1:
@@ -54,8 +53,6 @@ class SensorConfig:
             raise ConfigurationError("fov must lie in (0, pi)")
         if self.max_range <= 0.0:
             raise ConfigurationError("max_range must be positive")
-        if self.noise_bias_range < 0.0 or self.noise_sigma < 0.0:
-            raise ConfigurationError("noise parameters must be >= 0")
 
 
 @dataclass
@@ -260,25 +257,12 @@ def rotated_beams(cfg: SensorConfig, rotation_matrix: np.ndarray) -> np.ndarray:
 def scan(
     mesh: TriMesh | PreparedMesh,
     position: np.ndarray,
-    attitude: np.ndarray,
+    beams: np.ndarray,
     cfg: SensorConfig,
-    rotation_matrix: np.ndarray | None = None,
-    beams: np.ndarray | None = None,
 ) -> LidarFrame:
-    """Render one range image from `position` at quaternion `attitude`.
-
-    `attitude` maps sensor/platform axes into the frame the mesh lives in
-    (scalar-first, body to asteroid frame). Pass `rotation_matrix` to skip
-    the quaternion conversion when the caller already has it, or `beams`
-    from :func:`rotated_beams` to skip building the grid as well (a caller
-    scanning many times at one attitude).
-    """
-    from .dynamics import quat_to_dcm
-
-    if beams is None:
-        if rotation_matrix is None:
-            rotation_matrix = quat_to_dcm(np.asarray(attitude, dtype=np.float64))
-        beams = rotated_beams(cfg, rotation_matrix)
+    """Render one range image from `position` along `beams`, the
+    (grid*grid, 3) directions from :func:`rotated_beams` at the platform
+    attitude."""
     ranges, hit = cast_rays(mesh, position, beams, cfg.max_range)
     n = cfg.grid_size
     return LidarFrame(ranges.reshape(n, n), hit.reshape(n, n))

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .env import EpisodeConfig, HoverEnv, rollout, value_net_inputs
+from .env import EpisodeConfig, HoverEnv, rollout
 from .errors import ConfigurationError, SimulationError
 
 # Stream tags keep the per-episode, per-action, and per-update rng draws on
@@ -179,7 +179,7 @@ def collect_rollouts(
         try:
             for step in rollout(env, policy, env_seed, select):
                 rows.append((
-                    step.image, step.vec, value_net_inputs(step.value_obs, env.cfg),
+                    step.image, step.vec, step.value_input,
                     step.action, step.logits, step.logp[0], step.reward,
                 ))
         except (SimulationError, ConfigurationError) as exc:

@@ -206,6 +206,9 @@ def test_train_cli_unknown_config_key_is_usage_error(tmp_path, capsys):
     cfg = write_tiny_train_config(tmp_path / "cfg.yaml", typo_key=1)
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
     assert "unknown config key" in capsys.readouterr().err
+    # range noise is set by episode.noise_*; the sensor has no noise keys
+    assert main(["train", "--out", str(tmp_path / "y"), "episode.sensor.noise_sigma=2"]) == 2
+    assert "unknown config key episode.sensor.noise_sigma" in capsys.readouterr().err
 
 
 def test_train_cli_resume_without_checkpoint_fails(tmp_path, capsys):

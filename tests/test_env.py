@@ -4,21 +4,16 @@ import numpy as np
 import pytest
 
 from asterhover import nn
-from asterhover.dynamics import quat_angle, quat_to_dcm
+from asterhover.dynamics import quat_angle, quat_error
 from asterhover.env import (
     EpisodeConfig,
     HoverEnv,
-    PolicyObservation,
     RewardConfig,
-    ValueObservation,
-    build_policy_observation,
     compute_reward,
     good_hover,
-    policy_net_inputs,
     rollout,
     sample_initial_conditions,
     surface_radius,
-    value_net_inputs,
 )
 from asterhover.errors import ConfigurationError, SimulationError
 from asterhover.geometry import (
@@ -27,7 +22,7 @@ from asterhover.geometry import (
     save_mesh,
     synthesize_asteroid,
 )
-from asterhover.lidar import LidarFrame, SensorConfig, scan
+from asterhover.lidar import LidarFrame, SensorConfig, rotated_beams, scan
 
 from dynamics_reference import quat_rotate
 
@@ -66,6 +61,8 @@ def test_config_validation():
         EpisodeConfig(dry_mass=460.0).validate()
     with pytest.raises(ConfigurationError):
         EpisodeConfig(failure_prob=1.5).validate()
+    with pytest.raises(ConfigurationError):
+        EpisodeConfig(noise_sigma=-1.0).validate()
 
 
 def test_config_step_counts():
@@ -82,7 +79,7 @@ def test_config_step_counts():
 
 def test_reward_perfect_hover_mid_episode():
     cfg = RewardConfig()
-    r, terms = compute_reward(np.zeros(3), IDENTITY_Q, np.zeros(12), False, False, cfg)
+    r, terms = compute_reward(0.0, IDENTITY_Q, np.zeros(12), False, False, cfg)
     assert r == pytest.approx(0.01, abs=1e-15)
     assert terms["step"] == 0.01
     assert terms["position"] == 0.0 and terms["attitude"] == 0.0
@@ -95,8 +92,7 @@ def test_reward_terms_and_sum(rng):
     dq = quat_from_axis_angle([0.0, 1.0, 0.0], 0.3)
     action = np.zeros(12)
     action[[0, 3, 7]] = 1.0
-    r_err = np.array([3.0, 0.0, 4.0])  # norm 5
-    r, terms = compute_reward(r_err, dq, action, False, False, cfg)
+    r, terms = compute_reward(5.0, dq, action, False, False, cfg)
     assert terms["position"] == pytest.approx(-0.02 * 5.0, rel=1e-12)
     assert terms["attitude"] == pytest.approx(-0.01 * 0.3, rel=1e-9)
     assert terms["control"] == pytest.approx(-0.05 * 3.0 / 12.0, rel=1e-12)
@@ -105,10 +101,10 @@ def test_reward_terms_and_sum(rng):
 
 def test_reward_terminal_bonus_and_violation():
     cfg = RewardConfig()
-    r_ok, terms_ok = compute_reward(np.array([1.0, 0.0, 0.0]), IDENTITY_Q, np.zeros(12), True, False, cfg)
+    r_ok, terms_ok = compute_reward(1.0, IDENTITY_Q, np.zeros(12), True, False, cfg)
     assert terms_ok["terminal_bonus"] == 10.0
     assert r_ok == pytest.approx(10.0 + 0.01 - 0.02, abs=1e-12)
-    r_bad, terms_bad = compute_reward(np.zeros(3), IDENTITY_Q, np.zeros(12), False, True, cfg)
+    r_bad, terms_bad = compute_reward(0.0, IDENTITY_Q, np.zeros(12), False, True, cfg)
     assert terms_bad["violation"] == -50.0
     assert r_bad == pytest.approx(-50.0 + 0.01, abs=1e-12)
 
@@ -131,22 +127,34 @@ def frame_of(values, miss_value=2000.0):
     return LidarFrame(ranges, ranges < miss_value)
 
 
-def test_build_policy_observation_differences():
-    f0 = frame_of(np.full((8, 8), 300.0))
-    f1 = frame_of(np.full((8, 8), 295.0))
-    f2 = frame_of(np.full((8, 8), 291.0))
-    obs = build_policy_observation(f2, f0, f1, IDENTITY_Q, np.zeros(3))
-    np.testing.assert_allclose(obs.r_err_image, -9.0)
-    np.testing.assert_allclose(obs.dr_image, -4.0)
+def step_seeing(env, frame):
+    """One all-off step of `env` whose scan returns `frame`."""
+    env._scan = lambda position: frame
+    return env.step(np.zeros(12))
+
+
+def test_step_image_differences():
+    env = HoverEnv(quiet_config())
+    env.reset(seed=5)
+    env.frame0 = frame_of(np.full((8, 8), 300.0))
+    env.prev_frame = frame_of(np.full((8, 8), 295.0))
+    obs, *_ = step_seeing(env, frame_of(np.full((8, 8), 291.0)))
+    np.testing.assert_allclose(obs.image[..., 0] * env.cfg.r_err_scale, -9.0)
+    np.testing.assert_allclose(obs.image[..., 1] * env.cfg.dr_scale, -4.0)
+    # the next step differences against this frame
+    assert env.prev_frame.ranges[0, 0] == 291.0
 
 
 def test_hit_to_miss_passes_through():
     base = np.full((8, 8), 300.0)
     gone = base.copy()
     gone[0, 0] = 2000.0
-    obs = build_policy_observation(frame_of(gone), frame_of(base), frame_of(base), IDENTITY_Q, np.zeros(3))
-    assert obs.r_err_image[0, 0] == 1700.0
-    assert obs.dr_image[0, 0] == 1700.0
+    env = HoverEnv(quiet_config())
+    env.reset(seed=5)
+    env.frame0 = env.prev_frame = frame_of(base)
+    obs, *_ = step_seeing(env, frame_of(gone))
+    assert obs.image[0, 0, 0] == 1700.0 / env.cfg.r_err_scale
+    assert obs.image[0, 0, 1] == 1700.0 / env.cfg.dr_scale
 
 
 def test_descent_over_plane_dr_oracle():
@@ -158,41 +166,38 @@ def test_descent_over_plane_dr_oracle():
 
     cfg = SensorConfig()
     mesh = plane_mesh(0.0)
-    frames = [
-        scan(mesh, np.array([0.0, 0.0, h]), IDENTITY_Q, cfg) for h in (250.0, 249.0, 248.0)
-    ]
-    obs = build_policy_observation(frames[2], frames[0], frames[1], IDENTITY_Q, np.zeros(3))
+    beams = rotated_beams(cfg, np.eye(3))
+    frames = [scan(mesh, np.array([0.0, 0.0, h]), beams, cfg) for h in (250.0, 249.0, 248.0)]
+    env = HoverEnv(quiet_config())
+    env.reset(seed=5)
+    env.frame0, env.prev_frame = frames[0], frames[1]
+    obs, *_ = step_seeing(env, frames[2])
+    dr = obs.image[..., 1] * env.cfg.dr_scale
     cosines = -beam_directions(cfg)[..., 2]
-    np.testing.assert_allclose(obs.dr_image, -1.0 / cosines, rtol=1e-9)
-    np.testing.assert_allclose(obs.r_err_image, -2.0 / cosines, rtol=1e-9)
-    np.testing.assert_allclose(obs.dr_image[3:5, 3:5], -1.0, rtol=2e-3)
+    np.testing.assert_allclose(dr, -1.0 / cosines, rtol=1e-9)
+    np.testing.assert_allclose(obs.image[..., 0] * env.cfg.r_err_scale, -2.0 / cosines, rtol=1e-9)
+    np.testing.assert_allclose(dr[3:5, 3:5], -1.0, rtol=2e-3)
 
 
 def test_network_input_scaling():
-    cfg = EpisodeConfig()
-    pobs = PolicyObservation(
-        r_err_image=np.full((8, 8), 50.0),
-        dr_image=np.full((8, 8), -2.0),
-        dq=np.array([1.0, 0.0, 0.0, 0.0]),
-        omega=np.array([0.01, -0.02, 0.0]),
-    )
-    image, vec = policy_net_inputs(pobs, cfg)
-    assert image.shape == (8, 8, 2)
-    np.testing.assert_allclose(image[..., 0], 0.5)
-    np.testing.assert_allclose(image[..., 1], -0.2)
-    np.testing.assert_allclose(vec, [1.0, 0.0, 0.0, 0.0, 0.01, -0.02, 0.0])
-
-    vobs = ValueObservation(
-        r_err=np.array([10.0, -20.0, 0.0]),
-        velocity=np.array([0.05, 0.0, 0.0]),
-        dq=np.array([1.0, 0.0, 0.0, 0.0]),
-        omega=np.zeros(3),
-    )
-    v = value_net_inputs(vobs, cfg)
-    assert v.shape == (13,)
-    np.testing.assert_allclose(v[:3], [0.1, -0.2, 0.0])
-    np.testing.assert_allclose(v[3:6], [0.05, 0.0, 0.0])
-    assert vobs.vector()[0] == 10.0  # raw accessor unscaled
+    env = HoverEnv(quiet_config())
+    env.reset(seed=5)
+    env.frame0 = frame_of(np.full((8, 8), 350.0))
+    env.prev_frame = frame_of(np.full((8, 8), 302.0))
+    env.state.position = env.r0 + np.array([10.0, -20.0, 0.0])
+    env.state.velocity = np.array([0.05, 0.0, 0.0])
+    obs, value_input, *_ = step_seeing(env, frame_of(np.full((8, 8), 300.0)))
+    assert obs.image.shape == (8, 8, 2)
+    np.testing.assert_allclose(obs.image[..., 0], -0.5)
+    np.testing.assert_allclose(obs.image[..., 1], -0.2)
+    state = env.state
+    dq = quat_error(state.attitude, env.q0)
+    np.testing.assert_array_equal(obs.vec, np.concatenate([dq, state.omega]))
+    # critic: position error scaled like the image (10.3 m after 6 s at
+    # 5 cm/s), then velocity, attitude change and rates unscaled
+    assert value_input.shape == (13,)
+    np.testing.assert_allclose(value_input[:3], [0.103, -0.2, 0.0], atol=1e-9)
+    np.testing.assert_array_equal(value_input[3:], np.concatenate([state.velocity, dq, state.omega]))
 
 
 # --------------------------------------------------------------------------
@@ -250,9 +255,9 @@ def test_reset_deterministic():
     env_a, env_b = HoverEnv(), HoverEnv()
     pa, va = env_a.reset(seed=42)
     pb, vb = env_b.reset(seed=42)
-    np.testing.assert_array_equal(pa.r_err_image, pb.r_err_image)
-    np.testing.assert_array_equal(pa.dq, pb.dq)
-    np.testing.assert_array_equal(va.vector(), vb.vector())
+    np.testing.assert_array_equal(pa.image, pb.image)
+    np.testing.assert_array_equal(pa.vec, pb.vec)
+    np.testing.assert_array_equal(va, vb)
     np.testing.assert_array_equal(env_a.model.mesh.vertices, env_b.model.mesh.vertices)
     # Different seeds give different worlds.
     env_b.reset(seed=43)
@@ -277,12 +282,15 @@ def test_loaded_mesh_is_prepared_once(tmp_path):
 
 def test_first_observation_invariants():
     env = HoverEnv()
-    pobs, vobs = env.reset(seed=9)
-    np.testing.assert_array_equal(pobs.r_err_image, 0.0)
-    np.testing.assert_array_equal(pobs.dr_image, 0.0)
-    np.testing.assert_allclose(pobs.dq, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
-    np.testing.assert_array_equal(vobs.r_err, 0.0)
-    assert np.all(np.abs(pobs.omega) <= env.cfg.omega_max)
+    obs, value_input = env.reset(seed=9)
+    assert obs.image.shape == (8, 8, 2)
+    np.testing.assert_array_equal(obs.image, 0.0)
+    np.testing.assert_allclose(obs.vec[:4], [1.0, 0.0, 0.0, 0.0], atol=1e-12)
+    np.testing.assert_array_equal(obs.vec[4:], env.state.omega)
+    assert np.all(np.abs(obs.vec[4:]) <= env.cfg.omega_max)
+    np.testing.assert_array_equal(value_input[:3], 0.0)
+    np.testing.assert_array_equal(value_input[3:6], env.state.velocity)
+    np.testing.assert_array_equal(value_input[6:], obs.vec)
 
 
 def test_step_trajectory_determinism():
@@ -295,8 +303,8 @@ def test_step_trajectory_determinism():
         env.reset(seed=1234)
         rows = []
         for a in actions:
-            _, vobs, r, done, info = env.step(a)
-            rows.append((vobs.vector().copy(), r, done, info["pos_err"]))
+            _, value_input, r, done, info = env.step(a)
+            rows.append((value_input, r, done, info["pos_err"]))
         logs.append(rows)
     for (v1, r1, d1, p1), (v2, r2, d2, p2) in zip(*logs):
         np.testing.assert_array_equal(v1, v2)
@@ -372,7 +380,7 @@ def test_all_miss_terminates():
     _, _, reward, done, info = env.step(np.zeros(12))
     assert done
     assert info["violation"] == "all_miss"
-    assert info["hits"] == 0
+    assert not env.prev_frame.hit.any()
     assert info["reward_terms"]["violation"] == -50.0
 
 
@@ -383,7 +391,7 @@ def test_fuel_floor_terminates():
     _, _, _, done, info = env.step(np.ones(12))
     assert done
     assert info["violation"] == "fuel"
-    assert info["mass"] <= env.cfg.dry_mass
+    assert env.state.mass <= env.cfg.dry_mass
 
 
 def test_fuel_accounting_matches_rocket_equation():
@@ -403,10 +411,10 @@ def test_scan_stabilization_decouples_attitude():
     env = HoverEnv(quiet_config())
     env.reset(seed=6)
     env.state.omega = np.array([0.05, 0.0, 0.0])  # below the 0.10 limit
-    pobs, _, _, done, _ = env.step(np.zeros(12))
+    obs, _, _, done, _ = env.step(np.zeros(12))
     assert not done
-    np.testing.assert_array_equal(pobs.r_err_image, 0.0)
-    assert quat_angle(pobs.dq) == pytest.approx(0.05 * 6.0, rel=1e-6)
+    np.testing.assert_array_equal(obs.image[..., 0], 0.0)
+    assert quat_angle(obs.vec[:4]) == pytest.approx(0.05 * 6.0, rel=1e-6)
 
 
 def test_reward_decomposition_sums(rng):
@@ -423,12 +431,13 @@ def test_reward_decomposition_sums(rng):
 def test_sensor_noise_scenario():
     env = HoverEnv(quiet_config(sensor_noise=True))
     env.reset(seed=30)
-    pobs, _, _, _, info = env.step(np.zeros(12))
+    obs, _, _, _, info = env.step(np.zeros(12))
     hits = env.prev_frame.hit
     assert hits.any()
     # Stationary spacecraft: R_err is sensor noise only, nonzero but small.
-    assert np.any(pobs.r_err_image[hits] != 0.0)
-    assert np.all(np.abs(pobs.r_err_image[hits]) < 25.0)
+    r_err = obs.image[..., 0] * env.cfg.r_err_scale
+    assert np.any(r_err[hits] != 0.0)
+    assert np.all(np.abs(r_err[hits]) < 25.0)
     if (~hits).any():
         np.testing.assert_array_equal(env.prev_frame.ranges[~hits], 2000.0)
 
@@ -486,14 +495,17 @@ def test_rollout_records_every_control_step():
     steps = list(rollout(env, nn.PolicyNetwork(seed=0), 3, fire_first_thruster))
     assert env.done
     assert [s.info["step"] for s in steps] == list(range(1, len(steps) + 1))
-    pobs, _ = HoverEnv(cfg).reset(seed=3)
-    image, vec = policy_net_inputs(pobs, cfg)
-    np.testing.assert_array_equal(steps[0].image, image)
-    np.testing.assert_array_equal(steps[0].vec, vec)
+    obs, value_input = HoverEnv(cfg).reset(seed=3)
+    np.testing.assert_array_equal(steps[0].image, obs.image)
+    np.testing.assert_array_equal(steps[0].vec, obs.vec)
+    np.testing.assert_array_equal(steps[0].value_input, value_input)
     # each step carries the state its observation was taken in
     np.testing.assert_array_equal(steps[0].state.position, env.r0)
-    for prev, step in zip(steps, steps[1:]):
-        np.testing.assert_array_equal(step.state.position, prev.info["position"])
+    for step in steps:
+        np.testing.assert_array_equal(
+            step.value_input[:3], (step.state.position - env.r0) / cfg.r_err_scale
+        )
+        np.testing.assert_array_equal(step.vec[4:], step.state.omega)
     for step, logits in zip(steps, seen):
         np.testing.assert_array_equal(step.logits, logits[0])
         assert step.logp == "from-select"

@@ -22,11 +22,17 @@ from asterhover.lidar import (
     beam_directions,
     cast_rays,
     crossing_count,
+    rotated_beams,
     scan,
 )
 from lidar_reference import cast_ray, cast_rays_reference, ray_triangle_intersect
 
 IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
+
+
+def scan_at(mesh, position, q, cfg):
+    """A scan with the platform at quaternion attitude `q`."""
+    return scan(mesh, position, rotated_beams(cfg, quat_to_dcm(q)), cfg)
 
 
 def plane_mesh(z0: float, half_size: float = 5000.0) -> TriMesh:
@@ -364,7 +370,7 @@ def test_sensor_config_validation():
     with pytest.raises(ConfigurationError):
         SensorConfig(max_range=-1.0).validate()
     with pytest.raises(ConfigurationError):
-        SensorConfig(noise_sigma=-0.1).validate()
+        SensorConfig(fov=math.pi).validate()
 
 
 def test_scan_flat_plane_altitude():
@@ -373,7 +379,7 @@ def test_scan_flat_plane_altitude():
     # radially symmetric cos falloff.
     cfg = SensorConfig()
     h = 250.0
-    frame = scan(plane_mesh(0.0), np.array([0.0, 0.0, h]), IDENTITY_Q, cfg)
+    frame = scan_at(plane_mesh(0.0), np.array([0.0, 0.0, h]), IDENTITY_Q, cfg)
     assert frame.hit.all()
     # Center cells sit 1.875 deg off axis per axis (2.65 deg compounded), so
     # the raw reading exceeds the altitude by 1/cos = 1.00107.
@@ -393,10 +399,10 @@ def test_scan_rot90_about_boresight():
     cfg = SensorConfig()
     mesh = synthesize_asteroid(33).mesh
     pos = np.array([420.0, -300.0, 1100.0])
-    f0 = scan(mesh, pos, IDENTITY_Q, cfg)
+    f0 = scan_at(mesh, pos, IDENTITY_Q, cfg)
     assert f0.hit.any() and not f0.hit.all()  # partial coverage, asymmetric
     q90 = quat_from_axis_angle([0.0, 0.0, 1.0], math.pi / 2.0)
-    f1 = scan(mesh, pos, q90, cfg)
+    f1 = scan_at(mesh, pos, q90, cfg)
     np.testing.assert_allclose(f1.ranges, np.rot90(f0.ranges), atol=1e-9)
     np.testing.assert_array_equal(f1.hit, np.rot90(f0.hit))
 
@@ -405,21 +411,25 @@ def test_scan_deterministic():
     cfg = SensorConfig()
     mesh = synthesize_asteroid(8).mesh
     pos = np.array([0.0, 0.0, 900.0])
-    a = scan(mesh, pos, IDENTITY_Q, cfg)
-    b = scan(mesh, pos, IDENTITY_Q, cfg)
+    a = scan_at(mesh, pos, IDENTITY_Q, cfg)
+    b = scan_at(mesh, pos, IDENTITY_Q, cfg)
     np.testing.assert_array_equal(a.ranges, b.ranges)
     np.testing.assert_array_equal(a.hit, b.hit)
 
 
 def test_scan_prepared_mesh_and_matrix_paths():
-    from asterhover.dynamics import quat_to_dcm
+    from dynamics_reference import quat_rotate
 
     cfg = SensorConfig()
     mesh = synthesize_asteroid(8).mesh
     pos = np.array([40.0, -60.0, 900.0])
     q = quat_from_axis_angle([0.3, -0.2, 0.9], 0.4)
-    a = scan(mesh, pos, q, cfg)
-    b = scan(PreparedMesh(mesh), pos, q, cfg, rotation_matrix=quat_to_dcm(q))
+    beams = rotated_beams(cfg, quat_to_dcm(q))
+    # the rotation matrix turns each beam as the quaternion does
+    expected = [quat_rotate(q, b) for b in beam_directions(cfg).reshape(-1, 3)]
+    np.testing.assert_allclose(beams, expected, atol=1e-15)
+    a = scan(mesh, pos, beams, cfg)
+    b = scan(PreparedMesh(mesh), pos, beams, cfg)
     np.testing.assert_array_equal(a.ranges, b.ranges)
 
 

@@ -125,8 +125,13 @@ def main(argv=None) -> int:
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
-                    pair[side] = run_once(parent_dir if side == "parent" else ROOT,
-                                          workload, seed, bench["run_seconds"])
+                    try:
+                        pair[side] = run_once(parent_dir if side == "parent" else ROOT,
+                                              workload, seed, bench["run_seconds"])
+                    except subprocess.CalledProcessError as exc:
+                        print(f"{side} run failed (exit {exc.returncode}): workload {workload}, "
+                              f"seed {seed}\n{exc.stderr}", file=sys.stderr)
+                        return 1
                 pairs.append(pair)
                 print(workload, seed, *(f"{s}={pair[s]['result']['metrics']}" for s in order),
                       flush=True)
