@@ -238,7 +238,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
 
     env = HoverEnv(cfg)
-    steps = list(rollout(env, policy, args.seed, greedy if args.checkpoint else _drift))
+    select = greedy if args.checkpoint else _drift
+    steps = [step for _, step in rollout([env], policy, [args.seed], select)]
     states = [step.state for step in steps] + [env.state]
     rows = [_trajectory_row(0, 0.0, states[0], 0.0, 0.0, 0.0, 0.0, np.zeros(12))]
     for step, state in zip(steps, states[1:]):

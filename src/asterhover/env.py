@@ -2,8 +2,9 @@
 
 Each episode draws a fresh asteroid and initial condition, then runs a
 fixed-duration station-keeping task in the asteroid body-fixed frame.
-:meth:`HoverEnv.reset` and :meth:`HoverEnv.step` return the inputs of the
-two networks, already scaled. The policy never sees ground truth: its
+:meth:`HoverEnv.reset` and :meth:`HoverEnv.observe` return the inputs of
+the two networks, already scaled, and :func:`rollout` flies a batch of
+episodes in lockstep. The policy never sees ground truth: its
 image stack holds differences of flash-LIDAR range images taken at the
 frozen episode-start attitude, and its vector holds the attitude change and
 measured body rates. The critic's vector holds the ground-truth position
@@ -12,9 +13,10 @@ error, velocity, attitude change and body rates.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -23,7 +25,6 @@ from .dynamics import (
     ISP_DEFAULT,
     ExternalForces,
     SpacecraftState,
-    ThrusterTable,
     dcm_to_quat,
     default_thruster_table,
     quat_error,
@@ -45,10 +46,12 @@ from .geometry import (
     synthesize_asteroid,
 )
 from .lidar import (
+    LaneMeshes,
     LidarFrame,
     PreparedMesh,
     SensorConfig,
     apply_sensor_noise,
+    beam_cone,
     rotated_beams,
     scan,
 )
@@ -171,8 +174,8 @@ class PolicyObservation:
 
 @dataclass
 class Step:
-    """One control step of :func:`rollout`: what the policy saw and chose,
-    and what the environment returned."""
+    """One control step of one lane of :func:`rollout`: what the policy saw
+    and chose, and what the environment returned."""
 
     state: SpacecraftState    # state the observation was taken in
     image: np.ndarray         # (grid, grid, 2) scaled policy image input
@@ -180,34 +183,69 @@ class Step:
     value_input: np.ndarray   # (13,) scaled critic input
     logits: np.ndarray        # (12, 2)
     action: np.ndarray        # (12,) on/off bits sent to the environment
-    logp: Any                 # whatever `select` returned beside the action
+    logp: Any                 # the lane's row of what `select` returned beside the actions
     reward: float
-    info: dict[str, Any]      # HoverEnv.step diagnostics after the action
+    info: dict[str, Any]      # HoverEnv.observe diagnostics after the action
 
 
-def rollout(env: HoverEnv, policy, env_seed, select) -> Iterator[Step]:
-    """Fly one episode from ``env.reset(seed=env_seed)`` until done.
+def rollout(
+    envs: Sequence[HoverEnv],
+    policy,
+    env_seeds: Sequence,
+    select: Callable[[np.ndarray], tuple[np.ndarray, Any]],
+) -> Iterator[tuple[int, Step]]:
+    """Fly one episode in each of L lanes, in lockstep, until all are done.
 
-    Each control step feeds the policy inputs from the environment to
-    ``policy.step`` (batch of one, hidden state carried from a zero start),
-    lets ``select(logits) -> (actions, logp)`` pick the (1, 12) action,
-    steps the environment with it, and yields a :class:`Step` holding the
-    policy and critic inputs the action was chosen on. Training samples,
-    evaluation samples or takes the argmax, and ``simulate`` may ignore the
-    logits and drift; callers keep only the fields they need.
+    Lane k flies ``envs[k]`` from ``reset(seed=env_seeds[k])``; the
+    environments share one config (see :meth:`HoverEnv.spawn`). Each control
+    step runs one ``policy.step`` over all L lanes, hidden states carried
+    from a zero start, and lets ``select(logits)`` pick the (L, 12) actions
+    and whatever else it returns beside them (``None``, or one row per
+    lane). Every live lane's environment then flies its action, one
+    :meth:`LaneMeshes.cast` renders the range images of all live lanes, and
+    each live lane's :meth:`HoverEnv.observe` completes its step. Yields
+    ``(k, Step)`` for the live lanes in lane order.
+
+    A finished lane keeps feeding its last inputs, and its rows of the
+    outputs are ignored, so every step of every lane runs at width L. A row
+    of a network step depends on the width and the row's position, not on
+    the other rows' contents, so lane k's bytes do not depend on when the
+    other lanes finish. Training flies a batch of episodes at once;
+    evaluation and ``simulate`` fly one lane.
     """
-    obs, value_input = env.reset(seed=env_seed)
-    hidden = policy.init_hidden(1)
-    done = False
-    while not done:
-        state = env.state
-        logits, hidden, _ = policy.step(obs.image[None], obs.vec[None], hidden)
-        action, logp = select(logits)
-        next_obs, next_value_input, reward, done, info = env.step(action[0])
-        yield Step(
-            state, obs.image, obs.vec, value_input, logits[0], action[0], logp, reward, info
-        )
-        obs, value_input = next_obs, next_value_input
+    L = len(envs)
+    obs, value_inputs = map(list, zip(*(env.reset(seed=s) for env, s in zip(envs, env_seeds))))
+    meshes = LaneMeshes([env._prep for env in envs])
+    beams = np.stack([env._beams for env in envs])
+    axes = np.stack([env._cone[0] for env in envs])
+    half_angles = np.array([env._cone[1] for env in envs])
+    sensor = envs[0].cfg.sensor
+    n = sensor.grid_size
+    images = np.stack([o.image for o in obs])
+    vecs = np.stack([o.vec for o in obs])
+    hidden = policy.init_hidden(L)
+    live = np.ones(L, dtype=bool)
+    while live.any():
+        logits, hidden, _ = policy.step(images, vecs, hidden)
+        actions, logp = select(logits)
+        lanes = np.flatnonzero(live)
+        states = [envs[k].state for k in lanes]
+        for k in lanes:
+            envs[k].step(actions[k])
+        origins = np.stack([env.state.position for env in envs])
+        ranges, hit = meshes.cast(origins, beams, axes, half_angles, live, sensor.max_range)
+        ranges, hit = ranges.reshape(L, n, n), hit.reshape(L, n, n)
+        for k, state in zip(lanes, states):
+            next_obs, next_value_input, reward, done, info = envs[k].observe(
+                LidarFrame(ranges[k], hit[k])
+            )
+            yield k, Step(
+                state, obs[k].image, obs[k].vec, value_inputs[k], logits[k], actions[k],
+                None if logp is None else logp[k], reward, info,
+            )
+            obs[k], value_inputs[k] = next_obs, next_value_input
+            images[k], vecs[k] = next_obs.image, next_obs.vec
+            live[k] = not done
 
 
 def compute_reward(
@@ -339,8 +377,12 @@ def sample_initial_conditions(
 class HoverEnv:
     """One hovering episode at a time; see module docstring.
 
-    Not shared between workers: each worker owns its own instance, and all
-    randomness flows from the generator created in :meth:`reset`.
+    A control step is two calls: :meth:`step` flies the action and
+    :meth:`observe` completes the step from the range image taken at the
+    new position, so that :func:`rollout` can render the images of many
+    environments in one cast. Not shared between workers or lanes: each
+    owns its own instance, and all randomness flows from the generator
+    created in :meth:`reset`.
     """
 
     def __init__(self, cfg: EpisodeConfig | None = None):
@@ -354,6 +396,13 @@ class HoverEnv:
         self.state: SpacecraftState | None = None
         self.done = True
         self.steps = 0
+
+    def spawn(self) -> HoverEnv:
+        """A further environment on this one's config and loaded shape
+        model (shared, read-only), ready for :meth:`reset`."""
+        twin = copy.copy(self)
+        twin.state, twin.done, twin.steps = None, True, 0
+        return twin
 
     def reset(self, seed: int | None = None) -> tuple[PolicyObservation, np.ndarray]:
         """Start an episode; returns the first policy observation (zero
@@ -386,10 +435,11 @@ class HoverEnv:
             state = sample_initial_conditions(self.rng, cfg, self._prep)
             if state is None:
                 continue
-            # Every scan of the episode is taken at this attitude (see _scan),
-            # so the beam grid is rotated once here.
+            # Every scan of the episode is taken at this attitude (see
+            # scan), so the beam grid is rotated once here.
+            self.state = state
             self._beams = rotated_beams(cfg.sensor, quat_to_dcm(state.attitude))
-            frame0 = self._scan(state.position)
+            frame0 = self._noisy(self.scan())
             if frame0.hit.any():
                 break
         else:
@@ -397,7 +447,7 @@ class HoverEnv:
                 f"no viable initial condition in {cfg.max_ic_retries} draws"
             )
 
-        self.state = state
+        self._cone = beam_cone(self._beams)
         self.q0 = state.attitude.copy()
         self.r0 = state.position.copy()
         self.frame0 = frame0
@@ -412,26 +462,29 @@ class HoverEnv:
             np.concatenate([np.zeros(3), state.velocity, dq, state.omega]),
         )
 
-    def _scan(self, position: np.ndarray) -> LidarFrame:
-        # Scans are taken at the frozen initiation attitude: the sensor
-        # platform counter-rotates the body motion, so images differ only
-        # through translation (and asteroid rotation under the spacecraft).
-        frame = scan(self._prep, position, self._beams, self.cfg.sensor)
-        if self.cfg.sensor_noise:
-            frame = apply_sensor_noise(
-                frame,
-                self._noise_bias,
-                self.cfg.noise_sigma,
-                self.rng,
-                self.cfg.sensor.max_range,
-            )
-        return frame
+    def scan(self) -> LidarFrame:
+        """The noise-free range image from the current position.
 
-    def step(
-        self, action: np.ndarray
-    ) -> tuple[PolicyObservation, np.ndarray, float, bool, dict[str, Any]]:
-        """Fly one control period with the 12 on/off thruster bits; returns
-        (policy observation, critic input, reward, done, info)."""
+        Scans are taken at the frozen initiation attitude: the sensor
+        platform counter-rotates the body motion, so images differ only
+        through translation (and asteroid rotation under the spacecraft).
+        """
+        return scan(self._prep, self.state.position, self._beams, self.cfg.sensor)
+
+    def _noisy(self, frame: LidarFrame) -> LidarFrame:
+        if not self.cfg.sensor_noise:
+            return frame
+        return apply_sensor_noise(
+            frame, self._noise_bias, self.cfg.noise_sigma, self.rng, self.cfg.sensor.max_range
+        )
+
+    def step(self, action: np.ndarray) -> None:
+        """Fly one control period with the 12 on/off thruster bits.
+
+        The step is complete once :meth:`observe` has the range image from
+        the new position: :meth:`scan` for a lone environment, the lanes'
+        shared cast in :func:`rollout`.
+        """
         if self.done:
             raise SimulationError("step() called on a finished episode; reset() first")
         a = np.asarray(action, dtype=np.float64).reshape(-1)
@@ -445,11 +498,19 @@ class HoverEnv:
                 self.state, a, cfg.rk4_dt, self.model, self.table,
                 ext=self._ext, isp=cfg.isp, g_ref=cfg.g_ref,
             )
-        state = self.state
-        self.fuel_used += mass_before - state.mass
+        self.fuel_used += mass_before - self.state.mass
         self.steps += 1
+        self._action = a
 
-        frame = self._scan(state.position)
+    def observe(
+        self, frame: LidarFrame
+    ) -> tuple[PolicyObservation, np.ndarray, float, bool, dict[str, Any]]:
+        """Complete the step :meth:`step` flew, given the noise-free range
+        image from the new position; returns (policy observation, critic
+        input, reward, done, info)."""
+        cfg = self.cfg
+        state = self.state
+        frame = self._noisy(frame)
 
         r_err = state.position - self.r0
         dq = quat_error(state.attitude, self.q0)
@@ -470,7 +531,9 @@ class HoverEnv:
             and bool(np.all(np.abs(omega) <= cfg.reward.terminal_omega_limit))
         )
 
-        reward, terms = compute_reward(pos_err, dq, a, terminal_ok, violated, cfg.reward)
+        reward, terms = compute_reward(
+            pos_err, dq, self._action, terminal_ok, violated, cfg.reward
+        )
         self.done = time_done or violated
 
         obs = PolicyObservation(

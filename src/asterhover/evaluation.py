@@ -177,7 +177,7 @@ def run_episode(env: HoverEnv, policy, seed: int, idx: int, stochastic: bool = F
         )
     total_reward = 0.0
     steps = 0
-    for step in rollout(env, policy, np.random.SeedSequence((seed, idx)), select):
+    for _, step in rollout([env], policy, [np.random.SeedSequence((seed, idx))], select):
         total_reward += step.reward
         steps += 1
     info = step.info

@@ -9,7 +9,7 @@ directions. All coordinates are in the asteroid body-fixed frame, meters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -163,37 +163,60 @@ def collect_rollouts(
     seed: int,
     batch_index: int,
 ) -> RolloutBatch:
-    """Collect one batch of episodes with the stochastic policy, on
-    per-(seed, batch, episode) environment streams and one action stream
-    per batch."""
+    """Collect one batch of episodes with the stochastic policy.
+
+    All ``cfg.episodes_per_batch`` episodes fly together: episode k in lane
+    k of :func:`rollout`, on ``env`` (lane 0) and environments spawned from
+    it, with the (seed, batch, k) environment stream and the (seed, batch,
+    k, ACTION_STREAM) action stream.
+    """
+    L = cfg.episodes_per_batch
     select = functools.partial(
         nn.sample_multicategorical,
-        rng=np.random.default_rng(
-            np.random.SeedSequence((seed, batch_index, ACTION_STREAM))
-        ),
+        rng=[
+            np.random.default_rng(np.random.SeedSequence((seed, batch_index, k, ACTION_STREAM)))
+            for k in range(L)
+        ],
     )
-    episodes = []
-    for ep_idx in range(cfg.episodes_per_batch):
-        env_seed = np.random.SeedSequence((seed, batch_index, ep_idx))
-        rows = []
-        try:
-            for step in rollout(env, policy, env_seed, select):
-                rows.append((
-                    step.image, step.vec, step.value_input,
-                    step.action, step.logits, step.logp[0], step.reward,
-                ))
-        except (SimulationError, ConfigurationError) as exc:
-            raise SimulationError(
-                f"episode {ep_idx} of batch {batch_index} failed: {exc}"
-            ) from exc
-        info = step.info
-        episodes.append(EpisodeRollout(
-            *map(np.array, zip(*rows)),  # the per-step fields, in field order
+    env_seeds = [np.random.SeedSequence((seed, batch_index, k)) for k in range(L)]
+    # One (lane, step, ...) buffer per per-step field of EpisodeRollout, in
+    # field order. Steps land there rather than staying alive as small
+    # arrays until the last lane finishes, and the buffers and the spawned
+    # environments (dropped with the exhausted generator) are gone before
+    # the batch is built: collection then peaks no higher than flying the
+    # episodes one by one did.
+    T, n = env.cfg.max_steps, env.cfg.sensor.grid_size
+    buffers = (
+        np.zeros((L, T, n, n, 2)), np.zeros((L, T, 7)), np.zeros((L, T, 13)),
+        np.zeros((L, T, 12), dtype=np.int64), np.zeros((L, T, 12, 2)),
+        np.zeros((L, T)), np.zeros((L, T)),
+    )
+    lengths = [0] * L
+    last: list[dict] = [{} for _ in range(L)]
+    steps = rollout([env] + [env.spawn() for _ in range(L - 1)], policy, env_seeds, select)
+    try:
+        for k, step in steps:
+            fields = (
+                step.image, step.vec, step.value_input,
+                step.action, step.logits, step.logp, step.reward,
+            )
+            for buffer, value in zip(buffers, fields):
+                buffer[k, lengths[k]] = value
+            lengths[k] += 1
+            last[k] = step.info
+    except (SimulationError, ConfigurationError) as exc:
+        raise SimulationError(f"batch {batch_index} failed: {exc}") from exc
+    episodes = [
+        EpisodeRollout(
+            *(buffer[k, :lengths[k]].copy() for buffer in buffers),
             terminal_pos_err=float(info["pos_err"]),
             terminal_ok=bool(info["terminal_ok"]),
             violation=info["violation"],
             fuel_used=float(info["fuel_used"]),
-        ))
+        )
+        for k, info in enumerate(last)
+    ]
+    del buffers
     return RolloutBatch(episodes)
 
 
@@ -410,8 +433,11 @@ def ppo_update(
 METRICS_COLUMNS = (
     "batch", "mean_reward", "std_reward", "mean_term_pos_err",
     "max_term_pos_err", "min_reward", "max_reward", "kl", "clip_fraction",
-    "clip_eps", "value_loss", "policy_epochs",
+    "clip_eps", "value_loss", "policy_epochs", "success_rate",
+    "violations_rotation", "violations_all_miss", "violations_fuel",
+    "mean_fuel", "aborted",
 )
+VIOLATION_KINDS = ("rotation", "all_miss", "fuel")
 
 _CHECKPOINT_RE = re.compile(r"checkpoint_(\d+)\.npz$")
 
@@ -522,6 +548,7 @@ def train(cfg: TrainConfig, log=None) -> str:
             clip_eps = stats.new_clip_eps
             rewards = batch.episode_rewards()
             pos_errs = batch.terminal_pos_errors()
+            episodes = batch.episodes
             row = (
                 batch_idx,
                 rewards.mean(), rewards.std(),
@@ -529,6 +556,10 @@ def train(cfg: TrainConfig, log=None) -> str:
                 rewards.min(), rewards.max(),
                 stats.kl, stats.clip_fraction, clip_eps,
                 stats.value_loss, stats.policy_epochs,
+                np.mean([ep.terminal_ok for ep in episodes]),
+                *(sum(ep.violation == kind for ep in episodes) for kind in VIOLATION_KINDS),
+                np.mean([ep.fuel_used for ep in episodes]),
+                int(stats.aborted),
             )
             fh.write(",".join(_format(v) for v in row) + "\n")
             fh.flush()

@@ -37,6 +37,7 @@ from asterhover import ppo
 from asterhover.evaluation import run_monte_carlo, Scenario, summary_row
 
 from dynamics_reference import inertia_diag
+from env_reference import fly
 
 
 @contextmanager
@@ -515,7 +516,7 @@ def test_criterion_09_environment_protocol():
         steps = 0
         done = False
         while not done:
-            _, _, reward, done, info = env.step(np.zeros(12))
+            _, _, reward, done, info = fly(env, np.zeros(12))
             steps += 1
             assert reward == sum(info["reward_terms"].values())  # exact split
             assert steps <= 100
@@ -526,7 +527,7 @@ def test_criterion_09_environment_protocol():
         # Rotational-rate breach terminates immediately with the penalty.
         env.reset(seed=9)
         env.state.omega = np.array([0.11, 0.0, 0.0])  # above the 0.10 rad/s cap
-        _, _, reward, done, info = env.step(np.zeros(12))
+        _, _, reward, done, info = fly(env, np.zeros(12))
         assert done and info["violation"] == "rotation"
         assert info["reward_terms"]["violation"] == -50.0
         assert reward == sum(info["reward_terms"].values())
@@ -534,7 +535,7 @@ def test_criterion_09_environment_protocol():
         # Losing every beam return terminates with the same penalty.
         env.reset(seed=9)
         env.state.position = env.state.position + np.array([5000.0, 0.0, 0.0])
-        _, _, reward, done, info = env.step(np.zeros(12))
+        _, _, reward, done, info = fly(env, np.zeros(12))
         assert done and info["violation"] == "all_miss"
         assert info["reward_terms"]["violation"] == -50.0
 

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from asterhover.geometry import (
 from asterhover.lidar import LidarFrame, SensorConfig, rotated_beams, scan
 
 from dynamics_reference import quat_rotate
+from env_reference import fly
 
 IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -128,9 +130,9 @@ def frame_of(values, miss_value=2000.0):
 
 
 def step_seeing(env, frame):
-    """One all-off step of `env` whose scan returns `frame`."""
-    env._scan = lambda position: frame
-    return env.step(np.zeros(12))
+    """One all-off step of `env` observing `frame`."""
+    env.step(np.zeros(12))
+    return env.observe(frame)
 
 
 def test_step_image_differences():
@@ -303,7 +305,7 @@ def test_step_trajectory_determinism():
         env.reset(seed=1234)
         rows = []
         for a in actions:
-            _, value_input, r, done, info = env.step(a)
+            _, value_input, r, done, info = fly(env, a)
             rows.append((value_input, r, done, info["pos_err"]))
         logs.append(rows)
     for (v1, r1, d1, p1), (v2, r2, d2, p2) in zip(*logs):
@@ -317,7 +319,7 @@ def test_quiet_scenario_runs_full_episode_with_bonus():
     total_steps = 0
     last = None
     while True:
-        _, _, reward, done, info = env.step(np.zeros(12))
+        _, _, reward, done, info = fly(env, np.zeros(12))
         total_steps += 1
         last = (reward, info)
         if done:
@@ -334,7 +336,7 @@ def test_quiet_scenario_runs_full_episode_with_bonus():
 def test_quiet_scenario_mid_step_reward_is_eta():
     env = HoverEnv(quiet_config())
     env.reset(seed=5)
-    _, _, reward, done, info = env.step(np.zeros(12))
+    _, _, reward, done, info = fly(env, np.zeros(12))
     assert not done
     assert reward == pytest.approx(0.01, abs=1e-12)
     assert info["reward_terms"]["position"] == pytest.approx(0.0, abs=1e-9)
@@ -343,7 +345,7 @@ def test_quiet_scenario_mid_step_reward_is_eta():
 def test_step_after_done_raises():
     env = HoverEnv(quiet_config(duration=6.0))  # single-step episode
     env.reset(seed=2)
-    _, _, _, done, _ = env.step(np.zeros(12))
+    _, _, _, done, _ = fly(env, np.zeros(12))
     assert done
     with pytest.raises(SimulationError):
         env.step(np.zeros(12))
@@ -366,7 +368,7 @@ def test_rotation_breach_terminates_with_kappa():
     env = HoverEnv(quiet_config())
     env.reset(seed=8)
     env.state.omega = np.array([0.2, 0.0, 0.0])  # force a breach
-    _, _, reward, done, info = env.step(np.zeros(12))
+    _, _, reward, done, info = fly(env, np.zeros(12))
     assert done
     assert info["violation"] == "rotation"
     assert info["reward_terms"]["violation"] == -50.0
@@ -377,7 +379,7 @@ def test_all_miss_terminates():
     env = HoverEnv(quiet_config())
     env.reset(seed=8)
     env.state.position = np.array([9000.0, 9000.0, 9000.0])
-    _, _, reward, done, info = env.step(np.zeros(12))
+    _, _, reward, done, info = fly(env, np.zeros(12))
     assert done
     assert info["violation"] == "all_miss"
     assert not env.prev_frame.hit.any()
@@ -388,7 +390,7 @@ def test_fuel_floor_terminates():
     env = HoverEnv(quiet_config())
     env.reset(seed=8)
     env.state.mass = env.cfg.dry_mass + 1.0e-4
-    _, _, _, done, info = env.step(np.ones(12))
+    _, _, _, done, info = fly(env, np.ones(12))
     assert done
     assert info["violation"] == "fuel"
     assert env.state.mass <= env.cfg.dry_mass
@@ -400,7 +402,7 @@ def test_fuel_accounting_matches_rocket_equation():
     action = np.zeros(12)
     action[[0, 1, 4]] = 1.0  # 3 N total
     for _ in range(10):
-        env.step(action)
+        fly(env, action)
     expected = 10 * 6.0 * 3.0 / (env.cfg.isp * env.cfg.g_ref)
     assert env.fuel_used == pytest.approx(expected, rel=1e-12)
 
@@ -411,7 +413,7 @@ def test_scan_stabilization_decouples_attitude():
     env = HoverEnv(quiet_config())
     env.reset(seed=6)
     env.state.omega = np.array([0.05, 0.0, 0.0])  # below the 0.10 limit
-    obs, _, _, done, _ = env.step(np.zeros(12))
+    obs, _, _, done, _ = fly(env, np.zeros(12))
     assert not done
     np.testing.assert_array_equal(obs.image[..., 0], 0.0)
     assert quat_angle(obs.vec[:4]) == pytest.approx(0.05 * 6.0, rel=1e-6)
@@ -422,7 +424,7 @@ def test_reward_decomposition_sums(rng):
     env.reset(seed=77)
     for _ in range(20):
         action = (rng.uniform(size=12) < 0.3).astype(float)
-        _, _, reward, done, info = env.step(action)
+        _, _, reward, done, info = fly(env, action)
         assert reward == pytest.approx(sum(info["reward_terms"].values()), abs=1e-12)
         if done:
             break
@@ -431,7 +433,7 @@ def test_reward_decomposition_sums(rng):
 def test_sensor_noise_scenario():
     env = HoverEnv(quiet_config(sensor_noise=True))
     env.reset(seed=30)
-    obs, _, _, _, info = env.step(np.zeros(12))
+    obs, _, _, _, info = fly(env, np.zeros(12))
     hits = env.prev_frame.hit
     assert hits.any()
     # Stationary spacecraft: R_err is sensor noise only, nonzero but small.
@@ -470,7 +472,7 @@ def test_default_scenario_null_policy_smoke():
     done = False
     steps = 0
     while not done:
-        _, _, _, done, info = env.step(np.zeros(12))
+        _, _, _, done, info = fly(env, np.zeros(12))
         steps += 1
         assert steps <= 100
     assert env.fuel_used == 0.0
@@ -489,10 +491,11 @@ def test_rollout_records_every_control_step():
         seen.append(logits)
         action = np.zeros((1, 12), dtype=np.int64)
         action[0, 0] = 1
-        return action, "from-select"
+        return action, np.array([7.5])
 
     env = HoverEnv(cfg)
-    steps = list(rollout(env, nn.PolicyNetwork(seed=0), 3, fire_first_thruster))
+    policy = nn.PolicyNetwork(seed=0)
+    steps = [step for _, step in rollout([env], policy, [3], fire_first_thruster)]
     assert env.done
     assert [s.info["step"] for s in steps] == list(range(1, len(steps) + 1))
     obs, value_input = HoverEnv(cfg).reset(seed=3)
@@ -508,6 +511,58 @@ def test_rollout_records_every_control_step():
         np.testing.assert_array_equal(step.vec[4:], step.state.omega)
     for step, logits in zip(steps, seen):
         np.testing.assert_array_equal(step.logits, logits[0])
-        assert step.logp == "from-select"
+        assert step.logp == 7.5
         assert step.action.tolist() == [1] + [0] * 11
     assert steps[-1].info["fuel_used"] > 0.0
+
+
+def lane_config() -> EpisodeConfig:
+    """Ten-step episodes over a coarse mesh whose fast initial body rates
+    end some episodes early under random firing."""
+    return EpisodeConfig(
+        duration=60.0, range_min=100.0, range_max=150.0, velocity_max=0.01,
+        attitude_err_max_deg=2.0, omega_max=0.099, failure_prob=0.0, sensor_noise=True,
+        asteroid=AsteroidGenConfig(subdivision_level=1),
+        dyn=AsteroidDynRanges(spin_max=1.0e-5, srp_max=0.0),
+    )
+
+
+def lane_steps(seeds, lane):
+    """The steps of one lane of a lockstep rollout whose lane k flies the
+    episode of `seeds[k]` and samples from its own generator."""
+    env = HoverEnv(lane_config())
+    envs = [env] + [env.spawn() for _ in seeds[1:]]
+    rngs = [np.random.default_rng((s, 99)) for s in seeds]
+    select = functools.partial(nn.sample_multicategorical, rng=rngs)
+    lengths = [0] * len(seeds)
+    steps = []
+    for k, step in rollout(envs, nn.PolicyNetwork(seed=1), seeds, select):
+        lengths[k] += 1
+        if k == lane:
+            steps.append(step)
+    return steps, lengths
+
+
+def test_rollout_lane_bytes_do_not_depend_on_the_other_lanes():
+    base, lengths = lane_steps([1, 2, 3, 4, 5], lane=1)
+    other, other_lengths = lane_steps([6, 2, 7, 8, 9], lane=1)
+    # The other lanes fly other bodies, and some finish first.
+    assert min(lengths) < lengths[1] or min(other_lengths) < other_lengths[1]
+    assert lengths[1] == other_lengths[1] == len(base) == len(other)
+    for a, b in zip(base, other):
+        for name in ("image", "vec", "value_input", "logits", "action", "logp"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        np.testing.assert_array_equal(a.state.position, b.state.position)
+        assert a.reward == b.reward and a.info == b.info
+
+
+def test_spawn_shares_the_loaded_mesh(tmp_path):
+    path = str(tmp_path / "body.obj")
+    save_mesh(path, synthesize_asteroid(5).mesh)
+    env = HoverEnv(EpisodeConfig(mesh_file=path))
+    env.reset(seed=1)
+    twin = env.spawn()
+    assert twin._prep is env._prep and twin.cfg is env.cfg
+    assert twin.done and twin.state is None
+    twin.reset(seed=2)
+    assert not np.array_equal(twin.state.position, env.state.position)

@@ -16,9 +16,10 @@ from asterhover.geometry import (
 from asterhover.lidar import (
     LidarFrame,
     PreparedMesh,
+    LaneMeshes,
     SensorConfig,
-    _candidate_faces,
     apply_sensor_noise,
+    beam_cone,
     beam_directions,
     cast_rays,
     crossing_count,
@@ -33,6 +34,15 @@ IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
 def scan_at(mesh, position, q, cfg):
     """A scan with the platform at quaternion attitude `q`."""
     return scan(mesh, position, rotated_beams(cfg, quat_to_dcm(q)), cfg)
+
+
+def candidate_faces(prep, origin, dirs):
+    """The facets the pre-pass keeps for one cast of `dirs` from `origin`."""
+    axis, half_angle = beam_cone(dirs)
+    faces, _, _, _ = LaneMeshes([prep]).candidates(
+        origin[None], axis[None], np.array([half_angle]), np.ones(1, dtype=bool)
+    )
+    return faces
 
 
 def plane_mesh(z0: float, half_size: float = 5000.0) -> TriMesh:
@@ -254,7 +264,7 @@ def test_prepass_matches_reference_at_scan_positions(body):
             assert_matches_reference(body, position, dirs[k])
             assert_matches_reference(body, position, dirs[k : k + 1])
         # The pre-pass must actually cull: a sensor cone sees a small share.
-        assert _candidate_faces(body, position, dirs).size < 0.5 * body.num_faces
+        assert candidate_faces(body, position, dirs).size < 0.5 * body.num_faces
     assert hits > 0
 
 
@@ -316,7 +326,7 @@ def test_prepass_matches_reference_high_altitude(body, rng):
         side /= np.linalg.norm(side)
         dirs = beams @ np.column_stack([side, np.cross(up, side), up]).T
         origin = (body.bound_radius + 60.0) * up
-        assert 500 <= _candidate_faces(body, origin, dirs).size <= 3000
+        assert 500 <= candidate_faces(body, origin, dirs).size <= 3000
         _, hit = assert_matches_reference(body, origin, dirs)
         assert hit.all()
         for k in (0, 27, 63):
@@ -336,6 +346,48 @@ def test_prepass_matches_reference_at_max_range(body):
     # ulp further out it is a hit.
     assert not assert_matches_reference(body, position, dirs[k], edge)[1]
     assert assert_matches_reference(body, position, dirs[k], np.nextafter(edge, np.inf))[1]
+
+
+@pytest.fixture(scope="module")
+def lane_bodies():
+    """Four 320-facet bodies, one per lane."""
+    return [PreparedMesh(synthesize_asteroid(200 + k).mesh) for k in range(4)]
+
+
+def test_lane_cast_matches_per_lane_cast_rays(lane_bodies):
+    # Lanes with their own bodies, positions and beams; lane 1 finished
+    # (masked), lane 3 looking away from its body, so no facet is kept.
+    lanes = LaneMeshes(lane_bodies)
+    live = np.array([True, False, True, True])
+    views = [scan_positions(prep, 5, seed=k) for k, prep in enumerate(lane_bodies)]
+    hits = 0
+    for step in range(5):
+        origins = np.array([view[step][0] for view in views])
+        beams = np.array([view[step][1] for view in views])
+        beams[3] = -beams[3]
+        cones = [beam_cone(b) for b in beams]
+        axes, half_angles = np.array([c[0] for c in cones]), np.array([c[1] for c in cones])
+        _, kept, _, _ = lanes.candidates(origins, axes, half_angles, live)
+        assert set(kept.tolist()) == {0, 2}
+        ranges, hit = lanes.cast(origins, beams, axes, half_angles, live)
+        assert ranges.shape == hit.shape == (4, 64)
+        for k in np.flatnonzero(live):
+            want_ranges, want_hit = cast_rays(lane_bodies[k], origins[k], beams[k])
+            assert ranges[k].tobytes() == want_ranges.tobytes()
+            assert hit[k].tobytes() == want_hit.tobytes()
+            ref_ranges, _ = cast_rays_reference(lane_bodies[k], origins[k], beams[k])
+            assert ranges[k].tobytes() == ref_ranges.tobytes()
+        hits += int(hit[[0, 2]].sum())
+        assert not hit[[1, 3]].any()
+        np.testing.assert_array_equal(ranges[[1, 3]], 2000.0)
+    assert hits > 0
+
+
+def test_lane_cast_of_one_lane_is_views(lane_bodies):
+    one = LaneMeshes(lane_bodies[:1])
+    assert one.centroid.base is lane_bodies[0].centroid
+    with pytest.raises(ConfigurationError):
+        LaneMeshes([lane_bodies[0], PreparedMesh(generate_icosphere(1))])
 
 
 # --------------------------------------------------------------------------

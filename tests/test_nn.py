@@ -291,6 +291,45 @@ def test_policy_sequence_same_input_twice_is_bitwise_equal():
     np.testing.assert_array_equal(first, second)
 
 
+def test_policy_step_lane_rows_ignore_the_other_lanes():
+    # The lockstep driver steps L lanes at a fixed width. Lane 7's logits
+    # must not change when the other lanes see other inputs, or freeze
+    # their inputs after finishing early, as a finished lane's dummy does.
+    net = PolicyNetwork(seed=4)
+    rng = np.random.default_rng(34)
+    T, L, k = 6, 30, 7
+    images, vecs = policy_batch(rng, T=T, B=L)
+
+    def lane_logits(images, vecs):
+        hidden = net.init_hidden(L)
+        out = []
+        for t in range(T):
+            logits, hidden, _ = net.step(images[t], vecs[t], hidden)
+            out.append(logits[k])
+        return np.array(out)
+
+    base = lane_logits(images, vecs)
+    others = np.arange(L) != k
+    perturbed_images, perturbed_vecs = images.copy(), vecs.copy()
+    perturbed_images[:, others] = rng.normal(size=perturbed_images[:, others].shape)
+    perturbed_vecs[:, others] = rng.normal(size=perturbed_vecs[:, others].shape)
+    finished_images, finished_vecs = images.copy(), vecs.copy()
+    finished_images[2:, others] = images[1, others]
+    finished_vecs[2:, others] = vecs[1, others]
+    for variant in ((perturbed_images, perturbed_vecs), (finished_images, finished_vecs)):
+        assert lane_logits(*variant).tobytes() == base.tobytes()
+
+
+def test_sample_multicategorical_one_generator_per_row():
+    logits = np.random.default_rng(35).normal(size=(3, 12, 2))
+    seeds = (5, 6, 7)
+    action, logp = sample_multicategorical(logits, [np.random.default_rng(s) for s in seeds])
+    for row, s in enumerate(seeds):
+        want, want_logp = sample_multicategorical(logits[row : row + 1], np.random.default_rng(s))
+        np.testing.assert_array_equal(action[row], want[0])
+        assert logp[row] == want_logp[0]
+
+
 def test_policy_hidden_state_carries_information():
     net = PolicyNetwork(seed=3)
     rng = np.random.default_rng(33)
@@ -455,10 +494,11 @@ def test_conv_patches_match_reference_loop():
 
 
 # sha256 of the archives nn.save_checkpoint writes for build_networks(0),
-# bare and after one Adam step, taken when every GRU gate matrix was its own
-# array: the fused gate buffers keep names, shapes, draw order and bytes.
-BUILD_NETWORKS_0_SHA256 = "725c6972b1ea3ebfe5d586303dca3b812004d5b1a3e1135890a3f8abd7f4b0a7"
-ONE_ADAM_STEP_SHA256 = "2434458175ed932b4463def8b5a3dbb93b2488190491228153f9b786f782ffe2"
+# bare and after one Adam step, with every weight row-major. The archives
+# written when wide weights were column-major hold the same names, shapes
+# and values; only their `.npy` headers and data order differ.
+BUILD_NETWORKS_0_SHA256 = "51099b701cbaf0d9b6f4aa2e88708e2dd3abcf0169c27e00b8b4149ff2239348"
+ONE_ADAM_STEP_SHA256 = "bc595815473b430f20dc33a7667234bfe1f44fa4bd0d0b908cdd2fb6244ef3f5"
 
 
 def test_checkpoint_bytes_of_fresh_networks_are_pinned(tmp_path):

@@ -11,6 +11,7 @@ from asterhover.env import EpisodeConfig, HoverEnv
 from asterhover.errors import ConfigurationError
 from asterhover.geometry import AsteroidDynRanges, AsteroidGenConfig
 from asterhover.ppo import (
+    METRICS_COLUMNS,
     EpisodeRollout,
     PPOConfig,
     RolloutBatch,
@@ -27,6 +28,8 @@ from asterhover.ppo import (
     train,
     value_minibatch_step,
 )
+
+from env_reference import replay_episode
 
 
 def tiny_config(**overrides) -> EpisodeConfig:
@@ -163,6 +166,27 @@ def test_replay_reproduces_behavior_log_probabilities():
     logp_new = nn.action_log_prob(logits, batch.actions)
     ratio = np.exp(logp_new - batch.logp_old)
     assert np.max(np.abs((ratio - 1.0) * batch.mask)) < 1e-10
+
+
+def test_collected_lanes_replay_through_a_lone_environment():
+    # Each lane of the lockstep collection flies its episode exactly as a
+    # lone environment replaying the lane's actions does: images (noisy
+    # ones here), vectors, critic inputs, rewards and terminal diagnostics.
+    cfg = tiny_config(sensor_noise=True)
+    cfg.omega_max = 0.099
+    policy, _ = build_networks(seed=7)
+    batch = collect_rollouts(HoverEnv(cfg), policy, small_ppo(episodes_per_batch=6), 11, 2)
+    lengths = [ep.length for ep in batch.episodes]
+    assert min(lengths) < max(lengths) == 10  # some lanes finish early
+    for k, ep in enumerate(batch.episodes):
+        got = replay_episode(HoverEnv(cfg), np.random.SeedSequence((11, 2, k)), ep.actions)
+        for name in ("images", "vecs", "value_inputs", "rewards"):
+            assert got[name].tobytes() == getattr(ep, name).tobytes()
+        info = got["info"]
+        assert ep.terminal_pos_err == info["pos_err"]
+        assert ep.terminal_ok == info["terminal_ok"]
+        assert ep.violation == info["violation"]
+        assert ep.fuel_used == info["fuel_used"]
 
 
 # --------------------------------------------------------------------------
@@ -372,6 +396,27 @@ def test_train_writes_metrics_config_and_checkpoints(tmp_path):
     assert sorted(os.listdir(tmp_path / "run")) == [
         "checkpoint_000001.npz", "checkpoint_000002.npz", "metrics.csv",
     ]
+
+
+def test_metrics_columns_count_outcomes_fuel_and_aborts(tmp_path):
+    episode = tiny_config()
+    episode.omega_max = 0.099  # some episodes end in a rotation breach
+    cfg = train_config(tmp_path / "run", episode=episode, ppo=small_ppo(episodes_per_batch=6),
+                       batches=1)
+    with open(train(cfg)) as fh:
+        header, row = (line.split(",") for line in fh.read().strip().split("\n"))
+    assert tuple(header) == METRICS_COLUMNS
+    got = dict(zip(header, row))
+    # batch 0 is collected by the fresh networks
+    batch = collect_rollouts(HoverEnv(episode), build_networks(7)[0], cfg.ppo, 7, 0)
+    episodes = batch.episodes
+    kinds = [ep.violation for ep in episodes]
+    assert kinds.count("rotation") > 0
+    assert float(got["success_rate"]) == np.mean([ep.terminal_ok for ep in episodes])
+    for kind in ("rotation", "all_miss", "fuel"):
+        assert got[f"violations_{kind}"] == str(kinds.count(kind))
+    assert float(got["mean_fuel"]) == np.mean([ep.fuel_used for ep in episodes])
+    assert got["aborted"] == "0"
 
 
 def test_train_rerun_is_byte_identical(tmp_path):
