@@ -28,6 +28,7 @@ import numpy as np
 from . import __version__
 from .config import (
     apply_to_dataclass,
+    csv_field,
     load_config_file,
     merge_dicts,
     parse_overrides,
@@ -180,7 +181,7 @@ def cmd_scan_debug(args: argparse.Namespace) -> int:
     with open(scan_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         for row in frame.ranges:
-            writer.writerow([format(v, ".17g") for v in row])
+            writer.writerow([csv_field(v) for v in row])
 
     print(f"sensor at {position.tolist()}, boresight toward origin")
     for i in range(frame.ranges.shape[0]):
@@ -256,9 +257,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         writer = csv.writer(fh)
         writer.writerow(TRAJECTORY_COLUMNS)
         for row in rows:
-            writer.writerow(
-                [str(v) if isinstance(v, int) else format(float(v), ".17g") for v in row]
-            )
+            writer.writerow([csv_field(v) for v in row])
     info = steps[-1].info
     outcome = info["violation"] or ("settled" if info["terminal_ok"] else "timeout")
     print(

@@ -1,5 +1,6 @@
 """YAML run configuration: load, merge dotted overrides, build the typed
-config objects, and echo the fully resolved result into a run directory.
+config objects, and echo the fully resolved result into a run directory;
+plus the one number format of every CSV a run writes.
 
 The YAML layout mirrors the config dataclasses (nested sections for the
 scenario, asteroid ranges, sensor, reward, and update hyperparameters), so
@@ -10,7 +11,9 @@ command line as `section.key=value`; later sources win.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 import os
+import sys
 import typing
 
 from . import __version__
@@ -78,12 +81,13 @@ def merge_dicts(base: dict, extra: dict) -> dict:
 def _fits(value, annotation) -> bool:
     """Whether a YAML scalar may go into a field annotated ``annotation``
     (a class or a union such as ``str | None``): bools only into bool
-    fields, ints into int and float fields."""
+    fields, ints into int and float fields, and into float fields only
+    finite values (no nan, no infinity, no int beyond the float range)."""
     allowed = typing.get_args(annotation) or (annotation,)
     if isinstance(value, bool):
         return bool in allowed
-    if float in allowed:
-        allowed += (int,)
+    if float in allowed and isinstance(value, (int, float)):
+        return abs(value) <= sys.float_info.max
     return isinstance(value, allowed)
 
 
@@ -109,6 +113,17 @@ def apply_to_dataclass(obj, data: dict, path: str = "") -> None:
             )
         else:
             setattr(obj, key, value)
+
+
+def csv_field(value) -> str:
+    """One CSV field of a run's output files: integers in full, other
+    numbers to 17 significant digits (they read back bit-exactly), and
+    anything else as ``str`` gives it."""
+    if isinstance(value, numbers.Integral):
+        return str(int(value))
+    if isinstance(value, numbers.Real):
+        return format(float(value), ".17g")
+    return str(value)
 
 
 def resolved_config_dict(command: str, cfg) -> dict:

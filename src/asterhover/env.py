@@ -46,6 +46,7 @@ from .geometry import (
     synthesize_asteroid,
 )
 from .lidar import (
+    GRID_SIZE,
     LaneMeshes,
     LidarFrame,
     PreparedMesh,
@@ -55,6 +56,11 @@ from .lidar import (
     rotated_beams,
     scan,
 )
+
+# Scales of the network inputs: position change (critic vector and policy
+# image channel 0) and frame-to-frame range change (image channel 1), m.
+R_ERR_SCALE = 100.0
+DR_SCALE = 10.0
 
 
 @dataclass
@@ -106,10 +112,6 @@ class EpisodeConfig:
     mesh_file: str | None = None   # hover over a fixed shape model instead
     mesh_scale: float = 1.0
 
-    # Observation scaling applied when building network inputs.
-    r_err_scale: float = 100.0    # m
-    dr_scale: float = 10.0        # m
-
     max_ic_retries: int = 50
 
     asteroid: AsteroidGenConfig = field(default_factory=AsteroidGenConfig)
@@ -140,8 +142,6 @@ class EpisodeConfig:
             raise ConfigurationError("isp and g_ref must be positive")
         if self.noise_bias_range < 0.0 or self.noise_sigma < 0.0:
             raise ConfigurationError("noise_bias_range and noise_sigma must be >= 0")
-        if self.r_err_scale <= 0.0 or self.dr_scale <= 0.0:
-            raise ConfigurationError("observation scales must be positive")
         if self.max_ic_retries < 1:
             raise ConfigurationError("max_ic_retries must be >= 1")
         self.asteroid.validate()
@@ -158,29 +158,14 @@ class EpisodeConfig:
 
 
 @dataclass
-class PolicyObservation:
-    """What the flight policy sees, as the network takes it.
-
-    Channel 0 of `image` is the range image minus the initiation image over
-    `r_err_scale`, channel 1 the range image minus the previous one over
-    `dr_scale`. Hit/miss transitions pass straight through: a beam that
-    stops returning jumps by (max_range - previous reading) rather than
-    being masked.
-    """
-
-    image: np.ndarray  # (grid, grid, 2)
-    vec: np.ndarray    # (7,) attitude change since initiation (scalar part >= 0), body rates
-
-
-@dataclass
 class Step:
     """One control step of one lane of :func:`rollout`: what the policy saw
     and chose, and what the environment returned."""
 
-    state: SpacecraftState    # state the observation was taken in
-    image: np.ndarray         # (grid, grid, 2) scaled policy image input
-    vec: np.ndarray           # (7,) policy vector input
-    value_input: np.ndarray   # (13,) scaled critic input
+    state: SpacecraftState    # state the network inputs were taken in
+    image: np.ndarray         # the network inputs (policy image and vector,
+    vec: np.ndarray           # critic vector), as HoverEnv.reset and
+    value_input: np.ndarray   # HoverEnv.observe return them
     logits: np.ndarray        # (12, 2)
     action: np.ndarray        # (12,) on/off bits sent to the environment
     logp: Any                 # the lane's row of what `select` returned beside the actions
@@ -214,15 +199,15 @@ def rollout(
     evaluation and ``simulate`` fly one lane.
     """
     L = len(envs)
-    obs, value_inputs = map(list, zip(*(env.reset(seed=s) for env, s in zip(envs, env_seeds))))
+    # Each lane's (image, vec, value_input), as reset and observe return them.
+    inputs = [env.reset(seed=s) for env, s in zip(envs, env_seeds)]
     meshes = LaneMeshes([env._prep for env in envs])
     beams = np.stack([env._beams for env in envs])
     axes = np.stack([env._cone[0] for env in envs])
     half_angles = np.array([env._cone[1] for env in envs])
-    sensor = envs[0].cfg.sensor
-    n = sensor.grid_size
-    images = np.stack([o.image for o in obs])
-    vecs = np.stack([o.vec for o in obs])
+    max_range = envs[0].cfg.sensor.max_range
+    images = np.stack([image for image, _, _ in inputs])
+    vecs = np.stack([vec for _, vec, _ in inputs])
     hidden = policy.init_hidden(L)
     live = np.ones(L, dtype=bool)
     while live.any():
@@ -233,18 +218,17 @@ def rollout(
         for k in lanes:
             envs[k].step(actions[k])
         origins = np.stack([env.state.position for env in envs])
-        ranges, hit = meshes.cast(origins, beams, axes, half_angles, live, sensor.max_range)
-        ranges, hit = ranges.reshape(L, n, n), hit.reshape(L, n, n)
+        ranges, hit = meshes.cast(origins, beams, axes, half_angles, live, max_range)
+        ranges = ranges.reshape(L, GRID_SIZE, GRID_SIZE)
+        hit = hit.reshape(L, GRID_SIZE, GRID_SIZE)
         for k, state in zip(lanes, states):
-            next_obs, next_value_input, reward, done, info = envs[k].observe(
-                LidarFrame(ranges[k], hit[k])
-            )
+            *next_inputs, reward, done, info = envs[k].observe(LidarFrame(ranges[k], hit[k]))
             yield k, Step(
-                state, obs[k].image, obs[k].vec, value_inputs[k], logits[k], actions[k],
+                state, *inputs[k], logits[k], actions[k],
                 None if logp is None else logp[k], reward, info,
             )
-            obs[k], value_inputs[k] = next_obs, next_value_input
-            images[k], vecs[k] = next_obs.image, next_obs.vec
+            inputs[k] = next_inputs
+            images[k], vecs[k], _ = next_inputs
             live[k] = not done
 
 
@@ -273,20 +257,14 @@ def compute_reward(
     return float(sum(terms.values())), terms
 
 
-def good_hover(
-    pos_err: float,
-    speed: float,
-    max_omega: float,
-    speed_limit: float = 0.10,
-    omega_limit: float = 0.015,
-) -> tuple[bool, bool]:
+def good_hover(pos_err: float, speed: float, max_omega: float) -> tuple[bool, bool]:
     """Terminal-quality classification used by evaluation.
 
     Tier 1 requires terminal position error < 2 m; tier 2 relaxes it to
-    < 5 m. Both require speed below `speed_limit` and every rotational
-    velocity component below `omega_limit`.
+    < 5 m. Both require speed below 0.10 m/s and every rotational velocity
+    component below 0.015 rad/s.
     """
-    rates_ok = speed < speed_limit and max_omega < omega_limit
+    rates_ok = speed < 0.10 and max_omega < 0.015
     return (pos_err < 2.0 and rates_ok, pos_err < 5.0 and rates_ok)
 
 
@@ -404,9 +382,9 @@ class HoverEnv:
         twin.state, twin.done, twin.steps = None, True, 0
         return twin
 
-    def reset(self, seed: int | None = None) -> tuple[PolicyObservation, np.ndarray]:
-        """Start an episode; returns the first policy observation (zero
-        images) and critic input (zero position error)."""
+    def reset(self, seed: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Start an episode; returns the first network inputs (see
+        :meth:`_inputs`): zero images and zero position error."""
         cfg = self.cfg
         self.rng = np.random.default_rng(seed)
 
@@ -455,12 +433,7 @@ class HoverEnv:
         self.steps = 0
         self.done = False
         self.fuel_used = 0.0
-        dq = quat_error(state.attitude, self.q0)
-        n = cfg.sensor.grid_size
-        return (
-            PolicyObservation(np.zeros((n, n, 2)), np.concatenate([dq, state.omega])),
-            np.concatenate([np.zeros(3), state.velocity, dq, state.omega]),
-        )
+        return self._inputs(frame0, state.position - self.r0, quat_error(state.attitude, self.q0))
 
     def scan(self) -> LidarFrame:
         """The noise-free range image from the current position.
@@ -502,12 +475,40 @@ class HoverEnv:
         self.steps += 1
         self._action = a
 
+    def _inputs(
+        self, frame: LidarFrame, r_err: np.ndarray, dq: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The network inputs at the current state, given its range image,
+        position change `r_err` and attitude change `dq` since initiation.
+
+        Returns the policy image and vector and the critic vector, in the
+        shapes :class:`~asterhover.nn.PolicyNetwork` and
+        :class:`~asterhover.nn.ValueNetwork` take. Image channel 0 is the
+        range image minus the initiation image over R_ERR_SCALE, channel 1
+        the range image minus the previous one over DR_SCALE; a beam that
+        stops returning jumps by (max_range - previous reading) rather than
+        being masked. The policy vector is dq (scalar part >= 0) and the
+        body rates; the critic vector is r_err over R_ERR_SCALE, velocity,
+        dq and the body rates.
+        """
+        state = self.state
+        image = np.stack(
+            [
+                (frame.ranges - self.frame0.ranges) / R_ERR_SCALE,
+                (frame.ranges - self.prev_frame.ranges) / DR_SCALE,
+            ],
+            axis=-1,
+        )
+        vec = np.concatenate([dq, state.omega])
+        value_input = np.concatenate([r_err / R_ERR_SCALE, state.velocity, dq, state.omega])
+        return image, vec, value_input
+
     def observe(
         self, frame: LidarFrame
-    ) -> tuple[PolicyObservation, np.ndarray, float, bool, dict[str, Any]]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, bool, dict[str, Any]]:
         """Complete the step :meth:`step` flew, given the noise-free range
-        image from the new position; returns (policy observation, critic
-        input, reward, done, info)."""
+        image from the new position; returns (policy image, policy vector,
+        critic input, reward, done, info)."""
         cfg = self.cfg
         state = self.state
         frame = self._noisy(frame)
@@ -536,17 +537,7 @@ class HoverEnv:
         )
         self.done = time_done or violated
 
-        obs = PolicyObservation(
-            np.stack(
-                [
-                    (frame.ranges - self.frame0.ranges) / cfg.r_err_scale,
-                    (frame.ranges - self.prev_frame.ranges) / cfg.dr_scale,
-                ],
-                axis=-1,
-            ),
-            np.concatenate([dq, omega]),
-        )
-        value_input = np.concatenate([r_err / cfg.r_err_scale, state.velocity, dq, omega])
+        inputs = self._inputs(frame, r_err, dq)
         self.prev_frame = frame
 
         violation = None
@@ -568,4 +559,4 @@ class HoverEnv:
             "terminal_ok": terminal_ok,
             "reward_terms": terms,
         }
-        return obs, value_input, reward, self.done, info
+        return *inputs, reward, self.done, info

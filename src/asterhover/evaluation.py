@@ -18,12 +18,12 @@ import csv
 import functools
 import multiprocessing
 import os
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
 from . import nn
-from .config import apply_to_dataclass, nest_dotted
+from .config import apply_to_dataclass, csv_field, nest_dotted
 from .env import EpisodeConfig, HoverEnv, good_hover, rollout
 from .errors import ConfigurationError, MeshLoadError
 from .ppo import ACTION_STREAM
@@ -222,9 +222,6 @@ class EvalReport:
 
     @classmethod
     def from_rows(cls, scenario: str, rows: list[dict]) -> "EvalReport":
-        if not rows:
-            return cls(scenario=scenario, episodes=0)
-
         def stats(key):
             v = np.array([r[key] for r in rows], dtype=float)
             return float(v.mean()), float(v.std()), float(v.max())
@@ -258,25 +255,9 @@ SUMMARY_COLUMNS = (
 )
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
 def summary_row(report: EvalReport) -> list[str]:
-    values = (
-        report.scenario, report.episodes,
-        report.pos_err_mean, report.pos_err_std, report.pos_err_max,
-        report.speed_mean, report.speed_std, report.speed_max,
-        report.omega_mean, report.omega_std, report.omega_max,
-        report.gh1_pct, report.gh2_pct,
-        report.fuel_mean, report.fuel_std, report.fuel_max,
-        report.violations,
-    )
-    return [_fmt(v) for v in values]
+    """The report's fields in declaration order, which SUMMARY_COLUMNS names."""
+    return [csv_field(v) for v in astuple(report)]
 
 
 def load_policy(checkpoint_path: str) -> nn.PolicyNetwork:
@@ -322,6 +303,8 @@ def run_monte_carlo(
     across reruns and across worker counts. With out_dir set, writes
     episodes.csv and summary.csv there.
     """
+    if n_episodes < 1:
+        raise ConfigurationError(f"n_episodes must be at least 1, got {n_episodes}")
     if isinstance(policy, str):
         policy = load_policy(policy)
     cfg = scenario.episode_config(mesh_file=mesh_file)
@@ -357,7 +340,7 @@ def write_report_files(out_dir: str, report: EvalReport, rows: list[dict]) -> No
         writer = csv.writer(fh)
         writer.writerow(EPISODE_COLUMNS)
         for row in rows:
-            writer.writerow([_fmt(row[c]) for c in EPISODE_COLUMNS])
+            writer.writerow([csv_field(row[c]) for c in EPISODE_COLUMNS])
     with open(os.path.join(out_dir, "summary.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_COLUMNS)

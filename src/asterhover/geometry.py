@@ -334,11 +334,14 @@ def load_mesh(path: str, scale: float = 1.0) -> TriMesh:
                         f"{path}:{lineno}: vertex needs exactly 3 coordinates"
                     )
                 try:
-                    vertices.append([float(t) for t in tokens[1:]])
+                    coords = [float(t) for t in tokens[1:]]
                 except ValueError as exc:
                     raise MeshLoadError(
                         f"{path}:{lineno}: bad vertex coordinate: {exc}"
                     ) from None
+                if not all(map(math.isfinite, coords)):
+                    raise MeshLoadError(f"{path}:{lineno}: vertex coordinate is not finite")
+                vertices.append(coords)
             elif kind == "f":
                 if len(tokens) != 4:
                     raise MeshLoadError(

@@ -36,19 +36,20 @@ T_MIN = 1.0e-12
 PLANE_TOL = 1.0e-6
 CONE_TOL = 1.0e-6  # rad
 
+# Pixels per side of the square detector: the policy network is built for
+# this image size, so it is fixed rather than configured.
+GRID_SIZE = 8
+
 
 @dataclass
 class SensorConfig:
     """Detector geometry. The range noise model is set per episode
     (`EpisodeConfig.sensor_noise` and `noise_*`)."""
 
-    grid_size: int = 8          # pixels per side
     fov: float = math.radians(30.0)  # full field of view per axis, rad
     max_range: float = 2000.0   # returned for misses; hits are strictly closer, m
 
     def validate(self) -> None:
-        if self.grid_size < 1:
-            raise ConfigurationError("grid_size must be >= 1")
         if not (0.0 < self.fov < math.pi):
             raise ConfigurationError("fov must lie in (0, pi)")
         if self.max_range <= 0.0:
@@ -59,8 +60,8 @@ class SensorConfig:
 class LidarFrame:
     """One range image: `ranges[i, j]` in meters, `hit[i, j]` False for misses."""
 
-    ranges: np.ndarray  # (grid, grid) float64
-    hit: np.ndarray     # (grid, grid) bool
+    ranges: np.ndarray  # (GRID_SIZE, GRID_SIZE) float64
+    hit: np.ndarray     # (GRID_SIZE, GRID_SIZE) bool
 
 
 class PreparedMesh:
@@ -296,7 +297,7 @@ def crossing_count(mesh: TriMesh | PreparedMesh, origin: np.ndarray, direction: 
 
 
 def beam_directions(cfg: SensorConfig) -> np.ndarray:
-    """Unit beam directions in the sensor frame, shape (grid, grid, 3).
+    """Unit beam directions in the sensor frame, shape (GRID_SIZE, GRID_SIZE, 3).
 
     The boresight is -z. Beam (i, j) passes through the center of angular
     cell (i, j): row index i tilts toward +y as i grows, column index j
@@ -304,7 +305,7 @@ def beam_directions(cfg: SensorConfig) -> np.ndarray:
     maps onto itself under 90-degree rotations about the optical axis.
     """
     cfg.validate()
-    n = cfg.grid_size
+    n = GRID_SIZE
     # Center angle of cell k out of n across the full field of view.
     angles = cfg.fov * ((np.arange(n) + 0.5) / n - 0.5)
     tan_a = np.tan(angles)
@@ -316,7 +317,7 @@ def beam_directions(cfg: SensorConfig) -> np.ndarray:
 
 
 def rotated_beams(cfg: SensorConfig, rotation_matrix: np.ndarray) -> np.ndarray:
-    """The (grid*grid, 3) beam directions turned by `rotation_matrix` into
+    """The (GRID_SIZE**2, 3) beam directions turned by `rotation_matrix` into
     the frame the mesh lives in."""
     return beam_directions(cfg).reshape(-1, 3) @ rotation_matrix.T
 
@@ -328,11 +329,10 @@ def scan(
     cfg: SensorConfig,
 ) -> LidarFrame:
     """Render one range image from `position` along `beams`, the
-    (grid*grid, 3) directions from :func:`rotated_beams` at the platform
+    (GRID_SIZE**2, 3) directions from :func:`rotated_beams` at the platform
     attitude."""
     ranges, hit = cast_rays(mesh, position, beams, cfg.max_range)
-    n = cfg.grid_size
-    return LidarFrame(ranges.reshape(n, n), hit.reshape(n, n))
+    return LidarFrame(ranges.reshape(GRID_SIZE, GRID_SIZE), hit.reshape(GRID_SIZE, GRID_SIZE))
 
 
 def apply_sensor_noise(

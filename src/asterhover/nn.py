@@ -19,6 +19,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigurationError
+from .lidar import GRID_SIZE
 
 CHECKPOINT_VERSION = 1
 
@@ -297,13 +298,13 @@ class _Network:
 class PolicyNetwork(_Network):
     """Range-image policy: two conv layers, dense, GRU, dense, 12x2 logits.
 
-    The 8x8x2 image (position-error and frame-difference channels) runs
-    through the convolutional front end; dq and omega join at the flatten.
-    The output layer starts near zero so the initial policy is close to
-    uniform over each thruster.
+    The 8x8x2 image (position-error and frame-difference channels, built
+    by ``HoverEnv._inputs``) runs through the convolutional front end; dq
+    and omega join at the flatten. The output layer starts near zero so
+    the initial policy is close to uniform over each thruster.
     """
 
-    GRID = 8
+    GRID = GRID_SIZE
     IMAGE_CHANNELS = 2
     VEC_DIM = 7
     HIDDEN = 154
@@ -311,8 +312,8 @@ class PolicyNetwork(_Network):
 
     def __init__(self, seed: int | np.random.Generator = 0):
         rng = np.random.default_rng(seed)
-        conv1 = Conv2D(rng, 2, 8, kernel=3, stride=1)   # 8x8x2 -> 6x6x8
-        conv2 = Conv2D(rng, 8, 8, kernel=4, stride=2)   # 6x6x8 -> 2x2x8
+        conv1 = Conv2D(rng, self.IMAGE_CHANNELS, 8, kernel=3, stride=1)  # 8x8x2 -> 6x6x8
+        conv2 = Conv2D(rng, 8, 8, kernel=4, stride=2)                    # 6x6x8 -> 2x2x8
         flat = conv2.out_size(conv1.out_size(self.GRID)) ** 2 * 8
         self.flat_dim = flat                             # 32
         fc1 = Linear(rng, flat + self.VEC_DIM, 70)
@@ -330,14 +331,17 @@ class PolicyNetwork(_Network):
         self, images: np.ndarray, vecs: np.ndarray, hidden: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, tuple]:
         """(T,B,8,8,2) + (T,B,7) + (B,154) -> logits (T,B,12,2), last hidden, cache."""
-        if images.ndim != 5 or images.shape[2:] != (self.GRID, self.GRID, self.IMAGE_CHANNELS):
-            raise ConfigurationError(f"image must be (B, 8, 8, 2), got {images.shape[1:]}")
+        G, C = self.GRID, self.IMAGE_CHANNELS
+        if images.ndim != 5 or images.shape[2:] != (G, G, C):
+            raise ConfigurationError(f"image must be (B, {G}, {G}, {C}), got {images.shape[1:]}")
         if vecs.ndim != 3 or vecs.shape[2] != self.VEC_DIM:
-            raise ConfigurationError(f"vector part must be (B, 7), got {vecs.shape[1:]}")
+            raise ConfigurationError(
+                f"vector part must be (B, {self.VEC_DIM}), got {vecs.shape[1:]}"
+            )
         T, B = images.shape[0], images.shape[1]
         n = T * B
         L = self.layers
-        x = images.reshape(n, self.GRID, self.GRID, self.IMAGE_CHANNELS)
+        x = images.reshape(n, G, G, C)
         a1 = np.maximum(L["conv1"].forward(x)[0], 0.0)
         a2 = np.maximum(L["conv2"].forward(a1)[0], 0.0)
         joined = np.concatenate([a2.reshape(n, -1), vecs.reshape(n, -1)], axis=1)
@@ -398,7 +402,9 @@ class ValueNetwork(_Network):
     def _forward(self, xs: np.ndarray, hidden: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
         """(T,B,13) + (B,25) -> values (T,B), last hidden, cache."""
         if xs.ndim != 3 or xs.shape[2] != self.INPUT_DIM:
-            raise ConfigurationError(f"critic input must be (B, 13), got {xs.shape[1:]}")
+            raise ConfigurationError(
+                f"critic input must be (B, {self.INPUT_DIM}), got {xs.shape[1:]}"
+            )
         T, B = xs.shape[0], xs.shape[1]
         n = T * B
         L = self.layers

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
+from .config import csv_field
 from .env import EpisodeConfig, HoverEnv, rollout
 from .errors import ConfigurationError, SimulationError
 
@@ -71,17 +72,35 @@ class PPOConfig:
             raise ConfigurationError("learning rates must be positive")
 
 
+# The per-step fields of EpisodeRollout, each the (T, ...) stack of one
+# attribute of env.Step: collection fills them lane by lane, and
+# RolloutBatch pads each to (T_max, B, ...).
+STEP_FIELDS = (
+    ("images", "image"),
+    ("vecs", "vec"),
+    ("value_inputs", "value_input"),
+    ("actions", "action"),
+    ("logits_old", "logits"),
+    ("logp_old", "logp"),
+    ("rewards", "reward"),
+)
+
+
 @dataclass
 class EpisodeRollout:
-    """One episode's sequence data plus terminal diagnostics."""
+    """One episode's sequence data plus terminal diagnostics.
 
-    images: np.ndarray        # (T, 8, 8, 2) scaled policy image inputs
-    vecs: np.ndarray          # (T, 7) scaled policy vector inputs
-    value_inputs: np.ndarray  # (T, 13) critic inputs
-    actions: np.ndarray       # (T, 12) on/off bits
-    logits_old: np.ndarray    # (T, 12, 2) behavior-policy logits
-    logp_old: np.ndarray      # (T,)
-    rewards: np.ndarray       # (T,)
+    Each per-step array (STEP_FIELDS) is (T, ...), row t taken from the
+    ``env.Step`` of control step t.
+    """
+
+    images: np.ndarray        # scaled policy image inputs
+    vecs: np.ndarray          # scaled policy vector inputs
+    value_inputs: np.ndarray  # scaled critic inputs
+    actions: np.ndarray       # on/off bits
+    logits_old: np.ndarray    # behavior-policy logits
+    logp_old: np.ndarray      # behavior-policy log probabilities of the actions
+    rewards: np.ndarray
     terminal_pos_err: float   # m
     terminal_ok: bool
     violation: str | None
@@ -99,8 +118,9 @@ class EpisodeRollout:
 class RolloutBatch:
     """A batch of episodes with zero-padded time-major array views.
 
-    Padded arrays are (T_max, B, ...) with mask[t, b] = 1 on real steps.
-    Returns, values, and advantages are filled in by compute_advantages.
+    Each per-step field (STEP_FIELDS) is padded to (T_max, B, ...), with
+    mask[t, b] = 1 on real steps. Returns, values, and advantages are
+    filled in by compute_advantages.
     """
 
     def __init__(self, episodes: list[EpisodeRollout]):
@@ -109,24 +129,13 @@ class RolloutBatch:
         self.episodes = episodes
         B = len(episodes)
         T = max(ep.length for ep in episodes)
-        self.images = np.zeros((T, B, 8, 8, 2))
-        self.vecs = np.zeros((T, B, 7))
-        self.value_inputs = np.zeros((T, B, 13))
-        self.actions = np.zeros((T, B, 12), dtype=np.int64)
-        self.logits_old = np.zeros((T, B, 12, 2))
-        self.logp_old = np.zeros((T, B))
-        self.rewards = np.zeros((T, B))
-        self.mask = np.zeros((T, B))
-        for b, ep in enumerate(episodes):
-            n = ep.length
-            self.images[:n, b] = ep.images
-            self.vecs[:n, b] = ep.vecs
-            self.value_inputs[:n, b] = ep.value_inputs
-            self.actions[:n, b] = ep.actions
-            self.logits_old[:n, b] = ep.logits_old
-            self.logp_old[:n, b] = ep.logp_old
-            self.rewards[:n, b] = ep.rewards
-            self.mask[:n, b] = 1.0
+        for name, _ in STEP_FIELDS:
+            first = getattr(episodes[0], name)
+            padded = np.zeros((T, B) + first.shape[1:], dtype=first.dtype)
+            for b, ep in enumerate(episodes):
+                padded[:ep.length, b] = getattr(ep, name)
+            setattr(self, name, padded)
+        self.mask = (np.arange(T)[:, None] < [ep.length for ep in episodes]).astype(np.float64)
         self.returns = np.zeros((T, B))
         self.values = np.zeros((T, B))
         self.advantages = np.zeros((T, B))
@@ -179,36 +188,31 @@ def collect_rollouts(
         ],
     )
     env_seeds = [np.random.SeedSequence((seed, batch_index, k)) for k in range(L)]
-    # One (lane, step, ...) buffer per per-step field of EpisodeRollout, in
-    # field order. Steps land there rather than staying alive as small
-    # arrays until the last lane finishes, and the buffers and the spawned
-    # environments (dropped with the exhausted generator) are gone before
-    # the batch is built: collection then peaks no higher than flying the
-    # episodes one by one did.
-    T, n = env.cfg.max_steps, env.cfg.sensor.grid_size
-    buffers = (
-        np.zeros((L, T, n, n, 2)), np.zeros((L, T, 7)), np.zeros((L, T, 13)),
-        np.zeros((L, T, 12), dtype=np.int64), np.zeros((L, T, 12, 2)),
-        np.zeros((L, T)), np.zeros((L, T)),
-    )
+    # One (lane, step, ...) buffer per STEP_FIELDS entry, shaped after the
+    # first step's values. Steps land there rather than staying alive as
+    # small arrays until the last lane finishes, and the buffers and the
+    # spawned environments (dropped with the exhausted generator) are gone
+    # before the batch is built: collection then peaks no higher than
+    # flying the episodes one by one did.
+    T = env.cfg.max_steps
+    buffers: dict[str, np.ndarray] = {}
     lengths = [0] * L
     last: list[dict] = [{} for _ in range(L)]
     steps = rollout([env] + [env.spawn() for _ in range(L - 1)], policy, env_seeds, select)
     try:
         for k, step in steps:
-            fields = (
-                step.image, step.vec, step.value_input,
-                step.action, step.logits, step.logp, step.reward,
-            )
-            for buffer, value in zip(buffers, fields):
-                buffer[k, lengths[k]] = value
+            for name, attr in STEP_FIELDS:
+                value = np.asarray(getattr(step, attr))
+                if name not in buffers:
+                    buffers[name] = np.zeros((L, T) + value.shape, dtype=value.dtype)
+                buffers[name][k, lengths[k]] = value
             lengths[k] += 1
             last[k] = step.info
     except (SimulationError, ConfigurationError) as exc:
         raise SimulationError(f"batch {batch_index} failed: {exc}") from exc
     episodes = [
         EpisodeRollout(
-            *(buffer[k, :lengths[k]].copy() for buffer in buffers),
+            **{name: buffer[k, :lengths[k]].copy() for name, buffer in buffers.items()},
             terminal_pos_err=float(info["pos_err"]),
             terminal_ok=bool(info["terminal_ok"]),
             violation=info["violation"],
@@ -264,7 +268,6 @@ def adapt_clip(measured_kl: float, target: float, clip_eps: float) -> float:
 class UpdateStats:
     kl: float
     clip_fraction: float
-    policy_objective: float
     value_loss: float
     policy_epochs: int
     new_clip_eps: float
@@ -371,7 +374,6 @@ def ppo_update(
     eps = cfg.clip_eps if clip_eps is None else clip_eps
     kl = 0.0
     clip_frac = 0.0
-    objective = 0.0
     value_loss = float("nan")
     policy_epochs = 0
     policy_active = True
@@ -379,7 +381,7 @@ def ppo_update(
         compute_advantages(batch, cfg.gamma, value_net)
         if not np.isfinite(batch.advantages).all():
             return UpdateStats(
-                kl, clip_frac, objective, value_loss, policy_epochs, eps,
+                kl, clip_frac, value_loss, policy_epochs, eps,
                 aborted=True,
                 diagnostics=f"non-finite advantages at epoch {epoch}",
             )
@@ -387,18 +389,17 @@ def ppo_update(
         for start in range(0, batch.num_episodes, cfg.minibatch_episodes):
             mb = order[start:start + cfg.minibatch_episodes]
             if policy_active:
-                objective, frac, ok = policy_minibatch_step(
+                _, clip_frac, ok = policy_minibatch_step(
                     policy, policy_opt,
                     batch.images[:, mb], batch.vecs[:, mb],
                     batch.actions[:, mb], batch.logp_old[:, mb],
                     batch.advantages[:, mb], batch.mask[:, mb],
                     eps, cfg.entropy_coeff,
                 )
-                clip_frac = frac
                 if not ok:
                     return UpdateStats(
-                        kl, clip_frac, objective, value_loss, policy_epochs,
-                        eps, aborted=True,
+                        kl, clip_frac, value_loss, policy_epochs, eps,
+                        aborted=True,
                         diagnostics=f"non-finite policy step at epoch {epoch}",
                     )
             value_loss, ok = value_minibatch_step(
@@ -408,7 +409,7 @@ def ppo_update(
             )
             if not ok:
                 return UpdateStats(
-                    kl, clip_frac, objective, value_loss, policy_epochs, eps,
+                    kl, clip_frac, value_loss, policy_epochs, eps,
                     aborted=True,
                     diagnostics=f"non-finite value step at epoch {epoch}",
                 )
@@ -420,7 +421,6 @@ def ppo_update(
     return UpdateStats(
         kl=kl,
         clip_fraction=clip_frac,
-        policy_objective=objective,
         value_loss=value_loss,
         policy_epochs=policy_epochs,
         new_clip_eps=adapt_clip(kl, cfg.kl_target, eps),
@@ -474,12 +474,6 @@ def latest_checkpoint(out_dir: str) -> str | None:
         if m and int(m.group(1)) > best_n:
             best, best_n = path, int(m.group(1))
     return best
-
-
-def _format(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
 
 
 def _truncate_metrics(path: str, next_batch: int) -> None:
@@ -561,7 +555,7 @@ def train(cfg: TrainConfig, log=None) -> str:
                 np.mean([ep.fuel_used for ep in episodes]),
                 int(stats.aborted),
             )
-            fh.write(",".join(_format(v) for v in row) + "\n")
+            fh.write(",".join(csv_field(v) for v in row) + "\n")
             fh.flush()
             if log is not None:
                 log(

@@ -16,10 +16,11 @@ from asterhover.env import HoverEnv
 
 
 def fly(env: HoverEnv, action: np.ndarray):
-    """One control step of a lone environment; returns (policy observation,
-    critic input, reward, done, info)."""
+    """One control step of a lone environment; returns ((policy image,
+    policy vector), critic input, reward, done, info)."""
     env.step(action)
-    return env.observe(env.scan())
+    image, vec, value_input, reward, done, info = env.observe(env.scan())
+    return (image, vec), value_input, reward, done, info
 
 
 def replay_episode(env: HoverEnv, env_seed, actions: np.ndarray) -> dict:
@@ -28,16 +29,16 @@ def replay_episode(env: HoverEnv, env_seed, actions: np.ndarray) -> dict:
     Returns the per-step policy images and vectors and critic inputs (each
     taken before its action), the rewards, and the last step's info.
     """
-    obs, value_input = env.reset(seed=env_seed)
+    image, vec, value_input = env.reset(seed=env_seed)
     images, vecs, value_inputs, rewards = [], [], [], []
     done = False
     info = {}
     for action in actions:
         assert not done, "the recorded episode is longer than the replay"
-        images.append(obs.image)
-        vecs.append(obs.vec)
+        images.append(image)
+        vecs.append(vec)
         value_inputs.append(value_input)
-        obs, value_input, reward, done, info = fly(env, action)
+        (image, vec), value_input, reward, done, info = fly(env, action)
         rewards.append(reward)
     assert done, "the recorded episode is shorter than the replay"
     return {

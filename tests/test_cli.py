@@ -105,7 +105,11 @@ def test_apply_to_dataclass_checks_value_types():
     for pair, expected in (
         ("episode.duration=abc", "episode.duration must be float"),
         ("episode.sensor_noise=yes_please", "episode.sensor_noise must be bool"),
-        ("episode.sensor.grid_size=8.0", "episode.sensor.grid_size must be int"),
+        ("episode.asteroid.subdivision_level=2.0", "subdivision_level must be int"),
+        ("episode.duration=.inf", "episode.duration must be float"),
+        ("episode.rk4_dt=.nan", "episode.rk4_dt must be float"),
+        ("episode.sensor.max_range=-.inf", "episode.sensor.max_range must be float"),
+        ("episode.dry_mass=1" + "0" * 400, "episode.dry_mass must be float"),
         ("batches=true", "batches must be int"),
         ("out_dir=7", "out_dir must be str"),
     ):
@@ -115,6 +119,7 @@ def test_apply_to_dataclass_checks_value_types():
 
 @pytest.mark.parametrize("pair,path", [
     ("duration=abc", "duration"), ("sensor_noise=yes_please", "sensor_noise"),
+    ("duration=.inf", "duration"), ("rk4_dt=.nan", "rk4_dt"), ("noise_sigma=.nan", "noise_sigma"),
 ])
 def test_simulate_wrongly_typed_override_is_usage_error(tmp_path, capsys, pair, path):
     code = main(["simulate", "--seed", "2", "--out", str(tmp_path / "s"), pair])
@@ -209,6 +214,10 @@ def test_train_cli_unknown_config_key_is_usage_error(tmp_path, capsys):
     # range noise is set by episode.noise_*; the sensor has no noise keys
     assert main(["train", "--out", str(tmp_path / "y"), "episode.sensor.noise_sigma=2"]) == 2
     assert "unknown config key episode.sensor.noise_sigma" in capsys.readouterr().err
+    # the network-input format is fixed: grid size and input scales are constants
+    for key in ("episode.r_err_scale", "episode.dr_scale", "episode.sensor.grid_size"):
+        assert main(["train", "--out", str(tmp_path / "z"), f"{key}=4"]) == 2
+        assert f"unknown config key {key}" in capsys.readouterr().err
 
 
 def test_train_cli_resume_without_checkpoint_fails(tmp_path, capsys):
@@ -255,6 +264,17 @@ def test_eval_unknown_scenario_lists_names(trained_run, tmp_path, capsys):
     ])
     assert code == 2
     assert "itokawa" in capsys.readouterr().err
+
+
+def test_eval_negative_episode_count_is_usage_error(trained_run, tmp_path, capsys):
+    ck = str(trained_run / "checkpoint_000001.npz")
+    code = main([
+        "eval", "--checkpoint", ck, "--scenario", "baseline",
+        "--episodes", "-3", "--out", str(tmp_path / "e"),
+    ])
+    assert code == 2
+    assert "n_episodes must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "e" / "summary.csv").exists()
 
 
 def test_eval_single_scenario_writes_reports(trained_run, tmp_path):

@@ -7,6 +7,8 @@ import pytest
 from asterhover import nn
 from asterhover.dynamics import quat_angle, quat_error
 from asterhover.env import (
+    DR_SCALE,
+    R_ERR_SCALE,
     EpisodeConfig,
     HoverEnv,
     RewardConfig,
@@ -140,9 +142,9 @@ def test_step_image_differences():
     env.reset(seed=5)
     env.frame0 = frame_of(np.full((8, 8), 300.0))
     env.prev_frame = frame_of(np.full((8, 8), 295.0))
-    obs, *_ = step_seeing(env, frame_of(np.full((8, 8), 291.0)))
-    np.testing.assert_allclose(obs.image[..., 0] * env.cfg.r_err_scale, -9.0)
-    np.testing.assert_allclose(obs.image[..., 1] * env.cfg.dr_scale, -4.0)
+    image, *_ = step_seeing(env, frame_of(np.full((8, 8), 291.0)))
+    np.testing.assert_allclose(image[..., 0] * R_ERR_SCALE, -9.0)
+    np.testing.assert_allclose(image[..., 1] * DR_SCALE, -4.0)
     # the next step differences against this frame
     assert env.prev_frame.ranges[0, 0] == 291.0
 
@@ -154,9 +156,9 @@ def test_hit_to_miss_passes_through():
     env = HoverEnv(quiet_config())
     env.reset(seed=5)
     env.frame0 = env.prev_frame = frame_of(base)
-    obs, *_ = step_seeing(env, frame_of(gone))
-    assert obs.image[0, 0, 0] == 1700.0 / env.cfg.r_err_scale
-    assert obs.image[0, 0, 1] == 1700.0 / env.cfg.dr_scale
+    image, *_ = step_seeing(env, frame_of(gone))
+    assert image[0, 0, 0] == 1700.0 / R_ERR_SCALE
+    assert image[0, 0, 1] == 1700.0 / DR_SCALE
 
 
 def test_descent_over_plane_dr_oracle():
@@ -173,11 +175,11 @@ def test_descent_over_plane_dr_oracle():
     env = HoverEnv(quiet_config())
     env.reset(seed=5)
     env.frame0, env.prev_frame = frames[0], frames[1]
-    obs, *_ = step_seeing(env, frames[2])
-    dr = obs.image[..., 1] * env.cfg.dr_scale
+    image, *_ = step_seeing(env, frames[2])
+    dr = image[..., 1] * DR_SCALE
     cosines = -beam_directions(cfg)[..., 2]
     np.testing.assert_allclose(dr, -1.0 / cosines, rtol=1e-9)
-    np.testing.assert_allclose(obs.image[..., 0] * env.cfg.r_err_scale, -2.0 / cosines, rtol=1e-9)
+    np.testing.assert_allclose(image[..., 0] * R_ERR_SCALE, -2.0 / cosines, rtol=1e-9)
     np.testing.assert_allclose(dr[3:5, 3:5], -1.0, rtol=2e-3)
 
 
@@ -188,13 +190,13 @@ def test_network_input_scaling():
     env.prev_frame = frame_of(np.full((8, 8), 302.0))
     env.state.position = env.r0 + np.array([10.0, -20.0, 0.0])
     env.state.velocity = np.array([0.05, 0.0, 0.0])
-    obs, value_input, *_ = step_seeing(env, frame_of(np.full((8, 8), 300.0)))
-    assert obs.image.shape == (8, 8, 2)
-    np.testing.assert_allclose(obs.image[..., 0], -0.5)
-    np.testing.assert_allclose(obs.image[..., 1], -0.2)
+    image, vec, value_input, *_ = step_seeing(env, frame_of(np.full((8, 8), 300.0)))
+    assert image.shape == (8, 8, 2)
+    np.testing.assert_allclose(image[..., 0], -0.5)
+    np.testing.assert_allclose(image[..., 1], -0.2)
     state = env.state
     dq = quat_error(state.attitude, env.q0)
-    np.testing.assert_array_equal(obs.vec, np.concatenate([dq, state.omega]))
+    np.testing.assert_array_equal(vec, np.concatenate([dq, state.omega]))
     # critic: position error scaled like the image (10.3 m after 6 s at
     # 5 cm/s), then velocity, attitude change and rates unscaled
     assert value_input.shape == (13,)
@@ -255,11 +257,8 @@ def test_zero_attitude_error_puts_boresight_on_los():
 
 def test_reset_deterministic():
     env_a, env_b = HoverEnv(), HoverEnv()
-    pa, va = env_a.reset(seed=42)
-    pb, vb = env_b.reset(seed=42)
-    np.testing.assert_array_equal(pa.image, pb.image)
-    np.testing.assert_array_equal(pa.vec, pb.vec)
-    np.testing.assert_array_equal(va, vb)
+    for a, b in zip(env_a.reset(seed=42), env_b.reset(seed=42)):
+        np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(env_a.model.mesh.vertices, env_b.model.mesh.vertices)
     # Different seeds give different worlds.
     env_b.reset(seed=43)
@@ -284,15 +283,15 @@ def test_loaded_mesh_is_prepared_once(tmp_path):
 
 def test_first_observation_invariants():
     env = HoverEnv()
-    obs, value_input = env.reset(seed=9)
-    assert obs.image.shape == (8, 8, 2)
-    np.testing.assert_array_equal(obs.image, 0.0)
-    np.testing.assert_allclose(obs.vec[:4], [1.0, 0.0, 0.0, 0.0], atol=1e-12)
-    np.testing.assert_array_equal(obs.vec[4:], env.state.omega)
-    assert np.all(np.abs(obs.vec[4:]) <= env.cfg.omega_max)
+    image, vec, value_input = env.reset(seed=9)
+    assert image.shape == (8, 8, 2)
+    np.testing.assert_array_equal(image, 0.0)
+    np.testing.assert_allclose(vec[:4], [1.0, 0.0, 0.0, 0.0], atol=1e-12)
+    np.testing.assert_array_equal(vec[4:], env.state.omega)
+    assert np.all(np.abs(vec[4:]) <= env.cfg.omega_max)
     np.testing.assert_array_equal(value_input[:3], 0.0)
     np.testing.assert_array_equal(value_input[3:6], env.state.velocity)
-    np.testing.assert_array_equal(value_input[6:], obs.vec)
+    np.testing.assert_array_equal(value_input[6:], vec)
 
 
 def test_step_trajectory_determinism():
@@ -413,10 +412,10 @@ def test_scan_stabilization_decouples_attitude():
     env = HoverEnv(quiet_config())
     env.reset(seed=6)
     env.state.omega = np.array([0.05, 0.0, 0.0])  # below the 0.10 limit
-    obs, _, _, done, _ = fly(env, np.zeros(12))
+    (image, vec), _, _, done, _ = fly(env, np.zeros(12))
     assert not done
-    np.testing.assert_array_equal(obs.image[..., 0], 0.0)
-    assert quat_angle(obs.vec[:4]) == pytest.approx(0.05 * 6.0, rel=1e-6)
+    np.testing.assert_array_equal(image[..., 0], 0.0)
+    assert quat_angle(vec[:4]) == pytest.approx(0.05 * 6.0, rel=1e-6)
 
 
 def test_reward_decomposition_sums(rng):
@@ -433,11 +432,11 @@ def test_reward_decomposition_sums(rng):
 def test_sensor_noise_scenario():
     env = HoverEnv(quiet_config(sensor_noise=True))
     env.reset(seed=30)
-    obs, _, _, _, info = fly(env, np.zeros(12))
+    (image, _), _, _, _, info = fly(env, np.zeros(12))
     hits = env.prev_frame.hit
     assert hits.any()
     # Stationary spacecraft: R_err is sensor noise only, nonzero but small.
-    r_err = obs.image[..., 0] * env.cfg.r_err_scale
+    r_err = image[..., 0] * R_ERR_SCALE
     assert np.any(r_err[hits] != 0.0)
     assert np.all(np.abs(r_err[hits]) < 25.0)
     if (~hits).any():
@@ -498,15 +497,15 @@ def test_rollout_records_every_control_step():
     steps = [step for _, step in rollout([env], policy, [3], fire_first_thruster)]
     assert env.done
     assert [s.info["step"] for s in steps] == list(range(1, len(steps) + 1))
-    obs, value_input = HoverEnv(cfg).reset(seed=3)
-    np.testing.assert_array_equal(steps[0].image, obs.image)
-    np.testing.assert_array_equal(steps[0].vec, obs.vec)
+    image, vec, value_input = HoverEnv(cfg).reset(seed=3)
+    np.testing.assert_array_equal(steps[0].image, image)
+    np.testing.assert_array_equal(steps[0].vec, vec)
     np.testing.assert_array_equal(steps[0].value_input, value_input)
     # each step carries the state its observation was taken in
     np.testing.assert_array_equal(steps[0].state.position, env.r0)
     for step in steps:
         np.testing.assert_array_equal(
-            step.value_input[:3], (step.state.position - env.r0) / cfg.r_err_scale
+            step.value_input[:3], (step.state.position - env.r0) / R_ERR_SCALE
         )
         np.testing.assert_array_equal(step.vec[4:], step.state.omega)
     for step, logits in zip(steps, seen):

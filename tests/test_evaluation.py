@@ -183,14 +183,12 @@ def test_summary_matches_episode_csv_reclassification(tmp_path):
     assert float(pos.max()) == report.pos_err_max
 
 
-def test_zero_episodes_is_empty_and_error_free(tmp_path):
-    policy = AllOffPolicy()
+def test_fewer_than_one_episode_is_configuration_error(tmp_path):
     out = tmp_path / "empty"
-    report = run_monte_carlo(policy, quiet_scenario(), 0, seed=1, out_dir=str(out))
-    assert report.episodes == 0
-    assert report.gh1_pct == 0.0 and report.pos_err_max == 0.0
-    with open(out / "episodes.csv") as fh:
-        assert fh.read().strip() == ",".join(EPISODE_COLUMNS)
+    for n in (0, -3):
+        with pytest.raises(ConfigurationError, match=f"n_episodes must be at least 1, got {n}"):
+            run_monte_carlo(AllOffPolicy(), quiet_scenario(), n, seed=1, out_dir=str(out))
+    assert not out.exists()
 
 
 def test_perfect_hover_stub_scores_full_good_hover():

@@ -205,6 +205,7 @@ def test_mesh_load_slash_indices(tmp_path):
     [
         ("v 0 0\nf 1 1 1\n", "exactly 3"),
         ("v 0 0 zero\n", "bad vertex"),
+        ("v 0 0 0\nv 1 0 0\nv nan 1 0\nf 1 2 3\n", r"bad\.obj:3: vertex coordinate is not finite"),
         ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3 1\n", "triangular"),
         ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 9\n", "outside 1..3"),
         ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 0 1 2\n", "outside 1..3"),

@@ -416,8 +416,6 @@ def test_beam_directions_layout():
 
 def test_sensor_config_validation():
     with pytest.raises(ConfigurationError):
-        SensorConfig(grid_size=0).validate()
-    with pytest.raises(ConfigurationError):
         SensorConfig(fov=0.0).validate()
     with pytest.raises(ConfigurationError):
         SensorConfig(max_range=-1.0).validate()
