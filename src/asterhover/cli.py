@@ -94,7 +94,6 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     if bool(args.scenario) == bool(args.all):
         raise ConfigurationError("choose exactly one of --scenario NAME or --all")
-    policy = load_policy(args.checkpoint)
     names = [args.scenario] if args.scenario else (
         ["baseline"] + [s.name for s in scenario_presets()]
     )
@@ -120,7 +119,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             continue
         out_dir = os.path.join(args.out, name) if args.all else args.out
         report = run_monte_carlo(
-            policy, scenario, args.episodes, args.seed,
+            args.checkpoint, scenario, args.episodes, args.seed,
             out_dir=out_dir, mesh_file=args.mesh_file,
             stochastic=args.stochastic, workers=args.workers,
         )
@@ -226,7 +225,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cfg.validate()
 
     # without a checkpoint an untrained network runs and _drift ignores it
-    policy = load_policy(args.checkpoint) if args.checkpoint else nn.PolicyNetwork(seed=0)
+    policy = load_policy(args.checkpoint, cfg) if args.checkpoint else nn.PolicyNetwork(seed=0)
     os.makedirs(args.out, exist_ok=True)
     write_resolved_config(
         args.out, "simulate",

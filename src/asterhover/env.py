@@ -52,7 +52,6 @@ from .lidar import (
     PreparedMesh,
     SensorConfig,
     apply_sensor_noise,
-    beam_cone,
     rotated_beams,
     scan,
 )
@@ -201,10 +200,7 @@ def rollout(
     L = len(envs)
     # Each lane's (image, vec, value_input), as reset and observe return them.
     inputs = [env.reset(seed=s) for env, s in zip(envs, env_seeds)]
-    meshes = LaneMeshes([env._prep for env in envs])
-    beams = np.stack([env._beams for env in envs])
-    axes = np.stack([env._cone[0] for env in envs])
-    half_angles = np.array([env._cone[1] for env in envs])
+    meshes = LaneMeshes([env._prep for env in envs], np.stack([env._beams for env in envs]))
     max_range = envs[0].cfg.sensor.max_range
     images = np.stack([image for image, _, _ in inputs])
     vecs = np.stack([vec for _, vec, _ in inputs])
@@ -218,7 +214,7 @@ def rollout(
         for k in lanes:
             envs[k].step(actions[k])
         origins = np.stack([env.state.position for env in envs])
-        ranges, hit = meshes.cast(origins, beams, axes, half_angles, live, max_range)
+        ranges, hit = meshes.cast(origins, live, max_range)
         ranges = ranges.reshape(L, GRID_SIZE, GRID_SIZE)
         hit = hit.reshape(L, GRID_SIZE, GRID_SIZE)
         for k, state in zip(lanes, states):
@@ -425,7 +421,6 @@ class HoverEnv:
                 f"no viable initial condition in {cfg.max_ic_retries} draws"
             )
 
-        self._cone = beam_cone(self._beams)
         self.q0 = state.attitude.copy()
         self.r0 = state.position.copy()
         self.frame0 = frame0

@@ -26,7 +26,7 @@ from . import nn
 from .config import apply_to_dataclass, csv_field, nest_dotted
 from .env import EpisodeConfig, HoverEnv, good_hover, rollout
 from .errors import ConfigurationError, MeshLoadError
-from .ppo import ACTION_STREAM
+from .ppo import ACTION_STREAM, trained_episode_record
 
 
 @dataclass
@@ -260,11 +260,23 @@ def summary_row(report: EvalReport) -> list[str]:
     return [csv_field(v) for v in astuple(report)]
 
 
-def load_policy(checkpoint_path: str) -> nn.PolicyNetwork:
-    """Policy parameters from a training checkpoint (critic discarded)."""
+def load_policy(checkpoint_path: str, cfg: EpisodeConfig) -> nn.PolicyNetwork:
+    """Policy parameters from a training checkpoint (critic discarded), to
+    fly episodes of `cfg`.
+
+    Raises ConfigurationError when the checkpoint records an episode
+    setting (:func:`~asterhover.ppo.trained_episode_record`) that `cfg`
+    does not share; a checkpoint that records none loads as it is.
+    """
     policy = nn.PolicyNetwork(seed=0)
-    value_net = nn.ValueNetwork(seed=0)
-    nn.load_checkpoint(checkpoint_path, policy, value_net)
+    meta = nn.load_checkpoint(checkpoint_path, policy, nn.ValueNetwork(seed=0))
+    for key, value in trained_episode_record(cfg).items():
+        trained = meta["extra"].get(key, value)
+        if trained != value:
+            raise ConfigurationError(
+                f"{checkpoint_path} was trained with {key}={trained!r}, "
+                f"but this run has {key}={value!r}"
+            )
     return policy
 
 
@@ -297,7 +309,8 @@ def run_monte_carlo(
     stochastic: bool = False,
     workers: int = 1,
 ) -> EvalReport:
-    """Evaluate a policy (object or checkpoint path) over one scenario.
+    """Evaluate a policy (object, or checkpoint path: see
+    :func:`load_policy`) over one scenario.
 
     Episode k runs on the seed stream (seed, k), so reports are identical
     across reruns and across worker counts. With out_dir set, writes
@@ -305,9 +318,9 @@ def run_monte_carlo(
     """
     if n_episodes < 1:
         raise ConfigurationError(f"n_episodes must be at least 1, got {n_episodes}")
-    if isinstance(policy, str):
-        policy = load_policy(policy)
     cfg = scenario.episode_config(mesh_file=mesh_file)
+    if isinstance(policy, str):
+        policy = load_policy(policy, cfg)
     try:
         if workers > 1 and n_episodes > 1:
             # parallel path replays parameters into a fresh network per

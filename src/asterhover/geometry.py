@@ -9,6 +9,8 @@ directions. All coordinates are in the asteroid body-fixed frame, meters.
 from __future__ import annotations
 
 import math
+import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -276,29 +278,6 @@ def mesh_half_extents(mesh: TriMesh) -> np.ndarray:
     return 0.5 * (mesh.vertices.max(axis=0) - mesh.vertices.min(axis=0))
 
 
-def make_peanut_mesh(
-    level: int = 3,
-    lobe_radius: float = 267.0,
-    waist_radius: float = 147.0,
-    flatten: float = 0.71,
-) -> TriMesh:
-    """Elongated two-lobed test body, roughly contact-binary proportions.
-
-    Radius grows from `waist_radius` on the y-z plane to `lobe_radius` at the
-    +-x poles, then the z axis is compressed by `flatten`. Star-shaped about
-    the origin, so it is safe for the same ray casting paths as synthesized
-    shapes.
-    """
-    if lobe_radius <= 0.0 or waist_radius <= 0.0 or not (0.0 < flatten <= 1.0):
-        raise ConfigurationError("peanut parameters must be positive (flatten in (0, 1])")
-    mesh = generate_icosphere(level)
-    u = mesh.vertices
-    radius = waist_radius + (lobe_radius - waist_radius) * u[:, 0] ** 2
-    mesh.vertices = u * radius[:, None]
-    mesh.vertices[:, 2] *= flatten
-    return mesh
-
-
 def save_mesh(path: str, mesh: TriMesh) -> None:
     """Write a mesh as ASCII `v x y z` / `f i j k` records (1-based indices)."""
     with open(path, "w", encoding="ascii") as fh:
@@ -315,60 +294,101 @@ def load_mesh(path: str, scale: float = 1.0) -> TriMesh:
     Only `v` and `f` records are interpreted; `#` comments and other record
     types are skipped. Faces must be triangles and use 1-based vertex
     indices. Vertices are multiplied by `scale` after loading.
+
+    The lines are sorted into `v` and `f` records in one pass, and numpy's
+    parser reads each kind in one call; only when a record fails a check
+    are the records read one by one, to name the first offending line.
     """
     if scale <= 0.0:
         raise ConfigurationError(f"mesh scale must be positive, got {scale}")
-    vertices: list[list[float]] = []
-    faces: list[list[int]] = []
-    face_lines: list[int] = []
     with open(path, "r", encoding="ascii", errors="replace") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tokens = line.split()
-            kind = tokens[0]
-            if kind == "v":
-                if len(tokens) != 4:
-                    raise MeshLoadError(
-                        f"{path}:{lineno}: vertex needs exactly 3 coordinates"
-                    )
-                try:
-                    coords = [float(t) for t in tokens[1:]]
-                except ValueError as exc:
-                    raise MeshLoadError(
-                        f"{path}:{lineno}: bad vertex coordinate: {exc}"
-                    ) from None
-                if not all(map(math.isfinite, coords)):
-                    raise MeshLoadError(f"{path}:{lineno}: vertex coordinate is not finite")
-                vertices.append(coords)
-            elif kind == "f":
-                if len(tokens) != 4:
-                    raise MeshLoadError(
-                        f"{path}:{lineno}: only triangular faces are supported"
-                    )
-                try:
-                    # Tolerate "f 1/1/1 2/2/2 3/3/3" style by taking the
-                    # leading vertex index of each vertex tuple.
-                    idx = [int(t.split("/")[0]) for t in tokens[1:]]
-                except ValueError as exc:
-                    raise MeshLoadError(
-                        f"{path}:{lineno}: bad face index: {exc}"
-                    ) from None
-                faces.append(idx)
-                face_lines.append(lineno)
+        lines = fh.read().split("\n")
+    # Line numbers and the text after the record type, per kind.
+    records: dict[str, tuple[list[int], list[str]]] = {"v": ([], []), "f": ([], [])}
+    vertex_lines, vertex_text = records["v"]
+    face_lines, face_text = records["f"]
+    for lineno, line in enumerate(lines, start=1):
+        head = line[:2]
+        if head == "v ":
+            vertex_lines.append(lineno)
+            vertex_text.append(line[2:])
+        elif head == "f ":
+            face_lines.append(lineno)
+            face_text.append(line[2:])
+        else:
+            tokens = line.split("#", 1)[0].split(None, 1)
             # Any other record type (vn, vt, o, g, s, ...) is ignored.
-    if not vertices:
+            if tokens and tokens[0] in records:
+                linenos, text = records[tokens[0]]
+                linenos.append(lineno)
+                text.append(tokens[1] if len(tokens) > 1 else "")
+    try:
+        vertices = _read_triples(vertex_text, np.float64)
+        if not np.isfinite(vertices).all():
+            raise ValueError("vertex coordinate is not finite")
+        # Tolerate "f 1/1/1 2/2/2 3/3/3" style by taking the leading vertex
+        # index of each vertex tuple.
+        joined = "\n".join(face_text)
+        if "/" in joined:
+            face_text = re.sub(r"/\S*", "", joined).split("\n")
+        face_arr = _read_triples(face_text, np.int64)
+    except (ValueError, Warning) as exc:
+        bad = _first_bad_record(path, lines, sorted(vertex_lines + face_lines))
+        # Python's float() and int() also read digit-group underscores and
+        # indices beyond int64, which numpy's parser refuses; such a file
+        # gets the parser's message.
+        raise bad or MeshLoadError(f"{path}: {exc}") from None
+    if not vertex_lines:
         raise MeshLoadError(f"{path}: no vertices found")
-    if not faces:
+    if not face_lines:
         raise MeshLoadError(f"{path}: no faces found")
     nv = len(vertices)
-    face_arr = np.asarray(faces, dtype=np.int64)
     bad = ((face_arr < 1) | (face_arr > nv)).ravel()
     if bad.any():
         row, col = divmod(int(np.argmax(bad)), 3)  # first offending index
         raise MeshLoadError(
             f"{path}:{face_lines[row]}: face index {face_arr[row, col]} outside 1..{nv}"
         )
-    verts = np.asarray(vertices, dtype=np.float64) * scale
-    return TriMesh(verts, face_arr - 1)
+    return TriMesh(vertices * scale, face_arr - 1)
+
+
+def _read_triples(text: list[str], dtype: type) -> np.ndarray:
+    """The (N, 3) numbers of N record texts, read by numpy's parser.
+
+    Raises ValueError unless each text holds exactly three numbers of
+    `dtype`, and the parser's warning (as an exception) when a text is
+    empty or all comment.
+    """
+    if not text:
+        return np.empty((0, 3), dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = np.loadtxt(text, dtype=dtype, comments="#", ndmin=2)
+    if table.shape != (len(text), 3):
+        raise ValueError(f"{len(text)} records read as a {table.shape} table")
+    return table
+
+
+def _first_bad_record(path: str, lines: list[str], linenos: list[int]) -> MeshLoadError | None:
+    """The error of the first of the `v` and `f` records on `linenos` that
+    is malformed or holds a non-finite coordinate, or None."""
+    for lineno in linenos:
+        kind, *values = lines[lineno - 1].split("#", 1)[0].split()
+        if kind == "v":
+            if len(values) != 3:
+                return MeshLoadError(f"{path}:{lineno}: vertex needs exactly 3 coordinates")
+            try:
+                coords = [float(t) for t in values]
+            except ValueError as exc:
+                return MeshLoadError(f"{path}:{lineno}: bad vertex coordinate: {exc}")
+            if not all(map(math.isfinite, coords)):
+                return MeshLoadError(f"{path}:{lineno}: vertex coordinate is not finite")
+        else:
+            if len(values) != 3:
+                return MeshLoadError(f"{path}:{lineno}: only triangular faces are supported")
+            try:
+                for t in values:
+                    int(t.split("/")[0])
+            except ValueError as exc:
+                return MeshLoadError(f"{path}:{lineno}: bad face index: {exc}")
+    return None

@@ -36,6 +36,10 @@ T_MIN = 1.0e-12
 PLANE_TOL = 1.0e-6
 CONE_TOL = 1.0e-6  # rad
 
+# Radius of a lane's candidate ball (LaneMeshes.candidates), as a fraction
+# of the gap between its centre and the nearest facet bounding sphere.
+BALL_FRACTION = 0.1
+
 # Pixels per side of the square detector: the policy network is built for
 # this image size, so it is fixed rather than configured.
 GRID_SIZE = 8
@@ -116,6 +120,29 @@ def _near_cone(
     return (dist <= radius) | (off_axis <= half_angle + sphere_half_angle + CONE_TOL)
 
 
+def _reachable(
+    w: np.ndarray,
+    dist: np.ndarray,
+    along: np.ndarray,
+    radius: np.ndarray,
+    normal: np.ndarray,
+    normal_len: np.ndarray,
+    half_angle: float | np.ndarray,
+    rho: float | np.ndarray = 0.0,
+) -> np.ndarray:
+    """The candidate test of :meth:`LaneMeshes.candidates`: whether some ray
+    in a cone of `half_angle` may hit each facet when cast from an origin
+    within `rho` of the one its centre offset `w` (..., 3), distance `dist`
+    and offset component `along` the cone's unit axis are measured from.
+    The facet's bounding sphere radius, outward normal and normal length
+    come in `radius`, `normal` and `normal_len`; all arguments broadcast
+    together.
+    """
+    facing = np.einsum("...k,...k->...", w, normal)
+    front = facing <= normal_len * (rho + PLANE_TOL * (dist + rho + radius))
+    return front & _near_cone(along, dist, radius + rho, half_angle)
+
+
 def beam_cone(directions: np.ndarray) -> tuple[np.ndarray, float]:
     """Unit axis and half-angle of a cone that holds every ray of the
     (R, 3) `directions`: the axis is their normalised sum, the half-angle
@@ -129,66 +156,111 @@ def beam_cone(directions: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 class LaneMeshes:
-    """The prepared meshes of L lanes, stacked (L, F, ...) for one cast.
+    """The prepared meshes of L lanes, stacked (L, F, ...) for one cast, and
+    each lane's rays.
 
     Every lane must have the same facet count F, as the bodies of one
     episode configuration do. One mesh is stacked by views, without a copy.
+    Lane l casts the rays `beams[l]` (R, 3), fixed for the object's life as
+    an episode's beams are (the attitude is frozen), inside the cone of
+    :func:`beam_cone`.
+
+    Each lane keeps a candidate ball between casts (see :meth:`candidates`),
+    so a lane's cast costs what its candidates cost, not what its mesh does,
+    while the lane stays near where the ball was built.
     """
 
     FIELDS = ("v0", "edge1", "edge2", "centroid", "radius", "normal", "normal_len")
+    _NO_FACETS = np.empty(0, dtype=np.intp)
 
-    def __init__(self, meshes: list[PreparedMesh]):
+    def __init__(self, meshes: list[PreparedMesh], beams: np.ndarray):
         if len({m.num_faces for m in meshes}) != 1:
             raise ConfigurationError("lanes need meshes with equal facet counts")
         for name in self.FIELDS:
             arrays = [getattr(m, name) for m in meshes]
             setattr(self, name, arrays[0][None] if len(arrays) == 1 else np.stack(arrays))
         self.num_lanes, self.num_faces = len(meshes), meshes[0].num_faces
+        self.beams = beams
+        self.units = beams / np.linalg.norm(beams, axis=2, keepdims=True)
+        cones = [beam_cone(b) for b in beams]
+        self.axes = np.array([axis for axis, _ in cones])
+        self.half_angles = np.array([half_angle for _, half_angle in cones])
+        # Each lane's ball: its centre (NaN until built), the square of half
+        # its radius, and its candidate set as indices into the L*F stacked
+        # facets.
+        L = self.num_lanes
+        self._ball_centre = np.full((L, 3), np.nan)
+        self._ball_reach = np.zeros(L)
+        self._ball_sets = [self._NO_FACETS] * L
+
+    def _build_balls(self, lanes: np.ndarray, origins: np.ndarray) -> None:
+        """Rebuild the candidate balls of `lanes` around their origins: one
+        pre-pass over their whole meshes, grown to hold for every origin
+        within the ball radius rho. It keeps a facet when some origin of the
+        ball may keep it: its bounding sphere grown by rho (the Minkowski
+        sum) meets the cone, and the plane test has slack rho * |n|."""
+        # All lanes at once (every lane's first cast) read the stacks in place.
+        rows = slice(None) if lanes.size == self.num_lanes else lanes
+        w = self.centroid[rows] - origins[rows, None, :]            # (S, F, 3)
+        dist = np.sqrt(np.einsum("sfk,sfk->sf", w, w))
+        radius = self.radius[rows]
+        gap = (dist - radius).min(axis=1)
+        # No ball (rho = 0, a rebuild at every move) once the origin enters
+        # a bounding sphere; NaN gaps land there too.
+        rho = np.where(gap > 0.0, BALL_FRACTION * gap, 0.0)
+        along = (w @ self.axes[rows, :, None])[..., 0]              # (S, F)
+        keep = _reachable(
+            w, dist, along, radius, self.normal[rows], self.normal_len[rows],
+            self.half_angles[rows, None], rho[:, None],
+        )
+        for row, lane in enumerate(lanes):
+            self._ball_sets[lane] = lane * self.num_faces + np.flatnonzero(keep[row])
+        self._ball_centre[lanes] = origins[lanes]
+        self._ball_reach[lanes] = np.square(0.5 * rho)
 
     def candidates(
-        self,
-        origins: np.ndarray,
-        axes: np.ndarray,
-        half_angles: np.ndarray,
-        live: np.ndarray,
+        self, origins: np.ndarray, live: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The facets any ray of a live lane can hit: their indices into the
         L*F stacked facets (lane l's facet f is l*F + f), in lane order, their
         lanes, and each one's centre offset from its lane's origin and
         distance.
 
-        Lane l casts from `origins[l]` inside the cone of axis `axes[l]` and
-        half-angle `half_angles[l]` (:func:`beam_cone`). A facet is kept
-        when the origin is not clearly behind its plane (the kernel then has
-        det <= DET_EPS or t <= T_MIN for every ray) and its bounding sphere
-        meets that cone.
+        Lane l casts from `origins[l]`. A facet is kept when the origin is
+        not clearly behind its plane (the kernel then has det <= DET_EPS or
+        t <= T_MIN for every ray) and its bounding sphere meets the lane's
+        cone.
+
+        The test runs on each lane's candidate ball only: the facets that
+        pass it from somewhere within rho of the ball's centre. rho is
+        BALL_FRACTION of the gap from the centre to the nearest facet
+        bounding sphere. A lane's ball is rebuilt when its origin is more
+        than rho / 2 from the centre; the other half of rho is slack far
+        beyond rounding, so the ball holds every facet that the test keeps
+        over the whole mesh.
         """
-        w = self.centroid - origins[:, None, :]                      # (L, F, 3)
-        dist = np.sqrt(np.einsum("lfk,lfk->lf", w, w))
-        reach = dist + self.radius
-        front = np.einsum("lfk,lfk->lf", w, self.normal) <= PLANE_TOL * self.normal_len * reach
-        along = (w @ axes[:, :, None])[..., 0]                      # (L, F)
-        in_cone = _near_cone(along, dist, self.radius, half_angles[:, None])
-        keep = np.flatnonzero(front & in_cone & live[:, None])
-        kept_w = np.take(w.reshape(-1, 3), keep, axis=0)
-        return keep, keep // self.num_faces, kept_w, dist.reshape(-1)[keep]
+        offset = origins - self._ball_centre
+        stale = live & ~(np.einsum("lk,lk->l", offset, offset) <= self._ball_reach)
+        if stale.any():
+            self._build_balls(np.flatnonzero(stale), origins)
+        index = np.concatenate([self._NO_FACETS] + [self._ball_sets[l] for l in np.flatnonzero(live)])
+        lanes = index // self.num_faces
+        centroid, normal = (a.reshape(-1, 3).take(index, axis=0) for a in (self.centroid, self.normal))
+        radius, normal_len = (a.reshape(-1).take(index) for a in (self.radius, self.normal_len))
+        w = centroid - origins.take(lanes, axis=0)
+        dist = np.sqrt(np.einsum("fk,fk->f", w, w))
+        along = np.einsum("fk,fk->f", w, self.axes.take(lanes, axis=0))
+        keep = _reachable(w, dist, along, radius, normal, normal_len, self.half_angles.take(lanes))
+        return index[keep], lanes[keep], w[keep], dist[keep]
 
     def cast(
-        self,
-        origins: np.ndarray,
-        beams: np.ndarray,
-        axes: np.ndarray,
-        half_angles: np.ndarray,
-        live: np.ndarray,
-        max_range: float = 2000.0,
+        self, origins: np.ndarray, live: np.ndarray, max_range: float = 2000.0
     ) -> tuple[np.ndarray, np.ndarray]:
         """Nearest front-face hit of every ray of every live lane.
 
-        Lane l casts its rays `beams[l]` (R, 3) from `origins[l]` against
-        its own mesh; `axes` and `half_angles` are the lanes' beam cones
-        (:func:`beam_cone`). Returns (L, R) ranges and hits as
-        :func:`cast_rays` does; rays of lanes whose `live` is False read as
-        misses.
+        Lane l casts its rays from `origins[l]` against its own mesh.
+        Returns (L, R) ranges and hits as :func:`cast_rays` does; rays of
+        lanes whose `live` is False read as misses.
 
         Möller–Trumbore runs only on the (ray, facet) pairs that survive two
         culls: :meth:`candidates` keeps the facet for its lane, and its
@@ -202,12 +274,12 @@ class LaneMeshes:
         takes another BLAS kernel). A lane's result never depends on the
         other lanes.
         """
+        beams, units = self.beams, self.units
         L, R = beams.shape[:2]
-        keep, lanes, w, dist = self.candidates(origins, axes, half_angles, live)
+        keep, lanes, w, dist = self.candidates(origins, live)
 
         # The (ray, facet) pairs: each ray is its own zero-angle cone. The
         # kept facets come in lane order, so each lane's block is one product.
-        units = beams / np.linalg.norm(beams, axis=2, keepdims=True)
         along = np.empty((lanes.size, R))
         bounds = np.searchsorted(lanes, np.arange(L + 1))
         for lane in np.flatnonzero(bounds[1:] > bounds[:-1]):
@@ -257,16 +329,14 @@ def cast_rays(
     Returns (ranges, hit): misses get exactly `max_range`; hits are the
     nearest intersection distance and are strictly less than `max_range`
     (a surface exactly at or beyond `max_range` reads as a miss). This is
-    :meth:`LaneMeshes.cast` with one lane, whose cone is that of `directions`.
+    :meth:`LaneMeshes.cast` with one lane, whose rays are `directions`.
     """
     d = np.asarray(directions, dtype=np.float64)
     single = d.ndim == 1
     d = np.atleast_2d(d)                       # (R, 3)
     origin = np.asarray(origin, dtype=np.float64)
-    axis, half_angle = beam_cone(d)
-    ranges, hit = LaneMeshes([_prepare(mesh)]).cast(
-        origin[None], d[None], axis[None], np.array([half_angle]), np.ones(1, dtype=bool),
-        max_range,
+    ranges, hit = LaneMeshes([_prepare(mesh)], d[None]).cast(
+        origin[None], np.ones(1, dtype=bool), max_range
     )
     if single:
         return ranges[0, 0], hit[0, 0]

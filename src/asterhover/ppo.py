@@ -467,6 +467,21 @@ def build_networks(seed: int) -> tuple[nn.PolicyNetwork, nn.ValueNetwork]:
     return nn.PolicyNetwork(seed=rng), nn.ValueNetwork(seed=rng)
 
 
+# The episode settings a trained policy depends on beyond the fixed
+# network-input format: its range images are taken at the sensor's field
+# of view and miss range, and each action lasts one control period. Every
+# checkpoint of `train` records them in its `extra`.
+TRAINED_EPISODE_FIELDS = ("sensor.fov", "sensor.max_range", "control_period")
+
+
+def trained_episode_record(cfg: EpisodeConfig) -> dict[str, float]:
+    """The TRAINED_EPISODE_FIELDS of `cfg`, keyed ``episode.<field>``."""
+    return {
+        f"episode.{name}": float(functools.reduce(getattr, name.split("."), cfg))
+        for name in TRAINED_EPISODE_FIELDS
+    }
+
+
 def latest_checkpoint(out_dir: str) -> str | None:
     best, best_n = None, -1
     for path in glob.glob(os.path.join(out_dir, "checkpoint_*.npz")):
@@ -569,6 +584,9 @@ def train(cfg: TrainConfig, log=None) -> str:
                 nn.save_checkpoint(
                     os.path.join(cfg.out_dir, f"checkpoint_{batch_idx + 1:06d}.npz"),
                     policy, value_net, policy_opt, value_opt,
-                    extra={"next_batch": batch_idx + 1, "clip_eps": clip_eps},
+                    extra={
+                        "next_batch": batch_idx + 1, "clip_eps": clip_eps,
+                        **trained_episode_record(cfg.episode),
+                    },
                 )
     return metrics_path

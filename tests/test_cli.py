@@ -1,6 +1,7 @@
 """Command line behavior: subcommands, exit codes, config precedence,
 determinism of artifacts."""
 
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 import yaml
 
 import asterhover
-from asterhover import __version__
+from asterhover import __version__, nn
 from asterhover.cli import main
 from asterhover.config import (
     apply_to_dataclass,
@@ -19,8 +20,9 @@ from asterhover.config import (
     parse_overrides,
 )
 from asterhover.errors import ConfigurationError
-from asterhover.geometry import load_mesh, make_peanut_mesh, save_mesh
+from asterhover.geometry import load_mesh, save_mesh
 from asterhover.ppo import TrainConfig
+from geometry_reference import make_peanut_mesh
 
 
 def read(path):
@@ -307,6 +309,43 @@ def test_eval_all_skips_mesh_scenarios_without_mesh(trained_run, tmp_path, capsy
     assert len(lines) == 1 + 8
     assert (out / "baseline" / "episodes.csv").exists()
     assert (out / "extended-altitude" / "summary.csv").exists()
+
+
+def test_checkpoint_records_its_episode_settings(tmp_path, capsys):
+    # A policy trained on 0.8 rad images is refused where the run's sensor
+    # differs, naming the field and both values, and flies where it matches.
+    cfg = write_tiny_train_config(tmp_path / "cfg.yaml", batches=1)
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out", str(run), "episode.sensor.fov=0.8"]) == 0
+    ck = str(run / "checkpoint_000001.npz")
+    meta = nn.load_checkpoint(ck, nn.PolicyNetwork(seed=0), nn.ValueNetwork(seed=0))
+    assert meta["extra"]["episode.sensor.fov"] == 0.8
+    assert meta["extra"]["episode.sensor.max_range"] == 2000.0
+    assert meta["extra"]["episode.control_period"] == 6.0
+    capsys.readouterr()
+    code = main([
+        "eval", "--checkpoint", ck, "--scenario", "baseline",
+        "--episodes", "1", "--workers", "1", "--out", str(tmp_path / "e"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "episode.sensor.fov=0.8" in err and f"episode.sensor.fov={math.radians(30.0)!r}" in err
+    assert not (tmp_path / "e" / "summary.csv").exists()
+    sim = ["simulate", "--checkpoint", ck, "duration=60", "asteroid.subdivision_level=1"]
+    assert main(sim + ["--out", str(tmp_path / "s1")]) == 2
+    assert "episode.sensor.fov" in capsys.readouterr().err
+    assert main(sim + ["sensor.fov=0.8", "--out", str(tmp_path / "s2")]) == 0
+    assert (tmp_path / "s2" / "trajectory.csv").exists()
+
+
+def test_checkpoint_without_episode_settings_loads_as_before(tmp_path):
+    ck = str(tmp_path / "bare.npz")
+    nn.save_checkpoint(ck, nn.PolicyNetwork(seed=1), nn.ValueNetwork(seed=2))
+    code = main([
+        "simulate", "--checkpoint", ck, "duration=60", "asteroid.subdivision_level=1",
+        "sensor.fov=0.8", "control_period=4", "--out", str(tmp_path / "s"),
+    ])
+    assert code == 0
 
 
 # --- simulate and scan-debug ----------------------------------------------

@@ -24,7 +24,8 @@ from asterhover.evaluation import (
     scenario_presets,
     summary_row,
 )
-from asterhover.geometry import make_peanut_mesh, save_mesh
+from asterhover.geometry import save_mesh
+from geometry_reference import make_peanut_mesh
 
 
 def quiet_scenario(**extra) -> Scenario:
@@ -274,7 +275,7 @@ def test_simulate_matches_greedy_run_episode(tmp_path):
     nn.save_checkpoint(path, nn.PolicyNetwork(seed=21), nn.ValueNetwork(seed=22))
     rows = simulate_rows(tmp_path / "sim", "--checkpoint", path)
     env = HoverEnv(Scenario("agree", overrides=AGREE_OVERRIDES).episode_config())
-    row = run_episode(env, load_policy(path), AGREE_SEED, AGREE_EPISODE)
+    row = run_episode(env, load_policy(path, env.cfg), AGREE_SEED, AGREE_EPISODE)
     assert row["fuel_kg"] > 0.0  # the untrained greedy policy fires
     assert_last_row_matches(rows, row)
 

@@ -12,11 +12,11 @@ from asterhover.geometry import (
     face_normals,
     generate_icosphere,
     load_mesh,
-    make_peanut_mesh,
     mesh_half_extents,
     save_mesh,
     synthesize_asteroid,
 )
+from geometry_reference import load_mesh_reference, make_peanut_mesh
 
 
 def edge_counts(mesh: TriMesh) -> dict[tuple[int, int], int]:
@@ -225,6 +225,88 @@ def test_mesh_load_error_reports_line_number(tmp_path):
     path = tmp_path / "lined.obj"
     path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf 1 2 99\n")
     with pytest.raises(MeshLoadError, match=":5:"):
+        load_mesh(str(path))
+
+
+HAND_WRITTEN_OBJ = {
+    "comments_and_records": (
+        "# header\no thing\nv 0 0 0\nv 1 0 0  # trailing\nvn 0 0 1\nvt 0.5 0.5\n"
+        "g group\ns off\nv 0 1 0\nusemtl x\nv 1 1 1#tight\n\n   \nf 1 2 3\nf 2 4 3 # c\n"
+    ),
+    "slash_indices": "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 0\nf 1/1/1 2/2/2 3/3/3\nf 2//4 4//4 3//1\nf 2/ 4/7 3\n",
+    "crlf_tabs_indent": (
+        "# crlf\r\nv\t0.5\t-1\t2\r\n  v 1 0 0\r\n\tv  0 1   0 \r\n \t f\t1 2 3\r\nf 3 2 1\r\n"
+    ),
+    "exponents": (
+        "v 1e3 -2.5E-4 +3.0e+2\nv .5 -0. 1.\nv 6.02214076e23 1e-310 -7E0\n"
+        "v 0.1 0.30000000000000004 1.7976931348623157e308\nf 1 2 3\nf 2 3 4\nf +1 03 4\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_WRITTEN_OBJ))
+def test_bulk_reader_matches_per_line_reference(tmp_path, name):
+    path = tmp_path / f"{name}.obj"
+    path.write_bytes(HAND_WRITTEN_OBJ[name].encode("ascii"))
+    want = load_mesh_reference(str(path))
+    got = load_mesh(str(path))
+    assert got.vertices.tobytes() == want.vertices.tobytes()
+    np.testing.assert_array_equal(got.faces, want.faces)
+    assert got.faces.dtype == want.faces.dtype
+
+
+@pytest.mark.parametrize("source", ["level2", "level5", "peanut"])
+def test_bulk_reader_matches_per_line_reference_on_saved_meshes(tmp_path, source):
+    if source == "peanut":
+        mesh = make_peanut_mesh(level=3)
+    else:
+        mesh = synthesize_asteroid(9, AsteroidGenConfig(subdivision_level=int(source[-1]))).mesh
+    path = tmp_path / "saved.obj"
+    save_mesh(str(path), mesh)
+    for scale in (1.0, 3.0):
+        want = load_mesh_reference(str(path), scale)
+        got = load_mesh(str(path), scale)
+        assert got.vertices.tobytes() == want.vertices.tobytes()
+        np.testing.assert_array_equal(got.faces, want.faces)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "v 0 0 0\nv 1 0 0\nf 1 2 x\nv 0 0 zero\n",      # the earlier line wins
+        "v 0 0 zero\nf 1 2 x\n",
+        "v 0 0 zero\n",                                 # not "no faces"
+        "v # no coordinates\nf 1 2 3\n",
+        "v 0 0 0\nf # no indices\n",
+        "v 0 0 0\nv 1 0 0\nv 0 1 0\nf /3 1 2\n",
+        "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1.0 2 3\n",
+        "v 0 0 0\nv 1 0 0\nv 0 1 inf\nf 1 2 9\n",     # non-finite before the index range
+        "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf 1 2 3 4\n",
+        "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf 4 2 3\nf 1 0 2\n",
+        "v 1 2 3 4\n",
+        "f 1 2 3\n",
+        "",
+    ],
+)
+def test_bulk_reader_errors_match_per_line_reference(tmp_path, body):
+    path = tmp_path / "bad.obj"
+    path.write_text(body)
+    with pytest.raises(MeshLoadError) as want:
+        load_mesh_reference(str(path))
+    with pytest.raises(MeshLoadError) as got:
+        load_mesh(str(path))
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize(
+    "body", ["v 1_0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n", "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 99999999999999999999\n"]
+)
+def test_mesh_load_refuses_what_numpy_cannot_read(tmp_path, body):
+    # Digit-group underscores and indices beyond int64 pass Python's int()
+    # and float(), which the per-line reader used.
+    path = tmp_path / "odd.obj"
+    path.write_text(body)
+    with pytest.raises(MeshLoadError, match="odd.obj: could not convert"):
         load_mesh(str(path))
 
 

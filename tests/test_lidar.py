@@ -10,7 +10,6 @@ from asterhover.geometry import (
     AsteroidGenConfig,
     TriMesh,
     generate_icosphere,
-    make_peanut_mesh,
     synthesize_asteroid,
 )
 from asterhover.lidar import (
@@ -26,6 +25,7 @@ from asterhover.lidar import (
     rotated_beams,
     scan,
 )
+from geometry_reference import make_peanut_mesh
 from lidar_reference import cast_ray, cast_rays_reference, ray_triangle_intersect
 
 IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
@@ -38,10 +38,7 @@ def scan_at(mesh, position, q, cfg):
 
 def candidate_faces(prep, origin, dirs):
     """The facets the pre-pass keeps for one cast of `dirs` from `origin`."""
-    axis, half_angle = beam_cone(dirs)
-    faces, _, _, _ = LaneMeshes([prep]).candidates(
-        origin[None], axis[None], np.array([half_angle]), np.ones(1, dtype=bool)
-    )
+    faces, _, _, _ = LaneMeshes([prep], dirs[None]).candidates(origin[None], np.ones(1, dtype=bool))
     return faces
 
 
@@ -357,7 +354,6 @@ def lane_bodies():
 def test_lane_cast_matches_per_lane_cast_rays(lane_bodies):
     # Lanes with their own bodies, positions and beams; lane 1 finished
     # (masked), lane 3 looking away from its body, so no facet is kept.
-    lanes = LaneMeshes(lane_bodies)
     live = np.array([True, False, True, True])
     views = [scan_positions(prep, 5, seed=k) for k, prep in enumerate(lane_bodies)]
     hits = 0
@@ -365,11 +361,10 @@ def test_lane_cast_matches_per_lane_cast_rays(lane_bodies):
         origins = np.array([view[step][0] for view in views])
         beams = np.array([view[step][1] for view in views])
         beams[3] = -beams[3]
-        cones = [beam_cone(b) for b in beams]
-        axes, half_angles = np.array([c[0] for c in cones]), np.array([c[1] for c in cones])
-        _, kept, _, _ = lanes.candidates(origins, axes, half_angles, live)
+        lanes = LaneMeshes(lane_bodies, beams)
+        _, kept, _, _ = lanes.candidates(origins, live)
         assert set(kept.tolist()) == {0, 2}
-        ranges, hit = lanes.cast(origins, beams, axes, half_angles, live)
+        ranges, hit = lanes.cast(origins, live)
         assert ranges.shape == hit.shape == (4, 64)
         for k in np.flatnonzero(live):
             want_ranges, want_hit = cast_rays(lane_bodies[k], origins[k], beams[k])
@@ -384,10 +379,98 @@ def test_lane_cast_matches_per_lane_cast_rays(lane_bodies):
 
 
 def test_lane_cast_of_one_lane_is_views(lane_bodies):
-    one = LaneMeshes(lane_bodies[:1])
+    beams = beam_directions(SensorConfig()).reshape(1, -1, 3)
+    one = LaneMeshes(lane_bodies[:1], beams)
     assert one.centroid.base is lane_bodies[0].centroid
     with pytest.raises(ConfigurationError):
-        LaneMeshes([lane_bodies[0], PreparedMesh(generate_icosphere(1))])
+        LaneMeshes([lane_bodies[0], PreparedMesh(generate_icosphere(1))], np.repeat(beams, 2, axis=0))
+
+
+def sphere_gap(prep, origin):
+    """Distance from `origin` to the nearest facet bounding sphere."""
+    return float(np.min(np.linalg.norm(prep.centroid - origin, axis=1) - prep.radius))
+
+
+def plane_crossing(prep, casts):
+    """A path across the plane of one facet, from behind it to in front,
+    with 64 rays that descend onto the facet from in front.
+
+    The path lies on the facet's plane extended beyond a corner, where the
+    origin keeps a positive gap to every bounding sphere, so the lane has a
+    ball; it moves 0.3 of that gap in all, so the ball is rebuilt near the
+    crossing and then serves casts from the far side of the plane.
+    """
+    for f in np.argsort(-prep.centroid[:, 2]):
+        c = prep.centroid[f]
+        origin = c + 4.0 * (prep.v0[f] - c)
+        gap = sphere_gap(prep, origin)
+        if gap > 0.25 * np.linalg.norm(prep.v0[f] - c):
+            break
+    else:
+        pytest.fail("no facet plane to cross outside the bounding spheres")
+    n = prep.normal[f] / prep.normal_len[f]
+    path = origin + np.linspace(-0.15, 0.15, casts)[:, None] * gap * n
+    toward = (c - origin) / np.linalg.norm(c - origin)
+    side = np.cross(n, toward)
+    tilts = np.logspace(-4.0, -0.5, 16)
+    beams = np.array([
+        toward + lateral * side - tilt * n for tilt in tilts for lateral in (-0.1, -0.03, 0.0, 0.03)
+    ])
+    return path, beams / np.linalg.norm(beams, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("body", ["level2", "level3", "level5", "peanut"], indirect=True)
+def test_candidate_balls_match_reference_along_paths(body, rng, monkeypatch):
+    # Five lanes fly through one persistent LaneMeshes, as in a rollout:
+    # 0 drifts at a constant velocity; 1 thrusts toward the facet nearest its
+    # start and ends inside that facet's bounding sphere, where its ball
+    # has radius 0; 2 drifts and finishes half way; 3 drifts looking away
+    # from the body, so it keeps no facet; 4 crosses a facet's plane.
+    casts = 20 if body.num_faces > 5000 else 40
+    rebuilt = []
+    build = LaneMeshes._build_balls
+
+    def counting_build(self, lanes, origins):
+        rebuilt.extend((self, lane) for lane in lanes.tolist())
+        return build(self, lanes, origins)
+
+    monkeypatch.setattr(LaneMeshes, "_build_balls", counting_build)
+    starts = scan_positions(body, 4, seed=3)
+    t = np.arange(casts)[:, None] / (casts - 1)
+    paths, beams = [], []
+    for k, (start, dirs) in enumerate(starts):
+        if k == 1:
+            f = np.argmin(np.linalg.norm(body.centroid - start, axis=1))
+            inside = body.centroid[f] + 0.5 * body.radius[f] * body.normal[f] / body.normal_len[f]
+            paths.append(start + t**2 * (inside - start))
+        else:  # sideways to the beams, 0.03 of the gap per cast
+            step = np.cross(beam_cone(dirs)[0], rng.standard_normal(3))
+            step *= 0.03 * sphere_gap(body, start) / np.linalg.norm(step)
+            paths.append(start + t * (casts - 1) * step)
+        beams.append(-dirs if k == 3 else dirs)
+    path, crossing_beams = plane_crossing(body, casts)
+    paths.append(path)
+    beams.append(crossing_beams)
+    paths, beams = np.stack(paths, axis=1), np.array(beams)           # (casts, 5, 3), (5, 64, 3)
+    assert sphere_gap(body, paths[-1, 1]) < 0.0
+
+    lanes = LaneMeshes([body] * 5, beams)
+    hits = np.zeros(5, dtype=int)
+    for step, origins in enumerate(paths):
+        live = np.array([True, True, step < casts // 2, True, True])
+        _, kept_lanes, _, _ = lanes.candidates(origins, live)
+        assert 3 not in kept_lanes
+        ranges, hit = lanes.cast(origins, live)
+        for k in np.flatnonzero(live):
+            want_ranges, want_hit = cast_rays(body, origins[k], beams[k])
+            ref_ranges, ref_hit = cast_rays_reference(body, origins[k], beams[k])
+            assert ranges[k].tobytes() == want_ranges.tobytes() == ref_ranges.tobytes()
+            assert hit[k].tobytes() == want_hit.tobytes() == ref_hit.tobytes()
+        np.testing.assert_array_equal(ranges[~live], 2000.0)
+        hits += hit.sum(axis=1)
+    assert hits[[0, 1, 2, 4]].all() and hits[3] == 0
+    # The drift lane's ball is rebuilt, but not at every cast.
+    assert 1 < rebuilt.count((lanes, 0)) < casts
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Static checks over the package source."""
 
 import ast
+import collections
 import pathlib
 
 import pytest
@@ -9,6 +10,14 @@ import asterhover
 
 PACKAGE = pathlib.Path(asterhover.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+# Public package names that nothing in src/ or perfbench/ names, each with
+# the reason it stays.
+UNCALLED = {
+    "lidar.crossing_count": "the parity test the `impact` outcome will run (ROADMAP item 5)",
+    "dynamics.asteroid_angular_velocity": "the spin vector the acceptance criteria check",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -40,6 +49,48 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
+def names_read(tree: ast.AST) -> collections.Counter:
+    """How often `tree` reads each name: bare names and attribute names,
+    also inside a string constant that parses as an expression."""
+    used = collections.Counter()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name):
+            used[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            used[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                stack.append(ast.parse(node.value, mode="eval"))
+            except SyntaxError:
+                pass
+        stack.extend(ast.iter_child_nodes(node))
+    return used
+
+
+def uncalled_public_names(package: dict[str, str], others: list[str]) -> set[str]:
+    """`module.name` of each public module-level function or class of the
+    `package` sources (module name -> source) that neither those sources nor
+    the `others` name outside its own definition. Importing a name by
+    `from` counts as naming it."""
+    trees = {module: ast.parse(source) for module, source in package.items()}
+    read = collections.Counter()
+    for tree in [*trees.values(), *map(ast.parse, others)]:
+        read.update(names_read(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return {
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and read[node.name] == names_read(node)[node.name]
+    }
+
+
 def test_unused_import_check_catches_one():
     source = (
         "from __future__ import annotations\n"
@@ -52,3 +103,23 @@ def test_unused_import_check_catches_one():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_module_level_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_uncalled_public_name_check_catches_one():
+    package = {
+        "a": "def used():\n    return 1\n\ndef alone(n):\n    return alone(n - 1)\n"
+             "class _Private:\n    pass\n",
+        "b": "from .a import used\n",
+    }
+    assert uncalled_public_names(package, []) == {"a.alone"}
+    assert uncalled_public_names(package, ["import a\na.alone(3)\n"]) == set()
+    assert uncalled_public_names(package, ["x: 'alone'\n"]) == set()
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    # An entry of UNCALLED that gains a caller must leave it, and a public
+    # function or class that only tests use belongs in tests/.
+    package = {path.stem: path.read_text() for path in MODULES}
+    others = [path.read_text() for path in sorted(PERFBENCH.glob("*.py"))]
+    assert others, f"no perfbench sources under {PERFBENCH}"
+    assert uncalled_public_names(package, others) == set(UNCALLED)
