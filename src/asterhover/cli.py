@@ -85,8 +85,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     if args.resume:
         cfg.resume = True
     cfg.validate()
-    write_resolved_config(cfg.out_dir, "train", cfg)
-    metrics_path = train(cfg, log=print)
+    metrics_path = train(
+        cfg, log=print,
+        before_write=lambda: write_resolved_config(cfg.out_dir, "train", cfg),
+    )
     print(f"wrote {metrics_path}")
     return 0
 

@@ -3,9 +3,10 @@ config objects, and echo the fully resolved result into a run directory;
 plus the one number format of every CSV a run writes.
 
 The YAML layout mirrors the config dataclasses (nested sections for the
-scenario, asteroid ranges, sensor, reward, and update hyperparameters), so
-any default named in the code can be pinned in a file or overridden on the
-command line as `section.key=value`; later sources win.
+scenario, asteroid ranges, sensor, and update hyperparameters), so any
+config field can be pinned in a file or overridden on the command line as
+`section.key=value`; later sources win. The paper's reward, limits and
+sensor-noise model are module constants, not config fields.
 """
 
 from __future__ import annotations

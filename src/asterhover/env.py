@@ -21,8 +21,6 @@ from typing import Any, Callable, Iterator, Sequence
 import numpy as np
 
 from .dynamics import (
-    G_REF,
-    ISP_DEFAULT,
     ExternalForces,
     SpacecraftState,
     dcm_to_quat,
@@ -61,21 +59,26 @@ from .lidar import (
 R_ERR_SCALE = 100.0
 DR_SCALE = 10.0
 
+# The reward weights (see compute_reward) and the limits they reference.
+ALPHA = -0.02       # weight on position error, 1/m
+BETA = -0.01        # weight on attitude deviation angle, 1/rad
+GAMMA_CTRL = -0.05  # weight on normalized control effort
+ETA = 0.01          # constant per-step term
+ZETA = 10.0         # terminal bonus
+KAPPA = -50.0       # constraint-violation penalty
+TERMINAL_POS_LIMIT = 2.0      # m
+TERMINAL_SPEED_LIMIT = 0.10   # m/s
+TERMINAL_OMEGA_LIMIT = 0.025  # rad/s, per component
+ROT_LIMIT = 0.10              # rad/s per component, hard constraint
 
-@dataclass
-class RewardConfig:
-    """Reward weights and the limits they reference."""
-
-    alpha: float = -0.02       # weight on position error, 1/m
-    beta: float = -0.01        # weight on attitude deviation angle, 1/rad
-    gamma_ctrl: float = -0.05  # weight on normalized control effort
-    eta: float = 0.01          # constant per-step term
-    zeta: float = 10.0         # terminal bonus
-    kappa: float = -50.0       # constraint-violation penalty
-    terminal_pos_limit: float = 2.0      # m
-    terminal_speed_limit: float = 0.10   # m/s
-    terminal_omega_limit: float = 0.025  # rad/s, per component
-    rot_limit: float = 0.10              # rad/s per component, hard constraint
+# The fixed parts of every scenario.
+RK4_DT = 2.0            # s, integrator substep
+DRY_MASS = 400.0        # propellant floor, kg
+THETA_MAX_DEG = 90.0    # bound on the polar angle of the position direction
+MAX_IC_RETRIES = 50     # initial-condition draws before reset gives up
+COM_RANGE = 0.10        # centre-of-mass offset per component under com_variation, m
+NOISE_BIAS_RANGE = 5.0  # per-episode range bias drawn from +-this under sensor_noise, m
+NOISE_SIGMA = 2.0       # per-sample range noise under sensor_noise, m
 
 
 @dataclass
@@ -84,72 +87,54 @@ class EpisodeConfig:
 
     duration: float = 600.0       # s
     control_period: float = 6.0   # s, one policy action per period
-    rk4_dt: float = 2.0           # s, integrator substep
 
     # Initial condition ranges.
     range_min: float = 100.0      # hover altitude above the surface, m
     range_max: float = 600.0
-    theta_max_deg: float = 90.0   # polar angle of the position direction
     velocity_max: float = 0.10    # per component, m/s
     attitude_err_max_deg: float = 11.0
     omega_max: float = 0.020      # per component, rad/s
     wet_mass_min: float = 450.0   # kg
     wet_mass_max: float = 500.0
-    dry_mass: float = 400.0       # propellant floor, kg
-
-    isp: float = ISP_DEFAULT      # s
-    g_ref: float = G_REF          # m/s^2
 
     # Scenario switches.
     failure_prob: float = 0.5     # chance one thruster runs degraded
     failure_scale: float = 0.9    # output fraction of the degraded thruster
     com_variation: bool = False
-    com_range: float = 0.10       # per component, m
     sensor_noise: bool = False
-    noise_bias_range: float = 5.0  # per-episode bias drawn from +-this, m
-    noise_sigma: float = 2.0       # per-sample, m
     mesh_file: str | None = None   # hover over a fixed shape model instead
     mesh_scale: float = 1.0
-
-    max_ic_retries: int = 50
 
     asteroid: AsteroidGenConfig = field(default_factory=AsteroidGenConfig)
     dyn: AsteroidDynRanges = field(default_factory=AsteroidDynRanges)
     sensor: SensorConfig = field(default_factory=SensorConfig)
-    reward: RewardConfig = field(default_factory=RewardConfig)
 
     def validate(self) -> None:
-        if self.duration <= 0.0 or self.control_period <= 0.0 or self.rk4_dt <= 0.0:
-            raise ConfigurationError("duration, control_period and rk4_dt must be positive")
-        sub = self.control_period / self.rk4_dt
+        if self.duration <= 0.0 or self.control_period <= 0.0:
+            raise ConfigurationError("duration and control_period must be positive")
+        sub = self.control_period / RK4_DT
         if abs(sub - round(sub)) > 1e-9 or round(sub) < 1:
-            raise ConfigurationError("control_period must be an integer multiple of rk4_dt")
+            raise ConfigurationError(f"control_period must be an integer multiple of {RK4_DT} s")
         steps = self.duration / self.control_period
         if abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
             raise ConfigurationError("duration must be an integer multiple of control_period")
         if not (0.0 < self.range_min <= self.range_max):
             raise ConfigurationError("range must satisfy 0 < min <= max")
-        if not (0.0 <= self.theta_max_deg <= 180.0):
-            raise ConfigurationError("theta_max_deg must lie in [0, 180]")
         if self.velocity_max < 0.0 or self.omega_max < 0.0 or self.attitude_err_max_deg < 0.0:
             raise ConfigurationError("IC ranges must be >= 0")
-        if not (0.0 < self.dry_mass <= self.wet_mass_min <= self.wet_mass_max):
-            raise ConfigurationError("need 0 < dry_mass <= wet_mass_min <= wet_mass_max")
+        if not (DRY_MASS <= self.wet_mass_min <= self.wet_mass_max):
+            raise ConfigurationError(f"need {DRY_MASS} kg dry mass <= wet_mass_min <= wet_mass_max")
         if not (0.0 <= self.failure_prob <= 1.0):
             raise ConfigurationError("failure_prob must lie in [0, 1]")
-        if self.isp <= 0.0 or self.g_ref <= 0.0:
-            raise ConfigurationError("isp and g_ref must be positive")
-        if self.noise_bias_range < 0.0 or self.noise_sigma < 0.0:
-            raise ConfigurationError("noise_bias_range and noise_sigma must be >= 0")
-        if self.max_ic_retries < 1:
-            raise ConfigurationError("max_ic_retries must be >= 1")
+        if not (0.0 <= self.failure_scale <= 1.0):
+            raise ConfigurationError("failure_scale must lie in [0, 1]")
         self.asteroid.validate()
         self.dyn.validate()
         self.sensor.validate()
 
     @property
     def substeps(self) -> int:
-        return int(round(self.control_period / self.rk4_dt))
+        return int(round(self.control_period / RK4_DT))
 
     @property
     def max_steps(self) -> int:
@@ -234,21 +219,20 @@ def compute_reward(
     action: np.ndarray,
     terminal_ok: bool,
     violated: bool,
-    cfg: RewardConfig,
 ) -> tuple[float, dict[str, float]]:
     """Per-step reward and its exact decomposition.
 
-    r = alpha*pos_err + beta*angle(dq) + gamma*(sum of bits)/12 + eta
-        + zeta*[terminal limits met at the final step] + kappa*[violation]
+    r = ALPHA*pos_err + BETA*angle(dq) + GAMMA_CTRL*(sum of bits)/12 + ETA
+        + ZETA*[terminal limits met at the final step] + KAPPA*[violation]
     """
     effort = float(np.sum(action)) / action.shape[0]
     terms = {
-        "position": cfg.alpha * pos_err,
-        "attitude": cfg.beta * quat_angle(dq),
-        "control": cfg.gamma_ctrl * effort,
-        "step": cfg.eta,
-        "terminal_bonus": cfg.zeta if terminal_ok else 0.0,
-        "violation": cfg.kappa if violated else 0.0,
+        "position": ALPHA * pos_err,
+        "attitude": BETA * quat_angle(dq),
+        "control": GAMMA_CTRL * effort,
+        "step": ETA,
+        "terminal_bonus": ZETA if terminal_ok else 0.0,
+        "violation": KAPPA if violated else 0.0,
     }
     return float(sum(terms.values())), terms
 
@@ -312,7 +296,7 @@ def sample_initial_conditions(
     mass, COM offset. Returns None when the position direction misses the
     mesh (caller retries).
     """
-    theta = math.radians(rng.uniform(0.0, cfg.theta_max_deg))
+    theta = math.radians(rng.uniform(0.0, THETA_MAX_DEG))
     phi = rng.uniform(-math.pi, math.pi)
     u = np.array(
         [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)]
@@ -327,7 +311,7 @@ def sample_initial_conditions(
     omega = rng.uniform(-cfg.omega_max, cfg.omega_max, size=3)
     wet_mass = rng.uniform(cfg.wet_mass_min, cfg.wet_mass_max)
     com = (
-        rng.uniform(-cfg.com_range, cfg.com_range, size=3)
+        rng.uniform(-COM_RANGE, COM_RANGE, size=3)
         if cfg.com_variation
         else np.zeros(3)
     )
@@ -398,14 +382,14 @@ class HoverEnv:
             self.table.health[int(self.rng.integers(12))] = cfg.failure_scale
 
         self._noise_bias = (
-            self.rng.uniform(-cfg.noise_bias_range, cfg.noise_bias_range)
+            self.rng.uniform(-NOISE_BIAS_RANGE, NOISE_BIAS_RANGE)
             if cfg.sensor_noise
             else 0.0
         )
 
         # Initial conditions must leave the sensor with at least one valid
         # return; resample otherwise (bounded).
-        for _ in range(cfg.max_ic_retries):
+        for _ in range(MAX_IC_RETRIES):
             state = sample_initial_conditions(self.rng, cfg, self._prep)
             if state is None:
                 continue
@@ -418,7 +402,7 @@ class HoverEnv:
                 break
         else:
             raise SimulationError(
-                f"no viable initial condition in {cfg.max_ic_retries} draws"
+                f"no viable initial condition in {MAX_IC_RETRIES} draws"
             )
 
         self.q0 = state.attitude.copy()
@@ -443,7 +427,7 @@ class HoverEnv:
         if not self.cfg.sensor_noise:
             return frame
         return apply_sensor_noise(
-            frame, self._noise_bias, self.cfg.noise_sigma, self.rng, self.cfg.sensor.max_range
+            frame, self._noise_bias, NOISE_SIGMA, self.rng, self.cfg.sensor.max_range
         )
 
     def step(self, action: np.ndarray) -> None:
@@ -462,10 +446,7 @@ class HoverEnv:
         cfg = self.cfg
         mass_before = self.state.mass
         for _ in range(cfg.substeps):
-            self.state = rk4_step(
-                self.state, a, cfg.rk4_dt, self.model, self.table,
-                ext=self._ext, isp=cfg.isp, g_ref=cfg.g_ref,
-            )
+            self.state = rk4_step(self.state, a, RK4_DT, self.model, self.table, ext=self._ext)
         self.fuel_used += mass_before - self.state.mass
         self.steps += 1
         self._action = a
@@ -514,22 +495,20 @@ class HoverEnv:
         pos_err = float(np.linalg.norm(r_err))
         speed = float(np.linalg.norm(state.velocity))
 
-        rot_breach = bool(np.any(np.abs(omega) > cfg.reward.rot_limit))
+        rot_breach = bool(np.any(np.abs(omega) > ROT_LIMIT))
         all_miss = not frame.hit.any()
-        fuel_out = state.mass <= cfg.dry_mass
+        fuel_out = state.mass <= DRY_MASS
         violated = rot_breach or all_miss or fuel_out
 
         time_done = self.steps >= cfg.max_steps
         terminal_ok = (
             time_done
-            and pos_err <= cfg.reward.terminal_pos_limit
-            and speed <= cfg.reward.terminal_speed_limit
-            and bool(np.all(np.abs(omega) <= cfg.reward.terminal_omega_limit))
+            and pos_err <= TERMINAL_POS_LIMIT
+            and speed <= TERMINAL_SPEED_LIMIT
+            and bool(np.all(np.abs(omega) <= TERMINAL_OMEGA_LIMIT))
         )
 
-        reward, terms = compute_reward(
-            pos_err, dq, self._action, terminal_ok, violated, cfg.reward
-        )
+        reward, terms = compute_reward(pos_err, dq, self._action, terminal_ok, violated)
         self.done = time_done or violated
 
         inputs = self._inputs(frame, r_err, dq)

@@ -26,7 +26,7 @@ from . import nn
 from .config import apply_to_dataclass, csv_field, nest_dotted
 from .env import EpisodeConfig, HoverEnv, good_hover, rollout
 from .errors import ConfigurationError, MeshLoadError
-from .ppo import ACTION_STREAM, trained_episode_record
+from .ppo import ACTION_STREAM, check_trained_episode
 
 
 @dataclass
@@ -265,18 +265,12 @@ def load_policy(checkpoint_path: str, cfg: EpisodeConfig) -> nn.PolicyNetwork:
     fly episodes of `cfg`.
 
     Raises ConfigurationError when the checkpoint records an episode
-    setting (:func:`~asterhover.ppo.trained_episode_record`) that `cfg`
-    does not share; a checkpoint that records none loads as it is.
+    setting that `cfg` does not share (see
+    :func:`~asterhover.ppo.check_trained_episode`).
     """
     policy = nn.PolicyNetwork(seed=0)
     meta = nn.load_checkpoint(checkpoint_path, policy, nn.ValueNetwork(seed=0))
-    for key, value in trained_episode_record(cfg).items():
-        trained = meta["extra"].get(key, value)
-        if trained != value:
-            raise ConfigurationError(
-                f"{checkpoint_path} was trained with {key}={trained!r}, "
-                f"but this run has {key}={value!r}"
-            )
+    check_trained_episode(checkpoint_path, meta["extra"], cfg)
     return policy
 
 

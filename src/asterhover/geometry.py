@@ -20,6 +20,10 @@ from .errors import ConfigurationError, MeshLoadError
 # Universal gravitational constant, m^3 kg^-1 s^-2.
 GRAVITATIONAL_CONSTANT = 6.674e-11
 
+# Range of the nutation angle (between the spin axis and +z) drawn per body, rad.
+NUTATION_MIN = math.radians(45.0)
+NUTATION_MAX = math.radians(90.0)
+
 
 @dataclass
 class TriMesh:
@@ -152,14 +156,13 @@ class AsteroidGenConfig:
 
 @dataclass
 class AsteroidDynRanges:
-    """Ranges for the random mass and rotation-state synthesis."""
+    """Ranges for the random mass, spin and solar-pressure draws; the
+    nutation range is fixed (NUTATION_MIN, NUTATION_MAX)."""
 
     mass_min: float = 1.0e10   # kg
     mass_max: float = 1.5e12
     spin_min: float = 1.0e-6   # body rate magnitude, rad/s
     spin_max: float = 5.0e-4
-    nutation_min: float = math.radians(45.0)  # angle between spin axis and +z, rad
-    nutation_max: float = math.radians(90.0)
     srp_max: float = 100.0e-6  # per-component solar pressure accel bound, m/s^2
 
     def validate(self) -> None:
@@ -167,8 +170,6 @@ class AsteroidDynRanges:
             raise ConfigurationError("mass range must satisfy 0 < min <= max")
         if not (0.0 <= self.spin_min <= self.spin_max):
             raise ConfigurationError("spin range must satisfy 0 <= min <= max")
-        if not (0.0 <= self.nutation_min <= self.nutation_max <= math.pi):
-            raise ConfigurationError("nutation range must lie in [0, pi] with min <= max")
         if self.srp_max < 0.0:
             raise ConfigurationError("srp_max must be >= 0")
 
@@ -254,7 +255,7 @@ def draw_rotation_state(
     """
     mass = rng.uniform(dyn.mass_min, dyn.mass_max)
     spin = rng.uniform(dyn.spin_min, dyn.spin_max)
-    nutation = rng.uniform(dyn.nutation_min, dyn.nutation_max)
+    nutation = rng.uniform(NUTATION_MIN, NUTATION_MAX)
     phase = rng.uniform(0.0, 2.0 * math.pi)
     srp = rng.uniform(-dyn.srp_max, dyn.srp_max, size=3)
     _, sigma = ellipsoid_rotation_params(*axes)

@@ -456,11 +456,6 @@ def action_log_prob(logits: np.ndarray, action: np.ndarray) -> np.ndarray:
     return np.take_along_axis(lp, idx, axis=-1)[..., 0].sum(axis=-1)
 
 
-def entropy(logits: np.ndarray) -> np.ndarray:
-    lp = log_softmax(logits)
-    return -(np.exp(lp) * lp).sum(axis=-1).sum(axis=-1)
-
-
 def kl_divergence(logits_old: np.ndarray, logits_new: np.ndarray) -> np.ndarray:
     """KL(old || new), summed over the 12 heads."""
     lp_old = log_softmax(logits_old)
@@ -496,14 +491,6 @@ def logp_grad_logits(logits: np.ndarray, action: np.ndarray, coeff: np.ndarray) 
     onehot = np.zeros_like(p)
     np.put_along_axis(onehot, np.asarray(action, dtype=np.int64)[..., None], 1.0, axis=-1)
     return np.asarray(coeff)[..., None, None] * (onehot - p)
-
-
-def entropy_grad_logits(logits: np.ndarray, coeff: np.ndarray) -> np.ndarray:
-    """Gradient of sum(coeff * entropy) wrt logits: -coeff * p * (log p + H)."""
-    lp = log_softmax(logits)
-    p = np.exp(lp)
-    h_per_head = -(p * lp).sum(axis=-1, keepdims=True)
-    return np.asarray(coeff)[..., None, None] * (-p * (lp + h_per_head))
 
 
 # --------------------------------------------------------------------------

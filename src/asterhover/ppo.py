@@ -54,7 +54,6 @@ class PPOConfig:
     epochs: int = 10
     episodes_per_batch: int = 30
     minibatch_episodes: int = 10
-    entropy_coeff: float = 0.0
     policy_lr: float = 3.0e-4
     value_lr: float = 1.0e-3
 
@@ -289,7 +288,6 @@ def policy_minibatch_step(
     advantages: np.ndarray,
     mask: np.ndarray,
     clip_eps: float,
-    entropy_coeff: float,
 ) -> tuple[float, float, bool]:
     """One ascent step on the clipped surrogate over whole episodes.
 
@@ -304,8 +302,6 @@ def policy_minibatch_step(
     denom = mask.sum()
     objective = float((surrogate * mask).sum() / denom)
     clip_frac = float(((np.abs(ratio - 1.0) > clip_eps) * mask).sum() / denom)
-    if entropy_coeff != 0.0:
-        objective += entropy_coeff * masked_mean(nn.entropy(logits), mask)
     if not np.isfinite(objective):
         return objective, clip_frac, False
 
@@ -314,8 +310,6 @@ def policy_minibatch_step(
     # vanishes outside the clip window).
     coeff = ratio * advantages * (unclipped <= surrogate) * mask / denom
     dlogits = nn.logp_grad_logits(logits, actions, coeff)
-    if entropy_coeff != 0.0:
-        dlogits += nn.entropy_grad_logits(logits, entropy_coeff * mask / denom)
     policy.zero_grads()
     policy.backward_sequence(dlogits, caches)
     grads = policy.gradients()
@@ -394,7 +388,7 @@ def ppo_update(
                     batch.images[:, mb], batch.vecs[:, mb],
                     batch.actions[:, mb], batch.logp_old[:, mb],
                     batch.advantages[:, mb], batch.mask[:, mb],
-                    eps, cfg.entropy_coeff,
+                    eps,
                 )
                 if not ok:
                     return UpdateStats(
@@ -482,6 +476,20 @@ def trained_episode_record(cfg: EpisodeConfig) -> dict[str, float]:
     }
 
 
+def check_trained_episode(checkpoint_path: str, extra: dict, cfg: EpisodeConfig) -> None:
+    """Raise ConfigurationError when the checkpoint at `checkpoint_path`,
+    whose `extra` payload is given, records an episode setting (see
+    :func:`trained_episode_record`) that `cfg` does not share, naming the
+    field and both values; a checkpoint that records none passes."""
+    for key, value in trained_episode_record(cfg).items():
+        trained = extra.get(key, value)
+        if trained != value:
+            raise ConfigurationError(
+                f"{checkpoint_path} was trained with {key}={trained!r}, "
+                f"but this run has {key}={value!r}"
+            )
+
+
 def latest_checkpoint(out_dir: str) -> str | None:
     best, best_n = None, -1
     for path in glob.glob(os.path.join(out_dir, "checkpoint_*.npz")):
@@ -510,18 +518,20 @@ def _truncate_metrics(path: str, next_batch: int) -> None:
         fh.truncate(sum(len(line) for line in lines[:keep]))
 
 
-def train(cfg: TrainConfig, log=None) -> str:
+def train(cfg: TrainConfig, log=None, before_write=None) -> str:
     """Run the full collect / advantage / update loop.
 
     Writes metrics.csv (one row per batch) and numbered checkpoints into
-    cfg.out_dir; the `train` subcommand records the resolved config there.
+    cfg.out_dir. `before_write`, when given, is called once the resume
+    checkpoint (if any) has been accepted and before anything is written;
+    the `train` subcommand records the resolved config there, so a refused
+    resume leaves the run directory as it was.
     Returns the metrics file path.
     Reruns with identical config produce byte-identical metrics; resume
     picks up after the last checkpoint and yields the same rows as an
     uninterrupted run.
     """
     cfg.validate()
-    os.makedirs(cfg.out_dir, exist_ok=True)
 
     policy, value_net = build_networks(cfg.seed)
     policy_opt = nn.Adam(policy.parameters(), lr=cfg.ppo.policy_lr)
@@ -534,9 +544,13 @@ def train(cfg: TrainConfig, log=None) -> str:
         ck = latest_checkpoint(cfg.out_dir)
         if ck is None:
             raise ConfigurationError(f"no checkpoint to resume from in {cfg.out_dir}")
-        meta = nn.load_checkpoint(ck, policy, value_net, policy_opt, value_opt)
-        start_batch = int(meta["extra"]["next_batch"])
-        clip_eps = float(meta["extra"]["clip_eps"])
+        extra = nn.load_checkpoint(ck, policy, value_net, policy_opt, value_opt)["extra"]
+        check_trained_episode(ck, extra, cfg.episode)
+        start_batch = int(extra["next_batch"])
+        clip_eps = float(extra["clip_eps"])
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    if before_write is not None:
+        before_write()
 
     mode = "a" if cfg.resume and os.path.exists(metrics_path) else "w"
     if mode == "a":

@@ -1,6 +1,7 @@
 """Command line behavior: subcommands, exit codes, config precedence,
 determinism of artifacts."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -20,6 +21,7 @@ from asterhover.config import (
     parse_overrides,
 )
 from asterhover.errors import ConfigurationError
+from asterhover.evaluation import get_scenario
 from asterhover.geometry import load_mesh, save_mesh
 from asterhover.ppo import TrainConfig
 from geometry_reference import make_peanut_mesh
@@ -109,9 +111,9 @@ def test_apply_to_dataclass_checks_value_types():
         ("episode.sensor_noise=yes_please", "episode.sensor_noise must be bool"),
         ("episode.asteroid.subdivision_level=2.0", "subdivision_level must be int"),
         ("episode.duration=.inf", "episode.duration must be float"),
-        ("episode.rk4_dt=.nan", "episode.rk4_dt must be float"),
+        ("episode.control_period=.nan", "episode.control_period must be float"),
         ("episode.sensor.max_range=-.inf", "episode.sensor.max_range must be float"),
-        ("episode.dry_mass=1" + "0" * 400, "episode.dry_mass must be float"),
+        ("episode.wet_mass_max=1" + "0" * 400, "episode.wet_mass_max must be float"),
         ("batches=true", "batches must be int"),
         ("out_dir=7", "out_dir must be str"),
     ):
@@ -121,7 +123,8 @@ def test_apply_to_dataclass_checks_value_types():
 
 @pytest.mark.parametrize("pair,path", [
     ("duration=abc", "duration"), ("sensor_noise=yes_please", "sensor_noise"),
-    ("duration=.inf", "duration"), ("rk4_dt=.nan", "rk4_dt"), ("noise_sigma=.nan", "noise_sigma"),
+    ("duration=.inf", "duration"), ("control_period=.nan", "control_period"),
+    ("failure_scale=.nan", "failure_scale"),
 ])
 def test_simulate_wrongly_typed_override_is_usage_error(tmp_path, capsys, pair, path):
     code = main(["simulate", "--seed", "2", "--out", str(tmp_path / "s"), pair])
@@ -145,6 +148,38 @@ def test_training_and_evaluation_imports_leave_yaml_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def settable_keys(obj, prefix=""):
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from settable_keys(value, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name
+
+
+def test_train_config_settable_keys():
+    # every settable value of a run; a new one must show up here as a diff
+    assert list(settable_keys(TrainConfig())) == [
+        "episode.duration", "episode.control_period",
+        "episode.range_min", "episode.range_max",
+        "episode.velocity_max", "episode.attitude_err_max_deg", "episode.omega_max",
+        "episode.wet_mass_min", "episode.wet_mass_max",
+        "episode.failure_prob", "episode.failure_scale",
+        "episode.com_variation", "episode.sensor_noise",
+        "episode.mesh_file", "episode.mesh_scale",
+        "episode.asteroid.subdivision_level",
+        "episode.asteroid.perturbation_min", "episode.asteroid.perturbation_max",
+        "episode.asteroid.axis_min", "episode.asteroid.axis_max",
+        "episode.dyn.mass_min", "episode.dyn.mass_max",
+        "episode.dyn.spin_min", "episode.dyn.spin_max", "episode.dyn.srp_max",
+        "episode.sensor.fov", "episode.sensor.max_range",
+        "ppo.gamma", "ppo.clip_eps", "ppo.kl_target", "ppo.epochs",
+        "ppo.episodes_per_batch", "ppo.minibatch_episodes",
+        "ppo.policy_lr", "ppo.value_lr",
+        "seed", "batches", "out_dir", "checkpoint_every", "resume",
+    ]
 
 
 def test_load_config_file_errors(tmp_path):
@@ -213,13 +248,67 @@ def test_train_cli_unknown_config_key_is_usage_error(tmp_path, capsys):
     cfg = write_tiny_train_config(tmp_path / "cfg.yaml", typo_key=1)
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
     assert "unknown config key" in capsys.readouterr().err
-    # range noise is set by episode.noise_*; the sensor has no noise keys
-    assert main(["train", "--out", str(tmp_path / "y"), "episode.sensor.noise_sigma=2"]) == 2
-    assert "unknown config key episode.sensor.noise_sigma" in capsys.readouterr().err
-    # the network-input format is fixed: grid size and input scales are constants
-    for key in ("episode.r_err_scale", "episode.dr_scale", "episode.sensor.grid_size"):
-        assert main(["train", "--out", str(tmp_path / "z"), f"{key}=4"]) == 2
-        assert f"unknown config key {key}" in capsys.readouterr().err
+    # the network-input format, the reward, the limits, the sensor-noise
+    # model, the substep and the nutation range are constants, and the
+    # update has no entropy bonus
+    for key in (
+        "episode.r_err_scale", "episode.dr_scale", "episode.sensor.grid_size",
+        "episode.sensor.noise_sigma", "episode.reward.alpha", "episode.theta_max_deg",
+        "episode.rk4_dt", "episode.dyn.nutation_max", "ppo.entropy_coeff",
+    ):
+        assert main(["train", "--out", str(tmp_path / "z"), f"{key}=1"]) == 2
+        # the error names the full dotted key, or the section that is gone
+        expected = "episode.reward" if key.startswith("episode.reward.") else key
+        assert f"unknown config key {expected}" in capsys.readouterr().err
+    assert main(["simulate", "--out", str(tmp_path / "s"), "noise_sigma=1"]) == 2
+    assert "unknown config key noise_sigma" in capsys.readouterr().err
+    assert not (tmp_path / "z").exists() and not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("value", ["-1", "1.5"])
+def test_train_failure_scale_outside_unit_interval_is_usage_error(tmp_path, capsys, value):
+    out = tmp_path / "x"
+    assert main(["train", "--out", str(out), f"episode.failure_scale={value}"]) == 2
+    assert "failure_scale must lie in [0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+    get_scenario("actuator-fail-0.5").episode_config()  # validates
+
+
+def run_dir_bytes(path):
+    return {name: (path / name).read_bytes() for name in sorted(os.listdir(path))}
+
+
+def test_train_cli_resume_refuses_other_episode_settings(tmp_path, capsys):
+    # A run trained on 0.8 rad images resumes only with the same sensor, and
+    # a refused resume changes nothing in the run directory.
+    cfg = str(write_tiny_train_config(tmp_path / "cfg.yaml", batches=1))
+    run, whole = tmp_path / "run", tmp_path / "whole"
+    fov = "episode.sensor.fov=0.8"
+    assert main(["train", "--config", cfg, "--out", str(run), fov]) == 0
+    before = run_dir_bytes(run)
+    capsys.readouterr()
+    assert main(["train", "--config", cfg, "--out", str(run), "--resume", "--batches", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "episode.sensor.fov=0.8" in err and f"episode.sensor.fov={math.radians(30.0)!r}" in err
+    assert run_dir_bytes(run) == before
+    resume = ["train", "--config", cfg, "--out", str(run), "--resume", "--batches", "2", fov]
+    assert main(resume) == 0
+    assert main(["train", "--config", cfg, "--out", str(whole), "--batches", "2", fov]) == 0
+    assert read(run / "metrics.csv") == read(whole / "metrics.csv")
+
+
+def test_train_cli_resume_refuses_checkpoint_without_optimizer_state(tmp_path, capsys):
+    cfg = str(write_tiny_train_config(tmp_path / "cfg.yaml", batches=1))
+    run = tmp_path / "run"
+    assert main(["train", "--config", cfg, "--out", str(run)]) == 0
+    policy, value = nn.PolicyNetwork(seed=0), nn.ValueNetwork(seed=0)
+    extra = nn.load_checkpoint(str(run / "checkpoint_000001.npz"), policy, value)["extra"]
+    nn.save_checkpoint(str(run / "checkpoint_000002.npz"), policy, value, extra=extra)
+    before = run_dir_bytes(run)
+    capsys.readouterr()
+    assert main(["train", "--config", cfg, "--out", str(run), "--resume", "--batches", "3"]) == 2
+    assert "no policy optimizer state" in capsys.readouterr().err
+    assert run_dir_bytes(run) == before
 
 
 def test_train_cli_resume_without_checkpoint_fails(tmp_path, capsys):

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from asterhover import nn
-from asterhover.dynamics import quat_angle, quat_error
+from asterhover.dynamics import G_REF, ISP_DEFAULT, quat_angle, quat_error
 from asterhover.env import (
     DR_SCALE,
+    DRY_MASS,
     R_ERR_SCALE,
     EpisodeConfig,
     HoverEnv,
-    RewardConfig,
     compute_reward,
     good_hover,
     rollout,
@@ -56,17 +56,17 @@ def quiet_config(**overrides) -> EpisodeConfig:
 def test_config_validation():
     EpisodeConfig().validate()
     with pytest.raises(ConfigurationError):
-        EpisodeConfig(control_period=5.0).validate()  # not a multiple of rk4_dt
+        EpisodeConfig(control_period=5.0).validate()  # not a multiple of RK4_DT
     with pytest.raises(ConfigurationError):
         EpisodeConfig(duration=601.0).validate()
     with pytest.raises(ConfigurationError):
         EpisodeConfig(range_min=600.0, range_max=100.0).validate()
     with pytest.raises(ConfigurationError):
-        EpisodeConfig(dry_mass=460.0).validate()
+        EpisodeConfig(wet_mass_min=399.0).validate()  # below DRY_MASS
     with pytest.raises(ConfigurationError):
         EpisodeConfig(failure_prob=1.5).validate()
     with pytest.raises(ConfigurationError):
-        EpisodeConfig(noise_sigma=-1.0).validate()
+        EpisodeConfig(velocity_max=-1.0).validate()
 
 
 def test_config_step_counts():
@@ -82,21 +82,19 @@ def test_config_step_counts():
 
 
 def test_reward_perfect_hover_mid_episode():
-    cfg = RewardConfig()
-    r, terms = compute_reward(0.0, IDENTITY_Q, np.zeros(12), False, False, cfg)
+    r, terms = compute_reward(0.0, IDENTITY_Q, np.zeros(12), False, False)
     assert r == pytest.approx(0.01, abs=1e-15)
     assert terms["step"] == 0.01
     assert terms["position"] == 0.0 and terms["attitude"] == 0.0
 
 
 def test_reward_terms_and_sum(rng):
-    cfg = RewardConfig()
     from asterhover.dynamics import quat_from_axis_angle
 
     dq = quat_from_axis_angle([0.0, 1.0, 0.0], 0.3)
     action = np.zeros(12)
     action[[0, 3, 7]] = 1.0
-    r, terms = compute_reward(5.0, dq, action, False, False, cfg)
+    r, terms = compute_reward(5.0, dq, action, False, False)
     assert terms["position"] == pytest.approx(-0.02 * 5.0, rel=1e-12)
     assert terms["attitude"] == pytest.approx(-0.01 * 0.3, rel=1e-9)
     assert terms["control"] == pytest.approx(-0.05 * 3.0 / 12.0, rel=1e-12)
@@ -104,11 +102,10 @@ def test_reward_terms_and_sum(rng):
 
 
 def test_reward_terminal_bonus_and_violation():
-    cfg = RewardConfig()
-    r_ok, terms_ok = compute_reward(1.0, IDENTITY_Q, np.zeros(12), True, False, cfg)
+    r_ok, terms_ok = compute_reward(1.0, IDENTITY_Q, np.zeros(12), True, False)
     assert terms_ok["terminal_bonus"] == 10.0
     assert r_ok == pytest.approx(10.0 + 0.01 - 0.02, abs=1e-12)
-    r_bad, terms_bad = compute_reward(0.0, IDENTITY_Q, np.zeros(12), False, True, cfg)
+    r_bad, terms_bad = compute_reward(0.0, IDENTITY_Q, np.zeros(12), False, True)
     assert terms_bad["violation"] == -50.0
     assert r_bad == pytest.approx(-50.0 + 0.01, abs=1e-12)
 
@@ -388,11 +385,11 @@ def test_all_miss_terminates():
 def test_fuel_floor_terminates():
     env = HoverEnv(quiet_config())
     env.reset(seed=8)
-    env.state.mass = env.cfg.dry_mass + 1.0e-4
+    env.state.mass = DRY_MASS + 1.0e-4
     _, _, _, done, info = fly(env, np.ones(12))
     assert done
     assert info["violation"] == "fuel"
-    assert env.state.mass <= env.cfg.dry_mass
+    assert env.state.mass <= DRY_MASS
 
 
 def test_fuel_accounting_matches_rocket_equation():
@@ -402,7 +399,7 @@ def test_fuel_accounting_matches_rocket_equation():
     action[[0, 1, 4]] = 1.0  # 3 N total
     for _ in range(10):
         fly(env, action)
-    expected = 10 * 6.0 * 3.0 / (env.cfg.isp * env.cfg.g_ref)
+    expected = 10 * 6.0 * 3.0 / (ISP_DEFAULT * G_REF)
     assert env.fuel_used == pytest.approx(expected, rel=1e-12)
 
 

@@ -5,6 +5,8 @@ import pytest
 
 from asterhover.errors import ConfigurationError, MeshLoadError
 from asterhover.geometry import (
+    NUTATION_MAX,
+    NUTATION_MIN,
     AsteroidDynRanges,
     AsteroidGenConfig,
     TriMesh,
@@ -97,7 +99,7 @@ def test_synthesize_respects_ranges():
         assert r.min() >= cfg.axis_min * (1.0 - cfg.perturbation_max * math.sqrt(3.0)) - 1e-9
         assert dyn.mass_min <= m.mass <= dyn.mass_max
         assert dyn.spin_min <= m.spin_rate <= dyn.spin_max
-        assert dyn.nutation_min <= m.nutation <= dyn.nutation_max
+        assert NUTATION_MIN <= m.nutation <= NUTATION_MAX
         assert 0.0 <= m.phase < 2.0 * math.pi
         assert np.all(np.abs(m.srp_accel) <= dyn.srp_max)
         assert np.all(m.axes >= cfg.axis_min) and np.all(m.axes <= cfg.axis_max)

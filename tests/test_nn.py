@@ -23,8 +23,6 @@ from asterhover.nn import (
     PolicyNetwork,
     ValueNetwork,
     action_log_prob,
-    entropy,
-    entropy_grad_logits,
     greedy_action,
     kl_divergence,
     load_checkpoint,
@@ -523,13 +521,12 @@ def test_checkpoint_bytes_of_fresh_networks_are_pinned(tmp_path):
 # --------------------------------------------------------------------------
 # Distribution over 12 independent on/off heads
 
-def test_zero_logits_give_half_probability_and_known_entropy():
+def test_zero_logits_give_half_probability():
     logits = np.zeros((1, 12, 2))
     p = softmax(logits)
     np.testing.assert_allclose(p, 0.5)
     action = np.zeros((1, 12), dtype=np.int64)
     np.testing.assert_allclose(action_log_prob(logits, action), 12.0 * np.log(0.5), rtol=1e-15)
-    np.testing.assert_allclose(entropy(logits), 12.0 * np.log(2.0), rtol=1e-15)
 
 
 def test_saturated_logits_are_deterministic():
@@ -567,20 +564,17 @@ def test_log_prob_matches_explicit_loop():
         np.testing.assert_allclose(lp[b], total, rtol=1e-12)
 
 
-def test_entropy_and_kl_match_explicit_loop():
+def test_kl_matches_explicit_loop():
     rng = np.random.default_rng(44)
     old = rng.standard_normal((3, 12, 2))
     new = rng.standard_normal((3, 12, 2))
-    ent = entropy(old)
     kl = kl_divergence(old, new)
     for b in range(3):
-        e_ref, kl_ref = 0.0, 0.0
+        kl_ref = 0.0
         for k in range(12):
             po = np.exp(old[b, k]) / np.exp(old[b, k]).sum()
             pn = np.exp(new[b, k]) / np.exp(new[b, k]).sum()
-            e_ref -= (po * np.log(po)).sum()
             kl_ref += (po * np.log(po / pn)).sum()
-        np.testing.assert_allclose(ent[b], e_ref, rtol=1e-12)
         np.testing.assert_allclose(kl[b], kl_ref, rtol=1e-12)
     np.testing.assert_allclose(kl_divergence(old, old), 0.0, atol=1e-15)
     assert np.all(kl > 0.0)
@@ -596,18 +590,6 @@ def test_log_prob_gradient_matches_finite_differences():
         return float((coeff * action_log_prob(logits, action)).sum())
 
     grad = logp_grad_logits(logits, action, coeff)
-    check_fd(loss, logits, grad, rng, 1e-6, samples=60, label="logits")
-
-
-def test_entropy_gradient_matches_finite_differences():
-    rng = np.random.default_rng(46)
-    logits = rng.standard_normal((3, 12, 2))
-    coeff = rng.standard_normal(3)
-
-    def loss():
-        return float((coeff * entropy(logits)).sum())
-
-    grad = entropy_grad_logits(logits, coeff)
     check_fd(loss, logits, grad, rng, 1e-6, samples=60, label="logits")
 
 

@@ -15,7 +15,7 @@ PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 # Public package names that nothing in src/ or perfbench/ names, each with
 # the reason it stays.
 UNCALLED = {
-    "lidar.crossing_count": "the parity test the `impact` outcome will run (ROADMAP item 5)",
+    "lidar.crossing_count": "the parity test the `impact` outcome will run (ROADMAP item 4)",
     "dynamics.asteroid_angular_velocity": "the spin vector the acceptance criteria check",
 }
 

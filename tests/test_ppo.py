@@ -277,7 +277,7 @@ def test_zero_advantages_leave_policy_unchanged():
     before = {k: v.copy() for k, v in policy.parameters().items()}
     obj, _, ok = policy_minibatch_step(
         policy, opt, batch.images, batch.vecs, batch.actions, batch.logp_old,
-        np.zeros_like(batch.logp_old), batch.mask, 0.2, 0.0,
+        np.zeros_like(batch.logp_old), batch.mask, 0.2,
     )
     assert ok and obj == 0.0
     for k, v in policy.parameters().items():
@@ -291,7 +291,7 @@ def test_policy_step_increases_surrogate():
     compute_advantages(batch, 0.99, value_net)
     opt = nn.Adam(policy.parameters(), lr=1e-3)
     args = (batch.images, batch.vecs, batch.actions, batch.logp_old,
-            batch.advantages, batch.mask, 0.2, 0.0)
+            batch.advantages, batch.mask, 0.2)
     first, _, ok = policy_minibatch_step(policy, opt, *args)
     assert ok
     for _ in range(10):
