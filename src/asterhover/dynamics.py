@@ -361,17 +361,24 @@ def rk4_step(
     isp: float = ISP_DEFAULT,
     g_ref: float = G_REF,
     renormalize: bool = True,
+    substeps: int = 1,
 ) -> SpacecraftState:
-    """One classical Runge-Kutta step with the thruster command held fixed.
+    """`substeps` classical Runge-Kutta steps of `dt` each, with the
+    thruster command held fixed.
 
-    The attitude quaternion is renormalized after the step unless
+    The attitude quaternion is renormalized after every step unless
     `renormalize` is disabled (useful for measuring integrator drift).
     The stages run on Python floats in the array form's order (y + (h*k),
-    then ((k1 + 2 k2) + 2 k3) + k4); arrays are built only for the returned
-    state.
+    then ((k1 + 2 k2) + 2 k3) + k4). The thruster force, torque and
+    propellant flow are formed once, the state stays in floats between
+    steps, and an array is built only for the returned state, so the result
+    equals `substeps` chained one-step calls bit for bit, and so does the
+    error a step raises.
     """
     if dt <= 0.0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
+    if substeps < 1:
+        raise ConfigurationError(f"substeps must be at least 1, got {substeps}")
     ext = ext or ExternalForces()
     f_body, l_body, thrust_sum = body_force_torque(action, table, state.com_offset)
     mdot = -thrust_sum / (isp * g_ref)
@@ -380,24 +387,27 @@ def rk4_step(
     y = _pack(state).tolist()
     t = state.t
     h = 0.5 * dt
-    k1 = _derivative(y, t, f_body, l_body, mdot, model, ext)
-    k2 = _derivative([a + h * b for a, b in zip(y, k1)], t + h, f_body, l_body, mdot, model, ext)
-    k3 = _derivative([a + h * b for a, b in zip(y, k2)], t + h, f_body, l_body, mdot, model, ext)
-    k4 = _derivative([a + dt * b for a, b in zip(y, k3)], t + dt, f_body, l_body, mdot, model, ext)
     c = dt / 6.0
-    y = np.array([
-        a + c * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)
-    ])
+    for _ in range(substeps):
+        k1 = _derivative(y, t, f_body, l_body, mdot, model, ext)
+        k2 = _derivative([a + h * b for a, b in zip(y, k1)], t + h, f_body, l_body, mdot, model, ext)
+        k3 = _derivative([a + h * b for a, b in zip(y, k2)], t + h, f_body, l_body, mdot, model, ext)
+        k4 = _derivative([a + dt * b for a, b in zip(y, k3)], t + dt, f_body, l_body, mdot, model, ext)
+        y = [a + c * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+        if renormalize:  # quat_normalize on floats
+            n = _norm(*y[6:10])
+            if n == 0.0:
+                raise ConfigurationError("cannot normalize a zero quaternion")
+            y[6:10] = [q / n for q in y[6:10]]
+        t = t + dt
 
-    q = y[6:10]
-    if renormalize:
-        q = quat_normalize(q)
+    y = np.array(y)
     return SpacecraftState(
         position=y[0:3],
         velocity=y[3:6],
-        attitude=q,
+        attitude=y[6:10],
         omega=y[10:13],
         mass=float(y[13]),
         com_offset=state.com_offset.copy(),
-        t=t + dt,
+        t=t,
     )

@@ -272,10 +272,11 @@ def surface_radius(mesh: TriMesh | PreparedMesh, u: np.ndarray) -> float | None:
     Casts inward from well outside the body so the front (outward) faces
     are the ones intersected. None when the direction misses the mesh.
     """
-    from .lidar import PreparedMesh as _PM
+    # cast_rays is looked up at call time: perfbench's tracer wraps
+    # lidar.cast_rays, and a module-level import would bypass the wrapper.
     from .lidar import cast_rays
 
-    prep = mesh if isinstance(mesh, _PM) else _PM(mesh)
+    prep = mesh if isinstance(mesh, PreparedMesh) else PreparedMesh(mesh)
     cast_from = 2.0 * prep.bound_radius + 100.0
     origin = cast_from * u
     ranges, hit = cast_rays(prep, origin, -u[None, :], max_range=2.0 * cast_from)
@@ -431,7 +432,8 @@ class HoverEnv:
         )
 
     def step(self, action: np.ndarray) -> None:
-        """Fly one control period with the 12 on/off thruster bits.
+        """Fly one control period with the 12 on/off thruster bits: one
+        :func:`rk4_step` call of `substeps` RK4_DT steps.
 
         The step is complete once :meth:`observe` has the range image from
         the new position: :meth:`scan` for a lone environment, the lanes'
@@ -443,10 +445,10 @@ class HoverEnv:
         if a.shape != (12,) or not np.all((a == 0.0) | (a == 1.0)):
             raise ConfigurationError("action must be 12 on/off values")
 
-        cfg = self.cfg
         mass_before = self.state.mass
-        for _ in range(cfg.substeps):
-            self.state = rk4_step(self.state, a, RK4_DT, self.model, self.table, ext=self._ext)
+        self.state = rk4_step(
+            self.state, a, RK4_DT, self.model, self.table, ext=self._ext, substeps=self.cfg.substeps
+        )
         self.fuel_used += mass_before - self.state.mass
         self.steps += 1
         self._action = a

@@ -22,7 +22,7 @@ from .geometry import TriMesh
 DET_EPS = 1.0e-12
 T_MIN = 1.0e-12
 
-# Margins of the candidate-facet pre-pass (LaneMeshes.candidates). The
+# Margins of the candidate pre-pass (LaneMeshes._build_pairs). The
 # kernel's det, barycentric and t numerators are triple products of edge and
 # origin-to-vertex vectors, and rounding moves them by about 1e-15 of
 # |tvec|*|e1|*|e2|. A facet is culled only when the origin lies behind its
@@ -36,7 +36,7 @@ T_MIN = 1.0e-12
 PLANE_TOL = 1.0e-6
 CONE_TOL = 1.0e-6  # rad
 
-# Radius of a lane's candidate ball (LaneMeshes.candidates), as a fraction
+# Radius of a lane's candidate ball (LaneMeshes._build_pairs), as a fraction
 # of the gap between its centre and the nearest facet bounding sphere.
 BALL_FRACTION = 0.1
 
@@ -82,7 +82,7 @@ class PreparedMesh:
         # Upper bound on the distance of any surface point from the origin.
         self.bound_radius = float(np.max(np.linalg.norm(v, axis=1)))
         # Per-facet bounding sphere and outward (unnormalised) normal, for
-        # the candidate pre-pass (LaneMeshes.candidates).
+        # the candidate pre-pass (LaneMeshes._build_pairs).
         self.centroid = corners.mean(axis=1)
         self.radius = np.linalg.norm(corners - self.centroid[:, None, :], axis=2).max(axis=1)
         self.normal = np.cross(self.edge1, self.edge2)
@@ -113,11 +113,17 @@ def _near_cone(
     is `radius`; `along` is the centre offset's component along the cone's
     unit axis. All four broadcast together. A sphere that holds the
     apex always counts.
+
+    The centre's angle off the axis is compared with the largest one kept,
+    theta, through its cosine: along >= dist * cos(theta), with the bound
+    at -inf where every direction counts. So the work at the shape of
+    `along` is one comparison, however many rays share one sphere.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        off_axis = np.arccos(np.clip(along / dist, -1.0, 1.0))
         sphere_half_angle = np.arcsin(np.minimum(radius / dist, 1.0))
-    return (dist <= radius) | (off_axis <= half_angle + sphere_half_angle + CONE_TOL)
+    theta = half_angle + sphere_half_angle + CONE_TOL
+    every = (dist <= radius) | (theta >= np.pi)
+    return along >= np.where(every, -np.inf, dist * np.cos(np.minimum(theta, np.pi)))
 
 
 def _reachable(
@@ -130,7 +136,7 @@ def _reachable(
     half_angle: float | np.ndarray,
     rho: float | np.ndarray = 0.0,
 ) -> np.ndarray:
-    """The candidate test of :meth:`LaneMeshes.candidates`: whether some ray
+    """The facet test of :meth:`LaneMeshes._build_pairs`: whether some ray
     in a cone of `half_angle` may hit each facet when cast from an origin
     within `rho` of the one its centre offset `w` (..., 3), distance `dist`
     and offset component `along` the cone's unit axis are measured from.
@@ -165,13 +171,23 @@ class LaneMeshes:
     an episode's beams are (the attitude is frozen), inside the cone of
     :func:`beam_cone`.
 
-    Each lane keeps a candidate ball between casts (see :meth:`candidates`),
-    so a lane's cast costs what its candidates cost, not what its mesh does,
-    while the lane stays near where the ball was built.
+    Each lane keeps a candidate ball between casts: the (ray, facet) pairs
+    that may hit from anywhere within rho of the ball's centre (see
+    :meth:`_build_pairs`). rho is BALL_FRACTION of the gap from the centre
+    to the nearest facet bounding sphere. A lane's ball is rebuilt when its
+    origin is more than rho / 2 from the centre; the other half of rho is
+    slack far beyond rounding, so the ball holds every pair that a test from
+    the origin itself would keep. Culling is thus one path, ball then pairs
+    then kernel, and a cast between rebuilds runs only the kernel on the
+    cached pairs: it costs what a lane's footprint costs, not what its mesh
+    does.
     """
 
     FIELDS = ("v0", "edge1", "edge2", "centroid", "radius", "normal", "normal_len")
-    _NO_FACETS = np.empty(0, dtype=np.intp)
+    # A lane's pairs: each one's ray and facet as indices into the L*R
+    # stacked rays and L*F stacked facets, then the kernel's two terms that
+    # do not depend on the origin, pvec and det.
+    _NO_PAIRS = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty((0, 3)), np.empty(0))
 
     def __init__(self, meshes: list[PreparedMesh], beams: np.ndarray):
         if len({m.num_faces for m in meshes}) != 1:
@@ -186,19 +202,30 @@ class LaneMeshes:
         self.axes = np.array([axis for axis, _ in cones])
         self.half_angles = np.array([half_angle for _, half_angle in cones])
         # Each lane's ball: its centre (NaN until built), the square of half
-        # its radius, and its candidate set as indices into the L*F stacked
-        # facets.
+        # its radius, and its pairs (see _build_pairs).
         L = self.num_lanes
         self._ball_centre = np.full((L, 3), np.nan)
         self._ball_reach = np.zeros(L)
-        self._ball_sets = [self._NO_FACETS] * L
+        self._ball_pairs = [self._NO_PAIRS] * L
 
-    def _build_balls(self, lanes: np.ndarray, origins: np.ndarray) -> None:
-        """Rebuild the candidate balls of `lanes` around their origins: one
-        pre-pass over their whole meshes, grown to hold for every origin
-        within the ball radius rho. It keeps a facet when some origin of the
-        ball may keep it: its bounding sphere grown by rho (the Minkowski
-        sum) meets the cone, and the plane test has slack rho * |n|."""
+    def _build_pairs(self, lanes: np.ndarray, origins: np.ndarray, fraction: float) -> None:
+        """Rebuild the balls of `lanes` around their origins, each of radius
+        rho = `fraction` of its gap (0 once the origin is inside a facet
+        bounding sphere, or when `fraction` is 0), in one pass over their
+        whole meshes.
+
+        A facet is kept when some origin within rho of the centre may see
+        it: the origin is not clearly behind its plane (the kernel then has
+        det <= DET_EPS or t <= T_MIN for every ray), with slack rho * |n|,
+        and its bounding sphere grown by rho (the Minkowski sum) comes
+        within CONE_TOL of the lane's cone. A kept facet pairs with each ray
+        of its lane that passes the same cone test as a zero-angle cone. Of
+        those pairs, the ones whose det (which depends only on the ray and
+        the facet) exceeds DET_EPS are kept, with the kernel's origin-free
+        terms as _NO_PAIRS lists them. A culled pair would give t = inf from
+        every origin in the ball.
+        """
+        F, R = self.num_faces, self.units.shape[1]
         # All lanes at once (every lane's first cast) read the stacks in place.
         rows = slice(None) if lanes.size == self.num_lanes else lanes
         w = self.centroid[rows] - origins[rows, None, :]            # (S, F, 3)
@@ -207,51 +234,44 @@ class LaneMeshes:
         gap = (dist - radius).min(axis=1)
         # No ball (rho = 0, a rebuild at every move) once the origin enters
         # a bounding sphere; NaN gaps land there too.
-        rho = np.where(gap > 0.0, BALL_FRACTION * gap, 0.0)
+        rho = np.where(gap > 0.0, fraction * gap, 0.0)
         along = (w @ self.axes[rows, :, None])[..., 0]              # (S, F)
         keep = _reachable(
             w, dist, along, radius, self.normal[rows], self.normal_len[rows],
             self.half_angles[rows, None], rho[:, None],
         )
-        for row, lane in enumerate(lanes):
-            self._ball_sets[lane] = lane * self.num_faces + np.flatnonzero(keep[row])
+
+        # The rays of the K kept facets, all lanes in one (K, R) pass; only
+        # the products take one BLAS call per lane, as each has its rays.
+        kept = np.flatnonzero(keep)                                  # in lane order
+        row, face = np.divmod(kept, F)
+        w = np.take(w.reshape(-1, 3), kept, axis=0)                  # (K, 3)
+        along = np.empty((kept.size, R))
+        bounds = np.searchsorted(row, np.arange(lanes.size + 1)).tolist()
+        for i, lane in enumerate(lanes.tolist()):
+            lo, hi = bounds[i], bounds[i + 1]
+            np.matmul(w[lo:hi], self.units[lane].T, out=along[lo:hi])
+        grown = np.take(radius.reshape(-1), kept) + rho[row]
+        near = _near_cone(along, np.take(dist.reshape(-1), kept)[:, None], grown[:, None], 0.0)
+        k, ray = np.divmod(np.flatnonzero(near), R)
+        lane = lanes[row[k]]
+        ray += lane * R                                              # into the L*R rays
+        facet = lane * F + face[k]                                   # into the L*F facets
+
+        d = np.take(self.beams.reshape(-1, 3), ray, axis=0)
+        edge1, edge2 = (np.take(a.reshape(-1, 3), facet, axis=0) for a in (self.edge1, self.edge2))
+        pvec = _cross(d, edge2)
+        det = np.einsum("pk,pk->p", edge1, pvec)
+        front = np.flatnonzero(det > DET_EPS)
+        pairs = [np.take(a, front, axis=0) for a in (ray, facet, pvec, det)]
+        # Each lane keeps its own copies, so a lane that rebuilds frees its
+        # pairs whatever the other lanes of this pass do.
+        pair_lanes = pairs[0] // R
+        lo, hi = (np.searchsorted(pair_lanes, lanes, side).tolist() for side in ("left", "right"))
+        for lane, a, b in zip(lanes.tolist(), lo, hi):
+            self._ball_pairs[lane] = tuple(x[a:b].copy() for x in pairs)
         self._ball_centre[lanes] = origins[lanes]
         self._ball_reach[lanes] = np.square(0.5 * rho)
-
-    def candidates(
-        self, origins: np.ndarray, live: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The facets any ray of a live lane can hit: their indices into the
-        L*F stacked facets (lane l's facet f is l*F + f), in lane order, their
-        lanes, and each one's centre offset from its lane's origin and
-        distance.
-
-        Lane l casts from `origins[l]`. A facet is kept when the origin is
-        not clearly behind its plane (the kernel then has det <= DET_EPS or
-        t <= T_MIN for every ray) and its bounding sphere meets the lane's
-        cone.
-
-        The test runs on each lane's candidate ball only: the facets that
-        pass it from somewhere within rho of the ball's centre. rho is
-        BALL_FRACTION of the gap from the centre to the nearest facet
-        bounding sphere. A lane's ball is rebuilt when its origin is more
-        than rho / 2 from the centre; the other half of rho is slack far
-        beyond rounding, so the ball holds every facet that the test keeps
-        over the whole mesh.
-        """
-        offset = origins - self._ball_centre
-        stale = live & ~(np.einsum("lk,lk->l", offset, offset) <= self._ball_reach)
-        if stale.any():
-            self._build_balls(np.flatnonzero(stale), origins)
-        index = np.concatenate([self._NO_FACETS] + [self._ball_sets[l] for l in np.flatnonzero(live)])
-        lanes = index // self.num_faces
-        centroid, normal = (a.reshape(-1, 3).take(index, axis=0) for a in (self.centroid, self.normal))
-        radius, normal_len = (a.reshape(-1).take(index) for a in (self.radius, self.normal_len))
-        w = centroid - origins.take(lanes, axis=0)
-        dist = np.sqrt(np.einsum("fk,fk->f", w, w))
-        along = np.einsum("fk,fk->f", w, self.axes.take(lanes, axis=0))
-        keep = _reachable(w, dist, along, radius, normal, normal_len, self.half_angles.take(lanes))
-        return index[keep], lanes[keep], w[keep], dist[keep]
 
     def cast(
         self, origins: np.ndarray, live: np.ndarray, max_range: float = 2000.0
@@ -262,53 +282,44 @@ class LaneMeshes:
         Returns (L, R) ranges and hits as :func:`cast_rays` does; rays of
         lanes whose `live` is False read as misses.
 
-        Möller–Trumbore runs only on the (ray, facet) pairs that survive two
-        culls: :meth:`candidates` keeps the facet for its lane, and its
-        bounding sphere passes the same cone test with the ray alone as a
-        zero-angle cone. A culled pair would give t = inf, and each kept
-        pair's arithmetic is the brute-force cast's, so the result equals
-        brute force bit for bit. The one exception is a ray passing within
-        rounding of a facet edge, where a hit can hinge on `v`: brute force
-        forms it in one BLAS product over all facets, whose rounding can
-        differ from the per-pair dot product here (one facet or one ray
-        takes another BLAS kernel). A lane's result never depends on the
-        other lanes.
+        Live lanes more than rho / 2 from their ball's centre rebuild their
+        balls here, in one :meth:`_build_pairs` pass. Möller–Trumbore then
+        runs on the live lanes' cached pairs only. A culled pair would give
+        t = inf, and each kept pair's arithmetic is the brute-force cast's,
+        so the result equals brute force bit for bit. The one exception is
+        a ray passing within rounding of a facet edge, where a hit can hinge
+        on `v`: brute force forms it in one BLAS product over all facets,
+        whose rounding can differ from the per-pair dot product here (one
+        facet or one ray takes another BLAS kernel). A lane's result never
+        depends on the other lanes.
         """
-        beams, units = self.beams, self.units
-        L, R = beams.shape[:2]
-        keep, lanes, w, dist = self.candidates(origins, live)
-
-        # The (ray, facet) pairs: each ray is its own zero-angle cone. The
-        # kept facets come in lane order, so each lane's block is one product.
-        along = np.empty((lanes.size, R))
-        bounds = np.searchsorted(lanes, np.arange(L + 1))
-        for lane in np.flatnonzero(bounds[1:] > bounds[:-1]):
-            lo, hi = bounds[lane], bounds[lane + 1]
-            np.matmul(w[lo:hi], units[lane].T, out=along[lo:hi])
-        radius = self.radius.reshape(-1)[keep][:, None]
-        fi, ri = np.nonzero(_near_cone(along, dist[:, None], radius, 0.0))
-
+        L, R = self.beams.shape[:2]
+        offset = origins - self._ball_centre
+        stale = live & ~(np.einsum("lk,lk->l", offset, offset) <= self._ball_reach)
+        if stale.any():
+            self._build_pairs(np.flatnonzero(stale), origins, BALL_FRACTION)
+        blocks = [self._ball_pairs[l] for l in np.flatnonzero(live)]
+        ray, facet, pvec, det = (
+            blocks[0] if len(blocks) == 1 else map(np.concatenate, zip(self._NO_PAIRS, *blocks))
+        )
         # Rows are gathered with np.take, about three times faster than
         # fancy indexing at these sizes.
         v0, edge1, edge2 = (
-            np.take(a.reshape(-1, 3), keep, axis=0) for a in (self.v0, self.edge1, self.edge2)
+            np.take(a.reshape(-1, 3), facet, axis=0) for a in (self.v0, self.edge1, self.edge2)
         )
-        tvec = np.take(origins, lanes, axis=0) - v0                  # (K, 3)
-        qvec = _cross(tvec, edge1)                                   # (K, 3)
-        t_scaled = np.einsum("fk,fk->f", edge2, qvec)                # (K,)
-        ray = lanes[fi] * R + ri                                     # (P,) into the L*R rays
-        d = np.take(beams.reshape(-1, 3), ray, axis=0)               # (P, 3)
-        pvec = _cross(d, np.take(edge2, fi, axis=0))                 # (P, 3)
-        det = np.einsum("pk,pk->p", np.take(edge1, fi, axis=0), pvec)  # (P,)
-        u = np.einsum("pk,pk->p", np.take(tvec, fi, axis=0), pvec)
-        v = np.vecdot(d, np.take(qvec, fi, axis=0))
+        d = np.take(self.beams.reshape(-1, 3), ray, axis=0)
+        tvec = np.take(origins, ray // R, axis=0) - v0               # (P, 3)
+        qvec = _cross(tvec, edge1)                                   # (P, 3)
+        t_scaled = np.einsum("pk,pk->p", edge2, qvec)                # (P,)
+        u = np.einsum("pk,pk->p", tvec, pvec)
+        v = np.vecdot(d, qvec)
 
         # Scaled barycentric tests avoid a divide until the final t. Culling:
-        # only det > eps survives, which selects rays entering through the
-        # outward-facing side of each triangle.
-        ok = (det > DET_EPS) & (u >= 0.0) & (v >= 0.0) & (u <= det) & (u + v <= det)
+        # only det > eps survives (see _build_pairs), which selects rays
+        # entering through the outward-facing side of each triangle.
+        ok = (u >= 0.0) & (v >= 0.0) & (u <= det) & (u + v <= det)
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(ok, t_scaled[fi] / det, np.inf)
+            t = np.where(ok, t_scaled / det, np.inf)
         t[t <= T_MIN] = np.inf
 
         nearest = np.full(L * R, np.inf)
@@ -335,9 +346,11 @@ def cast_rays(
     single = d.ndim == 1
     d = np.atleast_2d(d)                       # (R, 3)
     origin = np.asarray(origin, dtype=np.float64)
-    ranges, hit = LaneMeshes([_prepare(mesh)], d[None]).cast(
-        origin[None], np.ones(1, dtype=bool), max_range
-    )
+    # A ball of radius 0 around the origin: its pairs are the ones the
+    # cast from there keeps, without the slack a lane spends on later casts.
+    meshes = LaneMeshes([_prepare(mesh)], d[None])
+    meshes._build_pairs(np.zeros(1, dtype=np.intp), origin[None], 0.0)
+    ranges, hit = meshes.cast(origin[None], np.ones(1, dtype=bool), max_range)
     if single:
         return ranges[0, 0], hit[0, 0]
     return ranges[0], hit[0]

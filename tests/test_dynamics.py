@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from asterhover import dynamics
 from asterhover.dynamics import (
     CUBE_SIDE,
     G_REF,
@@ -27,6 +29,7 @@ from asterhover.dynamics import (
 )
 from asterhover.errors import ConfigurationError, SimulationError
 
+import dynamics_reference
 from conftest import make_model
 from dynamics_reference import (
     _derivative_reference,
@@ -467,8 +470,8 @@ KERNEL_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
-def test_rk4_step_matches_reference_bitwise(case, rng):
+def kernel_case(case, rng):
+    """(model, table, ext, state, renormalize) of one KERNEL_CASES entry."""
     model_kw, with_ext, com, degraded, renormalize = KERNEL_CASES[case]
     model = make_model(**model_kw)
     table = default_thruster_table()
@@ -488,6 +491,12 @@ def test_rk4_step_matches_reference_bitwise(case, rng):
         com_offset=rng.standard_normal(3) * 0.05 if com == "set" else np.zeros(3),
         t=rng.uniform(0.0, 500.0),
     )
+    return model, table, ext, state, renormalize
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_rk4_step_matches_reference_bitwise(case, rng):
+    model, table, ext, state, renormalize = kernel_case(case, rng)
     fast, slow = state.copy(), state.copy()
     for _ in range(40):
         action = rng.integers(0, 2, 12).astype(np.float64)
@@ -502,6 +511,78 @@ def test_rk4_step_matches_reference_bitwise(case, rng):
         want = _derivative_reference(y, fast.t, np.array([0.1, -0.2, 0.3]), np.array([0.01, 0.0, -0.02]),
                                      -1.0e-4, model, ext or ExternalForces())
         assert np.array(got).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("substeps", [1, 3, 5])
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_rk4_substeps_match_chained_reference_bitwise(case, substeps, rng):
+    # One call flies `substeps` steps on one thruster command, as
+    # HoverEnv.step does a control period.
+    model, table, ext, state, renormalize = kernel_case(case, rng)
+    fast, slow = state.copy(), state.copy()
+    for _ in range(8):
+        action = rng.integers(0, 2, 12).astype(np.float64)
+        fast = rk4_step(fast, action, 2.0, model, table, ext, renormalize=renormalize,
+                        substeps=substeps)
+        for _ in range(substeps):
+            slow = rk4_step_reference(slow, action, 2.0, model, table, ext, renormalize=renormalize)
+        assert_states_identical(fast, slow)
+
+
+def count_calls(monkeypatch, module, name):
+    """A list that grows by one at every call of `module.name`."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def raise_where(step, monkeypatch, module, name):
+    """The error `step()` raises, as (type, message, derivatives taken),
+    counting calls of `module.name`."""
+    calls = count_calls(monkeypatch, module, name)
+    with pytest.raises((SimulationError, ConfigurationError)) as err:
+        step()
+    return type(err.value), str(err.value), len(calls)
+
+
+def test_rk4_substeps_raise_where_the_chained_reference_does(monkeypatch):
+    model = make_model(mass=1.0e12)
+    table = default_thruster_table()
+    action = np.zeros(12)
+    action[0] = 1.0
+    states = {
+        "fall": coast_state([14.0, 0.5, 0.0], [-1.2, 0.0, 0.0]),
+        "zero-quaternion": coast_state([500.0, 20.0, 0.0], [0.01, 0.0, 0.0], q=np.zeros(4)),
+    }
+    errors = {}
+    for name, state in states.items():
+        def chained(state=state):
+            for _ in range(5):
+                state = rk4_step_reference(state, action, 2.0, model, table)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # 0/0 of the zero quaternion
+            errors[name] = raise_where(lambda: rk4_step(state, action, 2.0, model, table, substeps=5),
+                                       monkeypatch, dynamics, "_derivative")
+            assert errors[name] == raise_where(chained, monkeypatch, dynamics_reference,
+                                               "_derivative_reference")
+    # The fall crosses the 1 m guard mid-period, in the third step; the zero
+    # quaternion fails to renormalize at the end of the first.
+    kind, _, calls = errors["fall"]
+    assert kind is SimulationError and 8 < calls <= 12
+    assert errors["zero-quaternion"] == (ConfigurationError, "cannot normalize a zero quaternion", 4)
+
+
+def test_rk4_rejects_zero_substeps():
+    with pytest.raises(ConfigurationError):
+        rk4_step(coast_state([500.0, 0.0, 0.0], [0.0, 0.0, 0.0]), np.zeros(12), 2.0, make_model(),
+                 default_thruster_table(), substeps=0)
 
 
 def test_asteroid_angular_velocity_matches_reference_bitwise(rng):

@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from asterhover import env as env_module
 from asterhover import nn
 from asterhover.dynamics import G_REF, ISP_DEFAULT, quat_angle, quat_error
 from asterhover.env import (
     DR_SCALE,
     DRY_MASS,
     R_ERR_SCALE,
+    RK4_DT,
     EpisodeConfig,
     HoverEnv,
     compute_reward,
@@ -27,7 +29,7 @@ from asterhover.geometry import (
 )
 from asterhover.lidar import LidarFrame, SensorConfig, rotated_beams, scan
 
-from dynamics_reference import quat_rotate
+from dynamics_reference import quat_rotate, rk4_step_reference
 from env_reference import fly
 
 IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
@@ -307,6 +309,32 @@ def test_step_trajectory_determinism():
     for (v1, r1, d1, p1), (v2, r2, d2, p2) in zip(*logs):
         np.testing.assert_array_equal(v1, v2)
         assert r1 == r2 and d1 == d2 and p1 == p2
+
+
+def test_step_flies_one_rk4_call_per_control_period(monkeypatch):
+    # A 6 s control period is one rk4_step call of three 2 s steps, equal
+    # bit for bit to three chained reference steps on the same command.
+    calls = []
+    fused = env_module.rk4_step
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["substeps"])
+        return fused(*args, **kwargs)
+
+    monkeypatch.setattr(env_module, "rk4_step", counted)
+    env = HoverEnv(EpisodeConfig(com_variation=True, failure_prob=1.0))
+    env.reset(seed=7)
+    rng = np.random.default_rng(7)
+    for step in range(6):
+        action = rng.integers(0, 2, 12).astype(np.float64)
+        want = env.state
+        for _ in range(3):
+            want = rk4_step_reference(want, action, RK4_DT, env.model, env.table, env._ext)
+        env.step(action)
+        assert calls == [3] * (step + 1)
+        for name in ("position", "velocity", "attitude", "omega"):
+            assert getattr(env.state, name).tobytes() == getattr(want, name).tobytes()
+        assert env.state.mass == want.mass and env.state.t == want.t
 
 
 def test_quiet_scenario_runs_full_episode_with_bonus():

@@ -13,6 +13,7 @@ from asterhover.geometry import (
     synthesize_asteroid,
 )
 from asterhover.lidar import (
+    BALL_FRACTION,
     LidarFrame,
     PreparedMesh,
     LaneMeshes,
@@ -36,10 +37,18 @@ def scan_at(mesh, position, q, cfg):
     return scan(mesh, position, rotated_beams(cfg, quat_to_dcm(q)), cfg)
 
 
-def candidate_faces(prep, origin, dirs):
-    """The facets the pre-pass keeps for one cast of `dirs` from `origin`."""
-    faces, _, _, _ = LaneMeshes([prep], dirs[None]).candidates(origin[None], np.ones(1, dtype=bool))
-    return faces
+def lone_pairs(prep, origin, dirs):
+    """The (ray, facet) pairs a lone cast of `dirs` from `origin` runs the
+    kernel on, as cast_rays builds them: a ball of radius 0."""
+    lanes = LaneMeshes([prep], dirs[None])
+    lanes._build_pairs(np.zeros(1, dtype=np.intp), origin[None], 0.0)
+    ray, facet = lanes._ball_pairs[0][:2]
+    return ray, facet
+
+
+def paired_lanes(lanes):
+    """Whether each lane of `lanes` holds any cached pair."""
+    return [pairs[0].size > 0 for pairs in lanes._ball_pairs]
 
 
 def plane_mesh(z0: float, half_size: float = 5000.0) -> TriMesh:
@@ -261,7 +270,7 @@ def test_prepass_matches_reference_at_scan_positions(body):
             assert_matches_reference(body, position, dirs[k])
             assert_matches_reference(body, position, dirs[k : k + 1])
         # The pre-pass must actually cull: a sensor cone sees a small share.
-        assert candidate_faces(body, position, dirs).size < 0.5 * body.num_faces
+        assert np.unique(lone_pairs(body, position, dirs)[1]).size < 0.5 * body.num_faces
     assert hits > 0
 
 
@@ -314,7 +323,7 @@ def test_prepass_matches_reference_near_facet_planes(body, rng):
 def test_prepass_matches_reference_high_altitude(body, rng):
     # Boresight at the body centre from 60 m above the bounding sphere: the
     # cone keeps about a thousand facets, most of whose (ray, facet) pairs
-    # the per-ray test then drops.
+    # the per-ray test and the det test then drop, leaving hundreds.
     beams = beam_directions(SensorConfig()).reshape(-1, 3)
     for _ in range(4):
         up = rng.standard_normal(3)
@@ -323,7 +332,7 @@ def test_prepass_matches_reference_high_altitude(body, rng):
         side /= np.linalg.norm(side)
         dirs = beams @ np.column_stack([side, np.cross(up, side), up]).T
         origin = (body.bound_radius + 60.0) * up
-        assert 500 <= candidate_faces(body, origin, dirs).size <= 3000
+        assert 500 <= lone_pairs(body, origin, dirs)[0].size <= 3000
         _, hit = assert_matches_reference(body, origin, dirs)
         assert hit.all()
         for k in (0, 27, 63):
@@ -362,9 +371,8 @@ def test_lane_cast_matches_per_lane_cast_rays(lane_bodies):
         beams = np.array([view[step][1] for view in views])
         beams[3] = -beams[3]
         lanes = LaneMeshes(lane_bodies, beams)
-        _, kept, _, _ = lanes.candidates(origins, live)
-        assert set(kept.tolist()) == {0, 2}
         ranges, hit = lanes.cast(origins, live)
+        assert paired_lanes(lanes) == [True, False, True, False]
         assert ranges.shape == hit.shape == (4, 64)
         for k in np.flatnonzero(live):
             want_ranges, want_hit = cast_rays(lane_bodies[k], origins[k], beams[k])
@@ -419,6 +427,28 @@ def plane_crossing(prep, casts):
     return path, beams / np.linalg.norm(beams, axis=1, keepdims=True)
 
 
+def count_rebuilds(monkeypatch):
+    """Record (LaneMeshes, lane) for every ball rebuilt from here on."""
+    rebuilt = []
+    build = LaneMeshes._build_pairs
+
+    def counting_build(self, lanes, origins, fraction):
+        rebuilt.extend((self, lane) for lane in lanes.tolist())
+        return build(self, lanes, origins, fraction)
+
+    monkeypatch.setattr(LaneMeshes, "_build_pairs", counting_build)
+    return rebuilt
+
+
+def assert_lanes_match_reference(meshes, origins, beams, live, ranges, hit):
+    for k in np.flatnonzero(live):
+        ref_ranges, ref_hit = cast_rays_reference(meshes[k], origins[k], beams[k])
+        assert ranges[k].tobytes() == ref_ranges.tobytes()
+        assert hit[k].tobytes() == ref_hit.tobytes()
+    np.testing.assert_array_equal(ranges[~live], 2000.0)
+    assert not hit[~live].any()
+
+
 @pytest.mark.parametrize("body", ["level2", "level3", "level5", "peanut"], indirect=True)
 def test_candidate_balls_match_reference_along_paths(body, rng, monkeypatch):
     # Five lanes fly through one persistent LaneMeshes, as in a rollout:
@@ -427,14 +457,7 @@ def test_candidate_balls_match_reference_along_paths(body, rng, monkeypatch):
     # has radius 0; 2 drifts and finishes half way; 3 drifts looking away
     # from the body, so it keeps no facet; 4 crosses a facet's plane.
     casts = 20 if body.num_faces > 5000 else 40
-    rebuilt = []
-    build = LaneMeshes._build_balls
-
-    def counting_build(self, lanes, origins):
-        rebuilt.extend((self, lane) for lane in lanes.tolist())
-        return build(self, lanes, origins)
-
-    monkeypatch.setattr(LaneMeshes, "_build_balls", counting_build)
+    rebuilt = count_rebuilds(monkeypatch)
     starts = scan_positions(body, 4, seed=3)
     t = np.arange(casts)[:, None] / (casts - 1)
     paths, beams = [], []
@@ -458,9 +481,8 @@ def test_candidate_balls_match_reference_along_paths(body, rng, monkeypatch):
     hits = np.zeros(5, dtype=int)
     for step, origins in enumerate(paths):
         live = np.array([True, True, step < casts // 2, True, True])
-        _, kept_lanes, _, _ = lanes.candidates(origins, live)
-        assert 3 not in kept_lanes
         ranges, hit = lanes.cast(origins, live)
+        assert not paired_lanes(lanes)[3]
         for k in np.flatnonzero(live):
             want_ranges, want_hit = cast_rays(body, origins[k], beams[k])
             ref_ranges, ref_hit = cast_rays_reference(body, origins[k], beams[k])
@@ -471,6 +493,71 @@ def test_candidate_balls_match_reference_along_paths(body, rng, monkeypatch):
     assert hits[[0, 1, 2, 4]].all() and hits[3] == 0
     # The drift lane's ball is rebuilt, but not at every cast.
     assert 1 < rebuilt.count((lanes, 0)) < casts
+
+
+@pytest.mark.parametrize("body", ["level2", "level5", "peanut"], indirect=True)
+def test_cached_pairs_match_reference_at_the_ball_edge(body, rng, monkeypatch):
+    # Casts from rho / 2 off a ball's centre, the farthest a lane flies on
+    # its cached pairs, toward and away from the body, along the beams and
+    # sideways.
+    rebuilt = count_rebuilds(monkeypatch)
+    live = np.ones(1, dtype=bool)
+    for centre, dirs in scan_positions(body, 3, seed=4):
+        up = centre / np.linalg.norm(centre)
+        side = np.cross(up, rng.standard_normal(3))
+        side /= np.linalg.norm(side)
+        for u in (up, -up, side, -side, np.cross(up, side), beam_cone(dirs)[0]):
+            lanes = LaneMeshes([body], dirs[None])
+            lanes.cast(centre[None], live)
+            reach = lanes._ball_reach[0]                    # (rho / 2)**2
+            assert 0.0 < reach <= np.square(0.5 * BALL_FRACTION * sphere_gap(body, centre)) * (1 + 1e-12)
+            # The farthest origin along u that the staleness test still
+            # accepts, found ulp by ulp from rho / 2.
+            half = step = math.sqrt(reach)
+            while True:
+                origin = centre + step * u
+                offset = origin - centre
+                if np.einsum("lk,lk->l", offset[None], offset[None])[0] <= reach:
+                    break
+                step = np.nextafter(step, 0.0)
+            assert step > half * (1.0 - 1e-12)
+            before = len(rebuilt)
+            ranges, hit = lanes.cast(origin[None], live)
+            assert len(rebuilt) == before                   # served from the cached pairs
+            assert_lanes_match_reference([body], origin[None], dirs[None], live, ranges, hit)
+
+
+def test_thirty_lane_drift_matches_reference(rng, monkeypatch):
+    # A training batch's width: 30 lanes over their own 320-facet bodies,
+    # each drifting sideways to its beams at its own share of its starting
+    # gap per cast, and finishing after its own number of casts, some half
+    # way.
+    casts, L = 24, 30
+    rebuilt = count_rebuilds(monkeypatch)
+    bodies = [PreparedMesh(synthesize_asteroid(300 + k).mesh) for k in range(L)]
+    starts = [scan_positions(body, 1, seed=k)[0] for k, body in enumerate(bodies)]
+    beams = np.array([dirs for _, dirs in starts])
+    steps = []
+    for body, (start, dirs) in zip(bodies, starts):
+        step = np.cross(beam_cone(dirs)[0], rng.standard_normal(3))
+        share = rng.uniform(0.005, 0.03)
+        steps.append(share * sphere_gap(body, start) * step / np.linalg.norm(step))
+    finish = rng.integers(casts // 4, casts + 1, size=L)
+    finish[:2] = casts // 2, casts
+    lanes = LaneMeshes(bodies, beams)
+    del rebuilt[:]  # the lone casts of scan_positions
+    partial = 0
+    for n in range(casts):
+        origins = np.array([start + n * step for (start, _), step in zip(starts, steps)])
+        live = n < finish
+        before = len(rebuilt)
+        ranges, hit = lanes.cast(origins, live)
+        partial += 0 < len(rebuilt) - before < live.sum()
+        assert_lanes_match_reference(bodies, origins, beams, live, ranges, hit)
+    # Casts that rebuild some live lanes and serve the others from their
+    # cached pairs.
+    assert partial > 0
+    assert len(rebuilt) < casts * L // 2
 
 
 # --------------------------------------------------------------------------

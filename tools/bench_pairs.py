@@ -15,6 +15,11 @@ each side's values, median and quartiles, how many pairs the change won
 (ties count for neither) and how far the change's median is from the
 parent's relative to the bound in ``BENCHMARK.json``. ``<change>`` is the
 short commit id when the working tree is clean and ``worktree`` otherwise.
+
+Before the pairs it runs the byte-identity check of
+``tools/output_digests.py`` against the same parent and records its
+digests, one per command-line output, and its ``equal`` flag under
+``output_digests``.
 """
 
 from __future__ import annotations
@@ -116,6 +121,15 @@ def main(argv=None) -> int:
     report = {"parent": parent, "change": change, "head": git("rev-parse", "HEAD"),
               "command": bench["command"] + ["--trace", "0"], "seconds": bench["run_seconds"],
               "seeds": seeds, "workloads": {}}
+    from output_digests import digests  # it imports this module
+
+    try:
+        report["output_digests"] = digests(parent)
+    except RuntimeError as exc:
+        print(exc, file=sys.stderr)
+        return 1
+    print(f"output digests equal: {report['output_digests']['equal']}", flush=True)
+    out_path.write_text(json.dumps(report, indent=1) + "\n")
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         parent_dir = Path(tmp)
         extract(parent, parent_dir)

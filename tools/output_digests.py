@@ -83,12 +83,10 @@ def run_cli(checkout: Path, args: list[str], out: Path) -> None:
                            f"(exit {proc.returncode}):\n{proc.stderr}")
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", default="HEAD", help="parent commit (default HEAD)")
-    args = parser.parse_args(argv)
-
-    parent = git("rev-parse", args.parent)
+def digests(parent: str) -> dict:
+    """The sha256 of every output of RUNS on the `parent` commit and on this
+    working tree, with per output and overall whether they are equal.
+    Raises RuntimeError when a command fails."""
     report = {"parent": parent, "inputs": {}, "outputs": {}}
     with tempfile.TemporaryDirectory(prefix="output-digests-") as tmp:
         tmp = Path(tmp)
@@ -97,26 +95,34 @@ def main(argv=None) -> int:
         inputs = tmp / "inputs"
         inputs.mkdir()
         names = write_peanuts(inputs)
-        try:
-            for run, cli_args, files in RUNS:
-                digests = {}
-                for side, checkout in sides.items():
-                    out = tmp / "out" / side / run
-                    out.parent.mkdir(parents=True, exist_ok=True)
-                    run_cli(checkout, [a.format(**names) for a in cli_args], out)
-                    digests[side] = {f: sha256_file(out / f) for f in files}
-                if run == "train":
-                    ck = inputs / "checkpoint.npz"
-                    shutil.copyfile(tmp / "out" / "parent" / run / files[1], ck)
-                    names["ck"] = str(ck)
-                for f in files:
-                    p, c = digests["parent"][f], digests["change"][f]
-                    report["outputs"][f"{run}/{f}"] = {"parent": p, "change": c, "equal": p == c}
-        except RuntimeError as exc:
-            print(exc, file=sys.stderr)
-            return 1
+        for run, cli_args, files in RUNS:
+            side_digests = {}
+            for side, checkout in sides.items():
+                out = tmp / "out" / side / run
+                out.parent.mkdir(parents=True, exist_ok=True)
+                run_cli(checkout, [a.format(**names) for a in cli_args], out)
+                side_digests[side] = {f: sha256_file(out / f) for f in files}
+            if run == "train":
+                ck = inputs / "checkpoint.npz"
+                shutil.copyfile(tmp / "out" / "parent" / run / files[1], ck)
+                names["ck"] = str(ck)
+            for f in files:
+                p, c = side_digests["parent"][f], side_digests["change"][f]
+                report["outputs"][f"{run}/{f}"] = {"parent": p, "change": c, "equal": p == c}
         report["inputs"] = {Path(p).name: sha256_file(Path(p)) for p in names.values()}
     report["equal"] = all(o["equal"] for o in report["outputs"].values())
+    return report
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", default="HEAD", help="parent commit (default HEAD)")
+    args = parser.parse_args(argv)
+    try:
+        report = digests(git("rev-parse", args.parent))
+    except RuntimeError as exc:
+        print(exc, file=sys.stderr)
+        return 1
     print(json.dumps(report, indent=1))
     return 0 if report["equal"] else 1
 
