@@ -30,7 +30,6 @@ from .config import (
     apply_to_dataclass,
     csv_field,
     load_config_file,
-    merge_dicts,
     parse_overrides,
     write_resolved_config,
 )
@@ -71,19 +70,16 @@ def cmd_gen_asteroid(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    data = load_config_file(args.config) if args.config else {}
-    data = merge_dicts(data, parse_overrides(args.overrides))
+    flags = {"seed": args.seed, "batches": args.batches, "out_dir": args.out,
+             "resume": args.resume}
     cfg = TrainConfig()
-    apply_to_dataclass(cfg, data)
-    # explicit flags take precedence over the config file and overrides
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.batches is not None:
-        cfg.batches = args.batches
-    if args.out is not None:
-        cfg.out_dir = args.out
-    if args.resume:
-        cfg.resume = True
+    # the file, then the overrides, then the flags given: later sources win
+    for data in (
+        load_config_file(args.config) if args.config else {},
+        parse_overrides(args.overrides),
+        {key: value for key, value in flags.items() if value is not None},
+    ):
+        apply_to_dataclass(cfg, data)
     cfg.validate()
     metrics_path = train(
         cfg, log=print,
@@ -116,13 +112,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
     reports = []
     for name in names:
         scenario = get_scenario(name)
-        if args.all and scenario.requires_mesh and args.mesh_file is None:
+        mesh_file = args.mesh_file
+        if args.all and not scenario.requires_mesh:
+            mesh_file = None  # --all flies synthetic scenarios over synthetic bodies
+        elif args.all and mesh_file is None:
             print(f"skipping {name}: requires --mesh-file")
             continue
         out_dir = os.path.join(args.out, name) if args.all else args.out
         report = run_monte_carlo(
             args.checkpoint, scenario, args.episodes, args.seed,
-            out_dir=out_dir, mesh_file=args.mesh_file,
+            out_dir=out_dir, mesh_file=mesh_file,
             stochastic=args.stochastic, workers=args.workers,
         )
         reports.append(report)
@@ -221,10 +220,10 @@ def _drift(logits: np.ndarray) -> tuple[np.ndarray, None]:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    scenario = get_scenario(args.scenario)
-    cfg = scenario.episode_config(mesh_file=args.mesh_file)
-    apply_to_dataclass(cfg, parse_overrides(args.overrides))
-    cfg.validate()
+    overrides = parse_overrides(args.overrides)
+    if args.mesh_file is not None:
+        overrides["mesh_file"] = args.mesh_file
+    cfg = get_scenario(args.scenario).episode_config(overrides)
 
     # without a checkpoint an untrained network runs and _drift ignores it
     policy = load_policy(args.checkpoint, cfg) if args.checkpoint else nn.PolicyNetwork(seed=0)
@@ -289,7 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--batches", type=int, default=None)
     p.add_argument("--out", default=None, help="run directory")
-    p.add_argument("--resume", action="store_true", help="continue from the last checkpoint")
+    p.add_argument(
+        "--resume", action="store_true", default=None, help="continue from the last checkpoint"
+    )
     p.add_argument(
         "overrides", nargs="*", metavar="KEY=VALUE",
         help="dotted config overrides, e.g. ppo.epochs=5 episode.duration=300",
@@ -303,7 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--episodes", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="runs/eval", help="output directory")
-    p.add_argument("--mesh-file", default=None, help="shape model for mesh scenarios")
+    p.add_argument(
+        "--mesh-file", default=None,
+        help="shape model (the mesh_file override; --all gives it to the mesh scenarios only)",
+    )
     p.add_argument("--stochastic", action="store_true", help="sample actions instead of argmax")
     p.add_argument(
         "--workers", type=int, default=max(1, os.cpu_count() or 1),
@@ -328,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", default="baseline")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="runs/sim", help="output directory")
-    p.add_argument("--mesh-file", default=None)
+    p.add_argument("--mesh-file", default=None, help="shape model (the mesh_file override)")
     p.add_argument(
         "overrides", nargs="*", metavar="KEY=VALUE",
         help="dotted episode-config overrides, e.g. duration=120",

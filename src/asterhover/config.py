@@ -1,12 +1,15 @@
-"""YAML run configuration: load, merge dotted overrides, build the typed
-config objects, and echo the fully resolved result into a run directory;
-plus the one number format of every CSV a run writes.
+"""YAML run configuration: load files, parse dotted overrides, apply each
+source to the typed config objects, and echo the fully resolved result into
+a run directory; plus the one number format of every CSV a run writes.
 
 The YAML layout mirrors the config dataclasses (nested sections for the
 scenario, asteroid ranges, sensor, and update hyperparameters), so any
 config field can be pinned in a file or overridden on the command line as
-`section.key=value`; later sources win. The paper's reward, limits and
-sensor-noise model are module constants, not config fields.
+`section.key=value`. :func:`apply_to_dataclass` is the one way a value
+reaches a config object: a run applies its sources in turn, later ones
+winning, and checks every value of each, so a wrongly typed value in a file
+is refused even where an override sets the same key. The paper's reward,
+limits and sensor-noise model are module constants, not config fields.
 """
 
 from __future__ import annotations
@@ -68,17 +71,6 @@ def nest_dotted(items) -> dict:
     return out
 
 
-def merge_dicts(base: dict, extra: dict) -> dict:
-    """Recursive merge; extra wins on conflicts."""
-    out = dict(base)
-    for key, value in extra.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = merge_dicts(out[key], value)
-        else:
-            out[key] = value
-    return out
-
-
 def _fits(value, annotation) -> bool:
     """Whether a YAML scalar may go into a field annotated ``annotation``
     (a class or a union such as ``str | None``): bools only into bool
@@ -127,14 +119,6 @@ def csv_field(value) -> str:
     return str(value)
 
 
-def resolved_config_dict(command: str, cfg) -> dict:
-    return {
-        "command": command,
-        "version": __version__,
-        "config": dataclasses.asdict(cfg) if dataclasses.is_dataclass(cfg) else cfg,
-    }
-
-
 def write_resolved_config(out_dir: str, command: str, cfg) -> str:
     """Echo the effective configuration and code version for reproducibility."""
     import yaml
@@ -142,5 +126,12 @@ def write_resolved_config(out_dir: str, command: str, cfg) -> str:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "resolved_config.yaml")
     with open(path, "w") as fh:
-        yaml.safe_dump(resolved_config_dict(command, cfg), fh, sort_keys=True)
+        yaml.safe_dump(
+            {
+                "command": command,
+                "version": __version__,
+                "config": dataclasses.asdict(cfg) if dataclasses.is_dataclass(cfg) else cfg,
+            },
+            fh, sort_keys=True,
+        )
     return path

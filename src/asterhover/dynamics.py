@@ -257,17 +257,6 @@ class SpacecraftState:
     com_offset: np.ndarray = field(default_factory=lambda: np.zeros(3))  # m, body frame
     t: float = 0.0         # s
 
-    def copy(self) -> "SpacecraftState":
-        return SpacecraftState(
-            self.position.copy(),
-            self.velocity.copy(),
-            self.attitude.copy(),
-            self.omega.copy(),
-            self.mass,
-            self.com_offset.copy(),
-            self.t,
-        )
-
 
 def _pack(state: SpacecraftState) -> np.ndarray:
     return np.concatenate(

@@ -35,7 +35,8 @@ class Scenario:
 
     overrides maps dotted EpisodeConfig field paths (e.g. "dyn.spin_max")
     to values. requires_mesh marks cases that hover over a user-supplied
-    shape model; the file path arrives at run time.
+    shape model; the file path arrives at run time, as the `mesh_file`
+    override.
     """
 
     name: str
@@ -43,16 +44,22 @@ class Scenario:
     overrides: dict = field(default_factory=dict)
     requires_mesh: bool = False
 
-    def episode_config(self, mesh_file: str | None = None) -> EpisodeConfig:
+    def episode_config(self, overrides: dict | None = None) -> EpisodeConfig:
+        """The baseline config with this scenario's overrides, then the
+        run's own `overrides` (a nested dict, e.g. from
+        :func:`~asterhover.config.parse_overrides`) on top, validated.
+
+        Raises ConfigurationError when a mesh scenario resolves to no
+        `mesh_file`.
+        """
         cfg = EpisodeConfig()
         apply_to_dataclass(cfg, nest_dotted(self.overrides.items()))
-        if self.requires_mesh:
-            if mesh_file is None:
-                raise ConfigurationError(
-                    f"scenario {self.name!r} hovers over a real shape model; "
-                    "provide a mesh file (--mesh-file)"
-                )
-            cfg.mesh_file = mesh_file
+        apply_to_dataclass(cfg, overrides or {})
+        if self.requires_mesh and cfg.mesh_file is None:
+            raise ConfigurationError(
+                f"scenario {self.name!r} hovers over a real shape model; "
+                "provide one as the mesh_file override (--mesh-file)"
+            )
         cfg.validate()
         return cfg
 
@@ -307,12 +314,13 @@ def run_monte_carlo(
     :func:`load_policy`) over one scenario.
 
     Episode k runs on the seed stream (seed, k), so reports are identical
-    across reruns and across worker counts. With out_dir set, writes
-    episodes.csv and summary.csv there.
+    across reruns and across worker counts. A given `mesh_file` is the
+    scenario's `mesh_file` override. With out_dir set, writes episodes.csv
+    and summary.csv there.
     """
     if n_episodes < 1:
         raise ConfigurationError(f"n_episodes must be at least 1, got {n_episodes}")
-    cfg = scenario.episode_config(mesh_file=mesh_file)
+    cfg = scenario.episode_config(None if mesh_file is None else {"mesh_file": mesh_file})
     if isinstance(policy, str):
         policy = load_policy(policy, cfg)
     try:

@@ -44,15 +44,12 @@ class TriMesh:
         return self.faces.shape[0]
 
 
-def face_normals(mesh: TriMesh, normalize: bool = True) -> np.ndarray:
-    """Per-face normal vectors, outward for a correctly wound closed mesh."""
+def face_normals(mesh: TriMesh) -> np.ndarray:
+    """Per-face normal vectors, twice the facet area long, outward for a
+    correctly wound closed mesh."""
     v = mesh.vertices
     f = mesh.faces
-    n = np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
-    if normalize:
-        lengths = np.linalg.norm(n, axis=1, keepdims=True)
-        n = n / np.where(lengths > 0.0, lengths, 1.0)
-    return n
+    return np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
 
 
 # Vertices of a regular icosahedron built from three orthogonal golden
@@ -81,7 +78,7 @@ def _base_icosahedron() -> TriMesh:
     # Enforce outward winding; the body is star-shaped about the origin so
     # an outward normal has positive dot product with the face centroid.
     centroids = verts[faces].mean(axis=1)
-    flip = np.einsum("ij,ij->i", face_normals(mesh, normalize=False), centroids) < 0.0
+    flip = np.einsum("ij,ij->i", face_normals(mesh), centroids) < 0.0
     faces[flip] = faces[flip][:, [0, 2, 1]]
     return mesh
 

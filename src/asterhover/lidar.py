@@ -47,8 +47,9 @@ GRID_SIZE = 8
 
 @dataclass
 class SensorConfig:
-    """Detector geometry. The range noise model is set per episode
-    (`EpisodeConfig.sensor_noise` and `noise_*`)."""
+    """Detector geometry. Range noise is switched per episode by
+    `EpisodeConfig.sensor_noise`; its model is the constants
+    `env.NOISE_BIAS_RANGE` and `env.NOISE_SIGMA`."""
 
     fov: float = math.radians(30.0)  # full field of view per axis, rad
     max_range: float = 2000.0   # returned for misses; hits are strictly closer, m
@@ -335,24 +336,22 @@ def cast_rays(
     directions: np.ndarray,
     max_range: float = 2000.0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest front-face hit per ray from a shared origin.
+    """Nearest front-face hit per ray of the (R, 3) `directions` from a
+    shared origin.
 
-    Returns (ranges, hit): misses get exactly `max_range`; hits are the
-    nearest intersection distance and are strictly less than `max_range`
-    (a surface exactly at or beyond `max_range` reads as a miss). This is
-    :meth:`LaneMeshes.cast` with one lane, whose rays are `directions`.
+    Returns (ranges, hit), each (R,): misses get exactly `max_range`; hits
+    are the nearest intersection distance and are strictly less than
+    `max_range` (a surface exactly at or beyond `max_range` reads as a
+    miss). This is :meth:`LaneMeshes.cast` with one lane, whose rays are
+    `directions`.
     """
     d = np.asarray(directions, dtype=np.float64)
-    single = d.ndim == 1
-    d = np.atleast_2d(d)                       # (R, 3)
     origin = np.asarray(origin, dtype=np.float64)
     # A ball of radius 0 around the origin: its pairs are the ones the
     # cast from there keeps, without the slack a lane spends on later casts.
     meshes = LaneMeshes([_prepare(mesh)], d[None])
     meshes._build_pairs(np.zeros(1, dtype=np.intp), origin[None], 0.0)
     ranges, hit = meshes.cast(origin[None], np.ones(1, dtype=bool), max_range)
-    if single:
-        return ranges[0, 0], hit[0, 0]
     return ranges[0], hit[0]
 
 

@@ -324,7 +324,7 @@ class PolicyNetwork(_Network):
             conv1=conv1, conv2=conv2, fc1=fc1, gru=gru, fc3=fc3, out=out
         )
 
-    def init_hidden(self, batch: int = 1) -> np.ndarray:
+    def init_hidden(self, batch: int) -> np.ndarray:
         return np.zeros((batch, self.HIDDEN))
 
     def _forward(
@@ -358,12 +358,10 @@ class PolicyNetwork(_Network):
         logits, h_new, cache = self._forward(image[None], vec[None], hidden)
         return logits[0], h_new, cache
 
-    def forward_sequence(
-        self, images: np.ndarray, vecs: np.ndarray, hidden: np.ndarray | None = None
-    ) -> tuple[np.ndarray, tuple]:
-        """(T,B,8,8,2) + (T,B,7) -> logits (T,B,12,2) plus the backward cache."""
-        h = self.init_hidden(images.shape[1]) if hidden is None else hidden
-        logits, _, cache = self._forward(images, vecs, h)
+    def forward_sequence(self, images: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """(T,B,8,8,2) + (T,B,7) -> logits (T,B,12,2) plus the backward
+        cache, from a zero hidden state."""
+        logits, _, cache = self._forward(images, vecs, self.init_hidden(images.shape[1]))
         return logits, cache
 
     def backward_sequence(self, dlogits: np.ndarray, cache: tuple) -> None:
@@ -396,7 +394,7 @@ class ValueNetwork(_Network):
             out=Linear(rng, 5, 1),
         )
 
-    def init_hidden(self, batch: int = 1) -> np.ndarray:
+    def init_hidden(self, batch: int) -> np.ndarray:
         return np.zeros((batch, self.HIDDEN))
 
     def _forward(self, xs: np.ndarray, hidden: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
@@ -419,11 +417,10 @@ class ValueNetwork(_Network):
         values, h_new, cache = self._forward(x[None], hidden)
         return values[0], h_new, cache
 
-    def forward_sequence(
-        self, xs: np.ndarray, hidden: np.ndarray | None = None
-    ) -> tuple[np.ndarray, tuple]:
-        h = self.init_hidden(xs.shape[1]) if hidden is None else hidden
-        values, _, cache = self._forward(xs, h)
+    def forward_sequence(self, xs: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """(T,B,13) -> values (T,B) plus the backward cache, from a zero
+        hidden state."""
+        values, _, cache = self._forward(xs, self.init_hidden(xs.shape[1]))
         return values, cache
 
     def backward_sequence(self, dvalues: np.ndarray, cache: tuple) -> None:
@@ -496,41 +493,40 @@ def logp_grad_logits(logits: np.ndarray, action: np.ndarray, coeff: np.ndarray) 
 # --------------------------------------------------------------------------
 # Optimizer
 
+ADAM_BETA1 = 0.9     # decay of the first-moment estimate
+ADAM_BETA2 = 0.999   # decay of the second-moment estimate
+ADAM_EPS = 1.0e-8    # added to the root of the second moment
+
+
 class Adam:
-    """Adaptive-moment descent on a named parameter dict (in place).
+    """Adaptive-moment descent on a named parameter dict (in place), at
+    learning rate `lr` (the checkpoint records it) and the fixed decays
+    ``ADAM_BETA1`` / ``ADAM_BETA2`` and offset ``ADAM_EPS``.
 
     Always steps downhill; callers maximizing an objective negate its
     gradient before calling :meth:`step`.
     """
 
-    def __init__(
-        self,
-        params: "OrderedDict[str, np.ndarray]",
-        lr: float = 1.0e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1.0e-8,
-    ):
+    def __init__(self, params: "OrderedDict[str, np.ndarray]", lr: float = 1.0e-3):
         self.params = params
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         self.t += 1
-        b1c = 1.0 - self.beta1**self.t
-        b2c = 1.0 - self.beta2**self.t
+        b1c = 1.0 - ADAM_BETA1**self.t
+        b2c = 1.0 - ADAM_BETA2**self.t
         for k, p in self.params.items():
             g = grads[k]
             m = self.m[k]
             v = self.v[k]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            p -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         out = {}
@@ -549,6 +545,10 @@ class Adam:
 # --------------------------------------------------------------------------
 # Checkpointing
 
+# (array-name prefix, metadata key) of the policy and the value optimizer
+_OPTIMIZER_KEYS = (("popt", "policy_opt"), ("vopt", "value_opt"))
+
+
 def save_checkpoint(
     path: str,
     policy: PolicyNetwork,
@@ -565,14 +565,11 @@ def save_checkpoint(
     for k, v in value.parameters().items():
         arrays[f"value/{k}"] = v
     meta: dict = {"version": CHECKPOINT_VERSION, "extra": extra or {}}
-    if policy_opt is not None:
-        for k, v in policy_opt.state_arrays().items():
-            arrays[f"popt/{k}"] = v
-        meta["policy_opt"] = {"t": policy_opt.t, "lr": policy_opt.lr}
-    if value_opt is not None:
-        for k, v in value_opt.state_arrays().items():
-            arrays[f"vopt/{k}"] = v
-        meta["value_opt"] = {"t": value_opt.t, "lr": value_opt.lr}
+    for (prefix, name), opt in zip(_OPTIMIZER_KEYS, (policy_opt, value_opt)):
+        if opt is not None:
+            for k, v in opt.state_arrays().items():
+                arrays[f"{prefix}/{k}"] = v
+            meta[name] = {"t": opt.t, "lr": opt.lr}
     # Write beside the target and rename over it, so a crash mid-write never
     # leaves a truncated archive under the final name. The temp name ends in
     # ".tmp", which checkpoint globs do not match; np.savez gets an open
@@ -614,22 +611,18 @@ def load_checkpoint(
             value.load_parameters(
                 {k[len("value/"):]: data[k] for k in data.files if k.startswith("value/")}
             )
-            if policy_opt is not None:
-                if "policy_opt" not in meta:
-                    raise ConfigurationError("checkpoint has no policy optimizer state")
-                policy_opt.load_state_arrays(
-                    {k[len("popt/"):]: data[k] for k in data.files if k.startswith("popt/")},
-                    meta["policy_opt"]["t"],
+            for (prefix, name), opt in zip(_OPTIMIZER_KEYS, (policy_opt, value_opt)):
+                if opt is None:
+                    continue
+                if name not in meta:
+                    kind = name.split("_")[0]
+                    raise ConfigurationError(f"checkpoint has no {kind} optimizer state")
+                opt.load_state_arrays(
+                    {k[len(prefix) + 1:]: data[k] for k in data.files
+                     if k.startswith(prefix + "/")},
+                    meta[name]["t"],
                 )
-                policy_opt.lr = meta["policy_opt"]["lr"]
-            if value_opt is not None:
-                if "value_opt" not in meta:
-                    raise ConfigurationError("checkpoint has no value optimizer state")
-                value_opt.load_state_arrays(
-                    {k[len("vopt/"):]: data[k] for k in data.files if k.startswith("vopt/")},
-                    meta["value_opt"]["t"],
-                )
-                value_opt.lr = meta["value_opt"]["lr"]
+                opt.lr = meta[name]["lr"]
         except KeyError as exc:
             raise ConfigurationError(f"checkpoint is missing array {exc}") from None
     return meta

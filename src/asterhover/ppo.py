@@ -371,14 +371,12 @@ def ppo_update(
     value_loss = float("nan")
     policy_epochs = 0
     policy_active = True
+    failed = None  # what went non-finite, which ends the update
     for epoch in range(cfg.epochs):
         compute_advantages(batch, cfg.gamma, value_net)
         if not np.isfinite(batch.advantages).all():
-            return UpdateStats(
-                kl, clip_frac, value_loss, policy_epochs, eps,
-                aborted=True,
-                diagnostics=f"non-finite advantages at epoch {epoch}",
-            )
+            failed = "advantages"
+            break
         order = rng.permutation(batch.num_episodes)
         for start in range(0, batch.num_episodes, cfg.minibatch_episodes):
             mb = order[start:start + cfg.minibatch_episodes]
@@ -391,22 +389,18 @@ def ppo_update(
                     eps,
                 )
                 if not ok:
-                    return UpdateStats(
-                        kl, clip_frac, value_loss, policy_epochs, eps,
-                        aborted=True,
-                        diagnostics=f"non-finite policy step at epoch {epoch}",
-                    )
+                    failed = "policy step"
+                    break
             value_loss, ok = value_minibatch_step(
                 value_net, value_opt,
                 batch.value_inputs[:, mb], batch.returns[:, mb],
                 batch.mask[:, mb],
             )
             if not ok:
-                return UpdateStats(
-                    kl, clip_frac, value_loss, policy_epochs, eps,
-                    aborted=True,
-                    diagnostics=f"non-finite value step at epoch {epoch}",
-                )
+                failed = "value step"
+                break
+        if failed:
+            break
         if policy_active:
             policy_epochs += 1
             kl = measure_kl(policy, batch)
@@ -417,7 +411,9 @@ def ppo_update(
         clip_fraction=clip_frac,
         value_loss=value_loss,
         policy_epochs=policy_epochs,
-        new_clip_eps=adapt_clip(kl, cfg.kl_target, eps),
+        new_clip_eps=eps if failed else adapt_clip(kl, cfg.kl_target, eps),
+        aborted=failed is not None,
+        diagnostics=f"non-finite {failed} at epoch {epoch}" if failed else "",
     )
 
 

@@ -58,16 +58,15 @@ def cast_rays_reference(
     directions: np.ndarray,
     max_range: float = 2000.0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest front-face hit per ray from a shared origin, over all facets.
+    """Nearest front-face hit per ray of the (R, 3) `directions` from a
+    shared origin, over all facets.
 
-    Returns (ranges, hit): misses get exactly `max_range`; hits are the
+    Returns (ranges, hit), each (R,): misses get exactly `max_range`; hits are the
     nearest intersection distance and are strictly less than `max_range`
     (a surface exactly at or beyond `max_range` reads as a miss).
     """
     prep = _prepare(mesh)
-    d = np.asarray(directions, dtype=np.float64)
-    single = d.ndim == 1
-    d = np.atleast_2d(d)                       # (R, 3)
+    d = np.asarray(directions, dtype=np.float64)  # (R, 3)
     origin = np.asarray(origin, dtype=np.float64)
 
     pvec = np.cross(d[:, None, :], prep.edge2[None, :, :])     # (R, F, 3)
@@ -89,8 +88,6 @@ def cast_rays_reference(
     nearest = t.min(axis=1)
     hit = nearest < max_range
     ranges = np.where(hit, nearest, max_range)
-    if single:
-        return ranges[0], hit[0]
     return ranges, hit
 
 
@@ -101,5 +98,5 @@ def cast_ray(
     max_range: float = 2000.0,
 ) -> float:
     """Single-ray convenience wrapper around :func:`asterhover.lidar.cast_rays`."""
-    ranges, _ = cast_rays(mesh, origin, direction, max_range)
-    return float(ranges)
+    ranges, _ = cast_rays(mesh, origin, np.asarray(direction, dtype=np.float64)[None], max_range)
+    return float(ranges[0])

@@ -149,9 +149,9 @@ def policy_step_backward(net, dlogits, cache, dh_next):
     return dh_prev
 
 
-def policy_forward_sequence(net, images, vecs, hidden=None):
+def policy_forward_sequence(net, images, vecs):
     T, B = images.shape[0], images.shape[1]
-    h = net.init_hidden(B) if hidden is None else hidden
+    h = net.init_hidden(B)
     logits = np.empty((T, B, net.NUM_THRUSTERS, 2))
     caches = []
     for t in range(T):
@@ -192,9 +192,9 @@ def value_step_backward(net, dv, cache, dh_next):
     return dh_prev
 
 
-def value_forward_sequence(net, xs, hidden=None):
+def value_forward_sequence(net, xs):
     T, B = xs.shape[0], xs.shape[1]
-    h = net.init_hidden(B) if hidden is None else hidden
+    h = net.init_hidden(B)
     values = np.empty((T, B))
     caches = []
     for t in range(T):

@@ -1,7 +1,9 @@
 """Command line behavior: subcommands, exit codes, config precedence,
 determinism of artifacts."""
 
+import contextlib
 import dataclasses
+import io
 import math
 import os
 import subprocess
@@ -17,11 +19,10 @@ from asterhover.cli import main
 from asterhover.config import (
     apply_to_dataclass,
     load_config_file,
-    merge_dicts,
     parse_overrides,
 )
 from asterhover.errors import ConfigurationError
-from asterhover.evaluation import get_scenario
+from asterhover.evaluation import Scenario, get_scenario, run_monte_carlo, scenario_presets
 from asterhover.geometry import load_mesh, save_mesh
 from asterhover.ppo import TrainConfig
 from geometry_reference import make_peanut_mesh
@@ -81,13 +82,6 @@ def test_parse_overrides_rejects_malformed():
         parse_overrides(["=5"])
 
 
-def test_merge_dicts_later_wins():
-    base = {"a": 1, "b": {"c": 2, "d": 3}}
-    merged = merge_dicts(base, {"b": {"c": 9}, "e": 4})
-    assert merged == {"a": 1, "b": {"c": 9, "d": 3}, "e": 4}
-    assert base["b"]["c"] == 2  # inputs untouched
-
-
 def test_apply_to_dataclass_nested_and_unknown_key():
     cfg = TrainConfig()
     apply_to_dataclass(cfg, {"seed": 9, "episode": {"duration": 120.0}})
@@ -136,6 +130,17 @@ def test_train_config_file_wrongly_typed_value_is_usage_error(tmp_path, capsys):
     cfg = write_tiny_train_config(tmp_path / "cfg.yaml", batches="two")
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
     assert "config key batches must be int" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("later", [["batches=1"], ["--batches", "1"]], ids=["override", "flag"])
+def test_train_config_file_value_is_checked_even_when_overridden(tmp_path, capsys, later):
+    # every source is applied and checked in turn, so a later one that sets
+    # the same key does not hide a bad value in the file
+    cfg = write_tiny_train_config(tmp_path / "cfg.yaml", batches="two")
+    out = tmp_path / "x"
+    assert main(["train", "--config", str(cfg), "--out", str(out), *later]) == 2
+    assert "config key batches must be int" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_training_and_evaluation_imports_leave_yaml_unloaded():
@@ -240,6 +245,12 @@ def test_train_cli_flag_beats_config_and_override(tmp_path):
     resolved = yaml.safe_load(read(out / "resolved_config.yaml"))
     assert resolved["config"]["batches"] == 1
     assert resolved["config"]["ppo"]["epochs"] == 1
+    # an override replaces one key of a section; the file's others stay
+    assert resolved["config"]["ppo"]["episodes_per_batch"] == 3
+    assert resolved["config"]["ppo"]["minibatch_episodes"] == 2
+    assert resolved["config"]["seed"] == 3
+    assert resolved["config"]["episode"]["duration"] == 60.0
+    assert resolved["config"]["out_dir"] == str(out)
     lines = read(out / "metrics.csv").strip().splitlines()
     assert len(lines) == 2  # header plus one batch
 
@@ -383,21 +394,57 @@ def test_eval_single_scenario_writes_reports(trained_run, tmp_path):
     assert len(lines) == 3  # header + 2 episodes
 
 
-def test_eval_all_skips_mesh_scenarios_without_mesh(trained_run, tmp_path, capsys):
-    ck = str(trained_run / "checkpoint_000001.npz")
-    out = tmp_path / "all"
-    code = main([
+@pytest.fixture(scope="module")
+def peanut_obj(tmp_path_factory):
+    """A level-2 peanut OBJ, the stand-in shape model of the mesh scenarios."""
+    path = tmp_path_factory.mktemp("peanut") / "peanut.obj"
+    save_mesh(str(path), make_peanut_mesh(level=2))
+    return str(path)
+
+
+def eval_all(ck, out, *extra):
+    return main([
         "eval", "--checkpoint", ck, "--all",
-        "--episodes", "1", "--out", str(out), "--workers", "1",
+        "--episodes", "1", "--out", str(out), "--workers", "1", *extra,
     ])
-    assert code == 0
-    stdout = capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def eval_all_run(trained_run, tmp_path_factory):
+    """`eval --all` without a mesh file: its directory and its stdout."""
+    out = tmp_path_factory.mktemp("eval_all") / "all"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert eval_all(str(trained_run / "checkpoint_000001.npz"), out) == 0
+    return out, stdout.getvalue()
+
+
+def test_eval_all_skips_mesh_scenarios_without_mesh(eval_all_run):
+    out, stdout = eval_all_run
     assert "skipping rq36" in stdout
     lines = read(out / "summary.csv").strip().splitlines()
     # baseline + the seven synthetic presets ran; six mesh rows skipped
     assert len(lines) == 1 + 8
     assert (out / "baseline" / "episodes.csv").exists()
     assert (out / "extended-altitude" / "summary.csv").exists()
+
+
+def test_eval_all_gives_the_mesh_file_to_mesh_scenarios_only(
+    trained_run, eval_all_run, peanut_obj, tmp_path
+):
+    # the synthetic scenarios keep their synthetic bodies: their rows and
+    # files equal those of the run without --mesh-file
+    plain, _ = eval_all_run
+    out = tmp_path / "all"
+    assert eval_all(str(trained_run / "checkpoint_000001.npz"), out, "--mesh-file", peanut_obj) == 0
+    lines = read(out / "summary.csv").strip().splitlines()
+    assert len(lines) == 1 + 14
+    assert lines[:9] == read(plain / "summary.csv").strip().splitlines()
+    for name in ["baseline"] + [s.name for s in scenario_presets() if not s.requires_mesh]:
+        assert read(out / name / "episodes.csv") == read(plain / name / "episodes.csv")
+    assert [line.split(",")[0] for line in lines[9:]] == [
+        s.name for s in scenario_presets() if s.requires_mesh
+    ]
 
 
 def test_checkpoint_records_its_episode_settings(tmp_path, capsys):
@@ -437,7 +484,48 @@ def test_checkpoint_without_episode_settings_loads_as_before(tmp_path):
     assert code == 0
 
 
+def test_eval_mesh_file_flag_is_the_mesh_file_override(trained_run, peanut_obj, tmp_path):
+    # `eval --scenario baseline --mesh-file X` flies over X, as the baseline
+    # scenario with the mesh_file override does, and records X
+    ck = str(trained_run / "checkpoint_000001.npz")
+    args = ["eval", "--checkpoint", ck, "--scenario", "baseline",
+            "--episodes", "1", "--seed", "5", "--workers", "1"]
+    flag, plain = tmp_path / "flag", tmp_path / "plain"
+    assert main(args + ["--mesh-file", peanut_obj, "--out", str(flag)]) == 0
+    assert main(args + ["--out", str(plain)]) == 0
+    override = tmp_path / "override"
+    run_monte_carlo(
+        ck, Scenario("baseline", overrides={"mesh_file": peanut_obj}), 1, 5,
+        out_dir=str(override),
+    )
+    for name in ("episodes.csv", "summary.csv"):
+        assert read(flag / name) == read(override / name)
+    assert read(flag / "episodes.csv") != read(plain / "episodes.csv")
+    resolved = yaml.safe_load(read(flag / "resolved_config.yaml"))
+    assert resolved["config"]["mesh_file"] == peanut_obj
+
+
 # --- simulate and scan-debug ----------------------------------------------
+
+
+@pytest.mark.parametrize("scenario", ["itokawa", "baseline"])
+def test_simulate_mesh_file_flag_is_the_mesh_file_override(peanut_obj, tmp_path, scenario):
+    # --mesh-file X and the override mesh_file=X fly the same episode over X,
+    # for a mesh scenario and for a synthetic one alike
+    args = ["simulate", "--scenario", scenario, "--seed", "3", "duration=60"]
+    flag, override = tmp_path / "flag", tmp_path / "override"
+    assert main(args + ["--mesh-file", peanut_obj, "--out", str(flag)]) == 0
+    assert main(args + [f"mesh_file={peanut_obj}", "--out", str(override)]) == 0
+    assert read(flag / "trajectory.csv") == read(override / "trajectory.csv")
+    for run in (flag, override):
+        resolved = yaml.safe_load(read(run / "resolved_config.yaml"))
+        assert resolved["config"]["episode"]["mesh_file"] == peanut_obj
+    if scenario == "baseline":
+        plain = tmp_path / "plain"
+        assert main(args + ["--out", str(plain)]) == 0
+        assert read(flag / "trajectory.csv") != read(plain / "trajectory.csv")
+
+
 
 
 def test_simulate_drift_writes_trajectory(tmp_path):

@@ -1,3 +1,4 @@
+import copy
 import math
 import warnings
 
@@ -425,7 +426,7 @@ def test_derivative_against_reference_integrator():
 
     # Fixed-step truncation at dt=2 with the body tumbling at ~0.027 rad/s
     # dominates these bounds; the error falls 16x per dt halving.
-    s = state.copy()
+    s = copy.deepcopy(state)
     for _ in range(30):
         s = rk4_step(s, action, 2.0, model, table, ext=ext)
     np.testing.assert_allclose(s.position, ref[0:3], atol=1e-5)
@@ -497,7 +498,7 @@ def kernel_case(case, rng):
 @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
 def test_rk4_step_matches_reference_bitwise(case, rng):
     model, table, ext, state, renormalize = kernel_case(case, rng)
-    fast, slow = state.copy(), state.copy()
+    fast, slow = copy.deepcopy(state), copy.deepcopy(state)
     for _ in range(40):
         action = rng.integers(0, 2, 12).astype(np.float64)
         fast = rk4_step(fast, action, 2.0, model, table, ext, renormalize=renormalize)
@@ -519,7 +520,7 @@ def test_rk4_substeps_match_chained_reference_bitwise(case, substeps, rng):
     # One call flies `substeps` steps on one thruster command, as
     # HoverEnv.step does a control period.
     model, table, ext, state, renormalize = kernel_case(case, rng)
-    fast, slow = state.copy(), state.copy()
+    fast, slow = copy.deepcopy(state), copy.deepcopy(state)
     for _ in range(8):
         action = rng.integers(0, 2, 12).astype(np.float64)
         fast = rk4_step(fast, action, 2.0, model, table, ext, renormalize=renormalize,

@@ -52,7 +52,7 @@ def quiet_scenario(**extra) -> Scenario:
 class AllOffPolicy:
     """Scripted stub: every thruster stays off with near certainty."""
 
-    def init_hidden(self, batch=1):
+    def init_hidden(self, batch):
         return np.zeros((batch, 1))
 
     def step(self, image, vec, hidden):
@@ -88,9 +88,7 @@ def test_presets_differ_from_baseline_only_in_listed_fields(tmp_path):
     save_mesh(mesh_path, make_peanut_mesh(level=1))
     base = flatten(dataclasses.asdict(EpisodeConfig()))
     for scenario in scenario_presets():
-        cfg = scenario.episode_config(
-            mesh_file=mesh_path if scenario.requires_mesh else None
-        )
+        cfg = scenario.episode_config({"mesh_file": mesh_path} if scenario.requires_mesh else None)
         got = flatten(dataclasses.asdict(cfg))
         diffs = {k for k in base if got[k] != base[k]}
         allowed = set(scenario.overrides)
@@ -130,6 +128,9 @@ def test_baseline_scenario_is_defaults():
 def test_mesh_scenario_without_file_is_clear_error():
     with pytest.raises(ConfigurationError, match="mesh"):
         get_scenario("rq36").episode_config()
+    # the check reads the resolved config, whichever source set it last
+    with pytest.raises(ConfigurationError, match="rq36.*mesh_file"):
+        get_scenario("rq36").episode_config({"mesh_file": None, "duration": 60.0})
 
 
 def test_unknown_override_field_rejected():

@@ -201,7 +201,7 @@ class _ReturnOracle:
             n = ep.length
             self.table[:n, b] = discounted_returns(batch.rewards[:n, b], gamma)
 
-    def forward_sequence(self, xs, hidden=None):
+    def forward_sequence(self, xs):
         return self.table.copy(), None
 
 
@@ -331,6 +331,54 @@ def test_nonfinite_rewards_abort_update_without_stepping():
     assert "epoch 0" in stats.diagnostics
     for k, v in policy.parameters().items():
         np.testing.assert_array_equal(v, before[k])
+
+
+def test_nonfinite_policy_step_aborts_update_without_stepping():
+    # a nan image leaves the advantages finite and poisons the first
+    # policy minibatch; nothing steps, not even the critic
+    rng = np.random.default_rng(9)
+    batch = synthetic_batch(rng)
+    batch.images[0, :, 0, 0, 0] = np.nan
+    policy, value_net = build_networks(seed=13)
+    popt = nn.Adam(policy.parameters(), lr=3e-4)
+    vopt = nn.Adam(value_net.parameters(), lr=1e-3)
+    params = [*policy.parameters().values(), *value_net.parameters().values()]
+    before = [v.copy() for v in params]
+    stats = ppo_update(
+        policy, value_net, batch, small_ppo(), popt, vopt,
+        np.random.default_rng(0), clip_eps=0.3,
+    )
+    assert stats.aborted
+    assert stats.diagnostics == "non-finite policy step at epoch 0"
+    assert (stats.kl, stats.policy_epochs, stats.new_clip_eps) == (0.0, 0, 0.3)
+    assert np.isnan(stats.value_loss)
+    for v, w in zip(params, before):
+        np.testing.assert_array_equal(v, w)
+    assert popt.t == 0 and vopt.t == 0
+
+
+def test_nonfinite_value_step_aborts_update_without_stepping():
+    # critic outputs near 1e200 overflow the squared error but not the
+    # normalized advantages, so the first value minibatch aborts
+    rng = np.random.default_rng(9)
+    batch = synthetic_batch(rng)
+    policy, value_net = build_networks(seed=13)
+    value_net.layers["out"].b[...] = 1.0e200
+    popt = nn.Adam(policy.parameters(), lr=3e-4)
+    vopt = nn.Adam(value_net.parameters(), lr=1e-3)
+    before = {k: v.copy() for k, v in value_net.parameters().items()}
+    with np.errstate(over="ignore", invalid="ignore"):
+        stats = ppo_update(
+            policy, value_net, batch, small_ppo(), popt, vopt,
+            np.random.default_rng(0), clip_eps=0.3,
+        )
+    assert stats.aborted
+    assert stats.diagnostics == "non-finite value step at epoch 0"
+    assert (stats.kl, stats.policy_epochs, stats.new_clip_eps) == (0.0, 0, 0.3)
+    assert stats.value_loss == np.inf
+    for k, v in value_net.parameters().items():
+        np.testing.assert_array_equal(v, before[k])
+    assert popt.t == 1 and vopt.t == 0  # the policy minibatch before it stepped
 
 
 def test_ppo_update_stats_and_adaptation():

@@ -50,6 +50,9 @@ RUNS = [
     ("simulate-drift", ["simulate", "--seed", "1"], ("trajectory.csv",)),
     ("simulate-checkpoint", ["simulate", "--seed", "1", "--checkpoint", "{ck}"],
      ("trajectory.csv",)),
+    ("simulate-itokawa3x-peanut5",
+     ["simulate", "--seed", "1", "--scenario", "itokawa3x", "--mesh-file", "{peanut5}"],
+     ("trajectory.csv",)),
     ("scan-debug", ["scan-debug", "--seed", "1"], ("scan.csv",)),
     ("scan-debug-peanut5", ["scan-debug", "--mesh", "{peanut5}", "--scale", "3"], ("scan.csv",)),
 ]
