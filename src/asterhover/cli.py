@@ -92,10 +92,25 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     if bool(args.scenario) == bool(args.all):
         raise ConfigurationError("choose exactly one of --scenario NAME or --all")
+    if args.episodes < 1:
+        raise ConfigurationError(f"n_episodes must be at least 1, got {args.episodes}")
     names = [args.scenario] if args.scenario else (
         ["baseline"] + [s.name for s in scenario_presets()]
     )
-    os.makedirs(args.out, exist_ok=True)
+    # every flown scenario resolves, and the checkpoint fits each, before
+    # anything is written
+    flown = {}  # name -> (scenario, mesh_file, episode config)
+    for name in names:
+        scenario = get_scenario(name)
+        mesh_file = args.mesh_file
+        if args.all and not scenario.requires_mesh:
+            mesh_file = None  # --all flies synthetic scenarios over synthetic bodies
+        elif args.all and mesh_file is None:
+            print(f"skipping {name}: requires --mesh-file")
+            continue
+        cfg = scenario.episode_config(None if mesh_file is None else {"mesh_file": mesh_file})
+        flown[name] = scenario, mesh_file, cfg
+    policy = load_policy(args.checkpoint, *(cfg for _, _, cfg in flown.values()))
     write_resolved_config(
         args.out, "eval",
         {
@@ -107,20 +122,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
             "stochastic": args.stochastic,
             "workers": args.workers,
             "out_dir": args.out,
+            "episode": {name: dataclasses.asdict(cfg) for name, (_, _, cfg) in flown.items()},
         },
     )
     reports = []
-    for name in names:
-        scenario = get_scenario(name)
-        mesh_file = args.mesh_file
-        if args.all and not scenario.requires_mesh:
-            mesh_file = None  # --all flies synthetic scenarios over synthetic bodies
-        elif args.all and mesh_file is None:
-            print(f"skipping {name}: requires --mesh-file")
-            continue
+    for name, (scenario, mesh_file, _) in flown.items():
         out_dir = os.path.join(args.out, name) if args.all else args.out
         report = run_monte_carlo(
-            args.checkpoint, scenario, args.episodes, args.seed,
+            policy, scenario, args.episodes, args.seed,
             out_dir=out_dir, mesh_file=mesh_file,
             stochastic=args.stochastic, workers=args.workers,
         )

@@ -267,17 +267,18 @@ def summary_row(report: EvalReport) -> list[str]:
     return [csv_field(v) for v in astuple(report)]
 
 
-def load_policy(checkpoint_path: str, cfg: EpisodeConfig) -> nn.PolicyNetwork:
+def load_policy(checkpoint_path: str, *cfgs: EpisodeConfig) -> nn.PolicyNetwork:
     """Policy parameters from a training checkpoint (critic discarded), to
-    fly episodes of `cfg`.
+    fly episodes of each of `cfgs`.
 
     Raises ConfigurationError when the checkpoint records an episode
-    setting that `cfg` does not share (see
+    setting that one of `cfgs` does not share (see
     :func:`~asterhover.ppo.check_trained_episode`).
     """
     policy = nn.PolicyNetwork(seed=0)
     meta = nn.load_checkpoint(checkpoint_path, policy, nn.ValueNetwork(seed=0))
-    check_trained_episode(checkpoint_path, meta["extra"], cfg)
+    for cfg in cfgs:
+        check_trained_episode(checkpoint_path, meta["extra"], cfg)
     return policy
 
 

@@ -106,13 +106,14 @@ def _near_cone(
     along: np.ndarray,
     dist: np.ndarray,
     radius: np.ndarray,
-    half_angle: float | np.ndarray,
+    half_angle: float,
 ) -> np.ndarray:
-    """Whether each bounding sphere comes within CONE_TOL rad of a cone.
+    """Whether each bounding sphere comes within CONE_TOL rad of a cone of
+    `half_angle`.
 
     A sphere's centre lies at distance `dist` from the apex and its radius
     is `radius`; `along` is the centre offset's component along the cone's
-    unit axis. All four broadcast together. A sphere that holds the
+    unit axis. The three arrays broadcast together. A sphere that holds the
     apex always counts.
 
     The centre's angle off the axis is compared with the largest one kept,
@@ -134,18 +135,17 @@ def _reachable(
     radius: np.ndarray,
     normal: np.ndarray,
     normal_len: np.ndarray,
-    half_angle: float | np.ndarray,
-    rho: float | np.ndarray = 0.0,
+    half_angle: float,
+    rho: float,
 ) -> np.ndarray:
     """The facet test of :meth:`LaneMeshes._build_pairs`: whether some ray
-    in a cone of `half_angle` may hit each facet when cast from an origin
-    within `rho` of the one its centre offset `w` (..., 3), distance `dist`
-    and offset component `along` the cone's unit axis are measured from.
-    The facet's bounding sphere radius, outward normal and normal length
-    come in `radius`, `normal` and `normal_len`; all arguments broadcast
-    together.
+    in a cone of `half_angle` may hit each of F facets when cast from an
+    origin within `rho` of the one their centre offsets `w` (F, 3),
+    distances `dist` (F,) and offset components `along` the cone's unit
+    axis (F,) are measured from. The facets' bounding sphere radii, outward
+    normals and normal lengths come in `radius`, `normal` and `normal_len`.
     """
-    facing = np.einsum("...k,...k->...", w, normal)
+    facing = np.einsum("fk,fk->f", w, normal)
     front = facing <= normal_len * (rho + PLANE_TOL * (dist + rho + radius))
     return front & _near_cone(along, dist, radius + rho, half_angle)
 
@@ -163,14 +163,12 @@ def beam_cone(directions: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 class LaneMeshes:
-    """The prepared meshes of L lanes, stacked (L, F, ...) for one cast, and
-    each lane's rays.
+    """The prepared meshes of L lanes, one each, and each lane's rays.
 
-    Every lane must have the same facet count F, as the bodies of one
-    episode configuration do. One mesh is stacked by views, without a copy.
-    Lane l casts the rays `beams[l]` (R, 3), fixed for the object's life as
-    an episode's beams are (the attitude is frozen), inside the cone of
-    :func:`beam_cone`.
+    Lanes may hold different meshes with different facet counts; each lane
+    keeps its own `PreparedMesh` as given. Lane l casts the rays `beams[l]`
+    (R, 3), fixed for the object's life as an episode's beams are (the
+    attitude is frozen), inside the cone of :func:`beam_cone`.
 
     Each lane keeps a candidate ball between casts: the (ray, facet) pairs
     that may hit from anywhere within rho of the ball's centre (see
@@ -184,95 +182,68 @@ class LaneMeshes:
     does.
     """
 
-    FIELDS = ("v0", "edge1", "edge2", "centroid", "radius", "normal", "normal_len")
-    # A lane's pairs: each one's ray and facet as indices into the L*R
-    # stacked rays and L*F stacked facets, then the kernel's two terms that
-    # do not depend on the origin, pvec and det.
-    _NO_PAIRS = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty((0, 3)), np.empty(0))
+    # A lane's pairs: each one's ray as an index into the L*R rays, then the
+    # kernel's terms that do not depend on the origin: the facet's v0, edge1
+    # and edge2, and the pair's pvec and det.
+    _NO_PAIRS = (np.empty(0, dtype=np.intp), *[np.empty((0, 3))] * 4, np.empty(0))
 
     def __init__(self, meshes: list[PreparedMesh], beams: np.ndarray):
-        if len({m.num_faces for m in meshes}) != 1:
-            raise ConfigurationError("lanes need meshes with equal facet counts")
-        for name in self.FIELDS:
-            arrays = [getattr(m, name) for m in meshes]
-            setattr(self, name, arrays[0][None] if len(arrays) == 1 else np.stack(arrays))
-        self.num_lanes, self.num_faces = len(meshes), meshes[0].num_faces
+        self.meshes = meshes
         self.beams = beams
         self.units = beams / np.linalg.norm(beams, axis=2, keepdims=True)
-        cones = [beam_cone(b) for b in beams]
-        self.axes = np.array([axis for axis, _ in cones])
-        self.half_angles = np.array([half_angle for _, half_angle in cones])
+        self.cones = [beam_cone(b) for b in beams]
         # Each lane's ball: its centre (NaN until built), the square of half
         # its radius, and its pairs (see _build_pairs).
-        L = self.num_lanes
+        L = len(meshes)
         self._ball_centre = np.full((L, 3), np.nan)
         self._ball_reach = np.zeros(L)
         self._ball_pairs = [self._NO_PAIRS] * L
 
-    def _build_pairs(self, lanes: np.ndarray, origins: np.ndarray, fraction: float) -> None:
-        """Rebuild the balls of `lanes` around their origins, each of radius
-        rho = `fraction` of its gap (0 once the origin is inside a facet
-        bounding sphere, or when `fraction` is 0), in one pass over their
-        whole meshes.
+    def _build_pairs(self, lane: int, origin: np.ndarray, fraction: float) -> None:
+        """Rebuild the ball of `lane` around `origin`, of radius rho =
+        `fraction` of its gap (0 once the origin is inside a facet bounding
+        sphere, or when `fraction` is 0), in one pass over the lane's mesh.
 
         A facet is kept when some origin within rho of the centre may see
         it: the origin is not clearly behind its plane (the kernel then has
         det <= DET_EPS or t <= T_MIN for every ray), with slack rho * |n|,
         and its bounding sphere grown by rho (the Minkowski sum) comes
         within CONE_TOL of the lane's cone. A kept facet pairs with each ray
-        of its lane that passes the same cone test as a zero-angle cone. Of
+        of the lane that passes the same cone test as a zero-angle cone. Of
         those pairs, the ones whose det (which depends only on the ray and
         the facet) exceeds DET_EPS are kept, with the kernel's origin-free
         terms as _NO_PAIRS lists them. A culled pair would give t = inf from
         every origin in the ball.
         """
-        F, R = self.num_faces, self.units.shape[1]
-        # All lanes at once (every lane's first cast) read the stacks in place.
-        rows = slice(None) if lanes.size == self.num_lanes else lanes
-        w = self.centroid[rows] - origins[rows, None, :]            # (S, F, 3)
-        dist = np.sqrt(np.einsum("sfk,sfk->sf", w, w))
-        radius = self.radius[rows]
-        gap = (dist - radius).min(axis=1)
+        mesh, (axis, half_angle), R = self.meshes[lane], self.cones[lane], self.units.shape[1]
+        w = mesh.centroid - origin                                   # (F, 3)
+        dist = np.sqrt(np.einsum("fk,fk->f", w, w))
+        gap = (dist - mesh.radius).min()
         # No ball (rho = 0, a rebuild at every move) once the origin enters
-        # a bounding sphere; NaN gaps land there too.
-        rho = np.where(gap > 0.0, fraction * gap, 0.0)
-        along = (w @ self.axes[rows, :, None])[..., 0]              # (S, F)
-        keep = _reachable(
-            w, dist, along, radius, self.normal[rows], self.normal_len[rows],
-            self.half_angles[rows, None], rho[:, None],
-        )
+        # a bounding sphere; a NaN gap lands there too.
+        rho = fraction * gap if gap > 0.0 else 0.0
+        kept = np.flatnonzero(_reachable(
+            w, dist, w @ axis, mesh.radius, mesh.normal, mesh.normal_len, half_angle, rho
+        ))
 
-        # The rays of the K kept facets, all lanes in one (K, R) pass; only
-        # the products take one BLAS call per lane, as each has its rays.
-        kept = np.flatnonzero(keep)                                  # in lane order
-        row, face = np.divmod(kept, F)
-        w = np.take(w.reshape(-1, 3), kept, axis=0)                  # (K, 3)
-        along = np.empty((kept.size, R))
-        bounds = np.searchsorted(row, np.arange(lanes.size + 1)).tolist()
-        for i, lane in enumerate(lanes.tolist()):
-            lo, hi = bounds[i], bounds[i + 1]
-            np.matmul(w[lo:hi], self.units[lane].T, out=along[lo:hi])
-        grown = np.take(radius.reshape(-1), kept) + rho[row]
-        near = _near_cone(along, np.take(dist.reshape(-1), kept)[:, None], grown[:, None], 0.0)
+        # The rays of the K kept facets, in one (K, R) pass.
+        along = np.take(w, kept, axis=0) @ self.units[lane].T        # (K, R)
+        grown = np.take(mesh.radius, kept) + rho
+        near = _near_cone(along, np.take(dist, kept)[:, None], grown[:, None], 0.0)
         k, ray = np.divmod(np.flatnonzero(near), R)
-        lane = lanes[row[k]]
-        ray += lane * R                                              # into the L*R rays
-        facet = lane * F + face[k]                                   # into the L*F facets
+        face = np.take(kept, k)
 
-        d = np.take(self.beams.reshape(-1, 3), ray, axis=0)
-        edge1, edge2 = (np.take(a.reshape(-1, 3), facet, axis=0) for a in (self.edge1, self.edge2))
+        d = np.take(self.beams[lane], ray, axis=0)
+        edge1, edge2 = (np.take(a, face, axis=0) for a in (mesh.edge1, mesh.edge2))
         pvec = _cross(d, edge2)
         det = np.einsum("pk,pk->p", edge1, pvec)
         front = np.flatnonzero(det > DET_EPS)
-        pairs = [np.take(a, front, axis=0) for a in (ray, facet, pvec, det)]
-        # Each lane keeps its own copies, so a lane that rebuilds frees its
-        # pairs whatever the other lanes of this pass do.
-        pair_lanes = pairs[0] // R
-        lo, hi = (np.searchsorted(pair_lanes, lanes, side).tolist() for side in ("left", "right"))
-        for lane, a, b in zip(lanes.tolist(), lo, hi):
-            self._ball_pairs[lane] = tuple(x[a:b].copy() for x in pairs)
-        self._ball_centre[lanes] = origins[lanes]
-        self._ball_reach[lanes] = np.square(0.5 * rho)
+        self._ball_pairs[lane] = (
+            np.take(ray, front) + lane * R, np.take(mesh.v0, np.take(face, front), axis=0),
+            *(np.take(a, front, axis=0) for a in (edge1, edge2, pvec, det)),
+        )
+        self._ball_centre[lane] = origin
+        self._ball_reach[lane] = np.square(0.5 * rho)
 
     def cast(
         self, origins: np.ndarray, live: np.ndarray, max_range: float = 2000.0
@@ -284,7 +255,7 @@ class LaneMeshes:
         lanes whose `live` is False read as misses.
 
         Live lanes more than rho / 2 from their ball's centre rebuild their
-        balls here, in one :meth:`_build_pairs` pass. Möller–Trumbore then
+        balls here, one :meth:`_build_pairs` call each. Möller–Trumbore then
         runs on the live lanes' cached pairs only. A culled pair would give
         t = inf, and each kept pair's arithmetic is the brute-force cast's,
         so the result equals brute force bit for bit. The one exception is
@@ -297,17 +268,14 @@ class LaneMeshes:
         L, R = self.beams.shape[:2]
         offset = origins - self._ball_centre
         stale = live & ~(np.einsum("lk,lk->l", offset, offset) <= self._ball_reach)
-        if stale.any():
-            self._build_pairs(np.flatnonzero(stale), origins, BALL_FRACTION)
+        for lane in np.flatnonzero(stale).tolist():
+            self._build_pairs(lane, origins[lane], BALL_FRACTION)
         blocks = [self._ball_pairs[l] for l in np.flatnonzero(live)]
-        ray, facet, pvec, det = (
+        ray, v0, edge1, edge2, pvec, det = (
             blocks[0] if len(blocks) == 1 else map(np.concatenate, zip(self._NO_PAIRS, *blocks))
         )
         # Rows are gathered with np.take, about three times faster than
         # fancy indexing at these sizes.
-        v0, edge1, edge2 = (
-            np.take(a.reshape(-1, 3), facet, axis=0) for a in (self.v0, self.edge1, self.edge2)
-        )
         d = np.take(self.beams.reshape(-1, 3), ray, axis=0)
         tvec = np.take(origins, ray // R, axis=0) - v0               # (P, 3)
         qvec = _cross(tvec, edge1)                                   # (P, 3)
@@ -350,7 +318,7 @@ def cast_rays(
     # A ball of radius 0 around the origin: its pairs are the ones the
     # cast from there keeps, without the slack a lane spends on later casts.
     meshes = LaneMeshes([_prepare(mesh)], d[None])
-    meshes._build_pairs(np.zeros(1, dtype=np.intp), origin[None], 0.0)
+    meshes._build_pairs(0, origin, 0.0)
     ranges, hit = meshes.cast(origin[None], np.ones(1, dtype=bool), max_range)
     return ranges[0], hit[0]
 

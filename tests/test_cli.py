@@ -357,6 +357,17 @@ def test_eval_mesh_scenario_without_mesh_file(trained_run, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "mesh" in err and "rq36" in err
+    assert not (tmp_path / "e").exists()  # refused before anything is written
+
+
+def test_eval_missing_checkpoint_writes_nothing(tmp_path, capsys):
+    code = main([
+        "eval", "--checkpoint", str(tmp_path / "missing.npz"), "--scenario", "baseline",
+        "--episodes", "1", "--out", str(tmp_path / "e"),
+    ])
+    assert code == 1
+    assert "missing.npz" in capsys.readouterr().err
+    assert not (tmp_path / "e").exists()
 
 
 def test_eval_unknown_scenario_lists_names(trained_run, tmp_path, capsys):
@@ -376,7 +387,7 @@ def test_eval_negative_episode_count_is_usage_error(trained_run, tmp_path, capsy
     ])
     assert code == 2
     assert "n_episodes must be at least 1" in capsys.readouterr().err
-    assert not (tmp_path / "e" / "summary.csv").exists()
+    assert not (tmp_path / "e").exists()
 
 
 def test_eval_single_scenario_writes_reports(trained_run, tmp_path):
@@ -425,18 +436,24 @@ def test_eval_all_skips_mesh_scenarios_without_mesh(eval_all_run):
     lines = read(out / "summary.csv").strip().splitlines()
     # baseline + the seven synthetic presets ran; six mesh rows skipped
     assert len(lines) == 1 + 8
+    episode = yaml.safe_load(read(out / "resolved_config.yaml"))["config"]["episode"]
+    assert sorted(episode) == sorted(line.split(",")[0] for line in lines[1:])
     assert (out / "baseline" / "episodes.csv").exists()
     assert (out / "extended-altitude" / "summary.csv").exists()
 
 
 def test_eval_all_gives_the_mesh_file_to_mesh_scenarios_only(
-    trained_run, eval_all_run, peanut_obj, tmp_path
+    trained_run, eval_all_run, peanut_obj, tmp_path, monkeypatch
 ):
     # the synthetic scenarios keep their synthetic bodies: their rows and
     # files equal those of the run without --mesh-file
     plain, _ = eval_all_run
     out = tmp_path / "all"
+    loads = []
+    load = nn.load_checkpoint
+    monkeypatch.setattr(nn, "load_checkpoint", lambda *a, **k: loads.append(a) or load(*a, **k))
     assert eval_all(str(trained_run / "checkpoint_000001.npz"), out, "--mesh-file", peanut_obj) == 0
+    assert len(loads) == 1  # one checkpoint read for the 14 scenarios
     lines = read(out / "summary.csv").strip().splitlines()
     assert len(lines) == 1 + 14
     assert lines[:9] == read(plain / "summary.csv").strip().splitlines()
@@ -445,6 +462,18 @@ def test_eval_all_gives_the_mesh_file_to_mesh_scenarios_only(
     assert [line.split(",")[0] for line in lines[9:]] == [
         s.name for s in scenario_presets() if s.requires_mesh
     ]
+    # the record tells which scenarios flew over the mesh file
+    episode = yaml.safe_load(read(out / "resolved_config.yaml"))["config"]["episode"]
+    assert sorted(episode) == sorted(line.split(",")[0] for line in lines[1:])
+    for name, cfg in episode.items():
+        assert cfg == dataclasses.asdict(
+            get_scenario(name).episode_config(
+                {"mesh_file": peanut_obj} if get_scenario(name).requires_mesh else None
+            )
+        )
+    assert sorted(name for name, cfg in episode.items() if cfg["mesh_file"] == peanut_obj) == sorted(
+        line.split(",")[0] for line in lines[9:]
+    )
 
 
 def test_checkpoint_records_its_episode_settings(tmp_path, capsys):

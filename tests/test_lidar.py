@@ -38,12 +38,18 @@ def scan_at(mesh, position, q, cfg):
 
 
 def lone_pairs(prep, origin, dirs):
-    """The (ray, facet) pairs a lone cast of `dirs` from `origin` runs the
-    kernel on, as cast_rays builds them: a ball of radius 0."""
+    """The pairs a lone cast of `dirs` from `origin` runs the kernel on, as
+    cast_rays builds them (a ball of radius 0): each one's ray, v0, edge1,
+    edge2, pvec and det."""
     lanes = LaneMeshes([prep], dirs[None])
-    lanes._build_pairs(np.zeros(1, dtype=np.intp), origin[None], 0.0)
-    ray, facet = lanes._ball_pairs[0][:2]
-    return ray, facet
+    lanes._build_pairs(0, origin, 0.0)
+    return lanes._ball_pairs[0]
+
+
+def paired_facets(pairs):
+    """The number of distinct facets among `pairs`, told by their (v0,
+    edge1) rows."""
+    return np.unique(np.hstack(pairs[1:3]), axis=0).shape[0]
 
 
 def paired_lanes(lanes):
@@ -269,7 +275,7 @@ def test_prepass_matches_reference_at_scan_positions(body):
         for k in (0, 27, 63):  # single rays, as (1, 3)
             assert_matches_reference(body, position, dirs[k : k + 1])
         # The pre-pass must actually cull: a sensor cone sees a small share.
-        assert np.unique(lone_pairs(body, position, dirs)[1]).size < 0.5 * body.num_faces
+        assert paired_facets(lone_pairs(body, position, dirs)) < 0.5 * body.num_faces
     assert hits > 0
 
 
@@ -383,14 +389,6 @@ def test_lane_cast_matches_per_lane_cast_rays(lane_bodies):
     assert hits > 0
 
 
-def test_lane_cast_of_one_lane_is_views(lane_bodies):
-    beams = beam_directions(SensorConfig()).reshape(1, -1, 3)
-    one = LaneMeshes(lane_bodies[:1], beams)
-    assert one.centroid.base is lane_bodies[0].centroid
-    with pytest.raises(ConfigurationError):
-        LaneMeshes([lane_bodies[0], PreparedMesh(generate_icosphere(1))], np.repeat(beams, 2, axis=0))
-
-
 def sphere_gap(prep, origin):
     """Distance from `origin` to the nearest facet bounding sphere."""
     return float(np.min(np.linalg.norm(prep.centroid - origin, axis=1) - prep.radius))
@@ -429,9 +427,9 @@ def count_rebuilds(monkeypatch):
     rebuilt = []
     build = LaneMeshes._build_pairs
 
-    def counting_build(self, lanes, origins, fraction):
-        rebuilt.extend((self, lane) for lane in lanes.tolist())
-        return build(self, lanes, origins, fraction)
+    def counting_build(self, lane, origin, fraction):
+        rebuilt.append((self, lane))
+        return build(self, lane, origin, fraction)
 
     monkeypatch.setattr(LaneMeshes, "_build_pairs", counting_build)
     return rebuilt
@@ -555,6 +553,34 @@ def test_thirty_lane_drift_matches_reference(rng, monkeypatch):
     # cached pairs.
     assert partial > 0
     assert len(rebuilt) < casts * L // 2
+
+
+def test_lanes_with_different_facet_counts_match_reference(rng):
+    # A 320-facet body, a 1280-facet body and the 1280-facet peanut in one
+    # LaneMeshes, each lane drifting sideways to its beams, the middle one
+    # finishing half way.
+    casts = 12
+    bodies = [
+        PreparedMesh(synthesize_asteroid(400 + level, AsteroidGenConfig(subdivision_level=level)).mesh)
+        for level in (2, 3)
+    ] + [PreparedMesh(make_peanut_mesh())]
+    assert [body.num_faces for body in bodies] == [320, 1280, 1280]
+    starts = [scan_positions(body, 1, seed=k)[0] for k, body in enumerate(bodies)]
+    beams = np.array([dirs for _, dirs in starts])
+    steps = []
+    for body, (start, dirs) in zip(bodies, starts):
+        step = np.cross(beam_cone(dirs)[0], rng.standard_normal(3))
+        steps.append(0.02 * sphere_gap(body, start) * step / np.linalg.norm(step))
+    finish = np.array([casts, casts // 2, casts])
+    lanes = LaneMeshes(bodies, beams)
+    hits = np.zeros(3, dtype=int)
+    for n in range(casts):
+        origins = np.array([start + n * step for (start, _), step in zip(starts, steps)])
+        live = n < finish
+        ranges, hit = lanes.cast(origins, live)
+        assert_lanes_match_reference(bodies, origins, beams, live, ranges, hit)
+        hits += hit.sum(axis=1)
+    assert hits.all()
 
 
 # --------------------------------------------------------------------------

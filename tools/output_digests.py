@@ -40,6 +40,9 @@ EVAL = ["eval", "--checkpoint", "{ck}", "--episodes", EPISODES, "--seed", "1", "
 EVAL_FILES = ("episodes.csv", "summary.csv")
 RUNS = [
     ("train", ["train", "--seed", "1", "--batches", "1"], ("metrics.csv", "checkpoint_000001.npz")),
+    ("train-facets-1280",
+     ["train", "--seed", "1", "--batches", "1", "episode.asteroid.subdivision_level=3"],
+     ("metrics.csv",)),
     ("eval-baseline", EVAL + ["--scenario", "baseline"], EVAL_FILES),
     ("eval-baseline-stochastic", EVAL + ["--scenario", "baseline", "--stochastic"], EVAL_FILES),
     *((f"eval-{name}", EVAL + ["--scenario", name], EVAL_FILES)
