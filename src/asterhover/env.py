@@ -350,6 +350,7 @@ class HoverEnv:
         self._loaded_mesh: TriMesh | None = None
         if self.cfg.mesh_file is not None:
             self._loaded_mesh = load_mesh(self.cfg.mesh_file, self.cfg.mesh_scale)
+            self._loaded_extents = mesh_half_extents(self._loaded_mesh)
             self._prep = PreparedMesh(self._loaded_mesh)
         self.model: AsteroidModel | None = None
         self.state: SpacecraftState | None = None
@@ -371,7 +372,7 @@ class HoverEnv:
 
         if self._loaded_mesh is not None:
             self.model = draw_rotation_state(
-                self.rng, cfg.dyn, self._loaded_mesh, mesh_half_extents(self._loaded_mesh)
+                self.rng, cfg.dyn, self._loaded_mesh, self._loaded_extents
             )
         else:
             self.model = synthesize_asteroid(self.rng, cfg.asteroid, cfg.dyn)

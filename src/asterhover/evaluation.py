@@ -275,8 +275,8 @@ def load_policy(checkpoint_path: str, *cfgs: EpisodeConfig) -> nn.PolicyNetwork:
     setting that one of `cfgs` does not share (see
     :func:`~asterhover.ppo.check_trained_episode`).
     """
-    policy = nn.PolicyNetwork(seed=0)
-    meta = nn.load_checkpoint(checkpoint_path, policy, nn.ValueNetwork(seed=0))
+    policy = nn.PolicyNetwork(seed=None)
+    meta = nn.load_checkpoint(checkpoint_path, policy, nn.ValueNetwork(seed=None))
     for cfg in cfgs:
         check_trained_episode(checkpoint_path, meta["extra"], cfg)
     return policy
@@ -287,7 +287,7 @@ _WORKER = {}
 
 
 def _init_worker(cfg: EpisodeConfig, params, seed: int, stochastic: bool):
-    policy = nn.PolicyNetwork(seed=0)
+    policy = nn.PolicyNetwork(seed=None)
     policy.load_parameters(params)
     _WORKER["env"] = HoverEnv(cfg)
     _WORKER["policy"] = policy

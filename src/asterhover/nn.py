@@ -27,10 +27,15 @@ CHECKPOINT_VERSION = 1
 # --------------------------------------------------------------------------
 # Initializers
 
-def orthogonal_init(rng: np.random.Generator, shape: tuple[int, int], gain: float = 1.0) -> np.ndarray:
+def orthogonal_init(
+    rng: np.random.Generator | None, shape: tuple[int, int], gain: float = 1.0
+) -> np.ndarray:
     """Orthogonal matrix via QR with a deterministic sign convention,
     row-major whatever its shape: ``x @ W`` runs faster on a row-major
-    ``W``, and QR hands wide shapes back transposed."""
+    ``W``, and QR hands wide shapes back transposed. Without `rng`, zeros
+    for a checkpoint to fill: nothing is drawn and no QR runs."""
+    if rng is None:
+        return np.zeros(shape)
     rows, cols = shape
     n, m = max(rows, cols), min(rows, cols)
     q, r = np.linalg.qr(rng.standard_normal((n, m)))
@@ -40,8 +45,11 @@ def orthogonal_init(rng: np.random.Generator, shape: tuple[int, int], gain: floa
     return np.multiply(gain, q[:rows, :cols], order="C")
 
 
-def conv_init(rng: np.random.Generator, k: int, c_in: int, c_out: int) -> np.ndarray:
-    """Fan-in scaled normal, sized for rectified-linear activations."""
+def conv_init(rng: np.random.Generator | None, k: int, c_in: int, c_out: int) -> np.ndarray:
+    """Fan-in scaled normal, sized for rectified-linear activations.
+    Without `rng`, zeros for a checkpoint to fill."""
+    if rng is None:
+        return np.zeros((k, k, c_in, c_out))
     fan_in = k * k * c_in
     return rng.standard_normal((k, k, c_in, c_out)) * np.sqrt(2.0 / fan_in)
 
@@ -50,7 +58,7 @@ def conv_init(rng: np.random.Generator, k: int, c_in: int, c_out: int) -> np.nda
 # Layers
 
 class Linear:
-    def __init__(self, rng: np.random.Generator, n_in: int, n_out: int, gain: float = 1.0):
+    def __init__(self, rng: np.random.Generator | None, n_in: int, n_out: int, gain: float = 1.0):
         self.W = orthogonal_init(rng, (n_in, n_out), gain)
         self.b = np.zeros(n_out)
         self.gW = np.zeros_like(self.W)
@@ -83,7 +91,9 @@ class Conv2D:
     every activation across a whole episode.
     """
 
-    def __init__(self, rng: np.random.Generator, c_in: int, c_out: int, kernel: int, stride: int):
+    def __init__(
+        self, rng: np.random.Generator | None, c_in: int, c_out: int, kernel: int, stride: int
+    ):
         self.c_in, self.c_out = c_in, c_out
         self.kernel, self.stride = kernel, stride
         self.W = conv_init(rng, kernel, c_in, c_out)
@@ -157,7 +167,7 @@ class GRUCell:
 
     NAMES = ("Wz", "Uz", "bz", "Wr", "Ur", "br", "Wh", "Uh", "bh")
 
-    def __init__(self, rng: np.random.Generator, n_in: int, n_hidden: int):
+    def __init__(self, rng: np.random.Generator | None, n_in: int, n_hidden: int):
         self.n_in, self.n_hidden = n_in, n_hidden
         H = n_hidden
         Wz, Uz = orthogonal_init(rng, (n_in, H)), orthogonal_init(rng, (H, H))
@@ -260,7 +270,12 @@ class GRUCell:
 # ``backward_sequence`` never call each other or ``step``.
 
 class _Network:
-    """Shared parameter bookkeeping; subclasses define the layer dict."""
+    """Shared parameter bookkeeping; subclasses define the layer dict.
+
+    A network's parameters are drawn from the `seed` it is built with. With
+    `seed` None nothing is drawn and every parameter is zero, for
+    :meth:`load_parameters` or :func:`load_checkpoint` to fill.
+    """
 
     layers: "OrderedDict[str, object]"
 
@@ -310,8 +325,8 @@ class PolicyNetwork(_Network):
     HIDDEN = 154
     NUM_THRUSTERS = 12
 
-    def __init__(self, seed: int | np.random.Generator = 0):
-        rng = np.random.default_rng(seed)
+    def __init__(self, seed: int | np.random.Generator | None = 0):
+        rng = None if seed is None else np.random.default_rng(seed)
         conv1 = Conv2D(rng, self.IMAGE_CHANNELS, 8, kernel=3, stride=1)  # 8x8x2 -> 6x6x8
         conv2 = Conv2D(rng, 8, 8, kernel=4, stride=2)                    # 6x6x8 -> 2x2x8
         flat = conv2.out_size(conv1.out_size(self.GRID)) ** 2 * 8
@@ -385,8 +400,8 @@ class ValueNetwork(_Network):
     INPUT_DIM = 13
     HIDDEN = 25
 
-    def __init__(self, seed: int | np.random.Generator = 0):
-        rng = np.random.default_rng(seed)
+    def __init__(self, seed: int | np.random.Generator | None = 0):
+        rng = None if seed is None else np.random.default_rng(seed)
         self.layers = OrderedDict(
             fc1=Linear(rng, self.INPUT_DIM, 130),
             gru=GRUCell(rng, 130, self.HIDDEN),

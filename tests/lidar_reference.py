@@ -3,7 +3,9 @@
 `cast_rays_reference` is the brute-force Möller–Trumbore cast over every
 ray x facet pair that `asterhover.lidar.cast_rays` ran before it gained its
 candidate-facet pre-pass; `ray_triangle_intersect` is the scalar
-one-triangle form of the same test.
+one-triangle form of the same test. `prepared_mesh_reference` computes the
+fields of `asterhover.lidar.PreparedMesh` with numpy's own mean, cross and
+norm over the (F, 3, 3) corners array.
 """
 
 from __future__ import annotations
@@ -12,6 +14,28 @@ import numpy as np
 
 from asterhover.geometry import TriMesh
 from asterhover.lidar import DET_EPS, T_MIN, PreparedMesh, _prepare, cast_rays
+
+
+def prepared_mesh_reference(mesh: TriMesh) -> dict:
+    """The fields of `PreparedMesh(mesh)`, each with its facets along the
+    first axis: `v0`, `edge1`, `edge2`, `centroid` and `normal` (F, 3),
+    `radius` and `normal_len` (F,), and `bound_radius`."""
+    v = mesh.vertices
+    corners = v[mesh.faces]                                     # (F, 3, 3)
+    edge1 = corners[:, 1] - corners[:, 0]
+    edge2 = corners[:, 2] - corners[:, 0]
+    centroid = corners.mean(axis=1)
+    normal = np.cross(edge1, edge2)
+    return {
+        "v0": corners[:, 0],
+        "edge1": edge1,
+        "edge2": edge2,
+        "bound_radius": float(np.max(np.linalg.norm(v, axis=1))),
+        "centroid": centroid,
+        "radius": np.linalg.norm(corners - centroid[:, None, :], axis=2).max(axis=1),
+        "normal": normal,
+        "normal_len": np.linalg.norm(normal, axis=1),
+    }
 
 
 def ray_triangle_intersect(

@@ -212,6 +212,45 @@ def test_checkpoint_path_policy_matches_object(tmp_path):
     assert by_object == by_path
 
 
+def test_load_policy_draws_nothing(tmp_path, monkeypatch):
+    # The checkpoint fills every parameter, so the networks it loads into
+    # are built without QR or random draws, yet hold the same bytes in the
+    # same layout as a seeded network that loaded it.
+    path = str(tmp_path / "ck.npz")
+    nn.save_checkpoint(path, nn.PolicyNetwork(seed=21), nn.ValueNetwork(seed=22))
+    want = nn.PolicyNetwork(seed=0)
+    nn.load_checkpoint(path, want, nn.ValueNetwork(seed=0))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a checkpoint load drew parameters")
+
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    got = load_policy(path, EpisodeConfig()).parameters()
+    assert list(got) == list(want.parameters())
+    for name, arr in want.parameters().items():
+        assert got[name].strides == arr.strides, name
+        assert got[name].tobytes() == arr.tobytes(), name
+
+
+@pytest.mark.parametrize("name, value", [
+    ("policy/fc3.W", None), ("policy/gru.Uh", np.zeros((154, 153))),
+    ("value/out.b", None), ("value/fc1.W", np.zeros((13, 2))),
+])
+def test_load_policy_refuses_missing_or_misshapen_arrays(tmp_path, name, value):
+    path = str(tmp_path / "ck.npz")
+    nn.save_checkpoint(path, nn.PolicyNetwork(seed=21), nn.ValueNetwork(seed=22))
+    with np.load(path) as data:
+        arrays = dict(data)
+    if value is None:
+        del arrays[name]
+    else:
+        arrays[name] = value
+    np.savez(path, **arrays)
+    with pytest.raises(ConfigurationError, match=name.split("/")[1]):
+        load_policy(path, EpisodeConfig())
+
+
 def test_parallel_workers_match_serial():
     policy = nn.PolicyNetwork(seed=6)
     serial = run_monte_carlo(policy, quiet_scenario(), 4, seed=8, workers=1)

@@ -27,7 +27,12 @@ from asterhover.lidar import (
     scan,
 )
 from geometry_reference import make_peanut_mesh
-from lidar_reference import cast_ray, cast_rays_reference, ray_triangle_intersect
+from lidar_reference import (
+    cast_ray,
+    cast_rays_reference,
+    prepared_mesh_reference,
+    ray_triangle_intersect,
+)
 
 IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -226,17 +231,39 @@ def test_prepared_mesh_equivalent(rng):
 # Candidate-facet pre-pass: bit-identical to the brute-force reference
 
 
+def body_mesh(name):
+    if name == "peanut":
+        return make_peanut_mesh()
+    if name == "sphere":  # criterion 2's sphere
+        return sphere_mesh(300.0, level=4)
+    level = int(name[-1])
+    return synthesize_asteroid(100 + level, AsteroidGenConfig(subdivision_level=level)).mesh
+
+
 @pytest.fixture(scope="module", params=["level2", "level3", "level5", "peanut", "sphere"])
 def body(request):
-    name = request.param
-    if name == "peanut":
-        mesh = make_peanut_mesh()
-    elif name == "sphere":  # criterion 2's sphere
-        mesh = sphere_mesh(300.0, level=4)
-    else:
-        level = int(name[-1])
-        mesh = synthesize_asteroid(100 + level, AsteroidGenConfig(subdivision_level=level)).mesh
-    return PreparedMesh(mesh)
+    return PreparedMesh(body_mesh(request.param))
+
+
+@pytest.mark.parametrize("name", ["level2", "level3", "level5", "peanut"])
+def test_prepared_mesh_matches_reference(name):
+    # Every field bit for bit: the kernel's rows stay C-contiguous (F, 3),
+    # the facet test's centroid and normal are the reference's transposed,
+    # and bound_radius, which sets surface_radius's cast origin, stays the
+    # largest per-vertex np.linalg.norm.
+    mesh = body_mesh(name)
+    prep, want = PreparedMesh(mesh), prepared_mesh_reference(mesh)
+    F = mesh.num_faces
+    assert prep.num_faces == F
+    assert type(prep.bound_radius) is float and prep.bound_radius == want["bound_radius"]
+    layouts = {"v0": (F, 3), "edge1": (F, 3), "edge2": (F, 3), "centroid": (3, F),
+               "normal": (3, F), "radius": (F,), "normal_len": (F,)}
+    for field, shape in layouts.items():
+        got, ref = getattr(prep, field), want[field]
+        if shape == (3, F):
+            ref = ref.T
+        assert got.shape == shape and got.flags.c_contiguous, field
+        assert got.tobytes() == np.ascontiguousarray(ref).tobytes(), field
 
 
 def assert_matches_reference(prep, origin, dirs, max_range=2000.0):
@@ -282,7 +309,7 @@ def test_prepass_matches_reference_at_scan_positions(body):
 def test_prepass_matches_reference_inside_body(body, rng):
     inner = 0.1 * np.min(np.linalg.norm(body.v0, axis=1))
     # Level-5 synthesized bodies have folded facets that face the center.
-    folded = bool(np.any(np.einsum("fk,fk->f", body.centroid, body.normal) < 0.0))
+    folded = bool(np.any(np.einsum("kf,kf->f", body.centroid, body.normal) < 0.0))
     for _ in range(4):
         u = rng.standard_normal(3)
         origin = inner * rng.uniform() * u / np.linalg.norm(u)
@@ -310,8 +337,8 @@ def test_prepass_matches_reference_near_facet_planes(body, rng):
     # beyond one of its corners) and just in front of or behind it, with
     # beams toward the body and rays skimming the plane.
     for f in rng.choice(body.num_faces, size=3, replace=False):
-        c = body.centroid[f]
-        n = body.normal[f] / body.normal_len[f]
+        c = body.centroid[:, f]
+        n = body.normal[:, f] / body.normal_len[f]
         in_plane = body.edge1[f] / np.linalg.norm(body.edge1[f])
         beyond_corner = c + 2.0 * (body.v0[f] - c)
         for base in (c, beyond_corner):
@@ -391,7 +418,7 @@ def test_lane_cast_matches_per_lane_cast_rays(lane_bodies):
 
 def sphere_gap(prep, origin):
     """Distance from `origin` to the nearest facet bounding sphere."""
-    return float(np.min(np.linalg.norm(prep.centroid - origin, axis=1) - prep.radius))
+    return float(np.min(np.linalg.norm(prep.centroid - origin[:, None], axis=0) - prep.radius))
 
 
 def plane_crossing(prep, casts):
@@ -403,15 +430,15 @@ def plane_crossing(prep, casts):
     ball; it moves 0.3 of that gap in all, so the ball is rebuilt near the
     crossing and then serves casts from the far side of the plane.
     """
-    for f in np.argsort(-prep.centroid[:, 2]):
-        c = prep.centroid[f]
+    for f in np.argsort(-prep.centroid[2]):
+        c = prep.centroid[:, f]
         origin = c + 4.0 * (prep.v0[f] - c)
         gap = sphere_gap(prep, origin)
         if gap > 0.25 * np.linalg.norm(prep.v0[f] - c):
             break
     else:
         pytest.fail("no facet plane to cross outside the bounding spheres")
-    n = prep.normal[f] / prep.normal_len[f]
+    n = prep.normal[:, f] / prep.normal_len[f]
     path = origin + np.linspace(-0.15, 0.15, casts)[:, None] * gap * n
     toward = (c - origin) / np.linalg.norm(c - origin)
     side = np.cross(n, toward)
@@ -458,8 +485,8 @@ def test_candidate_balls_match_reference_along_paths(body, rng, monkeypatch):
     paths, beams = [], []
     for k, (start, dirs) in enumerate(starts):
         if k == 1:
-            f = np.argmin(np.linalg.norm(body.centroid - start, axis=1))
-            inside = body.centroid[f] + 0.5 * body.radius[f] * body.normal[f] / body.normal_len[f]
+            f = np.argmin(np.linalg.norm(body.centroid - start[:, None], axis=0))
+            inside = body.centroid[:, f] + 0.5 * body.radius[f] * body.normal[:, f] / body.normal_len[f]
             paths.append(start + t**2 * (inside - start))
         else:  # sideways to the beams, 0.03 of the gap per cast
             step = np.cross(beam_cone(dirs)[0], rng.standard_normal(3))
