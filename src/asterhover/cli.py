@@ -40,13 +40,12 @@ from .env import HoverEnv, rollout
 from .ppo import TrainConfig, train
 from . import nn
 from .evaluation import (
-    SUMMARY_COLUMNS,
     get_scenario,
     greedy,
     load_policy,
     run_monte_carlo,
     scenario_presets,
-    summary_row,
+    write_summary,
 )
 
 
@@ -141,11 +140,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             f"violations {report.violations}"
         )
     if args.all:
-        with open(os.path.join(args.out, "summary.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(SUMMARY_COLUMNS)
-            for report in reports:
-                writer.writerow(summary_row(report))
+        write_summary(os.path.join(args.out, "summary.csv"), reports)
     return 0
 
 
@@ -234,8 +229,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         overrides["mesh_file"] = args.mesh_file
     cfg = get_scenario(args.scenario).episode_config(overrides)
 
-    # without a checkpoint an untrained network runs and _drift ignores it
-    policy = load_policy(args.checkpoint, cfg) if args.checkpoint else nn.PolicyNetwork(seed=0)
+    # without a checkpoint a blank network runs and _drift ignores it
+    policy = load_policy(args.checkpoint, cfg) if args.checkpoint else nn.PolicyNetwork(seed=None)
     os.makedirs(args.out, exist_ok=True)
     write_resolved_config(
         args.out, "simulate",

@@ -282,17 +282,13 @@ def load_policy(checkpoint_path: str, *cfgs: EpisodeConfig) -> nn.PolicyNetwork:
     return policy
 
 
-# Per-process state for parallel evaluation; set once per worker.
+# Per-process state for parallel evaluation: what the parent built, handed
+# to each worker once.
 _WORKER = {}
 
 
-def _init_worker(cfg: EpisodeConfig, params, seed: int, stochastic: bool):
-    policy = nn.PolicyNetwork(seed=None)
-    policy.load_parameters(params)
-    _WORKER["env"] = HoverEnv(cfg)
-    _WORKER["policy"] = policy
-    _WORKER["seed"] = seed
-    _WORKER["stochastic"] = stochastic
+def _init_worker(env: HoverEnv, policy, seed: int, stochastic: bool):
+    _WORKER.update(env=env, policy=policy, seed=seed, stochastic=stochastic)
 
 
 def _run_worker_episode(idx: int) -> dict:
@@ -315,9 +311,11 @@ def run_monte_carlo(
     :func:`load_policy`) over one scenario.
 
     Episode k runs on the seed stream (seed, k), so reports are identical
-    across reruns and across worker counts. A given `mesh_file` is the
-    scenario's `mesh_file` override. With out_dir set, writes episodes.csv
-    and summary.csv there.
+    across reruns and across worker counts. The one environment is built
+    here, so the shape model is read once per run, and worker processes
+    inherit it and the policy. A given `mesh_file` is the scenario's
+    `mesh_file` override. With out_dir set, writes episodes.csv and
+    summary.csv there.
     """
     if n_episodes < 1:
         raise ConfigurationError(f"n_episodes must be at least 1, got {n_episodes}")
@@ -325,17 +323,14 @@ def run_monte_carlo(
     if isinstance(policy, str):
         policy = load_policy(policy, cfg)
     try:
+        env = HoverEnv(cfg)  # a bad shape model fails here, before any worker starts
         if workers > 1 and n_episodes > 1:
-            # parallel path replays parameters into a fresh network per
-            # worker, so it needs a parameter-bearing policy
-            params = {k: v for k, v in policy.parameters().items()}
             with multiprocessing.Pool(
                 workers, initializer=_init_worker,
-                initargs=(cfg, params, seed, stochastic),
+                initargs=(env, policy, seed, stochastic),
             ) as pool:
                 rows = pool.map(_run_worker_episode, range(n_episodes))
         else:
-            env = HoverEnv(cfg)
             rows = [
                 run_episode(env, policy, seed, idx, stochastic)
                 for idx in range(n_episodes)
@@ -357,8 +352,13 @@ def write_report_files(out_dir: str, report: EvalReport, rows: list[dict]) -> No
         writer.writerow(EPISODE_COLUMNS)
         for row in rows:
             writer.writerow([csv_field(row[c]) for c in EPISODE_COLUMNS])
-    with open(os.path.join(out_dir, "summary.csv"), "w", newline="") as fh:
+    write_summary(os.path.join(out_dir, "summary.csv"), [report])
+
+
+def write_summary(path: str, reports: list[EvalReport]) -> None:
+    """summary.csv: the header, then one row per report."""
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_COLUMNS)
-        writer.writerow(summary_row(report))
-
+        for report in reports:
+            writer.writerow(summary_row(report))

@@ -428,10 +428,6 @@ class ValueNetwork(_Network):
         values = L["out"].forward(t3)[0].reshape(T, B)
         return values, hs[-1], (x, t1, hs, cache_g, t3)
 
-    def step(self, x: np.ndarray, hidden: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
-        values, h_new, cache = self._forward(x[None], hidden)
-        return values[0], h_new, cache
-
     def forward_sequence(self, xs: np.ndarray) -> tuple[np.ndarray, tuple]:
         """(T,B,13) -> values (T,B) plus the backward cache, from a zero
         hidden state."""

@@ -151,7 +151,8 @@ class RolloutBatch:
 
 
 def discounted_returns(rewards: np.ndarray, gamma: float) -> np.ndarray:
-    """Suffix sums: return_k = sum_{l>=k} gamma^(l-k) * r_l."""
+    """Suffix sums over the first (time) axis:
+    return_k = sum_{l>=k} gamma^(l-k) * r_l."""
     out = np.empty_like(np.asarray(rewards, dtype=float))
     acc = 0.0
     for k in range(len(out) - 1, -1, -1):
@@ -232,9 +233,8 @@ def compute_advantages(
     during collection). Advantages are normalized to zero mean and unit
     variance over the valid steps of the whole batch.
     """
-    for b, ep in enumerate(batch.episodes):
-        n = ep.length
-        batch.returns[:n, b] = discounted_returns(batch.rewards[:n, b], gamma)
+    # padded rewards are 0, so each episode's padded returns stay 0
+    batch.returns = discounted_returns(batch.rewards, gamma)
     values, _ = value_net.forward_sequence(batch.value_inputs)
     batch.values = values * batch.mask
     raw = (batch.returns - batch.values) * batch.mask

@@ -674,7 +674,8 @@ def test_criterion_12_checkpoint_roundtrip(tmp_path):
         xv = rng.normal(size=(100, 13))
 
         logits1, h1, _ = policy.step(images, vecs, policy.init_hidden(100))
-        v1, hv1, _ = value_net.step(xv, value_net.init_hidden(100))
+        # one critic step from a zero hidden state; the cache holds its hiddens
+        v1, (_, _, hv1, _, _) = value_net.forward_sequence(xv[None])
 
         path = str(tmp_path / "ck.npz")
         nn.save_checkpoint(path, policy, value_net)
@@ -683,7 +684,7 @@ def test_criterion_12_checkpoint_roundtrip(tmp_path):
         nn.load_checkpoint(path, policy2, value2)
 
         logits2, h2, _ = policy2.step(images, vecs, policy2.init_hidden(100))
-        v2, hv2, _ = value2.step(xv, value2.init_hidden(100))
+        v2, (_, _, hv2, _, _) = value2.forward_sequence(xv[None])
         assert np.array_equal(logits1, logits2)
         assert np.array_equal(h1, h2)
         assert np.array_equal(v1, v2)

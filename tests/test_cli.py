@@ -6,6 +6,7 @@ import dataclasses
 import io
 import math
 import os
+import signal
 import subprocess
 import sys
 
@@ -532,6 +533,38 @@ def test_eval_mesh_file_flag_is_the_mesh_file_override(trained_run, peanut_obj, 
     assert read(flag / "episodes.csv") != read(plain / "episodes.csv")
     resolved = yaml.safe_load(read(flag / "resolved_config.yaml"))
     assert resolved["config"]["mesh_file"] == peanut_obj
+
+
+@pytest.mark.parametrize("obj", [None, "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 9\n"],
+                         ids=["missing", "face-index-out-of-range"])
+def test_eval_pool_fails_on_a_bad_mesh_file(tmp_path, obj):
+    # a shape model that cannot be read fails the run before any worker
+    # starts, as with --workers 1; the run gets its own session and a
+    # timeout, so that a pool respawning failed workers fails this test
+    # and leaves none of them behind
+    ck = str(tmp_path / "ck.npz")
+    nn.save_checkpoint(ck, nn.PolicyNetwork(seed=1), nn.ValueNetwork(seed=2))
+    mesh = tmp_path / "bad.obj"
+    if obj is not None:
+        mesh.write_text(obj)
+    src = os.path.dirname(os.path.dirname(asterhover.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "asterhover.cli", "eval", "--checkpoint", ck,
+         "--scenario", "itokawa", "--mesh-file", str(mesh), "--episodes", "2",
+         "--workers", "2", "--out", str(tmp_path / "e")],
+        env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, start_new_session=True,
+    )
+    try:
+        _, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        pytest.fail("eval with a bad --mesh-file did not exit within 60 s")
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+    assert proc.returncode == 1
+    assert str(mesh) in err
 
 
 # --- simulate and scan-debug ----------------------------------------------

@@ -4,6 +4,7 @@ and the per-episode CSV contract."""
 import csv
 import dataclasses
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -252,10 +253,24 @@ def test_load_policy_refuses_missing_or_misshapen_arrays(tmp_path, name, value):
 
 
 def test_parallel_workers_match_serial():
-    policy = nn.PolicyNetwork(seed=6)
-    serial = run_monte_carlo(policy, quiet_scenario(), 4, seed=8, workers=1)
-    parallel = run_monte_carlo(policy, quiet_scenario(), 4, seed=8, workers=2)
-    assert serial == parallel
+    # workers inherit the policy object itself, so any policy the serial
+    # path flies also flies in the pool, with or without parameters
+    for policy in (nn.PolicyNetwork(seed=6), AllOffPolicy()):
+        serial = run_monte_carlo(policy, quiet_scenario(), 4, seed=8, workers=1)
+        parallel = run_monte_carlo(policy, quiet_scenario(), 4, seed=8, workers=2)
+        assert serial == parallel
+
+
+def test_pickled_env_and_policy_fly_the_same_episodes(tmp_path):
+    # a spawn or forkserver pool hands its workers pickled copies of the
+    # parent's environment and policy
+    mesh_path = str(tmp_path / "peanut.obj")
+    save_mesh(mesh_path, make_peanut_mesh(level=2))
+    cfg = quiet_scenario(mesh_file=mesh_path).episode_config()
+    env, policy = HoverEnv(cfg), nn.PolicyNetwork(seed=10)
+    env2, policy2 = pickle.loads(pickle.dumps((env, policy)))
+    for idx in range(2):
+        assert run_episode(env2, policy2, 12, idx) == run_episode(env, policy, 12, idx)
 
 
 def test_stochastic_flag_changes_actions_deterministically():

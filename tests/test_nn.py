@@ -680,9 +680,9 @@ def test_checkpoint_round_trip_reproduces_forward_outputs(tmp_path):
     lb, hb, _ = policy_b.step(image, vec, policy_b.init_hidden(2))
     np.testing.assert_array_equal(la, lb)
     np.testing.assert_array_equal(ha, hb)
-    x = rng.uniform(-1.0, 1.0, size=(2, 13))
-    va, _, _ = value_a.step(x, value_a.init_hidden(2))
-    vb, _, _ = value_b.step(x, value_b.init_hidden(2))
+    xs = rng.uniform(-1.0, 1.0, size=(1, 2, 13))
+    va, _ = value_a.forward_sequence(xs)
+    vb, _ = value_b.forward_sequence(xs)
     np.testing.assert_array_equal(va, vb)
 
 

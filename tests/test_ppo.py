@@ -210,6 +210,8 @@ def test_perfect_value_gives_zero_advantages():
     batch = synthetic_batch(rng)
     oracle = _ReturnOracle(batch, gamma=0.9)
     compute_advantages(batch, 0.9, oracle)
+    # one pass over the padded rewards gives each episode's own returns
+    np.testing.assert_array_equal(batch.returns, oracle.table)
     np.testing.assert_allclose(batch.advantages, 0.0, atol=1e-12)
 
 

@@ -12,9 +12,10 @@ shared by both sides: the checkpoint of the parent's ``train`` run (read by
 ``eval`` and ``simulate``) and the peanut bodies of
 ``tests/geometry_reference.py`` at subdivision levels 2 and 5, as OBJ files.
 Every command runs with one BLAS thread, as the benchmark does, since the
-threaded BLAS rounds the network products differently. It prints one JSON
-object with the sha256 of every output on each side and exits 1 when any
-output differs.
+threaded BLAS rounds the network products differently. The eval runs fly
+serially (``--workers 1``) except one over the level-5 peanut, which runs
+the worker pool (``--workers 2``). It prints one JSON object with the sha256
+of every output on each side and exits 1 when any output differs.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ ONE_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "M
 
 # (run name, command line, files it writes); {ck} and {peanutN} name the
 # shared inputs.
-EVAL = ["eval", "--checkpoint", "{ck}", "--episodes", EPISODES, "--seed", "1", "--workers", "1"]
+EVAL_ANY_WORKERS = ["eval", "--checkpoint", "{ck}", "--episodes", EPISODES, "--seed", "1"]
+EVAL = EVAL_ANY_WORKERS + ["--workers", "1"]
 EVAL_FILES = ("episodes.csv", "summary.csv")
 RUNS = [
     ("train", ["train", "--seed", "1", "--batches", "1"], ("metrics.csv", "checkpoint_000001.npz")),
@@ -50,6 +52,9 @@ RUNS = [
     *((f"eval-itokawa3x-peanut{level}",
        EVAL + ["--scenario", "itokawa3x", "--mesh-file", f"{{peanut{level}}}"], EVAL_FILES)
       for level in (2, 5)),
+    ("eval-itokawa3x-peanut5-workers2",
+     EVAL_ANY_WORKERS + ["--workers", "2", "--scenario", "itokawa3x", "--mesh-file", "{peanut5}"],
+     EVAL_FILES),
     ("simulate-drift", ["simulate", "--seed", "1"], ("trajectory.csv",)),
     ("simulate-checkpoint", ["simulate", "--seed", "1", "--checkpoint", "{ck}"],
      ("trajectory.csv",)),
