@@ -96,8 +96,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     names = [args.scenario] if args.scenario else (
         ["baseline"] + [s.name for s in scenario_presets()]
     )
-    # every flown scenario resolves, and the checkpoint fits each, before
-    # anything is written
+    # every flown scenario resolves, the checkpoint fits each, and each
+    # shape model reads, before anything is written
     flown = {}  # name -> (scenario, mesh_file, episode config)
     for name in names:
         scenario = get_scenario(name)
@@ -110,6 +110,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
         cfg = scenario.episode_config(None if mesh_file is None else {"mesh_file": mesh_file})
         flown[name] = scenario, mesh_file, cfg
     policy = load_policy(args.checkpoint, *(cfg for _, _, cfg in flown.values()))
+    first_over = {}  # mesh file -> the first scenario that flies over it
+    for name, (_, _, cfg) in flown.items():
+        if cfg.mesh_file is not None:
+            first_over.setdefault(cfg.mesh_file, name)
+    for mesh_file, name in first_over.items():
+        try:
+            load_mesh(mesh_file)
+        except MeshLoadError as exc:
+            raise MeshLoadError(f"scenario {name!r}: {exc}") from exc
     write_resolved_config(
         args.out, "eval",
         {

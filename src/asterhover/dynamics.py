@@ -268,7 +268,7 @@ def _norm(*components: float) -> float:
     """Euclidean norm through BLAS ddot, as np.linalg.norm computes it; a
     float sum of squares rounds differently."""
     v = np.array(components)
-    return math.sqrt(np.dot(v, v))
+    return math.sqrt(v.dot(v))
 
 
 def _derivative(

@@ -225,7 +225,7 @@ def compute_reward(
     r = ALPHA*pos_err + BETA*angle(dq) + GAMMA_CTRL*(sum of bits)/12 + ETA
         + ZETA*[terminal limits met at the final step] + KAPPA*[violation]
     """
-    effort = float(np.sum(action)) / action.shape[0]
+    effort = float(action.sum()) / action.shape[0]
     terms = {
         "position": ALPHA * pos_err,
         "attitude": BETA * quat_angle(dq),
@@ -443,7 +443,7 @@ class HoverEnv:
         if self.done:
             raise SimulationError("step() called on a finished episode; reset() first")
         a = np.asarray(action, dtype=np.float64).reshape(-1)
-        if a.shape != (12,) or not np.all((a == 0.0) | (a == 1.0)):
+        if a.shape != (12,) or not {0.0, 1.0}.issuperset(a.tolist()):
             raise ConfigurationError("action must be 12 on/off values")
 
         mass_before = self.state.mass
@@ -494,11 +494,14 @@ class HoverEnv:
 
         r_err = state.position - self.r0
         dq = quat_error(state.attitude, self.q0)
-        omega = state.omega
-        pos_err = float(np.linalg.norm(r_err))
-        speed = float(np.linalg.norm(state.velocity))
+        # The norms through BLAS ddot, as np.linalg.norm takes them, and the
+        # rate tests on Python floats, which compare as the arrays' elements do.
+        pos_err = math.sqrt(r_err.dot(r_err))
+        speed = math.sqrt(state.velocity.dot(state.velocity))
+        wx, wy, wz = state.omega.tolist()
+        ax, ay, az = abs(wx), abs(wy), abs(wz)
 
-        rot_breach = bool(np.any(np.abs(omega) > ROT_LIMIT))
+        rot_breach = ax > ROT_LIMIT or ay > ROT_LIMIT or az > ROT_LIMIT
         all_miss = not frame.hit.any()
         fuel_out = state.mass <= DRY_MASS
         violated = rot_breach or all_miss or fuel_out
@@ -508,8 +511,12 @@ class HoverEnv:
             time_done
             and pos_err <= TERMINAL_POS_LIMIT
             and speed <= TERMINAL_SPEED_LIMIT
-            and bool(np.all(np.abs(omega) <= TERMINAL_OMEGA_LIMIT))
+            and ax <= TERMINAL_OMEGA_LIMIT
+            and ay <= TERMINAL_OMEGA_LIMIT
+            and az <= TERMINAL_OMEGA_LIMIT
         )
+        # NaN when any rate is NaN, as np.max gives and max() need not
+        max_omega = math.nan if math.isnan(ax + ay + az) else max(ax, ay, az)
 
         reward, terms = compute_reward(pos_err, dq, self._action, terminal_ok, violated)
         self.done = time_done or violated
@@ -530,7 +537,7 @@ class HoverEnv:
             "t": self.steps * cfg.control_period,
             "pos_err": pos_err,
             "speed": speed,
-            "max_omega": float(np.max(np.abs(omega))),
+            "max_omega": max_omega,
             "fuel_used": self.fuel_used,
             "violation": violation,
             "terminal_ok": terminal_ok,

@@ -313,9 +313,9 @@ def run_monte_carlo(
     Episode k runs on the seed stream (seed, k), so reports are identical
     across reruns and across worker counts. The one environment is built
     here, so the shape model is read once per run, and worker processes
-    inherit it and the policy. A given `mesh_file` is the scenario's
-    `mesh_file` override. With out_dir set, writes episodes.csv and
-    summary.csv there.
+    inherit it and the policy; the pool has no more processes than
+    episodes. A given `mesh_file` is the scenario's `mesh_file` override.
+    With out_dir set, writes episodes.csv and summary.csv there.
     """
     if n_episodes < 1:
         raise ConfigurationError(f"n_episodes must be at least 1, got {n_episodes}")
@@ -324,7 +324,8 @@ def run_monte_carlo(
         policy = load_policy(policy, cfg)
     try:
         env = HoverEnv(cfg)  # a bad shape model fails here, before any worker starts
-        if workers > 1 and n_episodes > 1:
+        workers = min(workers, n_episodes)
+        if workers > 1:
             with multiprocessing.Pool(
                 workers, initializer=_init_worker,
                 initargs=(env, policy, seed, stochastic),

@@ -293,77 +293,116 @@ def load_mesh(path: str, scale: float = 1.0) -> TriMesh:
     types are skipped. Faces must be triangles and use 1-based vertex
     indices. Vertices are multiplied by `scale` after loading.
 
-    The lines are sorted into `v` and `f` records in one pass, and numpy's
-    parser reads each kind in one call; only when a record fails a check
-    are the records read one by one, to name the first offending line.
+    Records are found by whole-array passes over the file's bytes, and
+    numpy's parser reads each kind in one call; only when a record fails a
+    check are the lines split and read one by one, to name the first
+    offending line.
     """
     if scale <= 0.0:
         raise ConfigurationError(f"mesh scale must be positive, got {scale}")
-    with open(path, "r", encoding="ascii", errors="replace") as fh:
-        lines = fh.read().split("\n")
-    # Line numbers and the text after the record type, per kind.
-    records: dict[str, tuple[list[int], list[str]]] = {"v": ([], []), "f": ([], [])}
-    vertex_lines, vertex_text = records["v"]
-    face_lines, face_text = records["f"]
-    for lineno, line in enumerate(lines, start=1):
-        head = line[:2]
-        if head == "v ":
-            vertex_lines.append(lineno)
-            vertex_text.append(line[2:])
-        elif head == "f ":
-            face_lines.append(lineno)
-            face_text.append(line[2:])
-        else:
-            tokens = line.split("#", 1)[0].split(None, 1)
-            # Any other record type (vn, vt, o, g, s, ...) is ignored.
-            if tokens and tokens[0] in records:
-                linenos, text = records[tokens[0]]
-                linenos.append(lineno)
-                text.append(tokens[1] if len(tokens) > 1 else "")
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if b"\r" in data:  # the universal newlines of a text-mode read
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    buf, starts, ends, first = _line_bounds(data)
+    # A record's type is its line's first token: one letter, then a blank,
+    # "#" or the line end. Any other type (vn, vt, o, g, s, ...) is ignored.
+    kind = np.where(_TYPE_END[buf[first + 1]], buf[first], 0)
+    vertex_rows = np.flatnonzero(kind == ord("v"))
+    face_rows = np.flatnonzero(kind == ord("f"))
     try:
-        vertices = _read_triples(vertex_text, np.float64)
+        vertices = _read_triples(
+            _records(buf, starts, ends, first, vertex_rows), len(vertex_rows), np.float64
+        )
         if not np.isfinite(vertices).all():
             raise ValueError("vertex coordinate is not finite")
         # Tolerate "f 1/1/1 2/2/2 3/3/3" style by taking the leading vertex
         # index of each vertex tuple.
-        joined = "\n".join(face_text)
-        if "/" in joined:
-            face_text = re.sub(r"/\S*", "", joined).split("\n")
-        face_arr = _read_triples(face_text, np.int64)
+        face_text = _records(buf, starts, ends, first, face_rows)
+        if "/" in face_text:
+            face_text = re.sub(r"/[^\s#]*", "", face_text)
+        face_arr = _read_triples(face_text, len(face_rows), np.int64)
     except (ValueError, Warning) as exc:
-        bad = _first_bad_record(path, lines, sorted(vertex_lines + face_lines))
+        linenos = (np.union1d(vertex_rows, face_rows) + 1).tolist()
+        lines = data.decode("ascii", errors="replace").split("\n")
+        bad = _first_bad_record(path, lines, linenos)
         # Python's float() and int() also read digit-group underscores and
         # indices beyond int64, which numpy's parser refuses; such a file
         # gets the parser's message.
         raise bad or MeshLoadError(f"{path}: {exc}") from None
-    if not vertex_lines:
+    if not vertex_rows.size:
         raise MeshLoadError(f"{path}: no vertices found")
-    if not face_lines:
+    if not face_rows.size:
         raise MeshLoadError(f"{path}: no faces found")
     nv = len(vertices)
     bad = ((face_arr < 1) | (face_arr > nv)).ravel()
     if bad.any():
         row, col = divmod(int(np.argmax(bad)), 3)  # first offending index
         raise MeshLoadError(
-            f"{path}:{face_lines[row]}: face index {face_arr[row, col]} outside 1..{nv}"
+            f"{path}:{face_rows[row] + 1}: face index {face_arr[row, col]} outside 1..{nv}"
         )
     return TriMesh(vertices * scale, face_arr - 1)
 
 
-def _read_triples(text: list[str], dtype: type) -> np.ndarray:
-    """The (N, 3) numbers of N record texts, read by numpy's parser.
+# Whitespace as str.split() sees it among ASCII characters, less the
+# newline (every "\r" has become one).
+_BLANK = np.zeros(256, dtype=bool)
+_BLANK[[ord(c) for c in " \t\x0b\x0c\x1c\x1d\x1e\x1f"]] = True
+# What may follow a record type: a blank, a comment or the line end.
+_TYPE_END = _BLANK.copy()
+_TYPE_END[[ord("\n"), ord("#")]] = True
 
-    Raises ValueError unless each text holds exactly three numbers of
-    `dtype`, and the parser's warning (as an exception) when a text is
+
+def _line_bounds(data: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The file's bytes with two newlines appended, so that the byte after
+    any line's first character exists, and per line (as splitting at each
+    newline counts them) the offsets of its start, its end and its first
+    non-blank byte, which is the end for a blank line."""
+    buf = np.frombuffer(data + b"\n\n", dtype=np.uint8)
+    ends = np.flatnonzero(buf[:-1] == ord("\n"))
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    first = starts.copy()
+    indented = np.flatnonzero(_BLANK[buf[first]])
+    while indented.size:  # one pass per column of indentation
+        first[indented] += 1
+        indented = indented[_BLANK[buf[first[indented]]]]
+    return buf, starts, ends, first
+
+
+def _records(
+    buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, first: np.ndarray, rows: np.ndarray
+) -> str:
+    """The lines from the first to the last of `rows` as one text, with the
+    record type of each of `rows` blanked and every other non-blank line
+    turned into a comment, so that numpy's parser reads just the records'
+    numbers."""
+    if not rows.size:
+        return ""
+    lo, hi = rows[0], rows[-1] + 1
+    span = buf[starts[lo]:ends[hi - 1]].copy()
+    heads = first[lo:hi]
+    span[heads[buf[heads] != ord("\n")] - starts[lo]] = ord("#")
+    span[first[rows] - starts[lo]] = ord(" ")
+    return span.tobytes().decode("ascii", errors="replace")
+
+
+def _read_triples(text: str, count: int, dtype: type) -> np.ndarray:
+    """The (count, 3) numbers of the `count` records in `text` (see
+    :func:`_records`), read by numpy's parser.
+
+    Raises ValueError unless each record holds exactly three numbers of
+    `dtype`, and the parser's warning (as an exception) when a record is
     empty or all comment.
     """
-    if not text:
+    if not count:
         return np.empty((0, 3), dtype)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        table = np.loadtxt(text, dtype=dtype, comments="#", ndmin=2)
-    if table.shape != (len(text), 3):
-        raise ValueError(f"{len(text)} records read as a {table.shape} table")
+        table = np.loadtxt(text.split("\n"), dtype=dtype, comments="#", ndmin=2)
+    if table.shape != (count, 3):
+        raise ValueError(f"{count} records read as a {table.shape} table")
     return table
 
 

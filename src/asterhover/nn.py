@@ -16,7 +16,6 @@ import os
 from collections import OrderedDict
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigurationError
 from .lidar import GRID_SIZE
@@ -105,12 +104,18 @@ class Conv2D:
         return (size - self.kernel) // self.stride + 1
 
     def _patches(self, x: np.ndarray) -> np.ndarray:
-        """(B, H, W, C) -> (B*ho*wo, k*k*C), columns ordered (di, dj, channel)."""
+        """(B, H, W, C) -> (B*ho*wo, k*k*C), columns ordered (di, dj, channel).
+
+        The windows are a strided view of the input's buffer, made by the
+        ndarray constructor, which costs less per call than as_strided; a
+        buffer must be contiguous, so a strided input is copied first.
+        """
+        x = np.ascontiguousarray(x)
         B, hi, wi, c = x.shape
         k, s = self.kernel, self.stride
         sb, sh, sw, sc = x.strides
         shape = (B, self.out_size(hi), self.out_size(wi), k, k, c)
-        windows = as_strided(x, shape, (sb, sh * s, sw * s, sh, sw, sc), writeable=False)
+        windows = np.ndarray(shape, x.dtype, x, 0, (sb, sh * s, sw * s, sh, sw, sc))
         return windows.reshape(-1, k * k * c)
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

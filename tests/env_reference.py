@@ -1,4 +1,5 @@
-"""Lone-environment references for the lockstep episode driver.
+"""Lone-environment references for the lockstep episode driver, and the
+array form of a step's bookkeeping.
 
 `fly` is one control step of a single :class:`asterhover.env.HoverEnv`
 rendered by its own :meth:`~asterhover.env.HoverEnv.scan`, the per-episode
@@ -6,13 +7,36 @@ path that :func:`asterhover.env.rollout` replaces with one cast over all
 lanes. `replay_episode` is the serial per-episode collector built on it:
 it flies one episode alone on given actions and records what the policy and
 the critic saw.
+
+`observe_reference` and `compute_reward_reference` are
+:meth:`~asterhover.env.HoverEnv.observe` and
+:func:`~asterhover.env.compute_reward` as they were before their limit
+tests, maxima and bit counts moved onto Python floats: every test there
+goes through numpy's array functions.
 """
 
 from __future__ import annotations
 
+from typing import Any
+
 import numpy as np
 
-from asterhover.env import HoverEnv
+from asterhover.dynamics import quat_angle, quat_error
+from asterhover.env import (
+    ALPHA,
+    BETA,
+    DRY_MASS,
+    ETA,
+    GAMMA_CTRL,
+    KAPPA,
+    ROT_LIMIT,
+    TERMINAL_OMEGA_LIMIT,
+    TERMINAL_POS_LIMIT,
+    TERMINAL_SPEED_LIMIT,
+    ZETA,
+    HoverEnv,
+)
+from asterhover.lidar import LidarFrame
 
 
 def fly(env: HoverEnv, action: np.ndarray):
@@ -48,3 +72,80 @@ def replay_episode(env: HoverEnv, env_seed, actions: np.ndarray) -> dict:
         "rewards": np.array(rewards),
         "info": info,
     }
+
+
+def compute_reward_reference(
+    pos_err: float,
+    dq: np.ndarray,
+    action: np.ndarray,
+    terminal_ok: bool,
+    violated: bool,
+) -> tuple[float, dict[str, float]]:
+    """Per-step reward and its terms, the bit count taken by np.sum."""
+    effort = float(np.sum(action)) / action.shape[0]
+    terms = {
+        "position": ALPHA * pos_err,
+        "attitude": BETA * quat_angle(dq),
+        "control": GAMMA_CTRL * effort,
+        "step": ETA,
+        "terminal_bonus": ZETA if terminal_ok else 0.0,
+        "violation": KAPPA if violated else 0.0,
+    }
+    return float(sum(terms.values())), terms
+
+
+def observe_reference(
+    env: HoverEnv, frame: LidarFrame
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, bool, dict[str, Any]]:
+    """:meth:`HoverEnv.observe` with its tests on arrays: the norms by
+    np.linalg.norm, the rate limits by np.any / np.all over np.abs, the
+    worst rate by np.max."""
+    cfg = env.cfg
+    state = env.state
+    frame = env._noisy(frame)
+
+    r_err = state.position - env.r0
+    dq = quat_error(state.attitude, env.q0)
+    omega = state.omega
+    pos_err = float(np.linalg.norm(r_err))
+    speed = float(np.linalg.norm(state.velocity))
+
+    rot_breach = bool(np.any(np.abs(omega) > ROT_LIMIT))
+    all_miss = not frame.hit.any()
+    fuel_out = state.mass <= DRY_MASS
+    violated = rot_breach or all_miss or fuel_out
+
+    time_done = env.steps >= cfg.max_steps
+    terminal_ok = (
+        time_done
+        and pos_err <= TERMINAL_POS_LIMIT
+        and speed <= TERMINAL_SPEED_LIMIT
+        and bool(np.all(np.abs(omega) <= TERMINAL_OMEGA_LIMIT))
+    )
+
+    reward, terms = compute_reward_reference(pos_err, dq, env._action, terminal_ok, violated)
+    env.done = time_done or violated
+
+    inputs = env._inputs(frame, r_err, dq)
+    env.prev_frame = frame
+
+    violation = None
+    if rot_breach:
+        violation = "rotation"
+    elif all_miss:
+        violation = "all_miss"
+    elif fuel_out:
+        violation = "fuel"
+
+    info = {
+        "step": env.steps,
+        "t": env.steps * cfg.control_period,
+        "pos_err": pos_err,
+        "speed": speed,
+        "max_omega": float(np.max(np.abs(omega))),
+        "fuel_used": env.fuel_used,
+        "violation": violation,
+        "terminal_ok": terminal_ok,
+        "reward_terms": terms,
+    }
+    return *inputs, reward, env.done, info

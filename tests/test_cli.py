@@ -565,6 +565,35 @@ def test_eval_pool_fails_on_a_bad_mesh_file(tmp_path, obj):
         proc.wait()
     assert proc.returncode == 1
     assert str(mesh) in err
+    assert not (tmp_path / "e").exists()
+
+
+BAD_MESH_FILES = {
+    "missing": None,
+    "face-index-out-of-range": "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 9\n",
+    "bad-coordinate": "v 0 0 0\nv 1 0 x\nv 0 1 0\nf 1 2 3\n",
+}
+
+
+@pytest.mark.parametrize("obj", BAD_MESH_FILES.values(), ids=BAD_MESH_FILES)
+@pytest.mark.parametrize("which", ["--scenario", "--all"])
+def test_eval_over_a_bad_mesh_file_writes_nothing(tmp_path, capsys, obj, which):
+    # the shape model is read before the resolved config is written, also
+    # when the first scenarios of --all fly synthetic bodies
+    ck = str(tmp_path / "ck.npz")
+    nn.save_checkpoint(ck, nn.PolicyNetwork(seed=1), nn.ValueNetwork(seed=2))
+    mesh = tmp_path / "bad.obj"
+    if obj is not None:
+        mesh.write_text(obj)
+    scenario = ["--scenario", "itokawa"] if which == "--scenario" else ["--all"]
+    code = main(["eval", "--checkpoint", ck, *scenario, "--mesh-file", str(mesh),
+                 "--episodes", "1", "--workers", "1", "--out", str(tmp_path / "e")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(mesh) in err
+    if obj is not None:  # a refused shape model names the first scenario over it
+        assert ("scenario 'itokawa'" if which == "--scenario" else "scenario 'rq36'") in err
+    assert not (tmp_path / "e").exists()
 
 
 # --- simulate and scan-debug ----------------------------------------------

@@ -1,5 +1,7 @@
+import copy
 import functools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from asterhover.env import (
     DRY_MASS,
     R_ERR_SCALE,
     RK4_DT,
+    ROT_LIMIT,
+    TERMINAL_OMEGA_LIMIT,
     EpisodeConfig,
     HoverEnv,
     compute_reward,
@@ -30,7 +34,7 @@ from asterhover.geometry import (
 from asterhover.lidar import LidarFrame, SensorConfig, rotated_beams, scan
 
 from dynamics_reference import quat_rotate, rk4_step_reference
-from env_reference import fly
+from env_reference import compute_reward_reference, fly, observe_reference
 
 IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -590,3 +594,94 @@ def test_spawn_shares_the_loaded_mesh(tmp_path):
     assert twin.done and twin.state is None
     twin.reset(seed=2)
     assert not np.array_equal(twin.state.position, env.state.position)
+
+
+# --------------------------------------------------------------------------
+# observe and compute_reward against their array form
+
+
+def identical(a, b) -> bool:
+    """Equal in type and bit for bit, NaNs and signed zeros included."""
+    if isinstance(a, dict):
+        return type(b) is dict and a.keys() == b.keys() and all(identical(a[k], b[k]) for k in a)
+    if isinstance(a, np.ndarray):
+        return type(b) is np.ndarray and a.dtype == b.dtype and a.shape == b.shape \
+            and a.tobytes() == b.tobytes()
+    if isinstance(a, float):
+        return type(b) is float and struct.pack("<d", a) == struct.pack("<d", b)
+    return type(a) is type(b) and a == b
+
+
+def assert_observes_as_reference(env, frame):
+    """env.observe(frame) returns, and leaves, what observe_reference does
+    on a copy of env."""
+    twin = copy.deepcopy(env)
+    got = env.observe(frame)
+    want = observe_reference(twin, frame)
+    assert len(got) == len(want)
+    for name, a, b in zip(("image", "vec", "value_input", "reward", "done", "info"), got, want):
+        assert identical(a, b), (name, a, b)
+    assert env.done == twin.done
+    assert identical(env.prev_frame.ranges, twin.prev_frame.ranges)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_observe_matches_reference_on_random_episodes(seed):
+    # fast initial body rates, random firing and sensor noise: some episodes
+    # end in a rotation breach, the others run to the terminal step
+    env = HoverEnv(lane_config())
+    env.reset(seed=seed)
+    rng = np.random.default_rng(seed)
+    while not env.done:
+        env.step(rng.integers(0, 2, 12))
+        assert_observes_as_reference(env, env.scan())
+
+
+LIMITS = (ROT_LIMIT, TERMINAL_OMEGA_LIMIT)
+EDGE_RATES = [
+    *(v for limit in LIMITS for v in (limit, -limit, np.nextafter(limit, 1.0),
+                                      -np.nextafter(limit, 1.0), np.nextafter(limit, 0.0))),
+    0.0, -0.0, math.inf, -math.inf,
+]
+
+
+@pytest.mark.parametrize("axis", range(3))
+@pytest.mark.parametrize("rate", [*EDGE_RATES, math.nan, -math.nan],
+                         ids=lambda r: repr(float(r)))
+def test_observe_matches_reference_at_rate_edges(axis, rate):
+    # a hover that meets the terminal position and speed limits, so the
+    # rate tests decide terminal_ok, rot_breach and the violation
+    for others in ((0.0, -0.0), (0.02, -TERMINAL_OMEGA_LIMIT), (math.nan, 0.2)):
+        env = HoverEnv(quiet_config(duration=12.0))
+        env.reset(seed=3)
+        env.step(np.zeros(12))
+        env.step(np.zeros(12))
+        omega = list(others)
+        omega.insert(axis, float(rate))
+        env.state.omega = np.array(omega)
+        assert_observes_as_reference(env, env.scan())
+
+
+def test_edge_rates_reach_both_sides_of_each_limit():
+    # the edge table reaches both sides of both limits
+    env = HoverEnv(quiet_config(duration=12.0))
+    seen = set()
+    for rate in EDGE_RATES:
+        env.reset(seed=3)
+        env.step(np.zeros(12))
+        env.step(np.zeros(12))
+        env.state.omega = np.array([rate, 0.0, 0.0])
+        info = env.observe(env.scan())[-1]
+        seen.add((info["terminal_ok"], info["violation"]))
+    assert seen == {(True, None), (False, None), (False, "rotation")}
+
+
+def test_compute_reward_matches_reference(rng):
+    for _ in range(50):
+        dq = quat_error(rng.standard_normal(4), np.array([1.0, 0.0, 0.0, 0.0]))
+        dq /= np.linalg.norm(dq)
+        action = rng.integers(0, 2, 12).astype(np.float64)
+        args = (float(rng.uniform(0.0, 50.0)), dq, action, bool(rng.integers(2)),
+                bool(rng.integers(2)))
+        got, want = compute_reward(*args), compute_reward_reference(*args)
+        assert identical(got[0], want[0]) and identical(got[1], want[1])

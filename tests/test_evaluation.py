@@ -3,6 +3,8 @@ and the per-episode CSV contract."""
 
 import csv
 import dataclasses
+import multiprocessing
+import multiprocessing.pool
 import os
 import pickle
 
@@ -259,6 +261,25 @@ def test_parallel_workers_match_serial():
         serial = run_monte_carlo(policy, quiet_scenario(), 4, seed=8, workers=1)
         parallel = run_monte_carlo(policy, quiet_scenario(), 4, seed=8, workers=2)
         assert serial == parallel
+
+
+def test_pool_has_no_more_processes_than_episodes(monkeypatch):
+    started = []
+
+    class CountingPool(multiprocessing.pool.Pool):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(len(self._pool))
+
+    monkeypatch.setattr(multiprocessing, "Pool", CountingPool)
+    policy = AllOffPolicy()
+    serial = run_monte_carlo(policy, quiet_scenario(), 2, seed=8, workers=1)
+    assert started == []
+    assert run_monte_carlo(policy, quiet_scenario(), 2, seed=8, workers=4) == serial
+    assert started == [2]
+    assert run_monte_carlo(policy, quiet_scenario(), 1, seed=8, workers=4) == \
+        run_monte_carlo(policy, quiet_scenario(), 1, seed=8, workers=1)
+    assert started == [2]  # one episode flies in this process
 
 
 def test_pickled_env_and_policy_fly_the_same_episodes(tmp_path):

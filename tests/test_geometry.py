@@ -243,6 +243,22 @@ HAND_WRITTEN_OBJ = {
         "v 1e3 -2.5E-4 +3.0e+2\nv .5 -0. 1.\nv 6.02214076e23 1e-310 -7E0\n"
         "v 0.1 0.30000000000000004 1.7976931348623157e308\nf 1 2 3\nf 2 3 4\nf +1 03 4\n"
     ),
+    "interleaved_blocks": (
+        "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nv 1 1 0\nf 2 4 3\n# mid\nv 2 1 0\nv 2 2 0\n"
+        "f 4 5 6\nf 2 5 4\n\nv 0 2 1\nf 3 6 7\n"
+    ),
+    "no_final_newline": "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf 3 2 1 # last",
+    "no_final_newline_vertex": "f 1 2 3\nv 0 0 0\nv 1 0 0\nv 0 1 0",
+    "vertices_after_faces": "# faces first\nf 1 2 3\nf 2 4 3\nv 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 0\n",
+    "look_alikes": (
+        "v 0 0 0\nvn 0 0 1\nvt 0.5 0.5\nv 1 0 0\nfo 1 2 3\nf1 2 3\nvp 1\nv 0 1 0\nfoo bar\n"
+        "f 1 2 3\nv\t1 1 1\nff 1\nvx 1 2\nf 2 4 3\n"
+    ),
+    "indented_records": (
+        "\tv 0 0 0\n  v 1 0 0\n \t v 0 1 0\n\t\tf 1 2 3\n    f 3 2 1 # c\n\t# v 9 9 9\n"
+        "  vn 1 1 1\n\x0cv\x0b1 1 1\n \n\t\n f\t2\t4\t3\n"
+    ),
+    "cr_newlines": "v 0 0 0\rv 1 0 0\r\nv 0 1 0\r\rf 1 2 3\r",
 }
 
 
@@ -288,6 +304,11 @@ def test_bulk_reader_matches_per_line_reference_on_saved_meshes(tmp_path, source
         "v 1 2 3 4\n",
         "f 1 2 3\n",
         "",
+        "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1/2#c 2 3\n",      # a slash index ends at a comment
+        "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n  f # empty\nf 3 2 1\n",
+        "v 0 0 0\nv 1 0 0\nf 1 2 3\nv 0 1 0\nv 0 0\n",   # a short vertex after the faces
+        "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf 1 2 4",    # a bad index on the unterminated last line
+        "v 0 0 0\nv#x 1 2 3\nv 0 1 0\nf 1 2 3\n",        # a record type ended by a comment
     ],
 )
 def test_bulk_reader_errors_match_per_line_reference(tmp_path, body):
@@ -298,6 +319,25 @@ def test_bulk_reader_errors_match_per_line_reference(tmp_path, body):
     with pytest.raises(MeshLoadError) as got:
         load_mesh(str(path))
     assert str(got.value) == str(want.value)
+
+
+def test_bulk_reader_matches_per_line_reference_past_undecodable_bytes(tmp_path):
+    # a byte outside ASCII is read as the replacement character: harmless
+    # in a comment or an ignored record, an error in a record, and not the
+    # blank that ends a record type
+    path = tmp_path / "latin.obj"
+    path.write_bytes(b"# caf\xe9\no \xff\nv 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n")
+    want = load_mesh_reference(str(path))
+    got = load_mesh(str(path))
+    assert got.vertices.tobytes() == want.vertices.tobytes()
+    np.testing.assert_array_equal(got.faces, want.faces)
+    for body in (b"v 0 0 0\xe9\nv 1 0 0\nv 0 1 0\nf 1 2 3\n", b"v 0 0 0\nv 1 0 0\nv\xa00 1 0\nf 1 2 3\n"):
+        path.write_bytes(body)
+        with pytest.raises(MeshLoadError) as want_err:
+            load_mesh_reference(str(path))
+        with pytest.raises(MeshLoadError) as got_err:
+            load_mesh(str(path))
+        assert str(got_err.value) == str(want_err.value)
 
 
 @pytest.mark.parametrize(

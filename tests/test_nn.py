@@ -491,6 +491,29 @@ def test_conv_patches_match_reference_loop():
             np.testing.assert_array_equal(layer._patches(view), want.reshape(ho * ho * len(view), -1))
 
 
+def test_conv_patches_match_reference_at_batch_one_and_on_strided_views():
+    # the patches are a view of a contiguous buffer, so a strided input is
+    # copied first; the matrix must hold the same bytes either way
+    rng = np.random.default_rng(15)
+    for c_in, kernel, stride, size in ((2, 3, 1, 8), (8, 4, 2, 6)):
+        layer = Conv2D(rng, c_in, 3, kernel=kernel, stride=stride)
+        ho = layer.out_size(size)
+        big = rng.standard_normal((3, size + 2, size + 2, 2 * c_in))
+        x = np.ascontiguousarray(big[:1, 1:-1, 1:-1, :c_in])
+        views = (
+            x,                                         # batch 1, contiguous
+            big[1:2, 1:-1, 1:-1, :c_in],               # batch 1, strided window
+            big[::2, 2:, :-2, ::2],                    # every other row and channel
+            x[:, ::-1, ::-1, :],                       # negative strides
+            np.asfortranarray(x),                      # column-major
+            x.transpose(0, 2, 1, 3),                   # swapped spatial axes
+        )
+        for view in views:
+            want = reference.conv_patches(layer, view, ho, ho).reshape(ho * ho * len(view), -1)
+            got = layer._patches(view)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 # sha256 of the archives nn.save_checkpoint writes for build_networks(0),
 # bare and after one Adam step, with every weight row-major. The archives
 # written when wide weights were column-major hold the same names, shapes

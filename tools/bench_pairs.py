@@ -5,16 +5,22 @@ Run from the repository root:
     python3 tools/bench_pairs.py --parent HEAD --workload train-default --seeds 2-11
 
 For each seed it runs the unchanged ``perfbench/run.py --trace 0`` once in a
-copy of the parent commit (extracted with ``git archive`` into a temporary
-directory, which honours ``TMPDIR``) and once in this working tree, the side
-that goes first alternating by seed. It writes
+copy of the parent commit and once in a copy of this working tree, the side
+that goes first alternating by seed. Both copies are extracted the same way,
+with ``git archive``, side by side in one temporary directory (which honours
+``TMPDIR``), so that the checkout's location cannot favour either side. The
+working tree's copy is of the commit ``git stash create`` makes of its
+tracked files (HEAD when they are clean), which leaves the tree and the
+stash list as they were: a new file must be added to the index to be
+benchmarked. It writes
 ``BENCH_<parent>-<change>.json``: every result line with its machine
 context, input and output digests (and per workload how many pairs wrote
 the same outputs in the units both sides ran), then per end-to-end metric
 each side's values, median and quartiles, how many pairs the change won
 (ties count for neither) and how far the change's median is from the
 parent's relative to the bound in ``BENCHMARK.json``. ``<change>`` is the
-short commit id when the working tree is clean and ``worktree`` otherwise.
+short commit id when the working tree is clean and ``worktree`` otherwise;
+the record names the commit that ran under ``change_commit``.
 
 Before the pairs it runs the byte-identity check of
 ``tools/output_digests.py`` against the same parent and records its
@@ -117,8 +123,10 @@ def main(argv=None) -> int:
     parent = git("rev-parse", args.parent)
     dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
     change = "worktree" if dirty else git("rev-parse", "--short", "HEAD")
+    change_commit = git("stash", "create") or git("rev-parse", "HEAD")
     out_path = ROOT / f"BENCH_{parent[:7]}-{change}.json"
-    report = {"parent": parent, "change": change, "head": git("rev-parse", "HEAD"),
+    report = {"parent": parent, "change": change, "change_commit": change_commit,
+              "head": git("rev-parse", "HEAD"),
               "command": bench["command"] + ["--trace", "0"], "seconds": bench["run_seconds"],
               "seeds": seeds, "workloads": {}}
     from output_digests import digests  # it imports this module
@@ -130,9 +138,10 @@ def main(argv=None) -> int:
         return 1
     print(f"output digests equal: {report['output_digests']['equal']}", flush=True)
     out_path.write_text(json.dumps(report, indent=1) + "\n")
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        parent_dir = Path(tmp)
-        extract(parent, parent_dir)
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        checkouts = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+        extract(parent, checkouts["parent"])
+        extract(change_commit, checkouts["change"])
         for workload in args.workload:
             pairs = []
             for i, seed in enumerate(seeds):
@@ -140,8 +149,8 @@ def main(argv=None) -> int:
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
                     try:
-                        pair[side] = run_once(parent_dir if side == "parent" else ROOT,
-                                              workload, seed, bench["run_seconds"])
+                        pair[side] = run_once(checkouts[side], workload, seed,
+                                              bench["run_seconds"])
                     except subprocess.CalledProcessError as exc:
                         print(f"{side} run failed (exit {exc.returncode}): workload {workload}, "
                               f"seed {seed}\n{exc.stderr}", file=sys.stderr)
