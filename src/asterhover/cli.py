@@ -35,7 +35,7 @@ from .config import (
 )
 from .errors import ConfigurationError, MeshLoadError, SimulationError
 from .geometry import AsteroidGenConfig, load_mesh, save_mesh, synthesize_asteroid
-from .lidar import SensorConfig, rotated_beams, scan
+from .lidar import PreparedMesh, SensorConfig, rotated_beams, scan
 from .env import HoverEnv, rollout
 from .ppo import TrainConfig, train
 from . import nn
@@ -44,7 +44,7 @@ from .evaluation import (
     greedy,
     load_policy,
     run_monte_carlo,
-    scenario_presets,
+    scenarios,
     write_summary,
 )
 
@@ -79,7 +79,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         {key: value for key, value in flags.items() if value is not None},
     ):
         apply_to_dataclass(cfg, data)
-    cfg.validate()
     metrics_path = train(
         cfg, log=print,
         before_write=lambda: write_resolved_config(cfg.out_dir, "train", cfg),
@@ -93,14 +92,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ConfigurationError("choose exactly one of --scenario NAME or --all")
     if args.episodes < 1:
         raise ConfigurationError(f"n_episodes must be at least 1, got {args.episodes}")
-    names = [args.scenario] if args.scenario else (
-        ["baseline"] + [s.name for s in scenario_presets()]
-    )
+    if args.workers < 1:
+        raise ConfigurationError(f"workers must be at least 1, got {args.workers}")
+    chosen = [get_scenario(args.scenario)] if args.scenario else scenarios()
+    names = [scenario.name for scenario in chosen]
     # every flown scenario resolves, the checkpoint fits each, and each
     # shape model reads, before anything is written
     flown = {}  # name -> (scenario, mesh_file, episode config)
-    for name in names:
-        scenario = get_scenario(name)
+    for scenario in chosen:
+        name = scenario.name
         mesh_file = args.mesh_file
         if args.all and not scenario.requires_mesh:
             mesh_file = None  # --all flies synthetic scenarios over synthetic bodies
@@ -170,16 +170,16 @@ def cmd_scan_debug(args: argparse.Namespace) -> int:
         mesh = synthesize_asteroid(
             args.seed, AsteroidGenConfig(subdivision_level=args.level)
         ).mesh
+    prep = PreparedMesh(mesh)
     if args.position is not None:
         position = np.asarray(args.position, dtype=np.float64)
         if not np.any(position):
             raise ConfigurationError("--position must be nonzero")
     else:
-        bound = float(np.linalg.norm(mesh.vertices, axis=1).max())
-        position = np.array([0.0, 0.0, 2.5 * bound])
+        position = np.array([0.0, 0.0, 2.5 * prep.bound_radius])
 
     sensor = SensorConfig()
-    frame = scan(mesh, position, rotated_beams(sensor, _look_rotation(position)), sensor)
+    frame = scan(prep, position, rotated_beams(sensor, _look_rotation(position)), sensor)
 
     os.makedirs(args.out, exist_ok=True)
     write_resolved_config(
@@ -324,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stochastic", action="store_true", help="sample actions instead of argmax")
     p.add_argument(
         "--workers", type=int, default=max(1, os.cpu_count() or 1),
-        help="parallel episode workers (results are independent of this)",
+        help="parallel episode workers, at least 1 (results are independent of this)",
     )
     p.set_defaults(func=cmd_eval)
 

@@ -71,6 +71,10 @@ TERMINAL_SPEED_LIMIT = 0.10   # m/s
 TERMINAL_OMEGA_LIMIT = 0.025  # rad/s, per component
 ROT_LIMIT = 0.10              # rad/s per component, hard constraint
 
+# The constraint violations HoverEnv.observe names, in the order it tests
+# them: the first one breached is the episode's `violation`.
+VIOLATION_KINDS = ("rotation", "all_miss", "fuel")
+
 # The fixed parts of every scenario.
 RK4_DT = 2.0            # s, integrator substep
 DRY_MASS = 400.0        # propellant floor, kg
@@ -266,7 +270,7 @@ def _los_attitude(u: np.ndarray, roll: float) -> np.ndarray:
     return dcm_to_quat(np.column_stack([x_b, y_b, z_b]))
 
 
-def surface_radius(mesh: TriMesh | PreparedMesh, u: np.ndarray) -> float | None:
+def surface_radius(prep: PreparedMesh, u: np.ndarray) -> float | None:
     """Distance from the origin to the surface along unit direction u.
 
     Casts inward from well outside the body so the front (outward) faces
@@ -276,7 +280,6 @@ def surface_radius(mesh: TriMesh | PreparedMesh, u: np.ndarray) -> float | None:
     # lidar.cast_rays, and a module-level import would bypass the wrapper.
     from .lidar import cast_rays
 
-    prep = mesh if isinstance(mesh, PreparedMesh) else PreparedMesh(mesh)
     cast_from = 2.0 * prep.bound_radius + 100.0
     origin = cast_from * u
     ranges, hit = cast_rays(prep, origin, -u[None, :], max_range=2.0 * cast_from)
@@ -288,7 +291,7 @@ def surface_radius(mesh: TriMesh | PreparedMesh, u: np.ndarray) -> float | None:
 def sample_initial_conditions(
     rng: np.random.Generator,
     cfg: EpisodeConfig,
-    mesh: TriMesh | PreparedMesh,
+    prep: PreparedMesh,
 ) -> SpacecraftState | None:
     """One draw of the randomized initial state over the given body.
 
@@ -317,7 +320,7 @@ def sample_initial_conditions(
         else np.zeros(3)
     )
 
-    r_surf = surface_radius(mesh, u)
+    r_surf = surface_radius(prep, u)
     if r_surf is None or r_surf <= 0.0:
         return None
 

@@ -64,17 +64,15 @@ class Scenario:
         return cfg
 
 
-def baseline_scenario() -> Scenario:
-    return Scenario(name="baseline", description="nominal randomized task")
+def scenarios() -> list[Scenario]:
+    """The fourteen named cases, as fresh objects: baseline, then the
+    thirteen generalization and real-shape-model presets.
 
-
-def scenario_presets() -> list[Scenario]:
-    """The thirteen generalization and real-shape-model cases.
-
-    The first seven stress one axis of the task each; the last six hover
-    over user-supplied shape models at nominal and extended altitudes.
+    The first seven presets stress one axis of the task each; the last six
+    hover over user-supplied shape models at nominal and extended altitudes.
     """
     return [
+        Scenario("baseline", "nominal randomized task"),
         Scenario(
             "extended-altitude",
             "initial altitude range widened to 10-700 m",
@@ -150,12 +148,11 @@ def scenario_presets() -> list[Scenario]:
 
 
 def get_scenario(name: str) -> Scenario:
-    if name == "baseline":
-        return baseline_scenario()
-    for scenario in scenario_presets():
+    table = scenarios()
+    for scenario in table:
         if scenario.name == name:
             return scenario
-    known = ", ".join(["baseline"] + [s.name for s in scenario_presets()])
+    known = ", ".join(s.name for s in table)
     raise ConfigurationError(f"unknown scenario {name!r}; known: {known}")
 
 
@@ -282,19 +279,17 @@ def load_policy(checkpoint_path: str, *cfgs: EpisodeConfig) -> nn.PolicyNetwork:
     return policy
 
 
-# Per-process state for parallel evaluation: what the parent built, handed
-# to each worker once.
+# Per-process state for parallel evaluation: the episode call the parent
+# built, handed to each worker once.
 _WORKER = {}
 
 
-def _init_worker(env: HoverEnv, policy, seed: int, stochastic: bool):
-    _WORKER.update(env=env, policy=policy, seed=seed, stochastic=stochastic)
+def _init_worker(fly):
+    _WORKER["fly"] = fly
 
 
 def _run_worker_episode(idx: int) -> dict:
-    return run_episode(
-        _WORKER["env"], _WORKER["policy"], _WORKER["seed"], idx, _WORKER["stochastic"]
-    )
+    return _WORKER["fly"](idx)
 
 
 def run_monte_carlo(
@@ -324,18 +319,15 @@ def run_monte_carlo(
         policy = load_policy(policy, cfg)
     try:
         env = HoverEnv(cfg)  # a bad shape model fails here, before any worker starts
+        # run_episode is read here, at call time, so that a wrapper set on
+        # the module attribute (perfbench's tracer) flies every episode
+        fly = functools.partial(run_episode, env, policy, seed, stochastic=stochastic)
         workers = min(workers, n_episodes)
         if workers > 1:
-            with multiprocessing.Pool(
-                workers, initializer=_init_worker,
-                initargs=(env, policy, seed, stochastic),
-            ) as pool:
+            with multiprocessing.Pool(workers, initializer=_init_worker, initargs=(fly,)) as pool:
                 rows = pool.map(_run_worker_episode, range(n_episodes))
         else:
-            rows = [
-                run_episode(env, policy, seed, idx, stochastic)
-                for idx in range(n_episodes)
-            ]
+            rows = list(map(fly, range(n_episodes)))
     except MeshLoadError as exc:
         raise MeshLoadError(f"scenario {scenario.name!r}: {exc}") from exc
     for idx, row in enumerate(rows):

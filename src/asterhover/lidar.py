@@ -115,10 +115,6 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[0] * b[0] + a[2] * b[2]) + a[1] * b[1]
 
 
-def _prepare(mesh: TriMesh | PreparedMesh) -> PreparedMesh:
-    return mesh if isinstance(mesh, PreparedMesh) else PreparedMesh(mesh)
-
-
 def _near_cone(
     along: np.ndarray,
     dist: np.ndarray,
@@ -324,7 +320,7 @@ class LaneMeshes:
 
 
 def cast_rays(
-    mesh: TriMesh | PreparedMesh,
+    mesh: PreparedMesh,
     origin: np.ndarray,
     directions: np.ndarray,
     max_range: float = 2000.0,
@@ -342,19 +338,18 @@ def cast_rays(
     origin = np.asarray(origin, dtype=np.float64)
     # A ball of radius 0 around the origin: its pairs are the ones the
     # cast from there keeps, without the slack a lane spends on later casts.
-    meshes = LaneMeshes([_prepare(mesh)], d[None])
+    meshes = LaneMeshes([mesh], d[None])
     meshes._build_pairs(0, origin, 0.0)
     ranges, hit = meshes.cast(origin[None], np.ones(1, dtype=bool), max_range)
     return ranges[0], hit[0]
 
 
-def crossing_count(mesh: TriMesh | PreparedMesh, origin: np.ndarray, direction: np.ndarray) -> int:
+def crossing_count(prep: PreparedMesh, origin: np.ndarray, direction: np.ndarray) -> int:
     """Number of surface crossings along a ray, counting both face sides.
 
     Used for watertightness checks: from a point inside a closed mesh every
     direction crosses the surface an odd number of times.
     """
-    prep = _prepare(mesh)
     d = np.asarray(direction, dtype=np.float64)
     pvec = np.cross(d[None, :], prep.edge2)
     det = np.einsum("fk,fk->f", prep.edge1, pvec)
@@ -398,7 +393,7 @@ def rotated_beams(cfg: SensorConfig, rotation_matrix: np.ndarray) -> np.ndarray:
 
 
 def scan(
-    mesh: TriMesh | PreparedMesh,
+    mesh: PreparedMesh,
     position: np.ndarray,
     beams: np.ndarray,
     cfg: SensorConfig,

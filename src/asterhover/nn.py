@@ -417,8 +417,9 @@ class ValueNetwork(_Network):
     def init_hidden(self, batch: int) -> np.ndarray:
         return np.zeros((batch, self.HIDDEN))
 
-    def _forward(self, xs: np.ndarray, hidden: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple]:
-        """(T,B,13) + (B,25) -> values (T,B), last hidden, cache."""
+    def forward_sequence(self, xs: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """(T,B,13) -> values (T,B) plus the backward cache, from a zero
+        hidden state."""
         if xs.ndim != 3 or xs.shape[2] != self.INPUT_DIM:
             raise ConfigurationError(
                 f"critic input must be (B, {self.INPUT_DIM}), got {xs.shape[1:]}"
@@ -428,16 +429,10 @@ class ValueNetwork(_Network):
         L = self.layers
         x = xs.reshape(n, -1)
         t1 = np.tanh(L["fc1"].forward(x)[0])
-        hs, cache_g = L["gru"].forward_sequence(t1.reshape(T, B, -1), hidden)
+        hs, cache_g = L["gru"].forward_sequence(t1.reshape(T, B, -1), self.init_hidden(B))
         t3 = np.tanh(L["fc3"].forward(hs[1:].reshape(n, -1))[0])
         values = L["out"].forward(t3)[0].reshape(T, B)
-        return values, hs[-1], (x, t1, hs, cache_g, t3)
-
-    def forward_sequence(self, xs: np.ndarray) -> tuple[np.ndarray, tuple]:
-        """(T,B,13) -> values (T,B) plus the backward cache, from a zero
-        hidden state."""
-        values, _, cache = self._forward(xs, self.init_hidden(xs.shape[1]))
-        return values, cache
+        return values, (x, t1, hs, cache_g, t3)
 
     def backward_sequence(self, dvalues: np.ndarray, cache: tuple) -> None:
         x, t1, hs, cache_g, t3 = cache

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import nn
 from .config import csv_field
-from .env import EpisodeConfig, HoverEnv, rollout
+from .env import VIOLATION_KINDS, EpisodeConfig, HoverEnv, rollout
 from .errors import ConfigurationError, SimulationError
 
 # Stream tags keep the per-episode, per-action, and per-update rng draws on
@@ -424,10 +424,9 @@ METRICS_COLUMNS = (
     "batch", "mean_reward", "std_reward", "mean_term_pos_err",
     "max_term_pos_err", "min_reward", "max_reward", "kl", "clip_fraction",
     "clip_eps", "value_loss", "policy_epochs", "success_rate",
-    "violations_rotation", "violations_all_miss", "violations_fuel",
+    *(f"violations_{kind}" for kind in VIOLATION_KINDS),
     "mean_fuel", "aborted",
 )
-VIOLATION_KINDS = ("rotation", "all_miss", "fuel")
 
 _CHECKPOINT_RE = re.compile(r"checkpoint_(\d+)\.npz$")
 

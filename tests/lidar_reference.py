@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from asterhover.geometry import TriMesh
-from asterhover.lidar import DET_EPS, T_MIN, PreparedMesh, _prepare, cast_rays
+from asterhover.lidar import DET_EPS, T_MIN, PreparedMesh, cast_rays
 
 
 def prepared_mesh_reference(mesh: TriMesh) -> dict:
@@ -77,7 +77,7 @@ def ray_triangle_intersect(
 
 
 def cast_rays_reference(
-    mesh: TriMesh | PreparedMesh,
+    prep: PreparedMesh,
     origin: np.ndarray,
     directions: np.ndarray,
     max_range: float = 2000.0,
@@ -89,7 +89,6 @@ def cast_rays_reference(
     nearest intersection distance and are strictly less than `max_range`
     (a surface exactly at or beyond `max_range` reads as a miss).
     """
-    prep = _prepare(mesh)
     d = np.asarray(directions, dtype=np.float64)  # (R, 3)
     origin = np.asarray(origin, dtype=np.float64)
 
@@ -116,11 +115,11 @@ def cast_rays_reference(
 
 
 def cast_ray(
-    mesh: TriMesh | PreparedMesh,
+    prep: PreparedMesh,
     origin: np.ndarray,
     direction: np.ndarray,
     max_range: float = 2000.0,
 ) -> float:
     """Single-ray convenience wrapper around :func:`asterhover.lidar.cast_rays`."""
-    ranges, _ = cast_rays(mesh, origin, np.asarray(direction, dtype=np.float64)[None], max_range)
+    ranges, _ = cast_rays(prep, origin, np.asarray(direction, dtype=np.float64)[None], max_range)
     return float(ranges[0])

@@ -23,7 +23,7 @@ from asterhover.config import (
     parse_overrides,
 )
 from asterhover.errors import ConfigurationError
-from asterhover.evaluation import Scenario, get_scenario, run_monte_carlo, scenario_presets
+from asterhover.evaluation import Scenario, get_scenario, run_monte_carlo, scenarios
 from asterhover.geometry import load_mesh, save_mesh
 from asterhover.ppo import TrainConfig
 from geometry_reference import make_peanut_mesh
@@ -391,6 +391,18 @@ def test_eval_negative_episode_count_is_usage_error(trained_run, tmp_path, capsy
     assert not (tmp_path / "e").exists()
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_eval_worker_count_below_one_is_usage_error(trained_run, tmp_path, capsys, workers):
+    ck = str(trained_run / "checkpoint_000001.npz")
+    code = main([
+        "eval", "--checkpoint", ck, "--scenario", "baseline",
+        "--episodes", "1", "--workers", workers, "--out", str(tmp_path / "e"),
+    ])
+    assert code == 2
+    assert f"workers must be at least 1, got {workers}" in capsys.readouterr().err
+    assert not (tmp_path / "e").exists()
+
+
 def test_eval_single_scenario_writes_reports(trained_run, tmp_path):
     ck = str(trained_run / "checkpoint_000001.npz")
     out = tmp_path / "eval"
@@ -458,10 +470,10 @@ def test_eval_all_gives_the_mesh_file_to_mesh_scenarios_only(
     lines = read(out / "summary.csv").strip().splitlines()
     assert len(lines) == 1 + 14
     assert lines[:9] == read(plain / "summary.csv").strip().splitlines()
-    for name in ["baseline"] + [s.name for s in scenario_presets() if not s.requires_mesh]:
+    for name in [s.name for s in scenarios() if not s.requires_mesh]:
         assert read(out / name / "episodes.csv") == read(plain / name / "episodes.csv")
     assert [line.split(",")[0] for line in lines[9:]] == [
-        s.name for s in scenario_presets() if s.requires_mesh
+        s.name for s in scenarios() if s.requires_mesh
     ]
     # the record tells which scenarios flew over the mesh file
     episode = yaml.safe_load(read(out / "resolved_config.yaml"))["config"]["episode"]

@@ -16,6 +16,7 @@ from asterhover.env import (
     RK4_DT,
     ROT_LIMIT,
     TERMINAL_OMEGA_LIMIT,
+    VIOLATION_KINDS,
     EpisodeConfig,
     HoverEnv,
     compute_reward,
@@ -31,7 +32,7 @@ from asterhover.geometry import (
     save_mesh,
     synthesize_asteroid,
 )
-from asterhover.lidar import LidarFrame, SensorConfig, rotated_beams, scan
+from asterhover.lidar import LidarFrame, PreparedMesh, SensorConfig, rotated_beams, scan
 
 from dynamics_reference import quat_rotate, rk4_step_reference
 from env_reference import compute_reward_reference, fly, observe_reference
@@ -172,9 +173,9 @@ def test_descent_over_plane_dr_oracle():
     from test_lidar import plane_mesh
 
     cfg = SensorConfig()
-    mesh = plane_mesh(0.0)
+    prep = PreparedMesh(plane_mesh(0.0))
     beams = rotated_beams(cfg, np.eye(3))
-    frames = [scan(mesh, np.array([0.0, 0.0, h]), beams, cfg) for h in (250.0, 249.0, 248.0)]
+    frames = [scan(prep, np.array([0.0, 0.0, h]), beams, cfg) for h in (250.0, 249.0, 248.0)]
     env = HoverEnv(quiet_config())
     env.reset(seed=5)
     env.frame0, env.prev_frame = frames[0], frames[1]
@@ -214,21 +215,21 @@ def test_network_input_scaling():
 def test_surface_radius_exact_sphere_pole():
     cfg = AsteroidGenConfig(perturbation_min=0.0, perturbation_max=0.0, axis_min=300.0, axis_max=300.0)
     model = synthesize_asteroid(3, cfg)
-    r = surface_radius(model.mesh, np.array([0.0, 0.0, 1.0]))
+    r = surface_radius(PreparedMesh(model.mesh), np.array([0.0, 0.0, 1.0]))
     assert r == pytest.approx(300.0, rel=1e-9)
 
 
 def test_sample_initial_conditions_distribution():
     cfg = EpisodeConfig()
     rng = np.random.default_rng(7)
-    model = synthesize_asteroid(rng, cfg.asteroid, cfg.dyn)
+    prep = PreparedMesh(synthesize_asteroid(rng, cfg.asteroid, cfg.dyn).mesh)
     worst_att = 0.0
     for _ in range(300):
-        state = sample_initial_conditions(rng, cfg, model.mesh)
+        state = sample_initial_conditions(rng, cfg, prep)
         assert state is not None  # star-shaped body: every direction hits
         u = state.position / np.linalg.norm(state.position)
         assert u[2] >= -1e-12  # theta capped at 90 degrees
-        r_surf = surface_radius(model.mesh, u)
+        r_surf = surface_radius(prep, u)
         hover = np.linalg.norm(state.position) - r_surf
         assert cfg.range_min - 1e-6 <= hover <= cfg.range_max + 1e-6
         assert np.all(np.abs(state.velocity) <= cfg.velocity_max)
@@ -247,8 +248,8 @@ def test_sample_initial_conditions_distribution():
 def test_zero_attitude_error_puts_boresight_on_los():
     cfg = EpisodeConfig(attitude_err_max_deg=0.0)
     rng = np.random.default_rng(3)
-    model = synthesize_asteroid(rng, cfg.asteroid, cfg.dyn)
-    state = sample_initial_conditions(rng, cfg, model.mesh)
+    prep = PreparedMesh(synthesize_asteroid(rng, cfg.asteroid, cfg.dyn).mesh)
+    state = sample_initial_conditions(rng, cfg, prep)
     u = state.position / np.linalg.norm(state.position)
     boresight = quat_rotate(state.attitude, np.array([0.0, 0.0, -1.0]))
     np.testing.assert_allclose(boresight, -u, atol=1e-12)
@@ -422,6 +423,33 @@ def test_fuel_floor_terminates():
     assert done
     assert info["violation"] == "fuel"
     assert env.state.mass <= DRY_MASS
+
+
+def test_observe_names_only_violation_kinds_in_their_order():
+    # Each breach is added to the ones before it, last kind first: a state
+    # in several breaches names the first kind observe tests, so the kinds
+    # driven come out in VIOLATION_KINDS order and cover it.
+    def rotation(state):
+        state.omega = np.array([0.11, 0.0, 0.0])
+
+    def all_miss(state):
+        state.position = state.position + 5000.0 * state.position / np.linalg.norm(state.position)
+
+    def fuel(state):
+        state.mass = DRY_MASS
+
+    driven = []
+    breaches = []
+    for breach in (fuel, all_miss, rotation):
+        breaches.append(breach)
+        env = HoverEnv(quiet_config())
+        env.reset(seed=8)
+        for apply in breaches:
+            apply(env.state)
+        _, _, _, done, info = fly(env, np.zeros(12))
+        assert done and info["violation"] in VIOLATION_KINDS
+        driven.insert(0, info["violation"])
+    assert tuple(driven) == VIOLATION_KINDS
 
 
 def test_fuel_accounting_matches_rocket_equation():

@@ -19,12 +19,11 @@ from asterhover.evaluation import (
     EPISODE_COLUMNS,
     EvalReport,
     Scenario,
-    baseline_scenario,
     get_scenario,
     load_policy,
     run_episode,
     run_monte_carlo,
-    scenario_presets,
+    scenarios,
     summary_row,
 )
 from asterhover.geometry import save_mesh
@@ -79,18 +78,21 @@ def flatten(d, prefix=""):
 # Scenario presets
 
 def test_preset_count_and_unique_names():
-    presets = scenario_presets()
-    assert len(presets) == 13
-    names = [s.name for s in presets]
-    assert len(set(names)) == 13
-    assert "baseline" not in names
+    table = scenarios()
+    assert len(table) == 14
+    names = [s.name for s in table]
+    assert len(set(names)) == 14
+    assert names[0] == "baseline"
+    # fresh objects: a caller's edit reaches no later lookup
+    table[1].overrides["duration"] = 60.0
+    assert scenarios()[1].overrides == get_scenario(names[1]).overrides != table[1].overrides
 
 
 def test_presets_differ_from_baseline_only_in_listed_fields(tmp_path):
     mesh_path = str(tmp_path / "standin.obj")
     save_mesh(mesh_path, make_peanut_mesh(level=1))
     base = flatten(dataclasses.asdict(EpisodeConfig()))
-    for scenario in scenario_presets():
+    for scenario in scenarios()[1:]:
         cfg = scenario.episode_config({"mesh_file": mesh_path} if scenario.requires_mesh else None)
         got = flatten(dataclasses.asdict(cfg))
         diffs = {k for k in base if got[k] != base[k]}
@@ -104,7 +106,7 @@ def test_presets_differ_from_baseline_only_in_listed_fields(tmp_path):
 
 
 def test_named_preset_values():
-    by_name = {s.name: s for s in scenario_presets()}
+    by_name = {s.name: s for s in scenarios()}
     assert by_name["duration-1200"].overrides["duration"] == 1200.0
     assert by_name["itokawa3x"].overrides["mesh_scale"] == 3.0
     assert by_name["itokawa3x-extended"].overrides["mesh_scale"] == 3.0
@@ -119,12 +121,13 @@ def test_named_preset_values():
 def test_get_scenario_lookup():
     assert get_scenario("baseline").name == "baseline"
     assert get_scenario("rq36").requires_mesh
-    with pytest.raises(ConfigurationError, match="itokawa3x"):
+    with pytest.raises(ConfigurationError, match="itokawa3x") as refused:
         get_scenario("nope")
+    assert str(refused.value).endswith("known: " + ", ".join(s.name for s in scenarios()))
 
 
 def test_baseline_scenario_is_defaults():
-    cfg = baseline_scenario().episode_config()
+    cfg = get_scenario("baseline").episode_config()
     assert cfg == EpisodeConfig()
 
 

@@ -38,8 +38,8 @@ IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
 
 
 def scan_at(mesh, position, q, cfg):
-    """A scan with the platform at quaternion attitude `q`."""
-    return scan(mesh, position, rotated_beams(cfg, quat_to_dcm(q)), cfg)
+    """A scan of `mesh` with the platform at quaternion attitude `q`."""
+    return scan(PreparedMesh(mesh), position, rotated_beams(cfg, quat_to_dcm(q)), cfg)
 
 
 def lone_pairs(prep, origin, dirs):
@@ -124,7 +124,7 @@ def test_cast_rays_matches_scalar_path(rng):
     dirs = rng.standard_normal((40, 3))
     dirs[:, 2] -= 2.0  # bias toward the body
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    ranges, hit = cast_rays(mesh, origin, dirs)
+    ranges, hit = cast_rays(PreparedMesh(mesh), origin, dirs)
     for k in range(40):
         best = np.inf
         for face in mesh.faces:
@@ -142,9 +142,9 @@ def test_cast_rays_matches_scalar_path(rng):
 def test_sphere_range_oracle():
     # A finely subdivided icosphere approximates the analytic sphere chord.
     R = 300.0
-    mesh = sphere_mesh(R, level=4)
+    prep = PreparedMesh(sphere_mesh(R, level=4))
     origin = np.array([0.0, 0.0, 1000.0])
-    t = cast_ray(mesh, origin, np.array([0.0, 0.0, -1.0]))
+    t = cast_ray(prep, origin, np.array([0.0, 0.0, -1.0]))
     assert t == pytest.approx(700.0, rel=2e-3)
     # Mesh hit can only be at or beyond the true sphere surface (faces are
     # chords, inside the sphere).
@@ -152,26 +152,26 @@ def test_sphere_range_oracle():
 
 
 def test_inside_sphere_is_all_backface(rng):
-    mesh = sphere_mesh(200.0, level=2)
+    prep = PreparedMesh(sphere_mesh(200.0, level=2))
     for _ in range(25):
         d = rng.standard_normal(3)
         d /= np.linalg.norm(d)
-        t = cast_ray(mesh, np.array([10.0, -5.0, 8.0]), d)
+        t = cast_ray(prep, np.array([10.0, -5.0, 8.0]), d)
         assert t == 2000.0
     # But the surface is geometrically there: every ray crosses it.
     for _ in range(25):
         d = rng.standard_normal(3)
         d /= np.linalg.norm(d)
-        assert crossing_count(mesh, np.array([10.0, -5.0, 8.0]), d) % 2 == 1
+        assert crossing_count(prep, np.array([10.0, -5.0, 8.0]), d) % 2 == 1
 
 
 def test_outside_crossings_even(rng):
     # Generic offset keeps the ray away from exact vertices and edges, where
     # boundary-inclusive crossing counts would double-count.
-    mesh = sphere_mesh(200.0, level=2)
+    prep = PreparedMesh(sphere_mesh(200.0, level=2))
     origin = np.array([50.0, 30.0, 800.0])
-    assert crossing_count(mesh, origin, np.array([0.0, 0.0, -1.0])) == 2
-    assert crossing_count(mesh, origin, np.array([0.0, 0.0, 1.0])) == 0
+    assert crossing_count(prep, origin, np.array([0.0, 0.0, -1.0])) == 2
+    assert crossing_count(prep, origin, np.array([0.0, 0.0, 1.0])) == 0
 
 
 def test_occlusion_monotone(rng):
@@ -181,50 +181,37 @@ def test_occlusion_monotone(rng):
     dirs = rng.standard_normal((30, 3))
     dirs[:, 2] -= 1.5
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    r0, _ = cast_rays(base, origin, dirs)
+    r0, _ = cast_rays(PreparedMesh(base), origin, dirs)
 
     blocker = plane_mesh(900.0, half_size=400.0)
     merged = TriMesh(
         np.vstack([base.vertices, blocker.vertices]),
         np.vstack([base.faces, blocker.faces + base.num_vertices]),
     )
-    r1, _ = cast_rays(merged, origin, dirs)
+    r1, _ = cast_rays(PreparedMesh(merged), origin, dirs)
     assert np.all(r1 <= r0 + 1e-12)
 
 
 def test_miss_is_exactly_max_range():
-    mesh = sphere_mesh(100.0)
-    ranges, hit = cast_rays(mesh, np.array([0.0, 0.0, 500.0]), np.array([[0.0, 0.0, 1.0]]))
+    prep = PreparedMesh(sphere_mesh(100.0))
+    ranges, hit = cast_rays(prep, np.array([0.0, 0.0, 500.0]), np.array([[0.0, 0.0, 1.0]]))
     assert not hit[0]
     assert ranges[0] == 2000.0
 
 
 def test_surface_beyond_max_range_reads_miss():
-    mesh = plane_mesh(0.0)
+    prep = PreparedMesh(plane_mesh(0.0))
     origin = np.array([0.0, 0.0, 2500.0])
     down = np.array([[0.0, 0.0, -1.0]])
-    ranges, hit = cast_rays(mesh, origin, down)
+    ranges, hit = cast_rays(prep, origin, down)
     assert not hit[0] and ranges[0] == 2000.0
     # Exactly at the boundary: a hit needs t strictly below max_range.
     origin = np.array([0.0, 0.0, 2000.0])
-    ranges, hit = cast_rays(mesh, origin, down)
+    ranges, hit = cast_rays(prep, origin, down)
     assert not hit[0] and ranges[0] == 2000.0
     origin = np.array([0.0, 0.0, 1999.9])
-    ranges, hit = cast_rays(mesh, origin, down)
+    ranges, hit = cast_rays(prep, origin, down)
     assert hit[0] and ranges[0] == pytest.approx(1999.9)
-
-
-def test_prepared_mesh_equivalent(rng):
-    mesh = synthesize_asteroid(4).mesh
-    prep = PreparedMesh(mesh)
-    origin = np.array([100.0, 50.0, 1000.0])
-    dirs = rng.standard_normal((20, 3))
-    dirs[:, 2] -= 2.0
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    r_a, h_a = cast_rays(mesh, origin, dirs)
-    r_b, h_b = cast_rays(prep, origin, dirs)
-    np.testing.assert_array_equal(r_a, r_b)
-    np.testing.assert_array_equal(h_a, h_b)
 
 
 # --------------------------------------------------------------------------
@@ -687,20 +674,15 @@ def test_scan_deterministic():
     np.testing.assert_array_equal(a.hit, b.hit)
 
 
-def test_scan_prepared_mesh_and_matrix_paths():
+def test_rotated_beams_turn_as_the_quaternion():
     from dynamics_reference import quat_rotate
 
     cfg = SensorConfig()
-    mesh = synthesize_asteroid(8).mesh
-    pos = np.array([40.0, -60.0, 900.0])
     q = quat_from_axis_angle([0.3, -0.2, 0.9], 0.4)
     beams = rotated_beams(cfg, quat_to_dcm(q))
     # the rotation matrix turns each beam as the quaternion does
     expected = [quat_rotate(q, b) for b in beam_directions(cfg).reshape(-1, 3)]
     np.testing.assert_allclose(beams, expected, atol=1e-15)
-    a = scan(mesh, pos, beams, cfg)
-    b = scan(PreparedMesh(mesh), pos, beams, cfg)
-    np.testing.assert_array_equal(a.ranges, b.ranges)
 
 
 # --------------------------------------------------------------------------
