@@ -36,14 +36,16 @@ from .config import (
 from .errors import ConfigurationError, MeshLoadError, SimulationError
 from .geometry import AsteroidGenConfig, load_mesh, save_mesh, synthesize_asteroid
 from .lidar import PreparedMesh, SensorConfig, rotated_beams, scan
-from .env import HoverEnv, rollout
+from .env import rollout
 from .ppo import TrainConfig, train
 from . import nn
 from .evaluation import (
+    check_counts,
+    fly_scenario,
     get_scenario,
     greedy,
     load_policy,
-    run_monte_carlo,
+    scenario_env,
     scenarios,
     write_summary,
 )
@@ -90,56 +92,44 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     if bool(args.scenario) == bool(args.all):
         raise ConfigurationError("choose exactly one of --scenario NAME or --all")
-    if args.episodes < 1:
-        raise ConfigurationError(f"n_episodes must be at least 1, got {args.episodes}")
-    if args.workers < 1:
-        raise ConfigurationError(f"workers must be at least 1, got {args.workers}")
+    check_counts(args.episodes, args.workers)
     chosen = [get_scenario(args.scenario)] if args.scenario else scenarios()
-    names = [scenario.name for scenario in chosen]
-    # every flown scenario resolves, the checkpoint fits each, and each
-    # shape model reads, before anything is written
-    flown = {}  # name -> (scenario, mesh_file, episode config)
+    # before anything is written: every flown scenario resolves, the checkpoint
+    # fits each, and the first one over a shape model builds its environment
+    flown = {}  # name -> episode config
     for scenario in chosen:
-        name = scenario.name
         mesh_file = args.mesh_file
         if args.all and not scenario.requires_mesh:
             mesh_file = None  # --all flies synthetic scenarios over synthetic bodies
         elif args.all and mesh_file is None:
-            print(f"skipping {name}: requires --mesh-file")
+            print(f"skipping {scenario.name}: requires --mesh-file")
             continue
-        cfg = scenario.episode_config(None if mesh_file is None else {"mesh_file": mesh_file})
-        flown[name] = scenario, mesh_file, cfg
-    policy = load_policy(args.checkpoint, *(cfg for _, _, cfg in flown.values()))
-    first_over = {}  # mesh file -> the first scenario that flies over it
-    for name, (_, _, cfg) in flown.items():
-        if cfg.mesh_file is not None:
-            first_over.setdefault(cfg.mesh_file, name)
-    for mesh_file, name in first_over.items():
-        try:
-            load_mesh(mesh_file)
-        except MeshLoadError as exc:
-            raise MeshLoadError(f"scenario {name!r}: {exc}") from exc
+        overrides = None if mesh_file is None else {"mesh_file": mesh_file}
+        flown[scenario.name] = scenario.episode_config(overrides)
+    policy = load_policy(args.checkpoint, *flown.values())
+    first = next((name for name, cfg in flown.items() if cfg.mesh_file is not None), None)
+    built = {} if first is None else {first: scenario_env(first, flown[first])}
     write_resolved_config(
         args.out, "eval",
         {
             "checkpoint": args.checkpoint,
-            "scenarios": names,
+            "scenarios": list(flown),
             "episodes": args.episodes,
             "seed": args.seed,
             "mesh_file": args.mesh_file,
             "stochastic": args.stochastic,
             "workers": args.workers,
             "out_dir": args.out,
-            "episode": {name: dataclasses.asdict(cfg) for name, (_, _, cfg) in flown.items()},
+            "episode": {name: dataclasses.asdict(cfg) for name, cfg in flown.items()},
         },
     )
     reports = []
-    for name, (scenario, mesh_file, _) in flown.items():
-        out_dir = os.path.join(args.out, name) if args.all else args.out
-        report = run_monte_carlo(
-            policy, scenario, args.episodes, args.seed,
-            out_dir=out_dir, mesh_file=mesh_file,
-            stochastic=args.stochastic, workers=args.workers,
+    for name, cfg in flown.items():
+        # only the flight holds the environment: one shape model at a time
+        report = fly_scenario(
+            policy, name, built.pop(name, None) or scenario_env(name, cfg), args.episodes,
+            args.seed, os.path.join(args.out, name) if args.all else args.out,
+            args.stochastic, args.workers,
         )
         reports.append(report)
         print(
@@ -240,6 +230,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     # without a checkpoint a blank network runs and _drift ignores it
     policy = load_policy(args.checkpoint, cfg) if args.checkpoint else nn.PolicyNetwork(seed=None)
+    env = scenario_env(args.scenario, cfg)
     os.makedirs(args.out, exist_ok=True)
     write_resolved_config(
         args.out, "simulate",
@@ -251,9 +242,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         },
     )
 
-    env = HoverEnv(cfg)
     select = greedy if args.checkpoint else _drift
-    steps = [step for _, step in rollout([env], policy, [args.seed], select)]
+    steps = [step for _, step in rollout(env, policy, [args.seed], select)]
     states = [step.state for step in steps] + [env.state]
     rows = [_trajectory_row(0, 0.0, states[0], 0.0, 0.0, 0.0, 0.0, np.zeros(12))]
     for step, state in zip(steps, states[1:]):

@@ -162,15 +162,16 @@ class Step:
 
 
 def rollout(
-    envs: Sequence[HoverEnv],
+    env: HoverEnv,
     policy,
     env_seeds: Sequence,
     select: Callable[[np.ndarray], tuple[np.ndarray, Any]],
 ) -> Iterator[tuple[int, Step]]:
     """Fly one episode in each of L lanes, in lockstep, until all are done.
 
-    Lane k flies ``envs[k]`` from ``reset(seed=env_seeds[k])``; the
-    environments share one config (see :meth:`HoverEnv.spawn`). Each control
+    Lane k of L = ``len(env_seeds)`` starts from ``reset(seed=env_seeds[k])``,
+    lane 0 on ``env`` and the others on environments spawned from it (see
+    :meth:`HoverEnv.spawn`), so all share its config. Each control
     step runs one ``policy.step`` over all L lanes, hidden states carried
     from a zero start, and lets ``select(logits)`` pick the (L, 12) actions
     and whatever else it returns beside them (``None``, or one row per
@@ -186,11 +187,12 @@ def rollout(
     other lanes finish. Training flies a batch of episodes at once;
     evaluation and ``simulate`` fly one lane.
     """
-    L = len(envs)
+    L = len(env_seeds)
+    envs = [env] + [env.spawn() for _ in range(L - 1)]
+    max_range = env.cfg.sensor.max_range
     # Each lane's (image, vec, value_input), as reset and observe return them.
     inputs = [env.reset(seed=s) for env, s in zip(envs, env_seeds)]
     meshes = LaneMeshes([env._prep for env in envs], np.stack([env._beams for env in envs]))
-    max_range = envs[0].cfg.sensor.max_range
     images = np.stack([image for image, _, _ in inputs])
     vecs = np.stack([vec for _, vec, _ in inputs])
     hidden = policy.init_hidden(L)

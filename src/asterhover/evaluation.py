@@ -181,7 +181,7 @@ def run_episode(env: HoverEnv, policy, seed: int, idx: int, stochastic: bool = F
         )
     total_reward = 0.0
     steps = 0
-    for _, step in rollout([env], policy, [np.random.SeedSequence((seed, idx))], select):
+    for _, step in rollout(env, policy, [np.random.SeedSequence((seed, idx))], select):
         total_reward += step.reward
         steps += 1
     info = step.info
@@ -279,6 +279,22 @@ def load_policy(checkpoint_path: str, *cfgs: EpisodeConfig) -> nn.PolicyNetwork:
     return policy
 
 
+def check_counts(n_episodes: int, workers: int) -> None:
+    """Refuse an episode or worker count below 1."""
+    if n_episodes < 1:
+        raise ConfigurationError(f"n_episodes must be at least 1, got {n_episodes}")
+    if workers < 1:
+        raise ConfigurationError(f"workers must be at least 1, got {workers}")
+
+
+def scenario_env(name: str, cfg: EpisodeConfig) -> HoverEnv:
+    """The environment on `cfg`; an unreadable shape model fails naming `name`."""
+    try:
+        return HoverEnv(cfg)
+    except MeshLoadError as exc:
+        raise MeshLoadError(f"scenario {name!r}: {exc}") from exc
+
+
 # Per-process state for parallel evaluation: the episode call the parent
 # built, handed to each worker once.
 _WORKER = {}
@@ -292,6 +308,32 @@ def _run_worker_episode(idx: int) -> dict:
     return _WORKER["fly"](idx)
 
 
+def fly_scenario(
+    policy, name: str, env: HoverEnv, n_episodes: int, seed: int,
+    out_dir: str | None = None, stochastic: bool = False, workers: int = 1,
+) -> EvalReport:
+    """Fly `n_episodes` (see :func:`check_counts`) of scenario `name` on the
+    built `env`, episode k on the seed stream (seed, k), so reports are the
+    same across reruns and worker counts. Workers inherit `env` and `policy`,
+    and there are no more of them than episodes. With out_dir set, writes
+    episodes.csv and summary.csv there."""
+    # run_episode is read here, at call time, so that a wrapper set on the
+    # module attribute (perfbench's tracer) flies every episode
+    fly = functools.partial(run_episode, env, policy, seed, stochastic=stochastic)
+    workers = min(workers, n_episodes)
+    if workers > 1:
+        with multiprocessing.Pool(workers, initializer=_init_worker, initargs=(fly,)) as pool:
+            rows = pool.map(_run_worker_episode, range(n_episodes))
+    else:
+        rows = list(map(fly, range(n_episodes)))
+    for idx, row in enumerate(rows):
+        row["episode"] = idx
+    report = EvalReport.from_rows(name, rows)
+    if out_dir is not None:
+        write_report_files(out_dir, report, rows)
+    return report
+
+
 def run_monte_carlo(
     policy,
     scenario: Scenario,
@@ -303,39 +345,16 @@ def run_monte_carlo(
     workers: int = 1,
 ) -> EvalReport:
     """Evaluate a policy (object, or checkpoint path: see
-    :func:`load_policy`) over one scenario.
-
-    Episode k runs on the seed stream (seed, k), so reports are identical
-    across reruns and across worker counts. The one environment is built
-    here, so the shape model is read once per run, and worker processes
-    inherit it and the policy; the pool has no more processes than
-    episodes. A given `mesh_file` is the scenario's `mesh_file` override.
-    With out_dir set, writes episodes.csv and summary.csv there.
+    :func:`load_policy`) over one scenario, whose `mesh_file` override is a
+    given `mesh_file`: its one environment is built (the shape model read)
+    before :func:`fly_scenario` starts any worker.
     """
-    if n_episodes < 1:
-        raise ConfigurationError(f"n_episodes must be at least 1, got {n_episodes}")
+    check_counts(n_episodes, workers)
     cfg = scenario.episode_config(None if mesh_file is None else {"mesh_file": mesh_file})
     if isinstance(policy, str):
         policy = load_policy(policy, cfg)
-    try:
-        env = HoverEnv(cfg)  # a bad shape model fails here, before any worker starts
-        # run_episode is read here, at call time, so that a wrapper set on
-        # the module attribute (perfbench's tracer) flies every episode
-        fly = functools.partial(run_episode, env, policy, seed, stochastic=stochastic)
-        workers = min(workers, n_episodes)
-        if workers > 1:
-            with multiprocessing.Pool(workers, initializer=_init_worker, initargs=(fly,)) as pool:
-                rows = pool.map(_run_worker_episode, range(n_episodes))
-        else:
-            rows = list(map(fly, range(n_episodes)))
-    except MeshLoadError as exc:
-        raise MeshLoadError(f"scenario {scenario.name!r}: {exc}") from exc
-    for idx, row in enumerate(rows):
-        row["episode"] = idx
-    report = EvalReport.from_rows(scenario.name, rows)
-    if out_dir is not None:
-        write_report_files(out_dir, report, rows)
-    return report
+    env = scenario_env(scenario.name, cfg)
+    return fly_scenario(policy, scenario.name, env, n_episodes, seed, out_dir, stochastic, workers)
 
 
 def write_report_files(out_dir: str, report: EvalReport, rows: list[dict]) -> None:

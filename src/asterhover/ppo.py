@@ -175,9 +175,8 @@ def collect_rollouts(
     """Collect one batch of episodes with the stochastic policy.
 
     All ``cfg.episodes_per_batch`` episodes fly together: episode k in lane
-    k of :func:`rollout`, on ``env`` (lane 0) and environments spawned from
-    it, with the (seed, batch, k) environment stream and the (seed, batch,
-    k, ACTION_STREAM) action stream.
+    k of :func:`rollout` on ``env``, with the (seed, batch, k) environment
+    stream and the (seed, batch, k, ACTION_STREAM) action stream.
     """
     L = cfg.episodes_per_batch
     select = functools.partial(
@@ -198,7 +197,7 @@ def collect_rollouts(
     buffers: dict[str, np.ndarray] = {}
     lengths = [0] * L
     last: list[dict] = [{} for _ in range(L)]
-    steps = rollout([env] + [env.spawn() for _ in range(L - 1)], policy, env_seeds, select)
+    steps = rollout(env, policy, env_seeds, select)
     try:
         for k, step in steps:
             for name, attr in STEP_FIELDS:
@@ -518,9 +517,10 @@ def train(cfg: TrainConfig, log=None, before_write=None) -> str:
 
     Writes metrics.csv (one row per batch) and numbered checkpoints into
     cfg.out_dir. `before_write`, when given, is called once the resume
-    checkpoint (if any) has been accepted and before anything is written;
-    the `train` subcommand records the resolved config there, so a refused
-    resume leaves the run directory as it was.
+    checkpoint (if any) has been accepted and the environment built (its
+    shape model read), before anything is written; the `train` subcommand
+    records the resolved config there, so a refused run leaves the run
+    directory as it was.
     Returns the metrics file path.
     Reruns with identical config produce byte-identical metrics; resume
     picks up after the last checkpoint and yields the same rows as an
@@ -543,6 +543,7 @@ def train(cfg: TrainConfig, log=None, before_write=None) -> str:
         check_trained_episode(ck, extra, cfg.episode)
         start_batch = int(extra["next_batch"])
         clip_eps = float(extra["clip_eps"])
+    env = HoverEnv(cfg.episode)  # a shape model that cannot be read fails here
     os.makedirs(cfg.out_dir, exist_ok=True)
     if before_write is not None:
         before_write()
@@ -550,7 +551,6 @@ def train(cfg: TrainConfig, log=None, before_write=None) -> str:
     mode = "a" if cfg.resume and os.path.exists(metrics_path) else "w"
     if mode == "a":
         _truncate_metrics(metrics_path, start_batch)
-    env = HoverEnv(cfg.episode)
     with open(metrics_path, mode) as fh:
         if mode == "w":
             fh.write(",".join(METRICS_COLUMNS) + "\n")

@@ -6,6 +6,7 @@ import dataclasses
 import io
 import math
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -426,6 +427,20 @@ def peanut_obj(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture
+def mesh_reads(monkeypatch):
+    """The path of every shape-model read by an environment or the CLI."""
+    reads = []
+
+    def read_mesh(path, *args, **kwargs):
+        reads.append(path)
+        return load_mesh(path, *args, **kwargs)
+
+    for module in (asterhover.env, asterhover.cli):
+        monkeypatch.setattr(module, "load_mesh", read_mesh)
+    return reads
+
+
 def eval_all(ck, out, *extra):
     return main([
         "eval", "--checkpoint", ck, "--all",
@@ -449,24 +464,33 @@ def test_eval_all_skips_mesh_scenarios_without_mesh(eval_all_run):
     lines = read(out / "summary.csv").strip().splitlines()
     # baseline + the seven synthetic presets ran; six mesh rows skipped
     assert len(lines) == 1 + 8
-    episode = yaml.safe_load(read(out / "resolved_config.yaml"))["config"]["episode"]
-    assert sorted(episode) == sorted(line.split(",")[0] for line in lines[1:])
+    # the record lists the flown scenarios only, in the order they flew
+    config = yaml.safe_load(read(out / "resolved_config.yaml"))["config"]
+    assert config["scenarios"] == [line.split(",")[0] for line in lines[1:]]
+    assert sorted(config["episode"]) == sorted(config["scenarios"])
     assert (out / "baseline" / "episodes.csv").exists()
     assert (out / "extended-altitude" / "summary.csv").exists()
 
 
 def test_eval_all_gives_the_mesh_file_to_mesh_scenarios_only(
-    trained_run, eval_all_run, peanut_obj, tmp_path, monkeypatch
+    trained_run, eval_all_run, peanut_obj, tmp_path, monkeypatch, mesh_reads
 ):
     # the synthetic scenarios keep their synthetic bodies: their rows and
     # files equal those of the run without --mesh-file
     plain, _ = eval_all_run
     out = tmp_path / "all"
-    loads = []
+    loads, resolved = [], []
     load = nn.load_checkpoint
     monkeypatch.setattr(nn, "load_checkpoint", lambda *a, **k: loads.append(a) or load(*a, **k))
+    resolve = Scenario.episode_config
+    monkeypatch.setattr(Scenario, "episode_config",
+                        lambda self, *a: resolved.append(self.name) or resolve(self, *a))
     assert eval_all(str(trained_run / "checkpoint_000001.npz"), out, "--mesh-file", peanut_obj) == 0
     assert len(loads) == 1  # one checkpoint read for the 14 scenarios
+    # each scenario is resolved once, and the mesh file read once per
+    # scenario that flies over it
+    assert sorted(resolved) == sorted(s.name for s in scenarios())
+    assert mesh_reads == [peanut_obj] * sum(s.requires_mesh for s in scenarios())
     lines = read(out / "summary.csv").strip().splitlines()
     assert len(lines) == 1 + 14
     assert lines[:9] == read(plain / "summary.csv").strip().splitlines()
@@ -526,14 +550,17 @@ def test_checkpoint_without_episode_settings_loads_as_before(tmp_path):
     assert code == 0
 
 
-def test_eval_mesh_file_flag_is_the_mesh_file_override(trained_run, peanut_obj, tmp_path):
+def test_eval_mesh_file_flag_is_the_mesh_file_override(
+    trained_run, peanut_obj, tmp_path, mesh_reads
+):
     # `eval --scenario baseline --mesh-file X` flies over X, as the baseline
-    # scenario with the mesh_file override does, and records X
+    # scenario with the mesh_file override does, reads X once and records X
     ck = str(trained_run / "checkpoint_000001.npz")
     args = ["eval", "--checkpoint", ck, "--scenario", "baseline",
             "--episodes", "1", "--seed", "5", "--workers", "1"]
     flag, plain = tmp_path / "flag", tmp_path / "plain"
     assert main(args + ["--mesh-file", peanut_obj, "--out", str(flag)]) == 0
+    assert mesh_reads == [peanut_obj]
     assert main(args + ["--out", str(plain)]) == 0
     override = tmp_path / "override"
     run_monte_carlo(
@@ -606,6 +633,58 @@ def test_eval_over_a_bad_mesh_file_writes_nothing(tmp_path, capsys, obj, which):
     if obj is not None:  # a refused shape model names the first scenario over it
         assert ("scenario 'itokawa'" if which == "--scenario" else "scenario 'rq36'") in err
     assert not (tmp_path / "e").exists()
+
+
+@pytest.fixture(scope="module")
+def two_batch_run(tmp_path_factory):
+    """A tiny two-batch `train` run: its config file and run directory."""
+    root = tmp_path_factory.mktemp("cli_two_batches")
+    cfg = write_tiny_train_config(root / "cfg.yaml")
+    out = root / "run"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    return str(cfg), out
+
+
+REFUSED_RUNS = [
+    (command, bad)
+    for command in ("train", "train-resume", "simulate", "scan-debug")
+    for bad in ("missing", "face-index-out-of-range")
+] + [("gen-asteroid", None)]
+
+
+@pytest.mark.parametrize("command,bad", REFUSED_RUNS,
+                         ids=[f"{command}-{bad}" if bad else command for command, bad in REFUSED_RUNS])
+def test_a_refused_run_leaves_out_as_it_found_it(two_batch_run, tmp_path, capsys, command, bad):
+    # every command builds what can fail before its first write: a refused
+    # run makes no --out, and a refused resume changes nothing in its run
+    # directory (here one whose last checkpoint was lost, so the resume
+    # would cut metrics.csv back a batch)
+    cfg, run = two_batch_run
+    mesh, out = tmp_path / "bad.obj", tmp_path / "out"
+    if BAD_MESH_FILES.get(bad) is not None:
+        mesh.write_text(BAD_MESH_FILES[bad])
+    before = None
+    if command == "train-resume":
+        shutil.copytree(run, out)
+        (out / "checkpoint_000002.npz").unlink()
+        before = run_dir_bytes(out)
+    argv = {
+        "train": ["train", "--config", cfg, f"episode.mesh_file={mesh}"],
+        "train-resume": ["train", "--config", cfg, "--resume", f"episode.mesh_file={mesh}"],
+        "simulate": ["simulate", "--scenario", "itokawa", "--mesh-file", str(mesh)],
+        "scan-debug": ["scan-debug", "--mesh", str(mesh)],
+        "gen-asteroid": ["gen-asteroid", "--level", "-1"],
+    }[command]
+    assert main([*argv, "--out", str(out)]) == (2 if command == "gen-asteroid" else 1)
+    err = capsys.readouterr().err
+    if bad is not None:
+        assert str(mesh) in err
+    if command == "simulate" and BAD_MESH_FILES[bad] is not None:
+        assert "scenario 'itokawa'" in err
+    if before is None:
+        assert not out.exists()
+    else:
+        assert run_dir_bytes(out) == before
 
 
 # --- simulate and scan-debug ----------------------------------------------

@@ -551,7 +551,7 @@ def test_rollout_records_every_control_step():
 
     env = HoverEnv(cfg)
     policy = nn.PolicyNetwork(seed=0)
-    steps = [step for _, step in rollout([env], policy, [3], fire_first_thruster)]
+    steps = [step for _, step in rollout(env, policy, [3], fire_first_thruster)]
     assert env.done
     assert [s.info["step"] for s in steps] == list(range(1, len(steps) + 1))
     image, vec, value_input = HoverEnv(cfg).reset(seed=3)
@@ -586,13 +586,11 @@ def lane_config() -> EpisodeConfig:
 def lane_steps(seeds, lane):
     """The steps of one lane of a lockstep rollout whose lane k flies the
     episode of `seeds[k]` and samples from its own generator."""
-    env = HoverEnv(lane_config())
-    envs = [env] + [env.spawn() for _ in seeds[1:]]
     rngs = [np.random.default_rng((s, 99)) for s in seeds]
     select = functools.partial(nn.sample_multicategorical, rng=rngs)
     lengths = [0] * len(seeds)
     steps = []
-    for k, step in rollout(envs, nn.PolicyNetwork(seed=1), seeds, select):
+    for k, step in rollout(HoverEnv(lane_config()), nn.PolicyNetwork(seed=1), seeds, select):
         lengths[k] += 1
         if k == lane:
             steps.append(step)

@@ -199,6 +199,16 @@ def test_fewer_than_one_episode_is_configuration_error(tmp_path):
     assert not out.exists()
 
 
+def test_fewer_than_one_worker_is_configuration_error(tmp_path):
+    out = tmp_path / "empty"
+    for workers in (0, -3):
+        with pytest.raises(ConfigurationError, match=f"workers must be at least 1, got {workers}"):
+            run_monte_carlo(
+                AllOffPolicy(), quiet_scenario(), 2, seed=8, out_dir=str(out), workers=workers
+            )
+    assert not out.exists()
+
+
 def test_perfect_hover_stub_scores_full_good_hover():
     report = run_monte_carlo(AllOffPolicy(), quiet_scenario(), 3, seed=7)
     assert report.gh1_pct == 100.0

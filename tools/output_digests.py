@@ -14,8 +14,10 @@ shared by both sides: the checkpoint of the parent's ``train`` run (read by
 Every command runs with one BLAS thread, as the benchmark does, since the
 threaded BLAS rounds the network products differently. The eval runs fly
 serially (``--workers 1``) except one over the level-5 peanut, which runs
-the worker pool (``--workers 2``). It prints one JSON object with the sha256
-of every output on each side and exits 1 when any output differs.
+the worker pool (``--workers 2``); one of them is ``eval --all`` over the
+level-2 peanut, all 14 scenarios in one run. It prints one JSON object with
+the sha256 of every output on each side and exits 1 when any output
+differs.
 """
 
 from __future__ import annotations
@@ -55,6 +57,8 @@ RUNS = [
     ("eval-itokawa3x-peanut5-workers2",
      EVAL_ANY_WORKERS + ["--workers", "2", "--scenario", "itokawa3x", "--mesh-file", "{peanut5}"],
      EVAL_FILES),
+    ("eval-all-peanut2", EVAL + ["--all", "--mesh-file", "{peanut2}"],
+     ("summary.csv", "baseline/episodes.csv", "itokawa3x/episodes.csv")),
     ("simulate-drift", ["simulate", "--seed", "1"], ("trajectory.csv",)),
     ("simulate-checkpoint", ["simulate", "--seed", "1", "--checkpoint", "{ck}"],
      ("trajectory.csv",)),
