@@ -18,7 +18,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import os
 import sys
@@ -28,9 +27,9 @@ import numpy as np
 from . import __version__
 from .config import (
     apply_to_dataclass,
-    csv_field,
     load_config_file,
     parse_overrides,
+    write_csv,
     write_resolved_config,
 )
 from .errors import ConfigurationError, MeshLoadError, SimulationError
@@ -54,7 +53,6 @@ from .evaluation import (
 def cmd_gen_asteroid(args: argparse.Namespace) -> int:
     cfg = AsteroidGenConfig(subdivision_level=args.level)
     model = synthesize_asteroid(args.seed, cfg)
-    os.makedirs(args.out, exist_ok=True)
     mesh_path = os.path.join(args.out, f"asteroid_seed{args.seed}.obj")
     save_mesh(mesh_path, model.mesh)
     write_resolved_config(
@@ -171,7 +169,6 @@ def cmd_scan_debug(args: argparse.Namespace) -> int:
     sensor = SensorConfig()
     frame = scan(prep, position, rotated_beams(sensor, _look_rotation(position)), sensor)
 
-    os.makedirs(args.out, exist_ok=True)
     write_resolved_config(
         args.out, "scan-debug",
         {
@@ -181,10 +178,7 @@ def cmd_scan_debug(args: argparse.Namespace) -> int:
         },
     )
     scan_path = os.path.join(args.out, "scan.csv")
-    with open(scan_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in frame.ranges:
-            writer.writerow([csv_field(v) for v in row])
+    write_csv(scan_path, (), frame.ranges)
 
     print(f"sensor at {position.tolist()}, boresight toward origin")
     for i in range(frame.ranges.shape[0]):
@@ -231,7 +225,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # without a checkpoint a blank network runs and _drift ignores it
     policy = load_policy(args.checkpoint, cfg) if args.checkpoint else nn.PolicyNetwork(seed=None)
     env = scenario_env(args.scenario, cfg)
-    os.makedirs(args.out, exist_ok=True)
     write_resolved_config(
         args.out, "simulate",
         {
@@ -256,11 +249,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
 
     traj_path = os.path.join(args.out, "trajectory.csv")
-    with open(traj_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRAJECTORY_COLUMNS)
-        for row in rows:
-            writer.writerow([csv_field(v) for v in row])
+    write_csv(traj_path, TRAJECTORY_COLUMNS, rows)
     info = steps[-1].info
     outcome = info["violation"] or ("settled" if info["terminal_ok"] else "timeout")
     print(

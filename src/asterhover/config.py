@@ -1,6 +1,7 @@
 """YAML run configuration: load files, parse dotted overrides, apply each
 source to the typed config objects, and echo the fully resolved result into
-a run directory; plus the one number format of every CSV a run writes.
+a run directory; plus the one way a run writes a file (whole, or not at
+all) and the one number format of every CSV it writes.
 
 The YAML layout mirrors the config dataclasses (nested sections for the
 scenario, asteroid ranges, sensor, and update hyperparameters), so any
@@ -14,6 +15,8 @@ limits and sensor-noise model are module constants, not config fields.
 
 from __future__ import annotations
 
+import contextlib
+import csv
 import dataclasses
 import numbers
 import os
@@ -119,13 +122,42 @@ def csv_field(value) -> str:
     return str(value)
 
 
+@contextlib.contextmanager
+def replacing(path: str, mode: str = "w", **kwargs):
+    """Open ``path + ".tmp"`` (`mode` "w" or "wb", `kwargs` as for ``open``,
+    its directory made if need be) to be written; on success sync it and
+    rename it over `path`, on any exception remove it. So `path` holds its
+    old bytes or all of the new ones, never a file cut short by a kill."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def write_csv(path: str, header, rows) -> None:
+    """Write a CSV file through :func:`replacing`: the `header` row (none
+    when empty), then `rows` with every field as :func:`csv_field` gives it."""
+    with replacing(path, newline="") as fh:
+        writer = csv.writer(fh)
+        if header:
+            writer.writerow(header)
+        writer.writerows([csv_field(v) for v in row] for row in rows)
+
+
 def write_resolved_config(out_dir: str, command: str, cfg) -> str:
     """Echo the effective configuration and code version for reproducibility."""
     import yaml
 
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "resolved_config.yaml")
-    with open(path, "w") as fh:
+    with replacing(path) as fh:
         yaml.safe_dump(
             {
                 "command": command,

@@ -14,7 +14,6 @@ are always aggregated in episode order for bit-stable output.
 
 from __future__ import annotations
 
-import csv
 import functools
 import multiprocessing
 import os
@@ -23,7 +22,7 @@ from dataclasses import astuple, dataclass, field
 import numpy as np
 
 from . import nn
-from .config import apply_to_dataclass, csv_field, nest_dotted
+from .config import apply_to_dataclass, csv_field, nest_dotted, write_csv
 from .env import EpisodeConfig, HoverEnv, good_hover, rollout
 from .errors import ConfigurationError, MeshLoadError
 from .ppo import ACTION_STREAM, check_trained_episode
@@ -358,19 +357,11 @@ def run_monte_carlo(
 
 
 def write_report_files(out_dir: str, report: EvalReport, rows: list[dict]) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "episodes.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EPISODE_COLUMNS)
-        for row in rows:
-            writer.writerow([csv_field(row[c]) for c in EPISODE_COLUMNS])
+    write_csv(os.path.join(out_dir, "episodes.csv"), EPISODE_COLUMNS,
+              ([row[c] for c in EPISODE_COLUMNS] for row in rows))
     write_summary(os.path.join(out_dir, "summary.csv"), [report])
 
 
 def write_summary(path: str, reports: list[EvalReport]) -> None:
     """summary.csv: the header, then one row per report."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_COLUMNS)
-        for report in reports:
-            writer.writerow(summary_row(report))
+    write_csv(path, SUMMARY_COLUMNS, map(summary_row, reports))

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import replacing
 from .errors import ConfigurationError, MeshLoadError
 
 # Universal gravitational constant, m^3 kg^-1 s^-2.
@@ -278,7 +279,7 @@ def mesh_half_extents(mesh: TriMesh) -> np.ndarray:
 
 def save_mesh(path: str, mesh: TriMesh) -> None:
     """Write a mesh as ASCII `v x y z` / `f i j k` records (1-based indices)."""
-    with open(path, "w", encoding="ascii") as fh:
+    with replacing(path, encoding="ascii") as fh:
         fh.write(f"# {mesh.num_vertices} vertices, {mesh.num_faces} faces\n")
         for x, y, z in mesh.vertices:
             fh.write(f"v {x:.17g} {y:.17g} {z:.17g}\n")
@@ -300,8 +301,11 @@ def load_mesh(path: str, scale: float = 1.0) -> TriMesh:
     """
     if scale <= 0.0:
         raise ConfigurationError(f"mesh scale must be positive, got {scale}")
-    with open(path, "rb") as fh:
-        data = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise MeshLoadError(f"cannot read mesh file {path}: {exc}") from exc
     if b"\r" in data:  # the universal newlines of a text-mode read
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     buf, starts, ends, first = _line_bounds(data)

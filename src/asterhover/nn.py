@@ -12,11 +12,11 @@ and single steps are (B, ...).
 from __future__ import annotations
 
 import json
-import os
 from collections import OrderedDict
 
 import numpy as np
 
+from .config import replacing
 from .errors import ConfigurationError
 from .lidar import GRID_SIZE
 
@@ -569,7 +569,8 @@ def save_checkpoint(
     extra: dict | None = None,
 ) -> None:
     """Write every parameter, optimizer moment, and the `extra` payload to
-    one .npz archive at exactly `path`; float64 arrays round-trip bit-exactly."""
+    one .npz archive at exactly `path`, whole (see config.replacing);
+    float64 arrays round-trip bit-exactly."""
     arrays: dict[str, np.ndarray] = {}
     for k, v in policy.parameters().items():
         arrays[f"policy/{k}"] = v
@@ -581,21 +582,9 @@ def save_checkpoint(
             for k, v in opt.state_arrays().items():
                 arrays[f"{prefix}/{k}"] = v
             meta[name] = {"t": opt.t, "lr": opt.lr}
-    # Write beside the target and rename over it, so a crash mid-write never
-    # leaves a truncated archive under the final name. The temp name ends in
-    # ".tmp", which checkpoint globs do not match; np.savez gets an open
-    # file because it appends ".npz" to bare names.
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez(fh, __meta__=np.array(json.dumps(meta)), **arrays)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    # np.savez streams into the open file (it would append ".npz" to a bare name)
+    with replacing(path, "wb") as fh:
+        np.savez(fh, __meta__=np.array(json.dumps(meta)), **arrays)
 
 
 def load_checkpoint(

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import nn
-from .config import csv_field
+from .config import csv_field, replacing
 from .env import VIOLATION_KINDS, EpisodeConfig, HoverEnv, rollout
 from .errors import ConfigurationError, SimulationError
 
@@ -493,25 +493,6 @@ def latest_checkpoint(out_dir: str) -> str | None:
     return best
 
 
-def _truncate_metrics(path: str, next_batch: int) -> None:
-    """Cut metrics.csv back to its header and the complete rows of batches
-    before `next_batch`.
-
-    Rows of later batches were written after the checkpoint a resume starts
-    from (or cut off mid-write); the resumed run writes them again.
-    """
-    with open(path, "rb+") as fh:
-        lines = fh.readlines()
-        keep = 1
-        while (
-            keep < len(lines)
-            and lines[keep].endswith(b"\n")
-            and int(lines[keep].split(b",", 1)[0]) < next_batch
-        ):
-            keep += 1
-        fh.truncate(sum(len(line) for line in lines[:keep]))
-
-
 def train(cfg: TrainConfig, log=None, before_write=None) -> str:
     """Run the full collect / advantage / update loop.
 
@@ -544,58 +525,64 @@ def train(cfg: TrainConfig, log=None, before_write=None) -> str:
         start_batch = int(extra["next_batch"])
         clip_eps = float(extra["clip_eps"])
     env = HoverEnv(cfg.episode)  # a shape model that cannot be read fails here
-    os.makedirs(cfg.out_dir, exist_ok=True)
     if before_write is not None:
         before_write()
 
-    mode = "a" if cfg.resume and os.path.exists(metrics_path) else "w"
-    if mode == "a":
-        _truncate_metrics(metrics_path, start_batch)
-    with open(metrics_path, mode) as fh:
-        if mode == "w":
-            fh.write(",".join(METRICS_COLUMNS) + "\n")
-        for batch_idx in range(start_batch, cfg.batches):
-            batch = collect_rollouts(env, policy, cfg.ppo, cfg.seed, batch_idx)
-            rng = np.random.default_rng(
-                np.random.SeedSequence((cfg.seed, batch_idx, UPDATE_STREAM))
+    # metrics.csv is replaced whole after each batch (and once before the
+    # first); a resume keeps the header and the rows its checkpoint covers
+    lines = [",".join(METRICS_COLUMNS) + "\n"]
+    if cfg.resume and os.path.exists(metrics_path):
+        with open(metrics_path, newline="") as fh:
+            lines = fh.readlines()
+        lines = lines[:1] + [row for row in lines[1:] if int(row.split(",", 1)[0]) < start_batch]
+
+    def write_metrics():
+        with replacing(metrics_path) as fh:
+            fh.writelines(lines)
+
+    write_metrics()
+    for batch_idx in range(start_batch, cfg.batches):
+        batch = collect_rollouts(env, policy, cfg.ppo, cfg.seed, batch_idx)
+        rng = np.random.default_rng(
+            np.random.SeedSequence((cfg.seed, batch_idx, UPDATE_STREAM))
+        )
+        stats = ppo_update(
+            policy, value_net, batch, cfg.ppo, policy_opt, value_opt,
+            rng, clip_eps=clip_eps,
+        )
+        clip_eps = stats.new_clip_eps
+        rewards = batch.episode_rewards()
+        pos_errs = batch.terminal_pos_errors()
+        episodes = batch.episodes
+        row = (
+            batch_idx,
+            rewards.mean(), rewards.std(),
+            pos_errs.mean(), pos_errs.max(),
+            rewards.min(), rewards.max(),
+            stats.kl, stats.clip_fraction, clip_eps,
+            stats.value_loss, stats.policy_epochs,
+            np.mean([ep.terminal_ok for ep in episodes]),
+            *(sum(ep.violation == kind for ep in episodes) for kind in VIOLATION_KINDS),
+            np.mean([ep.fuel_used for ep in episodes]),
+            int(stats.aborted),
+        )
+        lines.append(",".join(csv_field(v) for v in row) + "\n")
+        write_metrics()
+        if log is not None:
+            log(
+                f"batch {batch_idx}: reward {rewards.mean():.3f} "
+                f"+- {rewards.std():.3f}, terminal err {pos_errs.mean():.1f} m, "
+                f"kl {stats.kl:.2e}, eps {clip_eps:.3f}"
+                + (f" [aborted: {stats.diagnostics}]" if stats.aborted else "")
             )
-            stats = ppo_update(
-                policy, value_net, batch, cfg.ppo, policy_opt, value_opt,
-                rng, clip_eps=clip_eps,
+        last = batch_idx == cfg.batches - 1
+        if (batch_idx + 1) % cfg.checkpoint_every == 0 or last:
+            nn.save_checkpoint(
+                os.path.join(cfg.out_dir, f"checkpoint_{batch_idx + 1:06d}.npz"),
+                policy, value_net, policy_opt, value_opt,
+                extra={
+                    "next_batch": batch_idx + 1, "clip_eps": clip_eps,
+                    **trained_episode_record(cfg.episode),
+                },
             )
-            clip_eps = stats.new_clip_eps
-            rewards = batch.episode_rewards()
-            pos_errs = batch.terminal_pos_errors()
-            episodes = batch.episodes
-            row = (
-                batch_idx,
-                rewards.mean(), rewards.std(),
-                pos_errs.mean(), pos_errs.max(),
-                rewards.min(), rewards.max(),
-                stats.kl, stats.clip_fraction, clip_eps,
-                stats.value_loss, stats.policy_epochs,
-                np.mean([ep.terminal_ok for ep in episodes]),
-                *(sum(ep.violation == kind for ep in episodes) for kind in VIOLATION_KINDS),
-                np.mean([ep.fuel_used for ep in episodes]),
-                int(stats.aborted),
-            )
-            fh.write(",".join(csv_field(v) for v in row) + "\n")
-            fh.flush()
-            if log is not None:
-                log(
-                    f"batch {batch_idx}: reward {rewards.mean():.3f} "
-                    f"+- {rewards.std():.3f}, terminal err {pos_errs.mean():.1f} m, "
-                    f"kl {stats.kl:.2e}, eps {clip_eps:.3f}"
-                    + (f" [aborted: {stats.diagnostics}]" if stats.aborted else "")
-                )
-            last = batch_idx == cfg.batches - 1
-            if (batch_idx + 1) % cfg.checkpoint_every == 0 or last:
-                nn.save_checkpoint(
-                    os.path.join(cfg.out_dir, f"checkpoint_{batch_idx + 1:06d}.npz"),
-                    policy, value_net, policy_opt, value_opt,
-                    extra={
-                        "next_batch": batch_idx + 1, "clip_eps": clip_eps,
-                        **trained_episode_record(cfg.episode),
-                    },
-                )
     return metrics_path

@@ -331,6 +331,115 @@ def test_train_cli_resume_without_checkpoint_fails(tmp_path, capsys):
     assert "resume" in capsys.readouterr().err
 
 
+# `python -c` stub: `asterhover.cli` with argv[3:], SIGKILLed by its own
+# hand at one point of the run given by argv[1:3]:
+#   update N      inside batch N's ppo_update, after its first optimizer step;
+#   checkpoint N  once checkpoint_00000N.npz's temp file is written, before
+#                 its rename;
+#   metrics N     once the temp file of metrics.csv holding batch N's row is
+#                 written, before its rename;
+#   none -        not at all.
+KILL_STUB = """
+import os, signal, sys
+from asterhover import cli, nn, ppo
+
+point, at = sys.argv[1], sys.argv[2]
+
+def kill():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+if point == "update":
+    update, adam_step, calls = ppo.ppo_update, nn.Adam.step, []
+
+    def ppo_update(*args, **kwargs):
+        calls.append(None)
+        return update(*args, **kwargs)
+
+    def step(self, grads):
+        adam_step(self, grads)
+        if len(calls) > int(at):
+            kill()
+
+    ppo.ppo_update, nn.Adam.step = ppo_update, step
+elif point != "none":
+    replace = os.replace
+
+    def replace_or_kill(src, dst):
+        name = os.path.basename(dst)
+        if point == "checkpoint" and name == f"checkpoint_{int(at):06d}.npz":
+            kill()
+        if point == "metrics" and name == "metrics.csv":
+            with open(src) as fh:
+                if fh.read().count("\\n") == int(at) + 2:
+                    kill()
+        replace(src, dst)
+
+    os.replace = replace_or_kill
+sys.exit(cli.main(sys.argv[3:]))
+"""
+
+
+def run_train_stub(point, at, cfg, out, *flags):
+    src = os.path.dirname(os.path.dirname(asterhover.__file__))
+    return subprocess.run(
+        [sys.executable, "-c", KILL_STUB, point, str(at), "train", "--config", str(cfg),
+         "--out", str(out), *flags, "ppo.episodes_per_batch=2", "episode.duration=30.0"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=300,
+    )
+
+
+@pytest.fixture(scope="module")
+def three_batch_run(tmp_path_factory):
+    """An uninterrupted three-batch stub run: its config file and run directory."""
+    root = tmp_path_factory.mktemp("cli_three_batches")
+    cfg = write_tiny_train_config(root / "cfg.yaml", batches=3)
+    out = root / "run"
+    proc = run_train_stub("none", "-", cfg, out)
+    assert proc.returncode == 0, proc.stderr
+    return cfg, out
+
+
+def checkpoint_arrays(path):
+    with np.load(path) as data:
+        return {name: data[name] for name in data.files}
+
+
+# (point, at, metrics.csv rows and checkpoints the kill leaves)
+KILL_POINTS = [("update", 1, 1, 1), ("checkpoint", 1, 1, 0), ("checkpoint", 3, 3, 2),
+               ("metrics", 0, 0, 0), ("metrics", 2, 2, 2)]
+
+
+@pytest.mark.parametrize("point,at,rows,kept", KILL_POINTS,
+                         ids=[f"{p}-{n}" for p, n, _, _ in KILL_POINTS])
+def test_a_killed_train_resumes_to_the_uninterrupted_bytes(
+    three_batch_run, tmp_path, point, at, rows, kept
+):
+    # SIGKILL at any point leaves only whole files under their own names,
+    # and `train --resume` (a fresh `train` while there is no checkpoint
+    # yet) then ends with the bytes of a run never killed
+    cfg, whole = three_batch_run
+    run = tmp_path / "run"
+    proc = run_train_stub(point, at, cfg, run)
+    assert proc.returncode == -signal.SIGKILL, proc.stderr
+    metrics = (run / "metrics.csv").read_bytes()
+    assert metrics.count(b"\n") == 1 + rows and metrics.endswith(b"\n")
+    assert (whole / "metrics.csv").read_bytes().startswith(metrics)
+    checkpoints = sorted(run.glob("checkpoint_*.npz"))
+    assert len(checkpoints) == kept
+    for path in checkpoints:
+        checkpoint_arrays(path)  # each one whole
+    resume = ["--resume"] if checkpoints else []
+    proc = run_train_stub("none", "-", cfg, run, *resume)
+    assert proc.returncode == 0, proc.stderr
+    assert (run / "metrics.csv").read_bytes() == (whole / "metrics.csv").read_bytes()
+    final = "checkpoint_000003.npz"
+    got, want = checkpoint_arrays(run / final), checkpoint_arrays(whole / final)
+    assert got.keys() == want.keys()
+    for name in want:
+        np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+    assert not list(run.glob("*.tmp"))
+
+
 # --- eval -----------------------------------------------------------------
 
 
@@ -630,8 +739,8 @@ def test_eval_over_a_bad_mesh_file_writes_nothing(tmp_path, capsys, obj, which):
     assert code == 1
     err = capsys.readouterr().err
     assert str(mesh) in err
-    if obj is not None:  # a refused shape model names the first scenario over it
-        assert ("scenario 'itokawa'" if which == "--scenario" else "scenario 'rq36'") in err
+    # a missing or refused shape model names the first scenario over it
+    assert ("scenario 'itokawa'" if which == "--scenario" else "scenario 'rq36'") in err
     assert not (tmp_path / "e").exists()
 
 
@@ -679,7 +788,7 @@ def test_a_refused_run_leaves_out_as_it_found_it(two_batch_run, tmp_path, capsys
     err = capsys.readouterr().err
     if bad is not None:
         assert str(mesh) in err
-    if command == "simulate" and BAD_MESH_FILES[bad] is not None:
+    if command == "simulate":
         assert "scenario 'itokawa'" in err
     if before is None:
         assert not out.exists()

@@ -49,6 +49,27 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
+def writing_opens(source: str) -> list[int]:
+    """Lines of the `open` calls (bare or as an attribute, such as
+    ``io.open``) whose mode writes, appends, creates or updates. A mode that
+    is not a string literal counts as writing."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) != "open":
+            continue
+        modes = [kw.value for kw in node.keywords if kw.arg == "mode"] + node.args[1:2]
+        if any(
+            not (isinstance(mode, ast.Constant) and isinstance(mode.value, str))
+            or set(mode.value) & set("wax+")
+            for mode in modes
+        ):
+            lines.append(node.lineno)
+    return lines
+
+
 def names_read(tree: ast.AST) -> collections.Counter:
     """How often `tree` reads each name: bare names and attribute names,
     also inside a string constant that parses as an expression."""
@@ -103,6 +124,22 @@ def test_unused_import_check_catches_one():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_module_level_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_writing_open_check_catches_one():
+    source = (
+        "open(a)\nopen(a, 'rb')\nopen(a, newline='')\n"
+        "open(a, 'w')\nio.open(a, mode='ab')\nopen(a, 'xb')\nopen(a, 'rb+')\nopen(a, m)\n"
+    )
+    assert writing_opens(source) == [4, 5, 6, 7, 8]
+
+
+def test_one_open_for_writing_in_the_package():
+    # every file a run writes goes through config.replacing, which writes
+    # beside the target and renames it into place
+    found = {path.stem: writing_opens(path.read_text()) for path in MODULES}
+    assert len(found.pop("config")) == 1
+    assert {module: lines for module, lines in found.items() if lines} == {}
 
 
 def test_uncalled_public_name_check_catches_one():

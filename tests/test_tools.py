@@ -1,5 +1,7 @@
 """The repository's tools stay in step with the command line they drive."""
 
+import copy
+import json
 import string
 import sys
 from pathlib import Path
@@ -8,7 +10,9 @@ import pytest
 
 from asterhover.cli import build_parser
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tools"))
+import bench_pairs  # noqa: E402
 import output_digests  # noqa: E402
 
 
@@ -25,3 +29,27 @@ def test_output_digest_runs_parse_with_the_cli(args):
     parsed = build_parser().parse_args([*filled(args), "--out", "out"])
     assert parsed.command == args[0]
     assert parsed.out == "out"
+
+
+def test_pooled_bench_record_keeps_every_comparison():
+    # a record of the per-unit form, pooled: the same units per side, the
+    # same pairs with equal outputs, and at most a fifth of the bytes
+    path = ROOT / "BENCH_0c70a1e-worktree.json"
+    record = json.loads(path.read_text())
+    pooled = copy.deepcopy(record)
+    for name, workload in pooled["workloads"].items():
+        old = record["workloads"][name]
+        columns, rows = bench_pairs.pool_outputs(workload["pairs"])
+        workload.update(output_columns=columns, outputs=rows)
+        for pair, old_pair in zip(workload["pairs"], old["pairs"]):
+            for side in ("parent", "change"):
+                units = [dict(zip(columns, rows[i])) for i in pair[side]["outputs"]]
+                assert units == old_pair[side]["outputs"]
+        equal = sum(bench_pairs.same_outputs(pair, rows) for pair in workload["pairs"])
+        assert equal == old["pairs_with_equal_outputs"]
+    assert 5 * len(json.dumps(pooled, indent=0)) <= path.stat().st_size
+    # a unit whose digest differs between the sides makes its pair unequal
+    pair = copy.deepcopy(record["workloads"]["eval-baseline"]["pairs"][0])
+    pair["change"]["outputs"][0]["summary.csv"] = "0"
+    _, rows = bench_pairs.pool_outputs([pair])
+    assert not bench_pairs.same_outputs(pair, rows)

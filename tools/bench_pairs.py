@@ -20,7 +20,11 @@ each side's values, median and quartiles, how many pairs the change won
 (ties count for neither) and how far the change's median is from the
 parent's relative to the bound in ``BENCHMARK.json``. ``<change>`` is the
 short commit id when the working tree is clean and ``worktree`` otherwise;
-the record names the commit that ran under ``change_commit``.
+the record names the commit that ran under ``change_commit``. Each
+distinct unit output (seed, role and the digest of each output file, named
+by ``output_columns``) is written once per workload, as a row of its
+``outputs``, and each side of a pair lists its units as indices into those
+rows; the record has one value per line, unindented.
 
 Before the pairs it runs the byte-identity check of
 ``tools/output_digests.py`` against the same parent and records its
@@ -75,11 +79,29 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
-def same_outputs(pair: dict) -> bool:
+def pool_outputs(pairs: list[dict]) -> tuple[list[str], list[list]]:
+    """The columns (seed, role, then each output file) and the rows of the
+    distinct unit outputs of `pairs`, in order of first appearance; each
+    side's ``outputs`` becomes indices into those rows."""
+    names = {name for pair in pairs for side in ("parent", "change")
+             for unit in pair[side]["outputs"] for name in unit}
+    columns = ["seed", "role", *sorted(names - {"seed", "role"})]
+    index: dict[tuple, int] = {}
+    for pair in pairs:
+        for side in ("parent", "change"):
+            pair[side]["outputs"] = [
+                index.setdefault(tuple(unit.get(c) for c in columns), len(index))
+                for unit in pair[side]["outputs"]
+            ]
+    return columns, [list(row) for row in index]
+
+
+def same_outputs(pair: dict, rows: list[list]) -> bool:
     """Whether every unit both sides ran (same seed and role; a faster side
-    runs more timed units) wrote the same output digests."""
+    runs more timed units) wrote the same output digests; `rows` are the
+    workload's unit outputs that the sides' indices point into."""
     def by_unit(side):
-        return {(o["seed"], o["role"]): o for o in pair[side]["outputs"]}
+        return {tuple(rows[i][:2]): rows[i] for i in pair[side]["outputs"]}
 
     parent, change = by_unit("parent"), by_unit("change")
     return all(parent[k] == change[k] for k in parent.keys() & change.keys())
@@ -137,7 +159,7 @@ def main(argv=None) -> int:
         print(exc, file=sys.stderr)
         return 1
     print(f"output digests equal: {report['output_digests']['equal']}", flush=True)
-    out_path.write_text(json.dumps(report, indent=1) + "\n")
+    out_path.write_text(json.dumps(report, indent=0) + "\n")
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         checkouts = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
         extract(parent, checkouts["parent"])
@@ -158,12 +180,15 @@ def main(argv=None) -> int:
                 pairs.append(pair)
                 print(workload, seed, *(f"{s}={pair[s]['result']['metrics']}" for s in order),
                       flush=True)
+            columns, rows = pool_outputs(pairs)
             report["workloads"][workload] = {
-                "pairs_with_equal_outputs": sum(map(same_outputs, pairs)),
+                "pairs_with_equal_outputs": sum(same_outputs(p, rows) for p in pairs),
+                "output_columns": columns,
+                "outputs": rows,
                 "pairs": pairs,
                 "summary": {m["name"]: summarize(pairs, m) for m in bench["end_to_end"]},
             }
-            out_path.write_text(json.dumps(report, indent=1) + "\n")
+            out_path.write_text(json.dumps(report, indent=0) + "\n")
     print(f"wrote {out_path}")
     return 0
 
