@@ -130,12 +130,19 @@ def quat_angle(q: np.ndarray) -> float:
 
 @dataclass
 class ThrusterTable:
-    """Fixed thruster layout in the spacecraft body frame."""
+    """Fixed thruster layout in the spacecraft body frame.
+
+    `rows` holds each thruster's (position, direction) as Python floats,
+    taken once at construction for :func:`body_force_torque`; only `health`
+    changes afterwards (an actuator failure)."""
 
     positions: np.ndarray   # (12, 3) mount points, m
     directions: np.ndarray  # (12, 3) unit force directions
     max_thrust: np.ndarray  # (12,) N
     health: np.ndarray      # (12,) output scale, 1.0 when nominal
+
+    def __post_init__(self) -> None:
+        self.rows = list(zip(self.positions.tolist(), self.directions.tolist()))
 
 
 def default_thruster_table() -> ThrusterTable:
@@ -193,9 +200,11 @@ def body_force_torque(
     thrust magnitude (used for propellant flow).
 
     `action` holds 12 on/off commands; `com_offset` shifts the center of
-    mass away from the geometric center. The sums run over the thrusters in
-    table order from +0.0, on Python floats; tests/dynamics_reference.py
-    holds the array form this equals bit for bit.
+    mass away from the geometric center. The sums run over the fired
+    thrusters in table order from +0.0, on Python floats: a thruster at
+    zero thrust adds only signed zeros, which cannot change a sum that
+    starts from +0.0. tests/dynamics_reference.py holds the array form this
+    equals bit for bit.
     """
     a = np.asarray(action, dtype=np.float64)
     if a.shape != (12,):
@@ -203,9 +212,9 @@ def body_force_torque(
     thrust = table.max_thrust * table.health * a  # (12,) N
     cx, cy, cz = (0.0, 0.0, 0.0) if com_offset is None else np.asarray(com_offset).tolist()
     fx = fy = fz = lx = ly = lz = 0.0
-    for (px, py, pz), (dx, dy, dz), th in zip(
-        table.positions.tolist(), table.directions.tolist(), thrust.tolist()
-    ):
+    for ((px, py, pz), (dx, dy, dz)), th in zip(table.rows, thrust.tolist()):
+        if th == 0.0:
+            continue
         gx, gy, gz = dx * th, dy * th, dz * th  # this thruster's force
         ax, ay, az = px - cx, py - cy, pz - cz  # its arm about the center of mass
         fx += gx

@@ -25,7 +25,7 @@ from . import nn
 from .config import apply_to_dataclass, csv_field, nest_dotted, write_csv
 from .env import EpisodeConfig, HoverEnv, good_hover, rollout
 from .errors import ConfigurationError, MeshLoadError
-from .ppo import ACTION_STREAM, check_trained_episode
+from .ppo import ACTION_STREAM, NETWORK_DTYPE, check_trained_episode
 
 
 @dataclass
@@ -267,12 +267,19 @@ def load_policy(checkpoint_path: str, *cfgs: EpisodeConfig) -> nn.PolicyNetwork:
     """Policy parameters from a training checkpoint (critic discarded), to
     fly episodes of each of `cfgs`.
 
+    The policy computes in the checkpoint's dtype: the blank networks are
+    built in the dtype `train` writes, and a checkpoint stored in another,
+    such as one written before training moved to float32, rebuilds them in
+    its own.
+
     Raises ConfigurationError when the checkpoint records an episode
     setting that one of `cfgs` does not share (see
     :func:`~asterhover.ppo.check_trained_episode`).
     """
-    policy = nn.PolicyNetwork(seed=None)
-    meta = nn.load_checkpoint(checkpoint_path, policy, nn.ValueNetwork(seed=None))
+    policy = nn.PolicyNetwork(seed=None, dtype=NETWORK_DTYPE)
+    meta = nn.load_checkpoint(
+        checkpoint_path, policy, nn.ValueNetwork(seed=None, dtype=NETWORK_DTYPE)
+    )
     for cfg in cfgs:
         check_trained_episode(checkpoint_path, meta["extra"], cfg)
     return policy

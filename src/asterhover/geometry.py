@@ -133,6 +133,11 @@ def generate_icosphere(level: int) -> TriMesh:
     return _ICOSPHERE_CACHE[level].copy()
 
 
+# Each level quadruples the facets; level 7 (327680) is the largest measured
+# here. Above it a single body takes memory and time without bound.
+MAX_SUBDIVISION_LEVEL = 7
+
+
 @dataclass
 class AsteroidGenConfig:
     """Ranges for the random shape synthesis."""
@@ -144,8 +149,8 @@ class AsteroidGenConfig:
     axis_max: float = 600.0
 
     def validate(self) -> None:
-        if self.subdivision_level < 0:
-            raise ConfigurationError("subdivision_level must be >= 0")
+        if not 0 <= self.subdivision_level <= MAX_SUBDIVISION_LEVEL:
+            raise ConfigurationError(f"subdivision_level must be in [0, {MAX_SUBDIVISION_LEVEL}]")
         if not (0.0 <= self.perturbation_min <= self.perturbation_max):
             raise ConfigurationError("perturbation range must satisfy 0 <= min <= max")
         if not (0.0 < self.axis_min <= self.axis_max):

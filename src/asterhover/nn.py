@@ -1,9 +1,16 @@
-"""Minimal float64 neural-network core for the hovering policy and critic.
+"""Minimal neural-network core for the hovering policy and critic.
 
 Implements exactly what the two networks need: dense layers, a gated
 recurrent unit, valid-padding 2-D convolution, independent two-way softmax
 heads, exact backpropagation through time over full episodes, Adam-style
 moment updates, and a checkpoint format that round-trips bit-exactly.
+
+Every layer computes in its parameters' dtype, float32 or float64: its
+buffers are allocated in it, and each network entry point casts its inputs
+and upstream gradients to it once, so no product promotes back to float64.
+Networks built directly default to float64; training builds float32 ones
+(``ppo.build_networks``). Adam state follows the parameters, checkpoints
+store them as they are, and loading adopts the stored dtype.
 
 Everything is plain numpy. Time-major batches: sequences are (T, B, ...)
 and single steps are (B, ...).
@@ -57,9 +64,12 @@ def conv_init(rng: np.random.Generator | None, k: int, c_in: int, c_out: int) ->
 # Layers
 
 class Linear:
-    def __init__(self, rng: np.random.Generator | None, n_in: int, n_out: int, gain: float = 1.0):
-        self.W = orthogonal_init(rng, (n_in, n_out), gain)
-        self.b = np.zeros(n_out)
+    def __init__(
+        self, rng: np.random.Generator | None, n_in: int, n_out: int, gain: float = 1.0,
+        dtype=np.float64,
+    ):
+        self.W = np.asarray(orthogonal_init(rng, (n_in, n_out), gain), dtype)
+        self.b = np.zeros(n_out, dtype)
         self.gW = np.zeros_like(self.W)
         self.gb = np.zeros_like(self.b)
 
@@ -91,12 +101,13 @@ class Conv2D:
     """
 
     def __init__(
-        self, rng: np.random.Generator | None, c_in: int, c_out: int, kernel: int, stride: int
+        self, rng: np.random.Generator | None, c_in: int, c_out: int, kernel: int, stride: int,
+        dtype=np.float64,
     ):
         self.c_in, self.c_out = c_in, c_out
         self.kernel, self.stride = kernel, stride
-        self.W = conv_init(rng, kernel, c_in, c_out)
-        self.b = np.zeros(c_out)
+        self.W = np.asarray(conv_init(rng, kernel, c_in, c_out), dtype)
+        self.b = np.zeros(c_out, dtype)
         self.gW = np.zeros_like(self.W)
         self.gb = np.zeros_like(self.b)
 
@@ -139,7 +150,7 @@ class Conv2D:
         k, s, c = self.kernel, self.stride, self.c_in
         dP = (dy.reshape(-1, self.c_out) @ self.W.reshape(-1, self.c_out).T)
         dP = dP.reshape(B, ho, wo, k, k, c)
-        dx = np.zeros(x.shape)
+        dx = np.zeros(x.shape, self.W.dtype)
         for di in range(k):
             for dj in range(k):
                 dx[:, di:di + (ho - 1) * s + 1:s, dj:dj + (wo - 1) * s + 1:s, :] += \
@@ -172,15 +183,18 @@ class GRUCell:
 
     NAMES = ("Wz", "Uz", "bz", "Wr", "Ur", "br", "Wh", "Uh", "bh")
 
-    def __init__(self, rng: np.random.Generator | None, n_in: int, n_hidden: int):
+    def __init__(
+        self, rng: np.random.Generator | None, n_in: int, n_hidden: int, dtype=np.float64
+    ):
         self.n_in, self.n_hidden = n_in, n_hidden
         H = n_hidden
         Wz, Uz = orthogonal_init(rng, (n_in, H)), orthogonal_init(rng, (H, H))
         Wr, Ur = orthogonal_init(rng, (n_in, H)), orthogonal_init(rng, (H, H))
         Wh, Uh = orthogonal_init(rng, (n_in, H)), orthogonal_init(rng, (H, H))
-        self.W = np.concatenate([Wz, Wr, Wh], axis=1)
-        self.U, self.Uh = np.concatenate([Uz, Ur], axis=1), Uh
-        self.b = np.zeros(3 * H)
+        self.W = np.concatenate([Wz, Wr, Wh], axis=1, dtype=dtype)
+        self.U = np.concatenate([Uz, Ur], axis=1, dtype=dtype)
+        self.Uh = np.asarray(Uh, dtype)
+        self.b = np.zeros(3 * H, dtype)
         self.gW, self.gU, self.gUh, self.gb = (
             np.zeros_like(a) for a in (self.W, self.U, self.Uh, self.b)
         )
@@ -202,11 +216,12 @@ class GRUCell:
         """
         T, B = xs.shape[0], xs.shape[1]
         H = self.n_hidden
+        dtype = self.W.dtype
         gx = (xs.reshape(T * B, -1) @ self.W + self.b).reshape(T, B, 3 * H)
-        hs = np.empty((T + 1, B, H))
+        hs = np.empty((T + 1, B, H), dtype)
         hs[0] = h
-        zr = np.empty((T, B, 2 * H))
-        c = np.empty((T, B, H))
+        zr = np.empty((T, B, 2 * H), dtype)
+        c = np.empty((T, B, H), dtype)
         for t in range(T):
             zr[t] = _sigmoid(gx[t, :, :2 * H] + h @ self.U)
             z, r = zr[t, :, :H], zr[t, :, H:]
@@ -230,8 +245,8 @@ class GRUCell:
         dr_factor = h_prev * r * (1.0 - r)
         # Contiguous transposes: products with them run about twice as fast.
         UT, UhT = self.U.T.copy(), self.Uh.T.copy()
-        da = np.empty((T, B, 3 * H))  # wrt the z, r and candidate pre-activations
-        dh = np.zeros((B, H))
+        da = np.empty((T, B, 3 * H), UT.dtype)  # wrt the z, r and candidate pre-activations
+        dh = np.zeros((B, H), UT.dtype)
         for t in range(T - 1, -1, -1):
             dh += dhs[t]
             da_z, da_r, da_c = da[t, :, :H], da[t, :, H:2 * H], da[t, :, 2 * H:]
@@ -277,12 +292,14 @@ class GRUCell:
 class _Network:
     """Shared parameter bookkeeping; subclasses define the layer dict.
 
-    A network's parameters are drawn from the `seed` it is built with. With
-    `seed` None nothing is drawn and every parameter is zero, for
-    :meth:`load_parameters` or :func:`load_checkpoint` to fill.
+    A network's parameters are drawn from the `seed` it is built with, in
+    float64, and stored in its `dtype`. With `seed` None nothing is drawn
+    and every parameter is zero, for :meth:`load_parameters` or
+    :func:`load_checkpoint` to fill.
     """
 
     layers: "OrderedDict[str, object]"
+    dtype: np.dtype
 
     def parameters(self) -> "OrderedDict[str, np.ndarray]":
         out: OrderedDict[str, np.ndarray] = OrderedDict()
@@ -303,16 +320,27 @@ class _Network:
             g[...] = 0.0
 
     def load_parameters(self, values: dict[str, np.ndarray]) -> None:
+        """Copy `values` in by name. The network adopts their dtype: when it
+        differs, every layer is rebuilt blank in it first, so arrays taken
+        from :meth:`parameters` before the call no longer belong to it."""
         own = self.parameters()
+        src = {}
         for name, arr in own.items():
             if name not in values:
                 raise ConfigurationError(f"missing parameter {name!r}")
-            src = np.asarray(values[name])
-            if src.shape != arr.shape:
+            src[name] = np.asarray(values[name])
+            if src[name].shape != arr.shape:
                 raise ConfigurationError(
-                    f"parameter {name!r} has shape {src.shape}, expected {arr.shape}"
+                    f"parameter {name!r} has shape {src[name].shape}, expected {arr.shape}"
                 )
-            arr[...] = src
+        dtype = np.result_type(*src.values())
+        if dtype not in (np.float32, np.float64):
+            raise ConfigurationError(f"parameters must be float32 or float64, got {dtype}")
+        if dtype != self.dtype:
+            self.__init__(None, dtype=dtype)
+            own = self.parameters()
+        for name, arr in own.items():
+            arr[...] = src[name]
 
 
 class PolicyNetwork(_Network):
@@ -330,22 +358,23 @@ class PolicyNetwork(_Network):
     HIDDEN = 154
     NUM_THRUSTERS = 12
 
-    def __init__(self, seed: int | np.random.Generator | None = 0):
+    def __init__(self, seed: int | np.random.Generator | None = 0, dtype=np.float64):
         rng = None if seed is None else np.random.default_rng(seed)
-        conv1 = Conv2D(rng, self.IMAGE_CHANNELS, 8, kernel=3, stride=1)  # 8x8x2 -> 6x6x8
-        conv2 = Conv2D(rng, 8, 8, kernel=4, stride=2)                    # 6x6x8 -> 2x2x8
+        self.dtype = dt = np.dtype(dtype)
+        conv1 = Conv2D(rng, self.IMAGE_CHANNELS, 8, kernel=3, stride=1, dtype=dt)  # 8x8x2 -> 6x6x8
+        conv2 = Conv2D(rng, 8, 8, kernel=4, stride=2, dtype=dt)                    # 6x6x8 -> 2x2x8
         flat = conv2.out_size(conv1.out_size(self.GRID)) ** 2 * 8
         self.flat_dim = flat                             # 32
-        fc1 = Linear(rng, flat + self.VEC_DIM, 70)
-        gru = GRUCell(rng, 70, self.HIDDEN)
-        fc3 = Linear(rng, self.HIDDEN, 120)
-        out = Linear(rng, 120, self.NUM_THRUSTERS * 2, gain=0.01)
+        fc1 = Linear(rng, flat + self.VEC_DIM, 70, dtype=dt)
+        gru = GRUCell(rng, 70, self.HIDDEN, dtype=dt)
+        fc3 = Linear(rng, self.HIDDEN, 120, dtype=dt)
+        out = Linear(rng, 120, self.NUM_THRUSTERS * 2, gain=0.01, dtype=dt)
         self.layers = OrderedDict(
             conv1=conv1, conv2=conv2, fc1=fc1, gru=gru, fc3=fc3, out=out
         )
 
     def init_hidden(self, batch: int) -> np.ndarray:
-        return np.zeros((batch, self.HIDDEN))
+        return np.zeros((batch, self.HIDDEN), self.dtype)
 
     def _forward(
         self, images: np.ndarray, vecs: np.ndarray, hidden: np.ndarray
@@ -361,12 +390,16 @@ class PolicyNetwork(_Network):
         T, B = images.shape[0], images.shape[1]
         n = T * B
         L = self.layers
-        x = images.reshape(n, G, G, C)
+        x = np.asarray(images, self.dtype).reshape(n, G, G, C)
         a1 = np.maximum(L["conv1"].forward(x)[0], 0.0)
         a2 = np.maximum(L["conv2"].forward(a1)[0], 0.0)
-        joined = np.concatenate([a2.reshape(n, -1), vecs.reshape(n, -1)], axis=1)
+        joined = np.concatenate(
+            [a2.reshape(n, -1), vecs.reshape(n, -1)], axis=1, dtype=self.dtype
+        )
         t1 = np.tanh(L["fc1"].forward(joined)[0])
-        hs, cache_g = L["gru"].forward_sequence(t1.reshape(T, B, -1), hidden)
+        hs, cache_g = L["gru"].forward_sequence(
+            t1.reshape(T, B, -1), np.asarray(hidden, self.dtype)
+        )
         t3 = np.tanh(L["fc3"].forward(hs[1:].reshape(n, -1))[0])
         logits = L["out"].forward(t3)[0].reshape(T, B, self.NUM_THRUSTERS, 2)
         return logits, hs[-1], (x, a1, a2, joined, t1, hs, cache_g, t3)
@@ -390,7 +423,7 @@ class PolicyNetwork(_Network):
         T, B = dlogits.shape[0], dlogits.shape[1]
         n = T * B
         L = self.layers
-        dt3 = L["out"].backward(dlogits.reshape(n, -1), t3)
+        dt3 = L["out"].backward(np.asarray(dlogits, self.dtype).reshape(n, -1), t3)
         dh = L["fc3"].backward(dt3 * (1.0 - t3 * t3), hs[1:].reshape(n, -1))
         dt1, _ = L["gru"].backward_sequence(dh.reshape(T, B, -1), cache_g)
         djoined = L["fc1"].backward(dt1.reshape(n, -1) * (1.0 - t1 * t1), joined)
@@ -405,17 +438,18 @@ class ValueNetwork(_Network):
     INPUT_DIM = 13
     HIDDEN = 25
 
-    def __init__(self, seed: int | np.random.Generator | None = 0):
+    def __init__(self, seed: int | np.random.Generator | None = 0, dtype=np.float64):
         rng = None if seed is None else np.random.default_rng(seed)
+        self.dtype = dt = np.dtype(dtype)
         self.layers = OrderedDict(
-            fc1=Linear(rng, self.INPUT_DIM, 130),
-            gru=GRUCell(rng, 130, self.HIDDEN),
-            fc3=Linear(rng, self.HIDDEN, 5),
-            out=Linear(rng, 5, 1),
+            fc1=Linear(rng, self.INPUT_DIM, 130, dtype=dt),
+            gru=GRUCell(rng, 130, self.HIDDEN, dtype=dt),
+            fc3=Linear(rng, self.HIDDEN, 5, dtype=dt),
+            out=Linear(rng, 5, 1, dtype=dt),
         )
 
     def init_hidden(self, batch: int) -> np.ndarray:
-        return np.zeros((batch, self.HIDDEN))
+        return np.zeros((batch, self.HIDDEN), self.dtype)
 
     def forward_sequence(self, xs: np.ndarray) -> tuple[np.ndarray, tuple]:
         """(T,B,13) -> values (T,B) plus the backward cache, from a zero
@@ -427,7 +461,7 @@ class ValueNetwork(_Network):
         T, B = xs.shape[0], xs.shape[1]
         n = T * B
         L = self.layers
-        x = xs.reshape(n, -1)
+        x = np.asarray(xs, self.dtype).reshape(n, -1)
         t1 = np.tanh(L["fc1"].forward(x)[0])
         hs, cache_g = L["gru"].forward_sequence(t1.reshape(T, B, -1), self.init_hidden(B))
         t3 = np.tanh(L["fc3"].forward(hs[1:].reshape(n, -1))[0])
@@ -439,7 +473,7 @@ class ValueNetwork(_Network):
         T, B = dvalues.shape
         n = T * B
         L = self.layers
-        dt3 = L["out"].backward(dvalues.reshape(n, 1), t3)
+        dt3 = L["out"].backward(np.asarray(dvalues, self.dtype).reshape(n, 1), t3)
         dh = L["fc3"].backward(dt3 * (1.0 - t3 * t3), hs[1:].reshape(n, -1))
         dt1, _ = L["gru"].backward_sequence(dh.reshape(T, B, -1), cache_g)
         L["fc1"].accumulate(dt1.reshape(n, -1) * (1.0 - t1 * t1), x)
@@ -569,8 +603,9 @@ def save_checkpoint(
     extra: dict | None = None,
 ) -> None:
     """Write every parameter, optimizer moment, and the `extra` payload to
-    one .npz archive at exactly `path`, whole (see config.replacing);
-    float64 arrays round-trip bit-exactly."""
+    one .npz archive at exactly `path`, whole (see config.replacing). Each
+    array is stored in its own dtype, the networks' float32 or float64, and
+    round-trips bit-exactly."""
     arrays: dict[str, np.ndarray] = {}
     for k, v in policy.parameters().items():
         arrays[f"policy/{k}"] = v
@@ -587,6 +622,11 @@ def save_checkpoint(
         np.savez(fh, __meta__=np.array(json.dumps(meta)), **arrays)
 
 
+def _section(data, prefix: str) -> dict[str, np.ndarray]:
+    """The archive's arrays named ``prefix/...``, keyed by the rest of the name."""
+    return {k[len(prefix) + 1:]: data[k] for k in data.files if k.startswith(prefix + "/")}
+
+
 def load_checkpoint(
     path: str,
     policy: PolicyNetwork,
@@ -596,6 +636,11 @@ def load_checkpoint(
 ) -> dict:
     """Restore networks (and optionally optimizer state) in place.
 
+    The networks adopt the stored dtype (see :meth:`_Network.load_parameters`).
+    An optimizer holds the arrays of the networks it steps, so a load with
+    optimizers refuses a checkpoint stored in another dtype than the
+    networks', naming both.
+
     Returns the metadata dict, including any `extra` payload.
     """
     with np.load(path, allow_pickle=False) as data:
@@ -604,24 +649,25 @@ def load_checkpoint(
             raise ConfigurationError(
                 f"checkpoint version {meta.get('version')} not supported"
             )
+        stored = {policy: _section(data, "policy"), value: _section(data, "value")}
+        if policy_opt is not None or value_opt is not None:
+            for net, arrays in stored.items():
+                other = sorted({str(a.dtype) for a in arrays.values()} - {str(net.dtype)})
+                if other:
+                    raise ConfigurationError(
+                        f"{path} holds {'/'.join(other)} parameters, but the networks "
+                        f"to resume are {net.dtype}; optimizer state cannot change dtype"
+                    )
         try:
-            policy.load_parameters(
-                {k[len("policy/"):]: data[k] for k in data.files if k.startswith("policy/")}
-            )
-            value.load_parameters(
-                {k[len("value/"):]: data[k] for k in data.files if k.startswith("value/")}
-            )
+            for net, arrays in stored.items():
+                net.load_parameters(arrays)
             for (prefix, name), opt in zip(_OPTIMIZER_KEYS, (policy_opt, value_opt)):
                 if opt is None:
                     continue
                 if name not in meta:
                     kind = name.split("_")[0]
                     raise ConfigurationError(f"checkpoint has no {kind} optimizer state")
-                opt.load_state_arrays(
-                    {k[len(prefix) + 1:]: data[k] for k in data.files
-                     if k.startswith(prefix + "/")},
-                    meta[name]["t"],
-                )
+                opt.load_state_arrays(_section(data, prefix), meta[name]["t"])
                 opt.lr = meta[name]["lr"]
         except KeyError as exc:
             raise ConfigurationError(f"checkpoint is missing array {exc}") from None

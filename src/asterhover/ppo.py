@@ -39,6 +39,10 @@ ACTION_STREAM = 7001
 UPDATE_STREAM = 7002
 INIT_STREAM = 4242
 
+# Training builds its networks in float32: the update runs at about half the
+# float64 cost. A float64 network still trains and evaluates as before.
+NETWORK_DTYPE = np.float32
+
 
 @dataclass
 class PPOConfig:
@@ -118,11 +122,13 @@ class RolloutBatch:
     """A batch of episodes with zero-padded time-major array views.
 
     Each per-step field (STEP_FIELDS) is padded to (T_max, B, ...), with
-    mask[t, b] = 1 on real steps. Returns, values, and advantages are
-    filled in by compute_advantages.
+    mask[t, b] = 1 on real steps; the network inputs (images, vecs and
+    value_inputs) are stored in the networks' `dtype`, so that minibatch
+    slices reach them without another cast. Returns, values, and advantages
+    are filled in by compute_advantages.
     """
 
-    def __init__(self, episodes: list[EpisodeRollout]):
+    def __init__(self, episodes: list[EpisodeRollout], dtype=NETWORK_DTYPE):
         if not episodes:
             raise ConfigurationError("batch needs at least one episode")
         self.episodes = episodes
@@ -130,7 +136,8 @@ class RolloutBatch:
         T = max(ep.length for ep in episodes)
         for name, _ in STEP_FIELDS:
             first = getattr(episodes[0], name)
-            padded = np.zeros((T, B) + first.shape[1:], dtype=first.dtype)
+            inputs = name in ("images", "vecs", "value_inputs")
+            padded = np.zeros((T, B) + first.shape[1:], dtype if inputs else first.dtype)
             for b, ep in enumerate(episodes):
                 padded[:ep.length, b] = getattr(ep, name)
             setattr(self, name, padded)
@@ -220,7 +227,7 @@ def collect_rollouts(
         for k, info in enumerate(last)
     ]
     del buffers
-    return RolloutBatch(episodes)
+    return RolloutBatch(episodes, policy.dtype)
 
 
 def compute_advantages(
@@ -450,9 +457,10 @@ class TrainConfig:
 
 
 def build_networks(seed: int) -> tuple[nn.PolicyNetwork, nn.ValueNetwork]:
-    """Fresh networks on the init seed stream (policy drawn first)."""
+    """Fresh NETWORK_DTYPE networks on the init seed stream (policy drawn first)."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, INIT_STREAM)))
-    return nn.PolicyNetwork(seed=rng), nn.ValueNetwork(seed=rng)
+    return (nn.PolicyNetwork(seed=rng, dtype=NETWORK_DTYPE),
+            nn.ValueNetwork(seed=rng, dtype=NETWORK_DTYPE))
 
 
 # The episode settings a trained policy depends on beyond the fixed

@@ -224,6 +224,30 @@ def test_gen_asteroid_deterministic(tmp_path):
     assert read(a / "asteroid_seed5.obj") == read(b / "asteroid_seed5.obj")
 
 
+FACET_BOUND_RUNS = {
+    "gen-asteroid": ["gen-asteroid", "--level", "8"],
+    "scan-debug": ["scan-debug", "--level", "8"],
+    "simulate": ["simulate", "asteroid.subdivision_level=1000000"],
+    "train": ["train", "--batches", "1", "episode.asteroid.subdivision_level=1000000"],
+}
+
+
+@pytest.mark.parametrize("command", FACET_BOUND_RUNS)
+def test_a_level_above_the_facet_bound_is_refused_before_any_write(tmp_path, command):
+    # each command runs in its own process under a timeout, so that a
+    # missing bound fails here instead of building a mesh without end
+    out = tmp_path / "out"
+    src = os.path.dirname(os.path.dirname(asterhover.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "asterhover.cli", *FACET_BOUND_RUNS[command], "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "subdivision_level must be in [0, 7]" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 # --- train ----------------------------------------------------------------
 
 
@@ -321,6 +345,25 @@ def test_train_cli_resume_refuses_checkpoint_without_optimizer_state(tmp_path, c
     capsys.readouterr()
     assert main(["train", "--config", cfg, "--out", str(run), "--resume", "--batches", "3"]) == 2
     assert "no policy optimizer state" in capsys.readouterr().err
+    assert run_dir_bytes(run) == before
+
+
+def test_train_cli_resume_refuses_a_checkpoint_of_another_dtype(tmp_path, capsys):
+    # a run written while training built float64 networks: every array its
+    # checkpoint holds, parameters and Adam moments, is float64
+    cfg = str(write_tiny_train_config(tmp_path / "cfg.yaml", batches=1))
+    run = tmp_path / "run"
+    assert main(["train", "--config", cfg, "--out", str(run)]) == 0
+    path = run / "checkpoint_000001.npz"
+    arrays = checkpoint_arrays(path)
+    assert arrays["policy/fc1.W"].dtype == np.float32
+    np.savez(path, **{k: a.astype(np.float64) if a.dtype == np.float32 else a
+                      for k, a in arrays.items()})
+    before = run_dir_bytes(run)
+    capsys.readouterr()
+    assert main(["train", "--config", cfg, "--out", str(run), "--resume", "--batches", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "float64" in err and "float32" in err
     assert run_dir_bytes(run) == before
 
 

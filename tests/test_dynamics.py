@@ -12,6 +12,7 @@ from asterhover.dynamics import (
     ISP_DEFAULT,
     ExternalForces,
     SpacecraftState,
+    ThrusterTable,
     _derivative,
     _pack,
     asteroid_angular_velocity,
@@ -622,6 +623,25 @@ def test_body_force_torque_signed_zero_table():
     table = default_thruster_table()
     table.positions[table.positions == 0.0] = -0.0
     table.directions[table.directions == 0.0] = -0.0
+    for bits in range(0, 4096, 91):
+        action = np.array([(bits >> k) & 1 for k in range(12)], dtype=np.float64)
+        for com_offset in (None, np.array([-0.0, -0.0, -0.0])):
+            got = body_force_torque(action, table, com_offset)
+            want = body_force_torque_reference(action, table, com_offset)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+
+
+def test_body_force_torque_signed_zero_rows():
+    # body_force_torque sums the rows a table takes when it is built, so the
+    # negative zeros go in at construction to reach them
+    base = default_thruster_table()
+    table = ThrusterTable(
+        np.where(base.positions == 0.0, -0.0, base.positions),
+        np.where(base.directions == 0.0, -0.0, base.directions),
+        base.max_thrust, base.health,
+    )
+    assert math.copysign(1.0, table.rows[0][0][1]) == -1.0  # thruster 0's y arm
     for bits in range(0, 4096, 91):
         action = np.array([(bits >> k) & 1 for k in range(12)], dtype=np.float64)
         for com_offset in (None, np.array([-0.0, -0.0, -0.0])):

@@ -3,6 +3,7 @@ and the per-episode CSV contract."""
 
 import csv
 import dataclasses
+import hashlib
 import multiprocessing
 import multiprocessing.pool
 import os
@@ -27,6 +28,7 @@ from asterhover.evaluation import (
     summary_row,
 )
 from asterhover.geometry import save_mesh
+from asterhover.ppo import build_networks
 from geometry_reference import make_peanut_mesh
 
 
@@ -265,6 +267,47 @@ def test_load_policy_refuses_missing_or_misshapen_arrays(tmp_path, name, value):
     np.savez(path, **arrays)
     with pytest.raises(ConfigurationError, match=name.split("/")[1]):
         load_policy(path, EpisodeConfig())
+
+
+def test_load_policy_computes_in_a_float32_checkpoints_dtype(tmp_path):
+    path = str(tmp_path / "ck.npz")
+    nn.save_checkpoint(path, *build_networks(23))
+    policy = load_policy(path, EpisodeConfig())
+    assert policy.dtype == np.float32
+    assert {a.dtype for a in policy.parameters().values()} == {np.dtype(np.float32)}
+    rng = np.random.default_rng(23)
+    logits, hidden, _ = policy.step(
+        rng.normal(size=(1, 8, 8, 2)), rng.normal(size=(1, 7)), policy.init_hidden(1)
+    )
+    assert logits.dtype == hidden.dtype == np.float32
+
+
+# sha256 of episodes.csv and summary.csv from `eval --scenario baseline
+# --episodes 2 --seed 4` with the float64 checkpoint of PolicyNetwork(31) and
+# ValueNetwork(32), as written before training moved to float32.
+FLOAT64_EVAL_SHA256 = {
+    "episodes.csv": "4638776d1ad2d6023ce38e32a71a5c5d4e826cfee3b348fd5917dee8781467b8",
+    "summary.csv": "404e6c8094a39cf835ec285e6135739b48c835a4d20d0026ec7477e75e92c2ce",
+}
+
+
+def test_a_float64_checkpoint_evaluates_to_the_same_bytes(tmp_path):
+    path = str(tmp_path / "ck.npz")
+    want = nn.PolicyNetwork(seed=31)
+    nn.save_checkpoint(path, want, nn.ValueNetwork(seed=32))
+    got = load_policy(path, EpisodeConfig())
+    assert got.dtype == np.float64
+    rng = np.random.default_rng(31)
+    image, vec = rng.normal(size=(3, 8, 8, 2)), rng.normal(size=(3, 7))
+    for a, b in zip(got.step(image, vec, got.init_hidden(3))[:2],
+                    want.step(image, vec, want.init_hidden(3))[:2]):
+        assert a.dtype == np.float64 and a.tobytes() == b.tobytes()
+
+    out = tmp_path / "eval"
+    assert main(["eval", "--checkpoint", path, "--scenario", "baseline", "--episodes", "2",
+                 "--seed", "4", "--out", str(out)]) == 0
+    for name, digest in FLOAT64_EVAL_SHA256.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_parallel_workers_match_serial():

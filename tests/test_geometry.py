@@ -5,6 +5,7 @@ import pytest
 
 from asterhover.errors import ConfigurationError, MeshLoadError
 from asterhover.geometry import (
+    MAX_SUBDIVISION_LEVEL,
     NUTATION_MAX,
     NUTATION_MIN,
     AsteroidDynRanges,
@@ -136,6 +137,16 @@ def test_synthesize_rejects_bad_ranges():
         synthesize_asteroid(0, dyn=AsteroidDynRanges(mass_min=0.0))
     with pytest.raises(ConfigurationError):
         synthesize_asteroid(0, AsteroidGenConfig(perturbation_min=0.2, perturbation_max=0.1))
+
+
+def test_subdivision_level_is_bounded_by_the_facet_count():
+    # level 7 holds 327680 facets; each further level quadruples them
+    assert MAX_SUBDIVISION_LEVEL == 7
+    for level in (0, MAX_SUBDIVISION_LEVEL):
+        AsteroidGenConfig(subdivision_level=level).validate()
+    for level in (-1, MAX_SUBDIVISION_LEVEL + 1, 1000000, 10**400):
+        with pytest.raises(ConfigurationError, match=r"subdivision_level must be in \[0, 7\]"):
+            AsteroidGenConfig(subdivision_level=level).validate()
 
 
 def test_ellipsoid_rotation_params_known_values():

@@ -417,17 +417,41 @@ def test_backward_accumulates_across_calls():
 # Sequence kernels against the per-step reference (tests/nn_reference.py)
 #
 # The kernels reorder float64 sums (one product over T*B rows instead of a
-# sum over steps, fused gate columns, a tanh-form sigmoid), so they are held
-# within 1e-12 of each array's largest magnitude rather than bitwise.
+# sum over steps, fused gate columns, a tanh-form sigmoid), so float64
+# networks are held within 1e-12 of each array's largest magnitude rather
+# than bitwise. A float32 network is held to the float64 reference run on
+# the same weights: float32 round-off (eps 1.2e-7) compounds through the
+# layers and the time loop. The worst error seen was 2.0e-6 of the largest
+# value here (conv1's bias gradient at T=100, B=10) and 4.2e-6 on
+# build_networks' weights, so the bound is 2e-5.
 
-KERNEL_RTOL = 1e-12
+KERNEL_RTOL = {np.float64: 1e-12, np.float32: 2e-5}
 SEQUENCE_SHAPES = [(1, 1), (5, 2), (100, 10)]
+KERNEL_CASES = [
+    pytest.param(T, B, dtype, id=f"{T}-{B}" + ("-float32" if dtype == np.float32 else ""))
+    for dtype in (np.float64, np.float32) for T, B in SEQUENCE_SHAPES
+]
 
 
-def assert_close_to_reference(got, want, label):
+def assert_close_to_reference(got, want, label, dtype=np.float64):
+    assert got.dtype == dtype, label
+    rtol = KERNEL_RTOL[dtype]
     scale = float(np.max(np.abs(want)))
-    np.testing.assert_allclose(got, want, rtol=KERNEL_RTOL, atol=KERNEL_RTOL * scale,
-                               err_msg=label)
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * scale, err_msg=label)
+
+
+def cache_dtypes(cache):
+    """The dtypes of the arrays in a nested backward cache."""
+    if isinstance(cache, np.ndarray):
+        return {cache.dtype}
+    return set().union(*map(cache_dtypes, cache))
+
+
+def float64_twin(net):
+    """A float64 network holding `net`'s parameters exactly."""
+    twin = type(net)(seed=None)
+    twin.load_parameters({k: v.astype(np.float64) for k, v in net.parameters().items()})
+    return twin
 
 
 def padded_mask(rng, T, B):
@@ -437,47 +461,51 @@ def padded_mask(rng, T, B):
     return (np.arange(T)[:, None] < lengths[None, :]).astype(float)
 
 
-@pytest.mark.parametrize("T,B", SEQUENCE_SHAPES)
-def test_policy_kernel_matches_per_step_reference(T, B):
-    net, _ = build_networks(T + B)
+@pytest.mark.parametrize("T,B,dtype", KERNEL_CASES)
+def test_policy_kernel_matches_per_step_reference(T, B, dtype):
+    net = PolicyNetwork(seed=T + B, dtype=dtype)
+    ref = float64_twin(net)
     rng = np.random.default_rng(1000 * T + B)
     mask = padded_mask(rng, T, B)
     images = rng.normal(0.0, 0.5, size=(T, B, 8, 8, 2)) * mask[:, :, None, None, None]
     vecs = rng.normal(0.0, 0.1, size=(T, B, 7)) * mask[:, :, None]
     dlogits = rng.standard_normal((T, B, 12, 2)) * mask[:, :, None, None]
 
-    want, caches = reference.policy_forward_sequence(net, images, vecs)
-    net.zero_grads()
-    reference.policy_backward_sequence(net, dlogits, caches)
-    want_grads = {k: g.copy() for k, g in net.gradients().items()}
+    want, caches = reference.policy_forward_sequence(ref, images, vecs)
+    ref.zero_grads()
+    reference.policy_backward_sequence(ref, dlogits, caches)
 
     got, cache = net.forward_sequence(images, vecs)
+    assert cache_dtypes(cache) == {np.dtype(dtype)}  # every buffer in the network's dtype
     net.zero_grads()
     net.backward_sequence(dlogits, cache)
-    assert_close_to_reference(got, want, "logits")
+    assert_close_to_reference(got, want, "logits", dtype)
+    want_grads = ref.gradients()
     for name, grad in net.gradients().items():
-        assert_close_to_reference(grad, want_grads[name], name)
+        assert_close_to_reference(grad, want_grads[name], name, dtype)
 
 
-@pytest.mark.parametrize("T,B", SEQUENCE_SHAPES)
-def test_value_kernel_matches_per_step_reference(T, B):
-    _, net = build_networks(T + B)
+@pytest.mark.parametrize("T,B,dtype", KERNEL_CASES)
+def test_value_kernel_matches_per_step_reference(T, B, dtype):
+    net = ValueNetwork(seed=T + B, dtype=dtype)
+    ref = float64_twin(net)
     rng = np.random.default_rng(1000 * T + B + 1)
     mask = padded_mask(rng, T, B)
     xs = rng.normal(0.0, 0.5, size=(T, B, 13)) * mask[:, :, None]
     dvalues = rng.standard_normal((T, B)) * mask
 
-    want, caches = reference.value_forward_sequence(net, xs)
-    net.zero_grads()
-    reference.value_backward_sequence(net, dvalues, caches)
-    want_grads = {k: g.copy() for k, g in net.gradients().items()}
+    want, caches = reference.value_forward_sequence(ref, xs)
+    ref.zero_grads()
+    reference.value_backward_sequence(ref, dvalues, caches)
 
     got, cache = net.forward_sequence(xs)
+    assert cache_dtypes(cache) == {np.dtype(dtype)}
     net.zero_grads()
     net.backward_sequence(dvalues, cache)
-    assert_close_to_reference(got, want, "values")
+    assert_close_to_reference(got, want, "values", dtype)
+    want_grads = ref.gradients()
     for name, grad in net.gradients().items():
-        assert_close_to_reference(grad, want_grads[name], name)
+        assert_close_to_reference(grad, want_grads[name], name, dtype)
 
 
 def test_conv_patches_match_reference_loop():
@@ -515,11 +543,11 @@ def test_conv_patches_match_reference_at_batch_one_and_on_strided_views():
 
 
 # sha256 of the archives nn.save_checkpoint writes for build_networks(0),
-# bare and after one Adam step, with every weight row-major. The archives
-# written when wide weights were column-major hold the same names, shapes
-# and values; only their `.npy` headers and data order differ.
-BUILD_NETWORKS_0_SHA256 = "51099b701cbaf0d9b6f4aa2e88708e2dd3abcf0169c27e00b8b4149ff2239348"
-ONE_ADAM_STEP_SHA256 = "bc595815473b430f20dc33a7667234bfe1f44fa4bd0d0b908cdd2fb6244ef3f5"
+# float32, bare and after one Adam step, with every weight row-major. The
+# archives written when wide weights were column-major hold the same names,
+# shapes and values; only their `.npy` headers and data order differ.
+BUILD_NETWORKS_0_SHA256 = "888a479211933fac1b07d7e34caf9e7c2eb4eadf3135c6b9614c581316ed4a65"
+ONE_ADAM_STEP_SHA256 = "6879018fdfe92163dba4784277da3ff0b5ddf76a9fe475f868e0628e14f8d164"
 
 
 def test_checkpoint_bytes_of_fresh_networks_are_pinned(tmp_path):

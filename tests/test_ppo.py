@@ -361,10 +361,13 @@ def test_nonfinite_policy_step_aborts_update_without_stepping():
 
 def test_nonfinite_value_step_aborts_update_without_stepping():
     # critic outputs near 1e200 overflow the squared error but not the
-    # normalized advantages, so the first value minibatch aborts
+    # normalized advantages, so the first value minibatch aborts; float64
+    # networks, since a float32 bias would hold 1e200 as inf and the update
+    # would abort on the advantages instead
     rng = np.random.default_rng(9)
     batch = synthetic_batch(rng)
-    policy, value_net = build_networks(seed=13)
+    policy = nn.PolicyNetwork(seed=13, dtype=np.float64)
+    value_net = nn.ValueNetwork(seed=13, dtype=np.float64)
     value_net.layers["out"].b[...] = 1.0e200
     popt = nn.Adam(policy.parameters(), lr=3e-4)
     vopt = nn.Adam(value_net.parameters(), lr=1e-3)
