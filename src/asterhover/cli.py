@@ -216,14 +216,26 @@ def _drift(logits: np.ndarray) -> tuple[np.ndarray, None]:
     return np.zeros((1, 12)), None
 
 
+class _DriftPolicy:
+    """Rollout policy for free drift: zero logits, which `_drift` ignores,
+    and a zero-width hidden state, so no network runs."""
+
+    @staticmethod
+    def init_hidden(batch: int) -> np.ndarray:
+        return np.zeros((batch, 0))
+
+    @staticmethod
+    def step(images: np.ndarray, vecs: np.ndarray, hidden: np.ndarray):
+        return np.zeros((images.shape[0], nn.PolicyNetwork.NUM_THRUSTERS, 2)), hidden, None
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     overrides = parse_overrides(args.overrides)
     if args.mesh_file is not None:
         overrides["mesh_file"] = args.mesh_file
     cfg = get_scenario(args.scenario).episode_config(overrides)
 
-    # without a checkpoint a blank network runs and _drift ignores it
-    policy = load_policy(args.checkpoint, cfg) if args.checkpoint else nn.PolicyNetwork(seed=None)
+    policy = load_policy(args.checkpoint, cfg) if args.checkpoint else _DriftPolicy()
     env = scenario_env(args.scenario, cfg)
     write_resolved_config(
         args.out, "simulate",

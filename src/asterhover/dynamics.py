@@ -133,8 +133,9 @@ class ThrusterTable:
     """Fixed thruster layout in the spacecraft body frame.
 
     `rows` holds each thruster's (position, direction) as Python floats,
-    taken once at construction for :func:`body_force_torque`; only `health`
-    changes afterwards (an actuator failure)."""
+    taken once at construction for :func:`body_force_torque`, so
+    `positions` and `directions` are made read-only then: an edit would not
+    reach `rows`. Only `health` changes afterwards (an actuator failure)."""
 
     positions: np.ndarray   # (12, 3) mount points, m
     directions: np.ndarray  # (12, 3) unit force directions
@@ -142,6 +143,8 @@ class ThrusterTable:
     health: np.ndarray      # (12,) output scale, 1.0 when nominal
 
     def __post_init__(self) -> None:
+        self.positions.flags.writeable = False
+        self.directions.flags.writeable = False
         self.rows = list(zip(self.positions.tolist(), self.directions.tolist()))
 
 

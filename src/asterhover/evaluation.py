@@ -264,12 +264,12 @@ def summary_row(report: EvalReport) -> list[str]:
 
 
 def load_policy(checkpoint_path: str, *cfgs: EpisodeConfig) -> nn.PolicyNetwork:
-    """Policy parameters from a training checkpoint (critic discarded), to
-    fly episodes of each of `cfgs`.
+    """Policy parameters from a training checkpoint (the critic's arrays
+    are not read), to fly episodes of each of `cfgs`.
 
-    The policy computes in the checkpoint's dtype: the blank networks are
+    The policy computes in the checkpoint's dtype: the blank network is
     built in the dtype `train` writes, and a checkpoint stored in another,
-    such as one written before training moved to float32, rebuilds them in
+    such as one written before training moved to float32, rebuilds it in
     its own.
 
     Raises ConfigurationError when the checkpoint records an episode
@@ -277,9 +277,7 @@ def load_policy(checkpoint_path: str, *cfgs: EpisodeConfig) -> nn.PolicyNetwork:
     :func:`~asterhover.ppo.check_trained_episode`).
     """
     policy = nn.PolicyNetwork(seed=None, dtype=NETWORK_DTYPE)
-    meta = nn.load_checkpoint(
-        checkpoint_path, policy, nn.ValueNetwork(seed=None, dtype=NETWORK_DTYPE)
-    )
+    meta = nn.load_checkpoint(checkpoint_path, policy, None)
     for cfg in cfgs:
         check_trained_episode(checkpoint_path, meta["extra"], cfg)
     return policy

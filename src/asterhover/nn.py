@@ -164,8 +164,13 @@ class Conv2D:
         return {"W": self.gW, "b": self.gb}
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 0.5 + 0.5 * np.tanh(0.5 * x)
+def _sigmoid_in_place(x: np.ndarray) -> np.ndarray:
+    """The logistic sigmoid of `x`, written into it: 0.5 + 0.5*tanh(0.5*x)."""
+    x *= 0.5
+    np.tanh(x, out=x)
+    x *= 0.5
+    x += 0.5
+    return x
 
 
 class GRUCell:
@@ -208,71 +213,101 @@ class GRUCell:
             for name, view in views.items():
                 setattr(self, prefix + name, view)
 
-    def forward_sequence(self, xs: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, tuple]:
-        """T steps from (T, B, n_in) inputs and the (B, H) start state.
+    def forward_sequence(
+        self, xs: np.ndarray, h: np.ndarray, sizes: list[int]
+    ) -> tuple[np.ndarray, tuple]:
+        """``len(sizes)`` steps over packed rows: the (N, n_in) inputs hold
+        step t's ``sizes[t]`` rows in turn, and `h` is the (sizes[0], H)
+        start state. Sizes never grow, and row i of a step continues row i
+        of the step before, so each step runs on a prefix of the last one's
+        rows. Padded (T, B) sequences are the case ``sizes = [B] * T``.
 
-        Returns the (T+1, B, H) states, the start state first, and the
-        backward cache.
+        Returns the (sizes[0] + N, H) states, the start state first and
+        then each step's rows, and the backward cache.
         """
-        T, B = xs.shape[0], xs.shape[1]
         H = self.n_hidden
+        N, n0 = xs.shape[0], h.shape[0]
         dtype = self.W.dtype
-        gx = (xs.reshape(T * B, -1) @ self.W + self.b).reshape(T, B, 3 * H)
-        hs = np.empty((T + 1, B, H), dtype)
-        hs[0] = h
-        zr = np.empty((T, B, 2 * H), dtype)
-        c = np.empty((T, B, H), dtype)
-        for t in range(T):
-            zr[t] = _sigmoid(gx[t, :, :2 * H] + h @ self.U)
-            z, r = zr[t, :, :H], zr[t, :, H:]
-            c[t] = np.tanh(gx[t, :, 2 * H:] + (r * h) @ self.Uh)
-            h = hs[t + 1] = z * h + (1.0 - z) * c[t]
-        return hs, (xs, hs, zr, c)
+        gx = xs @ self.W + self.b
+        # The loop works on contiguous rows, in place where it can: numpy
+        # runs an op on a column slice of a wider array at about half the
+        # speed. Each product has its input term added to it (a + b is
+        # b + a bit for bit), so the states are those of
+        # sigmoid(gx + h @ U) and tanh(gx + (r * h) @ Uh) written out.
+        gx_zr, gx_c = np.ascontiguousarray(gx[:, :2 * H]), np.ascontiguousarray(gx[:, 2 * H:])
+        hs = np.empty((n0 + N, H), dtype)
+        hs[:n0] = h
+        zr = np.empty((N, 2 * H), dtype)
+        c = np.empty((N, H), dtype)
+        lo = 0
+        for n in sizes:
+            hi = lo + n
+            h = h[:n]
+            g = h @ self.U
+            g += gx_zr[lo:hi]
+            zr[lo:hi] = _sigmoid_in_place(g)
+            z, r = g[:, :H].copy(), g[:, H:].copy()
+            ct = (r * h) @ self.Uh
+            ct += gx_c[lo:hi]
+            np.tanh(ct, out=ct)
+            c[lo:hi] = ct
+            h = hs[n0 + lo:n0 + hi] = z * h + (1.0 - z) * ct
+            lo = hi
+        return hs, (xs, hs, zr, c, sizes)
 
     def backward_sequence(self, dhs: np.ndarray, cache: tuple) -> tuple[np.ndarray, np.ndarray]:
-        """Backpropagation through time from the (T, B, H) gradients that
-        reach each step's output from above.
+        """Backpropagation through time from the (N, H) gradients that
+        reach each step's output rows from above. A row's gradient stays
+        zero until the step where its sequence ends.
 
-        Accumulates parameter gradients; returns the (T, B, n_in) input
-        gradients and the gradient wrt the start state.
+        Accumulates parameter gradients; returns the (N, n_in) input
+        gradients and the gradient wrt the (sizes[0], H) start state.
         """
-        xs, hs, zr, c = cache
-        T, B, H = dhs.shape
-        h_prev, z, r = hs[:-1], zr[..., :H], zr[..., H:]
+        xs, hs, zr, c, sizes = cache
+        N, H = dhs.shape
+        n0 = sizes[0]
+        # Each row's start state. A step's rows start from the rows one
+        # step back, so with shrinking sizes step t's sit n0 - sizes[t-1]
+        # rows further on than its own; padded they are simply hs[:N].
+        h_prev = hs[:N]
+        if sizes[-1] != n0:
+            shift = np.repeat(n0 - np.array([n0, *sizes[:-1]]), sizes)
+            h_prev = hs[np.arange(N) + shift]
+        z, r = zr[:, :H], zr[:, H:]
         # Per-step factors that do not depend on the incoming gradient.
         dc_factor = (1.0 - z) * (1.0 - c * c)
         dz_factor = (h_prev - c) * z * (1.0 - z)
         dr_factor = h_prev * r * (1.0 - r)
         # Contiguous transposes: products with them run about twice as fast.
         UT, UhT = self.U.T.copy(), self.Uh.T.copy()
-        da = np.empty((T, B, 3 * H), UT.dtype)  # wrt the z, r and candidate pre-activations
-        dh = np.zeros((B, H), UT.dtype)
-        for t in range(T - 1, -1, -1):
-            dh += dhs[t]
-            da_z, da_r, da_c = da[t, :, :H], da[t, :, H:2 * H], da[t, :, 2 * H:]
-            np.multiply(dh, dc_factor[t], out=da_c)
+        da = np.empty((N, 3 * H), UT.dtype)  # wrt the z, r and candidate pre-activations
+        dh = np.zeros((n0, H), UT.dtype)
+        hi = N
+        for n in reversed(sizes):
+            lo = hi - n
+            d = dh[:n]
+            d += dhs[lo:hi]
+            da_z, da_r, da_c = da[lo:hi, :H], da[lo:hi, H:2 * H], da[lo:hi, 2 * H:]
+            np.multiply(d, dc_factor[lo:hi], out=da_c)
             drh = da_c @ UhT
-            np.multiply(dh, dz_factor[t], out=da_z)
-            np.multiply(drh, dr_factor[t], out=da_r)
-            dh = dh * z[t] + drh * r[t] + da[t, :, :2 * H] @ UT
-        n = T * B
-        da = da.reshape(n, 3 * H)
-        h_prev = h_prev.reshape(n, H)
-        self.gW += xs.reshape(n, -1).T @ da
+            np.multiply(d, dz_factor[lo:hi], out=da_z)
+            np.multiply(drh, dr_factor[lo:hi], out=da_r)
+            dh[:n] = d * z[lo:hi] + drh * r[lo:hi] + da[lo:hi, :2 * H] @ UT
+            hi = lo
+        self.gW += xs.T @ da
         self.gb += da.sum(axis=0)
         self.gU += h_prev.T @ da[:, :2 * H]
-        self.gUh += (r.reshape(n, H) * h_prev).T @ da[:, 2 * H:]
-        return (da @ self.W.T).reshape(T, B, -1), dh
+        self.gUh += (r * h_prev).T @ da[:, 2 * H:]
+        return da @ self.W.T, dh
 
     def forward(self, x: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, tuple]:
         """One step: (B, n_in) + (B, H) -> new (B, H) state and cache."""
-        hs, cache = self.forward_sequence(x[None], h)
-        return hs[1], cache
+        hs, cache = self.forward_sequence(x, h, [x.shape[0]])
+        return hs[x.shape[0]:], cache
 
     def backward(self, dh_new: np.ndarray, cache: tuple) -> tuple[np.ndarray, np.ndarray]:
         """Returns (dx, dh) and accumulates parameter gradients."""
-        dxs, dh = self.backward_sequence(dh_new[None], cache)
-        return dxs[0], dh
+        return self.backward_sequence(dh_new, cache)
 
     def params(self) -> dict[str, np.ndarray]:
         return {n: getattr(self, n) for n in self.NAMES}
@@ -285,9 +320,64 @@ class GRUCell:
 # Networks
 #
 # Each network has one sequence kernel: every layer outside the recurrence
-# runs once over all T*B rows, and only the GRU's hidden-state products stay
+# runs once over all its rows, and only the GRU's hidden-state products stay
 # in the time loop. ``step`` is the kernel at T=1; ``forward_sequence`` and
 # ``backward_sequence`` never call each other or ``step``.
+
+class _Rows:
+    """The rows a sequence kernel runs on for a (T, B) batch: one per real
+    step, time-major.
+
+    Without `lengths`, or when every column is T steps long, these are all
+    T*B rows in their own order, and :meth:`gather` and :meth:`scatter`
+    only reshape. Otherwise column b holds ``lengths[b]`` real steps
+    followed by padding: the columns are ordered longest first (a stable
+    sort), step t keeps the first ``sizes[t]`` of them, and the real rows
+    are gathered once per input and scattered back into zero-padded
+    (T, B, ...) outputs.
+    """
+
+    __slots__ = ("T", "B", "sizes", "order", "index")  # one is built per step
+
+    def __init__(self, T: int, B: int, lengths=None):
+        self.T, self.B = T, B
+        self.sizes = [B] * T
+        self.order = self.index = None
+        if lengths is None:
+            return
+        lengths = np.asarray(lengths)
+        if (lengths.shape != (B,) or lengths.dtype.kind not in "iu"
+                or lengths.min() < 1 or lengths.max() > T):
+            raise ConfigurationError(
+                f"lengths must be {B} integers in [1, {T}], got {lengths!r}"
+            )
+        if lengths.min() == T:
+            return
+        self.order = np.argsort(-lengths, kind="stable")
+        live = np.arange(T)[:, None] < lengths[self.order]
+        self.sizes = np.count_nonzero(live, axis=1)[:lengths.max()].tolist()
+        self.index = (np.arange(T)[:, None] * B + self.order)[live]
+
+    def gather(self, a: np.ndarray, dtype=None) -> np.ndarray:
+        """(T, B, ...) -> the (N, ...) real rows, in `dtype` when given."""
+        rows = a.reshape(self.T * self.B, *a.shape[2:])
+        if self.index is not None:
+            rows = rows[self.index]
+        return rows if dtype is None else np.asarray(rows, dtype)
+
+    def columns(self, a: np.ndarray) -> np.ndarray:
+        """(B, ...) per-column values in the order the rows take them."""
+        return a if self.order is None else a[self.order]
+
+    def scatter(self, rows: np.ndarray) -> np.ndarray:
+        """(N, ...) rows -> (T, B, ...), zero on padded steps."""
+        shape = (self.T, self.B, *rows.shape[1:])
+        if self.index is None:
+            return rows.reshape(shape)
+        out = np.zeros((self.T * self.B, *rows.shape[1:]), rows.dtype)
+        out[self.index] = rows
+        return out.reshape(shape)
+
 
 class _Network:
     """Shared parameter bookkeeping; subclasses define the layer dict.
@@ -377,9 +467,11 @@ class PolicyNetwork(_Network):
         return np.zeros((batch, self.HIDDEN), self.dtype)
 
     def _forward(
-        self, images: np.ndarray, vecs: np.ndarray, hidden: np.ndarray
+        self, images: np.ndarray, vecs: np.ndarray, hidden: np.ndarray, lengths=None
     ) -> tuple[np.ndarray, np.ndarray, tuple]:
-        """(T,B,8,8,2) + (T,B,7) + (B,154) -> logits (T,B,12,2), last hidden, cache."""
+        """(T,B,8,8,2) + (T,B,7) + (B,154) -> logits (T,B,12,2), the GRU
+        states (see :meth:`GRUCell.forward_sequence`) and the cache; with
+        `lengths`, over the real steps only (see :class:`_Rows`)."""
         G, C = self.GRID, self.IMAGE_CHANNELS
         if images.ndim != 5 or images.shape[2:] != (G, G, C):
             raise ConfigurationError(f"image must be (B, {G}, {G}, {C}), got {images.shape[1:]}")
@@ -388,45 +480,52 @@ class PolicyNetwork(_Network):
                 f"vector part must be (B, {self.VEC_DIM}), got {vecs.shape[1:]}"
             )
         T, B = images.shape[0], images.shape[1]
-        n = T * B
+        rows = _Rows(T, B, lengths)
         L = self.layers
-        x = np.asarray(images, self.dtype).reshape(n, G, G, C)
+        x = rows.gather(images, self.dtype)
+        n = x.shape[0]
         a1 = np.maximum(L["conv1"].forward(x)[0], 0.0)
         a2 = np.maximum(L["conv2"].forward(a1)[0], 0.0)
         joined = np.concatenate(
-            [a2.reshape(n, -1), vecs.reshape(n, -1)], axis=1, dtype=self.dtype
+            [a2.reshape(n, -1), rows.gather(vecs)], axis=1, dtype=self.dtype
         )
         t1 = np.tanh(L["fc1"].forward(joined)[0])
         hs, cache_g = L["gru"].forward_sequence(
-            t1.reshape(T, B, -1), np.asarray(hidden, self.dtype)
+            t1, rows.columns(np.asarray(hidden, self.dtype)), rows.sizes
         )
-        t3 = np.tanh(L["fc3"].forward(hs[1:].reshape(n, -1))[0])
-        logits = L["out"].forward(t3)[0].reshape(T, B, self.NUM_THRUSTERS, 2)
-        return logits, hs[-1], (x, a1, a2, joined, t1, hs, cache_g, t3)
+        t3 = np.tanh(L["fc3"].forward(hs[B:])[0])
+        logits = rows.scatter(L["out"].forward(t3)[0].reshape(n, self.NUM_THRUSTERS, 2))
+        return logits, hs, (x, a1, a2, joined, rows, hs, cache_g, t3)
 
     def step(
         self, image: np.ndarray, vec: np.ndarray, hidden: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, tuple]:
         """One control step: (B,8,8,2) + (B,7) + (B,154) -> logits (B,12,2)."""
-        logits, h_new, cache = self._forward(image[None], vec[None], hidden)
-        return logits[0], h_new, cache
+        logits, hs, cache = self._forward(image[None], vec[None], hidden)
+        return logits[0], hs[image.shape[0]:], cache
 
-    def forward_sequence(self, images: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, tuple]:
+    def forward_sequence(
+        self, images: np.ndarray, vecs: np.ndarray, lengths=None
+    ) -> tuple[np.ndarray, tuple]:
         """(T,B,8,8,2) + (T,B,7) -> logits (T,B,12,2) plus the backward
-        cache, from a zero hidden state."""
-        logits, _, cache = self._forward(images, vecs, self.init_hidden(images.shape[1]))
+        cache, from a zero hidden state. With per-column `lengths`, column b
+        runs its first ``lengths[b]`` steps only, and its later logits are
+        zero."""
+        B = images.shape[1]
+        logits, _, cache = self._forward(images, vecs, self.init_hidden(B), lengths)
         return logits, cache
 
     def backward_sequence(self, dlogits: np.ndarray, cache: tuple) -> None:
-        """Backpropagation through time; gradients accumulate into the layers."""
-        x, a1, a2, joined, t1, hs, cache_g, t3 = cache
-        T, B = dlogits.shape[0], dlogits.shape[1]
-        n = T * B
+        """Backpropagation through time; gradients accumulate into the
+        layers. Only the steps the forward ran take part."""
+        x, a1, a2, joined, rows, hs, cache_g, t3 = cache
+        t1 = cache_g[0]  # the GRU's input
+        n = x.shape[0]
         L = self.layers
-        dt3 = L["out"].backward(np.asarray(dlogits, self.dtype).reshape(n, -1), t3)
-        dh = L["fc3"].backward(dt3 * (1.0 - t3 * t3), hs[1:].reshape(n, -1))
-        dt1, _ = L["gru"].backward_sequence(dh.reshape(T, B, -1), cache_g)
-        djoined = L["fc1"].backward(dt1.reshape(n, -1) * (1.0 - t1 * t1), joined)
+        dt3 = L["out"].backward(rows.gather(dlogits, self.dtype).reshape(n, -1), t3)
+        dh = L["fc3"].backward(dt3 * (1.0 - t3 * t3), hs[rows.B:])
+        dt1, _ = L["gru"].backward_sequence(dh, cache_g)
+        djoined = L["fc1"].backward(dt1 * (1.0 - t1 * t1), joined)
         dc2 = djoined[:, : self.flat_dim].reshape(a2.shape) * (a2 > 0.0)
         da1 = L["conv2"].backward(dc2, a1)
         L["conv1"].accumulate(da1 * (a1 > 0.0), x)  # the image gradient has no use
@@ -451,40 +550,46 @@ class ValueNetwork(_Network):
     def init_hidden(self, batch: int) -> np.ndarray:
         return np.zeros((batch, self.HIDDEN), self.dtype)
 
-    def forward_sequence(self, xs: np.ndarray) -> tuple[np.ndarray, tuple]:
+    def forward_sequence(self, xs: np.ndarray, lengths=None) -> tuple[np.ndarray, tuple]:
         """(T,B,13) -> values (T,B) plus the backward cache, from a zero
-        hidden state."""
+        hidden state; with `lengths`, as :meth:`PolicyNetwork.forward_sequence`."""
         if xs.ndim != 3 or xs.shape[2] != self.INPUT_DIM:
             raise ConfigurationError(
                 f"critic input must be (B, {self.INPUT_DIM}), got {xs.shape[1:]}"
             )
         T, B = xs.shape[0], xs.shape[1]
-        n = T * B
+        rows = _Rows(T, B, lengths)
         L = self.layers
-        x = np.asarray(xs, self.dtype).reshape(n, -1)
+        x = rows.gather(xs, self.dtype)
         t1 = np.tanh(L["fc1"].forward(x)[0])
-        hs, cache_g = L["gru"].forward_sequence(t1.reshape(T, B, -1), self.init_hidden(B))
-        t3 = np.tanh(L["fc3"].forward(hs[1:].reshape(n, -1))[0])
-        values = L["out"].forward(t3)[0].reshape(T, B)
-        return values, (x, t1, hs, cache_g, t3)
+        hs, cache_g = L["gru"].forward_sequence(t1, self.init_hidden(B), rows.sizes)
+        t3 = np.tanh(L["fc3"].forward(hs[B:])[0])
+        values = rows.scatter(L["out"].forward(t3)[0].reshape(-1))
+        return values, (x, rows, hs, cache_g, t3)
 
     def backward_sequence(self, dvalues: np.ndarray, cache: tuple) -> None:
-        x, t1, hs, cache_g, t3 = cache
-        T, B = dvalues.shape
-        n = T * B
+        x, rows, hs, cache_g, t3 = cache
+        t1 = cache_g[0]  # the GRU's input
         L = self.layers
-        dt3 = L["out"].backward(np.asarray(dvalues, self.dtype).reshape(n, 1), t3)
-        dh = L["fc3"].backward(dt3 * (1.0 - t3 * t3), hs[1:].reshape(n, -1))
-        dt1, _ = L["gru"].backward_sequence(dh.reshape(T, B, -1), cache_g)
-        L["fc1"].accumulate(dt1.reshape(n, -1) * (1.0 - t1 * t1), x)
+        dt3 = L["out"].backward(rows.gather(dvalues, self.dtype).reshape(-1, 1), t3)
+        dh = L["fc3"].backward(dt3 * (1.0 - t3 * t3), hs[rows.B:])
+        dt1, _ = L["gru"].backward_sequence(dh, cache_g)
+        L["fc1"].accumulate(dt1 * (1.0 - t1 * t1), x)
 
 
 # --------------------------------------------------------------------------
 # Multi-categorical distribution over 12 independent two-way heads
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    """Log-probabilities of each two-way head of (..., 2) `logits`.
+
+    The max and the sum over a pair are one elementwise operation each:
+    they give the bits of ``max`` / ``sum`` over the last axis at a fraction
+    of the cost, since numpy reduces a length-2 axis element by element.
+    """
+    z = logits - np.maximum(logits[..., :1], logits[..., 1:])
+    e = np.exp(z)
+    return z - np.log(e[..., :1] + e[..., 1:])
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -630,11 +735,12 @@ def _section(data, prefix: str) -> dict[str, np.ndarray]:
 def load_checkpoint(
     path: str,
     policy: PolicyNetwork,
-    value: ValueNetwork,
+    value: ValueNetwork | None,
     policy_opt: Adam | None = None,
     value_opt: Adam | None = None,
 ) -> dict:
-    """Restore networks (and optionally optimizer state) in place.
+    """Restore networks (and optionally optimizer state) in place. With
+    `value` None only the policy's arrays are read.
 
     The networks adopt the stored dtype (see :meth:`_Network.load_parameters`).
     An optimizer holds the arrays of the networks it steps, so a load with
@@ -649,7 +755,9 @@ def load_checkpoint(
             raise ConfigurationError(
                 f"checkpoint version {meta.get('version')} not supported"
             )
-        stored = {policy: _section(data, "policy"), value: _section(data, "value")}
+        stored = {policy: _section(data, "policy")}
+        if value is not None:
+            stored[value] = _section(data, "value")
         if policy_opt is not None or value_opt is not None:
             for net, arrays in stored.items():
                 other = sorted({str(a.dtype) for a in arrays.values()} - {str(net.dtype)})

@@ -9,8 +9,9 @@ policies.
 
 Minibatches are whole episodes, never shuffled transitions: the recurrent
 hidden state must be replayed in order from the episode start. Episodes are
-zero-padded to a common length and masked, which is exact because gradients
-are linear in the upstream seed and padded steps get zero upstream.
+zero-padded to a common length and masked, and the networks run on the real
+steps alone (each mask's column lengths): padded steps come after an
+episode's real ones, so they change neither its outputs nor its gradients.
 
 All randomness is derived from named seed streams, so a rerun of the same
 config is bit-identical and training can resume from a checkpoint without
@@ -122,7 +123,7 @@ class RolloutBatch:
     """A batch of episodes with zero-padded time-major array views.
 
     Each per-step field (STEP_FIELDS) is padded to (T_max, B, ...), with
-    mask[t, b] = 1 on real steps; the network inputs (images, vecs and
+    mask[t, b] = 1 on the ``lengths[b]`` real steps; the network inputs (images, vecs and
     value_inputs) are stored in the networks' `dtype`, so that minibatch
     slices reach them without another cast. Returns, values, and advantages
     are filled in by compute_advantages.
@@ -141,7 +142,8 @@ class RolloutBatch:
             for b, ep in enumerate(episodes):
                 padded[:ep.length, b] = getattr(ep, name)
             setattr(self, name, padded)
-        self.mask = (np.arange(T)[:, None] < [ep.length for ep in episodes]).astype(np.float64)
+        self.lengths = np.array([ep.length for ep in episodes])
+        self.mask = (np.arange(T)[:, None] < self.lengths).astype(np.float64)
         self.returns = np.zeros((T, B))
         self.values = np.zeros((T, B))
         self.advantages = np.zeros((T, B))
@@ -241,7 +243,7 @@ def compute_advantages(
     """
     # padded rewards are 0, so each episode's padded returns stay 0
     batch.returns = discounted_returns(batch.rewards, gamma)
-    values, _ = value_net.forward_sequence(batch.value_inputs)
+    values, _ = value_net.forward_sequence(batch.value_inputs, batch.lengths)
     batch.values = values * batch.mask
     raw = (batch.returns - batch.values) * batch.mask
     total = batch.mask.sum()
@@ -284,6 +286,15 @@ def _all_finite(arrays) -> bool:
     return all(np.isfinite(a).all() for a in arrays)
 
 
+def _mask_lengths(mask: np.ndarray) -> np.ndarray:
+    """The column lengths of a (T, B) mask, which must mark a prefix of
+    each column: the networks run on the real steps only."""
+    lengths = np.count_nonzero(mask, axis=0)
+    if not np.array_equal(mask, np.arange(mask.shape[0])[:, None] < lengths):
+        raise ConfigurationError("mask must mark the first steps of each episode")
+    return lengths
+
+
 def policy_minibatch_step(
     policy: nn.PolicyNetwork,
     optimizer: nn.Adam,
@@ -300,7 +311,7 @@ def policy_minibatch_step(
     Returns (objective, clip fraction, ok). ok=False means a non-finite
     quantity appeared and no step was taken.
     """
-    logits, caches = policy.forward_sequence(images, vecs)
+    logits, caches = policy.forward_sequence(images, vecs, _mask_lengths(mask))
     logp_new = nn.action_log_prob(logits, actions)
     ratio = np.exp(logp_new - logp_old)
     unclipped = ratio * advantages
@@ -333,7 +344,7 @@ def value_minibatch_step(
     mask: np.ndarray,
 ) -> tuple[float, bool]:
     """One descent step on mean squared return-prediction error."""
-    values, caches = value_net.forward_sequence(inputs)
+    values, caches = value_net.forward_sequence(inputs, _mask_lengths(mask))
     err = (values - returns) * mask
     denom = mask.sum()
     loss = float((err**2).sum() / denom)
@@ -350,7 +361,7 @@ def value_minibatch_step(
 
 def measure_kl(policy: nn.PolicyNetwork, batch: RolloutBatch) -> float:
     """Exact KL(old || current) averaged over valid steps."""
-    logits, _ = policy.forward_sequence(batch.images, batch.vecs)
+    logits, _ = policy.forward_sequence(batch.images, batch.vecs, batch.lengths)
     return masked_mean(nn.kl_divergence(batch.logits_old, logits), batch.mask)
 
 
@@ -367,9 +378,11 @@ def ppo_update(
     """Several epochs of minibatch updates on one batch.
 
     Advantages are recomputed with a fresh critic replay at the start of
-    every epoch. The measured KL stops further policy steps once it exceeds
-    1.5x the target; critic regression continues through all epochs. Any
-    non-finite loss or gradient aborts the update before the offending step.
+    every epoch that takes policy steps. The measured KL stops further
+    policy steps once it exceeds 1.5x the target; critic regression
+    continues through all epochs, on the returns, which no replay changes.
+    Any non-finite loss or gradient aborts the update before the offending
+    step.
     """
     eps = cfg.clip_eps if clip_eps is None else clip_eps
     kl = 0.0
@@ -379,10 +392,11 @@ def ppo_update(
     policy_active = True
     failed = None  # what went non-finite, which ends the update
     for epoch in range(cfg.epochs):
-        compute_advantages(batch, cfg.gamma, value_net)
-        if not np.isfinite(batch.advantages).all():
-            failed = "advantages"
-            break
+        if policy_active:  # nothing reads the advantages after the KL stop
+            compute_advantages(batch, cfg.gamma, value_net)
+            if not np.isfinite(batch.advantages).all():
+                failed = "advantages"
+                break
         order = rng.permutation(batch.num_episodes)
         for start in range(0, batch.num_episodes, cfg.minibatch_episodes):
             mb = order[start:start + cfg.minibatch_episodes]

@@ -79,6 +79,29 @@ def gru_forward(cell, x, h):
     return h_new, (x, h, z, r, c)
 
 
+def gru_sequence_written_out(cell, xs, h, sizes):
+    """GRUCell.forward_sequence's loop over packed rows with each step's
+    expressions written out, as it was before the loop worked in place:
+    the states and the cached gates must come out bit for bit the same."""
+    H = cell.n_hidden
+    n0, N = h.shape[0], xs.shape[0]
+    gx = xs @ cell.W + cell.b
+    hs = np.empty((n0 + N, H), cell.W.dtype)
+    hs[:n0] = h
+    zr = np.empty((N, 2 * H), cell.W.dtype)
+    c = np.empty((N, H), cell.W.dtype)
+    lo = 0
+    for n in sizes:
+        hi = lo + n
+        h = h[:n]
+        zr[lo:hi] = 0.5 + 0.5 * np.tanh(0.5 * (gx[lo:hi, :2 * H] + h @ cell.U))
+        z, r = zr[lo:hi, :H], zr[lo:hi, H:]
+        c[lo:hi] = np.tanh(gx[lo:hi, 2 * H:] + (r * h) @ cell.Uh)
+        h = hs[n0 + lo:n0 + hi] = z * h + (1.0 - z) * c[lo:hi]
+        lo = hi
+    return hs, zr, c
+
+
 def gru_backward(cell, dh_new, cache):
     x, h, z, r, c = cache
     dz = dh_new * (h - c)

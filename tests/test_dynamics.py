@@ -617,12 +617,7 @@ def test_body_force_torque_matches_reference_bitwise(com, rng):
     assert force.tobytes() == torque.tobytes() == np.zeros(3).tobytes()
 
 
-def test_body_force_torque_signed_zero_table():
-    # Negative zeros in the table itself: every product and partial sum
-    # keeps the reference's sign.
-    table = default_thruster_table()
-    table.positions[table.positions == 0.0] = -0.0
-    table.directions[table.directions == 0.0] = -0.0
+def assert_sums_match_reference(table):
     for bits in range(0, 4096, 91):
         action = np.array([(bits >> k) & 1 for k in range(12)], dtype=np.float64)
         for com_offset in (None, np.array([-0.0, -0.0, -0.0])):
@@ -630,6 +625,25 @@ def test_body_force_torque_signed_zero_table():
             want = body_force_torque_reference(action, table, com_offset)
             assert got[0].tobytes() == want[0].tobytes()
             assert got[1].tobytes() == want[1].tobytes()
+
+
+def test_body_force_torque_signed_zero_table():
+    # Negative zeros in the table itself: every product and partial sum
+    # keeps the reference's sign. A built table's layout is read-only (its
+    # rows are taken at construction), so the table is built from edited
+    # arrays.
+    base = default_thruster_table()
+    with pytest.raises(ValueError):
+        base.positions[base.positions == 0.0] = -0.0
+    with pytest.raises(ValueError):
+        base.directions[0, 0] = 2.0
+    base.health[3] = 0.5  # an actuator failure still edits the table in place
+    positions, directions = base.positions.copy(), base.directions.copy()
+    positions[positions == 0.0] = -0.0
+    directions[directions == 0.0] = -0.0
+    assert_sums_match_reference(
+        ThrusterTable(positions, directions, base.max_thrust, base.health)
+    )
 
 
 def test_body_force_torque_signed_zero_rows():
@@ -642,13 +656,7 @@ def test_body_force_torque_signed_zero_rows():
         base.max_thrust, base.health,
     )
     assert math.copysign(1.0, table.rows[0][0][1]) == -1.0  # thruster 0's y arm
-    for bits in range(0, 4096, 91):
-        action = np.array([(bits >> k) & 1 for k in range(12)], dtype=np.float64)
-        for com_offset in (None, np.array([-0.0, -0.0, -0.0])):
-            got = body_force_torque(action, table, com_offset)
-            want = body_force_torque_reference(action, table, com_offset)
-            assert got[0].tobytes() == want[0].tobytes()
-            assert got[1].tobytes() == want[1].tobytes()
+    assert_sums_match_reference(table)
 
 
 @pytest.mark.parametrize(

@@ -251,13 +251,11 @@ def test_load_policy_draws_nothing(tmp_path, monkeypatch):
         assert got[name].tobytes() == arr.tobytes(), name
 
 
-@pytest.mark.parametrize("name, value", [
-    ("policy/fc3.W", None), ("policy/gru.Uh", np.zeros((154, 153))),
-    ("value/out.b", None), ("value/fc1.W", np.zeros((13, 2))),
-])
-def test_load_policy_refuses_missing_or_misshapen_arrays(tmp_path, name, value):
-    path = str(tmp_path / "ck.npz")
-    nn.save_checkpoint(path, nn.PolicyNetwork(seed=21), nn.ValueNetwork(seed=22))
+def damaged_checkpoint(path, name, value):
+    """Write networks 21 / 22 to `path` with array `name` dropped (value
+    None) or replaced; returns the policy."""
+    policy = nn.PolicyNetwork(seed=21)
+    nn.save_checkpoint(path, policy, nn.ValueNetwork(seed=22))
     with np.load(path) as data:
         arrays = dict(data)
     if value is None:
@@ -265,8 +263,39 @@ def test_load_policy_refuses_missing_or_misshapen_arrays(tmp_path, name, value):
     else:
         arrays[name] = value
     np.savez(path, **arrays)
+    return policy
+
+
+@pytest.mark.parametrize("name, value", [
+    ("policy/fc3.W", None), ("policy/gru.Uh", np.zeros((154, 153))),
+])
+def test_load_policy_refuses_missing_or_misshapen_arrays(tmp_path, name, value):
+    path = str(tmp_path / "ck.npz")
+    damaged_checkpoint(path, name, value)
     with pytest.raises(ConfigurationError, match=name.split("/")[1]):
         load_policy(path, EpisodeConfig())
+
+
+@pytest.mark.parametrize("name, value", [
+    ("value/out.b", None), ("value/fc1.W", np.zeros((13, 2))),
+])
+def test_load_policy_reads_no_critic_array(tmp_path, monkeypatch, name, value):
+    # only the metadata and the policy's arrays are read, so a damaged
+    # critic does not stop its policy from loading
+    path = str(tmp_path / "ck.npz")
+    want = damaged_checkpoint(path, name, value)
+    read = []
+    original = np.lib.npyio.NpzFile.__getitem__
+
+    def recording(self, key):
+        read.append(key)
+        return original(self, key)
+
+    monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", recording)
+    got = load_policy(path, EpisodeConfig()).parameters()
+    assert sorted(read) == ["__meta__", *sorted(f"policy/{k}" for k in want.parameters())]
+    for k, arr in want.parameters().items():
+        assert got[k].tobytes() == arr.tobytes(), k
 
 
 def test_load_policy_computes_in_a_float32_checkpoints_dtype(tmp_path):

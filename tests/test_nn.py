@@ -441,10 +441,14 @@ def assert_close_to_reference(got, want, label, dtype=np.float64):
 
 
 def cache_dtypes(cache):
-    """The dtypes of the arrays in a nested backward cache."""
+    """The dtypes of the arrays in a nested backward cache; the GRU's step
+    sizes and the network's row plan (nn._Rows) are not tuples and hold no
+    buffer of the network's."""
     if isinstance(cache, np.ndarray):
         return {cache.dtype}
-    return set().union(*map(cache_dtypes, cache))
+    if isinstance(cache, tuple):
+        return set().union(*map(cache_dtypes, cache))
+    return set()
 
 
 def float64_twin(net):
@@ -506,6 +510,112 @@ def test_value_kernel_matches_per_step_reference(T, B, dtype):
     want_grads = ref.gradients()
     for name, grad in net.gradients().items():
         assert_close_to_reference(grad, want_grads[name], name, dtype)
+
+
+# --------------------------------------------------------------------------
+# Packed sequences: with per-column lengths the kernels run on the real steps
+# only. The products then run over fewer rows, which rounds differently, so
+# the real positions and gradients are held to the padded kernel within
+# KERNEL_RTOL; padded positions are exact zeros. Inputs at padded steps are
+# noise here: neither kernel may let them reach a real step.
+
+PACKED_CASES = [
+    pytest.param(T, B, dtype, id=f"{T}-{B}-{np.dtype(dtype).name}")
+    for dtype in (np.float64, np.float32) for T, B in ((7, 5), (40, 10))
+]
+
+
+def unsorted_lengths(rng, T, B):
+    """B lengths in [1, T - 1], out of order, one of them 1, so that no
+    column is T steps long and the last step has no rows at all."""
+    lengths = rng.integers(2, T, size=B)
+    lengths[B // 2] = 1
+    assert np.any(np.diff(lengths) > 0)
+    return lengths
+
+
+def run_kernel(net, inputs, upstream, lengths):
+    outputs, cache = net.forward_sequence(*inputs, lengths)
+    net.zero_grads()
+    net.backward_sequence(upstream, cache)
+    return outputs, {k: g.copy() for k, g in net.gradients().items()}
+
+
+def assert_packed_matches_padded(net, inputs, upstream, lengths, dtype):
+    T = upstream.shape[0]
+    live = np.arange(T)[:, None] < lengths
+    mask = live.reshape(live.shape + (1,) * (upstream.ndim - 2))
+    padded, padded_grads = run_kernel(net, inputs, upstream * mask, None)
+    packed, packed_grads = run_kernel(net, inputs, upstream * mask, lengths)
+    assert packed.dtype == padded.dtype == dtype
+    assert np.all(packed[~live] == 0.0)
+    assert_close_to_reference(packed[live], padded[live], "outputs", dtype)
+    for name, grad in packed_grads.items():
+        assert_close_to_reference(grad, padded_grads[name], name, dtype)
+
+
+@pytest.mark.parametrize("T,B,dtype", PACKED_CASES)
+def test_packed_policy_kernel_matches_padded_kernel(T, B, dtype):
+    rng = np.random.default_rng(10 * T + B)
+    inputs = policy_batch(rng, T, B)
+    upstream = rng.standard_normal((T, B, 12, 2))
+    net = PolicyNetwork(seed=T, dtype=dtype)
+    assert_packed_matches_padded(net, inputs, upstream, unsorted_lengths(rng, T, B), dtype)
+
+
+@pytest.mark.parametrize("T,B,dtype", PACKED_CASES)
+def test_packed_value_kernel_matches_padded_kernel(T, B, dtype):
+    rng = np.random.default_rng(10 * T + B + 1)
+    inputs = (rng.uniform(-1.0, 1.0, size=(T, B, 13)),)
+    upstream = rng.standard_normal((T, B))
+    net = ValueNetwork(seed=T, dtype=dtype)
+    assert_packed_matches_padded(net, inputs, upstream, unsorted_lengths(rng, T, B), dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_full_lengths_run_the_padded_kernel_bitwise(dtype):
+    rng = np.random.default_rng(17)
+    T, B = 9, 4
+    cases = (
+        (PolicyNetwork(seed=3, dtype=dtype), policy_batch(rng, T, B),
+         rng.standard_normal((T, B, 12, 2))),
+        (ValueNetwork(seed=3, dtype=dtype), (rng.uniform(-1.0, 1.0, size=(T, B, 13)),),
+         rng.standard_normal((T, B))),
+    )
+    for net, inputs, upstream in cases:
+        want, want_grads = run_kernel(net, inputs, upstream, None)
+        got, got_grads = run_kernel(net, inputs, upstream, np.full(B, T))
+        assert got.tobytes() == want.tobytes()
+        for name, grad in got_grads.items():
+            assert grad.tobytes() == want_grads[name].tobytes(), name
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("packed", [False, True], ids=["padded", "packed"])
+def test_gru_loop_gives_the_bits_of_its_written_out_form(dtype, packed):
+    # the time loop adds each product to its input term in place and takes
+    # the gates' sigmoid in place; the bits must be those of the plain
+    # expressions, or `step` and evaluation would change
+    rng = np.random.default_rng(29)
+    T, B, n_in, H = 30, 6, 9, 11
+    cell = GRUCell(rng, n_in, H, dtype=dtype)
+    cell.b[...] = rng.normal(0.0, 0.5, 3 * H)
+    lengths = unsorted_lengths(rng, T, B) if packed else np.full(B, T)
+    sizes = [int(np.sum(lengths > t)) for t in range(lengths.max())]
+    xs = rng.standard_normal((sum(sizes), n_in)).astype(dtype)
+    h = rng.normal(0.0, 0.5, (B, H)).astype(dtype)
+    hs, (_, _, zr, c, _) = cell.forward_sequence(xs, h, sizes)
+    want = reference.gru_sequence_written_out(cell, xs, h, sizes)
+    for got, ref in zip((hs, zr, c), want):
+        assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("lengths", [[3, 0], [3, 4], [3], [3.0, 2.0]],
+                         ids=["zero", "above-T", "one-per-batch", "float"])
+def test_sequence_lengths_are_checked(lengths):
+    net = ValueNetwork(seed=0)
+    with pytest.raises(ConfigurationError, match="lengths"):
+        net.forward_sequence(np.zeros((3, 2, 13)), np.array(lengths))
 
 
 def test_conv_patches_match_reference_loop():
@@ -650,6 +760,21 @@ def test_log_softmax_is_shift_invariant_and_stable():
     assert np.all(np.isfinite(lp))
     np.testing.assert_allclose(np.exp(lp).sum(), 1.0, rtol=1e-12)
     np.testing.assert_allclose(log_softmax(logits - 500.0), lp, atol=1e-12)
+
+
+def test_log_softmax_gives_the_bits_of_the_reduction_form():
+    # the pair's max and sum are written out elementwise; they must give
+    # the bits of numpy's reductions over the last axis, edge values too
+    rng = np.random.default_rng(19)
+    for dtype in (np.float32, np.float64):
+        logits = (rng.standard_normal((50, 7, 12, 2)) * 30.0).astype(dtype)
+        logits[0, 0, :7] = [[np.inf, 1.0], [-np.inf, 0.0], [np.nan, 1.0], [1.0, np.nan],
+                            [np.inf, np.inf], [-0.0, 0.0], [1e30, -1e30]]
+        with np.errstate(invalid="ignore"):
+            z = logits - logits.max(axis=-1, keepdims=True)
+            want = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+            got = log_softmax(logits)
+        assert got.dtype == dtype and got.tobytes() == want.tobytes()
 
 
 # --------------------------------------------------------------------------

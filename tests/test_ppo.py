@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from asterhover import nn
+from asterhover import nn, ppo
 from asterhover.env import EpisodeConfig, HoverEnv
 from asterhover.errors import ConfigurationError
 from asterhover.geometry import AsteroidDynRanges, AsteroidGenConfig
@@ -23,6 +23,7 @@ from asterhover.ppo import (
     compute_advantages,
     discounted_returns,
     latest_checkpoint,
+    measure_kl,
     policy_minibatch_step,
     ppo_update,
     train,
@@ -201,7 +202,7 @@ class _ReturnOracle:
             n = ep.length
             self.table[:n, b] = discounted_returns(batch.rewards[:n, b], gamma)
 
-    def forward_sequence(self, xs):
+    def forward_sequence(self, xs, lengths=None):
         return self.table.copy(), None
 
 
@@ -418,6 +419,66 @@ def test_large_steps_trigger_kl_early_stop():
     assert stats.policy_epochs < cfg.epochs
     assert stats.kl > 1.5 * cfg.kl_target
     assert stats.new_clip_eps < cfg.clip_eps
+
+
+def test_no_critic_replay_after_the_kl_stop(monkeypatch):
+    # After the KL stop no policy step reads the advantages, so the critic
+    # is replayed only at the start of the epochs that take policy steps.
+    # The second run puts back the replays the update made before, one
+    # ahead of each value step after the stop: stats and networks must not
+    # move.
+    env = HoverEnv(tiny_config())
+    cfg = small_ppo(epochs=6)
+    runs = []
+    for replay_after_stop in (False, True):
+        policy, value_net = build_networks(seed=15)
+        batch = collect_rollouts(env, policy, cfg, seed=22, batch_index=0)
+        replays, stopped = [], []
+
+        def counted_replay(*args):
+            replays.append(args)
+            return compute_advantages(*args)
+
+        def watched_kl(*args):
+            kl = measure_kl(*args)
+            if kl > 1.5 * cfg.kl_target:
+                stopped.append(kl)
+            return kl
+
+        def value_step(net, *args):
+            if replay_after_stop and stopped:
+                compute_advantages(batch, cfg.gamma, net)
+            return value_minibatch_step(net, *args)
+
+        monkeypatch.setattr(ppo, "compute_advantages", counted_replay)
+        monkeypatch.setattr(ppo, "measure_kl", watched_kl)
+        monkeypatch.setattr(ppo, "value_minibatch_step", value_step)
+        stats = ppo_update(
+            policy, value_net, batch, cfg,
+            nn.Adam(policy.parameters(), lr=5e-2),  # oversized, so the KL stops it
+            nn.Adam(value_net.parameters(), lr=1e-3), np.random.default_rng(2),
+        )
+        assert stopped and stats.policy_epochs < cfg.epochs
+        assert len(replays) == stats.policy_epochs
+        runs.append((stats, [p.tobytes() for net in (policy, value_net)
+                             for p in net.parameters().values()]))
+    assert runs[0] == runs[1]
+
+
+def test_minibatch_masks_must_mark_episode_prefixes():
+    rng = np.random.default_rng(6)
+    batch = synthetic_batch(rng)
+    policy, value_net = build_networks(seed=10)
+    mask = batch.mask.copy()
+    mask[0, 1] = 0.0  # a hole at the start of episode 1
+    with pytest.raises(ConfigurationError, match="mask"):
+        policy_minibatch_step(
+            policy, nn.Adam(policy.parameters()), batch.images, batch.vecs,
+            batch.actions, batch.logp_old, np.zeros_like(batch.logp_old), mask, 0.2,
+        )
+    with pytest.raises(ConfigurationError, match="mask"):
+        value_minibatch_step(value_net, nn.Adam(value_net.parameters()),
+                             batch.value_inputs, batch.returns, mask)
 
 
 # --------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import string
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from asterhover.cli import build_parser
@@ -13,6 +14,7 @@ from asterhover.cli import build_parser
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 import bench_pairs  # noqa: E402
+import learning_check  # noqa: E402
 import output_digests  # noqa: E402
 
 
@@ -53,3 +55,18 @@ def test_pooled_bench_record_keeps_every_comparison():
     pair["change"]["outputs"][0]["summary.csv"] = "0"
     _, rows = bench_pairs.pool_outputs([pair])
     assert not bench_pairs.same_outputs(pair, rows)
+
+
+def test_learning_check_reads_criterion_10_as_the_test_does():
+    # the measures of tests/test_acceptance.py's criterion 10, on a run of
+    # its 35 batches and on one too short for a moving-average step
+    rng = np.random.default_rng(3)
+    for batches in (35, 20):
+        pos_err = rng.uniform(5.0, 50.0, batches)
+        reward = np.cumsum(rng.normal(0.1, 1.0, batches))
+        got = learning_check.curriculum_stats(pos_err.tolist(), reward.tolist())
+        ratio = pos_err[-10:].mean() / pos_err[0]
+        drops = np.diff(np.convolve(reward, np.full(20, 1.0 / 20.0), mode="valid"))
+        assert got["final_over_untrained"] == pytest.approx(ratio, rel=1e-12)
+        assert got["min_ma_step"] == pytest.approx(drops.min() if drops.size else 0.0, abs=1e-9)
+        assert got["passes"] == (ratio <= 0.5 and np.min(drops, initial=0.0) >= -1.0e-9)
