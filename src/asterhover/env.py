@@ -84,6 +84,12 @@ COM_RANGE = 0.10        # centre-of-mass offset per component under com_variatio
 NOISE_BIAS_RANGE = 5.0  # per-episode range bias drawn from +-this under sensor_noise, m
 NOISE_SIGMA = 2.0       # per-sample range noise under sensor_noise, m
 
+# Control steps per episode (duration / control_period). The longest preset,
+# duration-1200, flies 200; each step of one lane keeps its inputs, action
+# and reward, 1388 bytes in training's collection buffers (ppo.STEP_FIELDS),
+# so one lane holds at most 13.9 MB of them.
+MAX_EPISODE_STEPS = 10_000
+
 
 @dataclass
 class EpisodeConfig:
@@ -122,8 +128,21 @@ class EpisodeConfig:
         steps = self.duration / self.control_period
         if abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
             raise ConfigurationError("duration must be an integer multiple of control_period")
+        if round(steps) > MAX_EPISODE_STEPS:
+            raise ConfigurationError(
+                f"duration / control_period must be at most {MAX_EPISODE_STEPS} steps, "
+                f"got {round(steps)}"
+            )
         if not (0.0 < self.range_min <= self.range_max):
             raise ConfigurationError("range must satisfy 0 < min <= max")
+        if self.range_max >= self.sensor.max_range:
+            # reset redraws an altitude at or past the sensor's reach (no beam
+            # can hit), so the top of such a range would never be flown and
+            # a range wholly past the reach would exhaust its draws
+            raise ConfigurationError(
+                f"range_max ({self.range_max:g} m) must be below "
+                f"sensor.max_range ({self.sensor.max_range:g} m)"
+            )
         if self.velocity_max < 0.0 or self.omega_max < 0.0 or self.attitude_err_max_deg < 0.0:
             raise ConfigurationError("IC ranges must be >= 0")
         if not (DRY_MASS <= self.wet_mass_min <= self.wet_mass_max):

@@ -74,7 +74,9 @@ class Linear:
         self.gb = np.zeros_like(self.b)
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return x @ self.W + self.b, x
+        y = x @ self.W
+        y += self.b  # in place: no second output-sized array
+        return y, x
 
     def accumulate(self, dy: np.ndarray, x: np.ndarray) -> None:
         """Adds the parameter gradients for upstream ``dy`` at input ``x``."""
@@ -135,7 +137,8 @@ class Conv2D:
                 f"conv input must be (B, H, W, {self.c_in}), got {x.shape}"
             )
         ho, wo = self.out_size(x.shape[1]), self.out_size(x.shape[2])
-        y = self._patches(x) @ self.W.reshape(-1, self.c_out) + self.b
+        y = self._patches(x) @ self.W.reshape(-1, self.c_out)
+        y += self.b
         return y.reshape(x.shape[0], ho, wo, self.c_out), x
 
     def accumulate(self, dy: np.ndarray, x: np.ndarray) -> None:
@@ -228,29 +231,28 @@ class GRUCell:
         H = self.n_hidden
         N, n0 = xs.shape[0], h.shape[0]
         dtype = self.W.dtype
-        gx = xs @ self.W + self.b
+        gx = xs @ self.W
+        gx += self.b
         # The loop works on contiguous rows, in place where it can: numpy
         # runs an op on a column slice of a wider array at about half the
-        # speed. Each product has its input term added to it (a + b is
-        # b + a bit for bit), so the states are those of
+        # speed. So the projection is split into its gate and candidate
+        # blocks once, and dropped; each step adds its products to its rows
+        # of those blocks and applies the sigmoid / tanh there, which leaves
+        # the gates and candidates the backward reads where the inputs were.
+        # a + b is b + a bit for bit, so the states are those of
         # sigmoid(gx + h @ U) and tanh(gx + (r * h) @ Uh) written out.
-        gx_zr, gx_c = np.ascontiguousarray(gx[:, :2 * H]), np.ascontiguousarray(gx[:, 2 * H:])
+        zr, c = np.ascontiguousarray(gx[:, :2 * H]), np.ascontiguousarray(gx[:, 2 * H:])
+        del gx
         hs = np.empty((n0 + N, H), dtype)
         hs[:n0] = h
-        zr = np.empty((N, 2 * H), dtype)
-        c = np.empty((N, H), dtype)
         lo = 0
         for n in sizes:
             hi = lo + n
             h = h[:n]
-            g = h @ self.U
-            g += gx_zr[lo:hi]
-            zr[lo:hi] = _sigmoid_in_place(g)
+            g = _sigmoid_in_place(np.add(zr[lo:hi], h @ self.U, out=zr[lo:hi]))
             z, r = g[:, :H].copy(), g[:, H:].copy()
-            ct = (r * h) @ self.Uh
-            ct += gx_c[lo:hi]
+            ct = np.add(c[lo:hi], (r * h) @ self.Uh, out=c[lo:hi])
             np.tanh(ct, out=ct)
-            c[lo:hi] = ct
             h = hs[n0 + lo:n0 + hi] = z * h + (1.0 - z) * ct
             lo = hi
         return hs, (xs, hs, zr, c, sizes)
@@ -467,11 +469,14 @@ class PolicyNetwork(_Network):
         return np.zeros((batch, self.HIDDEN), self.dtype)
 
     def _forward(
-        self, images: np.ndarray, vecs: np.ndarray, hidden: np.ndarray, lengths=None
-    ) -> tuple[np.ndarray, np.ndarray, tuple]:
+        self, images: np.ndarray, vecs: np.ndarray, hidden: np.ndarray, lengths=None,
+        cache: bool = True,
+    ) -> tuple[np.ndarray, np.ndarray, tuple | None]:
         """(T,B,8,8,2) + (T,B,7) + (B,154) -> logits (T,B,12,2), the GRU
         states (see :meth:`GRUCell.forward_sequence`) and the cache; with
-        `lengths`, over the real steps only (see :class:`_Rows`)."""
+        `lengths`, over the real steps only (see :class:`_Rows`). Without
+        `cache` the cache is None, and the activations below the GRU are
+        dropped before it runs."""
         G, C = self.GRID, self.IMAGE_CHANNELS
         if images.ndim != 5 or images.shape[2:] != (G, G, C):
             raise ConfigurationError(f"image must be (B, {G}, {G}, {C}), got {images.shape[1:]}")
@@ -490,11 +495,15 @@ class PolicyNetwork(_Network):
             [a2.reshape(n, -1), rows.gather(vecs)], axis=1, dtype=self.dtype
         )
         t1 = np.tanh(L["fc1"].forward(joined)[0])
+        if not cache:  # nothing reads them again; the GRU's projection is larger
+            del x, a1, a2, joined
         hs, cache_g = L["gru"].forward_sequence(
             t1, rows.columns(np.asarray(hidden, self.dtype)), rows.sizes
         )
         t3 = np.tanh(L["fc3"].forward(hs[B:])[0])
         logits = rows.scatter(L["out"].forward(t3)[0].reshape(n, self.NUM_THRUSTERS, 2))
+        if not cache:
+            return logits, hs, None
         return logits, hs, (x, a1, a2, joined, rows, hs, cache_g, t3)
 
     def step(
@@ -505,15 +514,17 @@ class PolicyNetwork(_Network):
         return logits[0], hs[image.shape[0]:], cache
 
     def forward_sequence(
-        self, images: np.ndarray, vecs: np.ndarray, lengths=None
-    ) -> tuple[np.ndarray, tuple]:
+        self, images: np.ndarray, vecs: np.ndarray, lengths=None, *, cache: bool = True
+    ) -> tuple[np.ndarray, tuple | None]:
         """(T,B,8,8,2) + (T,B,7) -> logits (T,B,12,2) plus the backward
         cache, from a zero hidden state. With per-column `lengths`, column b
         runs its first ``lengths[b]`` steps only, and its later logits are
-        zero."""
+        zero. With `cache` False the same kernel keeps no backward cache and
+        returns None for it: the logits have the same bits, and the GRU runs
+        with none of the activations below it alive."""
         B = images.shape[1]
-        logits, _, cache = self._forward(images, vecs, self.init_hidden(B), lengths)
-        return logits, cache
+        logits, _, kept = self._forward(images, vecs, self.init_hidden(B), lengths, cache)
+        return logits, kept
 
     def backward_sequence(self, dlogits: np.ndarray, cache: tuple) -> None:
         """Backpropagation through time; gradients accumulate into the
@@ -597,17 +608,26 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def action_log_prob(logits: np.ndarray, action: np.ndarray) -> np.ndarray:
-    """Sum over thrusters of log softmax(logits)[action]; shape (..., 12, 2) -> (...)."""
+    """Sum over thrusters of log softmax(logits)[action]; shape (..., 12, 2) -> (...).
+
+    Each head's term is picked elementwise by its 0/1 bit, which gives the
+    bits of indexing the pair at a fraction of the cost."""
     lp = log_softmax(logits)
-    idx = np.asarray(action, dtype=np.int64)[..., None]
-    return np.take_along_axis(lp, idx, axis=-1)[..., 0].sum(axis=-1)
+    return np.where(action, lp[..., 1], lp[..., 0]).sum(axis=-1)
 
 
 def kl_divergence(logits_old: np.ndarray, logits_new: np.ndarray) -> np.ndarray:
-    """KL(old || new), summed over the 12 heads."""
+    """KL(old || new), summed over the 12 heads.
+
+    Each head's two terms are added elementwise, as in :func:`log_softmax`.
+    That differs from the sum over the axis only on a pair of two -0.0
+    terms (the sum gives +0.0), which finite logits never make: the pair's
+    larger p_old is at least 1/2, and its log-ratio is zero or too large to
+    underflow with it."""
     lp_old = log_softmax(logits_old)
     lp_new = log_softmax(logits_new)
-    return (np.exp(lp_old) * (lp_old - lp_new)).sum(axis=-1).sum(axis=-1)
+    terms = np.exp(lp_old) * (lp_old - lp_new)
+    return (terms[..., 0] + terms[..., 1]).sum(axis=-1)
 
 
 def sample_multicategorical(
@@ -633,10 +653,14 @@ def greedy_action(logits: np.ndarray) -> np.ndarray:
 
 
 def logp_grad_logits(logits: np.ndarray, action: np.ndarray, coeff: np.ndarray) -> np.ndarray:
-    """Gradient of sum(coeff * log pi(action)) wrt logits: coeff*(one_hot - p)."""
+    """Gradient of sum(coeff * log pi(action)) wrt logits: coeff*(one_hot - p).
+
+    The one-hot columns are written from the 0/1 bits, which is cheaper than
+    scattering ones into zeros or casting a comparison."""
     p = softmax(logits)
-    onehot = np.zeros_like(p)
-    np.put_along_axis(onehot, np.asarray(action, dtype=np.int64)[..., None], 1.0, axis=-1)
+    onehot = np.empty_like(p)
+    onehot[..., 1] = action
+    onehot[..., 0] = 1 - np.asarray(action)
     return np.asarray(coeff)[..., None, None] * (onehot - p)
 
 

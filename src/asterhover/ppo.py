@@ -44,6 +44,12 @@ INIT_STREAM = 4242
 # float64 cost. A float64 network still trains and evaluates as before.
 NETWORK_DTYPE = np.float32
 
+# Lane steps per batch (episodes_per_batch x max_steps): collection's
+# (lane, step, ...) buffers take 1388 bytes per lane step, so at most
+# 138.8 MB. The default batch is 30 x 100 = 3000, and 30 episodes of the
+# longest preset, duration-1200, are 6000.
+MAX_BATCH_STEPS = 100_000
+
 
 @dataclass
 class PPOConfig:
@@ -243,7 +249,7 @@ def compute_advantages(
     """
     # padded rewards are 0, so each episode's padded returns stay 0
     batch.returns = discounted_returns(batch.rewards, gamma)
-    values, _ = value_net.forward_sequence(batch.value_inputs, batch.lengths)
+    values = value_net.forward_sequence(batch.value_inputs, batch.lengths)[0]
     batch.values = values * batch.mask
     raw = (batch.returns - batch.values) * batch.mask
     total = batch.mask.sum()
@@ -360,8 +366,9 @@ def value_minibatch_step(
 
 
 def measure_kl(policy: nn.PolicyNetwork, batch: RolloutBatch) -> float:
-    """Exact KL(old || current) averaged over valid steps."""
-    logits, _ = policy.forward_sequence(batch.images, batch.vecs, batch.lengths)
+    """Exact KL(old || current) averaged over valid steps. No backward
+    follows the replay, so it keeps no cache."""
+    logits, _ = policy.forward_sequence(batch.images, batch.vecs, batch.lengths, cache=False)
     return masked_mean(nn.kl_divergence(batch.logits_old, logits), batch.mask)
 
 
@@ -464,6 +471,13 @@ class TrainConfig:
     def validate(self) -> None:
         self.episode.validate()
         self.ppo.validate()
+        lane_steps = self.ppo.episodes_per_batch * self.episode.max_steps
+        if lane_steps > MAX_BATCH_STEPS:
+            raise ConfigurationError(
+                f"ppo.episodes_per_batch x episode steps (duration / control_period) must be "
+                f"at most {MAX_BATCH_STEPS}, got {self.ppo.episodes_per_batch} x "
+                f"{self.episode.max_steps} = {lane_steps}"
+            )
         if self.batches < 1:
             raise ConfigurationError("batches must be at least 1")
         if self.checkpoint_every < 1:

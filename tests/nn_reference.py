@@ -231,3 +231,27 @@ def value_backward_sequence(net, dvalues, caches):
     dh = np.zeros((B, net.HIDDEN))
     for t in range(T - 1, -1, -1):
         dh = value_step_backward(net, dvalues[t], caches[t], dh)
+
+
+# --- action heads -----------------------------------------------------------
+#
+# The distribution functions as they reduced over, or indexed along, the
+# 2-wide head axis, before each head's pair was handled elementwise.
+
+def kl_divergence_by_reduction(log_softmax, logits_old, logits_new):
+    lp_old = log_softmax(logits_old)
+    lp_new = log_softmax(logits_new)
+    return (np.exp(lp_old) * (lp_old - lp_new)).sum(axis=-1).sum(axis=-1)
+
+
+def action_log_prob_by_indexing(log_softmax, logits, action):
+    lp = log_softmax(logits)
+    idx = np.asarray(action, dtype=np.int64)[..., None]
+    return np.take_along_axis(lp, idx, axis=-1)[..., 0].sum(axis=-1)
+
+
+def logp_grad_logits_by_scatter(softmax, logits, action, coeff):
+    p = softmax(logits)
+    onehot = np.zeros_like(p)
+    np.put_along_axis(onehot, np.asarray(action, dtype=np.int64)[..., None], 1.0, axis=-1)
+    return np.asarray(coeff)[..., None, None] * (onehot - p)

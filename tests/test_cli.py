@@ -248,6 +248,64 @@ def test_a_level_above_the_facet_bound_is_refused_before_any_write(tmp_path, com
     assert not out.exists()
 
 
+RANGE_BOUND_RUNS = {
+    "range_max-integer": ["range_max=1000000"],
+    "range_max-float": ["range_max=1.0e+6"],
+    "sensor.max_range": ["sensor.max_range=3"],
+    "train": ["episode.range_max=2000.0"],
+}
+
+
+@pytest.mark.parametrize("case", RANGE_BOUND_RUNS)
+def test_a_range_past_the_sensor_reach_is_refused_before_any_write(tmp_path, case):
+    # a hover altitude the sensor cannot reach used to run 50 draws and exit
+    # 1 with "no viable initial condition"; the config can never work
+    out = tmp_path / "out"
+    command = ["train", "--batches", "1"] if case == "train" else ["simulate"]
+    src = os.path.dirname(os.path.dirname(asterhover.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "asterhover.cli", *command, *RANGE_BOUND_RUNS[case],
+         "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "range_max" in proc.stderr and "sensor.max_range" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_every_preset_stays_inside_the_sensor_reach():
+    configs = [scenario.episode_config({"mesh_file": "unread.obj"}) for scenario in scenarios()]
+    assert max(cfg.range_max for cfg in configs) == 700.0
+    assert all(cfg.range_max < cfg.sensor.max_range for cfg in configs)
+
+
+def test_a_shorter_sensor_reach_needs_a_range_below_it(tmp_path, capsys):
+    # sensor.max_range=500 under the default 100-600 m range used to run,
+    # redrawing every altitude the sensor could not see; it is refused now,
+    # and runs once range_max is below the reach
+    sim = ["simulate", "duration=60", "asteroid.subdivision_level=1", "sensor.max_range=500"]
+    assert main(sim + ["--out", str(tmp_path / "s1")]) == 2
+    err = capsys.readouterr().err
+    assert "range_max (600 m)" in err and "sensor.max_range (500 m)" in err
+    assert not (tmp_path / "s1").exists()
+    assert main(sim + ["range_max=450", "--out", str(tmp_path / "s2")]) == 0
+    assert (tmp_path / "s2" / "trajectory.csv").exists()
+    # eval takes no episode overrides: its scenarios fly the default reach,
+    # so a checkpoint trained at another one is refused by its record, not
+    # by the range check, even on the 10-700 m preset
+    ck = str(tmp_path / "reach650.npz")
+    nn.save_checkpoint(ck, nn.PolicyNetwork(seed=1), nn.ValueNetwork(seed=2),
+                       extra={"episode.sensor.max_range": 650.0})
+    capsys.readouterr()
+    code = main(["eval", "--checkpoint", ck, "--scenario", "extended-altitude",
+                 "--episodes", "1", "--workers", "1", "--out", str(tmp_path / "e")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "episode.sensor.max_range=650.0" in err and "range_max (" not in err
+    assert not (tmp_path / "e").exists()
+
+
 # --- train ----------------------------------------------------------------
 
 

@@ -12,6 +12,7 @@ from asterhover.dynamics import G_REF, ISP_DEFAULT, quat_angle, quat_error
 from asterhover.env import (
     DR_SCALE,
     DRY_MASS,
+    MAX_EPISODE_STEPS,
     R_ERR_SCALE,
     RK4_DT,
     ROT_LIMIT,
@@ -74,6 +75,27 @@ def test_config_validation():
         EpisodeConfig(failure_prob=1.5).validate()
     with pytest.raises(ConfigurationError):
         EpisodeConfig(velocity_max=-1.0).validate()
+
+
+def test_episode_steps_are_bounded():
+    # validate only: nothing is allocated or flown
+    at_bound = EpisodeConfig(duration=6.0 * MAX_EPISODE_STEPS)
+    at_bound.validate()
+    assert at_bound.max_steps == MAX_EPISODE_STEPS
+    for cfg in (EpisodeConfig(duration=6.0 * (MAX_EPISODE_STEPS + 1)),
+                EpisodeConfig(duration=RK4_DT * (MAX_EPISODE_STEPS + 1), control_period=RK4_DT),
+                EpisodeConfig(duration=1.0e308, control_period=RK4_DT)):
+        with pytest.raises(ConfigurationError, match=f"at most {MAX_EPISODE_STEPS} steps"):
+            cfg.validate()
+
+
+def test_range_max_must_stay_below_the_sensor_reach():
+    reach = SensorConfig().max_range
+    EpisodeConfig(range_max=np.nextafter(reach, 0.0)).validate()
+    for cfg in (EpisodeConfig(range_max=reach), EpisodeConfig(range_max=1.0e6),
+                EpisodeConfig(sensor=SensorConfig(max_range=3.0))):
+        with pytest.raises(ConfigurationError, match=r"range_max .* sensor\.max_range"):
+            cfg.validate()
 
 
 def test_config_step_counts():

@@ -610,6 +610,22 @@ def test_gru_loop_gives_the_bits_of_its_written_out_form(dtype, packed):
         assert got.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("packed", [False, True], ids=["padded", "packed"])
+def test_uncached_forward_gives_the_cached_bits(dtype, packed):
+    # the KL replay runs the same kernel without a backward cache; its
+    # logits must keep the bits of the cached forward
+    rng = np.random.default_rng(31)
+    T, B = 40, 10
+    lengths = unsorted_lengths(rng, T, B) if packed else None
+    net = PolicyNetwork(seed=5, dtype=dtype)
+    images, vecs = policy_batch(rng, T, B)
+    want, cache = net.forward_sequence(images, vecs, lengths)
+    got, none = net.forward_sequence(images, vecs, lengths, cache=False)
+    assert cache is not None and none is None
+    assert got.dtype == want.dtype == dtype and got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("lengths", [[3, 0], [3, 4], [3], [3.0, 2.0]],
                          ids=["zero", "above-T", "one-per-batch", "float"])
 def test_sequence_lengths_are_checked(lengths):
@@ -775,6 +791,35 @@ def test_log_softmax_gives_the_bits_of_the_reduction_form():
             want = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
             got = log_softmax(logits)
         assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_action_heads_give_the_bits_of_their_indexing_forms(dtype):
+    # kl_divergence adds each head's pair elementwise, action_log_prob picks
+    # by the bit and logp_grad_logits writes its one-hot from the bits; the
+    # bits must be those of the reduction / take / put forms in nn_reference
+    rng = np.random.default_rng(23)
+    old, new = ((rng.standard_normal((50, 7, 12, 2)) * scale).astype(dtype)
+                for scale in (3.0, 30.0))
+    # edge values: ties, signed zeros, pairs far apart (an underflowing
+    # probability), and non-finite logits
+    old[0, 0, :8] = [[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0],
+                     [1e30, -1e30], [-1e30, 1e30], [200.0, -200.0], [np.inf, 1.0]]
+    new[0, 0, :8] = [[-0.0, -0.0], [0.0, -0.0], [1e30, -1e30], [-200.0, 200.0],
+                     [-1e30, 1e30], [1e30, -1e30], [199.0, -201.0], [1.0, np.nan]]
+    action = rng.integers(0, 2, size=(50, 7, 12))
+    coeff = rng.standard_normal((50, 7))
+    with np.errstate(invalid="ignore", over="ignore"):
+        pairs = (
+            (kl_divergence(old, new),
+             reference.kl_divergence_by_reduction(log_softmax, old, new)),
+            (action_log_prob(old, action),
+             reference.action_log_prob_by_indexing(log_softmax, old, action)),
+            (logp_grad_logits(old, action, coeff),
+             reference.logp_grad_logits_by_scatter(softmax, old, action, coeff)),
+        )
+    for got, want in pairs:
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 # --------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 and the training loop: determinism, identities, and resume semantics."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,6 +98,22 @@ def test_ppo_config_validation():
         PPOConfig(epochs=0).validate()
     with pytest.raises(ConfigurationError):
         PPOConfig(kl_target=0.0).validate()
+
+
+def test_batch_lane_steps_are_bounded():
+    # validate only: at the bound and one lane past it, nothing collected
+    per_lane = EpisodeConfig().max_steps
+    lanes = ppo.MAX_BATCH_STEPS // per_lane
+    assert lanes * per_lane == ppo.MAX_BATCH_STEPS
+    TrainConfig(ppo=PPOConfig(episodes_per_batch=lanes)).validate()
+    with pytest.raises(ConfigurationError, match=f"at most {ppo.MAX_BATCH_STEPS}"):
+        TrainConfig(ppo=PPOConfig(episodes_per_batch=lanes + 1)).validate()
+    # the same product reached through the episode length, at 50 lanes
+    steps = ppo.MAX_BATCH_STEPS // 50
+    wide = PPOConfig(episodes_per_batch=50)
+    TrainConfig(EpisodeConfig(duration=6.0 * steps), wide).validate()
+    with pytest.raises(ConfigurationError, match=f"at most {ppo.MAX_BATCH_STEPS}"):
+        TrainConfig(EpisodeConfig(duration=6.0 * (steps + 1)), wide).validate()
 
 
 def test_default_batch_is_thirty_episodes():
@@ -463,6 +480,32 @@ def test_no_critic_replay_after_the_kl_stop(monkeypatch):
         runs.append((stats, [p.tobytes() for net in (policy, value_net)
                              for p in net.parameters().values()]))
     assert runs[0] == runs[1]
+
+
+def traced_peak(fn) -> int:
+    """The most bytes traced at once while `fn` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# measure_kl's replay keeps no backward cache. On this batch it peaks at
+# 0.72 of the cached forward (its largest array is conv1's patch matrix); a
+# replay that built the cache would peak at 1.0.
+KL_OVER_CACHED_PEAK = 0.8
+
+
+def test_kl_replay_peaks_below_the_cached_forward():
+    batch = synthetic_batch(np.random.default_rng(8), T=100, B=30)
+    policy, _ = build_networks(seed=4)
+    kl_peak = traced_peak(lambda: measure_kl(policy, batch))
+    cached_peak = traced_peak(
+        lambda: policy.forward_sequence(batch.images, batch.vecs, batch.lengths)
+    )
+    assert kl_peak < KL_OVER_CACHED_PEAK * cached_peak, (kl_peak, cached_peak)
 
 
 def test_minibatch_masks_must_mark_episode_prefixes():

@@ -15,6 +15,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
 import bench_pairs  # noqa: E402
 import learning_check  # noqa: E402
+import memory_phases  # noqa: E402
 import output_digests  # noqa: E402
 
 
@@ -70,3 +71,17 @@ def test_learning_check_reads_criterion_10_as_the_test_does():
         assert got["final_over_untrained"] == pytest.approx(ratio, rel=1e-12)
         assert got["min_ma_step"] == pytest.approx(drops.min() if drops.size else 0.0, abs=1e-9)
         assert got["passes"] == (ratio <= 0.5 and np.min(drops, initial=0.0) >= -1.0e-9)
+
+
+def test_memory_phases_accounts_for_every_rise_of_the_peak(tmp_path):
+    # one run of the tool's child on this tree at a tiny config: the peak
+    # after import plus each phase's rise and the rest is the final peak
+    out = tmp_path / "run"
+    got = memory_phases.run(ROOT, 2, out, ["ppo.episodes_per_batch=2", "ppo.epochs=1",
+                                           "episode.duration=30.0"])
+    assert (out / "metrics.csv").exists()
+    assert set(got["rise_mb"]) == set(memory_phases.PHASES)
+    assert all(rise >= 0.0 for rise in got["rise_mb"].values()) and got["other_mb"] >= 0.0
+    total = got["import_mb"] + sum(got["rise_mb"].values()) + got["other_mb"]
+    assert total == pytest.approx(got["peak_mb"], abs=1e-9)
+    assert 0.0 < got["import_mb"] < got["peak_mb"]
