@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, usable_cpus
 from .config import (
     apply_to_dataclass,
     load_config_file,
@@ -314,8 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--stochastic", action="store_true", help="sample actions instead of argmax")
     p.add_argument(
-        "--workers", type=int, default=max(1, os.cpu_count() or 1),
-        help="parallel episode workers, at least 1 (results are independent of this)",
+        "--workers", type=int, default=usable_cpus(),
+        help="parallel episode workers, at least 1 and at most the usable CPUs "
+             "(results are independent of this)",
     )
     p.set_defaults(func=cmd_eval)
 

@@ -185,16 +185,17 @@ def rollout(
     policy,
     env_seeds: Sequence,
     select: Callable[[np.ndarray], tuple[np.ndarray, Any]],
+    lanes: Sequence[int] | None = None,
 ) -> Iterator[tuple[int, Step]]:
     """Fly one episode in each of L lanes, in lockstep, until all are done.
 
     Lane k of L = ``len(env_seeds)`` starts from ``reset(seed=env_seeds[k])``,
-    lane 0 on ``env`` and the others on environments spawned from it (see
-    :meth:`HoverEnv.spawn`), so all share its config. Each control
-    step runs one ``policy.step`` over all L lanes, hidden states carried
-    from a zero start, and lets ``select(logits)`` pick the (L, 12) actions
-    and whatever else it returns beside them (``None``, or one row per
-    lane). Every live lane's environment then flies its action, one
+    the first flown lane on ``env`` and the others on environments spawned
+    from it (see :meth:`HoverEnv.spawn`), so all share its config. Each
+    control step runs one ``policy.step`` over all L lanes, hidden states
+    carried from a zero start, and lets ``select(logits)`` pick the (L, 12)
+    actions and whatever else it returns beside them (``None``, or one row
+    per lane). Every live lane's environment then flies its action, one
     :meth:`LaneMeshes.cast` renders the range images of all live lanes, and
     each live lane's :meth:`HoverEnv.observe` completes its step. Yields
     ``(k, Step)`` for the live lanes in lane order.
@@ -202,40 +203,71 @@ def rollout(
     A finished lane keeps feeding its last inputs, and its rows of the
     outputs are ignored, so every step of every lane runs at width L. A row
     of a network step depends on the width and the row's position, not on
-    the other rows' contents, so lane k's bytes do not depend on when the
-    other lanes finish. Training flies a batch of episodes at once;
+    the other rows' contents, and a lane's cast never depends on the other
+    lanes, so lane k's bytes do not depend on when the other lanes finish.
+    For the same reason `lanes`, the ascending lanes to fly (default all),
+    leaves them unchanged: the lanes not flown are never reset and feed
+    zeros, and the policy step keeps width L. Training deals a batch's lanes
+    among processes this way (:func:`asterhover.ppo.collect_rollouts`);
     evaluation and ``simulate`` fly one lane.
+
+    An error leaving the rollout carries ``rollout_at = (t, phase, k)``:
+    the policy steps taken (0 while resetting), the phase (0 reset, 1 policy
+    step, 2 flight, 3 cast, 4 observe) and the lane (0 for the policy step
+    and the cast, which span every lane). Tuples order as one rollout runs,
+    so of the errors of rollouts that fly disjoint `lanes` of the same call,
+    the least is the one a rollout of every lane would have raised first.
     """
     L = len(env_seeds)
-    envs = [env] + [env.spawn() for _ in range(L - 1)]
+    lanes = list(range(L)) if lanes is None else list(lanes)
+    envs = [env] + [env.spawn() for _ in lanes[1:]]
     max_range = env.cfg.sensor.max_range
-    # Each lane's (image, vec, value_input), as reset and observe return them.
-    inputs = [env.reset(seed=s) for env, s in zip(envs, env_seeds)]
-    meshes = LaneMeshes([env._prep for env in envs], np.stack([env._beams for env in envs]))
-    images = np.stack([image for image, _, _ in inputs])
-    vecs = np.stack([vec for _, vec, _ in inputs])
-    hidden = policy.init_hidden(L)
-    live = np.ones(L, dtype=bool)
-    while live.any():
-        logits, hidden, _ = policy.step(images, vecs, hidden)
-        actions, logp = select(logits)
-        lanes = np.flatnonzero(live)
-        states = [envs[k].state for k in lanes]
-        for k in lanes:
-            envs[k].step(actions[k])
-        origins = np.stack([env.state.position for env in envs])
-        ranges, hit = meshes.cast(origins, live, max_range)
-        ranges = ranges.reshape(L, GRID_SIZE, GRID_SIZE)
-        hit = hit.reshape(L, GRID_SIZE, GRID_SIZE)
-        for k, state in zip(lanes, states):
-            *next_inputs, reward, done, info = envs[k].observe(LidarFrame(ranges[k], hit[k]))
-            yield k, Step(
-                state, *inputs[k], logits[k], actions[k],
-                None if logp is None else logp[k], reward, info,
-            )
-            inputs[k] = next_inputs
-            images[k], vecs[k], _ = next_inputs
-            live[k] = not done
+    at = (0, 0, 0)
+    try:
+        # Each flown lane's (image, vec, value_input), as reset and observe
+        # return them.
+        inputs = []
+        for k, lane_env in zip(lanes, envs):
+            at = (0, 0, k)
+            inputs.append(lane_env.reset(seed=env_seeds[k]))
+        meshes = LaneMeshes([e._prep for e in envs], np.stack([e._beams for e in envs]))
+        image, vec, _ = inputs[0]
+        images = np.zeros((L,) + image.shape, image.dtype)
+        vecs = np.zeros((L,) + vec.shape, vec.dtype)
+        for k, (image, vec, _) in zip(lanes, inputs):
+            images[k], vecs[k] = image, vec
+        hidden = policy.init_hidden(L)
+        live = np.ones(len(lanes), dtype=bool)  # by position in `lanes`
+        t = 0
+        while live.any():
+            t += 1
+            at = (t, 1, 0)
+            logits, hidden, _ = policy.step(images, vecs, hidden)
+            actions, logp = select(logits)
+            flying = np.flatnonzero(live).tolist()
+            states = [envs[i].state for i in flying]
+            for i in flying:
+                at = (t, 2, lanes[i])
+                envs[i].step(actions[lanes[i]])
+            at = (t, 3, 0)
+            origins = np.stack([e.state.position for e in envs])
+            ranges, hit = meshes.cast(origins, live, max_range)
+            ranges = ranges.reshape(-1, GRID_SIZE, GRID_SIZE)
+            hit = hit.reshape(-1, GRID_SIZE, GRID_SIZE)
+            for i, state in zip(flying, states):
+                k = lanes[i]
+                at = (t, 4, k)
+                *next_inputs, reward, done, info = envs[i].observe(LidarFrame(ranges[i], hit[i]))
+                yield k, Step(
+                    state, *inputs[i], logits[k], actions[k],
+                    None if logp is None else logp[k], reward, info,
+                )
+                inputs[i] = next_inputs
+                images[k], vecs[k], _ = next_inputs
+                live[i] = not done
+    except Exception as exc:
+        exc.rollout_at = at
+        raise
 
 
 def compute_reward(

@@ -21,7 +21,7 @@ from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from . import nn
+from . import nn, usable_cpus
 from .config import apply_to_dataclass, csv_field, nest_dotted, write_csv
 from .env import EpisodeConfig, HoverEnv, good_hover, rollout
 from .errors import ConfigurationError, MeshLoadError
@@ -319,12 +319,13 @@ def fly_scenario(
     """Fly `n_episodes` (see :func:`check_counts`) of scenario `name` on the
     built `env`, episode k on the seed stream (seed, k), so reports are the
     same across reruns and worker counts. Workers inherit `env` and `policy`,
-    and there are no more of them than episodes. With out_dir set, writes
-    episodes.csv and summary.csv there."""
+    and there are no more of them than episodes or usable CPUs (see
+    :func:`asterhover.usable_cpus`). With out_dir set, writes episodes.csv
+    and summary.csv there."""
     # run_episode is read here, at call time, so that a wrapper set on the
     # module attribute (perfbench's tracer) flies every episode
     fly = functools.partial(run_episode, env, policy, seed, stochastic=stochastic)
-    workers = min(workers, n_episodes)
+    workers = min(workers, n_episodes, usable_cpus())
     if workers > 1:
         with multiprocessing.Pool(workers, initializer=_init_worker, initargs=(fly,)) as pool:
             rows = pool.map(_run_worker_episode, range(n_episodes))

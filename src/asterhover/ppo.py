@@ -23,12 +23,14 @@ from __future__ import annotations
 import functools
 import glob
 import os
+import pickle
 import re
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import nn
+from . import BLAS_PINNED, nn, usable_cpus
 from .config import csv_field, replacing
 from .env import VIOLATION_KINDS, EpisodeConfig, HoverEnv, rollout
 from .errors import ConfigurationError, SimulationError
@@ -180,6 +182,16 @@ def masked_mean(x: np.ndarray, mask: np.ndarray) -> float:
     return float((x * mask).sum() / mask.sum())
 
 
+def collection_processes(lanes: int) -> int:
+    """How many processes fly a batch of `lanes` lanes: one per usable CPU
+    and at most one per lane, when BLAS runs one thread (see
+    :data:`asterhover.BLAS_PINNED`) and the process can fork safely (the
+    platform has ``os.fork`` and no other thread runs); else 1."""
+    if BLAS_PINNED and hasattr(os, "fork") and threading.active_count() == 1:
+        return max(1, min(usable_cpus(), lanes))
+    return 1
+
+
 def collect_rollouts(
     env: HoverEnv,
     policy: nn.PolicyNetwork,
@@ -189,11 +201,22 @@ def collect_rollouts(
 ) -> RolloutBatch:
     """Collect one batch of episodes with the stochastic policy.
 
-    All ``cfg.episodes_per_batch`` episodes fly together: episode k in lane
-    k of :func:`rollout` on ``env``, with the (seed, batch, k) environment
-    stream and the (seed, batch, k, ACTION_STREAM) action stream.
+    All L = ``cfg.episodes_per_batch`` episodes fly as lanes of
+    :func:`rollout` on ``env``: episode k in lane k, with the
+    (seed, batch, k) environment stream and the (seed, batch, k,
+    ACTION_STREAM) action stream. Lane k flies in process k mod P, P =
+    :func:`collection_processes` (L): this one is process 0, and the others
+    are helpers forked for this batch, each sending its lanes' steps back
+    through a pipe before it exits. Every process steps the policy at width
+    L, so the batch's bytes do not depend on P, and with P = 1 no process
+    is forked. Every helper has been reaped when this returns or raises.
+
+    An error in any lane ends the batch: of the processes' first errors,
+    the one a single process would have raised first is raised (see
+    :func:`rollout`), once every process has finished.
     """
     L = cfg.episodes_per_batch
+    procs = collection_processes(L)
     select = functools.partial(
         nn.sample_multicategorical,
         rng=[
@@ -202,6 +225,42 @@ def collect_rollouts(
         ],
     )
     env_seeds = [np.random.SeedSequence((seed, batch_index, k)) for k in range(L)]
+    fly = functools.partial(_fly_lanes, env, policy, env_seeds, select)
+    helpers = []  # (lanes, pid, read end of its pipe)
+    try:
+        for p in range(1, procs):
+            lanes = range(p, L, procs)
+            helpers.append((lanes, *_fork_helper(fly, lanes, [fd for *_, fd in helpers])))
+        results = [fly(range(0, L, procs))]
+    finally:
+        reaped = [(lanes, *_reap(pid, fd)) for lanes, pid, fd in helpers]
+    results += [_helper_result(*helper) for helper in reaped]
+
+    episodes: dict[int, EpisodeRollout] = {}
+    errors = []
+    for flown, error in results:
+        episodes.update(flown)
+        if error is not None:
+            errors.append(error)
+    if errors:
+        _, exc = min(errors, key=lambda error: error[0])
+        if isinstance(exc, (SimulationError, ConfigurationError)):
+            raise SimulationError(f"batch {batch_index} failed: {exc}") from exc
+        raise exc
+    return RolloutBatch([episodes[k] for k in range(L)], policy.dtype)
+
+
+# Where an error that no rollout placed sorts among the rollouts' errors:
+# after all of them.
+_UNPLACED = (float("inf"),)
+
+
+def _fly_lanes(env, policy, env_seeds, select, lanes) -> tuple[dict, tuple | None]:
+    """Fly `lanes` of a batch (see :func:`collect_rollouts`). Returns
+    ({k: EpisodeRollout}, None), or ({}, (where, error)) at the first error,
+    where = its ``rollout_at``."""
+    lanes = list(lanes)
+    slot = {k: i for i, k in enumerate(lanes)}
     # One (lane, step, ...) buffer per STEP_FIELDS entry, shaped after the
     # first step's values. Steps land there rather than staying alive as
     # small arrays until the last lane finishes, and the buffers and the
@@ -210,32 +269,71 @@ def collect_rollouts(
     # flying the episodes one by one did.
     T = env.cfg.max_steps
     buffers: dict[str, np.ndarray] = {}
-    lengths = [0] * L
-    last: list[dict] = [{} for _ in range(L)]
-    steps = rollout(env, policy, env_seeds, select)
+    lengths = [0] * len(lanes)
+    last: list[dict] = [{} for _ in lanes]
     try:
-        for k, step in steps:
+        for k, step in rollout(env, policy, env_seeds, select, lanes):
+            i = slot[k]
             for name, attr in STEP_FIELDS:
                 value = np.asarray(getattr(step, attr))
                 if name not in buffers:
-                    buffers[name] = np.zeros((L, T) + value.shape, dtype=value.dtype)
-                buffers[name][k, lengths[k]] = value
-            lengths[k] += 1
-            last[k] = step.info
-    except (SimulationError, ConfigurationError) as exc:
-        raise SimulationError(f"batch {batch_index} failed: {exc}") from exc
-    episodes = [
-        EpisodeRollout(
-            **{name: buffer[k, :lengths[k]].copy() for name, buffer in buffers.items()},
-            terminal_pos_err=float(info["pos_err"]),
-            terminal_ok=bool(info["terminal_ok"]),
-            violation=info["violation"],
-            fuel_used=float(info["fuel_used"]),
+                    buffers[name] = np.zeros((len(lanes), T) + value.shape, dtype=value.dtype)
+                buffers[name][i, lengths[i]] = value
+            lengths[i] += 1
+            last[i] = step.info
+    except Exception as exc:
+        return {}, (getattr(exc, "rollout_at", _UNPLACED), exc)
+    return {
+        k: EpisodeRollout(
+            **{name: buffer[i, :lengths[i]].copy() for name, buffer in buffers.items()},
+            terminal_pos_err=float(last[i]["pos_err"]),
+            terminal_ok=bool(last[i]["terminal_ok"]),
+            violation=last[i]["violation"],
+            fuel_used=float(last[i]["fuel_used"]),
         )
-        for k, info in enumerate(last)
-    ]
-    del buffers
-    return RolloutBatch(episodes, policy.dtype)
+        for k, i in slot.items()
+    }, None
+
+
+def _fork_helper(fly, lanes, inherited: list[int]) -> tuple[int, int]:
+    """Fork a helper that sends ``fly(lanes)`` through a pipe, pickled, and
+    exits without returning; `inherited` are the read ends of earlier
+    helpers' pipes, which it closes. Returns (pid, read end)."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            for fd in inherited:
+                os.close(fd)
+            result = fly(lanes)
+            with os.fdopen(write, "wb") as pipe:
+                pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)  # none of the parent's cleanup, buffers or exit hooks
+    os.close(write)
+    return pid, read
+
+
+def _reap(pid: int, read: int) -> tuple[bytes, int]:
+    """All that helper `pid` sent through `read`, and its exit code once it
+    has exited."""
+    with os.fdopen(read, "rb") as pipe:
+        sent = pipe.read()
+    return sent, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+
+
+def _helper_result(lanes, sent: bytes, code: int) -> tuple[dict, tuple | None]:
+    """A reaped helper's result, as :func:`_fly_lanes` returns it. An error
+    comes back without its traceback: ``taskset -c 0`` flies the batch in
+    one process, where the traceback shows."""
+    if code != 0:
+        return {}, (_UNPLACED, RuntimeError(
+            f"the collection helper of lanes {list(lanes)} exited with code {code}"
+        ))
+    return pickle.loads(sent)
 
 
 def compute_advantages(

@@ -1,5 +1,6 @@
 import math
 
+import asterhover  # noqa: F401  (first: it pins one BLAS thread before numpy loads)
 import numpy as np
 import pytest
 

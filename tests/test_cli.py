@@ -434,6 +434,8 @@ def test_train_cli_resume_without_checkpoint_fails(tmp_path, capsys):
 
 # `python -c` stub: `asterhover.cli` with argv[3:], SIGKILLed by its own
 # hand at one point of the run given by argv[1:3]:
+#   collect N     inside batch N's collection, once this process's lanes
+#                 have flown three steps (a forked helper is still flying);
 #   update N      inside batch N's ppo_update, after its first optimizer step;
 #   checkpoint N  once checkpoint_00000N.npz's temp file is written, before
 #                 its rename;
@@ -442,14 +444,27 @@ def test_train_cli_resume_without_checkpoint_fails(tmp_path, capsys):
 #   none -        not at all.
 KILL_STUB = """
 import os, signal, sys
-from asterhover import cli, nn, ppo
+from asterhover import cli, env, nn, ppo
 
 point, at = sys.argv[1], sys.argv[2]
 
 def kill():
     os.kill(os.getpid(), signal.SIGKILL)
 
-if point == "update":
+if point == "collect":
+    collect, observe, parent, calls = ppo.collect_rollouts, env.HoverEnv.observe, os.getpid(), []
+
+    def collect_rollouts(*args, **kwargs):
+        calls.append(None)
+        return collect(*args, **kwargs)
+
+    def observe_or_kill(self, frame):
+        if os.getpid() == parent and len(calls) > int(at) and self.steps >= 3:
+            kill()
+        return observe(self, frame)
+
+    ppo.collect_rollouts, env.HoverEnv.observe = collect_rollouts, observe_or_kill
+elif point == "update":
     update, adam_step, calls = ppo.ppo_update, nn.Adam.step, []
 
     def ppo_update(*args, **kwargs):
@@ -506,7 +521,7 @@ def checkpoint_arrays(path):
 
 
 # (point, at, metrics.csv rows and checkpoints the kill leaves)
-KILL_POINTS = [("update", 1, 1, 1), ("checkpoint", 1, 1, 0), ("checkpoint", 3, 3, 2),
+KILL_POINTS = [("collect", 1, 1, 1), ("update", 1, 1, 1), ("checkpoint", 1, 1, 0), ("checkpoint", 3, 3, 2),
                ("metrics", 0, 0, 0), ("metrics", 2, 2, 2)]
 
 
@@ -529,6 +544,13 @@ def test_a_killed_train_resumes_to_the_uninterrupted_bytes(
     assert len(checkpoints) == kept
     for path in checkpoints:
         checkpoint_arrays(path)  # each one whole
+    if point == "collect":
+        # A helper outlives the kill until it finds no reader for its lanes,
+        # and it holds the run's output pipes until then, so it has exited by
+        # now: it wrote no file.
+        assert sorted(path.name for path in run.iterdir()) == sorted(
+            ["metrics.csv", "resolved_config.yaml", *(path.name for path in checkpoints)]
+        )
     resume = ["--resume"] if checkpoints else []
     proc = run_train_stub("none", "-", cfg, run, *resume)
     assert proc.returncode == 0, proc.stderr

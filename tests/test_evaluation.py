@@ -12,7 +12,7 @@ import pickle
 import numpy as np
 import pytest
 
-from asterhover import nn
+from asterhover import cli, evaluation, nn
 from asterhover.cli import main
 from asterhover.env import EpisodeConfig, HoverEnv
 from asterhover.errors import ConfigurationError
@@ -357,6 +357,7 @@ def test_pool_has_no_more_processes_than_episodes(monkeypatch):
             started.append(len(self._pool))
 
     monkeypatch.setattr(multiprocessing, "Pool", CountingPool)
+    monkeypatch.setattr(evaluation, "usable_cpus", lambda: 8)  # the episodes bound here
     policy = AllOffPolicy()
     serial = run_monte_carlo(policy, quiet_scenario(), 2, seed=8, workers=1)
     assert started == []
@@ -365,6 +366,30 @@ def test_pool_has_no_more_processes_than_episodes(monkeypatch):
     assert run_monte_carlo(policy, quiet_scenario(), 1, seed=8, workers=4) == \
         run_monte_carlo(policy, quiet_scenario(), 1, seed=8, workers=1)
     assert started == [2]  # one episode flies in this process
+
+
+def test_pool_has_no_more_processes_than_usable_cpus(monkeypatch):
+    started = []
+
+    class CountingPool(multiprocessing.pool.Pool):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(len(self._pool))
+
+    monkeypatch.setattr(multiprocessing, "Pool", CountingPool)
+    policy = AllOffPolicy()
+    serial = run_monte_carlo(policy, quiet_scenario(), 4, seed=8, workers=1)
+    for cpus, pool in ((3, [3]), (1, [])):
+        started.clear()
+        monkeypatch.setattr(evaluation, "usable_cpus", lambda: cpus)
+        assert run_monte_carlo(policy, quiet_scenario(), 4, seed=8, workers=8) == serial
+        assert started == pool
+
+
+def test_workers_default_to_the_usable_cpus(monkeypatch):
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 3)
+    args = cli.build_parser().parse_args(["eval", "--checkpoint", "c.npz", "--all"])
+    assert args.workers == 3
 
 
 def test_pickled_env_and_policy_fly_the_same_episodes(tmp_path):

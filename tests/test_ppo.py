@@ -1,18 +1,24 @@
 """Rollout collection, advantage computation, clipped-surrogate updates,
 and the training loop: determinism, identities, and resume semantics."""
 
+import json
 import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import asterhover
 from asterhover import nn, ppo
 from asterhover.env import EpisodeConfig, HoverEnv
-from asterhover.errors import ConfigurationError
+from asterhover.errors import ConfigurationError, SimulationError
 from asterhover.geometry import AsteroidDynRanges, AsteroidGenConfig
 from asterhover.ppo import (
     METRICS_COLUMNS,
+    STEP_FIELDS,
     EpisodeRollout,
     PPOConfig,
     RolloutBatch,
@@ -205,6 +211,220 @@ def test_collected_lanes_replay_through_a_lone_environment():
         assert ep.terminal_ok == info["terminal_ok"]
         assert ep.violation == info["violation"]
         assert ep.fuel_used == info["fuel_used"]
+
+
+# --------------------------------------------------------------------------
+# Collection across processes
+
+def noisy_early_config() -> EpisodeConfig:
+    """tiny_config with sensor noise and fast body rates that end some
+    episodes early."""
+    cfg = tiny_config(sensor_noise=True)
+    cfg.omega_max = 0.099
+    return cfg
+
+
+@pytest.fixture
+def processes(monkeypatch):
+    """A setter of the collection's process count: it fixes the usable CPUs
+    (BLAS counts as pinned, whatever the environment) and returns the list
+    of the lanes of each helper forked from then on."""
+    forked = []
+    fork_helper = ppo._fork_helper
+
+    def counting(*args):
+        forked.append(args[1])
+        return fork_helper(*args)
+
+    monkeypatch.setattr(ppo, "BLAS_PINNED", True)
+    monkeypatch.setattr(ppo, "_fork_helper", counting)
+
+    def use(count):
+        monkeypatch.setattr(ppo, "usable_cpus", lambda: count)
+        forked.clear()
+        return forked
+
+    return use
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_collection_bytes_do_not_depend_on_the_process_count(processes):
+    cfg = noisy_early_config()
+    policy, _ = build_networks(seed=7)
+    batches = {}
+    for count in (1, 2, 3):
+        forked = processes(count)
+        batches[count] = collect_rollouts(HoverEnv(cfg), policy, small_ppo(episodes_per_batch=5),
+                                          11, 2)
+        assert [list(lanes) for lanes in forked] == [list(range(p, 5, count))
+                                                     for p in range(1, count)]
+        assert_no_child_left()
+    one = batches[1]
+    lengths = [ep.length for ep in one.episodes]
+    assert min(lengths) < max(lengths) == 10  # some lanes end early
+    for count in (2, 3):
+        batch = batches[count]
+        for name in ("lengths", "mask", *(name for name, _ in STEP_FIELDS)):
+            a, b = getattr(one, name), getattr(batch, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        for a, b in zip(one.episodes, batch.episodes):
+            assert (a.terminal_pos_err, a.terminal_ok, a.violation, a.fuel_used) == \
+                (b.terminal_pos_err, b.terminal_ok, b.violation, b.fuel_used)
+
+
+def test_training_bytes_do_not_depend_on_the_process_count(processes, tmp_path):
+    runs = {}
+    for count in (1, 2, 3):
+        forked = processes(count)
+        out = tmp_path / f"p{count}"
+        train(train_config(out, episode=noisy_early_config(),
+                           ppo=small_ppo(episodes_per_batch=5)))
+        assert len(forked) == 2 * (count - 1)  # two batches
+        runs[count] = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    assert sorted(runs[1]) == ["checkpoint_000001.npz", "checkpoint_000002.npz", "metrics.csv"]
+    assert runs[2] == runs[1] and runs[3] == runs[1]
+
+
+def failing_lanes(monkeypatch, fails):
+    """Make lane k's environment raise SimulationError in its reset (step
+    None) or when it flies control step n, for each (k, n) of `fails`.
+    Forked helpers inherit the patch."""
+    reset, step = HoverEnv.reset, HoverEnv.step
+
+    def reset_or_fail(self, seed=None):
+        self.lane = seed.entropy[2]
+        if (self.lane, None) in fails:
+            raise SimulationError(f"lane {self.lane} failed to reset")
+        return reset(self, seed)
+
+    def step_or_fail(self, action):
+        if (self.lane, self.steps) in fails:
+            raise SimulationError(f"lane {self.lane} failed at step {self.steps}")
+        step(self, action)
+
+    monkeypatch.setattr(HoverEnv, "reset", reset_or_fail)
+    monkeypatch.setattr(HoverEnv, "step", step_or_fail)
+
+
+@pytest.mark.parametrize("fails,first", [
+    ({(1, 3)}, "lane 1 failed at step 3"),  # in a helper at 2 and 3 processes
+    ({(0, 4)}, "lane 0 failed at step 4"),  # in the parent's own lanes
+    ({(1, 3), (2, 3)}, "lane 1 failed at step 3"),  # the same step: the lower lane
+    ({(1, 5), (2, 3)}, "lane 2 failed at step 3"),  # the earlier step
+    ({(4, None), (1, 0)}, "lane 4 failed to reset"),  # resets come before any step
+    ({(3, 2), (1, 2), (4, 1)}, "lane 4 failed at step 1"),
+])
+def test_a_failed_lane_raises_what_one_process_raises(processes, monkeypatch, fails, first):
+    failing_lanes(monkeypatch, fails)
+    policy, _ = build_networks(seed=7)
+    for count in (1, 2, 3):
+        forked = processes(count)
+        with pytest.raises(SimulationError) as err:
+            collect_rollouts(HoverEnv(tiny_config()), policy, small_ppo(episodes_per_batch=5),
+                             11, 0)
+        assert len(forked) == count - 1
+        assert_no_child_left()
+        assert str(err.value) == f"batch 0 failed: {first}"
+
+
+def test_a_helper_that_dies_is_an_error(processes, monkeypatch):
+    step = HoverEnv.step
+    parent = os.getpid()
+
+    def step_or_die(self, action):
+        if os.getpid() != parent:
+            os._exit(3)
+        step(self, action)
+
+    monkeypatch.setattr(HoverEnv, "step", step_or_die)
+    processes(2)
+    with pytest.raises(RuntimeError, match="lanes \\[1, 3\\] exited with code 3"):
+        collect_rollouts(HoverEnv(tiny_config()), build_networks(seed=7)[0],
+                         small_ppo(episodes_per_batch=4), 11, 0)
+    assert_no_child_left()
+
+
+def test_one_process_when_blas_is_not_pinned_or_another_thread_runs(processes, monkeypatch):
+    forked = processes(4)
+    assert ppo.collection_processes(3) == 3 and ppo.collection_processes(9) == 4
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert ppo.collection_processes(9) == 1  # a fork would copy no other thread
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    monkeypatch.setattr(ppo, "BLAS_PINNED", False)
+    assert ppo.collection_processes(9) == 1
+    collect_rollouts(HoverEnv(tiny_config()), build_networks(seed=7)[0], small_ppo(), 11, 0)
+    assert forked == []
+
+
+# `python -c` probe: imports numpy before or after asterhover (argv[1]),
+# collects a two-lane batch on two usable CPUs, and prints as JSON whether
+# BLAS counts as pinned, OpenBLAS's live thread count (None where no
+# OpenBLAS is loaded) and how many helpers the collection forked.
+PIN_PROBE = """
+import ctypes, json, sys
+if sys.argv[1] == "numpy-first":
+    import numpy
+import asterhover
+from asterhover import ppo
+from asterhover.env import EpisodeConfig, HoverEnv
+from asterhover.geometry import AsteroidGenConfig
+
+def openblas_threads():
+    with open("/proc/self/maps") as fh:
+        libs = sorted({line.split()[-1] for line in fh if "openblas" in line.split()[-1]})
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            getter = getattr(lib, symbol, None)
+            if getter is not None:
+                return getter()
+    return None
+
+forked, fork_helper = [], ppo._fork_helper
+
+def counting(*args):
+    forked.append(None)
+    return fork_helper(*args)
+
+ppo._fork_helper, ppo.usable_cpus = counting, lambda: 2
+env = HoverEnv(EpisodeConfig(duration=12.0, asteroid=AsteroidGenConfig(subdivision_level=1)))
+policy, _ = ppo.build_networks(1)
+ppo.collect_rollouts(env, policy, ppo.PPOConfig(episodes_per_batch=2), 1, 0)
+print(json.dumps({"pinned": asterhover.BLAS_PINNED, "threads": openblas_threads(),
+                  "forked": len(forked)}))
+"""
+
+
+def run_pin_probe(order):
+    env = {name: value for name, value in os.environ.items()
+           if name not in asterhover.BLAS_THREAD_VARIABLES}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(asterhover.__file__))
+    proc = subprocess.run([sys.executable, "-c", PIN_PROBE, order], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_importing_the_package_first_pins_one_blas_thread_and_forks_collection():
+    probe = run_pin_probe("package-first")
+    assert probe["pinned"] is True and probe["forked"] == 1
+    assert probe["threads"] in (1, None)
+
+
+def test_numpy_loaded_first_collects_in_one_process():
+    probe = run_pin_probe("numpy-first")
+    assert probe["pinned"] is False and probe["forked"] == 0
 
 
 # --------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import asterhover
 from asterhover.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -85,3 +86,5 @@ def test_memory_phases_accounts_for_every_rise_of_the_peak(tmp_path):
     total = got["import_mb"] + sum(got["rise_mb"].values()) + got["other_mb"]
     assert total == pytest.approx(got["peak_mb"], abs=1e-9)
     assert 0.0 < got["import_mb"] < got["peak_mb"]
+    # its two lanes fly in two processes wherever two CPUs are usable
+    assert (got["helper_peak_mb"] > 0.0) == (asterhover.usable_cpus() > 1)

@@ -20,7 +20,10 @@ benchmark's ``peak_rss_mb``:
   over them (a peak only rises, so each MB is counted in the phase that
   set it);
 - ``other_mb``: the rise outside those phases;
-- ``peak_mb``: the peak at the end of the run.
+- ``peak_mb``: the peak at the end of the run;
+- ``helper_peak_mb``: the largest peak of the collection helpers the run
+  forked (``RUSAGE_CHILDREN``; 0 when collection forked none), so that
+  memory which moves into a helper stays in view.
 
 Trailing ``KEY=VALUE`` arguments override the training config on both
 sides, as ``train`` takes them (default: the default config). It prints
@@ -71,8 +74,10 @@ cfg = ppo.TrainConfig(seed=int(sys.argv[2]), batches=1, out_dir=sys.argv[1])
 config.apply_to_dataclass(cfg, config.parse_overrides(sys.argv[3:]))
 ppo.train(cfg)
 end = peak_mb()
+helpers = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
 print(json.dumps({"import_mb": start, "rise_mb": rise,
-                  "other_mb": end - start - sum(rise.values()), "peak_mb": end}))
+                  "other_mb": end - start - sum(rise.values()), "peak_mb": end,
+                  "helper_peak_mb": helpers}))
 """ % (PHASES,)
 
 
