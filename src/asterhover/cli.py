@@ -39,6 +39,7 @@ from .env import rollout
 from .ppo import TrainConfig, train
 from . import nn
 from .evaluation import (
+    MAX_EPISODES,
     check_counts,
     fly_scenario,
     get_scenario,
@@ -211,9 +212,9 @@ def _trajectory_row(step, t, state, fuel, pos_err, speed, reward, action) -> lis
     return row
 
 
-def _drift(logits: np.ndarray) -> tuple[np.ndarray, None]:
+def _drift(logits: np.ndarray, lanes=None) -> tuple[np.ndarray, None]:
     """Rollout select for free drift: every thruster off."""
-    return np.zeros((1, 12)), None
+    return np.zeros((len(logits), 12)), None
 
 
 class _DriftPolicy:
@@ -305,7 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--scenario", help="scenario name (an unknown name lists the options)")
     p.add_argument("--all", action="store_true", help="run baseline plus every preset")
-    p.add_argument("--episodes", type=int, default=100)
+    p.add_argument("--episodes", type=int, default=100,
+                   help=f"episodes per scenario, at least 1 and at most {MAX_EPISODES}")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="runs/eval", help="output directory")
     p.add_argument(

@@ -184,7 +184,7 @@ def rollout(
     env: HoverEnv,
     policy,
     env_seeds: Sequence,
-    select: Callable[[np.ndarray], tuple[np.ndarray, Any]],
+    select: Callable[..., tuple[np.ndarray, Any]],
     lanes: Sequence[int] | None = None,
 ) -> Iterator[tuple[int, Step]]:
     """Fly one episode in each of L lanes, in lockstep, until all are done.
@@ -193,9 +193,11 @@ def rollout(
     the first flown lane on ``env`` and the others on environments spawned
     from it (see :meth:`HoverEnv.spawn`), so all share its config. Each
     control step runs one ``policy.step`` over all L lanes, hidden states
-    carried from a zero start, and lets ``select(logits)`` pick the (L, 12)
-    actions and whatever else it returns beside them (``None``, or one row
-    per lane). Every live lane's environment then flies its action, one
+    carried from a zero start, and lets ``select(logits[lanes], lanes=lanes)``
+    pick the actions of the live flown `lanes` (ascending), one row each,
+    and whatever else it returns beside them (``None``, or one row per
+    lane); a lane's action is drawn only while it flies. Every live lane's
+    environment then flies its action, one
     :meth:`LaneMeshes.cast` renders the range images of all live lanes, and
     each live lane's :meth:`HoverEnv.observe` completes its step. Yields
     ``(k, Step)`` for the live lanes in lane order.
@@ -243,24 +245,25 @@ def rollout(
             t += 1
             at = (t, 1, 0)
             logits, hidden, _ = policy.step(images, vecs, hidden)
-            actions, logp = select(logits)
             flying = np.flatnonzero(live).tolist()
+            drawn = [lanes[i] for i in flying]
+            actions, logp = select(logits[drawn], lanes=drawn)
             states = [envs[i].state for i in flying]
-            for i in flying:
+            for row, i in enumerate(flying):
                 at = (t, 2, lanes[i])
-                envs[i].step(actions[lanes[i]])
+                envs[i].step(actions[row])
             at = (t, 3, 0)
             origins = np.stack([e.state.position for e in envs])
             ranges, hit = meshes.cast(origins, live, max_range)
             ranges = ranges.reshape(-1, GRID_SIZE, GRID_SIZE)
             hit = hit.reshape(-1, GRID_SIZE, GRID_SIZE)
-            for i, state in zip(flying, states):
+            for row, (i, state) in enumerate(zip(flying, states)):
                 k = lanes[i]
                 at = (t, 4, k)
                 *next_inputs, reward, done, info = envs[i].observe(LidarFrame(ranges[i], hit[i]))
                 yield k, Step(
-                    state, *inputs[i], logits[k], actions[k],
-                    None if logp is None else logp[k], reward, info,
+                    state, *inputs[i], logits[k], actions[row],
+                    None if logp is None else logp[row], reward, info,
                 )
                 inputs[i] = next_inputs
                 images[k], vecs[k], _ = next_inputs

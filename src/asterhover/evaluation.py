@@ -164,7 +164,7 @@ EPISODE_COLUMNS = (
 )
 
 
-def greedy(logits: np.ndarray) -> tuple[np.ndarray, None]:
+def greedy(logits: np.ndarray, lanes=None) -> tuple[np.ndarray, None]:
     """Rollout select: the most probable bit per thruster."""
     return nn.greedy_action(logits), None
 
@@ -283,10 +283,21 @@ def load_policy(checkpoint_path: str, *cfgs: EpisodeConfig) -> nn.PolicyNetwork:
     return policy
 
 
+# Episodes per scenario. An episodes.csv row takes at most about 180
+# bytes (six floats at up to 24 characters each, the longest violation name,
+# the counts and ten separators), and its row dict about 280 bytes in memory
+# (tracemalloc), so a scenario writes at most about 18 MB and holds its
+# rows in about 28 MB.
+MAX_EPISODES = 100_000
+
+
 def check_counts(n_episodes: int, workers: int) -> None:
-    """Refuse an episode or worker count below 1."""
+    """Refuse an episode count outside 1..MAX_EPISODES or a worker count
+    below 1."""
     if n_episodes < 1:
         raise ConfigurationError(f"n_episodes must be at least 1, got {n_episodes}")
+    if n_episodes > MAX_EPISODES:
+        raise ConfigurationError(f"n_episodes must be at most {MAX_EPISODES}, got {n_episodes}")
     if workers < 1:
         raise ConfigurationError(f"workers must be at least 1, got {workers}")
 

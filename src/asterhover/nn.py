@@ -186,10 +186,13 @@ class GRUCell:
     ``U = [Uz|Ur]`` and ``b = [bz|br|bh]``, so a sequence projects its inputs
     for every step in one product and each step needs one product for both
     gates. ``Wz`` ... ``bh`` and their gradients ``gWz`` ... ``gbh`` are
-    views into those buffers.
+    views into those buffers. A copy or a pickle holds the buffers alone and
+    rebuilds the views from them, since ``copy.deepcopy`` and ``pickle``
+    would copy each view into an array of its own.
     """
 
     NAMES = ("Wz", "Uz", "bz", "Wr", "Ur", "br", "Wh", "Uh", "bh")
+    _BUFFERS = ("W", "U", "Uh", "b")
 
     def __init__(
         self, rng: np.random.Generator | None, n_in: int, n_hidden: int, dtype=np.float64
@@ -206,8 +209,12 @@ class GRUCell:
         self.gW, self.gU, self.gUh, self.gb = (
             np.zeros_like(a) for a in (self.W, self.U, self.Uh, self.b)
         )
-        for prefix, (W, U, Uh, b) in (("", (self.W, self.U, self.Uh, self.b)),
-                                      ("g", (self.gW, self.gU, self.gUh, self.gb))):
+        self._bind_views()
+
+    def _bind_views(self) -> None:
+        H = self.n_hidden
+        for prefix in ("", "g"):
+            W, U, Uh, b = (getattr(self, prefix + name) for name in self._BUFFERS)
             views = dict(
                 Wz=W[:, :H], Uz=U[:, :H], bz=b[:H],
                 Wr=W[:, H:2 * H], Ur=U[:, H:], br=b[H:2 * H],
@@ -215,6 +222,15 @@ class GRUCell:
             )
             for name, view in views.items():
                 setattr(self, prefix + name, view)
+
+    def __getstate__(self) -> dict:
+        views = {prefix + name for prefix in ("", "g") for name in self.NAMES
+                 if name not in self._BUFFERS}
+        return {k: v for k, v in self.__dict__.items() if k not in views}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._bind_views()
 
     def forward_sequence(
         self, xs: np.ndarray, h: np.ndarray, sizes: list[int]
@@ -631,18 +647,22 @@ def kl_divergence(logits_old: np.ndarray, logits_new: np.ndarray) -> np.ndarray:
 
 
 def sample_multicategorical(
-    logits: np.ndarray, rng: np.random.Generator | list[np.random.Generator]
+    logits: np.ndarray,
+    rng: np.random.Generator | list[np.random.Generator],
+    lanes: list[int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample each thruster's on/off bit; returns (action, log probability).
 
-    `rng` is one generator, or one per row of (B, 12, 2) `logits` that
-    draws that row's bits alone.
+    `rng` is one generator, or a list of them that each draw one row's bits
+    alone: row i of (B, 12, 2) `logits` draws from ``rng[lanes[i]]``, or
+    from ``rng[i]`` when `lanes` is None. One generator ignores `lanes`.
     """
     p_on = softmax(logits)[..., 1]
     if isinstance(rng, np.random.Generator):
         draws = rng.uniform(size=p_on.shape)
     else:
-        draws = np.stack([r.uniform(size=p_on.shape[1:]) for r in rng])
+        rows = range(len(rng)) if lanes is None else lanes
+        draws = np.stack([rng[k].uniform(size=p_on.shape[1:]) for k in rows])
     action = (draws < p_on).astype(np.int64)
     return action, action_log_prob(logits, action)
 

@@ -22,9 +22,12 @@ from __future__ import annotations
 
 import functools
 import glob
+import io
+import mmap
 import os
 import pickle
 import re
+import struct
 import threading
 from dataclasses import dataclass, field
 
@@ -186,7 +189,8 @@ def collection_processes(lanes: int) -> int:
     """How many processes fly a batch of `lanes` lanes: one per usable CPU
     and at most one per lane, when BLAS runs one thread (see
     :data:`asterhover.BLAS_PINNED`) and the process can fork safely (the
-    platform has ``os.fork`` and no other thread runs); else 1."""
+    platform has ``os.fork`` and no other thread runs); else 1.
+    :func:`ppo_update` asks for two lanes, its policy's and its critic's."""
     if BLAS_PINNED and hasattr(os, "fork") and threading.active_count() == 1:
         return max(1, min(usable_cpus(), lanes))
     return 1
@@ -226,11 +230,12 @@ def collect_rollouts(
     )
     env_seeds = [np.random.SeedSequence((seed, batch_index, k)) for k in range(L)]
     fly = functools.partial(_fly_lanes, env, policy, env_seeds, select)
+    send = functools.partial(_send_flown, fly)
     helpers = []  # (lanes, pid, read end of its pipe)
     try:
         for p in range(1, procs):
             lanes = range(p, L, procs)
-            helpers.append((lanes, *_fork_helper(fly, lanes, [fd for *_, fd in helpers])))
+            helpers.append((lanes, *_fork_helper(send, lanes, [fd for *_, fd in helpers])))
         results = [fly(range(0, L, procs))]
     finally:
         reaped = [(lanes, *_reap(pid, fd)) for lanes, pid, fd in helpers]
@@ -295,10 +300,18 @@ def _fly_lanes(env, policy, env_seeds, select, lanes) -> tuple[dict, tuple | Non
     }, None
 
 
-def _fork_helper(fly, lanes, inherited: list[int]) -> tuple[int, int]:
-    """Fork a helper that sends ``fly(lanes)`` through a pipe, pickled, and
-    exits without returning; `inherited` are the read ends of earlier
-    helpers' pipes, which it closes. Returns (pid, read end)."""
+def _send_flown(fly, lanes, pipe) -> None:
+    """Send ``fly(lanes)`` through `pipe`, pickled."""
+    pickle.dump(fly(lanes), pipe, pickle.HIGHEST_PROTOCOL)
+
+
+def _fork_helper(send, work, inherited: list[int]) -> tuple[int, int]:
+    """Fork a helper that runs ``send(work, pipe)``, `pipe` the write end of
+    a pipe as a binary file, and exits without returning: with code 0 once
+    `send` has returned and the pipe is closed, else 1. `work` is what the
+    helper is dealt (a batch's lanes, an update's minibatches); `inherited`
+    are the read ends of earlier helpers' pipes, which it closes. Returns
+    (pid, read end)."""
     read, write = os.pipe()
     pid = os.fork()
     if pid == 0:
@@ -307,9 +320,8 @@ def _fork_helper(fly, lanes, inherited: list[int]) -> tuple[int, int]:
             os.close(read)
             for fd in inherited:
                 os.close(fd)
-            result = fly(lanes)
             with os.fdopen(write, "wb") as pipe:
-                pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
+                send(work, pipe)
             status = 0
         finally:
             os._exit(status)  # none of the parent's cleanup, buffers or exit hooks
@@ -482,29 +494,159 @@ def ppo_update(
 ) -> UpdateStats:
     """Several epochs of minibatch updates on one batch.
 
-    Advantages are recomputed with a fresh critic replay at the start of
-    every epoch that takes policy steps. The measured KL stops further
-    policy steps once it exceeds 1.5x the target; critic regression
-    continues through all epochs, on the returns, which no replay changes.
-    Any non-finite loss or gradient aborts the update before the offending
-    step.
+    Each epoch visits the episodes in a permutation drawn from `rng` (all
+    of them are drawn first), one minibatch step of the policy and then one
+    of the critic per minibatch. Advantages are recomputed with a fresh
+    critic replay at the start of every epoch that takes policy steps. The
+    measured KL stops further policy steps once it exceeds 1.5x the target;
+    critic regression continues through all epochs, on the returns, which
+    no replay changes. Any non-finite loss or gradient aborts the update
+    before the offending step.
+
+    The critic never reads the policy, so its steps run as a chain of their
+    own (:func:`_value_epochs`) on a copy of the critic, in a helper forked
+    for the update when :func:`collection_processes` (2) is 2, else in this
+    process before the policy's. The policy's chain (:func:`_policy_epochs`)
+    loads the critic each of its epochs starts from, and learns whether
+    each value step succeeded before it takes the next policy step; so the
+    networks, both optimizers and the stats are those of the interleaved
+    loop, whichever process ran the critic. The helper has been reaped when
+    this returns or raises; if it dies, this raises RuntimeError.
     """
     eps = cfg.clip_eps if clip_eps is None else clip_eps
+    B, size = batch.num_episodes, cfg.minibatch_episodes
+    minibatches = [
+        [order[start:start + size] for start in range(0, B, size)]
+        for order in [rng.permutation(B) for _ in range(cfg.epochs)]
+    ]
+    slots = _CriticSlots(value_net, value_opt, cfg.epochs)
+    send = functools.partial(_value_epochs, value_net, value_opt, batch,
+                             discounted_returns(batch.rewards, cfg.gamma), slots)
+    policy_chain = functools.partial(_policy_epochs, policy, value_net, batch, cfg,
+                                     policy_opt, value_opt, eps, minibatches, slots)
+    if collection_processes(2) == 1:
+        statuses = io.BytesIO()
+        send(minibatches, statuses)
+        statuses.seek(0)
+        return policy_chain(statuses)
+    pid, read = _fork_helper(send, minibatches, [])
+    stats = None
+    try:
+        with os.fdopen(read, "rb", closefd=False) as statuses:
+            stats = policy_chain(statuses)
+    except EOFError:
+        pass  # the helper ended early: its exit code says how
+    finally:
+        code = _reap(pid, read)[1]
+    if stats is None or code != 0:
+        raise RuntimeError(f"the critic helper of the update exited with code {code}")
+    return stats
+
+
+# A value step's status as the critic's chain sends it: (ok, loss).
+_STATUS = struct.Struct("=?d")
+
+
+class _CriticSlots:
+    """The critic's state, its parameters and Adam ``m`` and ``v``, as each
+    epoch of :func:`_value_epochs` left it: one row per epoch of an
+    anonymous shared mapping, so that the rows a forked helper writes reach
+    the parent."""
+
+    def __init__(self, value_net: nn.ValueNetwork, opt: nn.Adam, epochs: int):
+        self.layout = {}  # name: (start, stop, shape) in a row
+        stop = 0
+        for name, a in self._arrays(value_net, opt).items():
+            self.layout[name] = (stop, stop + a.size, a.shape)
+            stop += a.size
+        # whole pages a row, so that a loaded row's pages can be let go
+        self.row_bytes = -(-stop * value_net.dtype.itemsize // mmap.PAGESIZE) * mmap.PAGESIZE
+        self.mapping = mmap.mmap(-1, epochs * self.row_bytes)
+        self.rows = np.ndarray((epochs, stop), value_net.dtype, self.mapping,
+                               strides=(self.row_bytes, value_net.dtype.itemsize))
+
+    @staticmethod
+    def _arrays(value_net: nn.ValueNetwork, opt: nn.Adam) -> dict[str, np.ndarray]:
+        return {**value_net.parameters(), **opt.state_arrays()}
+
+    def save(self, epoch: int, value_net: nn.ValueNetwork, opt: nn.Adam) -> None:
+        row = self.rows[epoch]
+        for name, a in self._arrays(value_net, opt).items():
+            start, stop, _ = self.layout[name]
+            row[start:stop] = a.ravel()
+
+    def load(self, epoch: int, value_net: nn.ValueNetwork, opt: nn.Adam, t: int) -> None:
+        """Put epoch `epoch`'s row into `value_net` and `opt`, whose step
+        count becomes `t`."""
+        row = self.rows[epoch]
+        arrays = {name: row[start:stop].reshape(shape)
+                  for name, (start, stop, shape) in self.layout.items()}
+        value_net.load_parameters(arrays)
+        opt.load_state_arrays(arrays, t)
+        # the row is read once: its pages leave this process's resident set
+        # (the mapping is shared, so its data stays)
+        if hasattr(mmap, "MADV_DONTNEED"):  # not on every platform
+            self.mapping.madvise(mmap.MADV_DONTNEED, epoch * self.row_bytes, self.row_bytes)
+
+
+def _value_epochs(value_net, value_opt, batch, returns, slots, minibatches, pipe) -> None:
+    """The critic's chain of :func:`ppo_update`, on a copy of `value_net`
+    and `value_opt`: a value step on each of `minibatches` (one list per
+    epoch) in turn, until the first that fails. After each step it sends
+    ``(ok, loss)`` through `pipe`; before that, if the step ended its epoch,
+    by finishing it or failing, it saves the copy into the epoch's row of
+    `slots`. Run in a forked helper, it makes the copy there."""
+    critic = nn.ValueNetwork(seed=None, dtype=value_net.dtype)
+    critic.load_parameters(value_net.parameters())
+    opt = nn.Adam(critic.parameters(), lr=value_opt.lr)
+    opt.load_state_arrays(value_opt.state_arrays(), value_opt.t)
+    for epoch, mbs in enumerate(minibatches):
+        for j, mb in enumerate(mbs):
+            loss, ok = value_minibatch_step(
+                critic, opt, batch.value_inputs[:, mb], returns[:, mb], batch.mask[:, mb],
+            )
+            if not ok or j == len(mbs) - 1:
+                slots.save(epoch, critic, opt)
+            pipe.write(_STATUS.pack(ok, loss))
+            pipe.flush()
+            if not ok:
+                return
+
+
+def _policy_epochs(
+    policy, value_net, batch, cfg, policy_opt, value_opt, eps, minibatches, slots, statuses,
+) -> UpdateStats:
+    """The policy's chain of :func:`ppo_update`, reading the value steps'
+    statuses from `statuses` in order; leaves `value_net` and `value_opt`
+    where the interleaved loop would."""
+    t0 = value_opt.t
     kl = 0.0
     clip_frac = 0.0
     value_loss = float("nan")
+    value_steps = 0  # value steps taken, by the statuses read
     policy_epochs = 0
     policy_active = True
     failed = None  # what went non-finite, which ends the update
-    for epoch in range(cfg.epochs):
+
+    def value_step_ok() -> bool:
+        nonlocal value_loss, value_steps
+        status = statuses.read(_STATUS.size)
+        if len(status) < _STATUS.size:
+            raise EOFError("the critic's chain ended early")
+        ok, value_loss = _STATUS.unpack(status)
+        value_steps += ok
+        return ok
+
+    for epoch, mbs in enumerate(minibatches):
+        j = 0
         if policy_active:  # nothing reads the advantages after the KL stop
+            if epoch:
+                slots.load(epoch - 1, value_net, value_opt, t0 + value_steps)
             compute_advantages(batch, cfg.gamma, value_net)
             if not np.isfinite(batch.advantages).all():
                 failed = "advantages"
                 break
-        order = rng.permutation(batch.num_episodes)
-        for start in range(0, batch.num_episodes, cfg.minibatch_episodes):
-            mb = order[start:start + cfg.minibatch_episodes]
+        for j, mb in enumerate(mbs):
             if policy_active:
                 _, clip_frac, ok = policy_minibatch_step(
                     policy, policy_opt,
@@ -516,12 +658,7 @@ def ppo_update(
                 if not ok:
                     failed = "policy step"
                     break
-            value_loss, ok = value_minibatch_step(
-                value_net, value_opt,
-                batch.value_inputs[:, mb], batch.returns[:, mb],
-                batch.mask[:, mb],
-            )
-            if not ok:
+            if not value_step_ok():
                 failed = "value step"
                 break
         if failed:
@@ -531,6 +668,16 @@ def ppo_update(
             kl = measure_kl(policy, batch)
             if kl > 1.5 * cfg.kl_target:
                 policy_active = False
+    if failed in ("advantages", "policy step"):
+        # value_net holds the critic this epoch started from: replay the
+        # epoch's value steps taken before the one that did not come
+        for mb in mbs[:j]:
+            value_minibatch_step(
+                value_net, value_opt,
+                batch.value_inputs[:, mb], batch.returns[:, mb], batch.mask[:, mb],
+            )
+    else:
+        slots.load(epoch, value_net, value_opt, t0 + value_steps)
     return UpdateStats(
         kl=kl,
         clip_fraction=clip_frac,

@@ -24,7 +24,7 @@ from asterhover.config import (
     parse_overrides,
 )
 from asterhover.errors import ConfigurationError
-from asterhover.evaluation import Scenario, get_scenario, run_monte_carlo, scenarios
+from asterhover.evaluation import MAX_EPISODES, Scenario, get_scenario, run_monte_carlo, scenarios
 from asterhover.geometry import load_mesh, save_mesh
 from asterhover.ppo import TrainConfig
 from geometry_reference import make_peanut_mesh
@@ -621,6 +621,18 @@ def test_eval_negative_episode_count_is_usage_error(trained_run, tmp_path, capsy
     ])
     assert code == 2
     assert "n_episodes must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "e").exists()
+
+
+def test_eval_episode_count_past_the_bound_is_usage_error(trained_run, tmp_path, capsys):
+    ck = str(trained_run / "checkpoint_000001.npz")
+    code = main([
+        "eval", "--checkpoint", ck, "--all",
+        "--episodes", str(MAX_EPISODES + 1), "--out", str(tmp_path / "e"),
+    ])
+    assert code == 2
+    assert (f"n_episodes must be at most {MAX_EPISODES}, got {MAX_EPISODES + 1}"
+            in capsys.readouterr().err)
     assert not (tmp_path / "e").exists()
 
 

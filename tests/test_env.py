@@ -565,7 +565,7 @@ def test_rollout_records_every_control_step():
     )
     seen = []
 
-    def fire_first_thruster(logits):
+    def fire_first_thruster(logits, lanes):
         seen.append(logits)
         action = np.zeros((1, 12), dtype=np.int64)
         action[0, 0] = 1
@@ -630,6 +630,22 @@ def test_rollout_lane_bytes_do_not_depend_on_the_other_lanes():
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
         np.testing.assert_array_equal(a.state.position, b.state.position)
         assert a.reward == b.reward and a.info == b.info
+
+
+@pytest.mark.parametrize("lanes", [None, [1, 2, 4]])
+def test_each_flown_lane_draws_once_per_step_it_flies(lanes):
+    seeds = [1, 2, 3, 4, 5]
+    rngs = [np.random.default_rng((s, 99)) for s in seeds]
+    select = functools.partial(nn.sample_multicategorical, rng=rngs)
+    lengths = [0] * len(seeds)
+    for k, _ in rollout(HoverEnv(lane_config()), nn.PolicyNetwork(seed=1), seeds, select, lanes):
+        lengths[k] += 1
+    flown = [lengths[k] for k in (range(len(seeds)) if lanes is None else lanes)]
+    assert min(flown) < max(flown)  # a lane ends early, and stops drawing
+    for k, s in enumerate(seeds):
+        fresh = np.random.default_rng((s, 99))
+        fresh.uniform(size=(lengths[k], 12))
+        assert rngs[k].bit_generator.state == fresh.bit_generator.state, k
 
 
 def test_spawn_shares_the_loaded_mesh(tmp_path):

@@ -18,8 +18,10 @@ from asterhover.env import EpisodeConfig, HoverEnv
 from asterhover.errors import ConfigurationError
 from asterhover.evaluation import (
     EPISODE_COLUMNS,
+    MAX_EPISODES,
     EvalReport,
     Scenario,
+    check_counts,
     get_scenario,
     load_policy,
     run_episode,
@@ -198,6 +200,16 @@ def test_fewer_than_one_episode_is_configuration_error(tmp_path):
     for n in (0, -3):
         with pytest.raises(ConfigurationError, match=f"n_episodes must be at least 1, got {n}"):
             run_monte_carlo(AllOffPolicy(), quiet_scenario(), n, seed=1, out_dir=str(out))
+    assert not out.exists()
+
+
+def test_episode_count_is_bounded(tmp_path):
+    check_counts(MAX_EPISODES, 1)  # the bound itself passes; nothing is flown
+    out = tmp_path / "many"
+    past = MAX_EPISODES + 1
+    with pytest.raises(ConfigurationError,
+                       match=f"n_episodes must be at most {MAX_EPISODES}, got {past}"):
+        run_monte_carlo(AllOffPolicy(), quiet_scenario(), past, seed=1, out_dir=str(out))
     assert not out.exists()
 
 

@@ -8,7 +8,9 @@ unrolled policy network to 1e-4 (looser: five timesteps of float64
 round-off accumulate).
 """
 
+import copy
 import hashlib
+import pickle
 
 import nn_reference as reference
 import numpy as np
@@ -326,6 +328,22 @@ def test_sample_multicategorical_one_generator_per_row():
         want, want_logp = sample_multicategorical(logits[row : row + 1], np.random.default_rng(s))
         np.testing.assert_array_equal(action[row], want[0])
         assert logp[row] == want_logp[0]
+
+
+def test_sample_multicategorical_rows_draw_from_their_lanes_generators():
+    logits = np.random.default_rng(36).normal(size=(5, 12, 2))
+    seeds = (5, 6, 7, 8, 9)
+    action, logp = sample_multicategorical(logits, [np.random.default_rng(s) for s in seeds])
+    rngs = [np.random.default_rng(s) for s in seeds]
+    lanes = [1, 3, 4]
+    some, some_logp = sample_multicategorical(logits[lanes], rngs, lanes=lanes)
+    assert some.tobytes() == action[lanes].tobytes()
+    assert some_logp.tobytes() == logp[lanes].tobytes()
+    for k, s in enumerate(seeds):  # only the given lanes' generators drew
+        fresh = np.random.default_rng(s)
+        if k in lanes:
+            fresh.uniform(size=12)
+        assert rngs[k].bit_generator.state == fresh.bit_generator.state
 
 
 def test_policy_hidden_state_carries_information():
@@ -863,6 +881,35 @@ def test_adam_updates_in_place_through_network_views():
     grads = {k: np.ones_like(v) for k, v in net.parameters().items()}
     opt.step(grads)
     assert not np.allclose(net.layers["fc1"].W, w_before)
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy, lambda net: pickle.loads(pickle.dumps(net))],
+                         ids=["deepcopy", "pickle"])
+@pytest.mark.parametrize("Network", [PolicyNetwork, ValueNetwork])
+def test_a_copied_network_loads_steps_and_forwards_like_a_fresh_one(clone, Network):
+    # The GRU's gate views must keep pointing into its fused buffers in the
+    # copy, or parameters loaded or stepped through them never reach forward.
+    source = Network(seed=2, dtype=np.float32)
+    nets = [Network(seed=1, dtype=np.float32), clone(Network(seed=1, dtype=np.float32))]
+    rng = np.random.default_rng(41)
+    if Network is PolicyNetwork:
+        inputs = (rng.uniform(-0.5, 0.5, size=(4, 3, 8, 8, 2)),
+                  rng.uniform(-0.5, 0.5, size=(4, 3, 7)))
+    else:
+        inputs = (rng.uniform(-1.0, 1.0, size=(4, 3, 13)),)
+    outputs = []
+    for net in nets:
+        net.load_parameters(source.parameters())
+        opt = Adam(net.parameters(), lr=1.0e-2)
+        loaded, cache = net.forward_sequence(*inputs)
+        net.zero_grads()
+        net.backward_sequence(np.ones_like(loaded), cache)
+        opt.step(net.gradients())
+        stepped, _ = net.forward_sequence(*inputs)
+        outputs.append([loaded.tobytes(), stepped.tobytes(),
+                        *(p.tobytes() for p in net.parameters().values())])
+    assert outputs[0][0] == source.forward_sequence(*inputs)[0].tobytes()
+    assert outputs[1] == outputs[0]
 
 
 # --------------------------------------------------------------------------

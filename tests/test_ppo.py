@@ -1,6 +1,7 @@
 """Rollout collection, advantage computation, clipped-surrogate updates,
 and the training loop: determinism, identities, and resume semantics."""
 
+import copy
 import json
 import os
 import subprocess
@@ -37,6 +38,7 @@ from asterhover.ppo import (
     value_minibatch_step,
 )
 
+import ppo_reference
 from env_reference import replay_episode
 
 
@@ -228,7 +230,8 @@ def noisy_early_config() -> EpisodeConfig:
 def processes(monkeypatch):
     """A setter of the collection's process count: it fixes the usable CPUs
     (BLAS counts as pinned, whatever the environment) and returns the list
-    of the lanes of each helper forked from then on."""
+    of what each helper forked from then on is dealt: a collection helper's
+    lanes, or the minibatches of an update's critic helper."""
     forked = []
     fork_helper = ppo._fork_helper
 
@@ -283,7 +286,9 @@ def test_training_bytes_do_not_depend_on_the_process_count(processes, tmp_path):
         out = tmp_path / f"p{count}"
         train(train_config(out, episode=noisy_early_config(),
                            ppo=small_ppo(episodes_per_batch=5)))
-        assert len(forked) == 2 * (count - 1)  # two batches
+        # two batches, each with count - 1 collection helpers and, from two
+        # processes on, the update's critic helper
+        assert len(forked) == 2 * (count - 1) + 2 * (count > 1)
         runs[count] = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
     assert sorted(runs[1]) == ["checkpoint_000001.npz", "checkpoint_000002.npz", "metrics.csv"]
     assert runs[2] == runs[1] and runs[3] == runs[1]
@@ -700,6 +705,114 @@ def test_no_critic_replay_after_the_kl_stop(monkeypatch):
         runs.append((stats, [p.tobytes() for net in (policy, value_net)
                              for p in net.parameters().values()]))
     assert runs[0] == runs[1]
+
+
+# The interleaved loop the update is pinned to, case by case: ordinary
+# epochs, the KL stop, and each kind of abort, the last three forced by
+# patching a step function to fail once its optimizer has taken `fail`
+# steps (so the failing call is the same in every process and replay).
+UPDATE_CASES = {
+    "ordinary": dict(lr=3e-4, epochs=4),
+    "kl stop": dict(lr=5e-2, epochs=6),
+    "advantages": dict(lr=3e-4, epochs=4, advantages_fail=2),
+    "policy step": dict(lr=3e-4, epochs=4, policy_fail=3),
+    "value step": dict(lr=3e-4, epochs=4, value_fail=3),
+    "value step after the kl stop": dict(lr=5e-2, epochs=6, value_fail=8),
+}
+UPDATE_OUTCOMES = {  # (diagnostics, policy epochs or None for "before the last epoch")
+    "ordinary": ("", 4),
+    "kl stop": ("", None),
+    "advantages": ("non-finite advantages at epoch 2", 2),
+    "policy step": ("non-finite policy step at epoch 1", 1),
+    "value step": ("non-finite value step at epoch 1", 1),
+    "value step after the kl stop": ("non-finite value step at epoch 4", None),
+}
+
+
+@pytest.fixture(scope="module")
+def update_batch():
+    policy, _ = build_networks(seed=15)
+    return collect_rollouts(HoverEnv(tiny_config()), policy, small_ppo(), seed=22, batch_index=0)
+
+
+def run_update(update, batch, monkeypatch, lr, epochs, advantages_fail=None,
+               policy_fail=None, value_fail=None):
+    """`update` on fresh networks and a copy of `batch`, with the case's
+    failure patched in; returns every byte it leaves behind."""
+    batch = copy.deepcopy(batch)
+    policy, value_net = build_networks(seed=15)
+    popt = nn.Adam(policy.parameters(), lr=lr)
+    vopt = nn.Adam(value_net.parameters(), lr=1.0e-3)
+    replays = []
+
+    def advantages(batch, gamma, net):
+        compute_advantages(batch, gamma, net)
+        replays.append(None)
+        if advantages_fail is not None and len(replays) == advantages_fail + 1:
+            batch.advantages[0, 0] = np.nan
+        return batch
+
+    def policy_step(policy, opt, *args):
+        if opt.t == policy_fail:
+            return float("nan"), 0.0, False
+        return policy_minibatch_step(policy, opt, *args)
+
+    def value_step(net, opt, *args):
+        if opt.t == value_fail:
+            return float("inf"), False
+        return value_minibatch_step(net, opt, *args)
+
+    monkeypatch.setattr(ppo, "compute_advantages", advantages)
+    monkeypatch.setattr(ppo, "policy_minibatch_step", policy_step)
+    monkeypatch.setattr(ppo, "value_minibatch_step", value_step)
+    stats = update(policy, value_net, batch, small_ppo(epochs=epochs), popt, vopt,
+                   np.random.default_rng(2), clip_eps=0.3)
+    return {
+        "stats": repr(stats),
+        "parameters": [p.tobytes() for net in (policy, value_net)
+                       for p in net.parameters().values()],
+        "optimizers": [(opt.t, [a.tobytes() for a in opt.state_arrays().values()])
+                       for opt in (popt, vopt)],
+        "batch": [getattr(batch, name).tobytes() for name in ("returns", "values", "advantages")],
+    }, stats
+
+
+@pytest.mark.parametrize("case", UPDATE_CASES)
+def test_update_equals_the_interleaved_loop_at_one_and_two_processes(
+    processes, monkeypatch, update_batch, case
+):
+    reference, stats = run_update(ppo_reference.ppo_update, update_batch, monkeypatch,
+                                  **UPDATE_CASES[case])
+    diagnostics, policy_epochs = UPDATE_OUTCOMES[case]
+    assert stats.diagnostics == diagnostics
+    if policy_epochs is None:
+        assert stats.policy_epochs < UPDATE_CASES[case]["epochs"] - 1
+    else:
+        assert stats.policy_epochs == policy_epochs
+    for count in (1, 2):
+        forked = processes(count)
+        got, _ = run_update(ppo_update, update_batch, monkeypatch, **UPDATE_CASES[case])
+        assert len(forked) == count - 1
+        assert_no_child_left()
+        assert got == reference, count
+
+
+def test_a_critic_helper_that_dies_is_an_error(processes, monkeypatch, update_batch):
+    parent = os.getpid()
+
+    def value_step_or_die(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return value_minibatch_step(*args)
+
+    monkeypatch.setattr(ppo, "value_minibatch_step", value_step_or_die)
+    processes(2)
+    policy, value_net = build_networks(seed=15)
+    with pytest.raises(RuntimeError, match="critic helper of the update exited with code 3"):
+        ppo_update(policy, value_net, copy.deepcopy(update_batch), small_ppo(),
+                   nn.Adam(policy.parameters()), nn.Adam(value_net.parameters()),
+                   np.random.default_rng(2))
+    assert_no_child_left()
 
 
 def traced_peak(fn) -> int:

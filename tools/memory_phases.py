@@ -18,12 +18,15 @@ benchmark's ``peak_rss_mb``:
 - ``import_mb``: the peak after import;
 - ``rise_mb``: per phase, how far the peak rose inside its calls, summed
   over them (a peak only rises, so each MB is counted in the phase that
-  set it);
+  set it). ``value_minibatch_step`` shows a rise only when the update runs
+  in one process: with two, the critic's steps run in the update's helper,
+  and the parent calls it only to replay the steps of an aborted epoch;
 - ``other_mb``: the rise outside those phases;
 - ``peak_mb``: the peak at the end of the run;
-- ``helper_peak_mb``: the largest peak of the collection helpers the run
-  forked (``RUSAGE_CHILDREN``; 0 when collection forked none), so that
-  memory which moves into a helper stays in view.
+- ``helper_peak_mb``: the largest peak of the helpers the run forked, the
+  collection helpers and the update's critic helper (``RUSAGE_CHILDREN``;
+  0 when it forked none), so that memory which moves into a helper stays
+  in view.
 
 Trailing ``KEY=VALUE`` arguments override the training config on both
 sides, as ``train`` takes them (default: the default config). It prints
