@@ -276,23 +276,44 @@ def _pack(state: SpacecraftState) -> np.ndarray:
     )
 
 
-def _norm(*components: float) -> float:
-    """Euclidean norm through BLAS ddot, as np.linalg.norm computes it; a
-    float sum of squares rounds differently."""
-    v = np.array(components)
+def _norm3(v: np.ndarray, x: float, y: float, z: float) -> float:
+    """Euclidean norm through BLAS ddot, as np.linalg.norm computes it (a
+    float sum of squares rounds differently), taken in the scratch
+    3-vector `v`."""
+    v[0] = x
+    v[1] = y
+    v[2] = z
+    return math.sqrt(v.dot(v))
+
+
+def _norm4(v: np.ndarray, w: float, x: float, y: float, z: float) -> float:
+    """:func:`_norm3` of four components, in the scratch 4-vector `v`. One
+    function for both lengths, filling `v` by `v[:] = components`, makes
+    `rk4_step` about 7% slower."""
+    v[0] = w
+    v[1] = x
+    v[2] = y
+    v[3] = z
     return math.sqrt(v.dot(v))
 
 
 def _derivative(
     y: list[float],
-    t: float,
+    spin: tuple[float, float, float],
     f_body: list[float],
     l_body: list[float],
     mdot: float,
-    model: AsteroidModel,
-    ext: ExternalForces,
+    gm: float,
+    ext_accel: list[float],
+    ext_torque: list[float],
+    v3: np.ndarray,
+    v4: np.ndarray,
 ) -> list[float]:
-    """Time derivative of the packed state [r, v, q, omega, m], on floats.
+    """Time derivative of the packed state [r, v, q, omega, m], on floats,
+    given the asteroid's angular velocity `spin` at the state's time (see
+    :func:`_spin`), the body force, torque and propellant flow, the
+    gravitational parameter and the external acceleration and torque, with
+    the scratch 3- and 4-vectors the norms are taken in.
 
     Every component is the array form's expression written out, with its
     operations in the same order (np.cross(a, b)[0] is a1*b2 - a2*b1), so
@@ -300,17 +321,17 @@ def _derivative(
     """
     rx, ry, rz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz, m = y
 
-    r_norm = _norm(rx, ry, rz)
+    r_norm = _norm3(v3, rx, ry, rz)
     if r_norm < 1.0:
         raise SimulationError(f"position reached {r_norm:.3f} m from the body center")
     if m <= 0.0:
         raise SimulationError("spacecraft mass is not positive")
 
-    sx, sy, sz = _spin(model, t)
+    sx, sy, sz = spin
 
     # Translation: thrust (rotated to the asteroid frame), disturbance,
     # point-mass gravity, Coriolis, centrifugal.
-    q_norm = _norm(qw, qx, qy, qz)
+    q_norm = _norm4(v4, qw, qx, qy, qz)
     if q_norm == 0.0:  # numpy's 0/0: NaN (and its warning), not ZeroDivisionError
         a, b, c, d = (np.array([qw, qx, qy, qz]) / q_norm).tolist()
     else:
@@ -322,12 +343,11 @@ def _derivative(
     ux = fx + a * tx + (c * tz - d * ty)
     uy = fy + a * ty + (d * tx - b * tz)
     uz = fz + a * tz + (b * ty - c * tx)
-    gm = model.gm
     r3 = r_norm**3
     ex = sy * rz - sz * ry  # spin x r
     ey = sz * rx - sx * rz
     ez = sx * ry - sy * rx
-    eax, eay, eaz = ext.accel.tolist()
+    eax, eay, eaz = ext_accel
     accel_x = ux / m + eax - gm * rx / r3 + 2.0 * (vy * sz - vz * sy) + (ey * sz - ez * sy)
     accel_y = uy / m + eay - gm * ry / r3 + 2.0 * (vz * sx - vx * sz) + (ez * sx - ex * sz)
     accel_z = uz / m + eaz - gm * rz / r3 + 2.0 * (vx * sy - vy * sx) + (ex * sy - ey * sx)
@@ -344,7 +364,7 @@ def _derivative(
     j = (m / 12.0) * (CUBE_SIDE * CUBE_SIDE + CUBE_SIDE * CUBE_SIDE)
     jdot = j / m * mdot
     hx, hy, hz = j * wx, j * wy, j * wz
-    tqx, tqy, tqz = ext.torque.tolist()
+    tqx, tqy, tqz = ext_torque
     wdx = (l_body[0] + tqx - (wy * hz - wz * hy) - jdot * wx) / j
     wdy = (l_body[1] + tqy - (wz * hx - wx * hz) - jdot * wy) / j
     wdz = (l_body[2] + tqz - (wx * hy - wy * hx) - jdot * wz) / j
@@ -371,10 +391,10 @@ def rk4_step(
     `renormalize` is disabled (useful for measuring integrator drift).
     The stages run on Python floats in the array form's order (y + (h*k),
     then ((k1 + 2 k2) + 2 k3) + k4). The thruster force, torque and
-    propellant flow are formed once, the state stays in floats between
-    steps, and an array is built only for the returned state, so the result
-    equals `substeps` chained one-step calls bit for bit, and so does the
-    error a step raises.
+    propellant flow are formed once, the asteroid's spin once per distinct
+    stage time, the state stays in floats between steps, and an array is
+    built only for the returned state, so the result equals `substeps`
+    chained one-step calls bit for bit, and so does the error a step raises.
     """
     if dt <= 0.0:
         raise ConfigurationError(f"dt must be positive, got {dt}")
@@ -385,18 +405,30 @@ def rk4_step(
     mdot = -thrust_sum / (isp * g_ref)
     f_body, l_body = f_body.tolist(), l_body.tolist()
 
+    # Fixed over the call: the gravitational parameter, the disturbances on
+    # floats, and the scratch vectors of the norms (per call, so that
+    # rk4_step is reentrant).
+    gm, ea, et = model.gm, ext.accel.tolist(), ext.torque.tolist()
+    v3, v4 = np.empty(3), np.empty(4)
+
     y = _pack(state).tolist()
     t = state.t
     h = 0.5 * dt
     c = dt / 6.0
+    spin = _spin(model, t)
     for _ in range(substeps):
-        k1 = _derivative(y, t, f_body, l_body, mdot, model, ext)
-        k2 = _derivative([a + h * b for a, b in zip(y, k1)], t + h, f_body, l_body, mdot, model, ext)
-        k3 = _derivative([a + h * b for a, b in zip(y, k2)], t + h, f_body, l_body, mdot, model, ext)
-        k4 = _derivative([a + dt * b for a, b in zip(y, k3)], t + dt, f_body, l_body, mdot, model, ext)
+        k1 = _derivative(y, spin, f_body, l_body, mdot, gm, ea, et, v3, v4)
+        spin = _spin(model, t + h)  # k2 and k3 share their stage time
+        y2 = [a + h * b for a, b in zip(y, k1)]
+        k2 = _derivative(y2, spin, f_body, l_body, mdot, gm, ea, et, v3, v4)
+        y3 = [a + h * b for a, b in zip(y, k2)]
+        k3 = _derivative(y3, spin, f_body, l_body, mdot, gm, ea, et, v3, v4)
+        spin = _spin(model, t + dt)  # and k4's is the next step's k1's
+        y4 = [a + dt * b for a, b in zip(y, k3)]
+        k4 = _derivative(y4, spin, f_body, l_body, mdot, gm, ea, et, v3, v4)
         y = [a + c * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
         if renormalize:  # quat_normalize on floats
-            n = _norm(*y[6:10])
+            n = _norm4(v4, *y[6:10])
             if n == 0.0:
                 raise ConfigurationError("cannot normalize a zero quaternion")
             y[6:10] = [q / n for q in y[6:10]]

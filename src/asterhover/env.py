@@ -38,9 +38,11 @@ from .geometry import (
     AsteroidGenConfig,
     AsteroidModel,
     TriMesh,
+    check_mesh_scale,
     draw_rotation_state,
-    load_mesh,
     mesh_half_extents,
+    parse_mesh,
+    read_mesh_file,
     synthesize_asteroid,
 )
 from .lidar import (
@@ -392,6 +394,54 @@ def sample_initial_conditions(
     )
 
 
+# The last file-backed body load_mesh built: (the length and hash() of the
+# file's bytes, its unscaled mesh, the scale, the scaled mesh, its half
+# extents, its PreparedMesh), or None. One body at most, as HoverEnv's
+# callers fly one shape model at a time. Python hashes bytes with SipHash
+# under a per-process random key, so a changed file of the same length
+# passes for the cached one with odds of 2**-64. A sha256 would load
+# OpenSSL's libcrypto into every run with a mesh file (about 2 MB of peak
+# memory and 4 ms on 2 vCPUs), and keeping the bytes to compare would hold
+# the file's size.
+_shape_model: (
+    tuple[tuple[int, int], TriMesh, float, TriMesh, np.ndarray, PreparedMesh] | None
+) = None
+
+
+def load_mesh(path: str, scale: float) -> tuple[TriMesh, np.ndarray, PreparedMesh]:
+    """The body in the mesh file at `path`, its vertices multiplied by
+    `scale`: its mesh, half extents (:func:`mesh_half_extents`) and
+    :class:`PreparedMesh`, shared between environments and read-only.
+
+    The file is read on every call, so a missing, changed or malformed file
+    fails or loads as :func:`asterhover.geometry.load_mesh` would; its bytes
+    are parsed only when they differ from the cached body's, and the mesh
+    scaled and prepared only when they or `scale` do. A file that cannot be
+    read or parsed leaves the cached body as it was. (perfbench's tracer
+    times this function under ``geometry.load_mesh``.)
+    """
+    global _shape_model
+    check_mesh_scale(scale)
+    data = read_mesh_file(path)
+    key = (len(data), hash(data))
+    if _shape_model is not None and _shape_model[0] == key:
+        base = _shape_model[1]  # a new scale of the cached file keeps its parse
+        if _shape_model[2] == scale:
+            return _shape_model[3:]
+    else:
+        base = parse_mesh(data, path)
+        base.vertices.flags.writeable = base.faces.flags.writeable = False
+    # the file's bytes and the old body go before the new one is prepared
+    del data
+    _shape_model = None
+    mesh = base if scale == 1.0 else TriMesh(base.vertices * scale, base.faces)
+    mesh.vertices.flags.writeable = False
+    extents = mesh_half_extents(mesh)
+    extents.flags.writeable = False
+    _shape_model = (key, base, scale, mesh, extents, PreparedMesh(mesh))
+    return _shape_model[3:]
+
+
 class HoverEnv:
     """One hovering episode at a time; see module docstring.
 
@@ -408,9 +458,9 @@ class HoverEnv:
         self.cfg.validate()
         self._loaded_mesh: TriMesh | None = None
         if self.cfg.mesh_file is not None:
-            self._loaded_mesh = load_mesh(self.cfg.mesh_file, self.cfg.mesh_scale)
-            self._loaded_extents = mesh_half_extents(self._loaded_mesh)
-            self._prep = PreparedMesh(self._loaded_mesh)
+            self._loaded_mesh, self._loaded_extents, self._prep = load_mesh(
+                self.cfg.mesh_file, self.cfg.mesh_scale
+            )
         self.model: AsteroidModel | None = None
         self.state: SpacecraftState | None = None
         self.done = True

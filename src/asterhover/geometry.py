@@ -292,25 +292,44 @@ def save_mesh(path: str, mesh: TriMesh) -> None:
             fh.write(f"f {a + 1} {b + 1} {c + 1}\n")
 
 
+def check_mesh_scale(scale: float) -> None:
+    """Refuse a mesh scale that is not positive."""
+    if scale <= 0.0:
+        raise ConfigurationError(f"mesh scale must be positive, got {scale}")
+
+
+def read_mesh_file(path: str) -> bytes:
+    """The bytes of the mesh file at `path`; a file that cannot be read
+    raises MeshLoadError."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise MeshLoadError(f"cannot read mesh file {path}: {exc}") from exc
+
+
 def load_mesh(path: str, scale: float = 1.0) -> TriMesh:
-    """Read a mesh written by :func:`save_mesh` (a subset of Wavefront OBJ).
+    """Read a mesh written by :func:`save_mesh` (a subset of Wavefront OBJ):
+    :func:`read_mesh_file`, then :func:`parse_mesh`. Vertices are multiplied
+    by `scale` after loading."""
+    check_mesh_scale(scale)
+    mesh = parse_mesh(read_mesh_file(path), path)
+    return TriMesh(mesh.vertices * scale, mesh.faces)
+
+
+def parse_mesh(data: bytes, path: str) -> TriMesh:
+    """The mesh in `data`, the bytes of the mesh file at `path`, unscaled;
+    `path` only names the file in errors.
 
     Only `v` and `f` records are interpreted; `#` comments and other record
     types are skipped. Faces must be triangles and use 1-based vertex
-    indices. Vertices are multiplied by `scale` after loading.
+    indices.
 
-    Records are found by whole-array passes over the file's bytes, and
-    numpy's parser reads each kind in one call; only when a record fails a
-    check are the lines split and read one by one, to name the first
-    offending line.
+    Records are found by whole-array passes over the bytes, and numpy's
+    parser reads each kind in one call; only when a record fails a check
+    are the lines split and read one by one, to name the first offending
+    line.
     """
-    if scale <= 0.0:
-        raise ConfigurationError(f"mesh scale must be positive, got {scale}")
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise MeshLoadError(f"cannot read mesh file {path}: {exc}") from exc
     if b"\r" in data:  # the universal newlines of a text-mode read
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     buf, starts, ends, first = _line_bounds(data)
@@ -350,7 +369,7 @@ def load_mesh(path: str, scale: float = 1.0) -> TriMesh:
         raise MeshLoadError(
             f"{path}:{face_rows[row] + 1}: face index {face_arr[row, col]} outside 1..{nv}"
         )
-    return TriMesh(vertices * scale, face_arr - 1)
+    return TriMesh(vertices, face_arr - 1)
 
 
 # Whitespace as str.split() sees it among ASCII characters, less the

@@ -70,7 +70,7 @@ class LidarFrame:
 
 
 class PreparedMesh:
-    """Mesh rearranged for batch ray casting; build once per mesh.
+    """Mesh rearranged for batch ray casting, read-only; build once per mesh.
 
     The fields the Möller–Trumbore kernel gathers rows from, `v0`, `edge1`
     and `edge2`, are C-contiguous (F, 3). The fields only the whole-mesh
@@ -85,8 +85,6 @@ class PreparedMesh:
         vt = np.ascontiguousarray(v.T)
         # The facets' first, second and third corners, (3, F) each.
         c0, c1, c2 = (np.take(vt, f[:, k], axis=1) for k in range(3))
-        edge1, edge2 = c1 - c0, c2 - c0
-        self.v0, self.edge1, self.edge2 = (np.ascontiguousarray(a.T) for a in (c0, edge1, edge2))
         self.num_faces = f.shape[0]
         # Upper bound on the distance of any surface point from the origin.
         self.bound_radius = float(np.max(np.linalg.norm(v, axis=1)))
@@ -95,8 +93,17 @@ class PreparedMesh:
         self.centroid = (c0 + c1 + c2) / 3.0
         r0, r1, r2 = (np.linalg.norm(c - self.centroid, axis=0) for c in (c0, c1, c2))
         self.radius = np.maximum(np.maximum(r0, r1), r2)
+        edge1, edge2 = c1 - c0, c2 - c0
+        # What is left to build needs none of these: on a large body, the
+        # build's peak is then the kept fields plus three (3, F) arrays.
+        del vt, c1, c2, r0, r1, r2
         self.normal = _cross(edge1, edge2, axis=0)
         self.normal_len = np.linalg.norm(self.normal, axis=0)
+        self.v0, self.edge1, self.edge2 = (np.ascontiguousarray(a.T) for a in (c0, edge1, edge2))
+        # Lanes and environments on one body share it, so it is read-only.
+        for a in (self.v0, self.edge1, self.edge2, self.centroid, self.radius, self.normal,
+                  self.normal_len):
+            a.flags.writeable = False
 
 
 def _cross(a: np.ndarray, b: np.ndarray, axis: int = 1) -> np.ndarray:

@@ -4,6 +4,7 @@ import asterhover  # noqa: F401  (first: it pins one BLAS thread before numpy lo
 import numpy as np
 import pytest
 
+from asterhover import env
 from asterhover.geometry import (
     GRAVITATIONAL_CONSTANT,
     AsteroidModel,
@@ -43,3 +44,10 @@ def make_model(
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260816)
+
+
+@pytest.fixture(autouse=True)
+def cold_shape_model_cache():
+    """Every test starts with no shape model cached (see env.load_mesh), so
+    that none depends on the tests before it."""
+    env._shape_model = None

@@ -10,6 +10,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -673,16 +674,28 @@ def peanut_obj(tmp_path_factory):
 
 @pytest.fixture
 def mesh_reads(monkeypatch):
-    """The path of every shape-model read by an environment or the CLI."""
-    reads = []
+    """The path of every shape-model file read by an environment or the
+    CLI, under `reads`, and of every one of those parsed, under `parses`."""
+    log = types.SimpleNamespace(reads=[], parses=[])
+    read, parse = asterhover.env.read_mesh_file, asterhover.env.parse_mesh
 
-    def read_mesh(path, *args, **kwargs):
-        reads.append(path)
+    def read_mesh(path):
+        log.reads.append(path)
+        return read(path)
+
+    def parse_mesh(data, path):
+        log.parses.append(path)
+        return parse(data, path)
+
+    def cli_load_mesh(path, *args, **kwargs):
+        log.reads.append(path)
+        log.parses.append(path)
         return load_mesh(path, *args, **kwargs)
 
-    for module in (asterhover.env, asterhover.cli):
-        monkeypatch.setattr(module, "load_mesh", read_mesh)
-    return reads
+    monkeypatch.setattr(asterhover.env, "read_mesh_file", read_mesh)
+    monkeypatch.setattr(asterhover.env, "parse_mesh", parse_mesh)
+    monkeypatch.setattr(asterhover.cli, "load_mesh", cli_load_mesh)
+    return log
 
 
 def eval_all(ck, out, *extra):
@@ -732,9 +745,10 @@ def test_eval_all_gives_the_mesh_file_to_mesh_scenarios_only(
     assert eval_all(str(trained_run / "checkpoint_000001.npz"), out, "--mesh-file", peanut_obj) == 0
     assert len(loads) == 1  # one checkpoint read for the 14 scenarios
     # each scenario is resolved once, and the mesh file read once per
-    # scenario that flies over it
+    # scenario that flies over it but parsed once in all
     assert sorted(resolved) == sorted(s.name for s in scenarios())
-    assert mesh_reads == [peanut_obj] * sum(s.requires_mesh for s in scenarios())
+    assert mesh_reads.reads == [peanut_obj] * sum(s.requires_mesh for s in scenarios())
+    assert mesh_reads.parses == [peanut_obj]
     lines = read(out / "summary.csv").strip().splitlines()
     assert len(lines) == 1 + 14
     assert lines[:9] == read(plain / "summary.csv").strip().splitlines()
@@ -804,7 +818,7 @@ def test_eval_mesh_file_flag_is_the_mesh_file_override(
             "--episodes", "1", "--seed", "5", "--workers", "1"]
     flag, plain = tmp_path / "flag", tmp_path / "plain"
     assert main(args + ["--mesh-file", peanut_obj, "--out", str(flag)]) == 0
-    assert mesh_reads == [peanut_obj]
+    assert mesh_reads.reads == mesh_reads.parses == [peanut_obj]
     assert main(args + ["--out", str(plain)]) == 0
     override = tmp_path / "override"
     run_monte_carlo(

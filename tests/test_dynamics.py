@@ -15,6 +15,7 @@ from asterhover.dynamics import (
     ThrusterTable,
     _derivative,
     _pack,
+    _spin,
     asteroid_angular_velocity,
     body_force_torque,
     dcm_to_quat,
@@ -508,8 +509,10 @@ def test_rk4_step_matches_reference_bitwise(case, rng):
     for _ in range(5):
         action = rng.integers(0, 2, 12).astype(np.float64)
         y = _pack(fast)
-        got = _derivative(y.tolist(), fast.t, [0.1, -0.2, 0.3], [0.01, 0.0, -0.02], -1.0e-4,
-                          model, ext or ExternalForces())
+        forces = ext or ExternalForces()
+        got = _derivative(y.tolist(), _spin(model, fast.t), [0.1, -0.2, 0.3], [0.01, 0.0, -0.02],
+                          -1.0e-4, model.gm, forces.accel.tolist(), forces.torque.tolist(),
+                          np.empty(3), np.empty(4))
         want = _derivative_reference(y, fast.t, np.array([0.1, -0.2, 0.3]), np.array([0.01, 0.0, -0.02]),
                                      -1.0e-4, model, ext or ExternalForces())
         assert np.array(got).tobytes() == want.tobytes()

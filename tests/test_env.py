@@ -26,10 +26,12 @@ from asterhover.env import (
     sample_initial_conditions,
     surface_radius,
 )
-from asterhover.errors import ConfigurationError, SimulationError
+from asterhover.errors import ConfigurationError, MeshLoadError, SimulationError
 from asterhover.geometry import (
     AsteroidDynRanges,
     AsteroidGenConfig,
+    load_mesh,
+    mesh_half_extents,
     save_mesh,
     synthesize_asteroid,
 )
@@ -658,6 +660,115 @@ def test_spawn_shares_the_loaded_mesh(tmp_path):
     assert twin.done and twin.state is None
     twin.reset(seed=2)
     assert not np.array_equal(twin.state.position, env.state.position)
+
+
+# --------------------------------------------------------------------------
+# Shape models from files: one parse and one preparation per content and scale
+
+
+def count_parses(monkeypatch) -> list[str]:
+    """The path of every mesh file an environment parses from now on."""
+    parses = []
+    parse = env_module.parse_mesh
+
+    def counted(data, path):
+        parses.append(path)
+        return parse(data, path)
+
+    monkeypatch.setattr(env_module, "parse_mesh", counted)
+    return parses
+
+
+def body_file(path, seed: int) -> str:
+    save_mesh(str(path), synthesize_asteroid(seed).mesh)
+    return str(path)
+
+
+def test_environments_on_one_file_share_one_prepared_body(tmp_path, monkeypatch):
+    parses = count_parses(monkeypatch)
+    path = body_file(tmp_path / "body.obj", 5)
+    a, b = HoverEnv(EpisodeConfig(mesh_file=path)), HoverEnv(EpisodeConfig(mesh_file=path))
+    assert b._prep is a._prep and b._loaded_mesh is a._loaded_mesh
+    assert b._loaded_extents is a._loaded_extents
+    # the key is the content, not the path
+    copy_path = tmp_path / "copy.obj"
+    copy_path.write_bytes((tmp_path / "body.obj").read_bytes())
+    assert HoverEnv(EpisodeConfig(mesh_file=str(copy_path)))._prep is a._prep
+    assert parses == [path]
+    want = load_mesh(path)
+    assert a._loaded_mesh.vertices.tobytes() == want.vertices.tobytes()
+    assert a._loaded_mesh.faces.tobytes() == want.faces.tobytes()
+
+
+def test_a_rewritten_file_gives_the_new_body(tmp_path, monkeypatch):
+    parses = count_parses(monkeypatch)
+    path = body_file(tmp_path / "body.obj", 5)
+    old = HoverEnv(EpisodeConfig(mesh_file=path))
+    body_file(tmp_path / "body.obj", 6)
+    new = HoverEnv(EpisodeConfig(mesh_file=path))
+    assert parses == [path, path]
+    assert new._prep is not old._prep
+    assert new._loaded_mesh.vertices.tobytes() == load_mesh(path).vertices.tobytes()
+    assert not np.array_equal(new._loaded_mesh.vertices, old._loaded_mesh.vertices)
+    # one digit of the first vertex changed, the length kept
+    data = (tmp_path / "body.obj").read_bytes()
+    at = data.index(b"\nv ") + 3
+    at += data[at:at + 1] == b"-"
+    digit = b"3" if data[at:at + 1] != b"3" else b"4"
+    (tmp_path / "body.obj").write_bytes(data[:at] + digit + data[at + 1:])
+    edited = HoverEnv(EpisodeConfig(mesh_file=path))
+    assert parses == [path, path, path]
+    assert edited._loaded_mesh.vertices.tobytes() == load_mesh(path).vertices.tobytes()
+    assert not np.array_equal(edited._loaded_mesh.vertices[0], new._loaded_mesh.vertices[0])
+
+
+def test_a_new_scale_is_prepared_without_a_parse(tmp_path, monkeypatch):
+    parses = count_parses(monkeypatch)
+    path = body_file(tmp_path / "body.obj", 5)
+    one = HoverEnv(EpisodeConfig(mesh_file=path))
+    three = HoverEnv(EpisodeConfig(mesh_file=path, mesh_scale=3.0))
+    assert three._prep is not one._prep
+    assert three._loaded_mesh.vertices.tobytes() == load_mesh(path, 3.0).vertices.tobytes()
+    assert three._loaded_extents.tobytes() == mesh_half_extents(load_mesh(path, 3.0)).tobytes()
+    # the cache holds one scale at a time, and returning to a scale prepares
+    # it again, from the same parse
+    again = HoverEnv(EpisodeConfig(mesh_file=path))
+    assert again._prep is not one._prep
+    assert again._loaded_mesh.vertices.tobytes() == one._loaded_mesh.vertices.tobytes()
+    assert parses == [path]
+    assert env_module._shape_model[2] == 1.0 and env_module._shape_model[5] is again._prep
+
+
+@pytest.mark.parametrize("text", [None, "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 9\n", "v 0 0\n"],
+                         ids=["missing", "face-index-out-of-range", "short-vertex"])
+def test_a_bad_file_fails_alike_on_every_build(tmp_path, monkeypatch, text):
+    good = HoverEnv(EpisodeConfig(mesh_file=body_file(tmp_path / "good.obj", 5)))
+    parses = count_parses(monkeypatch)
+    bad = tmp_path / "bad.obj"
+    if text is not None:
+        bad.write_text(text)
+    with pytest.raises(MeshLoadError) as want:
+        load_mesh(str(bad))
+    for _ in range(2):
+        with pytest.raises(MeshLoadError) as got:
+            HoverEnv(EpisodeConfig(mesh_file=str(bad)))
+        assert str(got.value) == str(want.value)
+    assert parses == ([] if text is None else [str(bad)] * 2)
+    # a failed build leaves the cached body as it was
+    assert HoverEnv(EpisodeConfig(mesh_file=str(tmp_path / "good.obj")))._prep is good._prep
+    with pytest.raises(ConfigurationError, match="mesh scale must be positive"):
+        HoverEnv(EpisodeConfig(mesh_file=str(bad), mesh_scale=0.0))
+
+
+def test_a_shared_body_is_read_only(tmp_path):
+    env = HoverEnv(EpisodeConfig(mesh_file=body_file(tmp_path / "body.obj", 5)))
+    env.reset(seed=1)
+    prep = env._prep
+    shared = [env.model.mesh.vertices, env.model.mesh.faces, env.model.axes, prep.v0,
+              prep.edge1, prep.edge2, prep.centroid, prep.radius, prep.normal, prep.normal_len]
+    for a in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
 
 
 # --------------------------------------------------------------------------

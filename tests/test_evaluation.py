@@ -437,6 +437,27 @@ def test_peanut_standin_mesh_scenario_runs(tmp_path):
     assert report.scenario == "itokawa"
 
 
+def test_a_cached_shape_model_flies_the_same_bytes(tmp_path):
+    # cold: the file parsed and prepared (each test starts with no cached
+    # body); warm: the body the first run left; rescaled: the body prepared
+    # again from the parse of a run at another scale
+    mesh_path = str(tmp_path / "peanut.obj")
+    save_mesh(mesh_path, make_peanut_mesh(level=2))
+    scenario = get_scenario("itokawa3x")
+    scenario.overrides["duration"] = 60.0  # trim for test speed
+    policy = nn.PolicyNetwork(seed=10)
+
+    def fly(name: str) -> bytes:
+        run_monte_carlo(policy, scenario, 2, seed=3, out_dir=str(tmp_path / name),
+                        mesh_file=mesh_path)
+        return (tmp_path / name / "episodes.csv").read_bytes()
+
+    cold = fly("cold")
+    assert fly("warm") == cold
+    HoverEnv(EpisodeConfig(mesh_file=mesh_path))
+    assert fly("rescaled") == cold
+
+
 # --------------------------------------------------------------------------
 # simulate and evaluation fly the same episode
 
