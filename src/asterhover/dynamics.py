@@ -29,22 +29,23 @@ G_REF = 9.8            # reference gravitational acceleration for Isp, m/s^2
 # --------------------------------------------------------------------------
 # Quaternion algebra (scalar-first, Hamilton convention)
 
-def quat_mul(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Hamilton product q * p."""
-    w1, x1, y1, z1 = q
-    w2, x2, y2, z2 = p
-    return np.array(
-        [
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        ]
+def _hamilton(
+    w1: float, x1: float, y1: float, z1: float, w2: float, x2: float, y2: float, z2: float
+) -> tuple[float, float, float, float]:
+    """Hamilton product of two quaternions given as floats."""
+    return (
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
     )
 
 
-def quat_conj(q: np.ndarray) -> np.ndarray:
-    return np.array([q[0], -q[1], -q[2], -q[3]])
+def quat_mul(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Hamilton product q * p of two float64 quaternions, taken on Python
+    floats, which round as numpy's float64 scalars do: the bits of the
+    array form in tests/dynamics_reference.py at a fraction of its cost."""
+    return np.array(_hamilton(*q.tolist(), *p.tolist()))
 
 
 def quat_normalize(q: np.ndarray) -> np.ndarray:
@@ -115,9 +116,11 @@ def quat_error(q_current: np.ndarray, q_reference: np.ndarray) -> np.ndarray:
     """Rotation taking the reference attitude to the current one.
 
     Canonicalized so the scalar part is nonnegative; identity when the two
-    attitudes coincide (up to sign).
+    attitudes coincide (up to sign). Taken on floats, as :func:`quat_mul`.
     """
-    return quat_canonicalize(quat_mul(quat_conj(q_reference), q_current))
+    w, x, y, z = q_reference.tolist()
+    dq = _hamilton(w, -x, -y, -z, *q_current.tolist())
+    return np.array([-c for c in dq] if dq[0] < 0.0 else dq)
 
 
 def quat_angle(q: np.ndarray) -> float:
@@ -198,9 +201,9 @@ def body_force_torque(
     action: np.ndarray,
     table: ThrusterTable,
     com_offset: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Net body-frame force, torque about the center of mass, and the summed
-    thrust magnitude (used for propellant flow).
+) -> tuple[tuple[float, float, float], tuple[float, float, float], float]:
+    """Net body-frame force and torque about the center of mass, three
+    floats each, and the summed thrust magnitude (used for propellant flow).
 
     `action` holds 12 on/off commands; `com_offset` shifts the center of
     mass away from the geometric center. The sums run over the fired
@@ -227,7 +230,7 @@ def body_force_torque(
         ly += az * gx - ax * gz
         lz += ax * gy - ay * gx
     # thrust.sum() stays numpy's pairwise sum, which a float loop would not reproduce.
-    return np.array([fx, fy, fz]), np.array([lx, ly, lz]), float(thrust.sum())
+    return (fx, fy, fz), (lx, ly, lz), float(thrust.sum())
 
 
 # --------------------------------------------------------------------------
@@ -270,12 +273,6 @@ class SpacecraftState:
     t: float = 0.0         # s
 
 
-def _pack(state: SpacecraftState) -> np.ndarray:
-    return np.concatenate(
-        [state.position, state.velocity, state.attitude, state.omega, [state.mass]]
-    )
-
-
 def _norm3(v: np.ndarray, x: float, y: float, z: float) -> float:
     """Euclidean norm through BLAS ddot, as np.linalg.norm computes it (a
     float sum of squares rounds differently), taken in the scratch
@@ -297,29 +294,25 @@ def _norm4(v: np.ndarray, w: float, x: float, y: float, z: float) -> float:
     return math.sqrt(v.dot(v))
 
 
-def _derivative(
-    y: list[float],
-    spin: tuple[float, float, float],
-    f_body: list[float],
-    l_body: list[float],
-    mdot: float,
-    gm: float,
-    ext_accel: list[float],
-    ext_torque: list[float],
-    v3: np.ndarray,
-    v4: np.ndarray,
-) -> list[float]:
+# The principal moment of the cube over its mass: J = (m / 12) * _CUBE_J.
+_CUBE_J = CUBE_SIDE * CUBE_SIDE + CUBE_SIDE * CUBE_SIDE
+
+
+def _derivative(y: list[float], spin: tuple[float, float, float], fixed: tuple) -> list[float]:
     """Time derivative of the packed state [r, v, q, omega, m], on floats,
     given the asteroid's angular velocity `spin` at the state's time (see
-    :func:`_spin`), the body force, torque and propellant flow, the
-    gravitational parameter and the external acceleration and torque, with
-    the scratch 3- and 4-vectors the norms are taken in.
+    :func:`_spin`) and what stays `fixed` over an :func:`rk4_step` call:
+    the body force and torque (three floats each), the propellant flow,
+    the gravitational parameter, the external acceleration and torque
+    (three floats each), and the scratch 3- and 4-vectors the norms are
+    taken in.
 
     Every component is the array form's expression written out, with its
     operations in the same order (np.cross(a, b)[0] is a1*b2 - a2*b1), so
     the result is bit-identical to it.
     """
     rx, ry, rz, vx, vy, vz, qw, qx, qy, qz, wx, wy, wz, m = y
+    fx, fy, fz, lx, ly, lz, mdot, gm, eax, eay, eaz, tqx, tqy, tqz, v3, v4 = fixed
 
     r_norm = _norm3(v3, rx, ry, rz)
     if r_norm < 1.0:
@@ -336,7 +329,6 @@ def _derivative(
         a, b, c, d = (np.array([qw, qx, qy, qz]) / q_norm).tolist()
     else:
         a, b, c, d = qw / q_norm, qx / q_norm, qy / q_norm, qz / q_norm
-    fx, fy, fz = f_body
     tx = 2.0 * (c * fz - d * fy)
     ty = 2.0 * (d * fx - b * fz)
     tz = 2.0 * (b * fy - c * fx)
@@ -347,7 +339,6 @@ def _derivative(
     ex = sy * rz - sz * ry  # spin x r
     ey = sz * rx - sx * rz
     ez = sx * ry - sy * rx
-    eax, eay, eaz = ext_accel
     accel_x = ux / m + eax - gm * rx / r3 + 2.0 * (vy * sz - vz * sy) + (ey * sz - ez * sy)
     accel_y = uy / m + eay - gm * ry / r3 + 2.0 * (vz * sx - vx * sz) + (ez * sx - ex * sz)
     accel_z = uz / m + eaz - gm * rz / r3 + 2.0 * (vx * sy - vy * sx) + (ex * sy - ey * sx)
@@ -359,15 +350,14 @@ def _derivative(
     qdy = 0.5 * (qw * wy - qx * wz + qy * 0.0 + qz * wx)
     qdz = 0.5 * (qw * wz + qx * wy - qy * wx + qz * 0.0)
 
-    # Rotation: the principal moment of a uniform cube of side CUBE_SIDE
-    # shrinks with mass, so Jdot = (J/m) mdot.
-    j = (m / 12.0) * (CUBE_SIDE * CUBE_SIDE + CUBE_SIDE * CUBE_SIDE)
+    # Rotation: the principal moment of a uniform cube shrinks with mass,
+    # so Jdot = (J/m) mdot.
+    j = (m / 12.0) * _CUBE_J
     jdot = j / m * mdot
     hx, hy, hz = j * wx, j * wy, j * wz
-    tqx, tqy, tqz = ext_torque
-    wdx = (l_body[0] + tqx - (wy * hz - wz * hy) - jdot * wx) / j
-    wdy = (l_body[1] + tqy - (wz * hx - wx * hz) - jdot * wy) / j
-    wdz = (l_body[2] + tqz - (wx * hy - wy * hx) - jdot * wz) / j
+    wdx = (lx + tqx - (wy * hz - wz * hy) - jdot * wx) / j
+    wdy = (ly + tqy - (wz * hx - wx * hz) - jdot * wy) / j
+    wdz = (lz + tqz - (wx * hy - wy * hx) - jdot * wz) / j
 
     return [vx, vy, vz, accel_x, accel_y, accel_z, qdw, qdx, qdy, qdz, wdx, wdy, wdz, mdot]
 
@@ -401,31 +391,26 @@ def rk4_step(
     if substeps < 1:
         raise ConfigurationError(f"substeps must be at least 1, got {substeps}")
     ext = ext or ExternalForces()
-    f_body, l_body, thrust_sum = body_force_torque(action, table, state.com_offset)
-    mdot = -thrust_sum / (isp * g_ref)
-    f_body, l_body = f_body.tolist(), l_body.tolist()
-
-    # Fixed over the call: the gravitational parameter, the disturbances on
-    # floats, and the scratch vectors of the norms (per call, so that
-    # rk4_step is reentrant).
-    gm, ea, et = model.gm, ext.accel.tolist(), ext.torque.tolist()
+    force, torque, thrust_sum = body_force_torque(action, table, state.com_offset)
+    # Fixed over the call (see _derivative); the scratch vectors of the
+    # norms are made per call, so that rk4_step is reentrant.
     v3, v4 = np.empty(3), np.empty(4)
+    fixed = (*force, *torque, -thrust_sum / (isp * g_ref), model.gm, *ext.accel.tolist(),
+             *ext.torque.tolist(), v3, v4)
 
-    y = _pack(state).tolist()
+    y = [*state.position.tolist(), *state.velocity.tolist(), *state.attitude.tolist(),
+         *state.omega.tolist(), float(state.mass)]
     t = state.t
     h = 0.5 * dt
     c = dt / 6.0
     spin = _spin(model, t)
     for _ in range(substeps):
-        k1 = _derivative(y, spin, f_body, l_body, mdot, gm, ea, et, v3, v4)
+        k1 = _derivative(y, spin, fixed)
         spin = _spin(model, t + h)  # k2 and k3 share their stage time
-        y2 = [a + h * b for a, b in zip(y, k1)]
-        k2 = _derivative(y2, spin, f_body, l_body, mdot, gm, ea, et, v3, v4)
-        y3 = [a + h * b for a, b in zip(y, k2)]
-        k3 = _derivative(y3, spin, f_body, l_body, mdot, gm, ea, et, v3, v4)
+        k2 = _derivative([a + h * b for a, b in zip(y, k1)], spin, fixed)
+        k3 = _derivative([a + h * b for a, b in zip(y, k2)], spin, fixed)
         spin = _spin(model, t + dt)  # and k4's is the next step's k1's
-        y4 = [a + dt * b for a, b in zip(y, k3)]
-        k4 = _derivative(y4, spin, f_body, l_body, mdot, gm, ea, et, v3, v4)
+        k4 = _derivative([a + dt * b for a, b in zip(y, k3)], spin, fixed)
         y = [a + c * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
         if renormalize:  # quat_normalize on floats
             n = _norm4(v4, *y[6:10])

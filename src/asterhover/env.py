@@ -255,7 +255,7 @@ def rollout(
                 at = (t, 2, lanes[i])
                 envs[i].step(actions[row])
             at = (t, 3, 0)
-            origins = np.stack([e.state.position for e in envs])
+            origins = np.array([e.state.position for e in envs])
             ranges, hit = meshes.cast(origins, live, max_range)
             ranges = ranges.reshape(-1, GRID_SIZE, GRID_SIZE)
             hit = hit.reshape(-1, GRID_SIZE, GRID_SIZE)
@@ -580,13 +580,10 @@ class HoverEnv:
         dq and the body rates.
         """
         state = self.state
-        image = np.stack(
-            [
-                (frame.ranges - self.frame0.ranges) / R_ERR_SCALE,
-                (frame.ranges - self.prev_frame.ranges) / DR_SCALE,
-            ],
-            axis=-1,
-        )
+        ranges = frame.ranges
+        image = np.empty(ranges.shape + (2,))
+        np.divide(ranges - self.frame0.ranges, R_ERR_SCALE, out=image[..., 0])
+        np.divide(ranges - self.prev_frame.ranges, DR_SCALE, out=image[..., 1])
         vec = np.concatenate([dq, state.omega])
         value_input = np.concatenate([r_err / R_ERR_SCALE, state.velocity, dq, state.omega])
         return image, vec, value_input
@@ -611,7 +608,7 @@ class HoverEnv:
         ax, ay, az = abs(wx), abs(wy), abs(wz)
 
         rot_breach = ax > ROT_LIMIT or ay > ROT_LIMIT or az > ROT_LIMIT
-        all_miss = not frame.hit.any()
+        all_miss = not np.count_nonzero(frame.hit)
         fuel_out = state.mass <= DRY_MASS
         violated = rot_breach or all_miss or fuel_out
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -118,8 +119,13 @@ def _cross(a: np.ndarray, b: np.ndarray, axis: int = 1) -> np.ndarray:
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot products of the columns of two (3, N) arrays, summed as
     (a0*b0 + a2*b2) + a1*b1: the order in which np.einsum("nk,nk->n") sums
-    (N, 3) rows with x86-64 SIMD, so that either layout gives the same bits."""
-    return (a[0] * b[0] + a[2] * b[2]) + a[1] * b[1]
+    (N, 3) rows with x86-64 SIMD, so that either layout gives the same
+    values. Only a zero's sign can differ: einsum's zero sums are +0.0,
+    which no test of this module tells from -0.0."""
+    p = a * b
+    s = p[0] + p[2]
+    s += p[1]
+    return s
 
 
 def _near_cone(
@@ -190,6 +196,28 @@ def beam_cone(directions: np.ndarray) -> tuple[np.ndarray, float]:
     return axis, float(np.arccos(np.clip((units @ axis).min(), -1.0, 1.0)))
 
 
+class _Pairs(NamedTuple):
+    """A lane's cached (ray, facet) pairs, P of them: the terms of the
+    Möller–Trumbore kernel that do not depend on the origin. The (3, P)
+    fields hold one row per component, so that the kernel's elementwise
+    work runs along P."""
+
+    ray: np.ndarray       # (P,) the ray, as an index into the lanes' L*R rays
+    v0: np.ndarray        # (3, P) the facet's first corner
+    e1_roll2: np.ndarray  # (3, P) its edge1, row k holding component k + 2 (mod 3)
+    e1_roll1: np.ndarray  # (3, P) and row k holding component k + 1
+    edge2: np.ndarray     # (3, P)
+    pvec: np.ndarray      # (3, P) the ray direction cross edge2
+    det: np.ndarray       # (P,) edge1 . pvec, above DET_EPS
+    d: np.ndarray         # (P, 3) the ray direction
+
+
+_NO_PAIRS = _Pairs(np.empty(0, dtype=np.intp), *[np.empty((3, 0))] * 5, np.empty(0),
+                   np.empty((0, 3)))
+# Row orders that roll a (3, N) array's rows by one and by two.
+_ROLL1, _ROLL2 = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
 class LaneMeshes:
     """The prepared meshes of L lanes, one each, and each lane's rays.
 
@@ -210,11 +238,6 @@ class LaneMeshes:
     does.
     """
 
-    # A lane's pairs: each one's ray as an index into the L*R rays, then the
-    # kernel's terms that do not depend on the origin: the facet's v0, edge1
-    # and edge2, and the pair's pvec and det.
-    _NO_PAIRS = (np.empty(0, dtype=np.intp), *[np.empty((0, 3))] * 4, np.empty(0))
-
     def __init__(self, meshes: list[PreparedMesh], beams: np.ndarray):
         self.meshes = meshes
         self.beams = beams
@@ -225,7 +248,7 @@ class LaneMeshes:
         L = len(meshes)
         self._ball_centre = np.full((L, 3), np.nan)
         self._ball_reach = np.zeros(L)
-        self._ball_pairs = [self._NO_PAIRS] * L
+        self._ball_pairs = [_NO_PAIRS] * L
 
     def _build_pairs(self, lane: int, origin: np.ndarray, fraction: float) -> None:
         """Rebuild the ball of `lane` around `origin`, of radius rho =
@@ -239,9 +262,8 @@ class LaneMeshes:
         within CONE_TOL of the lane's cone. A kept facet pairs with each ray
         of the lane that passes the same cone test as a zero-angle cone. Of
         those pairs, the ones whose det (which depends only on the ray and
-        the facet) exceeds DET_EPS are kept, with the kernel's origin-free
-        terms as _NO_PAIRS lists them. A culled pair would give t = inf from
-        every origin in the ball.
+        the facet) exceeds DET_EPS are kept, as a :class:`_Pairs`. A culled
+        pair would give t = inf from every origin in the ball.
         """
         mesh, (axis, half_angle), R = self.meshes[lane], self.cones[lane], self.units.shape[1]
         w = mesh.centroid - origin[:, None]                          # (3, F)
@@ -266,9 +288,13 @@ class LaneMeshes:
         pvec = _cross(d, edge2)
         det = np.einsum("pk,pk->p", edge1, pvec)
         front = np.flatnonzero(det > DET_EPS)
-        self._ball_pairs[lane] = (
-            np.take(ray, front) + lane * R, np.take(mesh.v0, np.take(face, front), axis=0),
-            *(np.take(a, front, axis=0) for a in (edge1, edge2, pvec, det)),
+        edge1 = np.take(edge1, front, axis=0).T
+        self._ball_pairs[lane] = _Pairs(
+            np.take(ray, front) + lane * R,
+            np.take(mesh.v0, np.take(face, front), axis=0).T.copy(),
+            edge1[_ROLL2], edge1[_ROLL1],
+            *(np.take(a, front, axis=0).T.copy() for a in (edge2, pvec)),
+            np.take(det, front), np.take(d, front, axis=0),
         )
         self._ball_centre[lane] = origin
         self._ball_reach[lane] = np.square(0.5 * rho)
@@ -284,10 +310,11 @@ class LaneMeshes:
 
         Live lanes more than rho / 2 from their ball's centre rebuild their
         balls here, one :meth:`_build_pairs` call each. Möller–Trumbore then
-        runs on the live lanes' cached pairs only. A culled pair would give
-        t = inf, and each kept pair's arithmetic is the brute-force cast's,
-        so the result equals brute force bit for bit. The one exception is
-        a ray passing within rounding of a facet edge, where a hit can hinge
+        runs on each live lane's cached pairs in turn, so that a wide cast
+        makes no array larger than one lane's. A culled pair would give t =
+        inf, and each kept pair's arithmetic is the brute-force cast's, so
+        the result equals brute force bit for bit. The one exception is a
+        ray passing within rounding of a facet edge, where a hit can hinge
         on `v`: brute force forms it in one BLAS product over all facets,
         whose rounding can differ from the per-pair dot product here (one
         facet or one ray takes another BLAS kernel). A lane's result never
@@ -298,29 +325,34 @@ class LaneMeshes:
         stale = live & ~(np.einsum("lk,lk->l", offset, offset) <= self._ball_reach)
         for lane in np.flatnonzero(stale).tolist():
             self._build_pairs(lane, origins[lane], BALL_FRACTION)
-        blocks = [self._ball_pairs[l] for l in np.flatnonzero(live)]
-        ray, v0, edge1, edge2, pvec, det = (
-            blocks[0] if len(blocks) == 1 else map(np.concatenate, zip(self._NO_PAIRS, *blocks))
-        )
-        # Rows are gathered with np.take, about three times faster than
-        # fancy indexing at these sizes.
-        d = np.take(self.beams.reshape(-1, 3), ray, axis=0)
-        tvec = np.take(origins, ray // R, axis=0) - v0               # (P, 3)
-        qvec = _cross(tvec, edge1)                                   # (P, 3)
-        t_scaled = np.einsum("pk,pk->p", edge2, qvec)                # (P,)
-        u = np.einsum("pk,pk->p", tvec, pvec)
-        v = np.vecdot(d, qvec)
-
-        # Scaled barycentric tests avoid a divide until the final t. Culling:
-        # only det > eps survives (see _build_pairs), which selects rays
-        # entering through the outward-facing side of each triangle.
-        ok = (u >= 0.0) & (v >= 0.0) & (u <= det) & (u + v <= det)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(ok, t_scaled / det, np.inf)
-        t[t <= T_MIN] = np.inf
-
         nearest = np.full(L * R, np.inf)
-        np.minimum.at(nearest, ray, t)
+        for lane in np.flatnonzero(live).tolist():
+            ray, v0, e1_roll2, e1_roll1, edge2, pvec, det, d = self._ball_pairs[lane]
+            if not ray.size:
+                continue
+            tvec = origins[lane][:, None] - v0                       # (3, P)
+            # np.cross(tvec, edge1): row k is t[k+1]*e[k+2] - t[k+2]*e[k+1]
+            qvec = tvec[_ROLL1]
+            qvec *= e1_roll2
+            qvec -= tvec[_ROLL2] * e1_roll1
+            # the brute-force cast's dot products: einsum's (see _dot), and
+            # BLAS ddot on C-contiguous rows
+            t = _dot(edge2, qvec)                                    # (P,)
+            u = _dot(tvec, pvec)
+            v = np.vecdot(d, qvec.T.copy())
+
+            # Scaled barycentric tests avoid a divide until the final t.
+            # Culling: only det > eps survives (see _build_pairs), which
+            # selects rays entering through the outward-facing side of each
+            # triangle. With v >= 0, u + v <= det implies u <= det (rounding
+            # is monotone), and a NaN u or v fails the tests. A NaN t (never
+            # from finite inputs) passes the T_MIN cut and reads as a miss.
+            ok = np.minimum(u, v) >= 0.0
+            u += v
+            ok &= u <= det
+            t /= det
+            ok &= ~(t <= T_MIN)
+            np.minimum.at(nearest, ray, np.where(ok, t, np.inf))
         hit = nearest < max_range
         ranges = np.where(hit, nearest, max_range)
         return ranges.reshape(L, R), hit.reshape(L, R)

@@ -256,7 +256,9 @@ class GRUCell:
         # of those blocks and applies the sigmoid / tanh there, which leaves
         # the gates and candidates the backward reads where the inputs were.
         # a + b is b + a bit for bit, so the states are those of
-        # sigmoid(gx + h @ U) and tanh(gx + (r * h) @ Uh) written out.
+        # sigmoid(gx + h @ U) and tanh(gx + (r * h) @ Uh) written out. A
+        # slice of one row is contiguous already: a lone lane's policy step
+        # copies nothing.
         zr, c = np.ascontiguousarray(gx[:, :2 * H]), np.ascontiguousarray(gx[:, 2 * H:])
         del gx
         hs = np.empty((n0 + N, H), dtype)
@@ -266,7 +268,9 @@ class GRUCell:
             hi = lo + n
             h = h[:n]
             g = _sigmoid_in_place(np.add(zr[lo:hi], h @ self.U, out=zr[lo:hi]))
-            z, r = g[:, :H].copy(), g[:, H:].copy()
+            z, r = g[:, :H], g[:, H:]
+            if N > 1:
+                z, r = z.copy(), r.copy()
             ct = np.add(c[lo:hi], (r * h) @ self.Uh, out=c[lo:hi])
             np.tanh(ct, out=ct)
             h = hs[n0 + lo:n0 + hi] = z * h + (1.0 - z) * ct

@@ -1,12 +1,14 @@
 """Slow reference dynamics: the oracles the float kernels are pinned to.
 
 `rk4_step_reference`, `_derivative_reference`,
-`body_force_torque_reference` and `asteroid_angular_velocity_reference` are
-the array forms that `asterhover.dynamics.rk4_step`, `_derivative`,
-`body_force_torque` and `asteroid_angular_velocity` ran before they were
-rewritten on Python floats; the kernels must equal them bit for bit.
-`state_derivative`, `inertia_diag`, `inertia_tensor` and `quat_rotate` are
-test-only helpers that left the package with them.
+`body_force_torque_reference`, `asteroid_angular_velocity_reference`,
+`quat_mul_reference` and `quat_error_reference` are the array forms that
+`asterhover.dynamics.rk4_step`, `_derivative`, `body_force_torque`,
+`asteroid_angular_velocity`, `quat_mul` and `quat_error` ran before they
+were rewritten on Python floats; the kernels must equal them bit for bit.
+`state_derivative`, `inertia_diag`, `inertia_tensor`, `quat_rotate`,
+`quat_conj` and `_pack` are test-only helpers that left the package with
+them.
 """
 
 from __future__ import annotations
@@ -22,12 +24,42 @@ from asterhover.dynamics import (
     SpacecraftState,
     ThrusterTable,
     CUBE_SIDE,
-    _pack,
-    quat_mul,
+    quat_canonicalize,
     quat_normalize,
 )
 from asterhover.errors import ConfigurationError, SimulationError
 from asterhover.geometry import AsteroidModel
+
+
+def quat_mul_reference(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Hamilton product q * p, on numpy scalars."""
+    w1, x1, y1, z1 = q
+    w2, x2, y2, z2 = p
+    return np.array(
+        [
+            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+        ]
+    )
+
+
+def quat_conj(q: np.ndarray) -> np.ndarray:
+    return np.array([q[0], -q[1], -q[2], -q[3]])
+
+
+def quat_error_reference(q_current: np.ndarray, q_reference: np.ndarray) -> np.ndarray:
+    """Rotation taking the reference attitude to the current one, scalar
+    part nonnegative."""
+    return quat_canonicalize(quat_mul_reference(quat_conj(q_reference), q_current))
+
+
+def _pack(state: SpacecraftState) -> np.ndarray:
+    """The state as the (14,) array [r, v, q, omega, m]."""
+    return np.concatenate(
+        [state.position, state.velocity, state.attitude, state.omega, [state.mass]]
+    )
 
 
 def quat_rotate(q: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -116,7 +148,7 @@ def _derivative_reference(
     )
 
     # Attitude kinematics: qdot = 1/2 q * (0, w).
-    qdot = 0.5 * quat_mul(q, np.array([0.0, w[0], w[1], w[2]]))
+    qdot = 0.5 * quat_mul_reference(q, np.array([0.0, w[0], w[1], w[2]]))
 
     # Rotation: diagonal inertia shrinks with mass, so Jdot = (J/m) mdot.
     j = inertia_diag(m)

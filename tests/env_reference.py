@@ -12,7 +12,9 @@ the critic saw.
 :meth:`~asterhover.env.HoverEnv.observe` and
 :func:`~asterhover.env.compute_reward` as they were before their limit
 tests, maxima and bit counts moved onto Python floats: every test there
-goes through numpy's array functions.
+goes through numpy's array functions. `observe_reference` builds the
+network inputs as `inputs_reference`, the array form of
+:meth:`~asterhover.env.HoverEnv._inputs` before it wrote the image in place.
 """
 
 from __future__ import annotations
@@ -21,14 +23,16 @@ from typing import Any
 
 import numpy as np
 
-from asterhover.dynamics import quat_angle, quat_error
+from asterhover.dynamics import quat_angle
 from asterhover.env import (
     ALPHA,
     BETA,
+    DR_SCALE,
     DRY_MASS,
     ETA,
     GAMMA_CTRL,
     KAPPA,
+    R_ERR_SCALE,
     ROT_LIMIT,
     TERMINAL_OMEGA_LIMIT,
     TERMINAL_POS_LIMIT,
@@ -37,6 +41,7 @@ from asterhover.env import (
     HoverEnv,
 )
 from asterhover.lidar import LidarFrame
+from dynamics_reference import quat_error_reference
 
 
 def fly(env: HoverEnv, action: np.ndarray):
@@ -94,6 +99,25 @@ def compute_reward_reference(
     return float(sum(terms.values())), terms
 
 
+def inputs_reference(
+    env: HoverEnv, frame: LidarFrame, r_err: np.ndarray, dq: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The policy image and vector and the critic vector, as
+    :meth:`HoverEnv._inputs` returns them, each channel of the image built
+    on its own and stacked."""
+    state = env.state
+    image = np.stack(
+        [
+            (frame.ranges - env.frame0.ranges) / R_ERR_SCALE,
+            (frame.ranges - env.prev_frame.ranges) / DR_SCALE,
+        ],
+        axis=-1,
+    )
+    vec = np.concatenate([dq, state.omega])
+    value_input = np.concatenate([r_err / R_ERR_SCALE, state.velocity, dq, state.omega])
+    return image, vec, value_input
+
+
 def observe_reference(
     env: HoverEnv, frame: LidarFrame
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, bool, dict[str, Any]]:
@@ -105,7 +129,7 @@ def observe_reference(
     frame = env._noisy(frame)
 
     r_err = state.position - env.r0
-    dq = quat_error(state.attitude, env.q0)
+    dq = quat_error_reference(state.attitude, env.q0)
     omega = state.omega
     pos_err = float(np.linalg.norm(r_err))
     speed = float(np.linalg.norm(state.velocity))
@@ -126,7 +150,7 @@ def observe_reference(
     reward, terms = compute_reward_reference(pos_err, dq, env._action, terminal_ok, violated)
     env.done = time_done or violated
 
-    inputs = env._inputs(frame, r_err, dq)
+    inputs = inputs_reference(env, frame, r_err, dq)
     env.prev_frame = frame
 
     violation = None

@@ -14,7 +14,6 @@ from asterhover.dynamics import (
     SpacecraftState,
     ThrusterTable,
     _derivative,
-    _pack,
     _spin,
     asteroid_angular_velocity,
     body_force_torque,
@@ -22,7 +21,6 @@ from asterhover.dynamics import (
     default_thruster_table,
     quat_angle,
     quat_canonicalize,
-    quat_conj,
     quat_error,
     quat_from_axis_angle,
     quat_mul,
@@ -36,10 +34,14 @@ import dynamics_reference
 from conftest import make_model
 from dynamics_reference import (
     _derivative_reference,
+    _pack,
     asteroid_angular_velocity_reference,
     body_force_torque_reference,
     inertia_diag,
     inertia_tensor,
+    quat_conj,
+    quat_error_reference,
+    quat_mul_reference,
     quat_rotate,
     rk4_step_reference,
     state_derivative,
@@ -70,6 +72,28 @@ def test_quat_mul_associative(rng):
         np.testing.assert_allclose(
             quat_mul(quat_mul(a, b), c), quat_mul(a, quat_mul(b, c)), atol=1e-14
         )
+
+
+def test_float_quaternion_products_match_array_form_bitwise(rng):
+    # quat_mul and quat_error on floats against their array forms: negative
+    # scalar parts (quat_error's sign flip), signed zeros, exact
+    # cancellations and a NaN
+    special = [
+        np.array(q) for q in (
+            [-0.0, 0.0, -0.0, 0.0], [1.0, -0.0, 0.0, -0.0], [-1.0, 0.0, -0.0, 0.0],
+            [0.0, -1.0, 0.0, -0.0], [-0.5, 0.5, -0.5, 0.5], [0.5, 0.5, 0.5, 0.5],
+            [math.nan, 0.0, 1.0, 0.0],
+        )
+    ]
+    drawn = [random_unit_quat(rng) * rng.choice([-1.0, 1.0]) for _ in range(60)]
+    flips = 0
+    for q in special + drawn:
+        for p in special + drawn[:12]:
+            assert quat_mul(q, p).tobytes() == quat_mul_reference(q, p).tobytes()
+            want = quat_error_reference(q, p)
+            assert quat_error(q, p).tobytes() == want.tobytes()
+            flips += quat_mul_reference(quat_conj(p), q)[0] < 0.0
+    assert flips > 0
 
 
 def test_quat_to_dcm_is_rotation(rng):
@@ -510,9 +534,9 @@ def test_rk4_step_matches_reference_bitwise(case, rng):
         action = rng.integers(0, 2, 12).astype(np.float64)
         y = _pack(fast)
         forces = ext or ExternalForces()
-        got = _derivative(y.tolist(), _spin(model, fast.t), [0.1, -0.2, 0.3], [0.01, 0.0, -0.02],
-                          -1.0e-4, model.gm, forces.accel.tolist(), forces.torque.tolist(),
-                          np.empty(3), np.empty(4))
+        fixed = (0.1, -0.2, 0.3, 0.01, 0.0, -0.02, -1.0e-4, model.gm, *forces.accel.tolist(),
+                 *forces.torque.tolist(), np.empty(3), np.empty(4))
+        got = _derivative(y.tolist(), _spin(model, fast.t), fixed)
         want = _derivative_reference(y, fast.t, np.array([0.1, -0.2, 0.3]), np.array([0.01, 0.0, -0.02]),
                                      -1.0e-4, model, ext or ExternalForces())
         assert np.array(got).tobytes() == want.tobytes()
@@ -612,12 +636,12 @@ def test_body_force_torque_matches_reference_bitwise(com, rng):
     for action in actions:
         got = body_force_torque(action, table, com_offset)
         want = body_force_torque_reference(action, table, com_offset)
-        assert got[0].tobytes() == want[0].tobytes()
-        assert got[1].tobytes() == want[1].tobytes()
+        assert np.array(got[0]).tobytes() == want[0].tobytes()
+        assert np.array(got[1]).tobytes() == want[1].tobytes()
         assert np.float64(got[2]).tobytes() == np.float64(want[2]).tobytes()
     # Sums start from +0.0: all thrusters off gives +0.0, never -0.0.
     force, torque, _ = body_force_torque(np.zeros(12), table, com_offset)
-    assert force.tobytes() == torque.tobytes() == np.zeros(3).tobytes()
+    assert np.array(force).tobytes() == np.array(torque).tobytes() == np.zeros(3).tobytes()
 
 
 def assert_sums_match_reference(table):
@@ -626,8 +650,8 @@ def assert_sums_match_reference(table):
         for com_offset in (None, np.array([-0.0, -0.0, -0.0])):
             got = body_force_torque(action, table, com_offset)
             want = body_force_torque_reference(action, table, com_offset)
-            assert got[0].tobytes() == want[0].tobytes()
-            assert got[1].tobytes() == want[1].tobytes()
+            assert np.array(got[0]).tobytes() == want[0].tobytes()
+            assert np.array(got[1]).tobytes() == want[1].tobytes()
 
 
 def test_body_force_torque_signed_zero_table():

@@ -18,6 +18,7 @@ from asterhover.lidar import (
     PreparedMesh,
     LaneMeshes,
     SensorConfig,
+    _dot,
     apply_sensor_noise,
     beam_cone,
     beam_directions,
@@ -44,22 +45,21 @@ def scan_at(mesh, position, q, cfg):
 
 def lone_pairs(prep, origin, dirs):
     """The pairs a lone cast of `dirs` from `origin` runs the kernel on, as
-    cast_rays builds them (a ball of radius 0): each one's ray, v0, edge1,
-    edge2, pvec and det."""
+    cast_rays builds them (a ball of radius 0), as a lidar._Pairs."""
     lanes = LaneMeshes([prep], dirs[None])
     lanes._build_pairs(0, origin, 0.0)
     return lanes._ball_pairs[0]
 
 
 def paired_facets(pairs):
-    """The number of distinct facets among `pairs`, told by their (v0,
-    edge1) rows."""
-    return np.unique(np.hstack(pairs[1:3]), axis=0).shape[0]
+    """The number of distinct facets among `pairs`, told by their v0 and
+    edge1 components."""
+    return np.unique(np.vstack([pairs.v0, pairs.e1_roll1]).T, axis=0).shape[0]
 
 
 def paired_lanes(lanes):
     """Whether each lane of `lanes` holds any cached pair."""
-    return [pairs[0].size > 0 for pairs in lanes._ball_pairs]
+    return [pairs.det.size > 0 for pairs in lanes._ball_pairs]
 
 
 def plane_mesh(z0: float, half_size: float = 5000.0) -> TriMesh:
@@ -350,7 +350,7 @@ def test_prepass_matches_reference_high_altitude(body, rng):
         side /= np.linalg.norm(side)
         dirs = beams @ np.column_stack([side, np.cross(up, side), up]).T
         origin = (body.bound_radius + 60.0) * up
-        assert 500 <= lone_pairs(body, origin, dirs)[0].size <= 3000
+        assert 500 <= lone_pairs(body, origin, dirs).det.size <= 3000
         _, hit = assert_matches_reference(body, origin, dirs)
         assert hit.all()
         for k in (0, 27, 63):
@@ -401,6 +401,36 @@ def test_lane_cast_matches_per_lane_cast_rays(lane_bodies):
         assert not hit[[1, 3]].any()
         np.testing.assert_array_equal(ranges[[1, 3]], 2000.0)
     assert hits > 0
+
+
+def test_dot_sums_columns_as_einsum_sums_rows(rng):
+    # LaneMeshes.cast forms u and t with lidar._dot on (3, P) fields and
+    # must get the values of the brute-force cast's einsum over (P, 3) rows
+    for n in (1, 3, 7, 64, 619, 5000):
+        a = rng.standard_normal((n, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, (n, 1))
+        b = rng.standard_normal((n, 3))
+        b[rng.random((n, 3)) < 0.1] = 0.0
+        want = np.einsum("pk,pk->p", a, b)
+        assert np.array_equal(_dot(a.T.copy(), b.T.copy()), want)
+
+
+def test_rays_without_pairs_read_as_misses_between_rays_with_pairs(lane_bodies):
+    # One lane's rays alternate between a scan's beams and their reverses,
+    # from the first ray on: a reversed beam looks away from the body and
+    # keeps no pair, and must read as a miss beside rays that hit. The
+    # second lane's pairs index its rays after the first lane's.
+    views = [scan_positions(prep, 1, seed=k)[0] for k, prep in enumerate(lane_bodies[:2])]
+    origins = np.array([position for position, _ in views])
+    beams = np.array([dirs for _, dirs in views])
+    beams[0, 0::2] *= -1.0
+    lanes = LaneMeshes(lane_bodies[:2], beams)
+    live = np.ones(2, dtype=bool)
+    ranges, hit = lanes.cast(origins, live)
+    assert_lanes_match_reference(lane_bodies[:2], origins, beams, live, ranges, hit)
+    paired = lanes._ball_pairs[0].ray
+    assert paired.size and not np.isin(np.arange(0, 64, 2), paired).any()
+    assert not hit[0, 0::2].any() and hit[0, 1::2].any() and hit[1].any()
+    assert (lanes._ball_pairs[1].ray >= 64).all()
 
 
 def sphere_gap(prep, origin):

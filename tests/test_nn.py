@@ -609,13 +609,15 @@ def test_full_lengths_run_the_padded_kernel_bitwise(dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-@pytest.mark.parametrize("packed", [False, True], ids=["padded", "packed"])
-def test_gru_loop_gives_the_bits_of_its_written_out_form(dtype, packed):
+@pytest.mark.parametrize("T,B,packed", [(30, 6, False), (30, 6, True), (1, 6, False), (1, 1, False)],
+                         ids=["padded", "packed", "step", "lone-step"])
+def test_gru_loop_gives_the_bits_of_its_written_out_form(dtype, T, B, packed):
     # the time loop adds each product to its input term in place and takes
     # the gates' sigmoid in place; the bits must be those of the plain
-    # expressions, or `step` and evaluation would change
+    # expressions, or `step` and evaluation would change. A policy step is
+    # one step, and with one row it works on views of its gates.
     rng = np.random.default_rng(29)
-    T, B, n_in, H = 30, 6, 9, 11
+    n_in, H = 9, 11
     cell = GRUCell(rng, n_in, H, dtype=dtype)
     cell.b[...] = rng.normal(0.0, 0.5, 3 * H)
     lengths = unsorted_lengths(rng, T, B) if packed else np.full(B, T)

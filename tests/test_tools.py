@@ -18,6 +18,7 @@ import bench_pairs  # noqa: E402
 import learning_check  # noqa: E402
 import memory_phases  # noqa: E402
 import output_digests  # noqa: E402
+import step_phases  # noqa: E402
 
 
 def filled(args: list[str]) -> list[str]:
@@ -88,3 +89,18 @@ def test_memory_phases_accounts_for_every_rise_of_the_peak(tmp_path):
     assert 0.0 < got["import_mb"] < got["peak_mb"]
     # its two lanes fly in two processes wherever two CPUs are usable
     assert (got["helper_peak_mb"] > 0.0) == (asterhover.usable_cpus() > 1)
+
+
+def test_step_phases_times_every_call_of_a_lane_step(tmp_path):
+    # one run of the tool's child on this tree at one two-episode unit: each
+    # control step calls each per-step phase once, each episode resets once
+    got = step_phases.run(ROOT, 2, tmp_path / "run", units=1, episodes=2)
+    phases = got["phases"]
+    assert set(phases) == {name for name, _, _ in step_phases.PHASES}
+    assert got["steps"] > 0 and got["steps_per_s"] > 0.0
+    for name in ("rk4_step", "cast", "policy_step", "observe"):
+        assert phases[name]["calls"] == got["steps"], name
+    assert phases["reset"]["calls"] == 2
+    assert all(p["median_us"] > 0.0 and 0.0 < p["share"] < 1.0 for p in phases.values())
+    assert got["rest_share"] == pytest.approx(1.0 - sum(p["share"] for p in phases.values()))
+    assert 0.0 < got["rest_share"] < 1.0
