@@ -317,8 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stochastic", action="store_true", help="sample actions instead of argmax")
     p.add_argument(
         "--workers", type=int, default=usable_cpus(),
-        help="parallel episode workers, at least 1 and at most the usable CPUs "
-             "(results are independent of this)",
+        help="most processes that fly the episodes, at least 1; there are no more "
+             "than the usable CPUs or the episodes (results are independent of this)",
     )
     p.set_defaults(func=cmd_eval)
 

@@ -448,7 +448,7 @@ class HoverEnv:
     A control step is two calls: :meth:`step` flies the action and
     :meth:`observe` completes the step from the range image taken at the
     new position, so that :func:`rollout` can render the images of many
-    environments in one cast. Not shared between workers or lanes: each
+    environments in one cast. Not shared between processes or lanes: each
     owns its own instance, and all randomness flows from the generator
     created in :meth:`reset`.
     """

@@ -8,24 +8,24 @@ and aggregates the terminal statistics the mission cares about: position
 error, speed, worst rotational-rate component, good-hover percentages, and
 fuel use.
 
-Episodes are independent, so they can fan out across worker processes; rows
-are always aggregated in episode order for bit-stable output.
+Episodes are independent, so they fan out across forked processes as
+training's lanes do; rows are always aggregated in episode order for
+bit-stable output.
 """
 
 from __future__ import annotations
 
 import functools
-import multiprocessing
 import os
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from . import nn, usable_cpus
+from . import nn
 from .config import apply_to_dataclass, csv_field, nest_dotted, write_csv
 from .env import EpisodeConfig, HoverEnv, good_hover, rollout
 from .errors import ConfigurationError, MeshLoadError
-from .ppo import ACTION_STREAM, NETWORK_DTYPE, check_trained_episode
+from .ppo import ACTION_STREAM, NETWORK_DTYPE, check_trained_episode, collection_processes, deal
 
 
 @dataclass
@@ -170,7 +170,7 @@ def greedy(logits: np.ndarray, lanes=None) -> tuple[np.ndarray, None]:
 
 
 def run_episode(env: HoverEnv, policy, seed: int, idx: int, stochastic: bool = False) -> dict:
-    """Episode `idx` on the (seed, idx) stream; returns the terminal-metrics
+    """Episode `idx` on the (seed, idx) stream; returns its episodes.csv
     row. Stochastic actions come from the (seed, idx, ACTION_STREAM) stream."""
     select = greedy
     if stochastic:
@@ -189,6 +189,7 @@ def run_episode(env: HoverEnv, policy, seed: int, idx: int, stochastic: bool = F
     max_omega = float(info["max_omega"])
     gh1, gh2 = good_hover(pos_err, speed, max_omega)
     return {
+        "episode": idx,
         "pos_err_m": pos_err,
         "speed_cms": speed * 100.0,
         "omega_mrads": max_omega * 1000.0,
@@ -293,7 +294,7 @@ MAX_EPISODES = 100_000
 
 def check_counts(n_episodes: int, workers: int) -> None:
     """Refuse an episode count outside 1..MAX_EPISODES or a worker count
-    below 1."""
+    (the cap on evaluation's processes) below 1."""
     if n_episodes < 1:
         raise ConfigurationError(f"n_episodes must be at least 1, got {n_episodes}")
     if n_episodes > MAX_EPISODES:
@@ -310,40 +311,32 @@ def scenario_env(name: str, cfg: EpisodeConfig) -> HoverEnv:
         raise MeshLoadError(f"scenario {name!r}: {exc}") from exc
 
 
-# Per-process state for parallel evaluation: the episode call the parent
-# built, handed to each worker once.
-_WORKER = {}
-
-
-def _init_worker(fly):
-    _WORKER["fly"] = fly
-
-
-def _run_worker_episode(idx: int) -> dict:
-    return _WORKER["fly"](idx)
-
-
 def fly_scenario(
     policy, name: str, env: HoverEnv, n_episodes: int, seed: int,
     out_dir: str | None = None, stochastic: bool = False, workers: int = 1,
 ) -> EvalReport:
     """Fly `n_episodes` (see :func:`check_counts`) of scenario `name` on the
     built `env`, episode k on the seed stream (seed, k), so reports are the
-    same across reruns and worker counts. Workers inherit `env` and `policy`,
-    and there are no more of them than episodes or usable CPUs (see
-    :func:`asterhover.usable_cpus`). With out_dir set, writes episodes.csv
-    and summary.csv there."""
-    # run_episode is read here, at call time, so that a wrapper set on the
-    # module attribute (perfbench's tracer) flies every episode
-    fly = functools.partial(run_episode, env, policy, seed, stochastic=stochastic)
-    workers = min(workers, n_episodes, usable_cpus())
-    if workers > 1:
-        with multiprocessing.Pool(workers, initializer=_init_worker, initargs=(fly,)) as pool:
-            rows = pool.map(_run_worker_episode, range(n_episodes))
-    else:
-        rows = list(map(fly, range(n_episodes)))
-    for idx, row in enumerate(rows):
-        row["episode"] = idx
+    same across reruns and process counts. Episode k flies in process
+    k mod P, P = :func:`~asterhover.ppo.collection_processes` (at most
+    `workers` and `n_episodes`), as :func:`~asterhover.ppo.deal` deals it:
+    the forked helpers inherit `env` and `policy`. Of the episodes that
+    fail, the first one's error is raised. With out_dir set, writes
+    episodes.csv and summary.csv there."""
+    def fly(episodes):
+        rows = {}
+        for idx in episodes:
+            try:
+                # run_episode is read at call time, so that a wrapper set on
+                # the module attribute (perfbench's tracer) flies every episode
+                rows[idx] = run_episode(env, policy, seed, idx, stochastic)
+            except Exception as exc:
+                return {}, ((idx,), exc)
+        return rows, None
+
+    flown = deal(fly, n_episodes, collection_processes(min(workers, n_episodes)),
+                 "evaluation helper of episodes")
+    rows = [flown[idx] for idx in range(n_episodes)]
     report = EvalReport.from_rows(name, rows)
     if out_dir is not None:
         write_report_files(out_dir, report, rows)
@@ -363,7 +356,7 @@ def run_monte_carlo(
     """Evaluate a policy (object, or checkpoint path: see
     :func:`load_policy`) over one scenario, whose `mesh_file` override is a
     given `mesh_file`: its one environment is built (the shape model read)
-    before :func:`fly_scenario` starts any worker.
+    before :func:`fly_scenario` forks any helper.
     """
     check_counts(n_episodes, workers)
     cfg = scenario.episode_config(None if mesh_file is None else {"mesh_file": mesh_file})

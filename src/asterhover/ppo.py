@@ -186,10 +186,10 @@ def masked_mean(x: np.ndarray, mask: np.ndarray) -> float:
 
 
 def collection_processes(lanes: int) -> int:
-    """How many processes fly a batch of `lanes` lanes: one per usable CPU
-    and at most one per lane, when BLAS runs one thread (see
-    :data:`asterhover.BLAS_PINNED`) and the process can fork safely (the
-    platform has ``os.fork`` and no other thread runs); else 1.
+    """How many processes fly `lanes` lanes (a batch's, or evaluation's
+    episodes): one per usable CPU and at most one per lane, when BLAS runs
+    one thread (see :data:`asterhover.BLAS_PINNED`) and the process can fork
+    safely (the platform has ``os.fork`` and no other thread runs); else 1.
     :func:`ppo_update` asks for two lanes, its policy's and its critic's."""
     if BLAS_PINNED and hasattr(os, "fork") and threading.active_count() == 1:
         return max(1, min(usable_cpus(), lanes))
@@ -209,18 +209,15 @@ def collect_rollouts(
     :func:`rollout` on ``env``: episode k in lane k, with the
     (seed, batch, k) environment stream and the (seed, batch, k,
     ACTION_STREAM) action stream. Lane k flies in process k mod P, P =
-    :func:`collection_processes` (L): this one is process 0, and the others
-    are helpers forked for this batch, each sending its lanes' steps back
-    through a pipe before it exits. Every process steps the policy at width
-    L, so the batch's bytes do not depend on P, and with P = 1 no process
-    is forked. Every helper has been reaped when this returns or raises.
+    :func:`collection_processes` (L), as :func:`deal` deals it. Every
+    process steps the policy at width L, so the batch's bytes do not depend
+    on P.
 
     An error in any lane ends the batch: of the processes' first errors,
     the one a single process would have raised first is raised (see
     :func:`rollout`), once every process has finished.
     """
     L = cfg.episodes_per_batch
-    procs = collection_processes(L)
     select = functools.partial(
         nn.sample_multicategorical,
         rng=[
@@ -230,34 +227,55 @@ def collect_rollouts(
     )
     env_seeds = [np.random.SeedSequence((seed, batch_index, k)) for k in range(L)]
     fly = functools.partial(_fly_lanes, env, policy, env_seeds, select)
-    send = functools.partial(_send_flown, fly)
-    helpers = []  # (lanes, pid, read end of its pipe)
     try:
-        for p in range(1, procs):
-            lanes = range(p, L, procs)
-            helpers.append((lanes, *_fork_helper(send, lanes, [fd for *_, fd in helpers])))
-        results = [fly(range(0, L, procs))]
-    finally:
-        reaped = [(lanes, *_reap(pid, fd)) for lanes, pid, fd in helpers]
-    results += [_helper_result(*helper) for helper in reaped]
-
-    episodes: dict[int, EpisodeRollout] = {}
-    errors = []
-    for flown, error in results:
-        episodes.update(flown)
-        if error is not None:
-            errors.append(error)
-    if errors:
-        _, exc = min(errors, key=lambda error: error[0])
-        if isinstance(exc, (SimulationError, ConfigurationError)):
-            raise SimulationError(f"batch {batch_index} failed: {exc}") from exc
-        raise exc
+        episodes = deal(fly, L, collection_processes(L), "collection helper of lanes")
+    except (SimulationError, ConfigurationError) as exc:
+        raise SimulationError(f"batch {batch_index} failed: {exc}") from exc
     return RolloutBatch([episodes[k] for k in range(L)], policy.dtype)
 
 
-# Where an error that no rollout placed sorts among the rollouts' errors:
-# after all of them.
+# Where an error that no run placed sorts among the placed ones: after all
+# of them.
 _UNPLACED = (float("inf"),)
+
+
+def deal(run, n: int, procs: int, what: str) -> dict:
+    """Run items 0..n-1, item k in process k mod `procs`: this one is
+    process 0, and the others are helpers forked for this call, each
+    sending ``run(its items)`` back through a pipe before it exits.
+    ``run(items)`` returns ({k: result}, None), or ({}, (where, error)) at
+    its first error. Returns {k: result} for every k. With `procs` 1 no
+    process is forked; every helper has been reaped when this returns or
+    raises.
+
+    Of the processes' first errors, the one with the least `where` is
+    raised once every process has finished. A helper that died raises
+    RuntimeError naming `what`, its items and its exit code; it sorts after
+    every placed error.
+    """
+    def send(items, pipe):
+        pickle.dump(run(items), pipe, pickle.HIGHEST_PROTOCOL)
+
+    helpers = []  # (items, pid, read end of its pipe)
+    try:
+        for p in range(1, procs):
+            items = range(p, n, procs)
+            helpers.append((items, *_fork_helper(send, items, [fd for *_, fd in helpers])))
+        results = [run(range(0, n, procs))]
+    finally:
+        reaped = [(items, *_reap(pid, fd)) for items, pid, fd in helpers]
+    for items, sent, code in reaped:
+        if code == 0:
+            # an error comes back without its traceback: ``taskset -c 0``
+            # runs every item in one process, where the traceback shows
+            results.append(pickle.loads(sent))
+        else:
+            error = RuntimeError(f"the {what} {list(items)} exited with code {code}")
+            results.append(({}, (_UNPLACED, error)))
+    errors = [error for _, error in results if error is not None]
+    if errors:
+        raise min(errors, key=lambda error: error[0])[1]
+    return {k: result for done, _ in results for k, result in done.items()}
 
 
 def _fly_lanes(env, policy, env_seeds, select, lanes) -> tuple[dict, tuple | None]:
@@ -300,18 +318,13 @@ def _fly_lanes(env, policy, env_seeds, select, lanes) -> tuple[dict, tuple | Non
     }, None
 
 
-def _send_flown(fly, lanes, pipe) -> None:
-    """Send ``fly(lanes)`` through `pipe`, pickled."""
-    pickle.dump(fly(lanes), pipe, pickle.HIGHEST_PROTOCOL)
-
-
 def _fork_helper(send, work, inherited: list[int]) -> tuple[int, int]:
     """Fork a helper that runs ``send(work, pipe)``, `pipe` the write end of
     a pipe as a binary file, and exits without returning: with code 0 once
     `send` has returned and the pipe is closed, else 1. `work` is what the
-    helper is dealt (a batch's lanes, an update's minibatches); `inherited`
-    are the read ends of earlier helpers' pipes, which it closes. Returns
-    (pid, read end)."""
+    helper is dealt (its items of a :func:`deal`, an update's minibatches);
+    `inherited` are the read ends of earlier helpers' pipes, which it
+    closes. Returns (pid, read end)."""
     read, write = os.pipe()
     pid = os.fork()
     if pid == 0:
@@ -335,17 +348,6 @@ def _reap(pid: int, read: int) -> tuple[bytes, int]:
     with os.fdopen(read, "rb") as pipe:
         sent = pipe.read()
     return sent, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-
-
-def _helper_result(lanes, sent: bytes, code: int) -> tuple[dict, tuple | None]:
-    """A reaped helper's result, as :func:`_fly_lanes` returns it. An error
-    comes back without its traceback: ``taskset -c 0`` flies the batch in
-    one process, where the traceback shows."""
-    if code != 0:
-        return {}, (_UNPLACED, RuntimeError(
-            f"the collection helper of lanes {list(lanes)} exited with code {code}"
-        ))
-    return pickle.loads(sent)
 
 
 def compute_advantages(

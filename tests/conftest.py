@@ -4,7 +4,7 @@ import asterhover  # noqa: F401  (first: it pins one BLAS thread before numpy lo
 import numpy as np
 import pytest
 
-from asterhover import env
+from asterhover import env, ppo
 from asterhover.geometry import (
     GRAVITATIONAL_CONSTANT,
     AsteroidModel,
@@ -51,3 +51,28 @@ def cold_shape_model_cache():
     """Every test starts with no shape model cached (see env.load_mesh), so
     that none depends on the tests before it."""
     env._shape_model = None
+
+
+@pytest.fixture
+def processes(monkeypatch):
+    """A setter of the process count of collection and evaluation: it fixes
+    the usable CPUs (BLAS counts as pinned, whatever the environment) and
+    returns the list of what each helper forked from then on is dealt: a
+    collection helper's lanes, an evaluation helper's episodes, or the
+    minibatches of an update's critic helper."""
+    forked = []
+    fork_helper = ppo._fork_helper
+
+    def counting(*args):
+        forked.append(args[1])
+        return fork_helper(*args)
+
+    monkeypatch.setattr(ppo, "BLAS_PINNED", True)
+    monkeypatch.setattr(ppo, "_fork_helper", counting)
+
+    def use(count):
+        monkeypatch.setattr(ppo, "usable_cpus", lambda: count)
+        forked.clear()
+        return forked
+
+    return use

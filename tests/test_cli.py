@@ -835,10 +835,10 @@ def test_eval_mesh_file_flag_is_the_mesh_file_override(
 @pytest.mark.parametrize("obj", [None, "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 9\n"],
                          ids=["missing", "face-index-out-of-range"])
 def test_eval_pool_fails_on_a_bad_mesh_file(tmp_path, obj):
-    # a shape model that cannot be read fails the run before any worker
-    # starts, as with --workers 1; the run gets its own session and a
-    # timeout, so that a pool respawning failed workers fails this test
-    # and leaves none of them behind
+    # a shape model that cannot be read fails the run before any helper
+    # is forked, as with --workers 1; the run gets its own session and a
+    # timeout, so that a run that hangs fails this test and leaves no
+    # process behind
     ck = str(tmp_path / "ck.npz")
     nn.save_checkpoint(ck, nn.PolicyNetwork(seed=1), nn.ValueNetwork(seed=2))
     mesh = tmp_path / "bad.obj"

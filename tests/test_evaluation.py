@@ -1,17 +1,22 @@
 """Scenario presets, Monte-Carlo evaluation determinism, report statistics,
 and the per-episode CSV contract."""
 
+import contextlib
 import csv
 import dataclasses
 import hashlib
-import multiprocessing
-import multiprocessing.pool
+import json
 import os
 import pickle
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
+import asterhover
 from asterhover import cli, evaluation, nn
 from asterhover.cli import main
 from asterhover.env import EpisodeConfig, HoverEnv
@@ -351,51 +356,117 @@ def test_a_float64_checkpoint_evaluates_to_the_same_bytes(tmp_path):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
-def test_parallel_workers_match_serial():
-    # workers inherit the policy object itself, so any policy the serial
-    # path flies also flies in the pool, with or without parameters
+def test_parallel_workers_match_serial(processes):
+    # helpers inherit the policy object itself, so any policy the serial
+    # path flies also flies in a helper, with or without parameters
+    forked = processes(2)
     for policy in (nn.PolicyNetwork(seed=6), AllOffPolicy()):
         serial = run_monte_carlo(policy, quiet_scenario(), 4, seed=8, workers=1)
         parallel = run_monte_carlo(policy, quiet_scenario(), 4, seed=8, workers=2)
         assert serial == parallel
+    assert [list(episodes) for episodes in forked] == [[1, 3], [1, 3]]
 
 
-def test_pool_has_no_more_processes_than_episodes(monkeypatch):
-    started = []
-
-    class CountingPool(multiprocessing.pool.Pool):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            started.append(len(self._pool))
-
-    monkeypatch.setattr(multiprocessing, "Pool", CountingPool)
-    monkeypatch.setattr(evaluation, "usable_cpus", lambda: 8)  # the episodes bound here
+def test_eval_forks_no_more_processes_than_episodes(processes):
+    forked = processes(8)  # the episodes bound here
     policy = AllOffPolicy()
     serial = run_monte_carlo(policy, quiet_scenario(), 2, seed=8, workers=1)
-    assert started == []
+    assert forked == []
     assert run_monte_carlo(policy, quiet_scenario(), 2, seed=8, workers=4) == serial
-    assert started == [2]
+    assert [list(episodes) for episodes in forked] == [[1]]
     assert run_monte_carlo(policy, quiet_scenario(), 1, seed=8, workers=4) == \
         run_monte_carlo(policy, quiet_scenario(), 1, seed=8, workers=1)
-    assert started == [2]  # one episode flies in this process
+    assert len(forked) == 1  # one episode flies in this process
 
 
-def test_pool_has_no_more_processes_than_usable_cpus(monkeypatch):
-    started = []
-
-    class CountingPool(multiprocessing.pool.Pool):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            started.append(len(self._pool))
-
-    monkeypatch.setattr(multiprocessing, "Pool", CountingPool)
+def test_eval_forks_no_more_processes_than_usable_cpus(processes):
     policy = AllOffPolicy()
     serial = run_monte_carlo(policy, quiet_scenario(), 4, seed=8, workers=1)
-    for cpus, pool in ((3, [3]), (1, [])):
-        started.clear()
-        monkeypatch.setattr(evaluation, "usable_cpus", lambda: cpus)
+    for cpus, helpers in ((3, [[1], [2]]), (1, [])):
+        forked = processes(cpus)
         assert run_monte_carlo(policy, quiet_scenario(), 4, seed=8, workers=8) == serial
-        assert started == pool
+        assert [list(episodes) for episodes in forked] == helpers
+
+
+def test_the_first_failing_episode_raises_at_any_process_count(processes, monkeypatch, tmp_path):
+    # in another process than this one, episode 1 fails only once episode 2
+    # has, so that the first error to arrive is not the first episode's
+    fly, parent, failed = evaluation.run_episode, os.getpid(), tmp_path / "episode-2-failed"
+
+    def fail_one_and_two(env, policy, seed, idx, stochastic=False):
+        if idx == 2:
+            failed.touch()
+        deadline = time.monotonic() + 30
+        while idx == 1 and os.getpid() != parent and not failed.exists():
+            assert time.monotonic() < deadline, "episode 2 did not fail"
+            time.sleep(0.01)
+        if idx in (1, 2):
+            raise ValueError(f"episode {idx} failed")
+        return fly(env, policy, seed, idx, stochastic)
+
+    monkeypatch.setattr(evaluation, "run_episode", fail_one_and_two)
+    forked = processes(2)
+    for workers in (1, 2):
+        with pytest.raises(ValueError, match="episode 1 failed"):
+            run_monte_carlo(AllOffPolicy(), quiet_scenario(), 4, seed=8, workers=workers)
+    assert [list(episodes) for episodes in forked] == [[1, 3]]
+
+
+# `python -c` probe: flies four episodes of a quiet scenario (its overrides
+# as JSON in argv[1]) at workers=2 on two usable CPUs, with every
+# environment step in a forked helper killing that helper, and prints as
+# JSON the error the run raised and whether a child was left unreaped.
+KILLED_HELPER_PROBE = """
+import json, os, signal, sys
+from asterhover import evaluation, nn, ppo
+from asterhover.env import HoverEnv
+
+parent, step = os.getpid(), HoverEnv.step
+
+def step_or_die(self, action):
+    if os.getpid() != parent:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return step(self, action)
+
+HoverEnv.step = step_or_die
+ppo.BLAS_PINNED, ppo.usable_cpus = True, lambda: 2
+scenario = evaluation.Scenario("quiet-test", overrides=json.loads(sys.argv[1]))
+try:
+    evaluation.run_monte_carlo(nn.PolicyNetwork(seed=6), scenario, 4, seed=8, workers=2)
+    error = None
+except RuntimeError as exc:
+    error = str(exc)
+try:
+    os.waitpid(-1, os.WNOHANG)
+    child_left = True
+except ChildProcessError:
+    child_left = False
+print(json.dumps({"error": error, "child_left": child_left}))
+"""
+
+
+def test_a_killed_helper_fails_the_run_naming_its_episodes():
+    # the run gets its own session and a timeout, so that a run waiting
+    # forever on the killed helper fails this test and leaves no process
+    src = os.path.dirname(os.path.dirname(asterhover.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", KILLED_HELPER_PROBE, json.dumps(quiet_scenario().overrides)],
+        env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        pytest.fail("eval with a killed helper did not exit within 60 s")
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+    assert proc.returncode == 0, err
+    assert json.loads(out.strip().splitlines()[-1]) == {
+        "error": "the evaluation helper of episodes [1, 3] exited with code -9",
+        "child_left": False,
+    }
 
 
 def test_workers_default_to_the_usable_cpus(monkeypatch):
@@ -405,8 +476,8 @@ def test_workers_default_to_the_usable_cpus(monkeypatch):
 
 
 def test_pickled_env_and_policy_fly_the_same_episodes(tmp_path):
-    # a spawn or forkserver pool hands its workers pickled copies of the
-    # parent's environment and policy
+    # evaluation's helpers are forked and inherit the environment and
+    # policy; a process started another way would need pickled copies
     mesh_path = str(tmp_path / "peanut.obj")
     save_mesh(mesh_path, make_peanut_mesh(level=2))
     cfg = quiet_scenario(mesh_file=mesh_path).episode_config()

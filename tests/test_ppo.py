@@ -16,6 +16,7 @@ import asterhover
 from asterhover import nn, ppo
 from asterhover.env import EpisodeConfig, HoverEnv
 from asterhover.errors import ConfigurationError, SimulationError
+from asterhover.evaluation import fly_scenario
 from asterhover.geometry import AsteroidDynRanges, AsteroidGenConfig
 from asterhover.ppo import (
     METRICS_COLUMNS,
@@ -226,30 +227,6 @@ def noisy_early_config() -> EpisodeConfig:
     return cfg
 
 
-@pytest.fixture
-def processes(monkeypatch):
-    """A setter of the collection's process count: it fixes the usable CPUs
-    (BLAS counts as pinned, whatever the environment) and returns the list
-    of what each helper forked from then on is dealt: a collection helper's
-    lanes, or the minibatches of an update's critic helper."""
-    forked = []
-    fork_helper = ppo._fork_helper
-
-    def counting(*args):
-        forked.append(args[1])
-        return fork_helper(*args)
-
-    monkeypatch.setattr(ppo, "BLAS_PINNED", True)
-    monkeypatch.setattr(ppo, "_fork_helper", counting)
-
-    def use(count):
-        monkeypatch.setattr(ppo, "usable_cpus", lambda: count)
-        forked.clear()
-        return forked
-
-    return use
-
-
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -355,19 +332,22 @@ def test_a_helper_that_dies_is_an_error(processes, monkeypatch):
 
 def test_one_process_when_blas_is_not_pinned_or_another_thread_runs(processes, monkeypatch):
     forked = processes(4)
+    policy = build_networks(seed=7)[0]
     assert ppo.collection_processes(3) == 3 and ppo.collection_processes(9) == 4
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
         assert ppo.collection_processes(9) == 1  # a fork would copy no other thread
+        fly_scenario(policy, "tiny", HoverEnv(tiny_config()), 2, 11, workers=4)
     finally:
         stop.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
     monkeypatch.setattr(ppo, "BLAS_PINNED", False)
     assert ppo.collection_processes(9) == 1
-    collect_rollouts(HoverEnv(tiny_config()), build_networks(seed=7)[0], small_ppo(), 11, 0)
+    collect_rollouts(HoverEnv(tiny_config()), policy, small_ppo(), 11, 0)
+    fly_scenario(policy, "tiny", HoverEnv(tiny_config()), 2, 11, workers=4)
     assert forked == []
 
 

@@ -13,11 +13,12 @@ shared by both sides: the checkpoint of the parent's ``train`` run (read by
 ``tests/geometry_reference.py`` at subdivision levels 2 and 5, as OBJ files.
 Every command runs with one BLAS thread, as the benchmark does, since the
 threaded BLAS rounds the network products differently. The eval runs fly
-serially (``--workers 1``) except one over the level-5 peanut, which runs
-the worker pool (``--workers 2``); one of them is ``eval --all`` over the
-level-2 peanut, all 14 scenarios in one run. It prints one JSON object with
-the sha256 of every output on each side and exits 1 when any output
-differs.
+serially (``--workers 1``) except two, which deal their episodes to forked
+helpers (``--workers 2``): one over the level-5 peanut, and one stochastic,
+so that per-episode action streams are checked across processes. One eval
+run is ``eval --all`` over the level-2 peanut, all 14 scenarios in one run.
+It prints one JSON object with the sha256 of every output on each side and
+exits 1 when any output differs.
 """
 
 from __future__ import annotations
@@ -54,6 +55,8 @@ RUNS = [
     *((f"eval-itokawa3x-peanut{level}",
        EVAL + ["--scenario", "itokawa3x", "--mesh-file", f"{{peanut{level}}}"], EVAL_FILES)
       for level in (2, 5)),
+    ("eval-baseline-stochastic-workers2",
+     EVAL_ANY_WORKERS + ["--workers", "2", "--scenario", "baseline", "--stochastic"], EVAL_FILES),
     ("eval-itokawa3x-peanut5-workers2",
      EVAL_ANY_WORKERS + ["--workers", "2", "--scenario", "itokawa3x", "--mesh-file", "{peanut5}"],
      EVAL_FILES),
