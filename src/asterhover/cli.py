@@ -33,9 +33,9 @@ from .config import (
     write_resolved_config,
 )
 from .errors import ConfigurationError, MeshLoadError, SimulationError
-from .geometry import AsteroidGenConfig, load_mesh, save_mesh, synthesize_asteroid
+from .geometry import AsteroidGenConfig, save_mesh, synthesize_asteroid
 from .lidar import PreparedMesh, SensorConfig, rotated_beams, scan
-from .env import rollout
+from .env import load_mesh, rollout
 from .ppo import TrainConfig, train
 from . import nn
 from .evaluation import (
@@ -154,12 +154,11 @@ def _look_rotation(position: np.ndarray) -> np.ndarray:
 
 def cmd_scan_debug(args: argparse.Namespace) -> int:
     if args.mesh:
-        mesh = load_mesh(args.mesh, scale=args.scale)
+        prep = load_mesh(args.mesh, args.scale)[2]
     else:
-        mesh = synthesize_asteroid(
+        prep = PreparedMesh(synthesize_asteroid(
             args.seed, AsteroidGenConfig(subdivision_level=args.level)
-        ).mesh
-    prep = PreparedMesh(mesh)
+        ).mesh)
     if args.position is not None:
         position = np.asarray(args.position, dtype=np.float64)
         if not np.any(position):
@@ -212,14 +211,9 @@ def _trajectory_row(step, t, state, fuel, pos_err, speed, reward, action) -> lis
     return row
 
 
-def _drift(logits: np.ndarray, lanes=None) -> tuple[np.ndarray, None]:
-    """Rollout select for free drift: every thruster off."""
-    return np.zeros((len(logits), 12)), None
-
-
 class _DriftPolicy:
-    """Rollout policy for free drift: zero logits, which `_drift` ignores,
-    and a zero-width hidden state, so no network runs."""
+    """Rollout policy for free drift: zero logits, whose greedy action is
+    every thruster off, and a zero-width hidden state, so no network runs."""
 
     @staticmethod
     def init_hidden(batch: int) -> np.ndarray:
@@ -248,8 +242,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         },
     )
 
-    select = greedy if args.checkpoint else _drift
-    steps = [step for _, step in rollout(env, policy, [args.seed], select)]
+    steps = [step for _, step in rollout(env, policy, [args.seed], greedy)]
     states = [step.state for step in steps] + [env.state]
     rows = [_trajectory_row(0, 0.0, states[0], 0.0, 0.0, 0.0, 0.0, np.zeros(12))]
     for step, state in zip(steps, states[1:]):

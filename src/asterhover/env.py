@@ -414,11 +414,11 @@ def load_mesh(path: str, scale: float) -> tuple[TriMesh, np.ndarray, PreparedMes
     :class:`PreparedMesh`, shared between environments and read-only.
 
     The file is read on every call, so a missing, changed or malformed file
-    fails or loads as :func:`asterhover.geometry.load_mesh` would; its bytes
-    are parsed only when they differ from the cached body's, and the mesh
-    scaled and prepared only when they or `scale` do. A file that cannot be
-    read or parsed leaves the cached body as it was. (perfbench's tracer
-    times this function under ``geometry.load_mesh``.)
+    fails or loads as it is now; its bytes are parsed only when they differ
+    from the cached body's, and the mesh scaled and prepared only when they
+    or `scale` do. A file that cannot be read or parsed leaves the cached
+    body as it was. (perfbench's tracer times this function under
+    ``geometry.load_mesh``.)
     """
     global _shape_model
     check_mesh_scale(scale)

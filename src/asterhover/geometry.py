@@ -308,15 +308,6 @@ def read_mesh_file(path: str) -> bytes:
         raise MeshLoadError(f"cannot read mesh file {path}: {exc}") from exc
 
 
-def load_mesh(path: str, scale: float = 1.0) -> TriMesh:
-    """Read a mesh written by :func:`save_mesh` (a subset of Wavefront OBJ):
-    :func:`read_mesh_file`, then :func:`parse_mesh`. Vertices are multiplied
-    by `scale` after loading."""
-    check_mesh_scale(scale)
-    mesh = parse_mesh(read_mesh_file(path), path)
-    return TriMesh(mesh.vertices * scale, mesh.faces)
-
-
 def parse_mesh(data: bytes, path: str) -> TriMesh:
     """The mesh in `data`, the bytes of the mesh file at `path`, unscaled;
     `path` only names the file in errors.

@@ -549,6 +549,10 @@ def ppo_update(
 _STATUS = struct.Struct("=?d")
 
 
+# The rows go through a shared mapping, not the status pipe: a row (163,872
+# bytes at the default sizes) is larger than the pipe's 64 KB buffer, so
+# the helper could get at most one epoch ahead of the parent. Sent through
+# the pipe, they cost train-default 2151 -> 1923 env steps/s (2 vCPUs).
 class _CriticSlots:
     """The critic's state, its parameters and Adam ``m`` and ``v``, as each
     epoch of :func:`_value_epochs` left it: one row per epoch of an

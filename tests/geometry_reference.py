@@ -1,7 +1,8 @@
-"""Test-side geometry: the per-line OBJ reader that `asterhover.geometry.load_mesh`
-ran before it read its records in bulk, kept as the reference the bulk
-reader is pinned to, and the two-lobed peanut body the shape-model tests
-fly over.
+"""Test-side geometry: `load_mesh`, the package's own read, parse and scale
+of a mesh file without `asterhover.env.load_mesh`'s cache; the per-line
+OBJ reader that the package ran before it read its records in bulk, kept
+as the reference the bulk reader is pinned to; and the two-lobed peanut
+body the shape-model tests fly over.
 """
 
 from __future__ import annotations
@@ -11,7 +12,22 @@ import math
 import numpy as np
 
 from asterhover.errors import ConfigurationError, MeshLoadError
-from asterhover.geometry import TriMesh, generate_icosphere
+from asterhover.geometry import (
+    TriMesh,
+    check_mesh_scale,
+    generate_icosphere,
+    parse_mesh,
+    read_mesh_file,
+)
+
+
+def load_mesh(path: str, scale: float = 1.0) -> TriMesh:
+    """The mesh file at `path` as the package reads it
+    (:func:`read_mesh_file`, then :func:`parse_mesh`), vertices multiplied
+    by `scale`."""
+    check_mesh_scale(scale)
+    mesh = parse_mesh(read_mesh_file(path), path)
+    return TriMesh(mesh.vertices * scale, mesh.faces)
 
 
 def make_peanut_mesh(

@@ -26,9 +26,9 @@ from asterhover.config import (
 )
 from asterhover.errors import ConfigurationError
 from asterhover.evaluation import MAX_EPISODES, Scenario, get_scenario, run_monte_carlo, scenarios
-from asterhover.geometry import load_mesh, save_mesh
+from asterhover.geometry import save_mesh
 from asterhover.ppo import TrainConfig
-from geometry_reference import make_peanut_mesh
+from geometry_reference import load_mesh, make_peanut_mesh
 
 
 def read(path):
@@ -674,8 +674,8 @@ def peanut_obj(tmp_path_factory):
 
 @pytest.fixture
 def mesh_reads(monkeypatch):
-    """The path of every shape-model file read by an environment or the
-    CLI, under `reads`, and of every one of those parsed, under `parses`."""
+    """The path of every shape-model file read by `env.load_mesh`, under
+    `reads`, and of every one of those parsed, under `parses`."""
     log = types.SimpleNamespace(reads=[], parses=[])
     read, parse = asterhover.env.read_mesh_file, asterhover.env.parse_mesh
 
@@ -687,14 +687,8 @@ def mesh_reads(monkeypatch):
         log.parses.append(path)
         return parse(data, path)
 
-    def cli_load_mesh(path, *args, **kwargs):
-        log.reads.append(path)
-        log.parses.append(path)
-        return load_mesh(path, *args, **kwargs)
-
     monkeypatch.setattr(asterhover.env, "read_mesh_file", read_mesh)
     monkeypatch.setattr(asterhover.env, "parse_mesh", parse_mesh)
-    monkeypatch.setattr(asterhover.cli, "load_mesh", cli_load_mesh)
     return log
 
 

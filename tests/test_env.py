@@ -30,7 +30,6 @@ from asterhover.errors import ConfigurationError, MeshLoadError, SimulationError
 from asterhover.geometry import (
     AsteroidDynRanges,
     AsteroidGenConfig,
-    load_mesh,
     mesh_half_extents,
     save_mesh,
     synthesize_asteroid,
@@ -39,6 +38,7 @@ from asterhover.lidar import LidarFrame, PreparedMesh, SensorConfig, rotated_bea
 
 from dynamics_reference import quat_rotate, rk4_step_reference
 from env_reference import compute_reward_reference, fly, observe_reference
+from geometry_reference import load_mesh
 
 IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
 

@@ -14,12 +14,11 @@ from asterhover.geometry import (
     ellipsoid_rotation_params,
     face_normals,
     generate_icosphere,
-    load_mesh,
     mesh_half_extents,
     save_mesh,
     synthesize_asteroid,
 )
-from geometry_reference import load_mesh_reference, make_peanut_mesh
+from geometry_reference import load_mesh, load_mesh_reference, make_peanut_mesh
 
 
 def edge_counts(mesh: TriMesh) -> dict[tuple[int, int], int]:

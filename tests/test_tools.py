@@ -2,8 +2,10 @@
 
 import copy
 import json
+import os
 import string
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -104,3 +106,42 @@ def test_step_phases_times_every_call_of_a_lane_step(tmp_path):
     assert all(p["median_us"] > 0.0 and 0.0 < p["share"] < 1.0 for p in phases.values())
     assert got["rest_share"] == pytest.approx(1.0 - sum(p["share"] for p in phases.values()))
     assert 0.0 < got["rest_share"] < 1.0
+
+
+def test_run_python_reports_a_failing_childs_exit_code_and_stderr(tmp_path):
+    script = "import sys; sys.stderr.write('no lift'); sys.exit(3)"
+    with pytest.raises(RuntimeError, match=r"(?s)\(exit 3\).*no lift") as caught:
+        bench_pairs.run_python(ROOT, ["-c", script, "seed"], tmp_path)
+    assert script not in str(caught.value) and "seed" in str(caught.value)
+
+
+def test_run_python_gives_one_blas_thread_only_the_requested_paths_and_no_bytecode(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    monkeypatch.setenv("PYTHONPATH", str(tmp_path))
+    script = ("import os, sys; "
+              "print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['PYTHONPATH'], "
+              "sys.dont_write_bytecode)")
+    got = bench_pairs.run_python(ROOT, ["-c", script], tmp_path, paths=("src", "tests"))
+    assert got.split() == ["1", f"{ROOT / 'src'}{os.pathsep}{ROOT / 'tests'}", "True"]
+
+
+def test_alternating_starts_with_the_parent_and_swaps_every_seed():
+    parent_first, change_first = ("parent", "change"), ("change", "parent")
+    assert list(bench_pairs.alternating([2, 3, 4])) == [
+        (2, parent_first), (3, change_first), (4, parent_first)]
+
+
+def test_checkouts_extract_both_commits_and_remove_them_on_exit(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+
+    def tree(root):
+        return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+    with bench_pairs.checkouts("HEAD", "HEAD", "checkouts-") as tmp:
+        assert tmp.parent == tmp_path and tmp.name.startswith("checkouts-")
+        parent, change = tree(tmp / "parent"), tree(tmp / "change")
+        assert Path("tools/bench_pairs.py") in parent
+        assert parent == change
+    assert not tmp.exists()

@@ -1,13 +1,12 @@
 """Learning check of a change to the update, parent commit against this
-working tree.
+change.
 
 Run from the repository root:
 
     python3 tools/learning_check.py --parent HEAD --seeds 1-5
 
-It extracts the parent with ``bench_pairs.extract`` into a temporary
-directory (which honours ``TMPDIR``) and runs the same training on both
-sides, with one BLAS thread, the side that goes first alternating by seed:
+It runs the same training in both checkouts of ``bench_pairs.checkouts``,
+the side that goes first alternating by seed:
 
 - ``train --seed S --batches 1`` for each of ``--seeds``: the batch's
   ``policy_epochs``, ``kl``, ``clip_fraction`` and ``value_loss`` from
@@ -26,16 +25,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
-import os
-import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
-from bench_pairs import ROOT, extract, git, parse_seeds
-from output_digests import ONE_THREAD
+from bench_pairs import SIDES, alternating, change_commit, checkouts, git, parse_seeds, run_python
+from output_digests import sha256_file
 
 CURRICULUM_SEEDS = (13, 14, 15)
 TRAIN_FIELDS = ("policy_epochs", "kl", "clip_fraction", "value_loss")
@@ -53,17 +48,6 @@ print(time.perf_counter() - start)
 """
 
 
-def run(checkout: Path, args: list[str], cwd: Path) -> str:
-    env = {**os.environ, **ONE_THREAD,
-           "PYTHONPATH": os.pathsep.join(str(checkout / d) for d in ("src", "tests"))}
-    proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env,
-                          capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise RuntimeError(f"{' '.join(args[:3])} failed in {checkout} "
-                           f"(exit {proc.returncode}):\n{proc.stderr}")
-    return proc.stdout
-
-
 def metrics_columns(path: Path) -> dict[str, list[float]]:
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -71,11 +55,11 @@ def metrics_columns(path: Path) -> dict[str, list[float]]:
 
 
 def train_one_batch(checkout: Path, seed: int, out: Path) -> dict:
-    run(checkout, ["-m", "asterhover.cli", "train", "--seed", str(seed), "--batches", "1",
-                   "--out", str(out)], out.parent)
+    run_python(checkout, ["-m", "asterhover.cli", "train", "--seed", str(seed), "--batches", "1",
+                          "--out", str(out)], out.parent)
     cols = metrics_columns(out / "metrics.csv")
     return {**{name: cols[name][0] for name in TRAIN_FIELDS},
-            "metrics_sha256": hashlib.sha256((out / "metrics.csv").read_bytes()).hexdigest()}
+            "metrics_sha256": sha256_file(out / "metrics.csv")}
 
 
 def curriculum_stats(pos_err: list[float], reward: list[float]) -> dict:
@@ -89,27 +73,24 @@ def curriculum_stats(pos_err: list[float], reward: list[float]) -> dict:
 
 
 def curriculum(checkout: Path, seed: int, out: Path) -> dict:
-    wall = float(run(checkout, ["-c", CURRICULUM, str(out), str(seed)], out.parent))
+    wall = float(run_python(checkout, ["-c", CURRICULUM, str(out), str(seed)], out.parent,
+                            paths=("src", "tests")))
     cols = metrics_columns(out / "metrics.csv")
     return {**curriculum_stats(cols["mean_term_pos_err"], cols["mean_reward"]), "wall_s": wall}
 
 
 def check(parent: str, seeds: list[int]) -> dict:
     report = {"parent": parent, "train": {}, "reduced_curriculum": {}}
-    with tempfile.TemporaryDirectory(prefix="learning-check-") as tmp:
-        tmp = Path(tmp)
-        sides = {"parent": tmp / "parent", "change": ROOT}
-        extract(parent, sides["parent"])
+    with checkouts(parent, change_commit(), "learning-check-") as tmp:
         for kind, fn, kind_seeds in (("train", train_one_batch, seeds),
                                      ("reduced_curriculum", curriculum, CURRICULUM_SEEDS)):
-            for i, seed in enumerate(kind_seeds):
-                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for seed, order in alternating(kind_seeds):
                 row = {}
                 for side in order:
                     out = tmp / "out" / kind / f"{side}-{seed}"
                     out.parent.mkdir(parents=True, exist_ok=True)
-                    row[side] = fn(sides[side], seed, out)
-                report[kind][str(seed)] = {side: row[side] for side in sides}
+                    row[side] = fn(tmp / side, seed, out)
+                report[kind][str(seed)] = {side: row[side] for side in SIDES}
     return report
 
 

@@ -1,19 +1,16 @@
 """Where a training batch raises peak memory, parent commit against this
-working tree.
+change.
 
 Run from the repository root:
 
     python3 tools/memory_phases.py --parent HEAD --seeds 2-5
 
-It extracts the parent with ``bench_pairs.extract`` into a temporary
-directory (which honours ``TMPDIR``). For each of ``--seeds`` it trains one
-batch on each side, the side that goes first alternating by seed, each run
-in a fresh process with one BLAS thread. A run reads the process's peak
-resident set (``ru_maxrss``) once the package is imported, then around every
-call of the phases in PHASES. A process starts with the peak of the one
-that started it (this tool has numpy loaded), so each run is forked by a
-shell, whose own peak is a few MB. It reports, in MB of 1024 KB as the
-benchmark's ``peak_rss_mb``:
+For each of ``--seeds`` it trains one batch in each checkout of
+``bench_pairs.checkouts``, the side that goes first alternating by seed,
+each run in a fresh process. A run reads the process's peak resident set
+(``ru_maxrss``) once the package is imported, then around every call of
+the phases in PHASES. It reports, in MB of 1024 KB as the benchmark's
+``peak_rss_mb``:
 
 - ``import_mb``: the peak after import;
 - ``rise_mb``: per phase, how far the peak rose inside its calls, summed
@@ -37,14 +34,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
-from bench_pairs import ROOT, extract, git, parse_seeds
-from output_digests import ONE_THREAD
+from bench_pairs import SIDES, alternating, change_commit, checkouts, git, parse_seeds, run_python
 
 PHASES = ("collect_rollouts", "compute_advantages", "policy_minibatch_step",
           "value_minibatch_step", "measure_kl")
@@ -85,32 +78,20 @@ print(json.dumps({"import_mb": start, "rise_mb": rise,
 
 
 def run(checkout: Path, seed: int, out: Path, overrides: list[str]) -> dict:
-    env = {**os.environ, **ONE_THREAD, "PYTHONPATH": str(checkout / "src")}
-    # the shell forks the run rather than exec it, as a command followed by
-    # another; the run then starts from the shell's peak, not this tool's
-    proc = subprocess.run(["sh", "-c", '"$@"; exit $?', "sh",
-                           sys.executable, "-c", RUN, str(out), str(seed), *overrides],
-                          cwd=out.parent, env=env, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise RuntimeError(f"seed {seed} failed in {checkout} "
-                           f"(exit {proc.returncode}):\n{proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    stdout = run_python(checkout, ["-c", RUN, str(out), str(seed), *overrides], out.parent)
+    return json.loads(stdout.strip().splitlines()[-1])
 
 
 def check(parent: str, seeds: list[int], overrides: list[str]) -> dict:
     report = {"parent": parent, "overrides": overrides, "seeds": {}}
-    with tempfile.TemporaryDirectory(prefix="memory-phases-") as tmp:
-        tmp = Path(tmp)
-        sides = {"parent": tmp / "parent", "change": ROOT}
-        extract(parent, sides["parent"])
-        for i, seed in enumerate(seeds):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+    with checkouts(parent, change_commit(), "memory-phases-") as tmp:
+        for seed, order in alternating(seeds):
             row = {}
             for side in order:
                 out = tmp / "out" / f"{side}-{seed}"
                 out.parent.mkdir(parents=True, exist_ok=True)
-                row[side] = run(sides[side], seed, out, overrides)
-            report["seeds"][str(seed)] = {side: row[side] for side in sides}
+                row[side] = run(tmp / side, seed, out, overrides)
+            report["seeds"][str(seed)] = {side: row[side] for side in SIDES}
     return report
 
 

@@ -1,17 +1,16 @@
 """Where one evaluation lane's control step spends its time, parent commit
-against this working tree.
+against this change.
 
 Run from the repository root:
 
     python3 tools/step_phases.py --parent HEAD --seeds 2-5
 
-It extracts the parent with ``bench_pairs.extract`` into a temporary
-directory (which honours ``TMPDIR``). For each of ``--seeds`` it runs
-UNITS ``eval-baseline`` units on each side, the side that goes first
-alternating by seed, each run in a fresh process with one BLAS thread. A
-unit is one serial ``run_monte_carlo`` call of EPISODES greedy drift
-episodes over fresh 320-facet bodies, with the checkpoint and unit seeds
-that ``perfbench/workloads.py`` makes for that workload (its functions are
+For each of ``--seeds`` it runs UNITS ``eval-baseline`` units in each
+checkout of ``bench_pairs.checkouts``, the side that goes first
+alternating by seed, each run in a fresh process. A unit is one serial
+``run_monte_carlo`` call of EPISODES greedy drift episodes over fresh
+320-facet bodies, with the checkpoint and unit seeds that
+``perfbench/workloads.py`` makes for that workload (its functions are
 imported from the side's own checkout). Every episode flies as one lane,
 so each control step makes one call of each of ``rk4_step`` (through
 ``HoverEnv.step``), ``LaneMeshes.cast``, ``PolicyNetwork.step`` and
@@ -32,16 +31,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from bench_pairs import ROOT, extract, git, parse_seeds
-from output_digests import ONE_THREAD
+from bench_pairs import SIDES, alternating, change_commit, checkouts, git, parse_seeds, run_python
 
 UNITS = 6
 EPISODES = 10
@@ -110,15 +105,10 @@ print(json.dumps({"steps": steps, "steps_per_s": steps / wall, "phases": phases,
 
 def run(checkout: Path, seed: int, work: Path, units: int = UNITS,
         episodes: int = EPISODES) -> dict:
-    env = {**os.environ, **ONE_THREAD, "PYTHONPATH": str(checkout / "src")}
     work.mkdir(parents=True, exist_ok=True)
-    proc = subprocess.run([sys.executable, "-c", RUN, str(checkout), str(work), str(seed),
-                           str(units), str(episodes), json.dumps(PHASES)],
-                          cwd=work, env=env, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise RuntimeError(f"seed {seed} failed in {checkout} "
-                           f"(exit {proc.returncode}):\n{proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    stdout = run_python(checkout, ["-c", RUN, str(checkout), str(work), str(seed), str(units),
+                                   str(episodes), json.dumps(PHASES)], work)
+    return json.loads(stdout.strip().splitlines()[-1])
 
 
 def medians(runs: list[dict]) -> dict:
@@ -137,16 +127,12 @@ def medians(runs: list[dict]) -> dict:
 
 def check(parent: str, seeds: list[int]) -> dict:
     report = {"parent": parent, "units": UNITS, "episodes": EPISODES, "seeds": {}}
-    with tempfile.TemporaryDirectory(prefix="step-phases-") as tmp:
-        tmp = Path(tmp)
-        sides = {"parent": tmp / "parent", "change": ROOT}
-        extract(parent, sides["parent"])
-        for i, seed in enumerate(seeds):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            row = {side: run(sides[side], seed, tmp / "out" / f"{side}-{seed}") for side in order}
-            report["seeds"][str(seed)] = {side: row[side] for side in sides}
+    with checkouts(parent, change_commit(), "step-phases-") as tmp:
+        for seed, order in alternating(seeds):
+            row = {side: run(tmp / side, seed, tmp / "out" / f"{side}-{seed}") for side in order}
+            report["seeds"][str(seed)] = {side: row[side] for side in SIDES}
     report["median"] = {side: medians([row[side] for row in report["seeds"].values()])
-                        for side in ("parent", "change")}
+                        for side in SIDES}
     return report
 
 
