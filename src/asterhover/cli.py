@@ -34,7 +34,7 @@ from .config import (
 )
 from .errors import ConfigurationError, MeshLoadError, SimulationError
 from .geometry import AsteroidGenConfig, save_mesh, synthesize_asteroid
-from .lidar import PreparedMesh, SensorConfig, rotated_beams, scan
+from .lidar import LaneCast, PreparedMesh, SensorConfig, rotated_beams, scan
 from .env import load_mesh, rollout
 from .ppo import TrainConfig, train
 from . import nn
@@ -167,7 +167,8 @@ def cmd_scan_debug(args: argparse.Namespace) -> int:
         position = np.array([0.0, 0.0, 2.5 * prep.bound_radius])
 
     sensor = SensorConfig()
-    frame = scan(prep, position, rotated_beams(sensor, _look_rotation(position)), sensor)
+    frame = scan(LaneCast(prep, rotated_beams(sensor, _look_rotation(position))), position,
+                 sensor)
 
     write_resolved_config(
         args.out, "scan-debug",

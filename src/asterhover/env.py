@@ -46,8 +46,7 @@ from .geometry import (
     synthesize_asteroid,
 )
 from .lidar import (
-    GRID_SIZE,
-    LaneMeshes,
+    LaneCast,
     LidarFrame,
     PreparedMesh,
     SensorConfig,
@@ -199,16 +198,16 @@ def rollout(
     pick the actions of the live flown `lanes` (ascending), one row each,
     and whatever else it returns beside them (``None``, or one row per
     lane); a lane's action is drawn only while it flies. Every live lane's
-    environment then flies its action, one
-    :meth:`LaneMeshes.cast` renders the range images of all live lanes, and
-    each live lane's :meth:`HoverEnv.observe` completes its step. Yields
-    ``(k, Step)`` for the live lanes in lane order.
+    environment then flies its action, and each live lane's
+    :meth:`HoverEnv.observe` completes its step on the range image its own
+    :meth:`HoverEnv.scan` renders. Yields ``(k, Step)`` for the live lanes
+    in lane order.
 
     A finished lane keeps feeding its last inputs, and its rows of the
     outputs are ignored, so every step of every lane runs at width L. A row
     of a network step depends on the width and the row's position, not on
-    the other rows' contents, and a lane's cast never depends on the other
-    lanes, so lane k's bytes do not depend on when the other lanes finish.
+    the other rows' contents, and each lane's environment renders its own
+    images, so lane k's bytes do not depend on when the other lanes finish.
     For the same reason `lanes`, the ascending lanes to fly (default all),
     leaves them unchanged: the lanes not flown are never reset and feed
     zeros, and the policy step keeps width L. Training deals a batch's lanes
@@ -217,15 +216,14 @@ def rollout(
 
     An error leaving the rollout carries ``rollout_at = (t, phase, k)``:
     the policy steps taken (0 while resetting), the phase (0 reset, 1 policy
-    step, 2 flight, 3 cast, 4 observe) and the lane (0 for the policy step
-    and the cast, which span every lane). Tuples order as one rollout runs,
+    step, 2 flight, 3 scan and observe) and the lane (0 for the policy
+    step, which spans every lane). Tuples order as one rollout runs,
     so of the errors of rollouts that fly disjoint `lanes` of the same call,
     the least is the one a rollout of every lane would have raised first.
     """
     L = len(env_seeds)
     lanes = list(range(L)) if lanes is None else list(lanes)
     envs = [env] + [env.spawn() for _ in lanes[1:]]
-    max_range = env.cfg.sensor.max_range
     at = (0, 0, 0)
     try:
         # Each flown lane's (image, vec, value_input), as reset and observe
@@ -234,7 +232,6 @@ def rollout(
         for k, lane_env in zip(lanes, envs):
             at = (0, 0, k)
             inputs.append(lane_env.reset(seed=env_seeds[k]))
-        meshes = LaneMeshes([e._prep for e in envs], np.stack([e._beams for e in envs]))
         image, vec, _ = inputs[0]
         images = np.zeros((L,) + image.shape, image.dtype)
         vecs = np.zeros((L,) + vec.shape, vec.dtype)
@@ -254,15 +251,10 @@ def rollout(
             for row, i in enumerate(flying):
                 at = (t, 2, lanes[i])
                 envs[i].step(actions[row])
-            at = (t, 3, 0)
-            origins = np.array([e.state.position for e in envs])
-            ranges, hit = meshes.cast(origins, live, max_range)
-            ranges = ranges.reshape(-1, GRID_SIZE, GRID_SIZE)
-            hit = hit.reshape(-1, GRID_SIZE, GRID_SIZE)
             for row, (i, state) in enumerate(zip(flying, states)):
-                k = lanes[i]
-                at = (t, 4, k)
-                *next_inputs, reward, done, info = envs[i].observe(LidarFrame(ranges[i], hit[i]))
+                k, lane_env = lanes[i], envs[i]
+                at = (t, 3, k)
+                *next_inputs, reward, done, info = lane_env.observe(lane_env.scan())
                 yield k, Step(
                     state, *inputs[i], logits[k], actions[row],
                     None if logp is None else logp[row], reward, info,
@@ -446,9 +438,9 @@ class HoverEnv:
     """One hovering episode at a time; see module docstring.
 
     A control step is two calls: :meth:`step` flies the action and
-    :meth:`observe` completes the step from the range image taken at the
-    new position, so that :func:`rollout` can render the images of many
-    environments in one cast. Not shared between processes or lanes: each
+    :meth:`observe` completes the step from the range image :meth:`scan`
+    takes at the new position, so that :func:`rollout` flies every lane
+    before it renders any. Not shared between processes or lanes: each
     owns its own instance, and all randomness flows from the generator
     created in :meth:`reset`.
     """
@@ -470,7 +462,7 @@ class HoverEnv:
         """A further environment on this one's config and loaded shape
         model (shared, read-only), ready for :meth:`reset`."""
         twin = copy.copy(self)
-        twin.state, twin.done, twin.steps = None, True, 0
+        twin.state, twin.done, twin.steps, twin._lane = None, True, 0, None
         return twin
 
     def reset(self, seed: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -505,9 +497,12 @@ class HoverEnv:
             if state is None:
                 continue
             # Every scan of the episode is taken at this attitude (see
-            # scan), so the beam grid is rotated once here.
+            # scan), so the beam grid is rotated once here, into the lane
+            # whose ball the first steps cast from.
             self.state = state
-            self._beams = rotated_beams(cfg.sensor, quat_to_dcm(state.attitude))
+            self._lane = LaneCast(
+                self._prep, rotated_beams(cfg.sensor, quat_to_dcm(state.attitude))
+            )
             frame0 = self._noisy(self.scan())
             if frame0.hit.any():
                 break
@@ -526,13 +521,14 @@ class HoverEnv:
         return self._inputs(frame0, state.position - self.r0, quat_error(state.attitude, self.q0))
 
     def scan(self) -> LidarFrame:
-        """The noise-free range image from the current position.
+        """The noise-free range image from the current position, cast
+        through the episode's :class:`~asterhover.lidar.LaneCast`.
 
         Scans are taken at the frozen initiation attitude: the sensor
         platform counter-rotates the body motion, so images differ only
         through translation (and asteroid rotation under the spacecraft).
         """
-        return scan(self._prep, self.state.position, self._beams, self.cfg.sensor)
+        return scan(self._lane, self.state.position, self.cfg.sensor)
 
     def _noisy(self, frame: LidarFrame) -> LidarFrame:
         if not self.cfg.sensor_noise:
@@ -546,8 +542,7 @@ class HoverEnv:
         :func:`rk4_step` call of `substeps` RK4_DT steps.
 
         The step is complete once :meth:`observe` has the range image from
-        the new position: :meth:`scan` for a lone environment, the lanes'
-        shared cast in :func:`rollout`.
+        the new position, which :meth:`scan` renders.
         """
         if self.done:
             raise SimulationError("step() called on a finished episode; reset() first")

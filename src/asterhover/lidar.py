@@ -23,7 +23,7 @@ from .geometry import TriMesh
 DET_EPS = 1.0e-12
 T_MIN = 1.0e-12
 
-# Margins of the candidate pre-pass (LaneMeshes._build_pairs). The
+# Margins of the candidate pre-pass (LaneCast._build_pairs). The
 # kernel's det, barycentric and t numerators are triple products of edge and
 # origin-to-vertex vectors, and rounding moves them by about 1e-15 of
 # |tvec|*|e1|*|e2|. A facet is culled only when the origin lies behind its
@@ -37,7 +37,7 @@ T_MIN = 1.0e-12
 PLANE_TOL = 1.0e-6
 CONE_TOL = 1.0e-6  # rad
 
-# Radius of a lane's candidate ball (LaneMeshes._build_pairs), as a fraction
+# Radius of a lane's candidate ball (LaneCast._build_pairs), as a fraction
 # of the gap between its centre and the nearest facet bounding sphere.
 BALL_FRACTION = 0.1
 
@@ -75,7 +75,7 @@ class PreparedMesh:
 
     The fields the Möller–Trumbore kernel gathers rows from, `v0`, `edge1`
     and `edge2`, are C-contiguous (F, 3). The fields only the whole-mesh
-    facet test reads (see LaneMeshes._build_pairs) are (F,) or, for
+    facet test reads (see LaneCast._build_pairs) are (F,) or, for
     `centroid` and `normal`, (3, F): one row per component, so that each
     elementwise op there runs along F rather than across a 3-wide row.
     """
@@ -90,7 +90,7 @@ class PreparedMesh:
         # Upper bound on the distance of any surface point from the origin.
         self.bound_radius = float(np.max(np.linalg.norm(v, axis=1)))
         # Per-facet bounding sphere and outward (unnormalised) normal, for
-        # the candidate pre-pass (LaneMeshes._build_pairs).
+        # the candidate pre-pass (LaneCast._build_pairs).
         self.centroid = (c0 + c1 + c2) / 3.0
         r0, r1, r2 = (np.linalg.norm(c - self.centroid, axis=0) for c in (c0, c1, c2))
         self.radius = np.maximum(np.maximum(r0, r1), r2)
@@ -164,7 +164,7 @@ def _reachable(
     half_angle: float,
     rho: float,
 ) -> np.ndarray:
-    """The facet test of :meth:`LaneMeshes._build_pairs`: the indices of
+    """The facet test of :meth:`LaneCast._build_pairs`: the indices of
     the F facets that some ray in a cone of `half_angle` may hit when cast
     from an origin within `rho` of the one their centre offsets `w` (3, F),
     distances `dist` (F,) and offset components `along` the cone's unit
@@ -202,7 +202,7 @@ class _Pairs(NamedTuple):
     fields hold one row per component, so that the kernel's elementwise
     work runs along P."""
 
-    ray: np.ndarray       # (P,) the ray, as an index into the lanes' L*R rays
+    ray: np.ndarray       # (P,) the ray, as an index into the lane's R rays
     v0: np.ndarray        # (3, P) the facet's first corner
     e1_roll2: np.ndarray  # (3, P) its edge1, row k holding component k + 2 (mod 3)
     e1_roll1: np.ndarray  # (3, P) and row k holding component k + 1
@@ -212,60 +212,54 @@ class _Pairs(NamedTuple):
     d: np.ndarray         # (P, 3) the ray direction
 
 
-_NO_PAIRS = _Pairs(np.empty(0, dtype=np.intp), *[np.empty((3, 0))] * 5, np.empty(0),
-                   np.empty((0, 3)))
 # Row orders that roll a (3, N) array's rows by one and by two.
 _ROLL1, _ROLL2 = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
-class LaneMeshes:
-    """The prepared meshes of L lanes, one each, and each lane's rays.
-
-    Lanes may hold different meshes with different facet counts; each lane
-    keeps its own `PreparedMesh` as given. Lane l casts the rays `beams[l]`
+class LaneCast:
+    """One lane's caster: a prepared mesh and the lane's rays `beams`
     (R, 3), fixed for the object's life as an episode's beams are (the
     attitude is frozen), inside the cone of :func:`beam_cone`.
 
-    Each lane keeps a candidate ball between casts: the (ray, facet) pairs
+    The lane keeps a candidate ball between casts: the (ray, facet) pairs
     that may hit from anywhere within rho of the ball's centre (see
     :meth:`_build_pairs`). rho is BALL_FRACTION of the gap from the centre
-    to the nearest facet bounding sphere. A lane's ball is rebuilt when its
+    to the nearest facet bounding sphere. The ball is rebuilt when the
     origin is more than rho / 2 from the centre; the other half of rho is
     slack far beyond rounding, so the ball holds every pair that a test from
     the origin itself would keep. Culling is thus one path, ball then pairs
     then kernel, and a cast between rebuilds runs only the kernel on the
-    cached pairs: it costs what a lane's footprint costs, not what its mesh
-    does.
+    cached pairs: it costs what the lane's footprint costs, not what its
+    mesh does.
     """
 
-    def __init__(self, meshes: list[PreparedMesh], beams: np.ndarray):
-        self.meshes = meshes
+    def __init__(self, mesh: PreparedMesh, beams: np.ndarray):
+        self.mesh = mesh
         self.beams = beams
-        self.units = beams / np.linalg.norm(beams, axis=2, keepdims=True)
-        self.cones = [beam_cone(b) for b in beams]
-        # Each lane's ball: its centre (NaN until built), the square of half
-        # its radius, and its pairs (see _build_pairs).
-        L = len(meshes)
-        self._ball_centre = np.full((L, 3), np.nan)
-        self._ball_reach = np.zeros(L)
-        self._ball_pairs = [_NO_PAIRS] * L
+        self.units = beams / np.linalg.norm(beams, axis=1, keepdims=True)
+        self.cone = beam_cone(beams)
+        # The ball: its centre (NaN until built), the square of half its
+        # radius, and its pairs (see _build_pairs).
+        self._ball_centre = np.full(3, np.nan)
+        self._ball_reach = 0.0
+        self._ball_pairs: _Pairs | None = None
 
-    def _build_pairs(self, lane: int, origin: np.ndarray, fraction: float) -> None:
-        """Rebuild the ball of `lane` around `origin`, of radius rho =
-        `fraction` of its gap (0 once the origin is inside a facet bounding
-        sphere, or when `fraction` is 0), in one pass over the lane's mesh.
+    def _build_pairs(self, origin: np.ndarray, fraction: float) -> None:
+        """Rebuild the ball around `origin`, of radius rho = `fraction` of
+        its gap (0 once the origin is inside a facet bounding sphere, or
+        when `fraction` is 0), in one pass over the mesh.
 
         A facet is kept when some origin within rho of the centre may see
         it: the origin is not clearly behind its plane (the kernel then has
         det <= DET_EPS or t <= T_MIN for every ray), with slack rho * |n|,
         and its bounding sphere grown by rho (the Minkowski sum) comes
         within CONE_TOL of the lane's cone. A kept facet pairs with each ray
-        of the lane that passes the same cone test as a zero-angle cone. Of
-        those pairs, the ones whose det (which depends only on the ray and
-        the facet) exceeds DET_EPS are kept, as a :class:`_Pairs`. A culled
-        pair would give t = inf from every origin in the ball.
+        that passes the same cone test as a zero-angle cone. Of those pairs,
+        the ones whose det (which depends only on the ray and the facet)
+        exceeds DET_EPS are kept, as a :class:`_Pairs`. A culled pair would
+        give t = inf from every origin in the ball.
         """
-        mesh, (axis, half_angle), R = self.meshes[lane], self.cones[lane], self.units.shape[1]
+        mesh, (axis, half_angle) = self.mesh, self.cone
         w = mesh.centroid - origin[:, None]                          # (3, F)
         dist = np.sqrt(_dot(w, w))
         gap = (dist - mesh.radius).min()
@@ -277,60 +271,49 @@ class LaneMeshes:
         )
 
         # The rays of the K kept facets, in one (K, R) pass.
-        along = np.take(w, kept, axis=1).T @ self.units[lane].T      # (K, R)
+        along = np.take(w, kept, axis=1).T @ self.units.T            # (K, R)
         grown = np.take(mesh.radius, kept) + rho
         near = _near_cone(along, np.take(dist, kept)[:, None], grown[:, None], 0.0)
-        k, ray = np.divmod(np.flatnonzero(near), R)
+        k, ray = np.divmod(np.flatnonzero(near), self.beams.shape[0])
         face = np.take(kept, k)
 
-        d = np.take(self.beams[lane], ray, axis=0)
+        d = np.take(self.beams, ray, axis=0)
         edge1, edge2 = (np.take(a, face, axis=0) for a in (mesh.edge1, mesh.edge2))
         pvec = _cross(d, edge2)
         det = np.einsum("pk,pk->p", edge1, pvec)
         front = np.flatnonzero(det > DET_EPS)
         edge1 = np.take(edge1, front, axis=0).T
-        self._ball_pairs[lane] = _Pairs(
-            np.take(ray, front) + lane * R,
+        self._ball_pairs = _Pairs(
+            np.take(ray, front),
             np.take(mesh.v0, np.take(face, front), axis=0).T.copy(),
             edge1[_ROLL2], edge1[_ROLL1],
             *(np.take(a, front, axis=0).T.copy() for a in (edge2, pvec)),
             np.take(det, front), np.take(d, front, axis=0),
         )
-        self._ball_centre[lane] = origin
-        self._ball_reach[lane] = np.square(0.5 * rho)
+        self._ball_centre = origin.copy()
+        self._ball_reach = (0.5 * rho) ** 2
 
-    def cast(
-        self, origins: np.ndarray, live: np.ndarray, max_range: float = 2000.0
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Nearest front-face hit of every ray of every live lane.
+    def cast(self, origin: np.ndarray, max_range: float = 2000.0) -> tuple[np.ndarray, np.ndarray]:
+        """Nearest front-face hit of each of the lane's rays from `origin`,
+        as (R,) ranges and hits, as :func:`cast_rays` returns them.
 
-        Lane l casts its rays from `origins[l]` against its own mesh.
-        Returns (L, R) ranges and hits as :func:`cast_rays` does; rays of
-        lanes whose `live` is False read as misses.
-
-        Live lanes more than rho / 2 from their ball's centre rebuild their
-        balls here, one :meth:`_build_pairs` call each. Möller–Trumbore then
-        runs on each live lane's cached pairs in turn, so that a wide cast
-        makes no array larger than one lane's. A culled pair would give t =
-        inf, and each kept pair's arithmetic is the brute-force cast's, so
-        the result equals brute force bit for bit. The one exception is a
-        ray passing within rounding of a facet edge, where a hit can hinge
-        on `v`: brute force forms it in one BLAS product over all facets,
-        whose rounding can differ from the per-pair dot product here (one
-        facet or one ray takes another BLAS kernel). A lane's result never
-        depends on the other lanes.
+        An origin more than rho / 2 from the ball's centre rebuilds the
+        ball first, in one :meth:`_build_pairs` call. Möller–Trumbore then
+        runs on the cached pairs. A culled pair would give t = inf, and each
+        kept pair's arithmetic is the brute-force cast's, so the result
+        equals brute force bit for bit. The one exception is a ray passing
+        within rounding of a facet edge, where a hit can hinge on `v`: brute
+        force forms it in one BLAS product over all facets, whose rounding
+        can differ from the per-pair dot product here (one facet or one ray
+        takes another BLAS kernel).
         """
-        L, R = self.beams.shape[:2]
-        offset = origins - self._ball_centre
-        stale = live & ~(np.einsum("lk,lk->l", offset, offset) <= self._ball_reach)
-        for lane in np.flatnonzero(stale).tolist():
-            self._build_pairs(lane, origins[lane], BALL_FRACTION)
-        nearest = np.full(L * R, np.inf)
-        for lane in np.flatnonzero(live).tolist():
-            ray, v0, e1_roll2, e1_roll1, edge2, pvec, det, d = self._ball_pairs[lane]
-            if not ray.size:
-                continue
-            tvec = origins[lane][:, None] - v0                       # (3, P)
+        offset = origin - self._ball_centre
+        if not offset.dot(offset) <= self._ball_reach:
+            self._build_pairs(origin, BALL_FRACTION)
+        ray, v0, e1_roll2, e1_roll1, edge2, pvec, det, d = self._ball_pairs
+        nearest = np.full(self.beams.shape[0], np.inf)
+        if ray.size:
+            tvec = origin[:, None] - v0                              # (3, P)
             # np.cross(tvec, edge1): row k is t[k+1]*e[k+2] - t[k+2]*e[k+1]
             qvec = tvec[_ROLL1]
             qvec *= e1_roll2
@@ -354,8 +337,7 @@ class LaneMeshes:
             ok &= ~(t <= T_MIN)
             np.minimum.at(nearest, ray, np.where(ok, t, np.inf))
         hit = nearest < max_range
-        ranges = np.where(hit, nearest, max_range)
-        return ranges.reshape(L, R), hit.reshape(L, R)
+        return np.where(hit, nearest, max_range), hit
 
 
 def cast_rays(
@@ -370,17 +352,15 @@ def cast_rays(
     Returns (ranges, hit), each (R,): misses get exactly `max_range`; hits
     are the nearest intersection distance and are strictly less than
     `max_range` (a surface exactly at or beyond `max_range` reads as a
-    miss). This is :meth:`LaneMeshes.cast` with one lane, whose rays are
+    miss). This is :meth:`LaneCast.cast` on a lane whose rays are
     `directions`.
     """
-    d = np.asarray(directions, dtype=np.float64)
     origin = np.asarray(origin, dtype=np.float64)
     # A ball of radius 0 around the origin: its pairs are the ones the
     # cast from there keeps, without the slack a lane spends on later casts.
-    meshes = LaneMeshes([mesh], d[None])
-    meshes._build_pairs(0, origin, 0.0)
-    ranges, hit = meshes.cast(origin[None], np.ones(1, dtype=bool), max_range)
-    return ranges[0], hit[0]
+    lane = LaneCast(mesh, np.asarray(directions, dtype=np.float64))
+    lane._build_pairs(origin, 0.0)
+    return lane.cast(origin, max_range)
 
 
 def crossing_count(prep: PreparedMesh, origin: np.ndarray, direction: np.ndarray) -> int:
@@ -431,16 +411,11 @@ def rotated_beams(cfg: SensorConfig, rotation_matrix: np.ndarray) -> np.ndarray:
     return beam_directions(cfg).reshape(-1, 3) @ rotation_matrix.T
 
 
-def scan(
-    mesh: PreparedMesh,
-    position: np.ndarray,
-    beams: np.ndarray,
-    cfg: SensorConfig,
-) -> LidarFrame:
-    """Render one range image from `position` along `beams`, the
-    (GRID_SIZE**2, 3) directions from :func:`rotated_beams` at the platform
-    attitude."""
-    ranges, hit = cast_rays(mesh, position, beams, cfg.max_range)
+def scan(lane: LaneCast, position: np.ndarray, cfg: SensorConfig) -> LidarFrame:
+    """Render one range image from `position` through `lane`, whose rays
+    are the (GRID_SIZE**2, 3) directions from :func:`rotated_beams` at the
+    platform attitude."""
+    ranges, hit = lane.cast(position, cfg.max_range)
     return LidarFrame(ranges.reshape(GRID_SIZE, GRID_SIZE), hit.reshape(GRID_SIZE, GRID_SIZE))
 
 

@@ -2,9 +2,10 @@
 array form of a step's bookkeeping.
 
 `fly` is one control step of a single :class:`asterhover.env.HoverEnv`
-rendered by its own :meth:`~asterhover.env.HoverEnv.scan`, the per-episode
-path that :func:`asterhover.env.rollout` replaces with one cast over all
-lanes. `replay_episode` is the serial per-episode collector built on it:
+rendered by its own :meth:`~asterhover.env.HoverEnv.scan`, the calls that
+:func:`asterhover.env.rollout` makes for each lane, without the policy
+step and with no other lane flown between them. `replay_episode` is the
+serial per-episode collector built on it:
 it flies one episode alone on given actions and records what the policy and
 the critic saw.
 

@@ -8,7 +8,7 @@ import pytest
 
 from asterhover import env as env_module
 from asterhover import nn
-from asterhover.dynamics import G_REF, ISP_DEFAULT, quat_angle, quat_error
+from asterhover.dynamics import G_REF, ISP_DEFAULT, quat_angle, quat_error, quat_to_dcm
 from asterhover.env import (
     DR_SCALE,
     DRY_MASS,
@@ -34,7 +34,15 @@ from asterhover.geometry import (
     save_mesh,
     synthesize_asteroid,
 )
-from asterhover.lidar import LidarFrame, PreparedMesh, SensorConfig, rotated_beams, scan
+from asterhover.lidar import (
+    LaneCast,
+    LidarFrame,
+    PreparedMesh,
+    SensorConfig,
+    cast_rays,
+    rotated_beams,
+    scan,
+)
 
 from dynamics_reference import quat_rotate, rk4_step_reference
 from env_reference import compute_reward_reference, fly, observe_reference
@@ -197,9 +205,8 @@ def test_descent_over_plane_dr_oracle():
     from test_lidar import plane_mesh
 
     cfg = SensorConfig()
-    prep = PreparedMesh(plane_mesh(0.0))
-    beams = rotated_beams(cfg, np.eye(3))
-    frames = [scan(prep, np.array([0.0, 0.0, h]), beams, cfg) for h in (250.0, 249.0, 248.0)]
+    lane = LaneCast(PreparedMesh(plane_mesh(0.0)), rotated_beams(cfg, np.eye(3)))
+    frames = [scan(lane, np.array([0.0, 0.0, h]), cfg) for h in (250.0, 249.0, 248.0)]
     env = HoverEnv(quiet_config())
     env.reset(seed=5)
     env.frame0, env.prev_frame = frames[0], frames[1]
@@ -307,6 +314,32 @@ def test_loaded_mesh_is_prepared_once(tmp_path):
     prep = env._prep
     env.reset(seed=2)
     assert env._prep is not prep
+
+
+def test_reset_casts_through_the_lane_its_first_step_reuses(monkeypatch):
+    # reset's frame is a lone cast over the beams at the episode's initial
+    # attitude, bit for bit, and the first step of a drift episode casts
+    # from the ball that reset built, rebuilding none
+    from test_lidar import count_rebuilds
+
+    env = HoverEnv()
+    env.reset(seed=9)
+    lane = env._lane
+    beams = rotated_beams(env.cfg.sensor, quat_to_dcm(env.q0))
+    assert lane.mesh is env._prep and lane.beams.tobytes() == beams.tobytes()
+    ranges, hit = cast_rays(env._prep, env.r0, beams)
+    assert env.frame0.ranges.tobytes() == ranges.reshape(8, 8).tobytes()
+    assert env.frame0.hit.tobytes() == hit.reshape(8, 8).tobytes()
+    rebuilt = count_rebuilds(monkeypatch)
+    centre = lane._ball_centre.copy()
+    fly(env, np.zeros(12))
+    assert rebuilt == [] and env._lane is lane
+    # a spawned environment starts without a lane and builds its own
+    twin = env.spawn()
+    assert twin._lane is None
+    twin.reset(seed=10)
+    assert twin._lane is not lane
+    assert env._lane is lane and lane._ball_centre.tobytes() == centre.tobytes()
 
 
 def test_first_observation_invariants():

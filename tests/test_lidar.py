@@ -14,9 +14,9 @@ from asterhover.geometry import (
 )
 from asterhover.lidar import (
     BALL_FRACTION,
+    LaneCast,
     LidarFrame,
     PreparedMesh,
-    LaneMeshes,
     SensorConfig,
     _dot,
     apply_sensor_noise,
@@ -40,15 +40,15 @@ IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
 
 def scan_at(mesh, position, q, cfg):
     """A scan of `mesh` with the platform at quaternion attitude `q`."""
-    return scan(PreparedMesh(mesh), position, rotated_beams(cfg, quat_to_dcm(q)), cfg)
+    return scan(LaneCast(PreparedMesh(mesh), rotated_beams(cfg, quat_to_dcm(q))), position, cfg)
 
 
 def lone_pairs(prep, origin, dirs):
     """The pairs a lone cast of `dirs` from `origin` runs the kernel on, as
     cast_rays builds them (a ball of radius 0), as a lidar._Pairs."""
-    lanes = LaneMeshes([prep], dirs[None])
-    lanes._build_pairs(0, origin, 0.0)
-    return lanes._ball_pairs[0]
+    lane = LaneCast(prep, dirs)
+    lane._build_pairs(origin, 0.0)
+    return lane._ball_pairs
 
 
 def paired_facets(pairs):
@@ -58,8 +58,8 @@ def paired_facets(pairs):
 
 
 def paired_lanes(lanes):
-    """Whether each lane of `lanes` holds any cached pair."""
-    return [pairs.det.size > 0 for pairs in lanes._ball_pairs]
+    """Whether each of `lanes` holds any cached pair."""
+    return [lane._ball_pairs is not None and lane._ball_pairs.det.size > 0 for lane in lanes]
 
 
 def plane_mesh(z0: float, half_size: float = 5000.0) -> TriMesh:
@@ -379,7 +379,7 @@ def lane_bodies():
 
 def test_lane_cast_matches_per_lane_cast_rays(lane_bodies):
     # Lanes with their own bodies, positions and beams; lane 1 finished
-    # (masked), lane 3 looking away from its body, so no facet is kept.
+    # (never cast), lane 3 looking away from its body, so no facet is kept.
     live = np.array([True, False, True, True])
     views = [scan_positions(prep, 5, seed=k) for k, prep in enumerate(lane_bodies)]
     hits = 0
@@ -387,24 +387,24 @@ def test_lane_cast_matches_per_lane_cast_rays(lane_bodies):
         origins = np.array([view[step][0] for view in views])
         beams = np.array([view[step][1] for view in views])
         beams[3] = -beams[3]
-        lanes = LaneMeshes(lane_bodies, beams)
-        ranges, hit = lanes.cast(origins, live)
+        lanes = [LaneCast(body, dirs) for body, dirs in zip(lane_bodies, beams)]
+        casts = cast_live(lanes, origins, live)
         assert paired_lanes(lanes) == [True, False, True, False]
-        assert ranges.shape == hit.shape == (4, 64)
-        for k in np.flatnonzero(live):
+        for k, (ranges, hit) in casts.items():
+            assert ranges.shape == hit.shape == (64,)
             want_ranges, want_hit = cast_rays(lane_bodies[k], origins[k], beams[k])
-            assert ranges[k].tobytes() == want_ranges.tobytes()
-            assert hit[k].tobytes() == want_hit.tobytes()
+            assert ranges.tobytes() == want_ranges.tobytes()
+            assert hit.tobytes() == want_hit.tobytes()
             ref_ranges, _ = cast_rays_reference(lane_bodies[k], origins[k], beams[k])
-            assert ranges[k].tobytes() == ref_ranges.tobytes()
-        hits += int(hit[[0, 2]].sum())
-        assert not hit[[1, 3]].any()
-        np.testing.assert_array_equal(ranges[[1, 3]], 2000.0)
+            assert ranges.tobytes() == ref_ranges.tobytes()
+        hits += int(casts[0][1].sum() + casts[2][1].sum())
+        assert not casts[3][1].any()
+        np.testing.assert_array_equal(casts[3][0], 2000.0)
     assert hits > 0
 
 
 def test_dot_sums_columns_as_einsum_sums_rows(rng):
-    # LaneMeshes.cast forms u and t with lidar._dot on (3, P) fields and
+    # LaneCast.cast forms u and t with lidar._dot on (3, P) fields and
     # must get the values of the brute-force cast's einsum over (P, 3) rows
     for n in (1, 3, 7, 64, 619, 5000):
         a = rng.standard_normal((n, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, (n, 1))
@@ -417,20 +417,18 @@ def test_dot_sums_columns_as_einsum_sums_rows(rng):
 def test_rays_without_pairs_read_as_misses_between_rays_with_pairs(lane_bodies):
     # One lane's rays alternate between a scan's beams and their reverses,
     # from the first ray on: a reversed beam looks away from the body and
-    # keeps no pair, and must read as a miss beside rays that hit. The
-    # second lane's pairs index its rays after the first lane's.
+    # keeps no pair, and must read as a miss beside rays that hit.
     views = [scan_positions(prep, 1, seed=k)[0] for k, prep in enumerate(lane_bodies[:2])]
     origins = np.array([position for position, _ in views])
     beams = np.array([dirs for _, dirs in views])
     beams[0, 0::2] *= -1.0
-    lanes = LaneMeshes(lane_bodies[:2], beams)
-    live = np.ones(2, dtype=bool)
-    ranges, hit = lanes.cast(origins, live)
-    assert_lanes_match_reference(lane_bodies[:2], origins, beams, live, ranges, hit)
-    paired = lanes._ball_pairs[0].ray
+    lanes = [LaneCast(body, dirs) for body, dirs in zip(lane_bodies[:2], beams)]
+    casts = cast_live(lanes, origins, np.ones(2, dtype=bool))
+    assert_lanes_match_reference(lanes, origins, casts)
+    paired = lanes[0]._ball_pairs.ray
     assert paired.size and not np.isin(np.arange(0, 64, 2), paired).any()
-    assert not hit[0, 0::2].any() and hit[0, 1::2].any() and hit[1].any()
-    assert (lanes._ball_pairs[1].ray >= 64).all()
+    hit = [casts[k][1] for k in (0, 1)]
+    assert not hit[0][0::2].any() and hit[0][1::2].any() and hit[1].any()
 
 
 def sphere_gap(prep, origin):
@@ -467,30 +465,35 @@ def plane_crossing(prep, casts):
 
 
 def count_rebuilds(monkeypatch):
-    """Record (LaneMeshes, lane) for every ball rebuilt from here on."""
+    """Record the LaneCast of every ball rebuilt from here on."""
     rebuilt = []
-    build = LaneMeshes._build_pairs
+    build = LaneCast._build_pairs
 
-    def counting_build(self, lane, origin, fraction):
-        rebuilt.append((self, lane))
-        return build(self, lane, origin, fraction)
+    def counting_build(self, origin, fraction):
+        rebuilt.append(self)
+        return build(self, origin, fraction)
 
-    monkeypatch.setattr(LaneMeshes, "_build_pairs", counting_build)
+    monkeypatch.setattr(LaneCast, "_build_pairs", counting_build)
     return rebuilt
 
 
-def assert_lanes_match_reference(meshes, origins, beams, live, ranges, hit):
-    for k in np.flatnonzero(live):
-        ref_ranges, ref_hit = cast_rays_reference(meshes[k], origins[k], beams[k])
-        assert ranges[k].tobytes() == ref_ranges.tobytes()
-        assert hit[k].tobytes() == ref_hit.tobytes()
-    np.testing.assert_array_equal(ranges[~live], 2000.0)
-    assert not hit[~live].any()
+def cast_live(lanes, origins, live):
+    """{k: (ranges, hit)} of a cast of each lane of `lanes` whose `live` is
+    True from its row of `origins`, as rollout casts the lanes it flies."""
+    return {k: lanes[k].cast(origins[k]) for k in np.flatnonzero(live).tolist()}
+
+
+def assert_lanes_match_reference(lanes, origins, casts):
+    for k, (ranges, hit) in casts.items():
+        ref_ranges, ref_hit = cast_rays_reference(lanes[k].mesh, origins[k], lanes[k].beams)
+        assert ranges.tobytes() == ref_ranges.tobytes()
+        assert hit.tobytes() == ref_hit.tobytes()
 
 
 @pytest.mark.parametrize("body", ["level2", "level3", "level5", "peanut"], indirect=True)
 def test_candidate_balls_match_reference_along_paths(body, rng, monkeypatch):
-    # Five lanes fly through one persistent LaneMeshes, as in a rollout:
+    # Five lanes fly, each through its own persistent LaneCast, as in a
+    # rollout:
     # 0 drifts at a constant velocity; 1 thrusts toward the facet nearest its
     # start and ends inside that facet's bounding sphere, where its ball
     # has radius 0; 2 drifts and finishes half way; 3 drifts looking away
@@ -516,22 +519,21 @@ def test_candidate_balls_match_reference_along_paths(body, rng, monkeypatch):
     paths, beams = np.stack(paths, axis=1), np.array(beams)           # (casts, 5, 3), (5, 64, 3)
     assert sphere_gap(body, paths[-1, 1]) < 0.0
 
-    lanes = LaneMeshes([body] * 5, beams)
+    lanes = [LaneCast(body, dirs) for dirs in beams]
     hits = np.zeros(5, dtype=int)
     for step, origins in enumerate(paths):
         live = np.array([True, True, step < casts // 2, True, True])
-        ranges, hit = lanes.cast(origins, live)
+        casts_now = cast_live(lanes, origins, live)
         assert not paired_lanes(lanes)[3]
-        for k in np.flatnonzero(live):
+        for k, (ranges, hit) in casts_now.items():
             want_ranges, want_hit = cast_rays(body, origins[k], beams[k])
             ref_ranges, ref_hit = cast_rays_reference(body, origins[k], beams[k])
-            assert ranges[k].tobytes() == want_ranges.tobytes() == ref_ranges.tobytes()
-            assert hit[k].tobytes() == want_hit.tobytes() == ref_hit.tobytes()
-        np.testing.assert_array_equal(ranges[~live], 2000.0)
-        hits += hit.sum(axis=1)
+            assert ranges.tobytes() == want_ranges.tobytes() == ref_ranges.tobytes()
+            assert hit.tobytes() == want_hit.tobytes() == ref_hit.tobytes()
+            hits[k] += hit.sum()
     assert hits[[0, 1, 2, 4]].all() and hits[3] == 0
     # The drift lane's ball is rebuilt, but not at every cast.
-    assert 1 < rebuilt.count((lanes, 0)) < casts
+    assert 1 < rebuilt.count(lanes[0]) < casts
 
 
 @pytest.mark.parametrize("body", ["level2", "level5", "peanut"], indirect=True)
@@ -540,15 +542,14 @@ def test_cached_pairs_match_reference_at_the_ball_edge(body, rng, monkeypatch):
     # its cached pairs, toward and away from the body, along the beams and
     # sideways.
     rebuilt = count_rebuilds(monkeypatch)
-    live = np.ones(1, dtype=bool)
     for centre, dirs in scan_positions(body, 3, seed=4):
         up = centre / np.linalg.norm(centre)
         side = np.cross(up, rng.standard_normal(3))
         side /= np.linalg.norm(side)
         for u in (up, -up, side, -side, np.cross(up, side), beam_cone(dirs)[0]):
-            lanes = LaneMeshes([body], dirs[None])
-            lanes.cast(centre[None], live)
-            reach = lanes._ball_reach[0]                    # (rho / 2)**2
+            lane = LaneCast(body, dirs)
+            lane.cast(centre)
+            reach = lane._ball_reach                        # (rho / 2)**2
             assert 0.0 < reach <= np.square(0.5 * BALL_FRACTION * sphere_gap(body, centre)) * (1 + 1e-12)
             # The farthest origin along u that the staleness test still
             # accepts, found ulp by ulp from rho / 2.
@@ -556,14 +557,14 @@ def test_cached_pairs_match_reference_at_the_ball_edge(body, rng, monkeypatch):
             while True:
                 origin = centre + step * u
                 offset = origin - centre
-                if np.einsum("lk,lk->l", offset[None], offset[None])[0] <= reach:
+                if offset.dot(offset) <= reach:
                     break
                 step = np.nextafter(step, 0.0)
             assert step > half * (1.0 - 1e-12)
             before = len(rebuilt)
-            ranges, hit = lanes.cast(origin[None], live)
+            casts = {0: lane.cast(origin)}
             assert len(rebuilt) == before                   # served from the cached pairs
-            assert_lanes_match_reference([body], origin[None], dirs[None], live, ranges, hit)
+            assert_lanes_match_reference([lane], origin[None], casts)
 
 
 def test_thirty_lane_drift_matches_reference(rng, monkeypatch):
@@ -583,16 +584,16 @@ def test_thirty_lane_drift_matches_reference(rng, monkeypatch):
         steps.append(share * sphere_gap(body, start) * step / np.linalg.norm(step))
     finish = rng.integers(casts // 4, casts + 1, size=L)
     finish[:2] = casts // 2, casts
-    lanes = LaneMeshes(bodies, beams)
+    lanes = [LaneCast(body, dirs) for body, dirs in zip(bodies, beams)]
     del rebuilt[:]  # the lone casts of scan_positions
     partial = 0
     for n in range(casts):
         origins = np.array([start + n * step for (start, _), step in zip(starts, steps)])
         live = n < finish
         before = len(rebuilt)
-        ranges, hit = lanes.cast(origins, live)
+        casts_now = cast_live(lanes, origins, live)
         partial += 0 < len(rebuilt) - before < live.sum()
-        assert_lanes_match_reference(bodies, origins, beams, live, ranges, hit)
+        assert_lanes_match_reference(lanes, origins, casts_now)
     # Casts that rebuild some live lanes and serve the others from their
     # cached pairs.
     assert partial > 0
@@ -600,8 +601,8 @@ def test_thirty_lane_drift_matches_reference(rng, monkeypatch):
 
 
 def test_lanes_with_different_facet_counts_match_reference(rng):
-    # A 320-facet body, a 1280-facet body and the 1280-facet peanut in one
-    # LaneMeshes, each lane drifting sideways to its beams, the middle one
+    # A 320-facet body, a 1280-facet body and the 1280-facet peanut, one
+    # LaneCast each, each lane drifting sideways to its beams, the middle one
     # finishing half way.
     casts = 12
     bodies = [
@@ -616,14 +617,14 @@ def test_lanes_with_different_facet_counts_match_reference(rng):
         step = np.cross(beam_cone(dirs)[0], rng.standard_normal(3))
         steps.append(0.02 * sphere_gap(body, start) * step / np.linalg.norm(step))
     finish = np.array([casts, casts // 2, casts])
-    lanes = LaneMeshes(bodies, beams)
+    lanes = [LaneCast(body, dirs) for body, dirs in zip(bodies, beams)]
     hits = np.zeros(3, dtype=int)
     for n in range(casts):
         origins = np.array([start + n * step for (start, _), step in zip(starts, steps)])
-        live = n < finish
-        ranges, hit = lanes.cast(origins, live)
-        assert_lanes_match_reference(bodies, origins, beams, live, ranges, hit)
-        hits += hit.sum(axis=1)
+        casts_now = cast_live(lanes, origins, n < finish)
+        assert_lanes_match_reference(lanes, origins, casts_now)
+        for k, (_, hit) in casts_now.items():
+            hits[k] += hit.sum()
     assert hits.all()
 
 

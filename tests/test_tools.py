@@ -95,9 +95,14 @@ def test_memory_phases_accounts_for_every_rise_of_the_peak(tmp_path):
 
 def test_step_phases_times_every_call_of_a_lane_step(tmp_path):
     # one run of the tool's child on this tree at one two-episode unit: each
-    # control step calls each per-step phase once, each episode resets once
-    got = step_phases.run(ROOT, 2, tmp_path / "run", units=1, episodes=2)
+    # control step calls each per-step phase once, each episode resets once,
+    # and a phase whose function this tree lacks reads as missing
+    gone = ("gone", "lidar", "RetiredCaster.cast")
+    got = step_phases.run(ROOT, 2, tmp_path / "run", units=1, episodes=2,
+                          phases=step_phases.PHASES + (gone,))
     phases = got["phases"]
+    assert got["missing"] == ["gone"]
+    assert phases.pop("gone") == {"calls": 0, "median_us": 0.0, "share": 0.0}
     assert set(phases) == {name for name, _, _ in step_phases.PHASES}
     assert got["steps"] > 0 and got["steps_per_s"] > 0.0
     for name in ("rk4_step", "cast", "policy_step", "observe"):

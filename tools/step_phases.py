@@ -13,16 +13,18 @@ alternating by seed, each run in a fresh process. A unit is one serial
 ``perfbench/workloads.py`` makes for that workload (its functions are
 imported from the side's own checkout). Every episode flies as one lane,
 so each control step makes one call of each of ``rk4_step`` (through
-``HoverEnv.step``), ``LaneMeshes.cast``, ``PolicyNetwork.step`` and
-``HoverEnv.observe``.
+``HoverEnv.step``), ``LaneCast.cast`` (through ``HoverEnv.scan``),
+``PolicyNetwork.step`` and ``HoverEnv.observe``.
 
 A run wraps the functions in PHASES with ``perf_counter`` stamps. A call
-counts only when no other phase is running, so the lone casts that
+counts only when no other phase is running, so the casts that
 ``HoverEnv.reset`` makes count as reset time, not cast time. It reports,
 per phase, the number of calls, the median call in microseconds and the
 phase's share of the units' wall time; ``rest`` is the share outside every
-phase: the rollout loop, ``HoverEnv.step`` around ``rk4_step``, and the
-reports. It also reports the units' steps and steps per second. It prints
+phase: the rollout loop, ``HoverEnv.step`` around ``rk4_step``, the scans
+around the cast, and the reports. A phase whose function a checkout lacks
+(an older side's name for it) is listed under ``missing`` and reads 0
+calls. It also reports the units' steps and steps per second. It prints
 one JSON object on one line: each seed's runs side by side, then per side
 the median over seeds of every figure.
 """
@@ -43,7 +45,7 @@ EPISODES = 10
 # (name, module, attribute path): the module is imported from the package
 PHASES = (
     ("rk4_step", "env", "rk4_step"),
-    ("cast", "lidar", "LaneMeshes.cast"),
+    ("cast", "lidar", "LaneCast.cast"),
     ("policy_step", "nn", "PolicyNetwork.step"),
     ("observe", "env", "HoverEnv.observe"),
     ("reset", "env", "HoverEnv.reset"),
@@ -60,7 +62,7 @@ sys.path.insert(0, checkout + "/perfbench")
 import workloads
 from asterhover import evaluation
 
-calls, active = {}, [False]
+calls, active, missing = {}, [False], []
 
 def timed(name, fn):
     spent = calls[name] = []
@@ -80,9 +82,13 @@ def timed(name, fn):
 for name, module, path in json.loads(sys.argv[6]):
     owner = importlib.import_module("asterhover." + module)
     *outer, attr = path.split(".")
-    for part in outer:
-        owner = getattr(owner, part)
-    setattr(owner, attr, timed(name, getattr(owner, attr)))
+    try:
+        for part in outer:
+            owner = getattr(owner, part)
+        setattr(owner, attr, timed(name, getattr(owner, attr)))
+    except AttributeError:
+        missing.append(name)
+        calls[name] = []
 
 sizes = workloads.dataclasses.replace(workloads.SIZES["full"], baseline_chunk=episodes)
 workloads.prepare_inputs("eval-baseline", seed, sizes, work / "inputs")
@@ -99,15 +105,16 @@ for k in range(units):
 phases = {name: {"calls": len(spent), "median_us": statistics.median(spent) * 1e6 if spent else 0.0,
                  "share": sum(spent) / wall} for name, spent in calls.items()}
 rest = 1.0 - sum(p["share"] for p in phases.values())
-print(json.dumps({"steps": steps, "steps_per_s": steps / wall, "phases": phases, "rest_share": rest}))
+print(json.dumps({"steps": steps, "steps_per_s": steps / wall, "phases": phases, "rest_share": rest,
+                  "missing": missing}))
 """
 
 
 def run(checkout: Path, seed: int, work: Path, units: int = UNITS,
-        episodes: int = EPISODES) -> dict:
+        episodes: int = EPISODES, phases=PHASES) -> dict:
     work.mkdir(parents=True, exist_ok=True)
     stdout = run_python(checkout, ["-c", RUN, str(checkout), str(work), str(seed), str(units),
-                                   str(episodes), json.dumps(PHASES)], work)
+                                   str(episodes), json.dumps(phases)], work)
     return json.loads(stdout.strip().splitlines()[-1])
 
 
@@ -122,6 +129,7 @@ def medians(runs: list[dict]) -> dict:
                           for key in ("median_us", "share")}
                    for name in runs[0]["phases"]},
         "rest_share": med([r["rest_share"] for r in runs]),
+        "missing": sorted({name for r in runs for name in r["missing"]}),
     }
 
 
