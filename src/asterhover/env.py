@@ -2,7 +2,7 @@
 
 Each episode draws a fresh asteroid and initial condition, then runs a
 fixed-duration station-keeping task in the asteroid body-fixed frame.
-:meth:`HoverEnv.reset` and :meth:`HoverEnv.observe` return the inputs of
+:meth:`HoverEnv.reset` and :meth:`HoverEnv.step` return the inputs of
 the two networks, already scaled, and :func:`rollout` flies a batch of
 episodes in lockstep. The policy never sees ground truth: its
 image stack holds differences of flash-LIDAR range images taken at the
@@ -72,7 +72,7 @@ TERMINAL_SPEED_LIMIT = 0.10   # m/s
 TERMINAL_OMEGA_LIMIT = 0.025  # rad/s, per component
 ROT_LIMIT = 0.10              # rad/s per component, hard constraint
 
-# The constraint violations HoverEnv.observe names, in the order it tests
+# The constraint violations HoverEnv.step names, in the order it tests
 # them: the first one breached is the episode's `violation`.
 VIOLATION_KINDS = ("rotation", "all_miss", "fuel")
 
@@ -173,12 +173,12 @@ class Step:
     state: SpacecraftState    # state the network inputs were taken in
     image: np.ndarray         # the network inputs (policy image and vector,
     vec: np.ndarray           # critic vector), as HoverEnv.reset and
-    value_input: np.ndarray   # HoverEnv.observe return them
+    value_input: np.ndarray   # HoverEnv.step return them
     logits: np.ndarray        # (12, 2)
     action: np.ndarray        # (12,) on/off bits sent to the environment
     logp: Any                 # the lane's row of what `select` returned beside the actions
     reward: float
-    info: dict[str, Any]      # HoverEnv.observe diagnostics after the action
+    info: dict[str, Any]      # HoverEnv.step diagnostics after the action
 
 
 def rollout(
@@ -197,11 +197,9 @@ def rollout(
     carried from a zero start, and lets ``select(logits[lanes], lanes=lanes)``
     pick the actions of the live flown `lanes` (ascending), one row each,
     and whatever else it returns beside them (``None``, or one row per
-    lane); a lane's action is drawn only while it flies. Every live lane's
-    environment then flies its action, and each live lane's
-    :meth:`HoverEnv.observe` completes its step on the range image its own
-    :meth:`HoverEnv.scan` renders. Yields ``(k, Step)`` for the live lanes
-    in lane order.
+    lane); a lane's action is drawn only while it flies. Then each live
+    lane's environment steps on its action (:meth:`HoverEnv.step`), and
+    ``(k, Step)`` is yielded for it, in lane order.
 
     A finished lane keeps feeding its last inputs, and its rows of the
     outputs are ignored, so every step of every lane runs at width L. A row
@@ -216,52 +214,46 @@ def rollout(
 
     An error leaving the rollout carries ``rollout_at = (t, phase, k)``:
     the policy steps taken (0 while resetting), the phase (0 reset, 1 policy
-    step, 2 flight, 3 scan and observe) and the lane (0 for the policy
-    step, which spans every lane). Tuples order as one rollout runs,
+    step, 2 the lane's step) and the lane (0 for the policy step, which
+    spans every lane). Tuples order as one rollout runs,
     so of the errors of rollouts that fly disjoint `lanes` of the same call,
     the least is the one a rollout of every lane would have raised first.
     """
     L = len(env_seeds)
     lanes = list(range(L)) if lanes is None else list(lanes)
-    envs = [env] + [env.spawn() for _ in lanes[1:]]
+    envs = dict(zip(lanes, [env] + [env.spawn() for _ in lanes[1:]]))
     at = (0, 0, 0)
     try:
-        # Each flown lane's (image, vec, value_input), as reset and observe
+        # Each flown lane's (image, vec, value_input), as reset and step
         # return them.
-        inputs = []
-        for k, lane_env in zip(lanes, envs):
+        inputs = {}
+        for k in lanes:
             at = (0, 0, k)
-            inputs.append(lane_env.reset(seed=env_seeds[k]))
-        image, vec, _ = inputs[0]
+            inputs[k] = envs[k].reset(seed=env_seeds[k])
+        image, vec, _ = inputs[lanes[0]]
         images = np.zeros((L,) + image.shape, image.dtype)
         vecs = np.zeros((L,) + vec.shape, vec.dtype)
-        for k, (image, vec, _) in zip(lanes, inputs):
+        for k, (image, vec, _) in inputs.items():
             images[k], vecs[k] = image, vec
         hidden = policy.init_hidden(L)
-        live = np.ones(len(lanes), dtype=bool)  # by position in `lanes`
+        flying = lanes
         t = 0
-        while live.any():
+        while flying:
             t += 1
             at = (t, 1, 0)
             logits, hidden, _ = policy.step(images, vecs, hidden)
-            flying = np.flatnonzero(live).tolist()
-            drawn = [lanes[i] for i in flying]
-            actions, logp = select(logits[drawn], lanes=drawn)
-            states = [envs[i].state for i in flying]
-            for row, i in enumerate(flying):
-                at = (t, 2, lanes[i])
-                envs[i].step(actions[row])
-            for row, (i, state) in enumerate(zip(flying, states)):
-                k, lane_env = lanes[i], envs[i]
-                at = (t, 3, k)
-                *next_inputs, reward, done, info = lane_env.observe(lane_env.scan())
+            actions, logp = select(logits[flying], lanes=flying)
+            for row, k in enumerate(flying):
+                at = (t, 2, k)
+                state = envs[k].state
+                *next_inputs, reward, _, info = envs[k].step(actions[row])
                 yield k, Step(
-                    state, *inputs[i], logits[k], actions[row],
+                    state, *inputs[k], logits[k], actions[row],
                     None if logp is None else logp[row], reward, info,
                 )
-                inputs[i] = next_inputs
+                inputs[k] = next_inputs
                 images[k], vecs[k], _ = next_inputs
-                live[i] = not done
+            flying = [k for k in flying if not envs[k].done]
     except Exception as exc:
         exc.rollout_at = at
         raise
@@ -437,12 +429,9 @@ def load_mesh(path: str, scale: float) -> tuple[TriMesh, np.ndarray, PreparedMes
 class HoverEnv:
     """One hovering episode at a time; see module docstring.
 
-    A control step is two calls: :meth:`step` flies the action and
-    :meth:`observe` completes the step from the range image :meth:`scan`
-    takes at the new position, so that :func:`rollout` flies every lane
-    before it renders any. Not shared between processes or lanes: each
-    owns its own instance, and all randomness flows from the generator
-    created in :meth:`reset`.
+    A control step is one call of :meth:`step`. Not shared between
+    processes or lanes: each owns its own instance, and all randomness
+    flows from the generator created in :meth:`reset`.
     """
 
     def __init__(self, cfg: EpisodeConfig | None = None):
@@ -496,14 +485,14 @@ class HoverEnv:
             state = sample_initial_conditions(self.rng, cfg, self._prep)
             if state is None:
                 continue
-            # Every scan of the episode is taken at this attitude (see
-            # scan), so the beam grid is rotated once here, into the lane
+            # Every image of the episode is taken at this attitude (see
+            # _frame), so the beam grid is rotated once here, into the lane
             # whose ball the first steps cast from.
             self.state = state
             self._lane = LaneCast(
                 self._prep, rotated_beams(cfg.sensor, quat_to_dcm(state.attitude))
             )
-            frame0 = self._noisy(self.scan())
+            frame0 = self._frame()
             if frame0.hit.any():
                 break
         else:
@@ -520,30 +509,29 @@ class HoverEnv:
         self.fuel_used = 0.0
         return self._inputs(frame0, state.position - self.r0, quat_error(state.attitude, self.q0))
 
-    def scan(self) -> LidarFrame:
-        """The noise-free range image from the current position, cast
-        through the episode's :class:`~asterhover.lidar.LaneCast`.
+    def _frame(self) -> LidarFrame:
+        """The range image from the current position, cast through the
+        episode's :class:`~asterhover.lidar.LaneCast`, with the episode's
+        sensor noise when the config has it.
 
-        Scans are taken at the frozen initiation attitude: the sensor
+        Images are taken at the frozen initiation attitude: the sensor
         platform counter-rotates the body motion, so images differ only
         through translation (and asteroid rotation under the spacecraft).
         """
-        return scan(self._lane, self.state.position, self.cfg.sensor)
-
-    def _noisy(self, frame: LidarFrame) -> LidarFrame:
+        frame = scan(self._lane, self.state.position, self.cfg.sensor)
         if not self.cfg.sensor_noise:
             return frame
         return apply_sensor_noise(
             frame, self._noise_bias, NOISE_SIGMA, self.rng, self.cfg.sensor.max_range
         )
 
-    def step(self, action: np.ndarray) -> None:
-        """Fly one control period with the 12 on/off thruster bits: one
-        :func:`rk4_step` call of `substeps` RK4_DT steps.
-
-        The step is complete once :meth:`observe` has the range image from
-        the new position, which :meth:`scan` renders.
-        """
+    def step(
+        self, action: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, bool, dict[str, Any]]:
+        """One control step with the 12 on/off thruster bits: fly the
+        period (one :func:`rk4_step` call of `substeps` RK4_DT steps), take
+        the range image at the new position and return (policy image,
+        policy vector, critic input, reward, done, info)."""
         if self.done:
             raise SimulationError("step() called on a finished episode; reset() first")
         a = np.asarray(action, dtype=np.float64).reshape(-1)
@@ -556,7 +544,7 @@ class HoverEnv:
         )
         self.fuel_used += mass_before - self.state.mass
         self.steps += 1
-        self._action = a
+        return self._observe(a, self._frame())
 
     def _inputs(
         self, frame: LidarFrame, r_err: np.ndarray, dq: np.ndarray
@@ -583,15 +571,13 @@ class HoverEnv:
         value_input = np.concatenate([r_err / R_ERR_SCALE, state.velocity, dq, state.omega])
         return image, vec, value_input
 
-    def observe(
-        self, frame: LidarFrame
+    def _observe(
+        self, action: np.ndarray, frame: LidarFrame
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, bool, dict[str, Any]]:
-        """Complete the step :meth:`step` flew, given the noise-free range
-        image from the new position; returns (policy image, policy vector,
-        critic input, reward, done, info)."""
+        """The rest of :meth:`step` once the period is flown, given the
+        action flown and the range image from the new position."""
         cfg = self.cfg
         state = self.state
-        frame = self._noisy(frame)
 
         r_err = state.position - self.r0
         dq = quat_error(state.attitude, self.q0)
@@ -619,7 +605,7 @@ class HoverEnv:
         # NaN when any rate is NaN, as np.max gives and max() need not
         max_omega = math.nan if math.isnan(ax + ay + az) else max(ax, ay, az)
 
-        reward, terms = compute_reward(pos_err, dq, self._action, terminal_ok, violated)
+        reward, terms = compute_reward(pos_err, dq, action, terminal_ok, violated)
         self.done = time_done or violated
 
         inputs = self._inputs(frame, r_err, dq)

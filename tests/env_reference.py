@@ -1,16 +1,14 @@
 """Lone-environment references for the lockstep episode driver, and the
 array form of a step's bookkeeping.
 
-`fly` is one control step of a single :class:`asterhover.env.HoverEnv`
-rendered by its own :meth:`~asterhover.env.HoverEnv.scan`, the calls that
-:func:`asterhover.env.rollout` makes for each lane, without the policy
-step and with no other lane flown between them. `replay_episode` is the
-serial per-episode collector built on it:
-it flies one episode alone on given actions and records what the policy and
-the critic saw.
+`fly` is one control step of a single :class:`asterhover.env.HoverEnv`,
+the call that :func:`asterhover.env.rollout` makes for each lane, without
+the policy step. `replay_episode` is the serial per-episode collector built
+on it: it flies one episode alone on given actions and records what the
+policy and the critic saw.
 
 `observe_reference` and `compute_reward_reference` are
-:meth:`~asterhover.env.HoverEnv.observe` and
+:meth:`~asterhover.env.HoverEnv._observe` and
 :func:`~asterhover.env.compute_reward` as they were before their limit
 tests, maxima and bit counts moved onto Python floats: every test there
 goes through numpy's array functions. `observe_reference` builds the
@@ -48,8 +46,7 @@ from dynamics_reference import quat_error_reference
 def fly(env: HoverEnv, action: np.ndarray):
     """One control step of a lone environment; returns ((policy image,
     policy vector), critic input, reward, done, info)."""
-    env.step(action)
-    image, vec, value_input, reward, done, info = env.observe(env.scan())
+    image, vec, value_input, reward, done, info = env.step(action)
     return (image, vec), value_input, reward, done, info
 
 
@@ -120,14 +117,13 @@ def inputs_reference(
 
 
 def observe_reference(
-    env: HoverEnv, frame: LidarFrame
+    env: HoverEnv, action: np.ndarray, frame: LidarFrame
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, bool, dict[str, Any]]:
-    """:meth:`HoverEnv.observe` with its tests on arrays: the norms by
+    """:meth:`HoverEnv._observe` with its tests on arrays: the norms by
     np.linalg.norm, the rate limits by np.any / np.all over np.abs, the
     worst rate by np.max."""
     cfg = env.cfg
     state = env.state
-    frame = env._noisy(frame)
 
     r_err = state.position - env.r0
     dq = quat_error_reference(state.attitude, env.q0)
@@ -148,7 +144,7 @@ def observe_reference(
         and bool(np.all(np.abs(omega) <= TERMINAL_OMEGA_LIMIT))
     )
 
-    reward, terms = compute_reward_reference(pos_err, dq, env._action, terminal_ok, violated)
+    reward, terms = compute_reward_reference(pos_err, dq, action, terminal_ok, violated)
     env.done = time_done or violated
 
     inputs = inputs_reference(env, frame, r_err, dq)

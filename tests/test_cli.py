@@ -435,8 +435,8 @@ def test_train_cli_resume_without_checkpoint_fails(tmp_path, capsys):
 
 # `python -c` stub: `asterhover.cli` with argv[3:], SIGKILLed by its own
 # hand at one point of the run given by argv[1:3]:
-#   collect N     inside batch N's collection, once this process's lanes
-#                 have flown three steps (a forked helper is still flying);
+#   collect N     inside batch N's collection, on entry to a third step of
+#                 this process's lanes (a forked helper is still flying);
 #   update N      inside batch N's ppo_update, after its first optimizer step;
 #   checkpoint N  once checkpoint_00000N.npz's temp file is written, before
 #                 its rename;
@@ -453,18 +453,18 @@ def kill():
     os.kill(os.getpid(), signal.SIGKILL)
 
 if point == "collect":
-    collect, observe, parent, calls = ppo.collect_rollouts, env.HoverEnv.observe, os.getpid(), []
+    collect, step, parent, calls = ppo.collect_rollouts, env.HoverEnv.step, os.getpid(), []
 
     def collect_rollouts(*args, **kwargs):
         calls.append(None)
         return collect(*args, **kwargs)
 
-    def observe_or_kill(self, frame):
-        if os.getpid() == parent and len(calls) > int(at) and self.steps >= 3:
+    def step_or_kill(self, action):
+        if os.getpid() == parent and len(calls) > int(at) and self.steps >= 2:
             kill()
-        return observe(self, frame)
+        return step(self, action)
 
-    ppo.collect_rollouts, env.HoverEnv.observe = collect_rollouts, observe_or_kill
+    ppo.collect_rollouts, env.HoverEnv.step = collect_rollouts, step_or_kill
 elif point == "update":
     update, adam_step, calls = ppo.ppo_update, nn.Adam.step, []
 

@@ -168,9 +168,13 @@ def frame_of(values, miss_value=2000.0):
 
 
 def step_seeing(env, frame):
-    """One all-off step of `env` observing `frame`."""
-    env.step(np.zeros(12))
-    return env.observe(frame)
+    """One all-off step of `env` observing `frame` in place of the image it
+    would take."""
+    env._frame = lambda: frame
+    try:
+        return env.step(np.zeros(12))
+    finally:
+        del env._frame
 
 
 def test_step_image_differences():
@@ -805,7 +809,7 @@ def test_a_shared_body_is_read_only(tmp_path):
 
 
 # --------------------------------------------------------------------------
-# observe and compute_reward against their array form
+# _observe and compute_reward against their array form
 
 
 def identical(a, b) -> bool:
@@ -820,12 +824,27 @@ def identical(a, b) -> bool:
     return type(a) is type(b) and a == b
 
 
-def assert_observes_as_reference(env, frame):
-    """env.observe(frame) returns, and leaves, what observe_reference does
-    on a copy of env."""
+def step_observing(env, action, observe, omega=None):
+    """env.step(action) completed by `observe(action, frame)` in place of
+    env._observe, the body rates set to `omega` first when it is given."""
+    def seam(action, frame):
+        if omega is not None:
+            env.state.omega = np.array(omega)
+        return observe(action, frame)
+
+    env._observe = seam
+    try:
+        return env.step(action)
+    finally:
+        del env._observe
+
+
+def assert_steps_as_reference(env, action, omega=None):
+    """env.step(action) returns, and leaves, what it does on a copy of env
+    whose _observe is observe_reference."""
     twin = copy.deepcopy(env)
-    got = env.observe(frame)
-    want = observe_reference(twin, frame)
+    got = step_observing(env, action, env._observe, omega)
+    want = step_observing(twin, action, functools.partial(observe_reference, twin), omega)
     assert len(got) == len(want)
     for name, a, b in zip(("image", "vec", "value_input", "reward", "done", "info"), got, want):
         assert identical(a, b), (name, a, b)
@@ -841,8 +860,7 @@ def test_observe_matches_reference_on_random_episodes(seed):
     env.reset(seed=seed)
     rng = np.random.default_rng(seed)
     while not env.done:
-        env.step(rng.integers(0, 2, 12))
-        assert_observes_as_reference(env, env.scan())
+        assert_steps_as_reference(env, rng.integers(0, 2, 12))
 
 
 LIMITS = (ROT_LIMIT, TERMINAL_OMEGA_LIMIT)
@@ -863,11 +881,9 @@ def test_observe_matches_reference_at_rate_edges(axis, rate):
         env = HoverEnv(quiet_config(duration=12.0))
         env.reset(seed=3)
         env.step(np.zeros(12))
-        env.step(np.zeros(12))
         omega = list(others)
         omega.insert(axis, float(rate))
-        env.state.omega = np.array(omega)
-        assert_observes_as_reference(env, env.scan())
+        assert_steps_as_reference(env, np.zeros(12), omega)
 
 
 def test_edge_rates_reach_both_sides_of_each_limit():
@@ -877,9 +893,7 @@ def test_edge_rates_reach_both_sides_of_each_limit():
     for rate in EDGE_RATES:
         env.reset(seed=3)
         env.step(np.zeros(12))
-        env.step(np.zeros(12))
-        env.state.omega = np.array([rate, 0.0, 0.0])
-        info = env.observe(env.scan())[-1]
+        info = step_observing(env, np.zeros(12), env._observe, [rate, 0.0, 0.0])[-1]
         seen.add((info["terminal_ok"], info["violation"]))
     assert seen == {(True, None), (False, None), (False, "rotation")}
 

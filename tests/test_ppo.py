@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import asterhover
+from asterhover import env as env_module
 from asterhover import nn, ppo
 from asterhover.env import EpisodeConfig, HoverEnv
 from asterhover.errors import ConfigurationError, SimulationError
@@ -271,25 +272,36 @@ def test_training_bytes_do_not_depend_on_the_process_count(processes, tmp_path):
     assert runs[2] == runs[1] and runs[3] == runs[1]
 
 
-def failing_lanes(monkeypatch, fails):
+def failing_lanes(monkeypatch, fails, renders=()):
     """Make lane k's environment raise SimulationError in its reset (step
-    None) or when it flies control step n, for each (k, n) of `fails`.
-    Forked helpers inherit the patch."""
-    reset, step = HoverEnv.reset, HoverEnv.step
+    None) or when it flies control step n, for each (k, n) of `fails`, and
+    in ``asterhover.env.scan`` when it renders the range image of control
+    step n, for each (k, n) of `renders`. Forked helpers inherit the
+    patches."""
+    reset, step, scan = HoverEnv.reset, HoverEnv.step, env_module.scan
 
     def reset_or_fail(self, seed=None):
         self.lane = seed.entropy[2]
         if (self.lane, None) in fails:
             raise SimulationError(f"lane {self.lane} failed to reset")
-        return reset(self, seed)
+        inputs = reset(self, seed)
+        self._lane.env = self  # the scans of the episode's steps know their lane
+        return inputs
 
     def step_or_fail(self, action):
         if (self.lane, self.steps) in fails:
             raise SimulationError(f"lane {self.lane} failed at step {self.steps}")
-        step(self, action)
+        return step(self, action)
+
+    def scan_or_fail(lane, *args):
+        env = getattr(lane, "env", None)
+        if env is not None and (env.lane, env.steps - 1) in renders:
+            raise SimulationError(f"lane {env.lane} failed to render step {env.steps - 1}")
+        return scan(lane, *args)
 
     monkeypatch.setattr(HoverEnv, "reset", reset_or_fail)
     monkeypatch.setattr(HoverEnv, "step", step_or_fail)
+    monkeypatch.setattr(env_module, "scan", scan_or_fail)
 
 
 @pytest.mark.parametrize("fails,first", [
@@ -302,6 +314,25 @@ def failing_lanes(monkeypatch, fails):
 ])
 def test_a_failed_lane_raises_what_one_process_raises(processes, monkeypatch, fails, first):
     failing_lanes(monkeypatch, fails)
+    assert_batch_fails_at_every_process_count(processes, first)
+
+
+@pytest.mark.parametrize("fails,renders,first", [
+    ({(2, 3)}, {(1, 3)}, "lane 1 failed to render step 3"),
+    ({(1, 3)}, {(2, 3)}, "lane 1 failed at step 3"),
+    (set(), {(3, 2), (1, 2)}, "lane 1 failed to render step 2"),
+])
+def test_of_two_lanes_failing_at_one_step_the_lower_lane_raises(
+    processes, monkeypatch, fails, renders, first
+):
+    # a lane that fails rendering fails in its step as one that fails flying does
+    failing_lanes(monkeypatch, fails, renders)
+    assert_batch_fails_at_every_process_count(processes, first)
+
+
+def assert_batch_fails_at_every_process_count(processes, first):
+    """A five-lane batch raises `first` at 1, 2 and 3 processes and leaves
+    no child behind."""
     policy, _ = build_networks(seed=7)
     for count in (1, 2, 3):
         forked = processes(count)
@@ -320,7 +351,7 @@ def test_a_helper_that_dies_is_an_error(processes, monkeypatch):
     def step_or_die(self, action):
         if os.getpid() != parent:
             os._exit(3)
-        step(self, action)
+        return step(self, action)
 
     monkeypatch.setattr(HoverEnv, "step", step_or_die)
     processes(2)

@@ -139,6 +139,17 @@ def test_alternating_starts_with_the_parent_and_swaps_every_seed():
 
 
 def test_checkouts_extract_both_commits_and_remove_them_on_exit(tmp_path, monkeypatch):
+    # from a throwaway one-commit repository, so that the test needs no
+    # git checkout of its own
+    repo = tmp_path / "repo"
+    (repo / "tools").mkdir(parents=True)
+    script = (ROOT / "tools" / "bench_pairs.py").read_bytes()
+    (repo / "tools" / "bench_pairs.py").write_bytes(script)
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    bench_pairs.git("init", "-q")
+    bench_pairs.git("add", "-A")
+    bench_pairs.git("-c", "user.name=test", "-c", "user.email=test@example.com",
+                    "-c", "commit.gpgsign=false", "commit", "-qm", "one")
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
 
     def tree(root):
@@ -147,6 +158,5 @@ def test_checkouts_extract_both_commits_and_remove_them_on_exit(tmp_path, monkey
     with bench_pairs.checkouts("HEAD", "HEAD", "checkouts-") as tmp:
         assert tmp.parent == tmp_path and tmp.name.startswith("checkouts-")
         parent, change = tree(tmp / "parent"), tree(tmp / "change")
-        assert Path("tools/bench_pairs.py") in parent
-        assert parent == change
+        assert parent == change == {Path("tools/bench_pairs.py"): script}
     assert not tmp.exists()

@@ -12,16 +12,16 @@ alternating by seed, each run in a fresh process. A unit is one serial
 320-facet bodies, with the checkpoint and unit seeds that
 ``perfbench/workloads.py`` makes for that workload (its functions are
 imported from the side's own checkout). Every episode flies as one lane,
-so each control step makes one call of each of ``rk4_step`` (through
-``HoverEnv.step``), ``LaneCast.cast`` (through ``HoverEnv.scan``),
-``PolicyNetwork.step`` and ``HoverEnv.observe``.
+so each control step makes one call of each of ``PolicyNetwork.step`` and
+``HoverEnv.step``, which runs ``rk4_step``, the cast (``LaneCast.cast``)
+and the observation (``HoverEnv._observe``) once each.
 
 A run wraps the functions in PHASES with ``perf_counter`` stamps. A call
 counts only when no other phase is running, so the casts that
 ``HoverEnv.reset`` makes count as reset time, not cast time. It reports,
 per phase, the number of calls, the median call in microseconds and the
 phase's share of the units' wall time; ``rest`` is the share outside every
-phase: the rollout loop, ``HoverEnv.step`` around ``rk4_step``, the scans
+phase: the rollout loop, ``HoverEnv.step`` around its phases, the scans
 around the cast, and the reports. A phase whose function a checkout lacks
 (an older side's name for it) is listed under ``missing`` and reads 0
 calls. It also reports the units' steps and steps per second. It prints
@@ -47,7 +47,7 @@ PHASES = (
     ("rk4_step", "env", "rk4_step"),
     ("cast", "lidar", "LaneCast.cast"),
     ("policy_step", "nn", "PolicyNetwork.step"),
-    ("observe", "env", "HoverEnv.observe"),
+    ("observe", "env", "HoverEnv._observe"),
     ("reset", "env", "HoverEnv.reset"),
 )
 
