@@ -32,12 +32,12 @@ from .config import (
     write_csv,
     write_resolved_config,
 )
+from .dynamics import NUM_THRUSTERS
 from .errors import ConfigurationError, MeshLoadError, SimulationError
 from .geometry import AsteroidGenConfig, save_mesh, synthesize_asteroid
 from .lidar import LaneCast, PreparedMesh, SensorConfig, rotated_beams, scan
 from .env import load_mesh, rollout
 from .ppo import TrainConfig, train
-from . import nn
 from .evaluation import (
     MAX_EPISODES,
     check_counts,
@@ -199,7 +199,7 @@ TRAJECTORY_COLUMNS = (
     "qw", "qx", "qy", "qz",
     "wx_rads", "wy_rads", "wz_rads",
     "mass_kg", "fuel_kg", "pos_err_m", "speed_ms", "reward",
-) + tuple(f"thruster_{k}" for k in range(12))
+) + tuple(f"thruster_{k}" for k in range(NUM_THRUSTERS))
 
 
 def _trajectory_row(step, t, state, fuel, pos_err, speed, reward, action) -> list:
@@ -222,7 +222,7 @@ class _DriftPolicy:
 
     @staticmethod
     def step(images: np.ndarray, vecs: np.ndarray, hidden: np.ndarray):
-        return np.zeros((images.shape[0], nn.PolicyNetwork.NUM_THRUSTERS, 2)), hidden, None
+        return np.zeros((images.shape[0], NUM_THRUSTERS, 2)), hidden, None
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -245,7 +245,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     steps = [step for _, step in rollout(env, policy, [args.seed], greedy)]
     states = [step.state for step in steps] + [env.state]
-    rows = [_trajectory_row(0, 0.0, states[0], 0.0, 0.0, 0.0, 0.0, np.zeros(12))]
+    rows = [_trajectory_row(0, 0.0, states[0], 0.0, 0.0, 0.0, 0.0, np.zeros(NUM_THRUSTERS))]
     for step, state in zip(steps, states[1:]):
         info = step.info
         rows.append(

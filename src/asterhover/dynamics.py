@@ -24,6 +24,7 @@ from .geometry import AsteroidModel
 CUBE_SIDE = 2.0        # spacecraft body edge length, m
 ISP_DEFAULT = 225.0    # thruster specific impulse, s
 G_REF = 9.8            # reference gravitational acceleration for Isp, m/s^2
+NUM_THRUSTERS = 12     # on/off thrusters, fixed to the body (see default_thruster_table)
 
 
 # --------------------------------------------------------------------------
@@ -192,8 +193,8 @@ def default_thruster_table() -> ThrusterTable:
     return ThrusterTable(
         positions=positions,
         directions=directions,
-        max_thrust=np.ones(12),
-        health=np.ones(12),
+        max_thrust=np.ones(NUM_THRUSTERS),
+        health=np.ones(NUM_THRUSTERS),
     )
 
 
@@ -213,8 +214,8 @@ def body_force_torque(
     equals bit for bit.
     """
     a = np.asarray(action, dtype=np.float64)
-    if a.shape != (12,):
-        raise ConfigurationError(f"action must have shape (12,), got {a.shape}")
+    if a.shape != (NUM_THRUSTERS,):
+        raise ConfigurationError(f"action must have shape ({NUM_THRUSTERS},), got {a.shape}")
     thrust = table.max_thrust * table.health * a  # (12,) N
     cx, cy, cz = (0.0, 0.0, 0.0) if com_offset is None else np.asarray(com_offset).tolist()
     fx = fy = fz = lx = ly = lz = 0.0

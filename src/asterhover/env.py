@@ -21,6 +21,7 @@ from typing import Any, Callable, Iterator, Sequence
 import numpy as np
 
 from .dynamics import (
+    NUM_THRUSTERS,
     ExternalForces,
     SpacecraftState,
     dcm_to_quat,
@@ -471,7 +472,7 @@ class HoverEnv:
 
         self.table = default_thruster_table()
         if self.rng.uniform() < cfg.failure_prob:
-            self.table.health[int(self.rng.integers(12))] = cfg.failure_scale
+            self.table.health[int(self.rng.integers(NUM_THRUSTERS))] = cfg.failure_scale
 
         self._noise_bias = (
             self.rng.uniform(-NOISE_BIAS_RANGE, NOISE_BIAS_RANGE)
@@ -535,8 +536,8 @@ class HoverEnv:
         if self.done:
             raise SimulationError("step() called on a finished episode; reset() first")
         a = np.asarray(action, dtype=np.float64).reshape(-1)
-        if a.shape != (12,) or not {0.0, 1.0}.issuperset(a.tolist()):
-            raise ConfigurationError("action must be 12 on/off values")
+        if a.shape != (NUM_THRUSTERS,) or not {0.0, 1.0}.issuperset(a.tolist()):
+            raise ConfigurationError(f"action must be {NUM_THRUSTERS} on/off values")
 
         mass_before = self.state.mass
         self.state = rk4_step(

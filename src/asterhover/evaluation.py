@@ -158,12 +158,6 @@ def get_scenario(name: str) -> Scenario:
 # --------------------------------------------------------------------------
 # Episode rollout (greedy by default) and aggregation
 
-EPISODE_COLUMNS = (
-    "episode", "pos_err_m", "speed_cms", "omega_mrads", "gh1", "gh2",
-    "violation", "fuel_kg", "reward", "steps",
-)
-
-
 def greedy(logits: np.ndarray, lanes=None) -> tuple[np.ndarray, None]:
     """Rollout select: the most probable bit per thruster."""
     return nn.greedy_action(logits), None
@@ -367,8 +361,9 @@ def run_monte_carlo(
 
 
 def write_report_files(out_dir: str, report: EvalReport, rows: list[dict]) -> None:
-    write_csv(os.path.join(out_dir, "episodes.csv"), EPISODE_COLUMNS,
-              ([row[c] for c in EPISODE_COLUMNS] for row in rows))
+    """episodes.csv, headed by the keys of :func:`run_episode`'s rows, and summary.csv."""
+    write_csv(os.path.join(out_dir, "episodes.csv"), rows[0].keys(),
+              (row.values() for row in rows))
     write_summary(os.path.join(out_dir, "summary.csv"), [report])
 
 

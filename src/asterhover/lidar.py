@@ -293,7 +293,9 @@ class LaneCast:
         self._ball_centre = origin.copy()
         self._ball_reach = (0.5 * rho) ** 2
 
-    def cast(self, origin: np.ndarray, max_range: float = 2000.0) -> tuple[np.ndarray, np.ndarray]:
+    def cast(
+        self, origin: np.ndarray, max_range: float = SensorConfig.max_range
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Nearest front-face hit of each of the lane's rays from `origin`,
         as (R,) ranges and hits, as :func:`cast_rays` returns them.
 
@@ -344,7 +346,7 @@ def cast_rays(
     mesh: PreparedMesh,
     origin: np.ndarray,
     directions: np.ndarray,
-    max_range: float = 2000.0,
+    max_range: float = SensorConfig.max_range,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nearest front-face hit per ray of the (R, 3) `directions` from a
     shared origin.
@@ -424,7 +426,7 @@ def apply_sensor_noise(
     bias: float,
     sigma: float,
     rng: np.random.Generator,
-    max_range: float = 2000.0,
+    max_range: float = SensorConfig.max_range,
 ) -> LidarFrame:
     """Additive bias plus white noise on returned samples only.
 

@@ -24,6 +24,7 @@ from collections import OrderedDict
 import numpy as np
 
 from .config import replacing
+from .dynamics import NUM_THRUSTERS
 from .errors import ConfigurationError
 from .lidar import GRID_SIZE
 
@@ -63,7 +64,20 @@ def conv_init(rng: np.random.Generator | None, k: int, c_in: int, c_out: int) ->
 # --------------------------------------------------------------------------
 # Layers
 
-class Linear:
+class _Layer:
+    """A layer's parameters are the attributes in NAMES, each gradient the
+    same name prefixed with "g"."""
+
+    NAMES = ("W", "b")
+
+    def params(self) -> dict[str, np.ndarray]:
+        return {n: getattr(self, n) for n in self.NAMES}
+
+    def grads(self) -> dict[str, np.ndarray]:
+        return {n: getattr(self, "g" + n) for n in self.NAMES}
+
+
+class Linear(_Layer):
     def __init__(
         self, rng: np.random.Generator | None, n_in: int, n_out: int, gain: float = 1.0,
         dtype=np.float64,
@@ -87,14 +101,8 @@ class Linear:
         self.accumulate(dy, x)
         return dy @ self.W.T
 
-    def params(self) -> dict[str, np.ndarray]:
-        return {"W": self.W, "b": self.b}
 
-    def grads(self) -> dict[str, np.ndarray]:
-        return {"W": self.gW, "b": self.gb}
-
-
-class Conv2D:
+class Conv2D(_Layer):
     """Valid-padding convolution on channel-last (B, H, W, C) inputs.
 
     The cache is the input itself; backward rebuilds the patches from it
@@ -160,12 +168,6 @@ class Conv2D:
                     dP[:, :, :, di, dj]
         return dx
 
-    def params(self) -> dict[str, np.ndarray]:
-        return {"W": self.W, "b": self.b}
-
-    def grads(self) -> dict[str, np.ndarray]:
-        return {"W": self.gW, "b": self.gb}
-
 
 def _sigmoid_in_place(x: np.ndarray) -> np.ndarray:
     """The logistic sigmoid of `x`, written into it: 0.5 + 0.5*tanh(0.5*x)."""
@@ -176,7 +178,7 @@ def _sigmoid_in_place(x: np.ndarray) -> np.ndarray:
     return x
 
 
-class GRUCell:
+class GRUCell(_Layer):
     """Gated recurrent unit: h' = z*h + (1-z)*tanh(Wh x + Uh (r*h) + bh).
 
     A saturated update gate (z -> 1) carries the hidden state through
@@ -331,12 +333,6 @@ class GRUCell:
         """Returns (dx, dh) and accumulates parameter gradients."""
         return self.backward_sequence(dh_new, cache)
 
-    def params(self) -> dict[str, np.ndarray]:
-        return {n: getattr(self, n) for n in self.NAMES}
-
-    def grads(self) -> dict[str, np.ndarray]:
-        return {n: getattr(self, "g" + n) for n in self.NAMES}
-
 
 # --------------------------------------------------------------------------
 # Networks
@@ -402,7 +398,8 @@ class _Rows:
 
 
 class _Network:
-    """Shared parameter bookkeeping; subclasses define the layer dict.
+    """Shared parameter bookkeeping; subclasses define the layer dict and
+    HIDDEN, the width of the recurrent state.
 
     A network's parameters are drawn from the `seed` it is built with, in
     float64, and stored in its `dtype`. With `seed` None nothing is drawn
@@ -410,22 +407,23 @@ class _Network:
     :func:`load_checkpoint` to fill.
     """
 
-    layers: "OrderedDict[str, object]"
+    layers: "OrderedDict[str, _Layer]"
     dtype: np.dtype
+    HIDDEN: int
+
+    def _named(self, arrays: str) -> "OrderedDict[str, np.ndarray]":
+        """Every layer's `arrays` ("params" or "grads"), keyed ``<layer>.<name>``."""
+        return OrderedDict((f"{lname}.{pname}", arr) for lname, layer in self.layers.items()
+                           for pname, arr in getattr(layer, arrays)().items())
 
     def parameters(self) -> "OrderedDict[str, np.ndarray]":
-        out: OrderedDict[str, np.ndarray] = OrderedDict()
-        for lname, layer in self.layers.items():
-            for pname, arr in layer.params().items():
-                out[f"{lname}.{pname}"] = arr
-        return out
+        return self._named("params")
 
     def gradients(self) -> "OrderedDict[str, np.ndarray]":
-        out: OrderedDict[str, np.ndarray] = OrderedDict()
-        for lname, layer in self.layers.items():
-            for pname, arr in layer.grads().items():
-                out[f"{lname}.{pname}"] = arr
-        return out
+        return self._named("grads")
+
+    def init_hidden(self, batch: int) -> np.ndarray:
+        return np.zeros((batch, self.HIDDEN), self.dtype)
 
     def zero_grads(self) -> None:
         for g in self.gradients().values():
@@ -468,7 +466,7 @@ class PolicyNetwork(_Network):
     IMAGE_CHANNELS = 2
     VEC_DIM = 7
     HIDDEN = 154
-    NUM_THRUSTERS = 12
+    NUM_THRUSTERS = NUM_THRUSTERS  # the one in dynamics, at hand on a network
 
     def __init__(self, seed: int | np.random.Generator | None = 0, dtype=np.float64):
         rng = None if seed is None else np.random.default_rng(seed)
@@ -484,9 +482,6 @@ class PolicyNetwork(_Network):
         self.layers = OrderedDict(
             conv1=conv1, conv2=conv2, fc1=fc1, gru=gru, fc3=fc3, out=out
         )
-
-    def init_hidden(self, batch: int) -> np.ndarray:
-        return np.zeros((batch, self.HIDDEN), self.dtype)
 
     def _forward(
         self, images: np.ndarray, vecs: np.ndarray, hidden: np.ndarray, lengths=None,
@@ -577,9 +572,6 @@ class ValueNetwork(_Network):
             fc3=Linear(rng, self.HIDDEN, 5, dtype=dt),
             out=Linear(rng, 5, 1, dtype=dt),
         )
-
-    def init_hidden(self, batch: int) -> np.ndarray:
-        return np.zeros((batch, self.HIDDEN), self.dtype)
 
     def forward_sequence(self, xs: np.ndarray, lengths=None) -> tuple[np.ndarray, tuple]:
         """(T,B,13) -> values (T,B) plus the backward cache, from a zero

@@ -55,6 +55,12 @@ NETWORK_DTYPE = np.float32
 # longest preset, duration-1200, are 6000.
 MAX_BATCH_STEPS = 100_000
 
+# Epochs per update (default 10): ppo_update maps epochs + 1 critic rows of
+# 167,936 bytes at the default sizes, at most 17.0 MB, and first slices each
+# epoch's episode permutation into minibatches, about 128 bytes each (12.8 MB
+# an epoch at 100,000 one-episode minibatches, the most MAX_BATCH_STEPS allows).
+MAX_EPOCHS = 100
+
 
 @dataclass
 class PPOConfig:
@@ -83,6 +89,8 @@ class PPOConfig:
         for name in ("epochs", "episodes_per_batch", "minibatch_episodes"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be at least 1")
+        if self.epochs > MAX_EPOCHS:
+            raise ConfigurationError(f"epochs must be at most {MAX_EPOCHS}, got {self.epochs}")
         if self.policy_lr <= 0.0 or self.value_lr <= 0.0:
             raise ConfigurationError("learning rates must be positive")
 
@@ -506,14 +514,14 @@ def ppo_update(
     before the offending step.
 
     The critic never reads the policy, so its steps run as a chain of their
-    own (:func:`_value_epochs`) on a copy of the critic, in a helper forked
-    for the update when :func:`collection_processes` (2) is 2, else in this
-    process before the policy's. The policy's chain (:func:`_policy_epochs`)
-    loads the critic each of its epochs starts from, and learns whether
-    each value step succeeded before it takes the next policy step; so the
-    networks, both optimizers and the stats are those of the interleaved
-    loop, whichever process ran the critic. The helper has been reaped when
-    this returns or raises; if it dies, this raises RuntimeError.
+    own (:func:`_value_epochs`), in a helper forked for the update when
+    :func:`collection_processes` (2) is 2, else in this process before the
+    policy's. The policy's chain (:func:`_policy_epochs`) loads the critic
+    each of its epochs starts from (a :class:`_CriticSlots` row), and learns
+    whether each value step succeeded before it takes the next policy step;
+    so the networks, both optimizers and the stats are those of the
+    interleaved loop, whichever process ran the critic. The helper has been
+    reaped when this returns or raises; if it dies, this raises RuntimeError.
     """
     eps = cfg.clip_eps if clip_eps is None else clip_eps
     B, size = batch.num_episodes, cfg.minibatch_episodes
@@ -521,7 +529,10 @@ def ppo_update(
         [order[start:start + size] for start in range(0, B, size)]
         for order in [rng.permutation(B) for _ in range(cfg.epochs)]
     ]
-    slots = _CriticSlots(value_net, value_opt, cfg.epochs)
+    slots = _CriticSlots(value_net, value_opt, cfg.epochs + 1)
+    # saved before any helper is forked: no status orders a helper's write
+    # of row 0 before this process's first load of it
+    slots.save(0, value_net, value_opt)
     send = functools.partial(_value_epochs, value_net, value_opt, batch,
                              discounted_returns(batch.rewards, cfg.gamma), slots)
     policy_chain = functools.partial(_policy_epochs, policy, value_net, batch, cfg,
@@ -554,12 +565,12 @@ _STATUS = struct.Struct("=?d")
 # the helper could get at most one epoch ahead of the parent. Sent through
 # the pipe, they cost train-default 2151 -> 1923 env steps/s (2 vCPUs).
 class _CriticSlots:
-    """The critic's state, its parameters and Adam ``m`` and ``v``, as each
-    epoch of :func:`_value_epochs` left it: one row per epoch of an
-    anonymous shared mapping, so that the rows a forked helper writes reach
-    the parent."""
+    """The critic's state, its parameters, Adam ``m`` and ``v`` and Adam's
+    step count, in `count` rows of an anonymous shared mapping, so that the
+    rows a forked helper writes reach the parent: row 0 the critic an update
+    starts from, row e + 1 as epoch e of :func:`_value_epochs` left it."""
 
-    def __init__(self, value_net: nn.ValueNetwork, opt: nn.Adam, epochs: int):
+    def __init__(self, value_net: nn.ValueNetwork, opt: nn.Adam, count: int):
         self.layout = {}  # name: (start, stop, shape) in a row
         stop = 0
         for name, a in self._arrays(value_net, opt).items():
@@ -567,52 +578,52 @@ class _CriticSlots:
             stop += a.size
         # whole pages a row, so that a loaded row's pages can be let go
         self.row_bytes = -(-stop * value_net.dtype.itemsize // mmap.PAGESIZE) * mmap.PAGESIZE
-        self.mapping = mmap.mmap(-1, epochs * self.row_bytes)
-        self.rows = np.ndarray((epochs, stop), value_net.dtype, self.mapping,
+        # the rows, then each row's Adam step count as an int64, which no
+        # row's madvise reaches
+        self.mapping = mmap.mmap(-1, count * (self.row_bytes + 8))
+        self.rows = np.ndarray((count, stop), value_net.dtype, self.mapping,
                                strides=(self.row_bytes, value_net.dtype.itemsize))
+        self.steps = np.ndarray(count, np.int64, self.mapping, count * self.row_bytes)
 
     @staticmethod
     def _arrays(value_net: nn.ValueNetwork, opt: nn.Adam) -> dict[str, np.ndarray]:
         return {**value_net.parameters(), **opt.state_arrays()}
 
-    def save(self, epoch: int, value_net: nn.ValueNetwork, opt: nn.Adam) -> None:
-        row = self.rows[epoch]
+    def save(self, row: int, value_net: nn.ValueNetwork, opt: nn.Adam) -> None:
+        values = self.rows[row]
         for name, a in self._arrays(value_net, opt).items():
             start, stop, _ = self.layout[name]
-            row[start:stop] = a.ravel()
+            values[start:stop] = a.ravel()
+        self.steps[row] = opt.t
 
-    def load(self, epoch: int, value_net: nn.ValueNetwork, opt: nn.Adam, t: int) -> None:
-        """Put epoch `epoch`'s row into `value_net` and `opt`, whose step
-        count becomes `t`."""
-        row = self.rows[epoch]
-        arrays = {name: row[start:stop].reshape(shape)
+    def load(self, row: int, value_net: nn.ValueNetwork, opt: nn.Adam) -> None:
+        """Put row `row` into `value_net` and `opt`."""
+        values = self.rows[row]
+        arrays = {name: values[start:stop].reshape(shape)
                   for name, (start, stop, shape) in self.layout.items()}
         value_net.load_parameters(arrays)
-        opt.load_state_arrays(arrays, t)
+        opt.load_state_arrays(arrays, self.steps[row])
         # the row is read once: its pages leave this process's resident set
         # (the mapping is shared, so its data stays)
         if hasattr(mmap, "MADV_DONTNEED"):  # not on every platform
-            self.mapping.madvise(mmap.MADV_DONTNEED, epoch * self.row_bytes, self.row_bytes)
+            self.mapping.madvise(mmap.MADV_DONTNEED, row * self.row_bytes, self.row_bytes)
 
 
 def _value_epochs(value_net, value_opt, batch, returns, slots, minibatches, pipe) -> None:
-    """The critic's chain of :func:`ppo_update`, on a copy of `value_net`
-    and `value_opt`: a value step on each of `minibatches` (one list per
-    epoch) in turn, until the first that fails. After each step it sends
-    ``(ok, loss)`` through `pipe`; before that, if the step ended its epoch,
-    by finishing it or failing, it saves the copy into the epoch's row of
-    `slots`. Run in a forked helper, it makes the copy there."""
-    critic = nn.ValueNetwork(seed=None, dtype=value_net.dtype)
-    critic.load_parameters(value_net.parameters())
-    opt = nn.Adam(critic.parameters(), lr=value_opt.lr)
-    opt.load_state_arrays(value_opt.state_arrays(), value_opt.t)
+    """The critic's chain of :func:`ppo_update`, stepping `value_net` and
+    `value_opt` (in a forked helper, its own copies of them): a value step
+    on each of `minibatches` (one list per epoch) in turn, until the first
+    that fails. After each step it sends ``(ok, loss)`` through `pipe`;
+    before that, if the step ended epoch e, by finishing it or failing, it
+    saves the critic into row e + 1 of `slots`."""
     for epoch, mbs in enumerate(minibatches):
         for j, mb in enumerate(mbs):
             loss, ok = value_minibatch_step(
-                critic, opt, batch.value_inputs[:, mb], returns[:, mb], batch.mask[:, mb],
+                value_net, value_opt,
+                batch.value_inputs[:, mb], returns[:, mb], batch.mask[:, mb],
             )
             if not ok or j == len(mbs) - 1:
-                slots.save(epoch, critic, opt)
+                slots.save(epoch + 1, value_net, value_opt)
             pipe.write(_STATUS.pack(ok, loss))
             pipe.flush()
             if not ok:
@@ -625,29 +636,25 @@ def _policy_epochs(
     """The policy's chain of :func:`ppo_update`, reading the value steps'
     statuses from `statuses` in order; leaves `value_net` and `value_opt`
     where the interleaved loop would."""
-    t0 = value_opt.t
     kl = 0.0
     clip_frac = 0.0
     value_loss = float("nan")
-    value_steps = 0  # value steps taken, by the statuses read
     policy_epochs = 0
     policy_active = True
     failed = None  # what went non-finite, which ends the update
 
     def value_step_ok() -> bool:
-        nonlocal value_loss, value_steps
+        nonlocal value_loss
         status = statuses.read(_STATUS.size)
         if len(status) < _STATUS.size:
             raise EOFError("the critic's chain ended early")
         ok, value_loss = _STATUS.unpack(status)
-        value_steps += ok
         return ok
 
     for epoch, mbs in enumerate(minibatches):
         j = 0
         if policy_active:  # nothing reads the advantages after the KL stop
-            if epoch:
-                slots.load(epoch - 1, value_net, value_opt, t0 + value_steps)
+            slots.load(epoch, value_net, value_opt)
             compute_advantages(batch, cfg.gamma, value_net)
             if not np.isfinite(batch.advantages).all():
                 failed = "advantages"
@@ -683,7 +690,7 @@ def _policy_epochs(
                 batch.value_inputs[:, mb], batch.returns[:, mb], batch.mask[:, mb],
             )
     else:
-        slots.load(epoch, value_net, value_opt, t0 + value_steps)
+        slots.load(epoch + 1, value_net, value_opt)
     return UpdateStats(
         kl=kl,
         clip_fraction=clip_frac,

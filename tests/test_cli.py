@@ -27,7 +27,7 @@ from asterhover.config import (
 from asterhover.errors import ConfigurationError
 from asterhover.evaluation import MAX_EPISODES, Scenario, get_scenario, run_monte_carlo, scenarios
 from asterhover.geometry import save_mesh
-from asterhover.ppo import TrainConfig
+from asterhover.ppo import MAX_EPOCHS, TrainConfig
 from geometry_reference import load_mesh, make_peanut_mesh
 
 
@@ -271,6 +271,22 @@ def test_a_range_past_the_sensor_reach_is_refused_before_any_write(tmp_path, cas
     )
     assert proc.returncode == 2, proc.stderr
     assert "range_max" in proc.stderr and "sensor.max_range" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_update_epochs_past_the_bound_are_refused_before_any_write(tmp_path):
+    # an unbounded ppo.epochs drew every epoch's permutation and mapped a
+    # critic row per epoch before the first update step
+    out = tmp_path / "out"
+    src = os.path.dirname(os.path.dirname(asterhover.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "asterhover.cli", "train", "--batches", "1",
+         f"ppo.epochs={MAX_EPOCHS + 1}", "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert f"epochs must be at most {MAX_EPOCHS}, got {MAX_EPOCHS + 1}" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not out.exists()
 

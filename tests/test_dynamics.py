@@ -184,6 +184,14 @@ def test_thruster_table_layout():
     assert all(v == 4 for v in sums.values())
 
 
+def test_the_thruster_count_has_one_home():
+    from asterhover.nn import PolicyNetwork
+
+    table = default_thruster_table()
+    assert dynamics.NUM_THRUSTERS == len(table.rows) == PolicyNetwork.NUM_THRUSTERS == 12
+    assert table.max_thrust.shape == table.health.shape == (dynamics.NUM_THRUSTERS,)
+
+
 def test_body_force_torque_single_thruster():
     table = default_thruster_table()
     action = np.zeros(12)

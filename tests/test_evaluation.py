@@ -22,7 +22,6 @@ from asterhover.cli import main
 from asterhover.env import EpisodeConfig, HoverEnv
 from asterhover.errors import ConfigurationError
 from asterhover.evaluation import (
-    EPISODE_COLUMNS,
     MAX_EPISODES,
     EvalReport,
     Scenario,
@@ -170,7 +169,10 @@ def test_run_is_deterministic_and_writes_files(tmp_path):
     with open(out / "episodes.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 4
-    assert tuple(rows[0].keys()) == EPISODE_COLUMNS
+    assert tuple(rows[0].keys()) == (
+        "episode", "pos_err_m", "speed_cms", "omega_mrads", "gh1", "gh2",
+        "violation", "fuel_kg", "reward", "steps",
+    )
     assert sorted(os.listdir(out)) == ["episodes.csv", "summary.csv"]
 
 

@@ -3,6 +3,7 @@ and the training loop: determinism, identities, and resume semantics."""
 
 import copy
 import json
+import mmap
 import os
 import subprocess
 import sys
@@ -124,6 +125,16 @@ def test_batch_lane_steps_are_bounded():
     TrainConfig(EpisodeConfig(duration=6.0 * steps), wide).validate()
     with pytest.raises(ConfigurationError, match=f"at most {ppo.MAX_BATCH_STEPS}"):
         TrainConfig(EpisodeConfig(duration=6.0 * (steps + 1)), wide).validate()
+
+
+def test_update_epochs_are_bounded():
+    # validate only: at the bound and one epoch past it, no update runs
+    PPOConfig(epochs=ppo.MAX_EPOCHS).validate()
+    TrainConfig(ppo=PPOConfig(epochs=ppo.MAX_EPOCHS)).validate()
+    with pytest.raises(ConfigurationError, match=f"epochs must be at most {ppo.MAX_EPOCHS}"):
+        PPOConfig(epochs=ppo.MAX_EPOCHS + 1).validate()
+    with pytest.raises(ConfigurationError, match=f"at most {ppo.MAX_EPOCHS}, got 1000000000"):
+        TrainConfig(ppo=PPOConfig(epochs=10**9)).validate()
 
 
 def test_default_batch_is_thirty_episodes():
@@ -806,6 +817,29 @@ def test_update_equals_the_interleaved_loop_at_one_and_two_processes(
         assert len(forked) == count - 1
         assert_no_child_left()
         assert got == reference, count
+
+
+def test_critic_slots_round_trip_the_whole_critic_state():
+    # parameters, Adam's moments and its step count all cross in a row
+    rng = np.random.default_rng(5)
+    _, critic = build_networks(seed=3)
+    opt = nn.Adam(critic.parameters(), lr=1.0e-3)
+    for _ in range(3):
+        opt.step({k: rng.standard_normal(g.shape).astype(g.dtype)
+                  for k, g in critic.gradients().items()})
+    slots = ppo._CriticSlots(critic, opt, 3)
+    assert slots.row_bytes % mmap.PAGESIZE == 0
+    slots.save(1, critic, opt)
+    _, fresh = build_networks(seed=4)
+    fresh_opt = nn.Adam(fresh.parameters(), lr=1.0e-3)
+    slots.load(1, fresh, fresh_opt)
+    assert fresh_opt.t == opt.t == 3 and type(fresh_opt.t) is int
+    for name, a in critic.parameters().items():
+        assert fresh.parameters()[name].tobytes() == a.tobytes(), name
+    for name, a in opt.state_arrays().items():
+        assert fresh_opt.state_arrays()[name].tobytes() == a.tobytes(), name
+    # the loaded row's pages were let go; the step counts after the rows stay
+    assert slots.steps.tolist() == [0, 3, 0]
 
 
 def test_a_critic_helper_that_dies_is_an_error(processes, monkeypatch, update_batch):
