@@ -36,6 +36,7 @@ from .dynamics import NUM_THRUSTERS
 from .errors import ConfigurationError, MeshLoadError, SimulationError
 from .geometry import AsteroidGenConfig, save_mesh, synthesize_asteroid
 from .lidar import LaneCast, PreparedMesh, SensorConfig, rotated_beams, scan
+from .nn import PolicyNetwork
 from .env import load_mesh, rollout
 from .ppo import TrainConfig, train
 from .evaluation import (
@@ -161,8 +162,8 @@ def cmd_scan_debug(args: argparse.Namespace) -> int:
         ).mesh)
     if args.position is not None:
         position = np.asarray(args.position, dtype=np.float64)
-        if not np.any(position):
-            raise ConfigurationError("--position must be nonzero")
+        if not (np.any(position) and np.isfinite(position).all()):
+            raise ConfigurationError("--position must be nonzero and finite")
     else:
         position = np.array([0.0, 0.0, 2.5 * prep.bound_radius])
 
@@ -212,26 +213,15 @@ def _trajectory_row(step, t, state, fuel, pos_err, speed, reward, action) -> lis
     return row
 
 
-class _DriftPolicy:
-    """Rollout policy for free drift: zero logits, whose greedy action is
-    every thruster off, and a zero-width hidden state, so no network runs."""
-
-    @staticmethod
-    def init_hidden(batch: int) -> np.ndarray:
-        return np.zeros((batch, 0))
-
-    @staticmethod
-    def step(images: np.ndarray, vecs: np.ndarray, hidden: np.ndarray):
-        return np.zeros((images.shape[0], NUM_THRUSTERS, 2)), hidden, None
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     overrides = parse_overrides(args.overrides)
     if args.mesh_file is not None:
         overrides["mesh_file"] = args.mesh_file
     cfg = get_scenario(args.scenario).episode_config(overrides)
 
-    policy = load_policy(args.checkpoint, cfg) if args.checkpoint else _DriftPolicy()
+    # without a checkpoint, free drift: a blank network's zero logits, whose
+    # greedy action is every thruster off
+    policy = load_policy(args.checkpoint, cfg) if args.checkpoint else PolicyNetwork(seed=None)
     env = scenario_env(args.scenario, cfg)
     write_resolved_config(
         args.out, "simulate",

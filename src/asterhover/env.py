@@ -416,6 +416,9 @@ def load_mesh(path: str, scale: float) -> tuple[TriMesh, np.ndarray, PreparedMes
     else:
         base = parse_mesh(data, path)
         base.vertices.flags.writeable = base.faces.flags.writeable = False
+    # the largest scaled coordinate, by min and max: an abs() copy cost 0.8 MB of peak RSS
+    if not np.isfinite(float(max(-base.vertices.min(), base.vertices.max())) * scale):
+        raise ConfigurationError(f"mesh scale {scale} takes {path}'s vertices past float range")
     # the file's bytes and the old body go before the new one is prepared
     del data
     _shape_model = None

@@ -293,9 +293,9 @@ def save_mesh(path: str, mesh: TriMesh) -> None:
 
 
 def check_mesh_scale(scale: float) -> None:
-    """Refuse a mesh scale that is not positive."""
-    if scale <= 0.0:
-        raise ConfigurationError(f"mesh scale must be positive, got {scale}")
+    """Refuse a mesh scale that is not positive and finite."""
+    if not 0.0 < scale < np.inf:
+        raise ConfigurationError(f"mesh scale must be positive and finite, got {scale}")
 
 
 def read_mesh_file(path: str) -> bytes:

@@ -20,6 +20,7 @@ replaying earlier batches.
 
 from __future__ import annotations
 
+import copy
 import functools
 import glob
 import io
@@ -56,9 +57,11 @@ NETWORK_DTYPE = np.float32
 MAX_BATCH_STEPS = 100_000
 
 # Epochs per update (default 10): ppo_update maps epochs + 1 critic rows of
-# 167,936 bytes at the default sizes, at most 17.0 MB, and first slices each
-# epoch's episode permutation into minibatches, about 128 bytes each (12.8 MB
-# an epoch at 100,000 one-episode minibatches, the most MAX_BATCH_STEPS allows).
+# 167,936 bytes at the default sizes, at most 17.0 MB. Each of its chains
+# holds one epoch's minibatch views at a time, about 128 bytes each (12.8 MB
+# at 100,000 one-episode minibatches, the most MAX_BATCH_STEPS allows). On
+# one process the value steps' statuses wait in a buffer, 9 bytes a step:
+# at most 90 MB.
 MAX_EPOCHS = 100
 
 
@@ -330,7 +333,7 @@ def _fork_helper(send, work, inherited: list[int]) -> tuple[int, int]:
     """Fork a helper that runs ``send(work, pipe)``, `pipe` the write end of
     a pipe as a binary file, and exits without returning: with code 0 once
     `send` has returned and the pipe is closed, else 1. `work` is what the
-    helper is dealt (its items of a :func:`deal`, an update's minibatches);
+    helper is dealt (its items of a :func:`deal`, a copy of an update's rng);
     `inherited` are the read ends of earlier helpers' pipes, which it
     closes. Returns (pid, read end)."""
     read, write = os.pipe()
@@ -504,19 +507,20 @@ def ppo_update(
 ) -> UpdateStats:
     """Several epochs of minibatch updates on one batch.
 
-    Each epoch visits the episodes in a permutation drawn from `rng` (all
-    of them are drawn first), one minibatch step of the policy and then one
-    of the critic per minibatch. Advantages are recomputed with a fresh
-    critic replay at the start of every epoch that takes policy steps. The
+    Each epoch visits the episodes in a permutation drawn from `rng` when
+    the epoch starts, one minibatch step of the policy and then one of the
+    critic per minibatch. Advantages are recomputed with a fresh critic
+    replay at the start of every epoch that takes policy steps. The
     measured KL stops further policy steps once it exceeds 1.5x the target;
-    critic regression continues through all epochs, on the returns, which
-    no replay changes. Any non-finite loss or gradient aborts the update
-    before the offending step.
+    critic regression continues through all epochs, on ``batch.returns``,
+    set once before either chain starts. Any non-finite loss or gradient
+    aborts the update before the offending step.
 
     The critic never reads the policy, so its steps run as a chain of their
     own (:func:`_value_epochs`), in a helper forked for the update when
     :func:`collection_processes` (2) is 2, else in this process before the
-    policy's. The policy's chain (:func:`_policy_epochs`) loads the critic
+    policy's; it draws the same permutations from a copy of `rng`. The
+    policy's chain (:func:`_policy_epochs`) loads the critic
     each of its epochs starts from (a :class:`_CriticSlots` row), and learns
     whether each value step succeeded before it takes the next policy step;
     so the networks, both optimizers and the stats are those of the
@@ -524,25 +528,20 @@ def ppo_update(
     reaped when this returns or raises; if it dies, this raises RuntimeError.
     """
     eps = cfg.clip_eps if clip_eps is None else clip_eps
-    B, size = batch.num_episodes, cfg.minibatch_episodes
-    minibatches = [
-        [order[start:start + size] for start in range(0, B, size)]
-        for order in [rng.permutation(B) for _ in range(cfg.epochs)]
-    ]
+    batch.returns = discounted_returns(batch.rewards, cfg.gamma)
     slots = _CriticSlots(value_net, value_opt, cfg.epochs + 1)
     # saved before any helper is forked: no status orders a helper's write
     # of row 0 before this process's first load of it
     slots.save(0, value_net, value_opt)
-    send = functools.partial(_value_epochs, value_net, value_opt, batch,
-                             discounted_returns(batch.rewards, cfg.gamma), slots)
+    send = functools.partial(_value_epochs, value_net, value_opt, batch, cfg, slots)
     policy_chain = functools.partial(_policy_epochs, policy, value_net, batch, cfg,
-                                     policy_opt, value_opt, eps, minibatches, slots)
+                                     policy_opt, value_opt, eps, rng, slots)
     if collection_processes(2) == 1:
         statuses = io.BytesIO()
-        send(minibatches, statuses)
+        send(copy.deepcopy(rng), statuses)
         statuses.seek(0)
         return policy_chain(statuses)
-    pid, read = _fork_helper(send, minibatches, [])
+    pid, read = _fork_helper(send, copy.deepcopy(rng), [])
     stats = None
     try:
         with os.fdopen(read, "rb", closefd=False) as statuses:
@@ -609,19 +608,28 @@ class _CriticSlots:
             self.mapping.madvise(mmap.MADV_DONTNEED, row * self.row_bytes, self.row_bytes)
 
 
-def _value_epochs(value_net, value_opt, batch, returns, slots, minibatches, pipe) -> None:
+def _minibatches(rng: np.random.Generator, batch: RolloutBatch, size: int) -> list:
+    """One epoch's minibatches: an episode permutation from `rng`, sliced."""
+    order = rng.permutation(batch.num_episodes)
+    return [order[start:start + size] for start in range(0, len(order), size)]
+
+
+def _value_step(value_net, value_opt, batch, mb) -> tuple[float, bool]:
+    return value_minibatch_step(value_net, value_opt, batch.value_inputs[:, mb],
+                                batch.returns[:, mb], batch.mask[:, mb])
+
+
+def _value_epochs(value_net, value_opt, batch, cfg, slots, rng, pipe) -> None:
     """The critic's chain of :func:`ppo_update`, stepping `value_net` and
     `value_opt` (in a forked helper, its own copies of them): a value step
-    on each of `minibatches` (one list per epoch) in turn, until the first
-    that fails. After each step it sends ``(ok, loss)`` through `pipe`;
-    before that, if the step ended epoch e, by finishing it or failing, it
-    saves the critic into row e + 1 of `slots`."""
-    for epoch, mbs in enumerate(minibatches):
+    on each minibatch, drawn from `rng` as its epoch starts, until the
+    first that fails. After each step it sends ``(ok, loss)`` through
+    `pipe`; before that, if the step ended epoch e, by finishing it or
+    failing, it saves the critic into row e + 1 of `slots`."""
+    for epoch in range(cfg.epochs):
+        mbs = _minibatches(rng, batch, cfg.minibatch_episodes)
         for j, mb in enumerate(mbs):
-            loss, ok = value_minibatch_step(
-                value_net, value_opt,
-                batch.value_inputs[:, mb], returns[:, mb], batch.mask[:, mb],
-            )
+            loss, ok = _value_step(value_net, value_opt, batch, mb)
             if not ok or j == len(mbs) - 1:
                 slots.save(epoch + 1, value_net, value_opt)
             pipe.write(_STATUS.pack(ok, loss))
@@ -631,11 +639,12 @@ def _value_epochs(value_net, value_opt, batch, returns, slots, minibatches, pipe
 
 
 def _policy_epochs(
-    policy, value_net, batch, cfg, policy_opt, value_opt, eps, minibatches, slots, statuses,
+    policy, value_net, batch, cfg, policy_opt, value_opt, eps, rng, slots, statuses,
 ) -> UpdateStats:
     """The policy's chain of :func:`ppo_update`, reading the value steps'
-    statuses from `statuses` in order; leaves `value_net` and `value_opt`
-    where the interleaved loop would."""
+    statuses from `statuses` in order; draws each epoch's minibatches from
+    `rng` after the epoch's advantages, and leaves `rng`, `value_net` and
+    `value_opt` where the interleaved loop would."""
     kl = 0.0
     clip_frac = 0.0
     value_loss = float("nan")
@@ -651,14 +660,14 @@ def _policy_epochs(
         ok, value_loss = _STATUS.unpack(status)
         return ok
 
-    for epoch, mbs in enumerate(minibatches):
-        j = 0
+    for epoch in range(cfg.epochs):
         if policy_active:  # nothing reads the advantages after the KL stop
             slots.load(epoch, value_net, value_opt)
             compute_advantages(batch, cfg.gamma, value_net)
             if not np.isfinite(batch.advantages).all():
                 failed = "advantages"
                 break
+        mbs = _minibatches(rng, batch, cfg.minibatch_episodes)
         for j, mb in enumerate(mbs):
             if policy_active:
                 _, clip_frac, ok = policy_minibatch_step(
@@ -681,15 +690,12 @@ def _policy_epochs(
             kl = measure_kl(policy, batch)
             if kl > 1.5 * cfg.kl_target:
                 policy_active = False
-    if failed in ("advantages", "policy step"):
+    if failed == "policy step":
         # value_net holds the critic this epoch started from: replay the
         # epoch's value steps taken before the one that did not come
         for mb in mbs[:j]:
-            value_minibatch_step(
-                value_net, value_opt,
-                batch.value_inputs[:, mb], batch.returns[:, mb], batch.mask[:, mb],
-            )
-    else:
+            _value_step(value_net, value_opt, batch, mb)
+    elif failed != "advantages":  # which leaves the critic the epoch started from
         slots.load(epoch + 1, value_net, value_opt)
     return UpdateStats(
         kl=kl,

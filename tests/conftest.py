@@ -58,8 +58,8 @@ def processes(monkeypatch):
     """A setter of the process count of collection and evaluation: it fixes
     the usable CPUs (BLAS counts as pinned, whatever the environment) and
     returns the list of what each helper forked from then on is dealt: a
-    collection helper's lanes, an evaluation helper's episodes, or the
-    minibatches of an update's critic helper."""
+    collection helper's lanes, an evaluation helper's episodes, or the copy
+    of an update's rng its critic helper draws from."""
     forked = []
     fork_helper = ppo._fork_helper
 

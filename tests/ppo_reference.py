@@ -4,9 +4,7 @@ This is the form the update had before its critic ran as a chain of its
 own: one loop in one process, each policy minibatch step followed by the
 critic's step on the same minibatch. It calls the step functions of
 ``asterhover.ppo`` by module attribute, so a test that patches them patches
-both, and the update can be pinned to it byte for byte. Unlike the update,
-it draws each epoch's permutation only when the epoch starts, so the two
-leave `rng` in different states after an abort.
+both, and the update can be pinned to it byte for byte, `rng` included.
 """
 
 import numpy as np

@@ -291,6 +291,36 @@ def test_update_epochs_past_the_bound_are_refused_before_any_write(tmp_path):
     assert not out.exists()
 
 
+NON_FINITE_RUNS = {
+    "scan-debug-scale-nan": (["scan-debug", "--mesh", "{obj}", "--scale", "nan"],
+                             "mesh scale must be positive"),
+    "scan-debug-scale-inf": (["scan-debug", "--mesh", "{obj}", "--scale", "inf"],
+                             "mesh scale must be positive"),
+    "scan-debug-position-nan": (["scan-debug", "--position", "nan", "0", "0"],
+                                "--position must be nonzero and finite"),
+    "simulate-mesh_scale-1e308": (["simulate", "--mesh-file", "{obj}", "mesh_scale=1.0e+308"],
+                                  "past float range"),
+}
+
+
+@pytest.mark.parametrize("case", NON_FINITE_RUNS)
+def test_a_non_finite_scale_or_position_is_refused_before_any_write(peanut_obj, tmp_path, case):
+    # each used to run: scan-debug wrote an all-miss scan.csv and exited 0,
+    # simulate wrote its config and failed with "no viable initial condition"
+    out = tmp_path / "out"
+    command, message = NON_FINITE_RUNS[case]
+    src = os.path.dirname(os.path.dirname(asterhover.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "asterhover.cli", *(a.format(obj=peanut_obj) for a in command),
+         "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert not out.exists()
+
+
 def test_every_preset_stays_inside_the_sensor_reach():
     configs = [scenario.episode_config({"mesh_file": "unread.obj"}) for scenario in scenarios()]
     assert max(cfg.range_max for cfg in configs) == 700.0

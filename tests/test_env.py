@@ -776,6 +776,17 @@ def test_a_new_scale_is_prepared_without_a_parse(tmp_path, monkeypatch):
     assert env_module._shape_model[2] == 1.0 and env_module._shape_model[5] is again._prep
 
 
+@pytest.mark.parametrize("scale", [math.nan, math.inf, 1.0e308])
+def test_a_scale_past_float_range_is_refused_and_keeps_the_cached_body(tmp_path, scale):
+    # 1e308 is finite, but it takes a vertex hundreds of metres out to inf
+    path = body_file(tmp_path / "body.obj", 5)
+    good = HoverEnv(EpisodeConfig(mesh_file=path))
+    match = "past float range" if scale == 1.0e308 else "mesh scale must be positive"
+    with pytest.raises(ConfigurationError, match=match):
+        env_module.load_mesh(path, scale)
+    assert HoverEnv(EpisodeConfig(mesh_file=path))._prep is good._prep
+
+
 @pytest.mark.parametrize("text", [None, "v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 9\n", "v 0 0\n"],
                          ids=["missing", "face-index-out-of-range", "short-vertex"])
 def test_a_bad_file_fails_alike_on_every_build(tmp_path, monkeypatch, text):

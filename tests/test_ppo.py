@@ -787,9 +787,11 @@ def run_update(update, batch, monkeypatch, lr, epochs, advantages_fail=None,
     monkeypatch.setattr(ppo, "compute_advantages", advantages)
     monkeypatch.setattr(ppo, "policy_minibatch_step", policy_step)
     monkeypatch.setattr(ppo, "value_minibatch_step", value_step)
+    rng = np.random.default_rng(2)
     stats = update(policy, value_net, batch, small_ppo(epochs=epochs), popt, vopt,
-                   np.random.default_rng(2), clip_eps=0.3)
+                   rng, clip_eps=0.3)
     return {
+        "rng": rng.bit_generator.state,
         "stats": repr(stats),
         "parameters": [p.tobytes() for net in (policy, value_net)
                        for p in net.parameters().values()],
@@ -868,6 +870,47 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+# An update over 20,000 one-step episodes in one-episode minibatches, 10
+# epochs, holds 3.9 MB traced at its first value step: one epoch's 20,000
+# minibatch views (about 2.6 MB) and the returns. Slicing every epoch's
+# views before the first step held 27.1 MB.
+FIRST_VALUE_STEP_HELD = 8.0e6
+
+
+def test_an_update_holds_one_epochs_minibatches_at_a_time(processes, monkeypatch):
+    n = 20_000
+    step = dict(images=np.zeros((1, 8, 8, 2)), vecs=np.zeros((1, 7)),
+                value_inputs=np.zeros((1, 13)), actions=np.zeros((1, 12), np.int64),
+                logits_old=np.zeros((1, 12, 2)), logp_old=np.zeros(1), rewards=np.zeros(1))
+    batch = RolloutBatch([
+        EpisodeRollout(**step, terminal_pos_err=0.0, terminal_ok=False, violation=None,
+                       fuel_used=0.0)
+        for _ in range(n)
+    ])
+    policy, value_net = build_networks(seed=1)
+    held = []
+
+    class FirstValueStep(Exception):
+        pass
+
+    def first_value_step(*args):
+        held.append(tracemalloc.get_traced_memory()[0])
+        raise FirstValueStep
+
+    monkeypatch.setattr(ppo, "value_minibatch_step", first_value_step)
+    processes(1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FirstValueStep):
+            ppo_update(policy, value_net, batch,
+                       PPOConfig(epochs=10, episodes_per_batch=n, minibatch_episodes=1),
+                       nn.Adam(policy.parameters()), nn.Adam(value_net.parameters()),
+                       np.random.default_rng(0))
+    finally:
+        tracemalloc.stop()
+    assert held[0] < FIRST_VALUE_STEP_HELD, held
 
 
 # measure_kl's replay keeps no backward cache. On this batch it peaks at
