@@ -95,7 +95,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     check_counts(args.episodes, args.workers)
     chosen = [get_scenario(args.scenario)] if args.scenario else scenarios()
     # before anything is written: every flown scenario resolves, the checkpoint
-    # fits each, and the first one over a shape model builds its environment
+    # loads, and the first one over a shape model builds its environment
     flown = {}  # name -> episode config
     for scenario in chosen:
         mesh_file = args.mesh_file
@@ -106,7 +106,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             continue
         overrides = None if mesh_file is None else {"mesh_file": mesh_file}
         flown[scenario.name] = scenario.episode_config(overrides)
-    policy = load_policy(args.checkpoint, *flown.values())
+    policy = load_policy(args.checkpoint)
     first = next((name for name, cfg in flown.items() if cfg.mesh_file is not None), None)
     built = {} if first is None else {first: scenario_env(first, flown[first])}
     write_resolved_config(
@@ -154,8 +154,12 @@ def _look_rotation(position: np.ndarray) -> np.ndarray:
 
 
 def cmd_scan_debug(args: argparse.Namespace) -> int:
+    scale = args.scale
     if args.mesh:
-        prep = load_mesh(args.mesh, args.scale)[2]
+        scale = 1.0 if scale is None else scale
+        prep = load_mesh(args.mesh, scale)[2]
+    elif scale is not None:
+        raise ConfigurationError("--scale scales a --mesh shape model; none was given")
     else:
         prep = PreparedMesh(synthesize_asteroid(
             args.seed, AsteroidGenConfig(subdivision_level=args.level)
@@ -174,7 +178,7 @@ def cmd_scan_debug(args: argparse.Namespace) -> int:
     write_resolved_config(
         args.out, "scan-debug",
         {
-            "mesh": args.mesh, "scale": args.scale, "seed": args.seed,
+            "mesh": args.mesh, "scale": scale, "seed": args.seed,
             "level": args.level, "position": [float(v) for v in position],
             "out_dir": args.out,
         },
@@ -221,7 +225,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     # without a checkpoint, free drift: a blank network's zero logits, whose
     # greedy action is every thruster off
-    policy = load_policy(args.checkpoint, cfg) if args.checkpoint else PolicyNetwork(seed=None)
+    policy = load_policy(args.checkpoint) if args.checkpoint else PolicyNetwork(seed=None)
     env = scenario_env(args.scenario, cfg)
     write_resolved_config(
         args.out, "simulate",
@@ -308,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan-debug", help="render one range image")
     p.add_argument("--mesh", default=None, help="mesh file (default: synthesize)")
-    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--scale", type=float, default=None,
+                   help="scale factor of the --mesh shape model (default 1)")
     p.add_argument("--seed", type=int, default=0, help="synthesis seed when no mesh given")
     p.add_argument("--level", type=int, default=2)
     p.add_argument(

@@ -4,13 +4,14 @@ a run directory; plus the one way a run writes a file (whole, or not at
 all) and the one number format of every CSV it writes.
 
 The YAML layout mirrors the config dataclasses (nested sections for the
-scenario, asteroid ranges, sensor, and update hyperparameters), so any
+scenario, asteroid ranges and update hyperparameters), so any
 config field can be pinned in a file or overridden on the command line as
 `section.key=value`. :func:`apply_to_dataclass` is the one way a value
 reaches a config object: a run applies its sources in turn, later ones
 winning, and checks every value of each, so a wrongly typed value in a file
 is refused even where an override sets the same key. The paper's reward,
-limits and sensor-noise model are module constants, not config fields.
+limits, sensor, sensor-noise model and control period are module
+constants, not config fields.
 """
 
 from __future__ import annotations

@@ -79,14 +79,16 @@ VIOLATION_KINDS = ("rotation", "all_miss", "fuel")
 
 # The fixed parts of every scenario.
 RK4_DT = 2.0            # s, integrator substep
+CONTROL_PERIOD = 6.0    # s, one policy action per period (three RK4_DT steps)
 DRY_MASS = 400.0        # propellant floor, kg
 THETA_MAX_DEG = 90.0    # bound on the polar angle of the position direction
 MAX_IC_RETRIES = 50     # initial-condition draws before reset gives up
 COM_RANGE = 0.10        # centre-of-mass offset per component under com_variation, m
 NOISE_BIAS_RANGE = 5.0  # per-episode range bias drawn from +-this under sensor_noise, m
 NOISE_SIGMA = 2.0       # per-sample range noise under sensor_noise, m
+SENSOR = SensorConfig()  # the flash LIDAR every episode flies
 
-# Control steps per episode (duration / control_period). The longest preset,
+# Control steps per episode (duration / CONTROL_PERIOD). The longest preset,
 # duration-1200, flies 200; each step of one lane keeps its inputs, action
 # and reward, 1388 bytes in training's collection buffers (ppo.STEP_FIELDS),
 # so one lane holds at most 13.9 MB of them.
@@ -98,7 +100,6 @@ class EpisodeConfig:
     """Scenario definition; defaults give the nominal randomized task."""
 
     duration: float = 600.0       # s
-    control_period: float = 6.0   # s, one policy action per period
 
     # Initial condition ranges.
     range_min: float = 100.0      # hover altitude above the surface, m
@@ -119,31 +120,28 @@ class EpisodeConfig:
 
     asteroid: AsteroidGenConfig = field(default_factory=AsteroidGenConfig)
     dyn: AsteroidDynRanges = field(default_factory=AsteroidDynRanges)
-    sensor: SensorConfig = field(default_factory=SensorConfig)
 
     def validate(self) -> None:
-        if self.duration <= 0.0 or self.control_period <= 0.0:
-            raise ConfigurationError("duration and control_period must be positive")
-        sub = self.control_period / RK4_DT
-        if abs(sub - round(sub)) > 1e-9 or round(sub) < 1:
-            raise ConfigurationError(f"control_period must be an integer multiple of {RK4_DT} s")
-        steps = self.duration / self.control_period
+        steps = self.duration / CONTROL_PERIOD
         if abs(steps - round(steps)) > 1e-9 or round(steps) < 1:
-            raise ConfigurationError("duration must be an integer multiple of control_period")
+            raise ConfigurationError(
+                f"duration must be a positive integer multiple of the {CONTROL_PERIOD:g} s "
+                "control period"
+            )
         if round(steps) > MAX_EPISODE_STEPS:
             raise ConfigurationError(
-                f"duration / control_period must be at most {MAX_EPISODE_STEPS} steps, "
+                f"duration / {CONTROL_PERIOD:g} s must be at most {MAX_EPISODE_STEPS} steps, "
                 f"got {round(steps)}"
             )
         if not (0.0 < self.range_min <= self.range_max):
             raise ConfigurationError("range must satisfy 0 < min <= max")
-        if self.range_max >= self.sensor.max_range:
+        if self.range_max >= SENSOR.max_range:
             # reset redraws an altitude at or past the sensor's reach (no beam
             # can hit), so the top of such a range would never be flown and
             # a range wholly past the reach would exhaust its draws
             raise ConfigurationError(
                 f"range_max ({self.range_max:g} m) must be below "
-                f"sensor.max_range ({self.sensor.max_range:g} m)"
+                f"sensor.max_range ({SENSOR.max_range:g} m)"
             )
         if self.velocity_max < 0.0 or self.omega_max < 0.0 or self.attitude_err_max_deg < 0.0:
             raise ConfigurationError("IC ranges must be >= 0")
@@ -155,15 +153,14 @@ class EpisodeConfig:
             raise ConfigurationError("failure_scale must lie in [0, 1]")
         self.asteroid.validate()
         self.dyn.validate()
-        self.sensor.validate()
 
     @property
     def substeps(self) -> int:
-        return int(round(self.control_period / RK4_DT))
+        return int(round(CONTROL_PERIOD / RK4_DT))
 
     @property
     def max_steps(self) -> int:
-        return int(round(self.duration / self.control_period))
+        return int(round(self.duration / CONTROL_PERIOD))
 
 
 @dataclass
@@ -494,7 +491,7 @@ class HoverEnv:
             # whose ball the first steps cast from.
             self.state = state
             self._lane = LaneCast(
-                self._prep, rotated_beams(cfg.sensor, quat_to_dcm(state.attitude))
+                self._prep, rotated_beams(SENSOR, quat_to_dcm(state.attitude))
             )
             frame0 = self._frame()
             if frame0.hit.any():
@@ -522,12 +519,10 @@ class HoverEnv:
         platform counter-rotates the body motion, so images differ only
         through translation (and asteroid rotation under the spacecraft).
         """
-        frame = scan(self._lane, self.state.position, self.cfg.sensor)
+        frame = scan(self._lane, self.state.position, SENSOR)
         if not self.cfg.sensor_noise:
             return frame
-        return apply_sensor_noise(
-            frame, self._noise_bias, NOISE_SIGMA, self.rng, self.cfg.sensor.max_range
-        )
+        return apply_sensor_noise(frame, self._noise_bias, NOISE_SIGMA, self.rng, SENSOR.max_range)
 
     def step(
         self, action: np.ndarray
@@ -625,7 +620,7 @@ class HoverEnv:
 
         info = {
             "step": self.steps,
-            "t": self.steps * cfg.control_period,
+            "t": self.steps * CONTROL_PERIOD,
             "pos_err": pos_err,
             "speed": speed,
             "max_omega": max_omega,

@@ -25,7 +25,7 @@ from . import nn
 from .config import apply_to_dataclass, csv_field, nest_dotted, write_csv
 from .env import EpisodeConfig, HoverEnv, good_hover, rollout
 from .errors import ConfigurationError, MeshLoadError
-from .ppo import ACTION_STREAM, NETWORK_DTYPE, check_trained_episode, collection_processes, deal
+from .ppo import ACTION_STREAM, NETWORK_DTYPE, collection_processes, deal
 
 
 @dataclass
@@ -258,23 +258,18 @@ def summary_row(report: EvalReport) -> list[str]:
     return [csv_field(v) for v in astuple(report)]
 
 
-def load_policy(checkpoint_path: str, *cfgs: EpisodeConfig) -> nn.PolicyNetwork:
-    """Policy parameters from a training checkpoint (the critic's arrays
-    are not read), to fly episodes of each of `cfgs`.
+def load_policy(checkpoint_path: str) -> nn.PolicyNetwork:
+    """Policy parameters from a training checkpoint. Neither the critic's
+    arrays nor the `extra` payload are read, so a checkpoint that still
+    records the sensor and control period it was trained at loads as any.
 
     The policy computes in the checkpoint's dtype: the blank network is
     built in the dtype `train` writes, and a checkpoint stored in another,
     such as one written before training moved to float32, rebuilds it in
     its own.
-
-    Raises ConfigurationError when the checkpoint records an episode
-    setting that one of `cfgs` does not share (see
-    :func:`~asterhover.ppo.check_trained_episode`).
     """
     policy = nn.PolicyNetwork(seed=None, dtype=NETWORK_DTYPE)
-    meta = nn.load_checkpoint(checkpoint_path, policy, None)
-    for cfg in cfgs:
-        check_trained_episode(checkpoint_path, meta["extra"], cfg)
+    nn.load_checkpoint(checkpoint_path, policy, None)
     return policy
 
 
@@ -355,7 +350,7 @@ def run_monte_carlo(
     check_counts(n_episodes, workers)
     cfg = scenario.episode_config(None if mesh_file is None else {"mesh_file": mesh_file})
     if isinstance(policy, str):
-        policy = load_policy(policy, cfg)
+        policy = load_policy(policy)
     env = scenario_env(scenario.name, cfg)
     return fly_scenario(policy, scenario.name, env, n_episodes, seed, out_dir, stochastic, workers)
 

@@ -46,9 +46,10 @@ BALL_FRACTION = 0.1
 GRID_SIZE = 8
 
 
-@dataclass
+@dataclass(frozen=True)
 class SensorConfig:
-    """Detector geometry. Range noise is switched per episode by
+    """Detector geometry; the defaults are the paper's sensor, which every
+    episode flies (`env.SENSOR`). Range noise is switched per episode by
     `EpisodeConfig.sensor_noise`; its model is the constants
     `env.NOISE_BIAS_RANGE` and `env.NOISE_SIGMA`."""
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import BLAS_PINNED, nn, usable_cpus
 from .config import csv_field, replacing
-from .env import VIOLATION_KINDS, EpisodeConfig, HoverEnv, rollout
+from .env import CONTROL_PERIOD, VIOLATION_KINDS, EpisodeConfig, HoverEnv, rollout
 from .errors import ConfigurationError, SimulationError
 
 # Stream tags keep the per-episode, per-action, and per-update rng draws on
@@ -738,8 +738,8 @@ class TrainConfig:
         lane_steps = self.ppo.episodes_per_batch * self.episode.max_steps
         if lane_steps > MAX_BATCH_STEPS:
             raise ConfigurationError(
-                f"ppo.episodes_per_batch x episode steps (duration / control_period) must be "
-                f"at most {MAX_BATCH_STEPS}, got {self.ppo.episodes_per_batch} x "
+                f"ppo.episodes_per_batch x episode steps (duration / {CONTROL_PERIOD:g} s) "
+                f"must be at most {MAX_BATCH_STEPS}, got {self.ppo.episodes_per_batch} x "
                 f"{self.episode.max_steps} = {lane_steps}"
             )
         if self.batches < 1:
@@ -753,35 +753,6 @@ def build_networks(seed: int) -> tuple[nn.PolicyNetwork, nn.ValueNetwork]:
     rng = np.random.default_rng(np.random.SeedSequence((seed, INIT_STREAM)))
     return (nn.PolicyNetwork(seed=rng, dtype=NETWORK_DTYPE),
             nn.ValueNetwork(seed=rng, dtype=NETWORK_DTYPE))
-
-
-# The episode settings a trained policy depends on beyond the fixed
-# network-input format: its range images are taken at the sensor's field
-# of view and miss range, and each action lasts one control period. Every
-# checkpoint of `train` records them in its `extra`.
-TRAINED_EPISODE_FIELDS = ("sensor.fov", "sensor.max_range", "control_period")
-
-
-def trained_episode_record(cfg: EpisodeConfig) -> dict[str, float]:
-    """The TRAINED_EPISODE_FIELDS of `cfg`, keyed ``episode.<field>``."""
-    return {
-        f"episode.{name}": float(functools.reduce(getattr, name.split("."), cfg))
-        for name in TRAINED_EPISODE_FIELDS
-    }
-
-
-def check_trained_episode(checkpoint_path: str, extra: dict, cfg: EpisodeConfig) -> None:
-    """Raise ConfigurationError when the checkpoint at `checkpoint_path`,
-    whose `extra` payload is given, records an episode setting (see
-    :func:`trained_episode_record`) that `cfg` does not share, naming the
-    field and both values; a checkpoint that records none passes."""
-    for key, value in trained_episode_record(cfg).items():
-        trained = extra.get(key, value)
-        if trained != value:
-            raise ConfigurationError(
-                f"{checkpoint_path} was trained with {key}={trained!r}, "
-                f"but this run has {key}={value!r}"
-            )
 
 
 def latest_checkpoint(out_dir: str) -> str | None:
@@ -821,7 +792,6 @@ def train(cfg: TrainConfig, log=None, before_write=None) -> str:
         if ck is None:
             raise ConfigurationError(f"no checkpoint to resume from in {cfg.out_dir}")
         extra = nn.load_checkpoint(ck, policy, value_net, policy_opt, value_opt)["extra"]
-        check_trained_episode(ck, extra, cfg.episode)
         start_batch = int(extra["next_batch"])
         clip_eps = float(extra["clip_eps"])
     env = HoverEnv(cfg.episode)  # a shape model that cannot be read fails here
@@ -880,9 +850,6 @@ def train(cfg: TrainConfig, log=None, before_write=None) -> str:
             nn.save_checkpoint(
                 os.path.join(cfg.out_dir, f"checkpoint_{batch_idx + 1:06d}.npz"),
                 policy, value_net, policy_opt, value_opt,
-                extra={
-                    "next_batch": batch_idx + 1, "clip_eps": clip_eps,
-                    **trained_episode_record(cfg.episode),
-                },
+                extra={"next_batch": batch_idx + 1, "clip_eps": clip_eps},
             )
     return metrics_path

@@ -26,6 +26,7 @@ from asterhover.dynamics import quat_angle
 from asterhover.env import (
     ALPHA,
     BETA,
+    CONTROL_PERIOD,
     DR_SCALE,
     DRY_MASS,
     ETA,
@@ -160,7 +161,7 @@ def observe_reference(
 
     info = {
         "step": env.steps,
-        "t": env.steps * cfg.control_period,
+        "t": env.steps * CONTROL_PERIOD,
         "pos_err": pos_err,
         "speed": speed,
         "max_omega": float(np.max(np.abs(omega))),

@@ -4,6 +4,7 @@ determinism of artifacts."""
 import contextlib
 import dataclasses
 import io
+import json
 import math
 import os
 import shutil
@@ -24,6 +25,7 @@ from asterhover.config import (
     load_config_file,
     parse_overrides,
 )
+from asterhover.env import SENSOR
 from asterhover.errors import ConfigurationError
 from asterhover.evaluation import MAX_EPISODES, Scenario, get_scenario, run_monte_carlo, scenarios
 from asterhover.geometry import save_mesh
@@ -108,8 +110,8 @@ def test_apply_to_dataclass_checks_value_types():
         ("episode.sensor_noise=yes_please", "episode.sensor_noise must be bool"),
         ("episode.asteroid.subdivision_level=2.0", "subdivision_level must be int"),
         ("episode.duration=.inf", "episode.duration must be float"),
-        ("episode.control_period=.nan", "episode.control_period must be float"),
-        ("episode.sensor.max_range=-.inf", "episode.sensor.max_range must be float"),
+        ("episode.range_min=.nan", "episode.range_min must be float"),
+        ("episode.omega_max=-.inf", "episode.omega_max must be float"),
         ("episode.wet_mass_max=1" + "0" * 400, "episode.wet_mass_max must be float"),
         ("batches=true", "batches must be int"),
         ("out_dir=7", "out_dir must be str"),
@@ -120,7 +122,7 @@ def test_apply_to_dataclass_checks_value_types():
 
 @pytest.mark.parametrize("pair,path", [
     ("duration=abc", "duration"), ("sensor_noise=yes_please", "sensor_noise"),
-    ("duration=.inf", "duration"), ("control_period=.nan", "control_period"),
+    ("duration=.inf", "duration"), ("range_min=.nan", "range_min"),
     ("failure_scale=.nan", "failure_scale"),
 ])
 def test_simulate_wrongly_typed_override_is_usage_error(tmp_path, capsys, pair, path):
@@ -170,7 +172,7 @@ def settable_keys(obj, prefix=""):
 def test_train_config_settable_keys():
     # every settable value of a run; a new one must show up here as a diff
     assert list(settable_keys(TrainConfig())) == [
-        "episode.duration", "episode.control_period",
+        "episode.duration",
         "episode.range_min", "episode.range_max",
         "episode.velocity_max", "episode.attitude_err_max_deg", "episode.omega_max",
         "episode.wet_mass_min", "episode.wet_mass_max",
@@ -182,7 +184,6 @@ def test_train_config_settable_keys():
         "episode.asteroid.axis_min", "episode.asteroid.axis_max",
         "episode.dyn.mass_min", "episode.dyn.mass_max",
         "episode.dyn.spin_min", "episode.dyn.spin_max", "episode.dyn.srp_max",
-        "episode.sensor.fov", "episode.sensor.max_range",
         "ppo.gamma", "ppo.clip_eps", "ppo.kl_target", "ppo.epochs",
         "ppo.episodes_per_batch", "ppo.minibatch_episodes",
         "ppo.policy_lr", "ppo.value_lr",
@@ -252,7 +253,6 @@ def test_a_level_above_the_facet_bound_is_refused_before_any_write(tmp_path, com
 RANGE_BOUND_RUNS = {
     "range_max-integer": ["range_max=1000000"],
     "range_max-float": ["range_max=1.0e+6"],
-    "sensor.max_range": ["sensor.max_range=3"],
     "train": ["episode.range_max=2000.0"],
 }
 
@@ -324,33 +324,7 @@ def test_a_non_finite_scale_or_position_is_refused_before_any_write(peanut_obj, 
 def test_every_preset_stays_inside_the_sensor_reach():
     configs = [scenario.episode_config({"mesh_file": "unread.obj"}) for scenario in scenarios()]
     assert max(cfg.range_max for cfg in configs) == 700.0
-    assert all(cfg.range_max < cfg.sensor.max_range for cfg in configs)
-
-
-def test_a_shorter_sensor_reach_needs_a_range_below_it(tmp_path, capsys):
-    # sensor.max_range=500 under the default 100-600 m range used to run,
-    # redrawing every altitude the sensor could not see; it is refused now,
-    # and runs once range_max is below the reach
-    sim = ["simulate", "duration=60", "asteroid.subdivision_level=1", "sensor.max_range=500"]
-    assert main(sim + ["--out", str(tmp_path / "s1")]) == 2
-    err = capsys.readouterr().err
-    assert "range_max (600 m)" in err and "sensor.max_range (500 m)" in err
-    assert not (tmp_path / "s1").exists()
-    assert main(sim + ["range_max=450", "--out", str(tmp_path / "s2")]) == 0
-    assert (tmp_path / "s2" / "trajectory.csv").exists()
-    # eval takes no episode overrides: its scenarios fly the default reach,
-    # so a checkpoint trained at another one is refused by its record, not
-    # by the range check, even on the 10-700 m preset
-    ck = str(tmp_path / "reach650.npz")
-    nn.save_checkpoint(ck, nn.PolicyNetwork(seed=1), nn.ValueNetwork(seed=2),
-                       extra={"episode.sensor.max_range": 650.0})
-    capsys.readouterr()
-    code = main(["eval", "--checkpoint", ck, "--scenario", "extended-altitude",
-                 "--episodes", "1", "--workers", "1", "--out", str(tmp_path / "e")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "episode.sensor.max_range=650.0" in err and "range_max (" not in err
-    assert not (tmp_path / "e").exists()
+    assert all(cfg.range_max < SENSOR.max_range for cfg in configs)
 
 
 # --- train ----------------------------------------------------------------
@@ -390,17 +364,19 @@ def test_train_cli_unknown_config_key_is_usage_error(tmp_path, capsys):
     cfg = write_tiny_train_config(tmp_path / "cfg.yaml", typo_key=1)
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
     assert "unknown config key" in capsys.readouterr().err
-    # the network-input format, the reward, the limits, the sensor-noise
-    # model, the substep and the nutation range are constants, and the
-    # update has no entropy bonus
+    # the network-input format, the reward, the limits, the sensor, its
+    # noise model, the substep, the control period and the nutation range
+    # are constants, and the update has no entropy bonus
     for key in (
         "episode.r_err_scale", "episode.dr_scale", "episode.sensor.grid_size",
-        "episode.sensor.noise_sigma", "episode.reward.alpha", "episode.theta_max_deg",
-        "episode.rk4_dt", "episode.dyn.nutation_max", "ppo.entropy_coeff",
+        "episode.sensor.noise_sigma", "episode.sensor.fov", "episode.sensor.max_range",
+        "episode.reward.alpha", "episode.theta_max_deg", "episode.rk4_dt",
+        "episode.control_period", "episode.dyn.nutation_max", "ppo.entropy_coeff",
     ):
         assert main(["train", "--out", str(tmp_path / "z"), f"{key}=1"]) == 2
         # the error names the full dotted key, or the section that is gone
-        expected = "episode.reward" if key.startswith("episode.reward.") else key
+        section = key.rsplit(".", 1)[0]
+        expected = section if section in ("episode.reward", "episode.sensor") else key
         assert f"unknown config key {expected}" in capsys.readouterr().err
     assert main(["simulate", "--out", str(tmp_path / "s"), "noise_sigma=1"]) == 2
     assert "unknown config key noise_sigma" in capsys.readouterr().err
@@ -418,25 +394,6 @@ def test_train_failure_scale_outside_unit_interval_is_usage_error(tmp_path, caps
 
 def run_dir_bytes(path):
     return {name: (path / name).read_bytes() for name in sorted(os.listdir(path))}
-
-
-def test_train_cli_resume_refuses_other_episode_settings(tmp_path, capsys):
-    # A run trained on 0.8 rad images resumes only with the same sensor, and
-    # a refused resume changes nothing in the run directory.
-    cfg = str(write_tiny_train_config(tmp_path / "cfg.yaml", batches=1))
-    run, whole = tmp_path / "run", tmp_path / "whole"
-    fov = "episode.sensor.fov=0.8"
-    assert main(["train", "--config", cfg, "--out", str(run), fov]) == 0
-    before = run_dir_bytes(run)
-    capsys.readouterr()
-    assert main(["train", "--config", cfg, "--out", str(run), "--resume", "--batches", "2"]) == 2
-    err = capsys.readouterr().err
-    assert "episode.sensor.fov=0.8" in err and f"episode.sensor.fov={math.radians(30.0)!r}" in err
-    assert run_dir_bytes(run) == before
-    resume = ["train", "--config", cfg, "--out", str(run), "--resume", "--batches", "2", fov]
-    assert main(resume) == 0
-    assert main(["train", "--config", cfg, "--out", str(whole), "--batches", "2", fov]) == 0
-    assert read(run / "metrics.csv") == read(whole / "metrics.csv")
 
 
 def test_train_cli_resume_refuses_checkpoint_without_optimizer_state(tmp_path, capsys):
@@ -811,31 +768,46 @@ def test_eval_all_gives_the_mesh_file_to_mesh_scenarios_only(
     )
 
 
-def test_checkpoint_records_its_episode_settings(tmp_path, capsys):
-    # A policy trained on 0.8 rad images is refused where the run's sensor
-    # differs, naming the field and both values, and flies where it matches.
-    cfg = write_tiny_train_config(tmp_path / "cfg.yaml", batches=1)
-    run = tmp_path / "run"
-    assert main(["train", "--config", str(cfg), "--out", str(run), "episode.sensor.fov=0.8"]) == 0
-    ck = str(run / "checkpoint_000001.npz")
-    meta = nn.load_checkpoint(ck, nn.PolicyNetwork(seed=0), nn.ValueNetwork(seed=0))
-    assert meta["extra"]["episode.sensor.fov"] == 0.8
-    assert meta["extra"]["episode.sensor.max_range"] == 2000.0
-    assert meta["extra"]["episode.control_period"] == 6.0
-    capsys.readouterr()
-    code = main([
-        "eval", "--checkpoint", ck, "--scenario", "baseline",
-        "--episodes", "1", "--workers", "1", "--out", str(tmp_path / "e"),
-    ])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "episode.sensor.fov=0.8" in err and f"episode.sensor.fov={math.radians(30.0)!r}" in err
-    assert not (tmp_path / "e" / "summary.csv").exists()
-    sim = ["simulate", "--checkpoint", ck, "duration=60", "asteroid.subdivision_level=1"]
-    assert main(sim + ["--out", str(tmp_path / "s1")]) == 2
-    assert "episode.sensor.fov" in capsys.readouterr().err
-    assert main(sim + ["sensor.fov=0.8", "--out", str(tmp_path / "s2")]) == 0
-    assert (tmp_path / "s2" / "trajectory.csv").exists()
+# What a checkpoint's `extra` recorded while the sensor and the control
+# period were settable.
+RECORDED_EPISODE_SETTINGS = {
+    "episode.sensor.fov": math.radians(30.0),
+    "episode.sensor.max_range": 2000.0,
+    "episode.control_period": 6.0,
+}
+
+
+def test_a_checkpoint_that_records_episode_settings_still_flies(tmp_path):
+    # A checkpoint records only where its training stopped. One that also
+    # records the episode settings resumes, evaluates and simulates to the
+    # bytes of the same checkpoint without them.
+    cfg = str(write_tiny_train_config(tmp_path / "cfg.yaml", batches=1))
+    new, old = tmp_path / "new", tmp_path / "old"
+    assert main(["train", "--config", cfg, "--out", str(new)]) == 0
+    ck = new / "checkpoint_000001.npz"
+    arrays = checkpoint_arrays(ck)
+    meta = json.loads(str(arrays["__meta__"][()]))
+    assert sorted(meta["extra"]) == ["clip_eps", "next_batch"]
+    meta["extra"].update(RECORDED_EPISODE_SETTINGS)
+    old.mkdir()
+    shutil.copyfile(new / "metrics.csv", old / "metrics.csv")
+    np.savez(old / ck.name, **{**arrays, "__meta__": np.array(json.dumps(meta))})
+    runs = {
+        "train": (["train", "--config", cfg, "--resume", "--batches", "2"], "{run}",
+                  "metrics.csv"),
+        "eval": (["eval", "--checkpoint", "{ck}", "--scenario", "baseline", "--episodes", "2",
+                  "--workers", "1"], "{run}/eval", "episodes.csv"),
+        "simulate": (["simulate", "--checkpoint", "{ck}", "--seed", "4", "duration=60",
+                      "asteroid.subdivision_level=1"], "{run}/sim", "trajectory.csv"),
+    }
+    for name, (args, out, written) in runs.items():
+        got = []
+        for run in (new, old):
+            fields = {"run": run, "ck": run / ck.name}
+            out_dir = out.format(**fields)
+            assert main([a.format(**fields) for a in args] + ["--out", out_dir]) == 0, name
+            got.append(read(os.path.join(out_dir, written)))
+        assert got[0] == got[1], name
 
 
 def test_checkpoint_without_episode_settings_loads_as_before(tmp_path):
@@ -843,7 +815,7 @@ def test_checkpoint_without_episode_settings_loads_as_before(tmp_path):
     nn.save_checkpoint(ck, nn.PolicyNetwork(seed=1), nn.ValueNetwork(seed=2))
     code = main([
         "simulate", "--checkpoint", ck, "duration=60", "asteroid.subdivision_level=1",
-        "sensor.fov=0.8", "control_period=4", "--out", str(tmp_path / "s"),
+        "--out", str(tmp_path / "s"),
     ])
     assert code == 0
 
@@ -1063,6 +1035,26 @@ def test_scan_debug_synthesized_body(tmp_path):
     )
     # boresight looks straight down onto the body from 2.5x the bound radius
     assert values[3:5, 3:5].max() < 2000.0
+
+
+@pytest.mark.parametrize("scale", ["2", "nan"])
+def test_scan_debug_refuses_a_scale_without_a_mesh(tmp_path, capsys, scale):
+    # --scale used to be ignored without --mesh: the synthesized body was
+    # rendered, and the scale recorded as if applied
+    out = tmp_path / "scan"
+    assert main(["scan-debug", "--scale", scale, "--out", str(out)]) == 2
+    assert "--scale scales a --mesh shape model" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_scan_debug_mesh_without_a_scale_is_scale_1(peanut_obj, tmp_path):
+    runs = {name: tmp_path / name for name in ("bare", "one")}
+    assert main(["scan-debug", "--mesh", peanut_obj, "--out", str(runs["bare"])]) == 0
+    assert main(["scan-debug", "--mesh", peanut_obj, "--scale", "1",
+                 "--out", str(runs["one"])]) == 0
+    assert read(runs["bare"] / "scan.csv") == read(runs["one"] / "scan.csv")
+    for out in runs.values():
+        assert yaml.safe_load(read(out / "resolved_config.yaml"))["config"]["scale"] == 1.0
 
 
 # --- top level -------------------------------------------------------------

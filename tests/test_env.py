@@ -10,6 +10,7 @@ from asterhover import env as env_module
 from asterhover import nn
 from asterhover.dynamics import G_REF, ISP_DEFAULT, quat_angle, quat_error, quat_to_dcm
 from asterhover.env import (
+    CONTROL_PERIOD,
     DR_SCALE,
     DRY_MASS,
     MAX_EPISODE_STEPS,
@@ -74,9 +75,10 @@ def quiet_config(**overrides) -> EpisodeConfig:
 def test_config_validation():
     EpisodeConfig().validate()
     with pytest.raises(ConfigurationError):
-        EpisodeConfig(control_period=5.0).validate()  # not a multiple of RK4_DT
-    with pytest.raises(ConfigurationError):
-        EpisodeConfig(duration=601.0).validate()
+        EpisodeConfig(duration=601.0).validate()  # not a multiple of CONTROL_PERIOD
+    for duration in (0.0, -CONTROL_PERIOD):
+        with pytest.raises(ConfigurationError, match="positive integer multiple"):
+            EpisodeConfig(duration=duration).validate()
     with pytest.raises(ConfigurationError):
         EpisodeConfig(range_min=600.0, range_max=100.0).validate()
     with pytest.raises(ConfigurationError):
@@ -89,12 +91,11 @@ def test_config_validation():
 
 def test_episode_steps_are_bounded():
     # validate only: nothing is allocated or flown
-    at_bound = EpisodeConfig(duration=6.0 * MAX_EPISODE_STEPS)
+    at_bound = EpisodeConfig(duration=CONTROL_PERIOD * MAX_EPISODE_STEPS)
     at_bound.validate()
     assert at_bound.max_steps == MAX_EPISODE_STEPS
-    for cfg in (EpisodeConfig(duration=6.0 * (MAX_EPISODE_STEPS + 1)),
-                EpisodeConfig(duration=RK4_DT * (MAX_EPISODE_STEPS + 1), control_period=RK4_DT),
-                EpisodeConfig(duration=1.0e308, control_period=RK4_DT)):
+    for cfg in (EpisodeConfig(duration=CONTROL_PERIOD * (MAX_EPISODE_STEPS + 1)),
+                EpisodeConfig(duration=1.0e308)):
         with pytest.raises(ConfigurationError, match=f"at most {MAX_EPISODE_STEPS} steps"):
             cfg.validate()
 
@@ -102,8 +103,7 @@ def test_episode_steps_are_bounded():
 def test_range_max_must_stay_below_the_sensor_reach():
     reach = SensorConfig().max_range
     EpisodeConfig(range_max=np.nextafter(reach, 0.0)).validate()
-    for cfg in (EpisodeConfig(range_max=reach), EpisodeConfig(range_max=1.0e6),
-                EpisodeConfig(sensor=SensorConfig(max_range=3.0))):
+    for cfg in (EpisodeConfig(range_max=reach), EpisodeConfig(range_max=1.0e6)):
         with pytest.raises(ConfigurationError, match=r"range_max .* sensor\.max_range"):
             cfg.validate()
 
@@ -329,7 +329,7 @@ def test_reset_casts_through_the_lane_its_first_step_reuses(monkeypatch):
     env = HoverEnv()
     env.reset(seed=9)
     lane = env._lane
-    beams = rotated_beams(env.cfg.sensor, quat_to_dcm(env.q0))
+    beams = rotated_beams(SensorConfig(), quat_to_dcm(env.q0))
     assert lane.mesh is env._prep and lane.beams.tobytes() == beams.tobytes()
     ranges, hit = cast_rays(env._prep, env.r0, beams)
     assert env.frame0.ranges.tobytes() == ranges.reshape(8, 8).tobytes()

@@ -263,7 +263,7 @@ def test_load_policy_draws_nothing(tmp_path, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "qr", refuse)
     monkeypatch.setattr(np.random, "default_rng", refuse)
-    got = load_policy(path, EpisodeConfig()).parameters()
+    got = load_policy(path).parameters()
     assert list(got) == list(want.parameters())
     for name, arr in want.parameters().items():
         assert got[name].strides == arr.strides, name
@@ -292,7 +292,7 @@ def test_load_policy_refuses_missing_or_misshapen_arrays(tmp_path, name, value):
     path = str(tmp_path / "ck.npz")
     damaged_checkpoint(path, name, value)
     with pytest.raises(ConfigurationError, match=name.split("/")[1]):
-        load_policy(path, EpisodeConfig())
+        load_policy(path)
 
 
 @pytest.mark.parametrize("name, value", [
@@ -311,7 +311,7 @@ def test_load_policy_reads_no_critic_array(tmp_path, monkeypatch, name, value):
         return original(self, key)
 
     monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", recording)
-    got = load_policy(path, EpisodeConfig()).parameters()
+    got = load_policy(path).parameters()
     assert sorted(read) == ["__meta__", *sorted(f"policy/{k}" for k in want.parameters())]
     for k, arr in want.parameters().items():
         assert got[k].tobytes() == arr.tobytes(), k
@@ -320,7 +320,7 @@ def test_load_policy_reads_no_critic_array(tmp_path, monkeypatch, name, value):
 def test_load_policy_computes_in_a_float32_checkpoints_dtype(tmp_path):
     path = str(tmp_path / "ck.npz")
     nn.save_checkpoint(path, *build_networks(23))
-    policy = load_policy(path, EpisodeConfig())
+    policy = load_policy(path)
     assert policy.dtype == np.float32
     assert {a.dtype for a in policy.parameters().values()} == {np.dtype(np.float32)}
     rng = np.random.default_rng(23)
@@ -343,7 +343,7 @@ def test_a_float64_checkpoint_evaluates_to_the_same_bytes(tmp_path):
     path = str(tmp_path / "ck.npz")
     want = nn.PolicyNetwork(seed=31)
     nn.save_checkpoint(path, want, nn.ValueNetwork(seed=32))
-    got = load_policy(path, EpisodeConfig())
+    got = load_policy(path)
     assert got.dtype == np.float64
     rng = np.random.default_rng(31)
     image, vec = rng.normal(size=(3, 8, 8, 2)), rng.normal(size=(3, 7))
@@ -567,7 +567,7 @@ def test_simulate_matches_greedy_run_episode(tmp_path):
     nn.save_checkpoint(path, nn.PolicyNetwork(seed=21), nn.ValueNetwork(seed=22))
     rows = simulate_rows(tmp_path / "sim", "--checkpoint", path)
     env = HoverEnv(Scenario("agree", overrides=AGREE_OVERRIDES).episode_config())
-    row = run_episode(env, load_policy(path, env.cfg), AGREE_SEED, AGREE_EPISODE)
+    row = run_episode(env, load_policy(path), AGREE_SEED, AGREE_EPISODE)
     assert row["fuel_kg"] > 0.0  # the untrained greedy policy fires
     assert_last_row_matches(rows, row)
 

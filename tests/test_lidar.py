@@ -271,7 +271,7 @@ def scan_positions(prep, count, seed):
     """(position, beams) pairs from the environment's initial-condition draw."""
     rng = np.random.default_rng(seed)
     cfg = EpisodeConfig()
-    beams = beam_directions(cfg.sensor).reshape(-1, 3)
+    beams = beam_directions(SensorConfig()).reshape(-1, 3)
     out = []
     for _ in range(10 * count):
         state = sample_initial_conditions(rng, cfg, prep)

@@ -2,11 +2,15 @@
 
 import ast
 import collections
+import dataclasses
+import functools
 import pathlib
 
 import pytest
 
 import asterhover
+from asterhover.ppo import TrainConfig
+from test_cli import settable_keys
 
 PACKAGE = pathlib.Path(asterhover.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -110,6 +114,71 @@ def uncalled_public_names(package: dict[str, str], others: list[str]) -> set[str
         and not node.name.startswith("_")
         and read[node.name] == names_read(node)[node.name]
     }
+
+
+def attribute_reads(tree: ast.AST) -> collections.Counter:
+    """How often `tree` reads each attribute name (``cfg.seed`` reads
+    ``seed``); assignments to an attribute do not count."""
+    return collections.Counter(
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    )
+
+
+def unread_settings(config, sources: list[str]) -> list[str]:
+    """The settable keys of `config` (see ``test_cli.settable_keys``) whose
+    field the `sources` never read by name outside the class that declares
+    it, directly or through a property of that class that is itself read
+    outside it. Reads inside the class, such as its ``validate``, do not
+    count, as a function's own definition does not count for
+    :func:`uncalled_public_names`."""
+    trees = [ast.parse(source) for source in sources]
+    classes = {node.name: node for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
+    read = sum(map(attribute_reads, trees), collections.Counter())
+    unread = []
+    for key in settable_keys(config):
+        *path, name = key.split(".")
+        owner = classes[type(functools.reduce(getattr, path, config)).__name__]
+        inside = attribute_reads(owner)
+        properties = [
+            node.name for node in owner.body
+            if isinstance(node, ast.FunctionDef) and attribute_reads(node)[name]
+            and any(isinstance(d, ast.Name) and d.id == "property" for d in node.decorator_list)
+        ]
+        if all(read[n] == inside[n] for n in (name, *properties)):
+            unread.append(key)
+    return unread
+
+
+def test_unread_setting_check_catches_one():
+    @dataclasses.dataclass
+    class Inner:
+        used: int = 0
+        dead: int = 0
+        via: int = 0
+
+    @dataclasses.dataclass
+    class Outer:
+        inner: Inner = dataclasses.field(default_factory=Inner)
+        seed: int = 0
+
+    source = (
+        "class Inner:\n    def validate(self):\n        return self.used + self.dead\n"
+        "    @property\n    def twice(self):\n        return 2 * self.via\n"
+        "    def half(self):\n        return self.dead / 2\n"
+        "class Outer:\n    pass\n"
+        "def run(cfg):\n    cfg.seed = 1\n    return cfg.inner.used + cfg.inner.twice\n"
+    )
+    assert unread_settings(Outer(), [source]) == ["inner.dead", "seed"]
+    assert unread_settings(Outer(), [source, "x = cfg.inner.dead + cfg.seed\n"]) == []
+    # a property read nowhere outside reads nothing
+    assert "inner.via" in unread_settings(Outer(), [source.replace(" + cfg.inner.twice", "")])
+
+
+def test_every_setting_is_read_outside_its_dataclass():
+    # a value a run can set but nothing reads is a dead setting
+    assert unread_settings(TrainConfig(), [path.read_text() for path in MODULES]) == []
 
 
 def test_unused_import_check_catches_one():

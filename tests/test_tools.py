@@ -38,6 +38,30 @@ def test_output_digest_runs_parse_with_the_cli(args):
     assert parsed.out == "out"
 
 
+def test_npz_difference_tells_metadata_from_arrays(tmp_path):
+    def archive(name, meta, **arrays):
+        np.savez(tmp_path / name, __meta__=np.array(json.dumps(meta)), **arrays)
+        return tmp_path / name
+
+    w = np.arange(6.0).reshape(2, 3)
+    meta = {"version": 2, "extra": {"next_batch": 1, "episode.control_period": 6.0}}
+    old = archive("old.npz", meta, w=w, b=np.zeros(3, np.float32))
+    new = archive("new.npz", {"version": 2, "extra": {"next_batch": 1}},
+                  w=w.copy(), b=np.zeros(3, np.float32))
+    assert output_digests.npz_difference(old, new) == {
+        "arrays_equal": True, "arrays_differ": [],
+        "meta_keys_differ": ["extra.episode.control_period"],
+    }
+    # an array of another dtype, shape or value differs, and so does one
+    # only one side holds; equal metadata lists no key
+    for name, arrays in (("dtype", {"b": np.zeros(3)}), ("shape", {"b": np.zeros(4, np.float32)}),
+                         ("value", {"w": w + 1.0e-12}), ("extra", {"c": np.zeros(1)})):
+        other = archive(f"{name}.npz", meta, **{"w": w, "b": np.zeros(3, np.float32), **arrays})
+        got = output_digests.npz_difference(old, other)
+        assert got == {"arrays_equal": False, "arrays_differ": sorted(arrays),
+                       "meta_keys_differ": []}, name
+
+
 def test_pooled_bench_record_keeps_every_comparison():
     # a record of the per-unit form, pooled: the same units per side, the
     # same pairs with equal outputs, and at most a fifth of the bytes

@@ -16,7 +16,10 @@ peanut, and one stochastic, so that per-episode action streams are checked
 across processes. One eval run is ``eval --all`` over the level-2 peanut,
 all 14 scenarios in one run.
 It prints one JSON object with the sha256 of every output on each side and
-exits 1 when any output differs.
+exits 1 when any output differs. For an ``.npz`` output that differs it
+also says whether every array is byte-equal and which keys of the
+archive's ``__meta__`` JSON differ, so that a metadata change reads apart
+from an array change.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ import json
 import shutil
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from bench_pairs import SIDES, change_commit, checkouts, git, run_python
 
@@ -71,6 +76,41 @@ def sha256_file(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def flat_keys(meta: dict, prefix: str = "") -> dict:
+    """A nested JSON object to {dotted key: leaf value}."""
+    out = {}
+    for key, value in meta.items():
+        if isinstance(value, dict) and value:
+            out.update(flat_keys(value, f"{prefix}{key}."))
+        else:
+            out[prefix + key] = value
+    return out
+
+
+def npz_difference(parent: Path, change: Path) -> dict:
+    """How two ``.npz`` archives differ: whether their arrays other than
+    ``__meta__`` are equal (the same names, each with the same dtype,
+    shape and bytes), the names of those that are not, and the dotted keys
+    of the ``__meta__`` JSON whose values differ or that one side lacks."""
+    sides = []
+    for path in (parent, change):
+        with np.load(path, allow_pickle=False) as data:
+            arrays = {name: data[name] for name in data.files}
+        meta = json.loads(str(arrays.pop("__meta__", np.array("{}"))[()]))
+        sides.append((arrays, flat_keys(meta)))
+    (old, old_meta), (new, new_meta) = sides
+    differ = sorted(
+        name for name in old.keys() | new.keys()
+        if name not in old or name not in new
+        or (old[name].dtype, old[name].shape, old[name].tobytes())
+        != (new[name].dtype, new[name].shape, new[name].tobytes())
+    )
+    missing = object()
+    meta_keys = sorted(key for key in old_meta.keys() | new_meta.keys()
+                       if old_meta.get(key, missing) != new_meta.get(key, missing))
+    return {"arrays_equal": not differ, "arrays_differ": differ, "meta_keys_differ": meta_keys}
+
+
 # Writes the peanut bodies into argv[1] with the checkout's own save_mesh.
 PEANUTS = """
 import sys
@@ -106,7 +146,9 @@ def digests(parent: str, tmp: Path) -> dict:
             names["ck"] = str(ck)
         for f in files:
             p, c = side_digests["parent"][f], side_digests["change"][f]
-            report["outputs"][f"{run}/{f}"] = {"parent": p, "change": c, "equal": p == c}
+            entry = report["outputs"][f"{run}/{f}"] = {"parent": p, "change": c, "equal": p == c}
+            if p != c and f.endswith(".npz"):
+                entry["npz"] = npz_difference(*(tmp / "out" / side / run / f for side in SIDES))
     report["inputs"] = {Path(p).name: sha256_file(Path(p)) for p in names.values()}
     report["equal"] = all(o["equal"] for o in report["outputs"].values())
     return report
